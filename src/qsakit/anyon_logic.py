@@ -256,11 +256,7 @@ class StringPropagator:
     ) -> QsaSchedule:
         """Compile the propagator into attachment/swapper pulses."""
         if graph is None:
-            support = self.string.support
-            graph = ConnectivityGraph.from_edges(
-                self.n_sites,
-                [(a, b) for a in support for b in support if a < b],
-            )
+            graph = ConnectivityGraph.complete_on(self.n_sites, self.string.support)
         return compile_schedule(
             self.string, graph, strategy=strategy,
             tg=self.tg if tg is None else tg,
@@ -914,10 +910,7 @@ def naive_move_error(
     factor = float(np.linalg.norm(apply_string(ext, base.data) - base.data)) / 2.0
     predicted = 2.0 * abs(math.cos(tg)) * factor
 
-    support = extended.support
-    graph = ConnectivityGraph.from_edges(
-        spec.n_sites, [(a, b) for a in support for b in support if a < b]
-    )
+    graph = ConnectivityGraph.complete_on(spec.n_sites, extended.support)
     schedule = compile_schedule(extended, graph, strategy="auto", tg=tg)
     loop_route = apply_schedule(schedule, base)
     loop_route_distance = float(np.linalg.norm(loop_route.data - intended))

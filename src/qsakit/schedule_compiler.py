@@ -26,6 +26,7 @@ Strategies:
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -87,9 +88,12 @@ class ConnectivityGraph:
 
     @classmethod
     def complete(cls, n_sites: int) -> "ConnectivityGraph":
-        return cls.from_edges(
-            n_sites, [(a, b) for a in range(n_sites) for b in range(a + 1, n_sites)]
-        )
+        return cls.complete_on(n_sites, range(n_sites))
+
+    @classmethod
+    def complete_on(cls, n_sites: int, sites) -> "ConnectivityGraph":
+        """Every pair of ``sites`` coupled, e.g. the support of a target string."""
+        return cls.from_edges(n_sites, list(itertools.combinations(sites, 2)))
 
     @classmethod
     def path(cls, n_sites: int) -> "ConnectivityGraph":

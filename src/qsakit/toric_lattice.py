@@ -19,12 +19,15 @@ four digital groups have pairwise site-disjoint members.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .pauli_core import PauliString, WeightedPauliSum, commutes
+from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs
 from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -210,6 +213,18 @@ class PlaquetteSet:
             out.setdefault(t.group, []).append(t)
         return {g: tuple(v) for g, v in sorted(out.items())}
 
+    def group_overlap(self) -> tuple[int, list[int]] | None:
+        """``(group, shared sites)`` of the first group with overlapping members, or None."""
+        for group, members in self.groups().items():
+            seen: set[int] = set()
+            for term in members:
+                support = set(term.operator.support)
+                overlap = seen & support
+                if overlap:
+                    return group, sorted(overlap)
+                seen |= support
+        return None
+
     def hamiltonian(self, J: float) -> WeightedPauliSum:
         """``H = -J * sum(terms)``."""
         return WeightedPauliSum.from_terms(
@@ -219,23 +234,16 @@ class PlaquetteSet:
 
 def _validate_set(pset: PlaquetteSet) -> None:
     """Builder sanity: mutual commutation and group support-disjointness."""
-    ops = pset.terms
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
-            if not commutes(ops[a].operator, ops[b].operator):
-                raise LatticeError(
-                    f"terms {ops[a].index}/{ops[a].kind} and "
-                    f"{ops[b].index}/{ops[b].kind} do not commute"
-                )
-    for group, members in pset.groups().items():
-        seen: set[int] = set()
-        for term in members:
-            overlap = seen & set(term.operator.support)
-            if overlap:
-                raise LatticeError(
-                    f"group {group} members share sites {sorted(overlap)}"
-                )
-            seen |= set(term.operator.support)
+    clashing = anticommuting_pairs(pset.operators())
+    if clashing:
+        a, b = (pset.terms[k] for k in clashing[0])
+        raise LatticeError(
+            f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"
+        )
+    overlap = pset.group_overlap()
+    if overlap is not None:
+        group, sites = overlap
+        raise LatticeError(f"group {group} members share sites {sites}")
 
 
 # -- wen builder --------------------------------------------------------------
@@ -301,16 +309,11 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
     five-body defect and the rest of its row by skewed terms.
 
     Raises:
-        LatticeError: wrong model; periodic grids with odd rows or cols
-            (the four-group tiling needs even wraparound); invalid holes.
+        LatticeError: wrong model; invalid holes.
     """
     if spec.model != "wen":
         raise LatticeError(f"build_wen needs model 'wen', got {spec.model!r}")
     prow, pcol = plaquette_range(spec)
-    if spec.boundary == "periodic" and (spec.rows % 2 or spec.cols % 2):
-        raise LatticeError(
-            "periodic lattices need even rows and cols for the four commuting groups"
-        )
     holes: set[tuple[int, int]] = set()
     for hole in spec.holes:
         for (i, j) in hole.plaquettes:
@@ -355,16 +358,21 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
 # -- hole-model builder --------------------------------------------------------
 
 
-def _kitaev_edges(spec: LatticeSpec) -> dict[tuple, int]:
-    """Deterministic edge -> qubit indexing.
+def _kitaev_edges(spec: LatticeSpec) -> Mapping[tuple, int]:
+    """Deterministic edge -> qubit indexing, built once per grid geometry."""
+    return _kitaev_edge_table(spec.rows, spec.cols, spec.boundary)
+
+
+@functools.lru_cache(maxsize=16)
+def _kitaev_edge_table(r: int, c: int, boundary: str) -> Mapping[tuple, int]:
+    """Read-only edge table of an ``r x c`` vertex grid.
 
     Open boundary: vertical edges first (row-major), then horizontal edges of
     rows 1..rows-1 (the rough top has no row-0 horizontals).  Periodic: every
     vertex gets one downward and one rightward edge.
     """
     edges: dict[tuple, int] = {}
-    r, c = spec.rows, spec.cols
-    if spec.boundary == "periodic":
+    if boundary == "periodic":
         for i in range(r):
             for j in range(c):
                 edges[("v", i, j)] = i * c + j
@@ -378,7 +386,7 @@ def _kitaev_edges(spec: LatticeSpec) -> dict[tuple, int]:
         for i in range(1, r):
             for j in range(c - 1):
                 edges[("h", i, j)] = (r - 1) * c + (i - 1) * (c - 1) + j
-    return edges
+    return MappingProxyType(edges)
 
 
 def kitaev_edge_index(spec: LatticeSpec, kind: str, i: int, j: int) -> int:
@@ -447,23 +455,17 @@ def kitaev_star_edge_keys(spec: LatticeSpec, i: int, j: int) -> tuple[tuple, ...
 
 def kitaev_face_operator(spec: LatticeSpec, i: int, j: int) -> PauliString:
     """The Z-type face operator at (i, j), whether driven or removed as a hole."""
-    fr, fc = kitaev_face_range(spec)
-    if i not in fr or j not in fc:
-        raise LatticeError(f"face ({i}, {j}) out of range")
     edges = _kitaev_edges(spec)
     return PauliString.from_sites(
-        spec.n_sites, {edges[e]: "Z" for e in _kitaev_face_edges(spec, i, j)}
+        spec.n_sites, {edges[e]: "Z" for e in kitaev_face_edge_keys(spec, i, j)}
     )
 
 
 def kitaev_star_operator(spec: LatticeSpec, i: int, j: int) -> PauliString:
     """The X-type vertex star at (i, j), whether driven or removed as a hole."""
-    sr, sc = kitaev_star_range(spec)
-    if i not in sr or j not in sc:
-        raise LatticeError(f"vertex star ({i}, {j}) out of range")
     edges = _kitaev_edges(spec)
     return PauliString.from_sites(
-        spec.n_sites, {edges[e]: "X" for e in _kitaev_star_edges(spec, i, j)}
+        spec.n_sites, {edges[e]: "X" for e in kitaev_star_edge_keys(spec, i, j)}
     )
 
 
@@ -473,13 +475,6 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
         raise LatticeError(
             f"build_kitaev_holes needs model 'kitaev_holes', got {spec.model!r}"
         )
-    if spec.boundary == "periodic" and (spec.rows % 2 or spec.cols % 2):
-        raise LatticeError(
-            "periodic lattices need even rows and cols for the four commuting groups"
-        )
-    edges = _kitaev_edges(spec)
-    n = spec.n_sites
-
     smooth_skips: set[tuple[int, int]] = set()
     rough_skips: set[tuple[int, int]] = set()
     for hole in spec.holes:
@@ -494,27 +489,21 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
     fr, fc = kitaev_face_range(spec)
     for i in fr:
         for j in fc:
-            sites = {edges[e]: "Z" for e in _kitaev_face_edges(spec, i, j)}
+            face = kitaev_face_operator(spec, i, j)
             if (i, j) in smooth_skips:
                 smooth_skips.discard((i, j))
-                removed_support.append(set(sites))
+                removed_support.append(set(face.support))
                 continue
-            terms.append(
-                PlaquetteTerm((i, j), PauliString.from_sites(n, sites),
-                              1 + (i + j) % 2, "face")
-            )
+            terms.append(PlaquetteTerm((i, j), face, 1 + (i + j) % 2, "face"))
     sr, sc = kitaev_star_range(spec)
     for i in sr:
         for j in sc:
-            sites = {edges[e]: "X" for e in _kitaev_star_edges(spec, i, j)}
+            star = kitaev_star_operator(spec, i, j)
             if (i, j) in rough_skips:
                 rough_skips.discard((i, j))
-                removed_support.append(set(sites))
+                removed_support.append(set(star.support))
                 continue
-            terms.append(
-                PlaquetteTerm((i, j), PauliString.from_sites(n, sites),
-                              3 + (i + j) % 2, "vertex")
-            )
+            terms.append(PlaquetteTerm((i, j), star, 3 + (i + j) % 2, "vertex"))
     if smooth_skips:
         raise LatticeError(f"smooth hole faces out of range: {sorted(smooth_skips)}")
     if rough_skips:
@@ -524,7 +513,7 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
             if removed_support[a] & removed_support[b]:
                 raise LatticeError("hole regions share edges; holes must be disjoint")
 
-    pset = PlaquetteSet(n, tuple(terms))
+    pset = PlaquetteSet(spec.n_sites, tuple(terms))
     _validate_set(pset)
     return pset
 
@@ -556,10 +545,7 @@ def plaquette_schedule(
     if spec.model != "wen":
         raise LatticeError("plaquette_schedule addresses wen terms")
     term = build_wen(spec).term_at((i, j))
-    support = term.operator.support
-    graph = ConnectivityGraph.from_edges(
-        spec.n_sites, [(a, b) for a in support for b in support if a < b]
-    )
+    graph = ConnectivityGraph.complete_on(spec.n_sites, term.operator.support)
     return compile_schedule(
         term.operator, graph, strategy=strategy, tg=spec.J * tau
     )
@@ -621,10 +607,7 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
     for group, members in pset.groups().items():
         stage = []
         for term in members:
-            support = term.operator.support
-            graph = ConnectivityGraph.from_edges(
-                spec.n_sites, [(a, b) for a in support for b in support if a < b]
-            )
+            graph = ConnectivityGraph.complete_on(spec.n_sites, term.operator.support)
             stage.append(
                 compile_schedule(
                     term.operator, graph, strategy="line_endpoints",

@@ -112,6 +112,15 @@ def test_toric_build_and_digital(tmp_path, capsys):
     assert json.loads(out)["metrics"]["distance"] <= 1e-8
 
 
+def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
+    code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.3"])
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert metrics["n_probes"] == 5
+    assert metrics["max_infidelity"] <= 1e-8
+
+
 def test_anyon_syndrome_subcommand(tmp_path, capsys):
     spec = write_json(
         tmp_path / "wen44.json",

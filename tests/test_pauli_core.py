@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsakit.pauli_core import (
     PauliFormatError,
     PauliString,
     WeightedPauliSum,
+    anticommuting_pairs,
     commutes,
     is_involution,
     multiply,
@@ -95,6 +98,42 @@ def test_commutes_matches_kron_commutator():
         assert commutes(a, b) == bool(
             np.allclose(ma @ mb, mb @ ma, atol=1e-12)
         )
+
+
+def brute_force_anticommuting(strings):
+    return [
+        (a, b)
+        for a in range(len(strings))
+        for b in range(a + 1, len(strings))
+        if not commutes(strings[a], strings[b])
+    ]
+
+
+@st.composite
+def string_batches(draw):
+    """Strings on one register; identity-heavy, so supports are often disjoint."""
+    n = draw(st.integers(1, 10))
+    letters = st.lists(st.sampled_from("IIIXYZ"), min_size=n, max_size=n)
+    rows = draw(st.lists(letters, max_size=12))
+    phases = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    return [PauliString(n, tuple(r), p) for r, p in zip(rows, phases)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(string_batches())
+def test_anticommuting_pairs_matches_brute_force(strings):
+    assert anticommuting_pairs(strings) == brute_force_anticommuting(strings)
+
+
+def test_anticommuting_pairs_known_cases():
+    strings = [PauliString.parse(t) for t in ["XXII", "IIZZ", "IZIZ", "ZIII", "YYYY"]]
+    # (0, 2) clash at site 1 and (0, 3) at site 0; YYYY clashes twice with
+    # each of the first three strings but once with ZIII
+    assert anticommuting_pairs(strings) == [(0, 2), (0, 3), (3, 4)]
+    assert anticommuting_pairs(strings) == brute_force_anticommuting(strings)
+    assert anticommuting_pairs([]) == []
+    with pytest.raises(ValueError):
+        anticommuting_pairs([PauliString.parse("XX"), PauliString.parse("Z")])
 
 
 def test_register_width_mismatch_raises():

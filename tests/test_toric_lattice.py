@@ -5,13 +5,16 @@ import pytest
 import scipy.linalg
 
 from qsakit.dense_oracle import Statevector, apply_string, distance
-from qsakit.pauli_core import PauliString, commutes
+from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes
 from qsakit.schedule_compiler import validate
 from qsakit.toric_lattice import (
     HoleSpec,
     LatticeError,
     LatticeSpec,
+    PlaquetteSet,
+    PlaquetteTerm,
     TwistSpec,
+    _validate_set,
     build_kitaev_holes,
     build_variant,
     build_wen,
@@ -282,6 +285,72 @@ def test_kitaev_periodic_needs_even_dims():
     assert spec.n_sites == 8
     for term in pset.terms:
         assert term.operator.weight == 4
+
+
+def hand_set(*terms):
+    """PlaquetteSet from ``(literal, group)`` pairs, indexed ``(0, k)``."""
+    return PlaquetteSet(
+        len(terms[0][0]),
+        tuple(
+            PlaquetteTerm((0, k), PauliString.parse(text), group)
+            for k, (text, group) in enumerate(terms)
+        ),
+    )
+
+
+def first_anticommuting(pset):
+    ops = pset.operators()
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            if not commutes(ops[a], ops[b]):
+                return a, b
+    return None
+
+
+def test_validate_set_names_the_first_anticommuting_pair():
+    # XXII anticommutes with IZIZ (site 1) and with ZIII (site 0)
+    pset = hand_set(("XXII", 1), ("IIZZ", 2), ("IZIZ", 3), ("ZIII", 4))
+    assert first_anticommuting(pset) == (0, 2)
+    with pytest.raises(LatticeError, match=r"terms \(0, 0\)/plaquette and "
+                       r"\(0, 2\)/plaquette do not commute"):
+        _validate_set(pset)
+
+
+def test_validate_set_catches_a_planted_letter_on_a_lattice():
+    terms = list(build_wen(LatticeSpec(rows=5, cols=5)).terms)
+    # plant a Y in one term, then in a second one as well
+    for k in (5, 10):
+        op = terms[k].operator
+        site = op.support[-1]
+        letters = list(op.letters)
+        letters[site] = "Y"
+        terms[k] = PlaquetteTerm(
+            terms[k].index, PauliString(op.n_sites, tuple(letters)),
+            terms[k].group, terms[k].kind,
+        )
+        pset = PlaquetteSet(op.n_sites, tuple(terms))
+        ops = pset.operators()
+        expected = [
+            (a, b) for a in range(len(ops)) for b in range(a + 1, len(ops))
+            if not commutes(ops[a], ops[b])
+        ]
+        assert expected
+        assert anticommuting_pairs(ops) == expected
+        a, b = (pset.terms[i] for i in expected[0])
+        with pytest.raises(LatticeError) as info:
+            _validate_set(pset)
+        assert str(info.value) == (
+            f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"
+        )
+
+
+def test_validate_set_rejects_group_overlap():
+    pset = hand_set(("XXII", 1), ("IIIZ", 2), ("IXXI", 1))
+    assert first_anticommuting(pset) is None
+    assert pset.group_overlap() == (1, [1])
+    with pytest.raises(LatticeError, match=r"group 1 members share sites \[1\]"):
+        _validate_set(pset)
+    assert build_wen(LatticeSpec(rows=4, cols=4)).group_overlap() is None
 
 
 def test_kitaev_hole_overlap_rejected():
