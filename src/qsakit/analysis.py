@@ -22,8 +22,8 @@ import numpy as np
 from .dense_oracle import (
     DenseOperator,
     check_dense_limit,
-    apply_rotation,
     distance,
+    run_pulses,
     schedule_pulses,
 )
 from .schedule_compiler import QsaSchedule
@@ -153,12 +153,8 @@ def pulse_product(
 ) -> DenseOperator:
     """Time-ordered pulse product as a matrix, with optional angle offsets."""
     check_dense_limit(n_sites, "pulse product")
-    dim = 1 << n_sites
-    m = np.eye(dim, dtype=np.complex128)
-    for k, (generator, angle) in enumerate(pulses):
-        shift = 0.0 if offsets is None else float(offsets[k])
-        m = apply_rotation(generator, angle + shift, m)
-    return DenseOperator(n_sites, m)
+    eye = np.eye(1 << n_sites, dtype=np.complex128)
+    return DenseOperator(n_sites, run_pulses(pulses, eye, offsets))
 
 
 def perturbed_distance(subject, delta: float) -> float:

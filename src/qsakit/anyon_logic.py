@@ -19,11 +19,11 @@ hole-move error live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import LETTERS, PauliString, WeightedPauliSum, commutes, multiply
+from .pauli_core import LETTERS, PauliString, commutes, multiply
 from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
 from .dense_oracle import (
     DenseOperator,
@@ -32,6 +32,7 @@ from .dense_oracle import (
     apply_schedule,
     apply_string,
     check_dense_limit,
+    run_pulses,
 )
 from .toric_lattice import (
     HoleSpec,
@@ -40,9 +41,7 @@ from .toric_lattice import (
     build_wen,
     ground_state_projector,
     kitaev_edge_index,
-    kitaev_face_edge_keys,
     kitaev_face_operator,
-    kitaev_star_edge_keys,
     kitaev_star_operator,
     plaquette_range,
 )
@@ -231,22 +230,17 @@ class StringPropagator:
         if self.string.phase_exp != 0:
             raise ValueError("propagator strings must carry phase +1")
 
-    def _generator(self) -> WeightedPauliSum:
-        return WeightedPauliSum.from_string(self.string)
+    def _pulses(self, tg: float | None) -> list[tuple[PauliString, float]]:
+        return [(self.string, self.tg if tg is None else tg)]
 
     def apply(self, state: Statevector, tg: float | None = None) -> Statevector:
         """``cos(tg)|psi> - i sin(tg) P|psi>``, exactly."""
-        angle = self.tg if tg is None else tg
-        return Statevector.from_array(
-            apply_rotation(self._generator(), angle, state.data)
-        )
+        return Statevector.from_array(run_pulses(self._pulses(tg), state.data))
 
     def unitary(self, tg: float | None = None) -> DenseOperator:
         check_dense_limit(self.n_sites, "string propagator unitary")
-        angle = self.tg if tg is None else tg
-        dim = 1 << self.n_sites
-        m = np.eye(dim, dtype=np.complex128)
-        return DenseOperator(self.n_sites, apply_rotation(self._generator(), angle, m))
+        eye = np.eye(1 << self.n_sites, dtype=np.complex128)
+        return DenseOperator(self.n_sites, run_pulses(self._pulses(tg), eye))
 
     def schedule(
         self,
@@ -295,12 +289,9 @@ def interleaved_propagators(
 # -- memory loops on the torus ---------------------------------------------------
 
 
-def _e_letter(i: int, j: int) -> str:
-    return "Z" if (i + j) % 2 == 0 else "X"
-
-
-def _m_letter(i: int, j: int) -> str:
-    return "X" if (i + j) % 2 == 0 else "Z"
+def _loop_letter(kind: str, i: int, j: int) -> str:
+    """``e`` loops carry Z on even spins and X on odd ones; ``m`` loops the reverse."""
+    return "Z" if ((i + j) % 2 == 0) == (kind == "e") else "X"
 
 
 def loop_path(spec: LatticeSpec, kind: str, orientation: str, offset: int = 0) -> StringPath:
@@ -316,14 +307,13 @@ def loop_path(spec: LatticeSpec, kind: str, orientation: str, offset: int = 0) -
         raise PathError("memory loops require the periodic wen model")
     if kind not in ("e", "m"):
         raise PathError(f"loop kind must be 'e' or 'm', got {kind!r}")
-    letter = _e_letter if kind == "e" else _m_letter
     if orientation == "vertical":
         sites = tuple((i, offset % spec.cols) for i in range(spec.rows))
     elif orientation == "horizontal":
         sites = tuple((offset % spec.rows, j) for j in range(spec.cols))
     else:
         raise PathError(f"orientation must be vertical or horizontal, got {orientation!r}")
-    return StringPath(sites, tuple(letter(i, j) for (i, j) in sites))
+    return StringPath(sites, tuple(_loop_letter(kind, i, j) for (i, j) in sites))
 
 
 @dataclass(frozen=True)
@@ -335,8 +325,6 @@ class LogicalQubit:
     z_path: StringPath | None = None
     hole: HoleSpec | None = None
     boundary_side: str | None = None
-    x_edges: tuple[tuple, ...] = field(default_factory=tuple)
-    z_edges: tuple[tuple, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -504,9 +492,8 @@ def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
     if spec.boundary != "periodic":
         raise EncodingError("the quantum memory requires a periodic boundary")
     program = memory_program(spec, amplitudes)
-    arr = ground_state_projector(spec).data
-    for _, string, angle in program["operations"]:
-        arr = apply_rotation(WeightedPauliSum.from_string(string), angle, arr)
+    pulses = [(string, angle) for _, string, angle in program["operations"]]
+    arr = run_pulses(pulses, ground_state_projector(spec).data)
     return Statevector.from_array(program["recorded_phase"] * arr)
 
 
@@ -617,18 +604,9 @@ def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
         raise EncodingError("hole is not part of the lattice spec")
     if len(hole.plaquettes) != 1:
         raise EncodingError("multi-plaquette holes are not supported as qubits")
-    (a, b) = hole.plaquettes[0]
     if hole.kind == "smooth":
-        return LogicalQubit(
-            "smooth_hole", hole=hole, boundary_side="bottom",
-            x_edges=tuple(("h", i, b) for i in range(a + 1, spec.rows)),
-            z_edges=kitaev_face_edge_keys(spec, a, b),
-        )
-    return LogicalQubit(
-        "rough_hole", hole=hole, boundary_side="top",
-        x_edges=kitaev_star_edge_keys(spec, a, b),
-        z_edges=tuple(("v", i, b) for i in range(0, a)),
-    )
+        return LogicalQubit("smooth_hole", hole=hole, boundary_side="bottom")
+    return LogicalQubit("rough_hole", hole=hole, boundary_side="top")
 
 
 def hole_logicals(
@@ -702,10 +680,8 @@ def magic_state(
     target exactly.
     """
     x_bar, z_bar = hole_logicals(qubit, spec)
-    arr = code_state(spec).data
-    arr = apply_rotation(WeightedPauliSum.from_string(x_bar), math.pi / 4.0, arr)
     phi = theta + math.pi / 2.0
-    arr = apply_rotation(WeightedPauliSum.from_string(z_bar), phi / 2.0, arr)
+    arr = run_pulses([(x_bar, math.pi / 4.0), (z_bar, phi / 2.0)], code_state(spec).data)
     recorded = complex(np.exp(-1j * phi / 2.0))
     return Statevector.from_array(arr / recorded)
 
@@ -794,11 +770,9 @@ class LoopCnot:
         zx = multiply(z_c, x_t)
         if zx.phase_exp:
             raise EncodingError("control-Z and target-X strings must be disjoint")
-        arr = state.data
-        arr = apply_rotation(WeightedPauliSum.from_string(z_c), math.pi / 4.0, arr)
-        arr = apply_rotation(WeightedPauliSum.from_string(x_t), math.pi / 4.0, arr)
-        arr = apply_rotation(WeightedPauliSum.from_string(zx), -math.pi / 4.0, arr)
-        recorded = complex(np.exp(1j * math.pi / 4.0))
+        quarter = math.pi / 4.0
+        arr = run_pulses([(z_c, quarter), (x_t, quarter), (zx, -quarter)], state.data)
+        recorded = complex(np.exp(1j * quarter))
         return Statevector.from_array(recorded * arr), recorded
 
 
@@ -860,10 +834,7 @@ def prepare_hole_superposition(
 ) -> Statevector:
     """``exp(-i tg X_logical)|0...0>_L``: hole empty/occupied superposition."""
     x_bar, _ = hole_logicals(qubit, spec)
-    arr = apply_rotation(
-        WeightedPauliSum.from_string(x_bar), tg, code_state(spec).data
-    )
-    return Statevector.from_array(arr)
+    return Statevector.from_array(apply_rotation(x_bar, tg, code_state(spec).data))
 
 
 def naive_move_error(
@@ -903,9 +874,7 @@ def naive_move_error(
         )
 
     naive = apply_string(ext, state.data)
-    intended = apply_rotation(
-        WeightedPauliSum.from_string(extended), tg, base.data
-    )
+    intended = apply_rotation(extended, tg, base.data)
     distance = float(np.linalg.norm(naive - intended))
     factor = float(np.linalg.norm(apply_string(ext, base.data) - base.data)) / 2.0
     predicted = 2.0 * abs(math.cos(tg)) * factor

@@ -27,7 +27,7 @@ from .dense_oracle import (
     distance,
     expm,
     max_dense_qubits,
-    schedule_unitary,
+    run_pulses,
     verify_schedule,
 )
 from .pauli_core import PauliString, anticommuting_pairs
@@ -108,6 +108,28 @@ def _print_report(report: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _error_report(report: dict, status: str, error: str, code: int) -> int:
+    """Print a report for a run that stopped before its checks; return ``code``."""
+    report.update({
+        "status": status, "error": error, "inputs_digest": _digest(report["command"], []),
+        "checks": [], "metrics": {}, "artifacts": [],
+    })
+    _print_report(report)
+    return code
+
+
+def _validator_checks(schedule: QsaSchedule, graph) -> list[dict]:
+    """One failing check per validator violation, or ``validator-clean``."""
+    violations = validate(schedule, graph)
+    return [_check(v, False) for v in violations] or [_check("validator-clean", True)]
+
+
+def _dense_check(report: dict) -> dict:
+    return _check(
+        "dense-identity", report["passed"], f"{report['metric']} = {report['distance']:.3e}"
+    )
+
+
 # -- subcommand handlers ------------------------------------------------------------
 # Each handler returns (checks, metrics, artifacts, input_paths).
 
@@ -122,13 +144,7 @@ def _cmd_compile(args):
         graph = ConnectivityGraph.complete(target.n_sites)
     schedule = compile_schedule(target, graph, strategy=args.strategy, tg=args.tg)
 
-    checks = []
-    violations = validate(schedule, graph)
-    if violations:
-        checks.extend(_check(v, False) for v in violations)
-    else:
-        checks.append(_check("validator-clean", True))
-
+    checks = _validator_checks(schedule, graph)
     metrics = {
         "target": target.format(),
         "n_sites": schedule.n_sites,
@@ -140,13 +156,7 @@ def _cmd_compile(args):
     }
     if schedule.n_sites <= max_dense_qubits():
         report = verify_schedule(schedule)
-        checks.append(
-            _check(
-                "dense-identity",
-                report["passed"],
-                f"{report['metric']} = {report['distance']:.3e}",
-            )
-        )
+        checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
     else:
         metrics["dense_verification"] = "skipped: register above dense limit"
@@ -177,28 +187,16 @@ def _cmd_verify(args):
         graph = ConnectivityGraph.from_dict(_load_json(args.graph))
         paths.append(args.graph)
 
-    checks = []
-    violations = validate(schedule, graph)
-    if violations:
-        checks.extend(_check(v, False) for v in violations)
-    else:
-        checks.append(_check("validator-clean", True))
-
+    checks = _validator_checks(schedule, graph)
     metrics = {
         "target": schedule.target.format(),
         "n_sites": schedule.n_sites,
         "depth": schedule.depth,
         "tg": schedule.tg if args.tg is None else args.tg,
     }
-    if not violations:
+    if checks[0]["passed"]:
         report = verify_schedule(schedule, tg=args.tg)
-        checks.append(
-            _check(
-                "dense-identity",
-                report["passed"],
-                f"{report['metric']} = {report['distance']:.3e}",
-            )
-        )
+        checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
         metrics["dense_metric"] = report["metric"]
     return checks, metrics, [], paths
@@ -280,15 +278,14 @@ def _cmd_toric(args):
             )
             metrics["distance"] = dist
         else:
+            # the terms commute and are Pauli involutions, so the exact
+            # evolution is the product of per-term rotations
+            exact = [(term, coeff * args.tau) for coeff, term in ham.terms]
             worst = 0.0
             for k in range(args.probes):
                 probe = Statevector.random(spec.n_sites, args.seed + k)
                 via_seq = seq.apply(probe)
-                # the terms commute and are Pauli involutions, so the exact
-                # evolution is the product of per-term rotations
-                via_exp = probe
-                for coeff, term in ham.terms:
-                    via_exp = via_exp.apply_rotation(term, coeff * args.tau)
+                via_exp = Statevector.from_array(run_pulses(exact, probe.data))
                 infid = 1.0 - abs(via_seq.inner(via_exp)) ** 2
                 worst = max(worst, infid)
             checks.append(
@@ -626,31 +623,11 @@ def main(argv=None) -> int:
     try:
         checks, metrics, artifacts, paths = args.handler(args)
     except ResourceLimitError as exc:
-        report.update(
-            {
-                "status": "resource-limit",
-                "error": str(exc),
-                "inputs_digest": _digest(argv, []),
-                "checks": [],
-                "metrics": {},
-                "artifacts": [],
-            }
-        )
-        _print_report(report)
-        return EXIT_RESOURCE_LIMIT
+        return _error_report(report, "resource-limit", str(exc), EXIT_RESOURCE_LIMIT)
     except (CliInputError, ValueError, TypeError, KeyError) as exc:
-        report.update(
-            {
-                "status": "malformed-input",
-                "error": f"{type(exc).__name__}: {exc}",
-                "inputs_digest": _digest(argv, []),
-                "checks": [],
-                "metrics": {},
-                "artifacts": [],
-            }
+        return _error_report(
+            report, "malformed-input", f"{type(exc).__name__}: {exc}", EXIT_MALFORMED_INPUT
         )
-        _print_report(report)
-        return EXIT_MALFORMED_INPUT
 
     passed = all(c["passed"] for c in checks)
     report.update(

@@ -1,10 +1,11 @@
 """Dense-matrix and statevector oracle for verifying schedules and states.
 
-Every symbolic claim in the package can be replayed here numerically.  Pauli
-strings act as index permutations with phase vectors, so applying a string
-(or a pulse, which is ``cos(t) - i sin(t) H`` for involution generators) to a
-state costs O(2^n) and to a full matrix O(4^n) -- no dense matrix products
-are ever formed.
+Every symbolic claim in the package can be replayed here numerically.  An
+array (dim,) or (dim, k) is viewed as a ``(2,)*n + rest`` tensor; a Pauli
+string flips its X/Y axes and signs its Y/Z axes.  Every pulse sequence runs
+through :func:`run_pulses`: a one-string pulse ``cos(t) - i sin(t) P`` uses
+that flip, a multi-term involution generator (attachment, swapper) becomes a
+``2^k x 2^k`` unitary contracted over its ``k`` support axes.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14).  Full-matrix comparisons are
@@ -14,13 +15,14 @@ their action on a batch of seeded random states.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import PauliString, WeightedPauliSum, is_involution
+from .pauli_core import TOL, PauliString, WeightedPauliSum, is_involution
 from .propagator_engine import InvolutionRotation, make_attachment, make_swapper
 from .schedule_compiler import QsaSchedule
 
@@ -39,12 +41,15 @@ class ResourceLimitError(RuntimeError):
 
 
 def max_dense_qubits() -> int:
-    """Current dense-register cap (env ``QSA_MAX_DENSE_QUBITS``, default 14)."""
+    """Dense-register cap (env ``QSA_MAX_DENSE_QUBITS``, default 14).
+
+    A value that is not an integer raises ``ValueError`` (malformed input).
+    """
     raw = os.environ.get(DENSE_LIMIT_ENV, "")
     try:
         return int(raw) if raw else DEFAULT_DENSE_LIMIT
     except ValueError:
-        raise ResourceLimitError(
+        raise ValueError(
             f"invalid {DENSE_LIMIT_ENV} value {raw!r}; expected an integer"
         ) from None
 
@@ -58,7 +63,28 @@ def check_dense_limit(n_sites: int, context: str) -> None:
         )
 
 
-# -- Pauli action as permutation + phase -------------------------------------
+# -- Pauli action ----------------------------------------------------------------
+
+# Factor of a Y or Z letter by output bit, after the X/Y flip:
+# Y|0> = i|1>, Y|1> = -i|0>; Z|b> = (-1)^b |b>.
+_SIGN = {"Y": np.array([-1j, 1j]), "Z": np.array([1.0, -1.0])}
+
+
+def _tensor(array: np.ndarray, n_sites: int) -> np.ndarray:
+    """View a (2^n,) + rest array as a ``(2,)*n + rest`` tensor, site 0 first."""
+    if array.shape[0] != 1 << n_sites:
+        raise ValueError(f"array of dimension {array.shape[0]} does not fit {n_sites} sites")
+    return np.asarray(array, dtype=np.complex128).reshape((2,) * n_sites + array.shape[1:])
+
+
+def _pauli(string: PauliString, tensor: np.ndarray, scale: complex = 1.0, out=None):
+    """``scale * P`` on a tensor: flip the X/Y axes, then sign the Y/Z axes."""
+    sign = np.full((1,) * tensor.ndim, scale * string.phase)
+    for site, letter in enumerate(string.letters):
+        if letter in _SIGN:
+            sign = sign * _SIGN[letter].reshape((2,) + (1,) * (tensor.ndim - 1 - site))
+    flips = tuple(s for s, letter in enumerate(string.letters) if letter in "XY")
+    return np.multiply(np.flip(tensor, axis=flips), sign, out=out)
 
 
 def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
@@ -68,58 +94,114 @@ def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
     ``kron(site0, site1, ...)``.
     """
     n = string.n_sites
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    perm = idx.copy()
-    phase = np.full(dim, string.phase, dtype=np.complex128)
-    for site, letter in enumerate(string.letters):
-        if letter == "I":
-            continue
-        bit = (idx >> (n - 1 - site)) & 1
-        sign = 1.0 - 2.0 * bit
-        if letter == "X":
-            perm = perm ^ (1 << (n - 1 - site))
-        elif letter == "Y":
-            perm = perm ^ (1 << (n - 1 - site))
-            phase = phase * (1j * sign)
-        else:  # Z
-            phase = phase * sign
-    return perm, phase
+    flips = sum(1 << (n - 1 - s) for s, letter in enumerate(string.letters) if letter in "XY")
+    perm = np.arange(1 << n) ^ flips
+    return perm, apply_string(string, np.ones(1 << n))[perm]
 
 
 def apply_string(string: PauliString, array: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a state (dim,) or matrix (dim, k) array."""
-    perm, phase = string_action(string)
-    out = np.empty_like(array)
-    if array.ndim == 1:
-        out[perm] = phase * array
-    else:
-        out[perm, :] = phase[:, None] * array
-    return out
+    return _pauli(string, _tensor(array, string.n_sites)).reshape(array.shape)
 
 
 def apply_sum(op: WeightedPauliSum, array: np.ndarray) -> np.ndarray:
     """Apply a weighted Pauli sum to a state or matrix array."""
-    out = np.zeros_like(array)
+    out = np.zeros_like(array, dtype=np.complex128)
     for coeff, string in op.terms:
         out += coeff * apply_string(string, array)
     return out
 
 
 def apply_rotation(
-    generator: WeightedPauliSum, angle: float, array: np.ndarray
+    generator: PauliString | WeightedPauliSum, angle: float, array: np.ndarray
 ) -> np.ndarray:
-    """Apply ``exp(-i * angle * generator)`` assuming the generator is an
-    involution (exact closed form ``cos - i sin H``)."""
-    return math.cos(angle) * array - 1j * math.sin(angle) * apply_sum(
-        generator, array
-    )
+    """Apply ``exp(-i * angle * generator)``: a one-pulse :func:`run_pulses`."""
+    return run_pulses([(generator, angle)], array)
 
 
 def _as_sum(op: PauliString | WeightedPauliSum) -> WeightedPauliSum:
     if isinstance(op, PauliString):
         return WeightedPauliSum.from_string(op)
     return op
+
+
+# -- the pulse executor ---------------------------------------------------------
+
+
+def _require_involution(deviation: float, generator: WeightedPauliSum) -> None:
+    if deviation > TOL:
+        raise ValueError(
+            f"pulse generator {generator} is not an involution (G*G != I), "
+            "so cos(t) - i sin(t) G is not its propagator"
+        )
+
+
+@functools.lru_cache(maxsize=256)
+def _pauli_matrix(letters: tuple[str, ...]) -> np.ndarray:
+    """Read-only matrix of a phase-free string on ``len(letters)`` sites."""
+    k = len(letters)
+    m = _pauli(PauliString(k, letters), _tensor(np.eye(1 << k), k)).reshape(1 << k, 1 << k)
+    m.flags.writeable = False
+    return m
+
+
+def _local_unitary(generator: WeightedPauliSum, angle: float) -> np.ndarray:
+    """``cos - i sin G`` as a ``2^k x 2^k`` matrix on the ``k``-site support.
+
+    Its ``4^k`` entries are held to the dense cap like a ``2k``-qubit state.
+    """
+    sites = generator.support
+    check_dense_limit(2 * len(sites), "local pulse unitary")
+    eye = np.eye(1 << len(sites), dtype=np.complex128)
+    local = np.zeros_like(eye)
+    for coeff, string in generator.terms:
+        local += coeff * string.phase * _pauli_matrix(tuple(string.letters[s] for s in sites))
+    _require_involution(np.abs(local @ local - eye).max(), generator)
+    return math.cos(angle) * eye - 1j * math.sin(angle) * local
+
+
+def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
+    """Apply ``exp(-i * (angle + offset) * generator)`` for each pulse in order.
+
+    ``pulses`` holds ``(generator, angle)`` pairs, first applied first; a
+    generator is a string or a weighted sum and must be an involution
+    (checked once per pulse, ``ValueError`` otherwise).  ``array`` is a state
+    (dim,) or a matrix / batch of states (dim, k) and is not modified.
+    ``offsets`` shifts the angles, one value per pulse or one for all.
+    A one-string generator is applied as a flip plus a sign, any other as a
+    local unitary on its support.
+    """
+    n = array.shape[0].bit_length() - 1
+    # two buffers take turns as source and destination, so a run holds three
+    # arrays of this size, the input included
+    own = np.array(_tensor(array, n))
+    spare = np.empty_like(own)
+    tensor = own
+    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
+    for (generator, angle), shift in zip(pulses, shifts):
+        generator, angle = _as_sum(generator), angle + float(shift)
+        if generator.n_sites != n:
+            raise ValueError(f"generator on {generator.n_sites} sites, array on {n}")
+        if len(generator.terms) == 1:
+            (coeff, string), = generator.terms
+            _require_involution(abs(coeff * coeff - 1.0), generator)
+            out = _pauli(string, tensor, -1j * math.sin(angle) * coeff, out=spare)
+            tensor *= math.cos(angle)
+            out += tensor
+            own, spare, tensor = spare, own, out
+        else:
+            # copy the support axes to the front, act on them, put them back
+            sites = generator.support
+            order = sites + tuple(a for a in range(own.ndim) if a not in sites)
+            moved = spare.reshape(tensor.transpose(order).shape)
+            np.copyto(moved, tensor.transpose(order))
+            flat = own.reshape(1 << len(sites), own.size >> len(sites))
+            np.matmul(_local_unitary(generator, angle), moved.reshape(flat.shape), out=flat)
+            tensor = own.reshape(moved.shape).transpose(np.argsort(order))
+    if not tensor.flags.c_contiguous:
+        np.copyto(spare, tensor)
+        tensor = spare
+    return tensor.reshape(array.shape)
 
 
 # -- dense operators ----------------------------------------------------------
@@ -147,19 +229,9 @@ class DenseOperator:
 
 def to_matrix(op: PauliString | WeightedPauliSum) -> DenseOperator:
     """Explicit matrix of a string or weighted sum (respects the dense cap)."""
-    n = op.n_sites
-    check_dense_limit(n, "to_matrix")
-    dim = 1 << n
-    if isinstance(op, PauliString):
-        perm, phase = string_action(op)
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[perm, np.arange(dim)] = phase
-        return DenseOperator(n, m)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, string in op.terms:
-        perm, phase = string_action(string)
-        m[perm, np.arange(dim)] += coeff * phase
-    return DenseOperator(n, m)
+    check_dense_limit(op.n_sites, "to_matrix")
+    apply = apply_string if isinstance(op, PauliString) else apply_sum
+    return DenseOperator(op.n_sites, apply(op, np.eye(1 << op.n_sites, dtype=np.complex128)))
 
 
 def expm(
@@ -172,17 +244,12 @@ def expm(
     """
     h = _as_sum(generator)
     check_dense_limit(h.n_sites, "expm")
-    dim = 1 << h.n_sites
-    if is_involution(h):
-        m = to_matrix(h).matrix
-        return DenseOperator(
-            h.n_sites,
-            math.cos(angle) * np.eye(dim, dtype=np.complex128)
-            - 1j * math.sin(angle) * m,
-        )
     m = to_matrix(h).matrix
-    vals, vecs = np.linalg.eigh(m)
-    u = (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
+    if is_involution(h):
+        u = math.cos(angle) * np.eye(len(m)) - 1j * math.sin(angle) * m
+    else:
+        vals, vecs = np.linalg.eigh(m)
+        u = (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
     return DenseOperator(h.n_sites, u)
 
 
@@ -270,9 +337,7 @@ class Statevector:
     def apply_rotation(
         self, generator: PauliString | WeightedPauliSum, angle: float
     ) -> "Statevector":
-        return Statevector.from_array(
-            apply_rotation(_as_sum(generator), angle, self.data)
-        )
+        return Statevector.from_array(apply_rotation(generator, angle, self.data))
 
 
 # -- schedule execution --------------------------------------------------------
@@ -310,10 +375,7 @@ def apply_schedule(
     """Run the schedule's pulse sequence on a state."""
     if state.n_sites != schedule.n_sites:
         raise ValueError("state width does not match schedule")
-    arr = state.data
-    for generator, angle in schedule_pulses(schedule, tg):
-        arr = apply_rotation(generator, angle, arr)
-    return Statevector.from_array(arr)
+    return Statevector.from_array(run_pulses(schedule_pulses(schedule, tg), state.data))
 
 
 def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> DenseOperator:
@@ -321,16 +383,13 @@ def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> DenseOpe
 
     Time order: inverse swappers, inverse attachment pulses (outermost layer
     first), the seed propagator, forward attachment pulses (innermost layer
-    first), forward swappers.  Columns are transformed in place, so the cost
-    is O(#pulses * 4^n) with no matrix multiplications.
+    first), forward swappers.  :func:`run_pulses` transforms the identity's
+    columns, at O(4^n) per pulse with no full-matrix products.
     """
     n = schedule.n_sites
     check_dense_limit(n, "schedule_unitary")
-    dim = 1 << n
-    m = np.eye(dim, dtype=np.complex128)
-    for generator, angle in schedule_pulses(schedule, tg):
-        m = apply_rotation(generator, angle, m)
-    return DenseOperator(n, m)
+    eye = np.eye(1 << n, dtype=np.complex128)
+    return DenseOperator(n, run_pulses(schedule_pulses(schedule, tg), eye))
 
 
 def verify_schedule(
@@ -345,31 +404,32 @@ def verify_schedule(
     Up to 10 sites the comparison is the exact spectral distance between the
     full matrices.  Above that (and up to the dense limit) the two unitaries
     are compared by their action on ``n_probes`` seeded random states, and
-    the reported distance is the largest L2 deviation.
+    the reported distance is the largest L2 deviation.  The probes run as
+    the columns of one (2^n, n_probes) batch.
 
     Returns a deterministic report dict with the metric, distance, tolerance
     and pass flag.
     """
     n = schedule.n_sites
     tg_eff = schedule.tg if tg is None else tg
-    target_sum = WeightedPauliSum.from_string(schedule.target)
     if n <= MATRIX_QUBIT_CAP:
         u = schedule_unitary(schedule, tg_eff)
-        v = expm(target_sum, tg_eff)
+        v = expm(schedule.target, tg_eff)
         dist = distance(u, v)
         metric = "spectral_distance"
         report_seed = None
     else:
         check_dense_limit(n, "verify_schedule")
+        probes = np.empty((1 << n, n_probes), dtype=np.complex128)
+        for k in range(n_probes):
+            probes[:, k] = Statevector.random(n, seed + k).data
+        via_schedule = run_pulses(schedule_pulses(schedule, tg_eff), probes)
+        via_target = apply_rotation(schedule.target, tg_eff, probes)
         worst = 0.0
         for k in range(n_probes):
-            probe = Statevector.random(n, seed + k)
-            via_schedule = apply_schedule(schedule, probe, tg_eff)
-            via_target = probe.apply_rotation(target_sum, tg_eff)
-            worst = max(
-                worst,
-                float(np.linalg.norm(via_schedule.data - via_target.data)),
-            )
+            a = Statevector.from_array(via_schedule[:, k])
+            b = Statevector.from_array(via_target[:, k])
+            worst = max(worst, float(np.linalg.norm(a.data - b.data)))
         dist = worst
         metric = f"max_state_l2[{n_probes} probes]"
         report_seed = seed

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .pauli_core import PauliString
 from .propagator_engine import (
@@ -263,11 +263,15 @@ def _hamiltonian_path(support, adj):
 
     The ascending-index order is preferred when it happens to be a path;
     otherwise a backtracking search (neighbors ascending, endpoints tried by
-    ascending degree then index) finds one.
+    ascending degree then index) finds one.  A vertex of degree <= 1 can only
+    be an endpoint, so more than two of them rule a path out before the
+    (exponential) search starts.
     """
     ordered = list(support)
     if all(ordered[i + 1] in adj[ordered[i]] for i in range(len(ordered) - 1)):
         return ordered
+    if sum(1 for s in support if len(adj[s]) <= 1) > 2:
+        return None
 
     n = len(support)
     starts = sorted(support, key=lambda s: (len(adj[s]), s))

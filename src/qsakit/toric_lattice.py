@@ -31,9 +31,9 @@ from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs
 from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
-    apply_rotation,
     apply_string,
     check_dense_limit,
+    run_pulses,
     schedule_pulses,
 )
 
@@ -571,25 +571,17 @@ class DigitalSequence:
 
     def pulses(self) -> list[tuple[WeightedPauliSum, float]]:
         """Every pulse of every stage, in execution order."""
-        out: list[tuple[WeightedPauliSum, float]] = []
-        for stage in self.stages:
-            for sched in stage:
-                out.extend(schedule_pulses(sched))
-        return out
+        return [p for stage in self.stages for sched in stage for p in schedule_pulses(sched)]
 
     def apply(self, state: Statevector, angle_offset: float = 0.0) -> Statevector:
-        arr = state.data
-        for generator, angle in self.pulses():
-            arr = apply_rotation(generator, angle + angle_offset, arr)
-        return Statevector.from_array(arr)
+        return Statevector.from_array(
+            run_pulses(self.pulses(), state.data, angle_offset)
+        )
 
     def unitary(self, angle_offset: float = 0.0) -> np.ndarray:
         check_dense_limit(self.n_sites, "digital unitary")
-        dim = 1 << self.n_sites
-        m = np.eye(dim, dtype=np.complex128)
-        for generator, angle in self.pulses():
-            m = apply_rotation(generator, angle + angle_offset, m)
-        return m
+        eye = np.eye(1 << self.n_sites, dtype=np.complex128)
+        return run_pulses(self.pulses(), eye, angle_offset)
 
     def hamiltonian(self) -> WeightedPauliSum:
         return build_variant(self.spec).hamiltonian(self.spec.J)
@@ -706,7 +698,7 @@ def ground_state_sweep(spec: LatticeSpec):
         )
         stages.append(stage)
 
-    arr = psi0.data
+    pulses = []
     used_corners: set[int] = set()
     for stage in stages:
         for (i, j, kind) in stage:
@@ -722,10 +714,7 @@ def ground_state_sweep(spec: LatticeSpec):
                 raise LatticeError(
                     f"sweep ordering bug: corner spin {corner} reused at ({i},{j})"
                 )
-            generator = PauliString.from_sites(spec.n_sites, letters)
-            arr = apply_rotation(
-                WeightedPauliSum.from_string(generator), math.pi / 4, arr
-            )
+            pulses.append((PauliString.from_sites(spec.n_sites, letters), math.pi / 4))
             # every spin this plaquette touched is no longer fresh
             used_corners |= {s(i, j), s(i, j + 1), s(i + 1, j), s(i + 1, j + 1)}
-    return Statevector.from_array(arr), tuple(stages)
+    return Statevector.from_array(run_pulses(pulses, psi0.data)), tuple(stages)

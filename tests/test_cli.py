@@ -98,6 +98,17 @@ def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["metrics"]["sweep_fidelity"] >= 1.0 - 1e-10
 
 
+def test_unparsable_dense_limit_exits_two(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "plaquette.json"
+    run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "abc")
+    code, out = run_cli(capsys, ["verify", "--schedule", str(out_file)])
+    report = json.loads(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert "QSA_MAX_DENSE_QUBITS" in report["error"]
+
+
 def test_toric_build_and_digital(tmp_path, capsys):
     spec = write_json(
         tmp_path / "wen33.json",

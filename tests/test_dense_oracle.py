@@ -1,8 +1,12 @@
 """Dense backend against np.kron matrices and scipy.linalg.expm."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qsakit.dense_oracle import (
     MATRIX_QUBIT_CAP,
@@ -16,12 +20,15 @@ from qsakit.dense_oracle import (
     expm,
     frobenius_distance,
     max_dense_qubits,
+    run_pulses,
     schedule_pulses,
     schedule_unitary,
+    string_action,
     to_matrix,
     verify_schedule,
 )
-from qsakit.pauli_core import PauliString, WeightedPauliSum
+from qsakit.pauli_core import PauliString, WeightedPauliSum, commutes
+from qsakit.propagator_engine import AttachmentSpec, SwapperSpec
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
 
 from conftest import kron_expm, kron_string, kron_sum, random_string_letters
@@ -40,6 +47,10 @@ def test_to_matrix_matches_kron():
         n = int(rng.integers(1, 7))
         s = random_string(rng, n)
         assert np.allclose(to_matrix(s).matrix, kron_string(s), atol=1e-12)
+        perm, phase = string_action(s)
+        m = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+        m[perm, np.arange(1 << n)] = phase
+        assert np.allclose(m, kron_string(s), atol=1e-12)
 
 
 def test_apply_string_matches_kron_on_vectors():
@@ -182,3 +193,117 @@ def test_env_var_limits_dense_work(monkeypatch):
         schedule_unitary(schedule)
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS")
     assert max_dense_qubits() == 14
+
+
+def test_env_var_that_is_not_an_integer_is_malformed_input(monkeypatch):
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "abc")
+    with pytest.raises(ValueError, match="QSA_MAX_DENSE_QUBITS"):
+        max_dense_qubits()
+
+
+# -- the pulse executor against the kron/scipy oracle --------------------------
+
+PAULI = st.sampled_from("XYZ")
+
+
+@st.composite
+def local_generators(draw, n):
+    """Two-term involutions on 1-3 sites: attachments, swappers, and any
+    anticommuting pair (P + Q)/sqrt(2)."""
+    kind = draw(st.sampled_from(["attachment", "swapper", "pair"]))
+    if kind == "swapper" or n == 1:
+        alpha, beta = draw(st.lists(PAULI, min_size=2, max_size=2, unique=True))
+        return SwapperSpec(draw(st.integers(0, n - 1)), alpha, beta).generator(n)
+    if kind == "attachment":
+        c, a = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        alpha, beta = draw(st.lists(PAULI, min_size=2, max_size=2, unique=True))
+        return AttachmentSpec(c, alpha, beta, a, draw(PAULI)).generator(n)
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+    p = PauliString.from_sites(n, {s: draw(PAULI) for s in sites})
+    q = PauliString.from_sites(n, {s: draw(PAULI) for s in sites})
+    assume(not commutes(p, q))
+    return WeightedPauliSum.from_terms(
+        n, [(1 / math.sqrt(2.0), p), (1 / math.sqrt(2.0), q)]
+    )
+
+
+@st.composite
+def string_generators(draw, n):
+    """One Pauli string of any weight (identity included), coefficient +-1."""
+    letters = tuple(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+    return WeightedPauliSum.from_string(PauliString(n, letters), draw(st.sampled_from([1.0, -1.0])))
+
+
+ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+@st.composite
+def pulse_runs(draw):
+    n = draw(st.integers(1, 6))
+    generator = st.one_of(local_generators(n), string_generators(n))
+    pulses = draw(st.lists(st.tuples(generator, ANGLES), min_size=1, max_size=6))
+    columns = draw(st.sampled_from([None, 1, 3]))
+    offsets = draw(st.sampled_from(["none", "scalar", "per-pulse"]))
+    if offsets == "scalar":
+        offsets = draw(st.floats(-0.1, 0.1, allow_nan=False))
+    elif offsets == "per-pulse":
+        offsets = draw(st.lists(
+            st.floats(-0.1, 0.1, allow_nan=False),
+            min_size=len(pulses), max_size=len(pulses),
+        ))
+    else:
+        offsets = None
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, pulses, columns, offsets, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(pulse_runs())
+def test_run_pulses_matches_kron_oracle(run):
+    n, pulses, columns, offsets, seed = run
+    rng = np.random.default_rng(seed)
+    shape = (1 << n,) if columns is None else (1 << n, columns)
+    array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    before = array.copy()
+    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
+    want = array
+    for (generator, angle), shift in zip(pulses, shifts):
+        want = kron_expm(kron_sum(generator), angle + shift) @ want
+    got = run_pulses(pulses, array, offsets)
+    assert got.shape == shape
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(array, before)
+
+
+def test_rotation_refuses_generators_that_are_not_involutions():
+    x, z = PauliString.parse("XI"), PauliString.parse("ZI")
+    raw = WeightedPauliSum.from_terms(2, [(1.0, x), (1.0, z)])
+    normalised = raw.scaled(1 / math.sqrt(2.0))
+    vec = Statevector.random(2, seed=3)
+    for bad in (raw, WeightedPauliSum.from_string(x, 2.0)):
+        with pytest.raises(ValueError, match="not an involution") as err:
+            apply_rotation(bad, 0.4, vec.data)
+        assert str(bad) in str(err.value)
+        with pytest.raises(ValueError, match="not an involution"):
+            vec.apply_rotation(bad, 0.4)
+        with pytest.raises(ValueError, match="not an involution"):
+            run_pulses([(normalised, 0.1), (bad, 0.4)], np.eye(4))
+    want = kron_expm(kron_sum(normalised), 0.4) @ vec.data
+    assert np.allclose(vec.apply_rotation(normalised, 0.4).data, want, atol=1e-12)
+
+
+def test_batched_probes_match_a_per_probe_loop():
+    n = MATRIX_QUBIT_CAP + 1
+    target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
+    schedule = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.4)
+    report = verify_schedule(schedule, n_probes=4, seed=5)
+    target_sum = WeightedPauliSum.from_string(target)
+    worst = 0.0
+    for k in range(4):
+        probe = Statevector.random(n, 5 + k)
+        via_schedule = apply_schedule(schedule, probe)
+        via_target = probe.apply_rotation(target_sum, 0.4)
+        worst = max(worst, float(np.linalg.norm(via_schedule.data - via_target.data)))
+    assert report["metric"] == "max_state_l2[4 probes]"
+    assert report["seed"] == 5
+    assert abs(report["distance"] - worst) <= 1e-14

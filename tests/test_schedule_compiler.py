@@ -1,5 +1,7 @@
 """Planner depths, symbolic replay, serialization and the validator."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,23 @@ def test_star_graph_has_no_endpoint_line():
     schedule = compile_schedule(target, star, strategy="greedy")
     assert validate(schedule, star) == []
     assert replay_symbolic(schedule) == target
+
+
+def test_path_search_rejects_three_leaves_at_once():
+    # a 10-clique with three pendant leaves has no Hamiltonian path; the
+    # leaves give it away before the exponential search starts
+    n = 13
+    edges = [(a, b) for a in range(10) for b in range(a + 1, 10)]
+    edges += [(0, 10), (1, 11), (2, 12)]
+    graph = ConnectivityGraph.from_edges(n, edges)
+    target = PauliString(n, ("X",) * n)
+    start = time.perf_counter()
+    for strategy in ("line_endpoints", "single_endpoint"):
+        with pytest.raises(StrategyInfeasibleError):
+            compile_schedule(target, graph, strategy=strategy)
+    assert time.perf_counter() - start < 1.0
+    auto = compile_schedule(target, graph, strategy="auto")
+    assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
 def test_greedy_respects_sparse_graphs():
