@@ -324,7 +324,6 @@ class LogicalQubit:
     x_path: StringPath | None = None
     z_path: StringPath | None = None
     hole: HoleSpec | None = None
-    boundary_side: str | None = None
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -605,8 +604,8 @@ def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
     if len(hole.plaquettes) != 1:
         raise EncodingError("multi-plaquette holes are not supported as qubits")
     if hole.kind == "smooth":
-        return LogicalQubit("smooth_hole", hole=hole, boundary_side="bottom")
-    return LogicalQubit("rough_hole", hole=hole, boundary_side="top")
+        return LogicalQubit("smooth_hole", hole=hole)
+    return LogicalQubit("rough_hole", hole=hole)
 
 
 def hole_logicals(

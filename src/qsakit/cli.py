@@ -168,9 +168,7 @@ def _cmd_compile(args):
             fh.write("\n")
         with open(args.out, encoding="utf-8") as fh:
             reread = QsaSchedule.from_json(fh.read())
-        checks.append(
-            _check("artifact-round-trip", not validate(reread, graph))
-        )
+        checks.append(_check("artifact-round-trip", reread == schedule))
         artifacts.append(args.out)
     return checks, metrics, artifacts, paths
 
@@ -545,6 +543,17 @@ def _cmd_analyze(args):
 # -- parser -------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for real-valued options: NaN and infinities are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -565,20 +574,20 @@ def _build_parser() -> argparse.ArgumentParser:
         default="auto",
         choices=["auto", "doubling", "line_endpoints", "single_endpoint", "greedy"],
     )
-    p.add_argument("--tg", type=float, default=1.0)
+    p.add_argument("--tg", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None, help="write the schedule JSON here")
     p.set_defaults(handler=_cmd_compile)
 
     p = sub.add_parser("verify", parents=[common], help="verify a schedule file")
     p.add_argument("--schedule", required=True)
-    p.add_argument("--tg", type=float, default=None)
+    p.add_argument("--tg", type=_finite_float, default=None)
     p.add_argument("--graph", default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("toric", parents=[common], help="lattice builds and states")
     p.add_argument("action", choices=["build", "ground", "digital"])
     p.add_argument("--spec", required=True, help="lattice spec JSON file")
-    p.add_argument("--tau", type=float, default=0.3)
+    p.add_argument("--tau", type=_finite_float, default=0.3)
     p.add_argument("--probes", type=int, default=5)
     p.set_defaults(handler=_cmd_toric)
 
@@ -596,12 +605,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common], help="strength and error scaling")
     p.add_argument("action", choices=["strength", "error-scaling"])
-    p.add_argument("--g", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--tau-prime", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--omega-prime", type=float, default=None)
+    p.add_argument("--g", type=_finite_float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
+    p.add_argument("--tau", type=_finite_float, default=None)
+    p.add_argument("--tau-prime", type=_finite_float, default=None)
+    p.add_argument("--omega", type=_finite_float, default=None)
+    p.add_argument("--omega-prime", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--schedule", default=None)
     p.add_argument("--digital", default=None, help="lattice spec JSON file")

@@ -195,11 +195,8 @@ class InvolutionRotation:
 
     generator: WeightedPauliSum
     angle: float
-    direction: str = "forward"
 
     def __post_init__(self) -> None:
-        if self.direction not in ("forward", "inverse"):
-            raise PulseSpecError(f"invalid direction {self.direction!r}")
         if not is_involution(self.generator):
             raise PulseSpecError(
                 f"generator does not square to the identity: {self.generator}"
@@ -210,20 +207,31 @@ class InvolutionRotation:
         return self.generator.n_sites
 
 
+def _branch_rotation(
+    spec: AttachmentSpec | SwapperSpec, n_sites: int, direction: str
+) -> InvolutionRotation:
+    """The spec's rotation at its forward or inverse branch angle."""
+    if direction == "forward":
+        angle = spec.forward_angle
+    elif direction == "inverse":
+        angle = spec.inverse_angle
+    else:
+        raise PulseSpecError(f"invalid direction {direction!r}")
+    return InvolutionRotation(spec.generator(n_sites), angle)
+
+
 def make_attachment(
     spec: AttachmentSpec, n_sites: int, direction: str = "forward"
 ) -> InvolutionRotation:
     """Build the attachment rotation at the spec's branch angle."""
-    angle = spec.forward_angle if direction == "forward" else spec.inverse_angle
-    return InvolutionRotation(spec.generator(n_sites), angle, direction)
+    return _branch_rotation(spec, n_sites, direction)
 
 
 def make_swapper(
     spec: SwapperSpec, n_sites: int, direction: str = "forward"
 ) -> InvolutionRotation:
     """Build the swapper rotation at the spec's branch angle."""
-    angle = spec.forward_angle if direction == "forward" else spec.inverse_angle
-    return InvolutionRotation(spec.generator(n_sites), angle, direction)
+    return _branch_rotation(spec, n_sites, direction)
 
 
 def conjugate(q: PauliString, rotation: InvolutionRotation) -> WeightedPauliSum:

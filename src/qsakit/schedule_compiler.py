@@ -12,16 +12,18 @@ Strategies:
 
 * ``doubling`` -- every grown site tries to attach a fresh neighbor each
   layer (connectors ascending, each claiming its lowest unclaimed fresh
-  neighbor); admitted only when some seed edge reaches the target support in
-  ``ceil(log2 N) - 1`` layers.
+  neighbor); seed edges are tried in ascending order and the first one that
+  reaches the target support in ``ceil(log2 N) - 1`` layers is taken, else
+  the graph does not admit doubling.
 * ``line_endpoints`` -- seed in the middle of a Hamiltonian path of the
   support, grow both endpoints outward: ``ceil(N/2) - 1`` layers.
 * ``single_endpoint`` -- seed at one end of the path, grow one site per
   layer: ``N - 2`` layers.
 * ``greedy`` -- the doubling growth rule from the lowest-index seed edge,
   with whatever depth results (always succeeds on a connected support).
-* ``auto`` -- first of doubling, line_endpoints, single_endpoint that the
-  graph admits, else greedy.
+* ``auto`` -- ``doubling`` if the graph admits it, else ``line_endpoints``
+  if the support has a Hamiltonian path, else ``greedy``.  (``single_endpoint``
+  needs the same path and is never shallower, so ``auto`` never picks it.)
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ class ConnectivityGraph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
-
-    def neighbors(self, site: int) -> tuple[int, ...]:
-        out = [b for a, b in self.edges if a == site]
-        out += [a for a, b in self.edges if b == site]
-        return tuple(sorted(out))
 
     def to_dict(self) -> dict:
         return {"n_sites": self.n_sites, "edges": sorted(list(e) for e in self.edges)}
@@ -196,25 +193,35 @@ def depth_bound(n_support: int, strategy: str) -> int:
 
 
 def _induced_adjacency(support: tuple[int, ...], graph: ConnectivityGraph):
-    sset = set(support)
-    return {
-        s: tuple(x for x in graph.neighbors(s) if x in sset) for s in support
-    }
+    adj: dict[int, list[int]] = {s: [] for s in support}
+    for a, b in graph.edges:
+        if a in adj and b in adj:
+            adj[a].append(b)
+            adj[b].append(a)
+    return {s: tuple(sorted(xs)) for s, xs in adj.items()}
 
 
-def _check_connected(support: tuple[int, ...], adj) -> bool:
-    seen = {support[0]}
-    stack = [support[0]]
-    while stack:
-        for x in adj[stack.pop()]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == len(support)
+def _components(sites, adj) -> int:
+    """Number of connected components of the subgraph induced on ``sites``."""
+    unseen = set(sites)
+    count = 0
+    while unseen:
+        count += 1
+        stack = [unseen.pop()]
+        while stack:
+            for x in adj[stack.pop()]:
+                if x in unseen:
+                    unseen.remove(x)
+                    stack.append(x)
+    return count
 
 
 def _grow_from_seed(seed: tuple[int, int], support_set: set, adj):
-    """Greedy maximal growth; returns layers of (connector, attached) or None."""
+    """Greedy maximal growth: layers of (connector, attached) site pairs.
+
+    On a connected support some grown site always borders a fresh one, so
+    every layer is non-empty and the growth always reaches the support.
+    """
     grown = set(seed)
     layers: list[list[tuple[int, int]]] = []
     while grown != support_set:
@@ -229,33 +236,27 @@ def _grow_from_seed(seed: tuple[int, int], support_set: set, adj):
                 attached = min(candidates)
                 layer.append((connector, attached))
                 claimed.add(attached)
-        if not layer:
-            return None
         layers.append(layer)
         grown |= claimed
     return layers
 
 
-def _plan_doubling(support, adj, require_bound: bool):
+def _plan_growth(support, adj, max_depth: int | None = None):
+    """The first seed edge, ascending, whose growth needs at most ``max_depth`` layers.
+
+    ``greedy`` takes the first seed edge (``max_depth=None``).  ``doubling``
+    passes its depth bound, which is a lower bound on every seed's growth
+    (a layer at most doubles the grown sites), so the first seed reaching it
+    is also the shallowest.
+    """
     support_set = set(support)
-    seed_edges = sorted(
-        (a, b) for a in support for b in adj[a] if a < b
-    )
-    best = None
-    for seed in seed_edges:
+    for seed in sorted((a, b) for a in support for b in adj[a] if a < b):
         layers = _grow_from_seed(seed, support_set, adj)
-        if layers is None:
-            continue
-        if best is None or len(layers) < len(best[1]):
-            best = (seed, layers)
-    if best is None:
-        raise StrategyInfeasibleError("no seed edge grows to the full support")
-    if require_bound and len(best[1]) != depth_bound(len(support), "doubling"):
-        raise StrategyInfeasibleError(
-            f"graph does not admit doubling: best depth {len(best[1])} "
-            f"!= bound {depth_bound(len(support), 'doubling')}"
-        )
-    return best
+        if max_depth is None or len(layers) <= max_depth:
+            return seed, layers
+    raise StrategyInfeasibleError(
+        f"graph does not admit doubling: no seed edge reaches depth {max_depth}"
+    )
 
 
 def _hamiltonian_path(support, adj):
@@ -263,14 +264,17 @@ def _hamiltonian_path(support, adj):
 
     The ascending-index order is preferred when it happens to be a path;
     otherwise a backtracking search (neighbors ascending, endpoints tried by
-    ascending degree then index) finds one.  A vertex of degree <= 1 can only
-    be an endpoint, so more than two of them rule a path out before the
-    (exponential) search starts.
+    ascending degree then index) finds one.  Two necessary conditions rule a
+    path out before the (exponential) search starts: a vertex of degree <= 1
+    can only be an endpoint, so at most two such vertices exist; and removing
+    one vertex splits a path into at most two pieces.
     """
     ordered = list(support)
     if all(ordered[i + 1] in adj[ordered[i]] for i in range(len(ordered) - 1)):
         return ordered
     if sum(1 for s in support if len(adj[s]) <= 1) > 2:
+        return None
+    if any(_components(set(support) - {v}, adj) > 2 for v in support):
         return None
 
     n = len(support)
@@ -279,7 +283,7 @@ def _hamiltonian_path(support, adj):
     def extend(path: list[int], used: set) -> list[int] | None:
         if len(path) == n:
             return path
-        for nxt in sorted(adj[path[-1]]):
+        for nxt in adj[path[-1]]:
             if nxt not in used:
                 used.add(nxt)
                 path.append(nxt)
@@ -297,47 +301,26 @@ def _hamiltonian_path(support, adj):
     return None
 
 
-def _plan_line_endpoints(support, adj):
+def _plan(strategy, support, adj):
+    """(seed pair, layers of (connector, attached) pairs) for one strategy."""
+    if strategy == "doubling":
+        return _plan_growth(support, adj, depth_bound(len(support), "doubling"))
+    if strategy == "greedy":
+        return _plan_growth(support, adj)
     order = _hamiltonian_path(support, adj)
     if order is None:
         raise StrategyInfeasibleError("support has no Hamiltonian path in graph")
-    n = len(order)
-    k = (n - 2) // 2
+    if strategy == "single_endpoint":
+        seed = (order[0], order[1])
+        return seed, [[(order[i], order[i + 1])] for i in range(1, len(order) - 1)]
+    # line_endpoints: seed in the middle, both ends grow outward each layer
+    k = (len(order) - 2) // 2
     seed = (order[k], order[k + 1])
     layers = []
-    radius = 1
-    while True:
-        layer = []
-        left = k - radius
-        right = k + 1 + radius
-        if left >= 0:
-            layer.append((order[left + 1], order[left]))
-        if right <= n - 1:
-            layer.append((order[right - 1], order[right]))
-        if not layer:
-            break
-        layers.append(layer)
-        radius += 1
+    for r in range(1, len(order) - k - 1):
+        left = [(order[k - r + 1], order[k - r])] if r <= k else []
+        layers.append(left + [(order[k + r], order[k + 1 + r])])
     return seed, layers
-
-
-def _plan_single_endpoint(support, adj):
-    order = _hamiltonian_path(support, adj)
-    if order is None:
-        raise StrategyInfeasibleError("support has no Hamiltonian path in graph")
-    seed = (order[0], order[1])
-    layers = [[(order[i], order[i + 1])] for i in range(1, len(order) - 1)]
-    return seed, layers
-
-
-def _plan_greedy(support, adj):
-    support_set = set(support)
-    seed_edges = sorted((a, b) for a in support for b in adj[a] if a < b)
-    for seed in seed_edges:
-        layers = _grow_from_seed(seed, support_set, adj)
-        if layers is not None:
-            return seed, layers
-    raise StrategyInfeasibleError("greedy growth found no viable seed edge")
 
 
 # -- compilation -------------------------------------------------------------
@@ -382,38 +365,35 @@ def compile_schedule(
             f"target must act on at least two sites, got {target.format()!r}"
         )
     adj = _induced_adjacency(support, graph)
-    if not _check_connected(support, adj):
+    if _components(support, adj) != 1:
         raise DisconnectedSupportError(
             f"target support {support} is not connected in the graph"
         )
 
     if strategy == "auto":
-        plan = None
-        for candidate in ("doubling", "line_endpoints", "single_endpoint"):
+        for candidate in ("doubling", "line_endpoints"):
             try:
-                plan = _plan(candidate, support, adj)
-                break
+                return _materialize(target, *_plan(candidate, support, adj), tg)
             except StrategyInfeasibleError:
                 continue
-        if plan is None:
-            plan = _plan("greedy", support, adj)
-    else:
-        plan = _plan(strategy, support, adj)
-    seed_pair, layer_pairs = plan
-
-    return _materialize(target, seed_pair, layer_pairs, tg)
+        strategy = "greedy"
+    return _materialize(target, *_plan(strategy, support, adj), tg)
 
 
-def _plan(strategy, support, adj):
-    if strategy == "doubling":
-        return _plan_doubling(support, adj, require_bound=True)
-    if strategy == "line_endpoints":
-        return _plan_line_endpoints(support, adj)
-    if strategy == "single_endpoint":
-        return _plan_single_endpoint(support, adj)
-    if strategy == "greedy":
-        return _plan_greedy(support, adj)
-    raise ValueError(f"unknown strategy {strategy!r}")
+def _step_letters(letters: dict[int, str], layer) -> None:
+    """Advance the per-site letters of a growing string through one layer.
+
+    Each attachment toggles its connector's letter between ``alpha`` and
+    ``beta`` (a connector carrying neither keeps it) and writes its attached
+    letter onto the fresh site.
+    """
+    for spec in layer:
+        have = letters.get(spec.connector_site)
+        if have == spec.alpha:
+            letters[spec.connector_site] = spec.beta
+        elif have == spec.beta:
+            letters[spec.connector_site] = spec.alpha
+        letters[spec.attached_site] = spec.attached_letter
 
 
 def _materialize(
@@ -427,20 +407,18 @@ def _materialize(
     letters = {seed_pair[0]: "X", seed_pair[1]: "X"}
     layers = []
     for pairs in layer_pairs:
-        layer = []
-        for connector, attached in pairs:
-            layer.append(
-                AttachmentSpec(
-                    connector_site=connector,
-                    alpha=GROW_ALPHA,
-                    beta=GROW_BETA,
-                    attached_site=attached,
-                    attached_letter=ATTACHED_LETTER,
-                )
+        layer = tuple(
+            AttachmentSpec(
+                connector_site=connector,
+                alpha=GROW_ALPHA,
+                beta=GROW_BETA,
+                attached_site=attached,
+                attached_letter=ATTACHED_LETTER,
             )
-            letters[connector] = "Z" if letters[connector] == "X" else "X"
-            letters[attached] = ATTACHED_LETTER
-        layers.append(tuple(layer))
+            for connector, attached in pairs
+        )
+        _step_letters(letters, layer)
+        layers.append(layer)
 
     swappers = []
     for site in sorted(letters):
@@ -511,8 +489,8 @@ def validate(
         if not graph.has_edge(a, b):
             violations.append(f"seed pair ({a}, {b}) is not a graph edge")
 
-    current = set(schedule.seed.support)
-    letters = {s: schedule.seed.letter(s) for s in current}
+    # the grown support is exactly the set of sites with a tracked letter
+    letters = {s: schedule.seed.letter(s) for s in schedule.seed.support}
     for idx, layer in enumerate(schedule.layers, start=1):
         engaged: set[int] = set()
         for spec in layer:
@@ -522,17 +500,17 @@ def validate(
                     f"layer {idx}: attachments share sites {sorted(pair & engaged)}"
                 )
             engaged |= pair
-            if spec.connector_site not in current:
+            if spec.connector_site not in letters:
                 violations.append(
                     f"layer {idx}: connector {spec.connector_site} not in grown support"
                 )
-            elif letters.get(spec.connector_site) not in (spec.alpha, spec.beta):
+            elif letters[spec.connector_site] not in (spec.alpha, spec.beta):
                 violations.append(
                     f"layer {idx}: connector {spec.connector_site} carries "
-                    f"{letters.get(spec.connector_site)!r}, spec expects "
+                    f"{letters[spec.connector_site]!r}, spec expects "
                     f"{spec.alpha}/{spec.beta}"
                 )
-            if spec.attached_site in current:
+            if spec.attached_site in letters:
                 violations.append(
                     f"layer {idx}: attached site {spec.attached_site} is not fresh"
                 )
@@ -543,26 +521,18 @@ def validate(
                     f"layer {idx}: ({spec.connector_site}, {spec.attached_site}) "
                     f"is not a graph edge"
                 )
-        for spec in layer:
-            if spec.connector_site in letters:
-                have = letters[spec.connector_site]
-                if have == spec.alpha:
-                    letters[spec.connector_site] = spec.beta
-                elif have == spec.beta:
-                    letters[spec.connector_site] = spec.alpha
-            letters[spec.attached_site] = spec.attached_letter
-            current.add(spec.attached_site)
+        _step_letters(letters, layer)
 
     swap_sites = [spec.site for spec in schedule.final_swappers]
     if len(swap_sites) != len(set(swap_sites)):
         violations.append("final swapper layer touches a site twice")
     for spec in schedule.final_swappers:
-        if spec.site not in current:
+        if spec.site not in letters:
             violations.append(f"swapper on site {spec.site} outside grown support")
-        elif letters.get(spec.site) not in (spec.alpha, spec.beta):
+        elif letters[spec.site] not in (spec.alpha, spec.beta):
             violations.append(
                 f"swapper on site {spec.site} expects {spec.alpha}/{spec.beta}, "
-                f"string carries {letters.get(spec.site)!r}"
+                f"string carries {letters[spec.site]!r}"
             )
 
     try:

@@ -83,6 +83,27 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", ["XZZX", "X" * 20])
+def test_non_finite_float_exits_two_naming_the_flag(tmp_path, capsys, target, value):
+    out_file = tmp_path / "schedule.json"
+    code = main(["compile", "--target", target, f"--tg={value}", "--out", str(out_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--tg" in err and "finite" in err
+    assert not out_file.exists()
+
+
+def test_every_float_option_refuses_non_finite_values(capsys):
+    for argv in (
+        ["verify", "--schedule", "s.json", "--tg", "nan"],
+        ["toric", "digital", "--spec", "s.json", "--tau", "inf"],
+        ["analyze", "strength", "--omega-prime", "nan"],
+    ):
+        assert main(argv) == 2
+        assert f"{argv[-2]}: must be a finite number" in capsys.readouterr().err
+
+
 def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
     spec = write_json(

@@ -81,6 +81,17 @@ def test_spec_validation():
         SwapperSpec(site=0, alpha="Y", beta="Y")
 
 
+def test_pulse_makers_reject_unknown_direction():
+    attach = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
+    swap = SwapperSpec(site=0, alpha="X", beta="Z")
+    with pytest.raises(PulseSpecError, match="direction"):
+        make_attachment(attach, 2, direction="backward")
+    with pytest.raises(PulseSpecError, match="direction"):
+        make_swapper(swap, 2, direction="backward")
+    assert make_attachment(attach, 2, "inverse").angle == attach.inverse_angle
+    assert make_swapper(swap, 2, "forward").angle == swap.forward_angle
+
+
 def test_spec_dict_round_trip():
     a = AttachmentSpec(
         connector_site=2, alpha="X", beta="Y", attached_site=0,
@@ -138,7 +149,7 @@ def test_collapse_rejects_partial_rotation():
     rot = make_attachment(spec, 2, direction="forward")
     partial = conjugate(
         PauliString.parse("ZI"),
-        type(rot)(rot.generator, rot.angle / 2.0, rot.direction),
+        type(rot)(rot.generator, rot.angle / 2.0),
     )
     with pytest.raises(CollapseError):
         collapse(partial)

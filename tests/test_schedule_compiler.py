@@ -139,6 +139,29 @@ def test_path_search_rejects_three_leaves_at_once():
     assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
+def test_path_search_rejects_a_three_way_cut_vertex():
+    # three 7-cliques sharing vertex 0: no vertex has degree <= 1, but
+    # removing vertex 0 leaves three pieces, which no path can cover
+    n = 19
+    cliques = [[0, *range(1 + 6 * c, 7 + 6 * c)] for c in range(3)]
+    edges = [(a, b) for clique in cliques for a in clique for b in clique if a < b]
+    graph = ConnectivityGraph.from_edges(n, edges)
+    target = PauliString(n, ("X",) * n)
+    start = time.perf_counter()
+    with pytest.raises(StrategyInfeasibleError):
+        compile_schedule(target, graph, strategy="line_endpoints")
+    auto = compile_schedule(target, graph, strategy="auto")
+    assert time.perf_counter() - start < 1.0
+    assert auto == compile_schedule(target, graph, strategy="greedy")
+
+
+def test_infeasible_doubling_names_the_bound():
+    target = PauliString.parse("XXXXX")
+    star = ConnectivityGraph.from_edges(5, [(0, k) for k in range(1, 5)])
+    with pytest.raises(StrategyInfeasibleError, match="no seed edge reaches depth 2"):
+        compile_schedule(target, star, strategy="doubling")
+
+
 def test_greedy_respects_sparse_graphs():
     rng = np.random.default_rng(SEED + 3)
     star_edges = [(0, k) for k in range(1, 6)]
