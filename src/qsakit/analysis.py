@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import (
-    DenseOperator,
-    check_dense_limit,
-    distance,
-    run_pulses,
-    schedule_pulses,
-)
+from .dense_oracle import DenseOperator, distance, pulse_unitary, schedule_pulses
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -152,9 +146,7 @@ def pulse_product(
     n_sites: int, pulses, offsets=None
 ) -> DenseOperator:
     """Time-ordered pulse product as a matrix, with optional angle offsets."""
-    check_dense_limit(n_sites, "pulse product")
-    eye = np.eye(1 << n_sites, dtype=np.complex128)
-    return DenseOperator(n_sites, run_pulses(pulses, eye, offsets))
+    return pulse_unitary(n_sites, pulses, "pulse product", offsets)
 
 
 def perturbed_distance(subject, delta: float) -> float:

@@ -32,6 +32,7 @@ from .dense_oracle import (
     apply_schedule,
     apply_string,
     check_dense_limit,
+    pulse_unitary,
     run_pulses,
 )
 from .toric_lattice import (
@@ -238,9 +239,7 @@ class StringPropagator:
         return Statevector.from_array(run_pulses(self._pulses(tg), state.data))
 
     def unitary(self, tg: float | None = None) -> DenseOperator:
-        check_dense_limit(self.n_sites, "string propagator unitary")
-        eye = np.eye(1 << self.n_sites, dtype=np.complex128)
-        return DenseOperator(self.n_sites, run_pulses(self._pulses(tg), eye))
+        return pulse_unitary(self.n_sites, self._pulses(tg), "string propagator unitary")
 
     def schedule(
         self,

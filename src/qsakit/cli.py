@@ -24,7 +24,7 @@ from .dense_oracle import (
     MATRIX_QUBIT_CAP,
     ResourceLimitError,
     Statevector,
-    distance,
+    certified_distance,
     expm,
     max_dense_qubits,
     run_pulses,
@@ -50,6 +50,9 @@ EXIT_CHECK_FAILURE = 1
 EXIT_MALFORMED_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
 
+#: Largest accepted distance between a digital sequence and the exact evolution.
+DIGITAL_TOLERANCE = 1e-8
+
 
 class CliInputError(ValueError):
     """Unreadable or structurally invalid input file/argument."""
@@ -63,6 +66,22 @@ def _load_json(path: str):
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _finite_number(value, field: str | None = None) -> float:
+    """``float(value)``, refusing NaN, infinities and non-numbers.
+
+    Every real number read from an option, a payload or a spec goes through
+    here; a refusal is malformed input naming ``field``.
+    """
+    prefix = f"{field}: " if field else ""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise CliInputError(f"{prefix}invalid float value: {value!r}") from None
+    if not math.isfinite(number):
+        raise CliInputError(f"{prefix}must be a finite number, got {value!r}")
+    return number
 
 
 def _digest(argv, paths) -> str:
@@ -202,9 +221,11 @@ def _cmd_verify(args):
 
 def _lattice_spec(path: str) -> LatticeSpec:
     try:
-        return LatticeSpec.from_dict(_load_json(path))
+        spec = LatticeSpec.from_dict(_load_json(path))
     except (KeyError, TypeError) as exc:
         raise CliInputError(f"bad lattice spec {path}: {exc}") from exc
+    _finite_number(spec.J, "J")
+    return spec
 
 
 def _cmd_toric(args):
@@ -266,15 +287,18 @@ def _cmd_toric(args):
         metrics["tau"] = args.tau
         metrics["n_stages"] = len(seq.stages)
         if spec.n_sites <= MATRIX_QUBIT_CAP:
-            dist = distance(seq.unitary(), expm(ham, args.tau))
+            dist, metric = certified_distance(
+                seq.unitary(), expm(ham, args.tau), DIGITAL_TOLERANCE
+            )
             checks.append(
                 _check(
                     "digital-matches-exponential",
-                    dist <= 1e-8,
-                    f"spectral distance = {dist:.3e}",
+                    dist <= DIGITAL_TOLERANCE,
+                    f"{metric} = {dist:.3e}",
                 )
             )
             metrics["distance"] = dist
+            metrics["distance_metric"] = metric
         else:
             # the terms commute and are Pauli involutions, so the exact
             # evolution is the product of per-term rotations
@@ -289,7 +313,7 @@ def _cmd_toric(args):
             checks.append(
                 _check(
                     "digital-matches-exponential",
-                    worst <= 1e-8,
+                    worst <= DIGITAL_TOLERANCE,
                     f"max infidelity over {args.probes} probes = {worst:.3e}",
                 )
             )
@@ -366,10 +390,7 @@ def _cmd_anyon(args):
         raw = payload.get("amplitudes", [0.5, 0.5, 0.5, 0.5])
         if len(raw) != 4:
             raise CliInputError("memory amplitudes must hold four entries")
-        amplitudes = [
-            complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-            for a in raw
-        ]
+        amplitudes = [_amplitude(a, f"amplitudes[{k}]") for k, a in enumerate(raw)]
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
         if norm == 0:
             raise CliInputError("memory amplitudes must not all vanish")
@@ -402,7 +423,7 @@ def _cmd_anyon(args):
         metrics["max_overlap_error"] = err
 
     elif args.action == "magic":
-        theta = float(payload.get("theta", math.pi / 4.0))
+        theta = _finite_number(payload.get("theta", math.pi / 4.0), "theta")
         qubit = _hole_qubit_from_payload(payload, spec, "hole", default=0)
         report = anyon_logic.magic_report(qubit, theta, spec)
         checks.append(
@@ -441,6 +462,16 @@ def _cmd_anyon(args):
         metrics["braid_weight"] = gate.braid.weight
         metrics["recorded_phase_control1"] = complex(-1j)
     return checks, metrics, [], paths
+
+
+def _amplitude(entry, field: str) -> complex:
+    """A memory amplitude: a number or a ``[re, im]`` pair, every part finite."""
+    if isinstance(entry, (list, tuple)):
+        if len(entry) != 2:
+            raise CliInputError(f"{field}: expected a number or [re, im], got {entry!r}")
+        re, im = (_finite_number(part, f"{field}[{k}]") for k, part in enumerate(entry))
+        return complex(re, im)
+    return complex(_finite_number(entry, field))
 
 
 def _hole_from_payload(payload, spec, key, default):
@@ -519,10 +550,7 @@ def _cmd_analyze(args):
                 spec, 0.3 if args.tau is None else args.tau
             )
             paths.append(args.digital)
-        try:
-            deltas = tuple(float(x) for x in args.deltas.split(","))
-        except ValueError as exc:
-            raise CliInputError(f"bad --deltas list: {exc}") from exc
+        deltas = tuple(_finite_number(x, "--deltas") for x in args.deltas.split(","))
         report = analysis.error_scaling(
             subject,
             deltas=deltas,
@@ -544,13 +572,21 @@ def _cmd_analyze(args):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for real-valued options: NaN and infinities are refused."""
+    """argparse type for real-valued options (see :func:`_finite_number`)."""
     try:
-        value = float(text)
+        return _finite_number(text)
+    except CliInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
     return value
 
 
@@ -588,7 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build", "ground", "digital"])
     p.add_argument("--spec", required=True, help="lattice spec JSON file")
     p.add_argument("--tau", type=_finite_float, default=0.3)
-    p.add_argument("--probes", type=int, default=5)
+    p.add_argument("--probes", type=_positive_int, default=5)
     p.set_defaults(handler=_cmd_toric)
 
     p = sub.add_parser("anyon", parents=[common], help="anyon experiments")

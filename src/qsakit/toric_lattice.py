@@ -33,6 +33,7 @@ from .dense_oracle import (
     Statevector,
     apply_string,
     check_dense_limit,
+    pulse_unitary,
     run_pulses,
     schedule_pulses,
 )
@@ -579,9 +580,7 @@ class DigitalSequence:
         )
 
     def unitary(self, angle_offset: float = 0.0) -> np.ndarray:
-        check_dense_limit(self.n_sites, "digital unitary")
-        eye = np.eye(1 << self.n_sites, dtype=np.complex128)
-        return run_pulses(self.pulses(), eye, angle_offset)
+        return pulse_unitary(self.n_sites, self.pulses(), "digital unitary", angle_offset).matrix
 
     def hamiltonian(self) -> WeightedPauliSum:
         return build_variant(self.spec).hamiltonian(self.spec.J)

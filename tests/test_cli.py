@@ -144,6 +144,17 @@ def test_toric_build_and_digital(tmp_path, capsys):
     assert json.loads(out)["metrics"]["distance"] <= 1e-8
 
 
+def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3, "J": 0.7})
+    code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.4"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["metrics"]["distance_metric"] == "spectral_distance_bound"
+    assert report["metrics"]["distance"] <= 1e-8
+    (check,) = report["checks"]
+    assert check["detail"] == f"spectral_distance_bound = {report['metrics']['distance']:.3e}"
+
+
 def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
     code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.3"])
@@ -151,6 +162,56 @@ def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
     metrics = json.loads(out)["metrics"]
     assert metrics["n_probes"] == 5
     assert metrics["max_infidelity"] <= 1e-8
+
+
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_toric_digital_refuses_fewer_than_one_probe(tmp_path, capsys, probes):
+    spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
+    code = main(["toric", "digital", "--spec", spec, f"--probes={probes}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--probes: must be at least 1" in captured.err
+    assert captured.out == ""
+
+
+def assert_malformed_naming(capsys, argv, field):
+    code, out = run_cli(capsys, argv)
+    report = json.loads(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert f"{field}: must be a finite number" in report["error"]
+
+
+HOLES_SPEC = {
+    "rows": 3, "cols": 4, "model": "kitaev_holes",
+    "holes": [
+        {"plaquettes": [[1, 0]], "kind": "smooth"},
+        {"plaquettes": [[1, 2]], "kind": "rough"},
+    ],
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_anyon_magic_refuses_a_non_finite_theta(tmp_path, capsys, value):
+    spec = write_json(tmp_path / "holes.json", HOLES_SPEC)
+    magic = write_json(tmp_path / "magic.json", {"theta": value, "hole": 0})
+    assert_malformed_naming(capsys, ["anyon", "magic", "--spec", spec, "--path", magic], "theta")
+
+
+@pytest.mark.parametrize("action", ["digital", "build"])
+def test_lattice_spec_refuses_a_non_finite_coupling(tmp_path, capsys, action):
+    spec = write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3, "J": float("nan")})
+    assert_malformed_naming(capsys, ["toric", action, "--spec", spec], "J")
+
+
+def test_anyon_memory_refuses_a_non_finite_amplitude(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3})
+    for amplitudes, field in (
+        ([[1, 0], [0, float("nan")], [0.5, 0], [0.5, 0]], "amplitudes[1][1]"),
+        ([1, 0, float("-inf"), 0], "amplitudes[2]"),
+    ):
+        path = write_json(tmp_path / "memory.json", {"amplitudes": amplitudes})
+        assert_malformed_naming(capsys, ["anyon", "memory", "--spec", spec, "--path", path], field)
 
 
 def test_anyon_syndrome_subcommand(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dense backend against np.kron matrices and scipy.linalg.expm."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from qsakit.dense_oracle import (
     apply_rotation,
     apply_schedule,
     apply_string,
+    certified_distance,
     check_dense_limit,
     distance,
     expm,
@@ -30,6 +32,7 @@ from qsakit.dense_oracle import (
 from qsakit.pauli_core import PauliString, WeightedPauliSum, commutes
 from qsakit.propagator_engine import AttachmentSpec, SwapperSpec
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
+from qsakit.toric_lattice import LatticeSpec, build_variant
 
 from conftest import kron_expm, kron_string, kron_sum, random_string_letters
 
@@ -167,12 +170,23 @@ def test_apply_schedule_matches_unitary_action():
     del rng
 
 
+def with_one_letter_changed(schedule, site=None):
+    """The schedule with one target letter swapped: a planted defect."""
+    letters = list(schedule.target.letters)
+    site = schedule.target.support[0] if site is None else site
+    letters[site] = {"X": "Z", "Y": "X", "Z": "Y"}[letters[site]]
+    wrong = PauliString(schedule.n_sites, tuple(letters))
+    return dataclasses.replace(schedule, target=wrong)
+
+
 def test_verify_schedule_matrix_and_probe_paths():
     small = compile_schedule(
         PauliString.parse("XZZX"), ConnectivityGraph.complete(4), tg=0.3
     )
     report = verify_schedule(small)
-    assert report["passed"] and report["metric"] == "spectral_distance"
+    assert report["passed"] and report["metric"] == "spectral_distance_bound"
+    report = verify_schedule(with_one_letter_changed(small))
+    assert not report["passed"] and report["metric"] == "spectral_distance"
 
     n = MATRIX_QUBIT_CAP + 1
     big_target = PauliString(n, tuple("Z" * n))
@@ -307,3 +321,119 @@ def test_batched_probes_match_a_per_probe_loop():
     assert report["metric"] == "max_state_l2[4 probes]"
     assert report["seed"] == 5
     assert abs(report["distance"] - worst) <= 1e-14
+
+
+# -- certified distances -------------------------------------------------------
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b) up to 64x64: random complex, rank-1 and diagonal differences,
+    and differences of two unitaries, at scales from 1e-16 to 1e2."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["complex", "rank1", "diagonal", "unitaries"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if kind == "unitaries":
+        a, b = (np.linalg.qr(gaussian(n, n))[0] for _ in range(2))
+        if draw(st.booleans()):  # nearly equal unitaries
+            b = a @ scipy.linalg.expm(1j * 1e-9 * (b + b.conj().T))
+        return a, b
+    if kind == "complex":
+        d = gaussian(n, n)
+    elif kind == "rank1":
+        d = np.outer(gaussian(n), gaussian(n).conj())
+    else:
+        d = np.diag(gaussian(n))
+    d *= 10.0 ** draw(st.integers(-16, 2))
+    b = gaussian(n, n)
+    return b + d, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs(), st.floats(1e-17, 1e3))
+def test_certified_distance_bounds_the_exact_spectral_norm(pair, tolerance):
+    a, b = pair
+    exact = float(np.linalg.norm(a - b, 2))
+    bound, metric = certified_distance(a, b, 1e300)
+    assert metric == "spectral_distance_bound"
+    assert bound >= exact * (1 - 1e-12)
+    value, metric = certified_distance(a, b, tolerance)
+    if metric == "spectral_distance_bound":
+        assert value == bound and value <= tolerance
+    else:
+        assert metric == "spectral_distance"
+        assert value == pytest.approx(exact, rel=1e-12) and bound > tolerance
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tolerance", [1e-10, 1.0, 1e300])
+def test_certified_distance_never_passes_a_non_finite_entry(bad, tolerance):
+    a = np.eye(16, dtype=np.complex128)
+    b = a.copy()
+    b[3, 5] = bad
+    for x, y in ((a, b), (b, a)):
+        value, metric = certified_distance(x, y, tolerance)
+        assert metric == "spectral_distance"
+        assert not value <= tolerance
+
+
+def test_verify_schedule_with_a_nan_angle_fails():
+    schedule = compile_schedule(PauliString.parse("XZZX"), ConnectivityGraph.complete(4))
+    report = verify_schedule(schedule, tg=math.nan)
+    assert not report["passed"] and report["metric"] == "spectral_distance"
+
+
+def test_planted_defect_fails_with_the_exact_spectral_distance():
+    target = PauliString.parse("XYZZYX")
+    schedule = compile_schedule(target, ConnectivityGraph.complete(6), tg=0.7)
+    for site in target.support:
+        defect = with_one_letter_changed(schedule, site)
+        report = verify_schedule(defect)
+        u = np.eye(64, dtype=np.complex128)
+        for generator, angle in schedule_pulses(defect):
+            u = kron_expm(kron_sum(generator), angle) @ u
+        want = np.linalg.norm(u - kron_expm(kron_string(defect.target), 0.7), 2)
+        assert not report["passed"]
+        assert report["metric"] == "spectral_distance"
+        assert abs(report["distance"] - want) <= 1e-12
+
+
+# -- expm of commuting sums -----------------------------------------------------
+
+
+@st.composite
+def commuting_sums(draw):
+    """A real-weighted sum of pairwise commuting strings on 1-6 sites."""
+    n = draw(st.integers(1, 6))
+    letters = st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)
+    kept = []
+    for row in draw(st.lists(letters, min_size=1, max_size=8)):
+        string = PauliString(n, tuple(row))
+        if all(commutes(string, other) for other in kept):
+            kept.append(string)
+    coeffs = draw(st.lists(
+        st.floats(-2.0, 2.0, allow_nan=False), min_size=len(kept), max_size=len(kept)
+    ))
+    return WeightedPauliSum.from_terms(n, zip(coeffs, kept))
+
+
+@settings(max_examples=200, deadline=None)
+@given(commuting_sums(), ANGLES)
+def test_expm_of_commuting_sums_matches_scipy(h, angle):
+    got = expm(h, angle).matrix
+    assert np.abs(got - kron_expm(kron_sum(h), angle)).max() <= 1e-12
+
+
+def test_expm_of_the_wen_hamiltonian_needs_no_eigendecomposition(monkeypatch):
+    h = build_variant(LatticeSpec(3, 3)).hamiltonian(0.8)
+    want = kron_expm(kron_sum(h), 0.3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigh called for a commuting sum")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    assert np.abs(expm(h, 0.3).matrix - want).max() <= 1e-12

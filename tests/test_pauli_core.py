@@ -240,3 +240,70 @@ def test_single_string_sums_are_involutions():
         n = int(rng.integers(1, 5))
         s = random_string(rng, n, min_weight=1).with_phase_exp(0)
         assert is_involution(WeightedPauliSum.from_string(s))
+
+
+# -- the algebra against the kron oracle, on random phased strings and sums -----
+
+
+@st.composite
+def phased_strings(draw, n):
+    letters = tuple(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
+    return PauliString(n, letters, draw(st.integers(0, 3)))
+
+
+# small integers and halves: every cancellation in a collected sum is exact
+COEFFS = st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def weighted_terms(draw, n):
+    """(coefficient, phased string) pairs whose products are real: each
+    coefficient carries the conjugate of its string's phase."""
+    strings = draw(st.lists(phased_strings(n), min_size=1, max_size=5))
+    return [(draw(COEFFS) * (-1j) ** s.phase_exp, s) for s in strings]
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(1, 6))
+    a, b = draw(phased_strings(n)), draw(phased_strings(n))
+    terms_a = draw(weighted_terms(n))
+    sum_a = WeightedPauliSum.from_terms(n, terms_a)
+    kind = draw(st.sampled_from(["random", "square", "scaled", "pair"]))
+    if kind == "square":
+        sum_b = square(sum_a)
+    elif kind == "scaled":
+        sum_b = sum_a.scaled(draw(COEFFS))
+    elif kind == "pair":  # (0.6 P + 0.8 Q): an involution iff P, Q anticommute
+        p, q = draw(phased_strings(n)), draw(phased_strings(n))
+        sum_b = WeightedPauliSum.from_terms(
+            n, [(0.6 * (-1j) ** p.phase_exp, p), (0.8 * (-1j) ** q.phase_exp, q)]
+        )
+    else:
+        sum_b = WeightedPauliSum.from_terms(n, draw(weighted_terms(n)))
+    return a, b, terms_a, sum_a, sum_b
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+def test_algebra_matches_the_kron_oracle(case):
+    a, b, terms_a, sum_a, sum_b = case
+    ma, mb = kron_string(a), kron_string(b)
+    assert np.array_equal(kron_string(multiply(a, b)), ma @ mb)
+    assert commutes(a, b) == np.array_equal(ma @ mb, mb @ ma)
+
+    want = sum(c * kron_string(s) for c, s in terms_a)
+    assert np.abs(kron_sum(sum_a) - want).max() <= 1e-12
+    assert all(s.phase_exp == 0 and abs(c) > 1e-12 for c, s in sum_a.terms)
+    assert len({s.letters for _, s in sum_a.terms}) == len(sum_a.terms)
+
+    ha, hb = kron_sum(sum_a), kron_sum(sum_b)
+    assert sum_commutes(sum_a, sum_b) == (np.abs(ha @ hb - hb @ ha).max() <= 1e-9)
+    eye = np.eye(len(hb))
+    for h, m in ((sum_a, ha), (sum_b, hb)):
+        assert is_involution(h) == (np.abs(m @ m - eye).max() <= 1e-9)
+
+
+def test_from_terms_refuses_a_non_real_collection():
+    with pytest.raises(ValueError, match="non-real"):
+        WeightedPauliSum.from_terms(2, [(1.0, PauliString.parse("iXZ"))])
