@@ -607,9 +607,7 @@ def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
     return LogicalQubit("rough_hole", hole=hole)
 
 
-def hole_logicals(
-    qubit: LogicalQubit, spec: LatticeSpec, boundary_side: str = "auto"
-) -> tuple[PauliString, PauliString]:
+def hole_logicals(qubit: LogicalQubit, spec: LatticeSpec) -> tuple[PauliString, PauliString]:
     """(X_logical, Z_logical) of a hole qubit.
 
     Smooth hole: X string of edges from the hole straight down to the smooth
@@ -618,8 +616,7 @@ def hole_logicals(
     Z string of edges straight up to the rough top boundary.
 
     Raises:
-        EncodingError: string routed to a boundary of the wrong kind
-            (smooth holes need a smooth boundary, rough holes a rough one).
+        EncodingError: the qubit is not a one-plaquette hole qubit.
     """
     if qubit.encoding not in ("smooth_hole", "rough_hole"):
         raise EncodingError("expected a hole-encoded qubit")
@@ -627,22 +624,12 @@ def hole_logicals(
         raise EncodingError("hole qubit must carry exactly one plaquette")
     (a, b) = qubit.hole.plaquettes[0]
     if qubit.encoding == "smooth_hole":
-        if boundary_side not in ("auto", "bottom"):
-            raise EncodingError(
-                "a smooth hole's X string must end on a smooth boundary "
-                "(bottom); the top boundary is rough"
-            )
         x_bar = PauliString.from_sites(
             spec.n_sites,
             {kitaev_edge_index(spec, "h", i, b): "X" for i in range(a + 1, spec.rows)},
         )
         z_bar = kitaev_face_operator(spec, a, b)
     else:
-        if boundary_side not in ("auto", "top"):
-            raise EncodingError(
-                "a rough hole's Z string must end on a rough boundary "
-                "(top); the bottom boundary is smooth"
-            )
         x_bar = kitaev_star_operator(spec, a, b)
         z_bar = PauliString.from_sites(
             spec.n_sites,

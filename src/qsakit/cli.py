@@ -20,16 +20,7 @@ import sys
 import numpy as np
 
 from . import analysis, anyon_logic
-from .dense_oracle import (
-    MATRIX_QUBIT_CAP,
-    ResourceLimitError,
-    Statevector,
-    certified_distance,
-    expm,
-    max_dense_qubits,
-    run_pulses,
-    verify_schedule,
-)
+from .dense_oracle import ResourceLimitError, compare_pulses, max_dense_qubits, verify_schedule
 from .pauli_core import PauliString, anticommuting_pairs
 from .schedule_compiler import (
     ConnectivityGraph,
@@ -143,10 +134,20 @@ def _validator_checks(schedule: QsaSchedule, graph) -> list[dict]:
     return [_check(v, False) for v in violations] or [_check("validator-clean", True)]
 
 
-def _dense_check(report: dict) -> dict:
-    return _check(
-        "dense-identity", report["passed"], f"{report['metric']} = {report['distance']:.3e}"
-    )
+def _dense_check(report: dict, name: str = "dense-identity") -> dict:
+    """A check from a :func:`compare_pulses` report, detailing its metric and distance."""
+    return _check(name, report["passed"], f"{report['metric']} = {report['distance']:.3e}")
+
+
+def _load_schedule(path: str) -> QsaSchedule:
+    """A schedule file, with a finite seed angle."""
+    data = _load_json(path)
+    try:
+        schedule = QsaSchedule.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliInputError(f"bad schedule file: {exc}") from exc
+    _finite_number(schedule.tg, "seed.tg")
+    return schedule
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -174,7 +175,7 @@ def _cmd_compile(args):
         "tg": schedule.tg,
     }
     if schedule.n_sites <= max_dense_qubits():
-        report = verify_schedule(schedule)
+        report = verify_schedule(schedule, seed=args.seed)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
     else:
@@ -193,11 +194,7 @@ def _cmd_compile(args):
 
 
 def _cmd_verify(args):
-    data = _load_json(args.schedule)
-    try:
-        schedule = QsaSchedule.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad schedule file: {exc}") from exc
+    schedule = _load_schedule(args.schedule)
     paths = [args.schedule]
     graph = None
     if args.graph is not None:
@@ -212,7 +209,7 @@ def _cmd_verify(args):
         "tg": schedule.tg if args.tg is None else args.tg,
     }
     if checks[0]["passed"]:
-        report = verify_schedule(schedule, tg=args.tg)
+        report = verify_schedule(schedule, tg=args.tg, seed=args.seed)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
         metrics["dense_metric"] = report["metric"]
@@ -283,42 +280,17 @@ def _cmd_toric(args):
 
     else:  # digital
         seq = digital_sequence(spec, args.tau)
-        ham = seq.hamiltonian()
-        metrics["tau"] = args.tau
-        metrics["n_stages"] = len(seq.stages)
-        if spec.n_sites <= MATRIX_QUBIT_CAP:
-            dist, metric = certified_distance(
-                seq.unitary(), expm(ham, args.tau), DIGITAL_TOLERANCE
-            )
-            checks.append(
-                _check(
-                    "digital-matches-exponential",
-                    dist <= DIGITAL_TOLERANCE,
-                    f"{metric} = {dist:.3e}",
-                )
-            )
-            metrics["distance"] = dist
-            metrics["distance_metric"] = metric
-        else:
-            # the terms commute and are Pauli involutions, so the exact
-            # evolution is the product of per-term rotations
-            exact = [(term, coeff * args.tau) for coeff, term in ham.terms]
-            worst = 0.0
-            for k in range(args.probes):
-                probe = Statevector.random(spec.n_sites, args.seed + k)
-                via_seq = seq.apply(probe)
-                via_exp = Statevector.from_array(run_pulses(exact, probe.data))
-                infid = 1.0 - abs(via_seq.inner(via_exp)) ** 2
-                worst = max(worst, infid)
-            checks.append(
-                _check(
-                    "digital-matches-exponential",
-                    worst <= DIGITAL_TOLERANCE,
-                    f"max infidelity over {args.probes} probes = {worst:.3e}",
-                )
-            )
-            metrics["max_infidelity"] = worst
-            metrics["n_probes"] = args.probes
+        # the terms commute and are Pauli involutions, so the exact evolution
+        # is the product of per-term rotations
+        exact = [(term, coeff * args.tau) for coeff, term in seq.hamiltonian().terms]
+        report = compare_pulses(
+            spec.n_sites, seq.pulses(), exact, DIGITAL_TOLERANCE, args.probes, args.seed
+        )
+        checks.append(_dense_check(report, "digital-matches-exponential"))
+        metrics.update(
+            tau=args.tau, n_stages=len(seq.stages),
+            distance=report["distance"], distance_metric=report["metric"],
+        )
     return checks, metrics, [], paths
 
 
@@ -503,9 +475,12 @@ def _cmd_analyze(args):
             omega_prime=args.omega_prime,
             n=args.n,
         )
-        g_prime = analysis.strength_target(params)
-        t_prime = params.total_time()
-        tau, tau_prime = params.durations()
+        # an overflow in a derived number is malformed input, named like an option
+        tau, tau_prime = (
+            _finite_number(x, name) for x, name in zip(params.durations(), ("tau", "tau_prime"))
+        )
+        t_prime = _finite_number(params.total_time(), "t_prime")
+        g_prime = _finite_number(analysis.strength_target(params), "g_prime")
         conserved = abs(params.t * params.g - t_prime * g_prime)
         checks.append(
             _check(
@@ -527,7 +502,7 @@ def _cmd_analyze(args):
             }
         )
         if params.n == 1:
-            g_w = analysis.strength_toric(params)
+            g_w = _finite_number(analysis.strength_toric(params), "g_wall")
             checks.append(_check("toric-quarter-of-target", g_w * 4.0 == g_prime))
             metrics["g_wall"] = g_w
             metrics["wall_ratio"] = g_w / params.g if params.g else None
@@ -538,11 +513,7 @@ def _cmd_analyze(args):
                 "provide exactly one subject: --schedule or --digital"
             )
         if args.schedule is not None:
-            data = _load_json(args.schedule)
-            try:
-                subject = QsaSchedule.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CliInputError(f"bad schedule file: {exc}") from exc
+            subject = _load_schedule(args.schedule)
             paths.append(args.schedule)
         else:
             spec = _lattice_spec(args.digital)

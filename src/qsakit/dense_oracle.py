@@ -8,12 +8,12 @@ that flip, a multi-term involution generator (attachment, swapper) becomes a
 ``2^k x 2^k`` unitary contracted over its ``k`` support axes.
 
 The register width accepted for dense work is capped by the environment
-variable ``QSA_MAX_DENSE_QUBITS`` (default 14).  Full-matrix comparisons are
-additionally capped at 10 qubits; beyond that, unitaries are compared by
-their action on a batch of seeded random states.  A full-matrix pass/fail
-decision goes through :func:`certified_distance`: a norm bound on the
-difference decides a pass, and only a bound above the tolerance pays for
-the exact SVD.
+variable ``QSA_MAX_DENSE_QUBITS`` (default 14).  Every verdict on whether a
+pulse program equals its exact reference is made by :func:`compare_pulses`.
+Up to 10 qubits it compares the full products through
+:func:`certified_distance`: a norm bound on the difference decides a pass,
+and only a bound above the tolerance pays for the exact SVD.  Beyond that it
+compares their action on a batch of seeded random states.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .pauli_core import TOL, PauliString, WeightedPauliSum, anticommuting_pairs,
 from .propagator_engine import InvolutionRotation, make_attachment, make_swapper
 from .schedule_compiler import QsaSchedule
 
-#: Hard cap for full-matrix (4^n) comparisons.
+#: Hard cap for full-matrix (4^n) comparisons in :func:`compare_pulses`.
 MATRIX_QUBIT_CAP = 10
 
 #: Default number of probe states above the matrix cap.
@@ -443,6 +443,55 @@ def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> DenseOpe
     return pulse_unitary(schedule.n_sites, schedule_pulses(schedule, tg), "schedule_unitary")
 
 
+def compare_pulses(
+    n_sites: int,
+    pulses,
+    reference,
+    tolerance: float,
+    n_probes: int = DEFAULT_PROBES,
+    seed: int = 7,
+) -> dict:
+    """Judge the pulse program ``pulses`` against the pulse program ``reference``.
+
+    Both are ``(generator, angle)`` lists as :func:`run_pulses` takes them.  Up
+    to :data:`MATRIX_QUBIT_CAP` sites both products are built by
+    :func:`pulse_unitary` and compared by :func:`certified_distance`.  Above
+    that, up to the dense limit, both lists run on one ``(2^n, n_probes)``
+    batch of random states (probe ``k`` drawn from ``seed + k``); every output
+    probe must keep unit norm, and the distance is the largest L2 deviation,
+    under the metric ``max_state_l2[<n_probes> probes]``.
+
+    Returns a deterministic report with the metric, distance, tolerance, probe
+    seed (``None`` when no probe was drawn) and pass flag.
+    """
+    if n_sites <= MATRIX_QUBIT_CAP:
+        dist, metric = certified_distance(
+            pulse_unitary(n_sites, pulses, "compare_pulses"),
+            pulse_unitary(n_sites, reference, "compare_pulses"),
+            tolerance,
+        )
+        seed = None
+    else:
+        check_dense_limit(n_sites, "compare_pulses")
+        if n_probes < 1:
+            raise ValueError(f"n_probes must be at least 1, got {n_probes}")
+        probes = np.empty((1 << n_sites, n_probes), dtype=np.complex128)
+        for k in range(n_probes):
+            probes[:, k] = Statevector.random(n_sites, seed + k).data
+        dist = max(
+            float(np.linalg.norm(Statevector.from_array(a).data - Statevector.from_array(b).data))
+            for a, b in zip(run_pulses(pulses, probes).T, run_pulses(reference, probes).T)
+        )
+        metric = f"max_state_l2[{n_probes} probes]"
+    return {
+        "metric": metric,
+        "distance": dist,
+        "tolerance": tolerance,
+        "seed": seed,
+        "passed": bool(dist <= tolerance),
+    }
+
+
 def verify_schedule(
     schedule: QsaSchedule,
     tg: float | None = None,
@@ -452,45 +501,14 @@ def verify_schedule(
 ) -> dict:
     """Compare the schedule's pulse product against the target exponential.
 
-    Up to 10 sites the full matrices are compared by
-    :func:`certified_distance`: a pass reports the norm bound under the
-    metric ``spectral_distance_bound``, anything else the exact spectral
-    distance under ``spectral_distance``.  Above that (and up to the dense
-    limit) the two unitaries are compared by their action on ``n_probes``
-    seeded random states, and the reported distance is the largest L2
-    deviation.  The probes run as the columns of one (2^n, n_probes) batch.
-
-    Returns a deterministic report dict with the metric, distance, tolerance
-    and pass flag.
+    The reference is the one-pulse program ``[(target, tg)]``, which is the
+    exact ``exp(-i tg target)``; :func:`compare_pulses` makes the judgement
+    (full matrices up to 10 sites, ``n_probes`` probe states from ``seed``
+    above).  Returns its report plus ``n_sites`` and the angle ``tg`` used.
     """
-    n = schedule.n_sites
-    tg_eff = schedule.tg if tg is None else tg
-    if n <= MATRIX_QUBIT_CAP:
-        u = schedule_unitary(schedule, tg_eff)
-        v = expm(schedule.target, tg_eff)
-        dist, metric = certified_distance(u, v, tolerance)
-        report_seed = None
-    else:
-        check_dense_limit(n, "verify_schedule")
-        probes = np.empty((1 << n, n_probes), dtype=np.complex128)
-        for k in range(n_probes):
-            probes[:, k] = Statevector.random(n, seed + k).data
-        via_schedule = run_pulses(schedule_pulses(schedule, tg_eff), probes)
-        via_target = apply_rotation(schedule.target, tg_eff, probes)
-        worst = 0.0
-        for k in range(n_probes):
-            a = Statevector.from_array(via_schedule[:, k])
-            b = Statevector.from_array(via_target[:, k])
-            worst = max(worst, float(np.linalg.norm(a.data - b.data)))
-        dist = worst
-        metric = f"max_state_l2[{n_probes} probes]"
-        report_seed = seed
-    return {
-        "n_sites": n,
-        "tg": tg_eff,
-        "metric": metric,
-        "distance": dist,
-        "tolerance": tolerance,
-        "seed": report_seed,
-        "passed": bool(dist <= tolerance),
-    }
+    tg = schedule.tg if tg is None else tg
+    report = compare_pulses(
+        schedule.n_sites, schedule_pulses(schedule, tg), [(schedule.target, tg)],
+        tolerance, n_probes, seed,
+    )
+    return {"n_sites": schedule.n_sites, "tg": tg, **report}

@@ -237,15 +237,6 @@ def test_hole_qubit_edges_and_logicals():
             assert commutes(logical, term.operator)
 
 
-def test_hole_logicals_boundary_side_validation():
-    smooth = hole_qubit(HOLES_SPEC.holes[0], HOLES_SPEC)
-    with pytest.raises(EncodingError):
-        hole_logicals(smooth, HOLES_SPEC, boundary_side="top")
-    rough = hole_qubit(HOLES_SPEC.holes[1], HOLES_SPEC)
-    with pytest.raises(EncodingError):
-        hole_logicals(rough, HOLES_SPEC, boundary_side="bottom")
-
-
 def test_hole_qubit_requires_declared_hole():
     with pytest.raises(EncodingError):
         hole_qubit(HoleSpec(((0, 1),), "smooth"), HOLES_SPEC)

@@ -3,10 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from qsakit.cli import main
+from qsakit.dense_oracle import verify_schedule
+from qsakit.schedule_compiler import QsaSchedule
 
 PLAQUETTE_ARGS = ["compile", "--target", "XZZX", "--tg", "0.3"]
 
@@ -155,13 +158,27 @@ def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):
     assert check["detail"] == f"spectral_distance_bound = {report['metrics']['distance']:.3e}"
 
 
+def test_verify_seed_drives_the_probe_states(tmp_path, capsys):
+    out_file = tmp_path / "big.json"
+    run_cli(capsys, ["compile", "--target", "XZ" * 6, "--tg", "0.4", "--out", str(out_file)])
+    schedule = QsaSchedule.from_json(out_file.read_text())
+    want = {seed: verify_schedule(schedule, seed=seed)["distance"] for seed in (3, 100)}
+    assert want[3] != want[100]
+    for seed, distance in want.items():
+        code, out = run_cli(capsys, ["verify", "--schedule", str(out_file), "--seed", str(seed)])
+        report = json.loads(out)
+        assert code == 0 and report["seed"] == seed
+        assert report["metrics"]["dense_metric"] == "max_state_l2[20 probes]"
+        assert report["metrics"]["dense_distance"] == distance
+
+
 def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
     code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.3"])
     assert code == 0
     metrics = json.loads(out)["metrics"]
-    assert metrics["n_probes"] == 5
-    assert metrics["max_infidelity"] <= 1e-8
+    assert metrics["distance_metric"] == "max_state_l2[5 probes]"
+    assert metrics["distance"] <= 1e-8
 
 
 @pytest.mark.parametrize("probes", ["0", "-3"])
@@ -202,6 +219,23 @@ def test_anyon_magic_refuses_a_non_finite_theta(tmp_path, capsys, value):
 def test_lattice_spec_refuses_a_non_finite_coupling(tmp_path, capsys, action):
     spec = write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3, "J": float("nan")})
     assert_malformed_naming(capsys, ["toric", action, "--spec", spec], "J")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command", [["verify"], ["analyze", "error-scaling"]])
+def test_schedule_file_refuses_a_non_finite_angle(tmp_path, capsys, command, value):
+    out_file = tmp_path / "plaquette.json"
+    run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])
+    data = json.loads(out_file.read_text())
+    data["seed"]["tg"] = value
+    bad = write_json(tmp_path / "bad.json", data)
+    assert_malformed_naming(capsys, command + ["--schedule", bad], "seed.tg")
+
+
+def test_analyze_strength_overflow_is_malformed_input(capsys):
+    argv = ["analyze", "strength", "--g", "1e308", "--t", "1e308",
+            "--tau", "1", "--tau-prime", "1"]
+    assert_malformed_naming(capsys, argv, "g_prime")
 
 
 def test_anyon_memory_refuses_a_non_finite_amplitude(tmp_path, capsys):
@@ -293,3 +327,15 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["metrics"]["g_prime"] == 1.0
+
+
+def test_benchmark_tracer_finds_every_reported_function():
+    # bench/run.py --trace 1 wraps these functions by name and refuses to start
+    # when one of them is missing from qsakit
+    code = ("import sys; sys.path[:0]=['bench','src']; import tracing; "
+            "tracing.install(tracing.Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

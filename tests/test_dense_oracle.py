@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from qsakit.dense_oracle import (
     apply_string,
     certified_distance,
     check_dense_limit,
+    compare_pulses,
     distance,
     expm,
     frobenius_distance,
@@ -34,7 +37,7 @@ from qsakit.propagator_engine import AttachmentSpec, SwapperSpec
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
 from qsakit.toric_lattice import LatticeSpec, build_variant
 
-from conftest import kron_expm, kron_string, kron_sum, random_string_letters
+from conftest import SIGMA, kron_expm, kron_string, kron_sum, random_string_letters
 
 SEED = 20240814
 
@@ -321,6 +324,69 @@ def test_batched_probes_match_a_per_probe_loop():
     assert report["metric"] == "max_state_l2[4 probes]"
     assert report["seed"] == 5
     assert abs(report["distance"] - worst) <= 1e-14
+
+
+# -- one judgement: pulse program against reference program ---------------------
+
+
+def sparse_string(string):
+    """scipy.sparse matrix of a phase-free string, a kron of 2x2 factors."""
+    m = scipy.sparse.identity(1, dtype=np.complex128, format="csr")
+    for letter in string.letters:
+        m = scipy.sparse.kron(m, SIGMA[letter], format="csr")
+    return m
+
+
+def oracle_run(program, array):
+    """scipy's action of exp(-i angle P) for each (P, angle), first applied first."""
+    for string, angle in program:
+        array = scipy.sparse.linalg.expm_multiply(-1j * angle * sparse_string(string), array)
+    return array
+
+
+@pytest.mark.parametrize("n", [6, MATRIX_QUBIT_CAP + 1])
+def test_compare_pulses_matches_the_kron_oracle_on_both_sides_of_the_cap(n):
+    rng = np.random.default_rng(SEED + 9 + n)
+    pulses, reference = (
+        [(PauliString(n, random_string_letters(rng, n, 1)), float(rng.uniform(-2, 2)))
+         for _ in range(4)]
+        for _ in range(2)
+    )
+    report = compare_pulses(n, pulses, reference, 1e-10, n_probes=3, seed=5)
+    assert not report["passed"] and report["tolerance"] == 1e-10
+    if n <= MATRIX_QUBIT_CAP:
+        u, v = (oracle_run(program, np.eye(1 << n, dtype=np.complex128))
+                for program in (pulses, reference))
+        assert report["metric"] == "spectral_distance" and report["seed"] is None
+        assert report["distance"] == pytest.approx(np.linalg.norm(u - v, 2), rel=1e-10)
+    else:
+        probes = np.stack([Statevector.random(n, 5 + k).data for k in range(3)], axis=1)
+        want = np.linalg.norm(oracle_run(pulses, probes) - oracle_run(reference, probes), axis=0)
+        assert report["metric"] == "max_state_l2[3 probes]" and report["seed"] == 5
+        assert report["distance"] == pytest.approx(want.max(), rel=1e-10)
+    # the same product written as another program passes
+    (first, angle), rest = pulses[0], pulses[1:]
+    split = [(first, 0.25 * angle), (first, 0.75 * angle)] + rest
+    report = compare_pulses(n, pulses, split, 1e-10, n_probes=3, seed=5)
+    assert report["passed"] and report["distance"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "n, metric", [(6, "spectral_distance"), (MATRIX_QUBIT_CAP + 1, "max_state_l2[4 probes]")]
+)
+def test_compare_pulses_fails_a_planted_angle_defect(n, metric):
+    target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
+    pulses = schedule_pulses(compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7))
+    reference = [(target, 0.7)]
+    assert compare_pulses(n, pulses, reference, 1e-10, n_probes=4)["passed"]
+    for k in (0, len(pulses) // 2, len(pulses) - 1):
+        defect = list(pulses)
+        generator, angle = defect[k]
+        defect[k] = (generator, angle + 1e-3)
+        report = compare_pulses(n, defect, reference, 1e-10, n_probes=4)
+        assert not report["passed"] and report["metric"] == metric
+        # for an involution G, exp(-i d G) - 1 has norm 2|sin(d/2)| on every state
+        assert abs(report["distance"] - 2 * math.sin(5e-4)) <= 1e-12
 
 
 # -- certified distances -------------------------------------------------------
