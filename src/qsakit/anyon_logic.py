@@ -42,9 +42,9 @@ from .toric_lattice import (
     build_wen,
     ground_state_projector,
     kitaev_edge_index,
-    kitaev_face_operator,
-    kitaev_star_operator,
+    kitaev_operator,
     plaquette_range,
+    project_plus,
 )
 
 ENCODINGS = ("memory_loops", "smooth_hole", "rough_hole")
@@ -582,14 +582,11 @@ def code_state(spec: LatticeSpec) -> Statevector:
     if spec.model != "kitaev_holes":
         raise EncodingError("code_state is defined for the kitaev_holes model")
     check_dense_limit(spec.n_sites, "code_state")
-    arr = Statevector.basis_state(spec.n_sites, 0).data
-    for term in build_variant(spec).terms:
-        if term.kind == "vertex":
-            arr = (arr + apply_string(term.operator, arr)) / math.sqrt(2.0)
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-9:
-        raise EncodingError("star projection annihilated the seed state")
-    return Statevector.from_array(arr, normalize=True)
+    return project_plus(
+        Statevector.basis_state(spec.n_sites, 0).data,
+        (term.operator for term in build_variant(spec).terms if term.kind == "vertex"),
+        EncodingError("star projection annihilated the seed state"),
+    )
 
 
 def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
@@ -628,9 +625,9 @@ def hole_logicals(qubit: LogicalQubit, spec: LatticeSpec) -> tuple[PauliString, 
             spec.n_sites,
             {kitaev_edge_index(spec, "h", i, b): "X" for i in range(a + 1, spec.rows)},
         )
-        z_bar = kitaev_face_operator(spec, a, b)
+        z_bar = kitaev_operator(spec, "face", a, b)
     else:
-        x_bar = kitaev_star_operator(spec, a, b)
+        x_bar = kitaev_operator(spec, "vertex", a, b)
         z_bar = PauliString.from_sites(
             spec.n_sites,
             {kitaev_edge_index(spec, "v", i, b): "Z" for i in range(0, a)},

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, anyon_logic
 from .dense_oracle import ResourceLimitError, compare_pulses, max_dense_qubits, verify_schedule
-from .pauli_core import PauliString, anticommuting_pairs
+from .pauli_core import PauliString
 from .schedule_compiler import (
     ConnectivityGraph,
     QsaSchedule,
@@ -29,6 +29,7 @@ from .schedule_compiler import (
     validate,
 )
 from .toric_lattice import (
+    LATTICE_CHECKS,
     LatticeSpec,
     build_variant,
     digital_sequence,
@@ -238,11 +239,9 @@ def _cmd_toric(args):
     }
 
     if args.action == "build":
+        # build_variant raises LatticeError (exit 2) unless both checks hold
         pset = build_variant(spec)
-        checks.append(
-            _check("terms-pairwise-commute", not anticommuting_pairs(pset.operators()))
-        )
-        checks.append(_check("groups-support-disjoint", pset.group_overlap() is None))
+        checks += [_check(name, True) for name in LATTICE_CHECKS]
         metrics["n_terms"] = len(pset.terms)
         metrics["group_sizes"] = {
             str(g): len(t) for g, t in sorted(pset.groups().items())

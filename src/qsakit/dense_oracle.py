@@ -319,14 +319,6 @@ def certified_distance(
     return _spectral_norm(d), "spectral_distance"
 
 
-def frobenius_distance(
-    a: DenseOperator | np.ndarray, b: DenseOperator | np.ndarray
-) -> float:
-    """Frobenius distance; an upper bound on the spectral distance."""
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    return float(np.linalg.norm(ma - mb))
-
-
 # -- statevectors --------------------------------------------------------------
 
 

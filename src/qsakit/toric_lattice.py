@@ -1,17 +1,22 @@
 """Plaquette spin models: builders, digital evolution, ground-state routes.
 
-Two models share the :class:`PlaquetteSet` container:
+Two models share the :class:`PlaquetteSet` container, and each model spells
+out its terms once, as data:
 
 * ``wen`` -- one spin per vertex of a ``rows x cols`` grid (row 0 at the
-  bottom, site index ``i*cols + j``); the four-body term anchored at
-  plaquette ``(i, j)`` reads X, Z / Z, X clockwise from its bottom-left spin:
-  ``X(i,j) Z(i,j+1) Z(i+1,j) X(i+1,j+1)``.  Twists deform one row into a
-  five-body X,Z/Z,Y,X defect plus shifted four-body terms.
+  bottom, site index ``i*cols + j``).  The table ``_WEN_SHAPES`` gives each
+  term shape as letters by ``(row, col)`` offset from the anchor spin
+  ``(i, j)``: the four-body ``plaquette``
+  ``X(i,j) Z(i,j+1) Z(i+1,j) X(i+1,j+1)``, the five-body ``twist`` defect,
+  the ``skew`` terms that follow a twist along its row, and the two
+  rotations of the ground-state sweep.
 * ``kitaev_holes`` -- one qubit per edge of a ``rows x cols`` vertex grid
   with a rough top boundary (the top row of horizontal edges is absent, so
   top faces are three-body and top vertex stars are missing) and smooth
-  left/right/bottom boundaries.  Faces carry Z letters, vertex stars X
-  letters.  Holes omit single faces (smooth) or vertex stars (rough).
+  left/right/bottom boundaries.  The table ``_KITAEV_KINDS`` gives each term
+  kind its edge list, its letter, its digital groups and the hole kind that
+  removes it: ``face`` terms carry Z and are removed by smooth holes,
+  ``vertex`` stars carry X and are removed by rough holes.
 
 Every builder checks that all emitted terms pairwise commute and that the
 four digital groups have pairwise site-disjoint members.
@@ -23,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -217,13 +222,9 @@ class PlaquetteSet:
     def group_overlap(self) -> tuple[int, list[int]] | None:
         """``(group, shared sites)`` of the first group with overlapping members, or None."""
         for group, members in self.groups().items():
-            seen: set[int] = set()
-            for term in members:
-                support = set(term.operator.support)
-                overlap = seen & support
-                if overlap:
-                    return group, sorted(overlap)
-                seen |= support
+            shared = _shared_sites(term.operator.support for term in members)
+            if shared:
+                return group, shared
         return None
 
     def hamiltonian(self, J: float) -> WeightedPauliSum:
@@ -231,6 +232,21 @@ class PlaquetteSet:
         return WeightedPauliSum.from_terms(
             self.n_sites, [(-J, t.operator) for t in self.terms]
         )
+
+
+def _shared_sites(supports) -> list[int]:
+    """Sorted sites the first overlapping support shares with those before it; [] if disjoint."""
+    seen: set[int] = set()
+    for support in supports:
+        overlap = seen.intersection(support)
+        if overlap:
+            return sorted(overlap)
+        seen.update(support)
+    return []
+
+
+#: The checks :func:`_validate_set` makes on every built set, by report name.
+LATTICE_CHECKS = ("terms-pairwise-commute", "groups-support-disjoint")
 
 
 def _validate_set(pset: PlaquetteSet) -> None:
@@ -247,60 +263,39 @@ def _validate_set(pset: PlaquetteSet) -> None:
         raise LatticeError(f"group {group} members share sites {sites}")
 
 
+def plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
+    """Plaquette (wen) or face (kitaev_holes) grid shape: (rows-1, cols-1) open, (rows, cols) periodic."""
+    if spec.boundary == "periodic":
+        return spec.rows, spec.cols
+    return spec.rows - 1, spec.cols - 1
+
+
 # -- wen builder --------------------------------------------------------------
+
+#: Letters of each wen term shape by (row, col) offset from its anchor spin.
+_WEN_SHAPES: dict[str, dict[tuple[int, int], str]] = {
+    # X, Z on the bottom row and Z, X above
+    "plaquette": {(0, 0): "X", (0, 1): "Z", (1, 0): "Z", (1, 1): "X"},
+    # the five-body defect at a twist anchor: X, Z below and Z, Y, X above
+    "twist": {(0, 0): "X", (0, 1): "Z", (1, 0): "Z", (1, 1): "Y", (1, 2): "X"},
+    # a twist row's later terms: the top row shifted one column to the right
+    "skew": {(0, 0): "X", (0, 1): "Z", (1, 1): "Z", (1, 2): "X"},
+    # sweep rotations, Y on the corner spin that is still fresh in |0>
+    "xzzy": {(0, 0): "X", (0, 1): "Z", (1, 0): "Z", (1, 1): "Y"},
+    "yzzx": {(0, 0): "Y", (0, 1): "Z", (1, 0): "Z", (1, 1): "X"},
+}
+
+
+def _wen_term(spec: LatticeSpec, shape: str, i: int, j: int) -> PauliString:
+    s = spec.site_index
+    return PauliString.from_sites(
+        spec.n_sites,
+        {s(i + di, j + dj): letter for (di, dj), letter in _WEN_SHAPES[shape].items()},
+    )
 
 
 def _wen_group(i: int, j: int) -> int:
     return 2 * (i % 2) + (j % 2) + 1
-
-
-def _wen_plaquette(spec: LatticeSpec, i: int, j: int) -> PauliString:
-    s = spec.site_index
-    return PauliString.from_sites(
-        spec.n_sites,
-        {
-            s(i, j): "X",
-            s(i, j + 1): "Z",
-            s(i + 1, j): "Z",
-            s(i + 1, j + 1): "X",
-        },
-    )
-
-
-def _wen_twist_pentagon(spec: LatticeSpec, i: int, j: int) -> PauliString:
-    """Five-body defect at anchor (i, j); reads X,Z / Z,Y,X over its two rows."""
-    s = spec.site_index
-    return PauliString.from_sites(
-        spec.n_sites,
-        {
-            s(i, j): "X",
-            s(i, j + 1): "Z",
-            s(i + 1, j): "Z",
-            s(i + 1, j + 1): "Y",
-            s(i + 1, j + 2): "X",
-        },
-    )
-
-
-def _wen_skew(spec: LatticeSpec, i: int, j: int) -> PauliString:
-    """Skewed four-body term in a twist row (shifted one column at the bottom)."""
-    s = spec.site_index
-    return PauliString.from_sites(
-        spec.n_sites,
-        {
-            s(i, j): "X",
-            s(i, j + 1): "Z",
-            s(i + 1, j + 1): "Z",
-            s(i + 1, j + 2): "X",
-        },
-    )
-
-
-def plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
-    """Plaquette grid shape: (rows-1, cols-1) open, (rows, cols) periodic."""
-    if spec.boundary == "periodic":
-        return spec.rows, spec.cols
-    return spec.rows - 1, spec.cols - 1
 
 
 def build_wen(spec: LatticeSpec) -> PlaquetteSet:
@@ -330,26 +325,16 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
         for j in range(pcol):
             if (i, j) in holes:
                 continue
-            if i in twist_rows:
-                c = twist_rows[i]
-                if j == c:
-                    terms.append(
-                        PlaquetteTerm((i, j), _wen_twist_pentagon(spec, i, j),
-                                      _wen_group(i, j), "twist")
-                    )
+            shape = "plaquette"
+            c = twist_rows.get(i)
+            if c is not None and j >= c:
+                # the anchor's defect covers columns c..c+2; skewed terms
+                # continue from column c+1 and the row ends one term early
+                if j > pcol - 2:
                     continue
-                if j > c:
-                    # the anchor's pentagon covers columns c..c+2; skewed terms
-                    # continue from column c+1 and the row ends one term early
-                    if j <= pcol - 2:
-                        terms.append(
-                            PlaquetteTerm((i, j), _wen_skew(spec, i, j),
-                                          _wen_group(i, j), "skew")
-                        )
-                    continue
+                shape = "twist" if j == c else "skew"
             terms.append(
-                PlaquetteTerm((i, j), _wen_plaquette(spec, i, j),
-                              _wen_group(i, j), "plaquette")
+                PlaquetteTerm((i, j), _wen_term(spec, shape, i, j), _wen_group(i, j), shape)
             )
     pset = PlaquetteSet(spec.n_sites, tuple(terms))
     _validate_set(pset)
@@ -402,7 +387,7 @@ def kitaev_edge_index(spec: LatticeSpec, kind: str, i: int, j: int) -> int:
     return table[key]
 
 
-def _kitaev_face_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
+def _face_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
     if spec.boundary == "periodic":
         return [("v", i, j), ("v", i, (j + 1) % spec.cols),
                 ("h", i, j), ("h", (i + 1) % spec.rows, j)]
@@ -412,7 +397,7 @@ def _kitaev_face_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
     return out
 
 
-def _kitaev_star_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
+def _star_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
     if spec.boundary == "periodic":
         return [("v", i, j), ("v", (i - 1) % spec.rows, j),
                 ("h", i, j), ("h", i, (j - 1) % spec.cols)]
@@ -426,47 +411,45 @@ def _kitaev_star_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
     return out
 
 
-def kitaev_face_range(spec: LatticeSpec):
-    if spec.boundary == "periodic":
-        return range(spec.rows), range(spec.cols)
-    return range(spec.rows - 1), range(spec.cols - 1)
+class _KitaevKind(NamedTuple):
+    letter: str  # on every edge of the term
+    group: int  # digital group of even anchors; odd anchors run in group + 1
+    hole: str  # the hole kind that removes the term
+    edges: Callable[[LatticeSpec, int, int], list[tuple]]
+    name: str  # singular and plural, for error messages
+    plural: str
 
 
-def kitaev_star_range(spec: LatticeSpec):
-    if spec.boundary == "periodic":
-        return range(spec.rows), range(spec.cols)
-    return range(1, spec.rows), range(spec.cols)
+#: Face and vertex-star terms of the hole model, in build order.
+_KITAEV_KINDS: dict[str, _KitaevKind] = {
+    "face": _KitaevKind("Z", 1, "smooth", _face_edges, "face", "faces"),
+    "vertex": _KitaevKind("X", 3, "rough", _star_edges, "vertex star", "vertices"),
+}
 
 
-def kitaev_face_edge_keys(spec: LatticeSpec, i: int, j: int) -> tuple[tuple, ...]:
-    """Edge keys ('v'|'h', i, j) bounding face (i, j)."""
-    fr, fc = kitaev_face_range(spec)
-    if i not in fr or j not in fc:
-        raise LatticeError(f"face ({i}, {j}) out of range")
-    return tuple(_kitaev_face_edges(spec, i, j))
+def _kitaev_anchors(spec: LatticeSpec, kind: str) -> tuple[range, range]:
+    """Anchor rows and cols: faces fill the plaquette grid, vertex stars every
+    vertex but the open grid's rough top row 0."""
+    if kind == "vertex" and spec.boundary == "open":
+        return range(1, spec.rows), range(spec.cols)
+    prow, pcol = plaquette_range(spec)
+    return range(prow), range(pcol)
 
 
-def kitaev_star_edge_keys(spec: LatticeSpec, i: int, j: int) -> tuple[tuple, ...]:
-    """Edge keys ('v'|'h', i, j) meeting vertex (i, j)."""
-    sr, sc = kitaev_star_range(spec)
-    if i not in sr or j not in sc:
-        raise LatticeError(f"vertex star ({i}, {j}) out of range")
-    return tuple(_kitaev_star_edges(spec, i, j))
+def kitaev_edge_keys(spec: LatticeSpec, kind: str, i: int, j: int) -> tuple[tuple, ...]:
+    """Edge keys ('v'|'h', i, j) of the face or vertex star ``kind`` at (i, j)."""
+    rows, cols = _kitaev_anchors(spec, kind)
+    if i not in rows or j not in cols:
+        raise LatticeError(f"{_KITAEV_KINDS[kind].name} ({i}, {j}) out of range")
+    return tuple(_KITAEV_KINDS[kind].edges(spec, i, j))
 
 
-def kitaev_face_operator(spec: LatticeSpec, i: int, j: int) -> PauliString:
-    """The Z-type face operator at (i, j), whether driven or removed as a hole."""
+def kitaev_operator(spec: LatticeSpec, kind: str, i: int, j: int) -> PauliString:
+    """The face (Z) or vertex-star (X) operator at (i, j), whether driven or removed as a hole."""
     edges = _kitaev_edges(spec)
+    letter = _KITAEV_KINDS[kind].letter
     return PauliString.from_sites(
-        spec.n_sites, {edges[e]: "Z" for e in kitaev_face_edge_keys(spec, i, j)}
-    )
-
-
-def kitaev_star_operator(spec: LatticeSpec, i: int, j: int) -> PauliString:
-    """The X-type vertex star at (i, j), whether driven or removed as a hole."""
-    edges = _kitaev_edges(spec)
-    return PauliString.from_sites(
-        spec.n_sites, {edges[e]: "X" for e in kitaev_star_edge_keys(spec, i, j)}
+        spec.n_sites, {edges[e]: letter for e in kitaev_edge_keys(spec, kind, i, j)}
     )
 
 
@@ -476,43 +459,35 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
         raise LatticeError(
             f"build_kitaev_holes needs model 'kitaev_holes', got {spec.model!r}"
         )
-    smooth_skips: set[tuple[int, int]] = set()
-    rough_skips: set[tuple[int, int]] = set()
+    skips: dict[str, set[tuple[int, int]]] = {kind: set() for kind in HOLE_KINDS}
     for hole in spec.holes:
-        target = smooth_skips if hole.kind == "smooth" else rough_skips
         for coord in hole.plaquettes:
-            if coord in target:
+            if coord in skips[hole.kind]:
                 raise LatticeError(f"holes overlap at {coord}")
-            target.add(coord)
+            skips[hole.kind].add(coord)
 
     terms: list[PlaquetteTerm] = []
-    removed_support: list[set[int]] = []
-    fr, fc = kitaev_face_range(spec)
-    for i in fr:
-        for j in fc:
-            face = kitaev_face_operator(spec, i, j)
-            if (i, j) in smooth_skips:
-                smooth_skips.discard((i, j))
-                removed_support.append(set(face.support))
-                continue
-            terms.append(PlaquetteTerm((i, j), face, 1 + (i + j) % 2, "face"))
-    sr, sc = kitaev_star_range(spec)
-    for i in sr:
-        for j in sc:
-            star = kitaev_star_operator(spec, i, j)
-            if (i, j) in rough_skips:
-                rough_skips.discard((i, j))
-                removed_support.append(set(star.support))
-                continue
-            terms.append(PlaquetteTerm((i, j), star, 3 + (i + j) % 2, "vertex"))
-    if smooth_skips:
-        raise LatticeError(f"smooth hole faces out of range: {sorted(smooth_skips)}")
-    if rough_skips:
-        raise LatticeError(f"rough hole vertices out of range: {sorted(rough_skips)}")
-    for a in range(len(removed_support)):
-        for b in range(a + 1, len(removed_support)):
-            if removed_support[a] & removed_support[b]:
-                raise LatticeError("hole regions share edges; holes must be disjoint")
+    removed_supports: list[tuple[int, ...]] = []
+    for kind, entry in _KITAEV_KINDS.items():
+        skip = skips[entry.hole]
+        rows, cols = _kitaev_anchors(spec, kind)
+        for i in rows:
+            for j in cols:
+                operator = kitaev_operator(spec, kind, i, j)
+                if (i, j) in skip:
+                    skip.discard((i, j))
+                    removed_supports.append(operator.support)
+                    continue
+                terms.append(
+                    PlaquetteTerm((i, j), operator, entry.group + (i + j) % 2, kind)
+                )
+    for entry in _KITAEV_KINDS.values():
+        if skips[entry.hole]:
+            raise LatticeError(
+                f"{entry.hole} hole {entry.plural} out of range: {sorted(skips[entry.hole])}"
+            )
+    if _shared_sites(removed_supports):
+        raise LatticeError("hole regions share edges; holes must be disjoint")
 
     pset = PlaquetteSet(spec.n_sites, tuple(terms))
     _validate_set(pset)
@@ -574,13 +549,11 @@ class DigitalSequence:
         """Every pulse of every stage, in execution order."""
         return [p for stage in self.stages for sched in stage for p in schedule_pulses(sched)]
 
-    def apply(self, state: Statevector, angle_offset: float = 0.0) -> Statevector:
-        return Statevector.from_array(
-            run_pulses(self.pulses(), state.data, angle_offset)
-        )
+    def apply(self, state: Statevector) -> Statevector:
+        return Statevector.from_array(run_pulses(self.pulses(), state.data))
 
-    def unitary(self, angle_offset: float = 0.0) -> np.ndarray:
-        return pulse_unitary(self.n_sites, self.pulses(), "digital unitary", angle_offset).matrix
+    def unitary(self) -> np.ndarray:
+        return pulse_unitary(self.n_sites, self.pulses(), "digital unitary").matrix
 
     def hamiltonian(self) -> WeightedPauliSum:
         return build_variant(self.spec).hamiltonian(self.spec.J)
@@ -635,6 +608,19 @@ def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
     return [t for t in pset.terms if (t.index[0] + t.index[1]) % 2 == 0]
 
 
+def project_plus(array: np.ndarray, operators, error: Exception) -> Statevector:
+    """Normalized ``prod (1 + P)/sqrt(2)`` of ``array`` over commuting ``operators``.
+
+    Raises:
+        error: the projection annihilated the state.
+    """
+    for op in operators:
+        array = (array + apply_string(op, array)) / math.sqrt(2.0)
+    if float(np.linalg.norm(array)) < 1e-9:
+        raise error
+    return Statevector.from_array(array, normalize=True)
+
+
 def ground_state_projector(spec: LatticeSpec) -> Statevector:
     """Ground state via ``prod_even (1 + P)/sqrt(2)`` on the seed state.
 
@@ -644,14 +630,11 @@ def ground_state_projector(spec: LatticeSpec) -> Statevector:
     """
     if spec.twists:
         raise LatticeError("ground-state construction does not support twists")
-    psi0 = build_psi0(spec)
-    arr = psi0.data
-    for term in _even_terms(build_wen(spec)):
-        arr = (arr + apply_string(term.operator, arr)) / math.sqrt(2.0)
-    norm = float(np.linalg.norm(arr))
-    if norm < 1e-9:
-        raise LatticeError("projector annihilated the seed state")
-    return Statevector.from_array(arr, normalize=True)
+    return project_plus(
+        build_psi0(spec).data,
+        (term.operator for term in _even_terms(build_wen(spec))),
+        LatticeError("projector annihilated the seed state"),
+    )
 
 
 def ground_state_sweep(spec: LatticeSpec):
@@ -675,7 +658,6 @@ def ground_state_sweep(spec: LatticeSpec):
     if spec.twists:
         raise LatticeError("ground-state construction does not support twists")
     psi0 = build_psi0(spec)
-    s = spec.site_index
 
     diagonals: dict[int, list[tuple[int, int]]] = {}
     for term in _even_terms(build_wen(spec)):
@@ -701,19 +683,13 @@ def ground_state_sweep(spec: LatticeSpec):
     used_corners: set[int] = set()
     for stage in stages:
         for (i, j, kind) in stage:
-            if kind == "A":
-                letters = {s(i, j): "X", s(i, j + 1): "Z",
-                           s(i + 1, j): "Z", s(i + 1, j + 1): "Y"}
-                corner = s(i + 1, j + 1)
-            else:
-                letters = {s(i, j): "Y", s(i, j + 1): "Z",
-                           s(i + 1, j): "Z", s(i + 1, j + 1): "X"}
-                corner = s(i, j)
+            rotation = _wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j)
+            corner = next(k for k in rotation.support if rotation.letters[k] == "Y")
             if corner in used_corners:
                 raise LatticeError(
                     f"sweep ordering bug: corner spin {corner} reused at ({i},{j})"
                 )
-            pulses.append((PauliString.from_sites(spec.n_sites, letters), math.pi / 4))
+            pulses.append((rotation, math.pi / 4))
             # every spin this plaquette touched is no longer fresh
-            used_corners |= {s(i, j), s(i, j + 1), s(i + 1, j), s(i + 1, j + 1)}
+            used_corners.update(rotation.support)
     return Statevector.from_array(run_pulses(pulses, psi0.data)), tuple(stages)

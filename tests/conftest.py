@@ -43,6 +43,11 @@ def kron_expm(generator_matrix, angle):
     return scipy.linalg.expm(-1j * angle * generator_matrix)
 
 
+def frobenius_distance(a, b):
+    """Frobenius norm of ``a - b``; matrices or objects holding one in ``.matrix``."""
+    return float(np.linalg.norm(getattr(a, "matrix", a) - getattr(b, "matrix", b)))
+
+
 def random_string_letters(rng, n_sites, min_weight=2):
     """Random letter tuple with at least ``min_weight`` non-identity sites."""
     while True:

@@ -31,7 +31,6 @@ from qsakit.dense_oracle import (
     Statevector,
     distance,
     expm,
-    frobenius_distance,
     schedule_unitary,
 )
 from qsakit.pauli_core import PauliString, WeightedPauliSum, sum_commutes
@@ -50,7 +49,7 @@ from qsakit.toric_lattice import (
     ground_state_sweep,
 )
 
-from conftest import random_string_letters
+from conftest import frobenius_distance, random_string_letters
 
 SEED = 20240818
 

@@ -304,9 +304,9 @@ def test_loop_cnot_rejects_wrong_hole_kinds():
 
 def test_loop_cnot_rejects_bad_loops():
     # a contractible loop: the Z-boundary of the kept face at (0, 0)
-    from qsakit.toric_lattice import kitaev_face_edge_keys
+    from qsakit.toric_lattice import kitaev_edge_keys
 
-    contractible = kitaev_face_edge_keys(HOLES_SPEC, 0, 0)
+    contractible = kitaev_edge_keys(HOLES_SPEC, "face", 0, 0)
     with pytest.raises(TopologyError):
         loop_cnot(
             HOLES_SPEC.holes[0], HOLES_SPEC.holes[1], HOLES_SPEC,

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from qsakit import toric_lattice
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
@@ -145,6 +146,29 @@ def test_toric_build_and_digital(tmp_path, capsys):
     code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.3"])
     assert code == 0
     assert json.loads(out)["metrics"]["distance"] <= 1e-8
+
+
+def test_toric_build_reports_the_builder_checks(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen44.json", {"rows": 4, "cols": 4})
+    code, out = run_cli(capsys, ["toric", "build", "--spec", spec])
+    assert code == 0
+    assert json.loads(out)["checks"] == [
+        {"name": "terms-pairwise-commute", "passed": True},
+        {"name": "groups-support-disjoint", "passed": True},
+    ]
+
+
+def test_toric_build_fails_on_a_planted_shape_letter(tmp_path, capsys, monkeypatch):
+    # a Y in place of the top-right X makes neighbouring plaquettes anticommute
+    shapes = dict(toric_lattice._WEN_SHAPES)
+    shapes["plaquette"] = {(0, 0): "X", (0, 1): "Z", (1, 0): "Z", (1, 1): "Y"}
+    monkeypatch.setattr(toric_lattice, "_WEN_SHAPES", shapes)
+    spec = write_json(tmp_path / "wen44.json", {"rows": 4, "cols": 4})
+    code, out = run_cli(capsys, ["toric", "build", "--spec", spec])
+    report = json.loads(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert "do not commute" in report["error"]
 
 
 def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):

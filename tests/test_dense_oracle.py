@@ -23,7 +23,6 @@ from qsakit.dense_oracle import (
     compare_pulses,
     distance,
     expm,
-    frobenius_distance,
     max_dense_qubits,
     run_pulses,
     schedule_pulses,
@@ -37,7 +36,14 @@ from qsakit.propagator_engine import AttachmentSpec, SwapperSpec
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
 from qsakit.toric_lattice import LatticeSpec, build_variant
 
-from conftest import SIGMA, kron_expm, kron_string, kron_sum, random_string_letters
+from conftest import (
+    SIGMA,
+    frobenius_distance,
+    kron_expm,
+    kron_string,
+    kron_sum,
+    random_string_letters,
+)
 
 SEED = 20240814
 

@@ -366,6 +366,34 @@ def test_kitaev_hole_overlap_rejected():
         )
 
 
+def _kitaev_with(*holes):
+    return LatticeSpec(
+        rows=3, cols=4, model="kitaev_holes",
+        holes=tuple(HoleSpec(tuple(p), kind) for p, kind in holes),
+    )
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_kitaev_with(([(1, 0)], "smooth"), ([(1, 0)], "smooth")), "holes overlap at (1, 0)"),
+    (_kitaev_with(([(2, 0)], "smooth")), "smooth hole faces out of range: [(2, 0)]"),
+    (_kitaev_with(([(0, 0)], "rough")), "rough hole vertices out of range: [(0, 0)]"),
+    (_kitaev_with(([(2, 0), (5, 5)], "smooth"), ([(0, 1)], "rough")),
+     "smooth hole faces out of range: [(2, 0), (5, 5)]"),
+    (_kitaev_with(([(1, 0), (1, 1)], "smooth")),
+     "hole regions share edges; holes must be disjoint"),
+    (_kitaev_with(([(0, 0)], "smooth"), ([(1, 0)], "rough")),
+     "hole regions share edges; holes must be disjoint"),
+    (LatticeSpec(rows=3, cols=3, holes=(HoleSpec(((2, 0),)),)),
+     "hole plaquette (2, 0) out of range"),
+    (LatticeSpec(rows=3, cols=3, holes=(HoleSpec(((0, 0),)), HoleSpec(((0, 0),)))),
+     "holes overlap at plaquette (0, 0)"),
+])
+def test_hole_errors_name_the_fault(spec, message):
+    with pytest.raises(LatticeError) as info:
+        build_variant(spec)
+    assert str(info.value) == message
+
+
 def test_build_variant_dispatch():
     wen = LatticeSpec(rows=3, cols=3)
     assert build_variant(wen).terms == build_wen(wen).terms
