@@ -176,15 +176,20 @@ def error_scaling(
     fit of log(distance) against log(delta).
 
     Raises:
-        ValueError: deltas not strictly decreasing or outside (0, 0.1].
+        ValueError: deltas not strictly decreasing, outside (0, 0.1], or
+            fewer than two (a line through one point fits nothing).
     """
     deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(not (0.0 < d <= 0.1) for d in deltas):
+    if any(not (0.0 < d <= 0.1) for d in deltas):
         raise ValueError("deltas must lie in (0, 0.1]")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
 
     n_sites, pulses, label = _subject_pulses(subject)
+    if len(deltas) < 2:
+        raise ValueError(
+            f"the slope fit needs at least two deltas, got {len(deltas)}"
+        )
     ideal = pulse_product(n_sites, pulses)
 
     rng = np.random.default_rng(seed)

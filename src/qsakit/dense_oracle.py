@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import TOL, PauliString, WeightedPauliSum, anticommuting_pairs, is_involution
+from .pauli_core import (
+    TOL,
+    PauliString,
+    WeightedPauliSum,
+    _sites,
+    anticommuting_pairs,
+    is_involution,
+)
 from .propagator_engine import InvolutionRotation, make_attachment, make_swapper
 from .schedule_compiler import QsaSchedule
 
@@ -68,9 +75,9 @@ def check_dense_limit(n_sites: int, context: str) -> None:
 
 # -- Pauli action ----------------------------------------------------------------
 
-# Factor of a Y or Z letter by output bit, after the X/Y flip:
-# Y|0> = i|1>, Y|1> = -i|0>; Z|b> = (-1)^b |b>.
-_SIGN = {"Y": np.array([-1j, 1j]), "Z": np.array([1.0, -1.0])}
+# Factor of a z-site by output bit after the x flip, indexed by its x bit:
+# Z|b> = (-1)^b |b>; Y|0> = i|1>, Y|1> = -i|0>.
+_SIGN = (np.array([1.0, -1.0]), np.array([-1j, 1j]))
 
 
 def _tensor(array: np.ndarray, n_sites: int) -> np.ndarray:
@@ -81,13 +88,12 @@ def _tensor(array: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def _pauli(string: PauliString, tensor: np.ndarray, scale: complex = 1.0, out=None):
-    """``scale * P`` on a tensor: flip the X/Y axes, then sign the Y/Z axes."""
+    """``scale * P`` on a tensor: flip the ``x`` axes, then sign the ``z`` axes."""
     sign = np.full((1,) * tensor.ndim, scale * string.phase)
-    for site, letter in enumerate(string.letters):
-        if letter in _SIGN:
-            sign = sign * _SIGN[letter].reshape((2,) + (1,) * (tensor.ndim - 1 - site))
-    flips = tuple(s for s, letter in enumerate(string.letters) if letter in "XY")
-    return np.multiply(np.flip(tensor, axis=flips), sign, out=out)
+    for site in _sites(string.z):
+        factor = _SIGN[string.x >> site & 1]
+        sign = sign * factor.reshape((2,) + (1,) * (tensor.ndim - 1 - site))
+    return np.multiply(np.flip(tensor, axis=_sites(string.x)), sign, out=out)
 
 
 def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
@@ -97,7 +103,7 @@ def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
     ``kron(site0, site1, ...)``.
     """
     n = string.n_sites
-    flips = sum(1 << (n - 1 - s) for s, letter in enumerate(string.letters) if letter in "XY")
+    flips = int(format(string.x, f"0{n}b")[::-1], 2)
     perm = np.arange(1 << n) ^ flips
     return perm, apply_string(string, np.ones(1 << n))[perm]
 
@@ -158,7 +164,7 @@ def _local_unitary(generator: WeightedPauliSum, angle: float) -> np.ndarray:
     eye = np.eye(1 << len(sites), dtype=np.complex128)
     local = np.zeros_like(eye)
     for coeff, string in generator.terms:
-        local += coeff * string.phase * _pauli_matrix(tuple(string.letters[s] for s in sites))
+        local += coeff * string.phase * _pauli_matrix(tuple(string.letter(s) for s in sites))
     _require_involution(np.abs(local @ local - eye).max(), generator)
     return math.cos(angle) * eye - 1j * math.sin(angle) * local
 

@@ -10,13 +10,30 @@ runs on two types defined here:
   strings in collected form (no duplicate letter sequences, no negligible
   coefficients).
 
-All operations are exact on the integer/letter data; the only tolerance in
-this module is ``TOL`` (1e-12), used when real coefficients are collected.
+A string is stored in the symplectic form of Aaronson & Gottesman
+(quant-ph/0406196): two Python ints ``x`` and ``z`` with site ``i`` at bit
+``i`` of each, and the letter at a site read from its bit pair
+``(x, z)``: ``I = (0, 0)``, ``X = (1, 0)``, ``Y = (1, 1)``, ``Z = (0, 1)``.
+With ``Y = i X Z`` the string is
+``i**(phase_exp + |x & z|) * X**x Z**z``, where ``|m|`` counts set bits, so
+moving ``Z**za`` past ``X**xb`` gives the product rule
+
+    ``a * b = i**p * P(xa ^ xb, za ^ zb)`` with
+    ``p = pa + pb + 2|za & xb| + |xa & za| + |xb & zb| - |x & z|  (mod 4)``
+
+(``x``, ``z`` the product's masks), and two strings commute exactly when
+``|xa & zb| + |za & xb|`` is even.  Every product and commutation test is a
+few big-int operations, whatever the register width; the per-site
+``letters`` and ``support`` are views computed on first use.
+
+All operations are exact on the integer data; the only tolerance in this
+module is ``TOL`` (1e-12), used when real coefficients are collected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from operator import index
 from typing import Iterable, Mapping, Sequence
 
 LETTERS = ("I", "X", "Y", "Z")
@@ -24,19 +41,13 @@ LETTERS = ("I", "X", "Y", "Z")
 #: Absolute tolerance for collecting real coefficients.
 TOL = 1e-12
 
-# Single-site products: (a, b) -> (letter of a*b, power of i contributed).
-# E.g. X*Y = iZ, Z*Y = -iX.
-_PRODUCT: dict[tuple[str, str], tuple[str, int]] = {}
-for _l in LETTERS:
-    _PRODUCT[("I", _l)] = (_l, 0)
-    _PRODUCT[(_l, "I")] = (_l, 0)
-    _PRODUCT[(_l, _l)] = ("I", 0)
-_PRODUCT[("X", "Y")] = ("Z", 1)
-_PRODUCT[("Y", "X")] = ("Z", 3)
-_PRODUCT[("Y", "Z")] = ("X", 1)
-_PRODUCT[("Z", "Y")] = ("X", 3)
-_PRODUCT[("Z", "X")] = ("Y", 1)
-_PRODUCT[("X", "Z")] = ("Y", 3)
+# letter -> (x bit, z bit); the tables below are derived from it
+_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+_LETTER_OF = {bits: letter for letter, bits in _BITS.items()}
+# the same, keyed by binary digits, and letters to digits for int(..., 2)
+_LETTER_OF_DIGITS = {(str(x), str(z)): letter for (x, z), letter in _LETTER_OF.items()}
+_X_DIGITS = str.maketrans({letter: str(x) for letter, (x, _) in _BITS.items()})
+_Z_DIGITS = str.maketrans({letter: str(z) for letter, (_, z) in _BITS.items()})
 
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PHASE_VALUE = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
@@ -46,37 +57,92 @@ class PauliFormatError(ValueError):
     """Raised when a Pauli literal cannot be parsed."""
 
 
-@dataclass(frozen=True)
+def _sites(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of ``mask``."""
+    bits = format(mask, "b")[::-1]
+    out = []
+    i = bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return tuple(out)
+
+
+def _masks(text: str) -> tuple[int, int]:
+    """``(x, z)`` of a string of valid letters, site 0 first."""
+    text = text[::-1]
+    return int(text.translate(_X_DIGITS), 2), int(text.translate(_Z_DIGITS), 2)
+
+
+def _check_width(n_sites: int) -> None:
+    if n_sites < 1:
+        raise ValueError(f"n_sites must be positive, got {n_sites}")
+
+
 class PauliString:
     """An n-site Pauli operator ``i**phase_exp * L_0 (x) L_1 (x) ... L_{n-1}``.
 
+    ``PauliString(n_sites, letters, phase_exp=0)`` takes one letter per site
+    (any sequence of ``I, X, Y, Z``).  Instances are immutable, and equal
+    when width, masks and phase agree.
+
     Attributes:
         n_sites: Register width; every operation checks widths match.
-        letters: Tuple of per-site letters drawn from ``I, X, Y, Z``.
+        x: Bit ``i`` set when site ``i`` carries X or Y.
+        z: Bit ``i`` set when site ``i`` carries Z or Y.
         phase_exp: Global phase as an exponent of ``i``, reduced mod 4.
     """
 
-    n_sites: int
-    letters: tuple[str, ...]
-    phase_exp: int = 0
+    __slots__ = ("n_sites", "x", "z", "phase_exp", "_letters", "_support")
 
-    def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be positive, got {self.n_sites}")
-        if len(self.letters) != self.n_sites:
-            raise ValueError(
-                f"expected {self.n_sites} letters, got {len(self.letters)}"
-            )
-        bad = [l for l in self.letters if l not in LETTERS]
+    n_sites: int
+    x: int
+    z: int
+    phase_exp: int
+
+    def __new__(cls, n_sites: int, letters: Sequence[str], phase_exp: int = 0):
+        _check_width(n_sites)
+        if len(letters) != n_sites:
+            raise ValueError(f"expected {n_sites} letters, got {len(letters)}")
+        bad = [l for l in letters if l not in LETTERS]
         if bad:
             raise ValueError(f"invalid Pauli letters: {bad}")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        return _masked(n_sites, *_masks("".join(letters)), phase_exp)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PauliString:
+            return NotImplemented
+        return (
+            self.x == other.x
+            and self.z == other.z
+            and self.n_sites == other.n_sites
+            and self.phase_exp == other.phase_exp
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_sites, self.x, self.z, self.phase_exp))
+
+    def __reduce__(self):
+        return _masked, (self.n_sites, self.x, self.z, self.phase_exp)
+
+    def __repr__(self) -> str:
+        return (
+            f"PauliString(n_sites={self.n_sites!r}, letters={self.letters!r}, "
+            f"phase_exp={self.phase_exp!r})"
+        )
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def identity(cls, n_sites: int) -> "PauliString":
-        return cls(n_sites, ("I",) * n_sites)
+        _check_width(n_sites)
+        return _masked(n_sites, 0, 0, 0)
 
     @classmethod
     def from_sites(
@@ -92,12 +158,22 @@ class PauliString:
             site_letters: Map from site index to letter, e.g. ``{0: "X", 3: "Z"}``.
             phase_exp: Global phase exponent of ``i``.
         """
-        letters = ["I"] * n_sites
+        x = z = 0
+        bad = {}
         for site, letter in site_letters.items():
             if not 0 <= site < n_sites:
                 raise ValueError(f"site {site} out of range for {n_sites} sites")
-            letters[site] = letter
-        return cls(n_sites, tuple(letters), phase_exp)
+            if letter not in LETTERS:
+                bad[site] = letter
+                continue
+            x_bit, z_bit = _BITS[letter]
+            shift = index(site)
+            x |= x_bit << shift
+            z |= z_bit << shift
+        _check_width(n_sites)
+        if bad:
+            raise ValueError(f"invalid Pauli letters: {[bad[s] for s in sorted(bad)]}")
+        return _masked(n_sites, x, z, phase_exp)
 
     @classmethod
     def parse(cls, text: str, n_sites: int | None = None) -> "PauliString":
@@ -140,16 +216,31 @@ class PauliString:
             raise PauliFormatError(
                 f"literal {text!r} has {len(body)} sites, expected {n_sites}"
             )
-        return cls(len(body), tuple(body), phase_exp)
+        return _masked(len(body), *_masks(body), phase_exp)
 
     # -- views -------------------------------------------------------------
 
+    def _text(self) -> str:
+        """The letters as one string, site 0 first."""
+        width = f"0{self.n_sites}b"
+        xs, zs = format(self.x, width)[::-1], format(self.z, width)[::-1]
+        return "".join(map(_LETTER_OF_DIGITS.__getitem__, zip(xs, zs)))
+
     def format(self) -> str:
         """Render the canonical literal (inverse of :meth:`parse`)."""
-        return _PHASE_PREFIX[self.phase_exp] + "".join(self.letters)
+        return _PHASE_PREFIX[self.phase_exp] + self._text()
 
     def __str__(self) -> str:
         return self.format()
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        """Tuple of per-site letters drawn from ``I, X, Y, Z``."""
+        try:
+            return self._letters
+        except AttributeError:
+            _set_letters(self, tuple(self._text()))
+            return self._letters
 
     @property
     def phase(self) -> complex:
@@ -159,17 +250,22 @@ class PauliString:
     @property
     def support(self) -> tuple[int, ...]:
         """Sites carrying a non-identity letter, ascending."""
-        return tuple(i for i, l in enumerate(self.letters) if l != "I")
+        try:
+            return self._support
+        except AttributeError:
+            _set_support(self, _sites(self.x | self.z))
+            return self._support
 
     @property
     def weight(self) -> int:
-        return len(self.support)
+        return (self.x | self.z).bit_count()
 
     def letter(self, site: int) -> str:
-        return self.letters[site]
+        site = range(self.n_sites)[site]
+        return _LETTER_OF[self.x >> site & 1, self.z >> site & 1]
 
     def is_identity(self) -> bool:
-        return all(l == "I" for l in self.letters)
+        return not (self.x or self.z)
 
     @property
     def is_hermitian(self) -> bool:
@@ -179,7 +275,7 @@ class PauliString:
     # -- algebra -----------------------------------------------------------
 
     def with_phase_exp(self, phase_exp: int) -> "PauliString":
-        return PauliString(self.n_sites, self.letters, phase_exp)
+        return _masked(self.n_sites, self.x, self.z, phase_exp)
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -187,6 +283,27 @@ class PauliString:
     def adjoint(self) -> "PauliString":
         """Hermitian adjoint (letters are self-adjoint; phase conjugates)."""
         return self.with_phase_exp(-self.phase_exp)
+
+
+# the slot descriptors' own setters get past the frozen ``__setattr__``; only
+# this module writes a string's slots
+_new = object.__new__
+_set_n = PauliString.n_sites.__set__
+_set_x = PauliString.x.__set__
+_set_z = PauliString.z.__set__
+_set_phase = PauliString.phase_exp.__set__
+_set_letters = PauliString._letters.__set__
+_set_support = PauliString._support.__set__
+
+
+def _masked(n_sites: int, x: int, z: int, phase_exp: int) -> PauliString:
+    """A string straight from its masks (no letter validation)."""
+    string = _new(PauliString)
+    _set_n(string, n_sites)
+    _set_x(string, x)
+    _set_z(string, z)
+    _set_phase(string, phase_exp % 4)
+    return string
 
 
 def _check_same_register(a: PauliString | "WeightedPauliSum",
@@ -207,28 +324,24 @@ def multiply(a: PauliString, b: PauliString) -> PauliString:
         'iZ'
     """
     _check_same_register(a, b)
-    phase_exp = a.phase_exp + b.phase_exp
-    letters = []
-    for la, lb in zip(a.letters, b.letters):
-        letter, extra = _PRODUCT[(la, lb)]
-        letters.append(letter)
-        phase_exp += extra
-    return PauliString(a.n_sites, tuple(letters), phase_exp)
+    xa, za, xb, zb = a.x, a.z, b.x, b.z
+    x, z = xa ^ xb, za ^ zb
+    phase_exp = (
+        a.phase_exp + b.phase_exp + 2 * (za & xb).bit_count()
+        + (xa & za).bit_count() + (xb & zb).bit_count() - (x & z).bit_count()
+    )
+    return _masked(a.n_sites, x, z, phase_exp)
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
     """True iff ``a`` and ``b`` commute.
 
     Two strings commute exactly when the number of sites where both letters
-    are non-identity and different is even.
+    are non-identity and different is even, which is the parity of
+    ``|xa & zb| + |za & xb|``.
     """
     _check_same_register(a, b)
-    clashes = sum(
-        1
-        for la, lb in zip(a.letters, b.letters)
-        if la != "I" and lb != "I" and la != lb
-    )
-    return clashes % 2 == 0
+    return not ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
 
 
 def anticommuting_pairs(strings: Sequence[PauliString]) -> list[tuple[int, int]]:
@@ -240,19 +353,29 @@ def anticommuting_pairs(strings: Sequence[PauliString]) -> list[tuple[int, int]]
     The cost is ``O(T * k**2)`` for ``T`` strings with at most ``k`` strings
     per site, instead of ``O(T**2 * n)``.
     """
-    by_site: dict[int, list[int]] = {}
+    by_site: dict[int, list[tuple[int, tuple[int, int]]]] = {}
     for k, string in enumerate(strings):
         _check_same_register(strings[0], string)
+        x, z = string.x, string.z
         for site in string.support:
-            by_site.setdefault(site, []).append(k)
+            by_site.setdefault(site, []).append((k, (x >> site & 1, z >> site & 1)))
     parity: dict[tuple[int, int], int] = {}
-    for site, members in by_site.items():
-        for x, a in enumerate(members):
-            la = strings[a].letters[site]
-            for b in members[x + 1 :]:
-                if strings[b].letters[site] != la:
+    for members in by_site.values():
+        for i, (a, bits_a) in enumerate(members):
+            for b, bits_b in members[i + 1 :]:
+                if bits_b != bits_a:
                     parity[(a, b)] = parity.get((a, b), 0) ^ 1
     return sorted(pair for pair, odd in parity.items() if odd)
+
+
+def _letter_order(n_sites: int, x: int, z: int) -> int:
+    """An int that sorts strings like their letter tuples (site 0 first, I < X < Y < Z).
+
+    Site ``i`` is base-4 digit ``n - 1 - i`` with value ``2 z + (x ^ z)``:
+    0, 1, 2, 3 for I, X, Y, Z.
+    """
+    width = f"0{n_sites}b"
+    return 2 * int(format(z, width)[::-1], 4) + int(format(x ^ z, width)[::-1], 4)
 
 
 @dataclass(frozen=True)
@@ -284,23 +407,25 @@ class WeightedPauliSum:
         imaginary part means the caller built a non-Hermitian combination,
         which is a bug upstream.
         """
-        acc: dict[tuple[str, ...], complex] = {}
+        acc: dict[tuple[int, int], complex] = {}
         for coeff, string in terms:
             if string.n_sites != n_sites:
                 raise ValueError(
                     f"term on {string.n_sites} sites in a {n_sites}-site sum"
                 )
-            acc[string.letters] = acc.get(string.letters, 0j) + coeff * string.phase
+            key = (string.x, string.z)
+            acc[key] = acc.get(key, 0j) + coeff * string.phase
+        kept = [(key, value) for key, value in acc.items() if abs(value) > TOL]
+        if len(kept) > 1:
+            kept.sort(key=lambda item: _letter_order(n_sites, *item[0]))
         collected = []
-        for letters in sorted(acc):
-            value = acc[letters]
-            if abs(value) <= TOL:
-                continue
+        for (x, z), value in kept:
+            string = _masked(n_sites, x, z, 0)
             if abs(value.imag) > TOL:
                 raise ValueError(
-                    f"non-real coefficient {value} for term {''.join(letters)}"
+                    f"non-real coefficient {value} for term {string.format()}"
                 )
-            collected.append((value.real, PauliString(n_sites, letters)))
+            collected.append((value.real, string))
         return cls(n_sites, tuple(collected))
 
     @classmethod
@@ -308,8 +433,7 @@ class WeightedPauliSum:
         return cls.from_terms(string.n_sites, [(coeff, string)])
 
     def __post_init__(self) -> None:
-        if self.n_sites < 1:
-            raise ValueError(f"n_sites must be positive, got {self.n_sites}")
+        _check_width(self.n_sites)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -324,10 +448,10 @@ class WeightedPauliSum:
 
     @property
     def support(self) -> tuple[int, ...]:
-        sites: set[int] = set()
+        mask = 0
         for _, string in self.terms:
-            sites.update(string.support)
-        return tuple(sorted(sites))
+            mask |= string.x | string.z
+        return _sites(mask)
 
     def scaled(self, factor: float) -> "WeightedPauliSum":
         return WeightedPauliSum.from_terms(
@@ -361,7 +485,7 @@ class WeightedPauliSum:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c:+.6g}*{''.join(s.letters)}" for c, s in self.terms)
+        return " + ".join(f"{c:+.6g}*{s.format()}" for c, s in self.terms)
 
 
 def sum_commutes(a: WeightedPauliSum, b: WeightedPauliSum) -> bool:
@@ -373,13 +497,13 @@ def sum_commutes(a: WeightedPauliSum, b: WeightedPauliSum) -> bool:
     are imaginary before cancellation).
     """
     _check_same_register(a, b)
-    acc: dict[tuple[str, ...], complex] = {}
+    acc: dict[tuple[int, int], complex] = {}
     for ca, sa in a.terms:
         for cb, sb in b.terms:
             ab = multiply(sa, sb)
             ba = multiply(sb, sa)
-            acc[ab.letters] = acc.get(ab.letters, 0j) + ca * cb * ab.phase
-            acc[ba.letters] = acc.get(ba.letters, 0j) - ca * cb * ba.phase
+            acc[ab.x, ab.z] = acc.get((ab.x, ab.z), 0j) + ca * cb * ab.phase
+            acc[ba.x, ba.z] = acc.get((ba.x, ba.z), 0j) - ca * cb * ba.phase
     return all(abs(v) <= TOL for v in acc.values())
 
 

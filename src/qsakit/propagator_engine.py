@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 from .pauli_core import (
     TOL,
+    _BITS,
     PauliString,
     WeightedPauliSum,
+    _masked,
     is_involution,
     multiply,
 )
@@ -301,13 +303,19 @@ def apply_swap(string: PauliString, spec: SwapperSpec) -> PauliString:
         raise ValueError(
             f"swapper site {spec.site} out of range for {string.n_sites} sites"
         )
-    current = string.letter(spec.site)
-    letters = list(string.letters)
+    letter = string.letter(spec.site)
     phase_exp = string.phase_exp
-    if current == spec.alpha:
-        letters[spec.site] = spec.beta
-    elif current == spec.beta:
-        letters[spec.site] = spec.alpha
-    elif current != "I":
+    if letter == spec.alpha:
+        letter = spec.beta
+    elif letter == spec.beta:
+        letter = spec.alpha
+    elif letter != "I":
         phase_exp += 2
-    return PauliString(string.n_sites, tuple(letters), phase_exp)
+    x_bit, z_bit = _BITS[letter]
+    keep = ~(1 << spec.site)
+    return _masked(
+        string.n_sites,
+        string.x & keep | x_bit << spec.site,
+        string.z & keep | z_bit << spec.site,
+        phase_exp,
+    )

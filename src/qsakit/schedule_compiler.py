@@ -259,22 +259,64 @@ def _plan_growth(support, adj, max_depth: int | None = None):
     )
 
 
+def _path_possible(support, adj) -> bool:
+    """False when a linear-time necessary condition rules a Hamiltonian path out.
+
+    On a connected support, one depth-first search (Tarjan's low-links)
+    counts, for every vertex, the pieces its removal leaves: a child subtree
+    whose low-link does not climb above the vertex is cut off, and a
+    non-root vertex also keeps the piece holding its parent.  Removing one
+    vertex splits a path into at most two pieces.  The same search
+    two-colours the support: a path alternates sides, so a bipartite support
+    whose sides differ by more than one has none.
+    """
+    root = support[0]
+    order = {root: 0}  # discovery index
+    low = {root: 0}
+    side = {root: 0}
+    pieces = dict.fromkeys(support, 1)  # the piece holding the parent
+    pieces[root] = 0
+    bipartite = True
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, neighbours = stack[-1]
+        for w in neighbours:
+            if w not in order:
+                order[w] = low[w] = len(order)
+                side[w] = 1 - side[v]
+                stack.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], order[w])
+            bipartite = bipartite and side[w] != side[v]
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= order[parent]:
+                    pieces[parent] += 1
+    if any(count > 2 for count in pieces.values()):
+        return False
+    ones = sum(side.values())
+    return not bipartite or abs(len(support) - 2 * ones) <= 1
+
+
 def _hamiltonian_path(support, adj):
     """A deterministic Hamiltonian path of the support, or None.
 
     The ascending-index order is preferred when it happens to be a path;
     otherwise a backtracking search (neighbors ascending, endpoints tried by
-    ascending degree then index) finds one.  Two necessary conditions rule a
+    ascending degree then index) finds one.  Necessary conditions rule a
     path out before the (exponential) search starts: a vertex of degree <= 1
-    can only be an endpoint, so at most two such vertices exist; and removing
-    one vertex splits a path into at most two pieces.
+    can only be an endpoint, so at most two such vertices exist; and
+    :func:`_path_possible` checks cut vertices and bipartite balance.
     """
     ordered = list(support)
     if all(ordered[i + 1] in adj[ordered[i]] for i in range(len(ordered) - 1)):
         return ordered
     if sum(1 for s in support if len(adj[s]) <= 1) > 2:
         return None
-    if any(_components(set(support) - {v}, adj) > 2 for v in support):
+    if not _path_possible(support, adj):
         return None
 
     n = len(support)

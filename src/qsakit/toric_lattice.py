@@ -684,7 +684,7 @@ def ground_state_sweep(spec: LatticeSpec):
     for stage in stages:
         for (i, j, kind) in stage:
             rotation = _wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j)
-            corner = next(k for k in rotation.support if rotation.letters[k] == "Y")
+            corner = next(k for k in rotation.support if rotation.letter(k) == "Y")
             if corner in used_corners:
                 raise LatticeError(
                     f"sweep ordering bug: corner spin {corner} reused at ({i},{j})"

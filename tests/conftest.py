@@ -16,6 +16,38 @@ SIGMA = {
 }
 
 
+# Single-site products, written out letter by letter as a reference for the
+# package's bit-packed algebra: (a, b) -> (letter of a*b, power of i).
+# E.g. X*Y = iZ, Z*Y = -iX.
+PRODUCT = {}
+for _l in "IXYZ":
+    PRODUCT[("I", _l)] = (_l, 0)
+    PRODUCT[(_l, "I")] = (_l, 0)
+    PRODUCT[(_l, _l)] = ("I", 0)
+PRODUCT[("X", "Y")] = ("Z", 1)
+PRODUCT[("Y", "X")] = ("Z", 3)
+PRODUCT[("Y", "Z")] = ("X", 1)
+PRODUCT[("Z", "Y")] = ("X", 3)
+PRODUCT[("Z", "X")] = ("Y", 1)
+PRODUCT[("X", "Z")] = ("Y", 3)
+
+
+def letter_product(a_letters, a_phase, b_letters, b_phase):
+    """(letters, phase exponent mod 4) of a product, site by site."""
+    letters, phase = [], a_phase + b_phase
+    for la, lb in zip(a_letters, b_letters):
+        letter, extra = PRODUCT[(la, lb)]
+        letters.append(letter)
+        phase += extra
+    return tuple(letters), phase % 4
+
+
+def letters_commute(a_letters, b_letters):
+    """Even count of sites where both letters are non-identity and differ."""
+    clashes = sum(1 for la, lb in zip(a_letters, b_letters) if "I" != la != lb != "I")
+    return clashes % 2 == 0
+
+
 def kron_letters(letters):
     """Tensor product of single-site Paulis, site 0 leftmost."""
     m = np.array([[1.0 + 0.0j]])

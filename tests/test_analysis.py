@@ -154,6 +154,13 @@ def test_error_scaling_delta_validation():
         error_scaling(schedule, deltas=())
 
 
+def test_error_scaling_needs_two_deltas():
+    # a line through one point has no meaningful slope
+    for deltas in ((), (1e-2,)):
+        with pytest.raises(ValueError, match="at least two deltas"):
+            error_scaling(plaquette_schedule(), deltas=deltas)
+
+
 def test_error_scaling_random_offsets_mode():
     report = error_scaling(
         plaquette_schedule(),

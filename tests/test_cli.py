@@ -342,6 +342,19 @@ def test_analyze_strength_and_scaling(tmp_path, capsys):
     assert code == 2
 
 
+def test_error_scaling_with_one_delta_is_malformed(tmp_path, capsys):
+    out_file = tmp_path / "plaquette.json"
+    run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])
+    code, out = run_cli(
+        capsys,
+        ["analyze", "error-scaling", "--schedule", str(out_file), "--deltas", "1e-2"],
+    )
+    assert code == 2
+    report = json.loads(out)
+    assert report["status"] == "malformed-input"
+    assert "at least two deltas" in report["error"]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qsakit", "analyze", "strength",

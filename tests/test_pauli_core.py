@@ -1,5 +1,8 @@
 """Pauli-string algebra against the independent np.kron oracle."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,13 @@ from qsakit.pauli_core import (
     sum_commutes,
 )
 
-from conftest import kron_string, kron_sum, random_string_letters
+from conftest import (
+    kron_string,
+    kron_sum,
+    letter_product,
+    letters_commute,
+    random_string_letters,
+)
 
 SEED = 20240811
 
@@ -307,3 +316,87 @@ def test_algebra_matches_the_kron_oracle(case):
 def test_from_terms_refuses_a_non_real_collection():
     with pytest.raises(ValueError, match="non-real"):
         WeightedPauliSum.from_terms(2, [(1.0, PauliString.parse("iXZ"))])
+
+
+# -- the bit-packed core against the letter-by-letter reference -----------------
+
+_PREFIX = ("", "i", "-", "-i")
+
+
+def wide_letters(n):
+    return st.text(alphabet="IXYZ", min_size=n, max_size=n)
+
+
+# word boundaries of the bit masks (63, 64, 65, 128) always run, next to
+# random widths up to 200
+@pytest.mark.parametrize("width", [63, 64, 65, 128, None])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bit_packed_core_matches_the_letter_table(width, data):
+    n = width or data.draw(st.integers(1, 200))
+    la, lb = data.draw(wide_letters(n)), data.draw(wide_letters(n))
+    pa, pb = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    a, b = PauliString(n, tuple(la), pa), PauliString(n, tuple(lb), pb)
+
+    product = multiply(a, b)
+    assert (product.letters, product.phase_exp) == letter_product(la, pa, lb, pb)
+    assert commutes(a, b) == letters_commute(la, lb)
+
+    support = tuple(i for i, letter in enumerate(la) if letter != "I")
+    assert a.letters == tuple(la)
+    assert a.support == support
+    assert a.weight == len(support)
+    assert a.is_identity() == (not support)
+    assert [a.letter(i) for i in range(n)] == list(la)
+    assert a.letter(-1) == la[-1]
+    assert a.format() == _PREFIX[pa] + la
+    assert PauliString.parse(a.format()) == a
+
+    # the same operator built three ways is one value
+    from_sites = PauliString.from_sites(n, {i: la[i] for i in support}, pa)
+    from_product = multiply(multiply(a, b), b.adjoint())
+    for other in (from_sites, from_product):
+        assert other == a and hash(other) == hash(a)
+    assert a != a.with_phase_exp(pa + 1)
+
+    # collected sums keep the letter order
+    rows = data.draw(st.lists(wide_letters(n), min_size=1, max_size=8))
+    total = WeightedPauliSum.from_terms(
+        n, [(1.0 + k, PauliString(n, tuple(row))) for k, row in enumerate(rows)]
+    )
+    order = [s.letters for _, s in total.terms]
+    assert order == sorted(set(tuple(row) for row in rows))
+
+
+def test_constructor_errors_and_numpy_letters():
+    with pytest.raises(ValueError, match="^n_sites must be positive, got 0$"):
+        PauliString(0, ())
+    with pytest.raises(ValueError, match="^expected 3 letters, got 2$"):
+        PauliString(3, ("X", "Y"))
+    with pytest.raises(ValueError, match=r"^invalid Pauli letters: \['Q', 'x'\]$"):
+        PauliString(4, ("X", "Q", "x", "I"))
+    with pytest.raises(ValueError, match=r"^invalid Pauli letters: \['Q'\]$"):
+        PauliString.from_sites(3, {2: "Q", 0: "X"})
+    with pytest.raises(ValueError, match="^site 5 out of range for 3 sites$"):
+        PauliString.from_sites(3, {5: "X"})
+    with pytest.raises(ValueError, match="^n_sites must be positive, got 0$"):
+        PauliString.identity(0)
+
+    letters = np.array(["X", "I", "Z", "Y"])
+    assert isinstance(letters[0], np.str_)
+    s = PauliString(4, tuple(letters), np.int64(2))
+    assert s == PauliString.parse("-XIZY")
+    assert s.letters == ("X", "I", "Z", "Y")
+    assert PauliString.from_sites(4, {np.int64(3): letters[0]}).format() == "IIIX"
+
+
+def test_strings_are_immutable():
+    s = PauliString.parse("XZ")
+    for name, value in (("x", 0), ("z", 0), ("phase_exp", 1), ("n_sites", 3), ("letters", ())):
+        with pytest.raises(AttributeError):
+            setattr(s, name, value)
+    with pytest.raises(AttributeError):
+        del s.x
+    assert s == PauliString.parse("XZ")
+    assert repr(s) == "PauliString(n_sites=2, letters=('X', 'Z'), phase_exp=0)"
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s

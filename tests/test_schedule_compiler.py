@@ -155,6 +155,19 @@ def test_path_search_rejects_a_three_way_cut_vertex():
     assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
+def test_path_search_rejects_unbalanced_bipartite_supports():
+    # K_{k,k+2}: no leaves and no cut vertex, but a path alternates sides,
+    # so sides of k and k + 2 vertices admit none
+    start = time.perf_counter()
+    for k in range(1, 13):
+        n = 2 * k + 2
+        edges = [(a, b) for a in range(k) for b in range(k, n)]
+        graph = ConnectivityGraph.from_edges(n, edges)
+        with pytest.raises(StrategyInfeasibleError):
+            compile_schedule(PauliString(n, ("X",) * n), graph, strategy="line_endpoints")
+    assert time.perf_counter() - start < 1.0
+
+
 def test_infeasible_doubling_names_the_bound():
     target = PauliString.parse("XXXXX")
     star = ConnectivityGraph.from_edges(5, [(0, k) for k in range(1, 5)])
