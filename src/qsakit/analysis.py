@@ -177,7 +177,9 @@ def error_scaling(
 
     Raises:
         ValueError: deltas not strictly decreasing, outside (0, 0.1], or
-            fewer than two (a line through one point fits nothing).
+            fewer than two (a line through one point fits nothing); or a
+            distance that is 0 or not finite, whose log the fit cannot take
+            (a delta too small to move any angle in floating point).
     """
     deltas = tuple(float(d) for d in deltas)
     if any(not (0.0 < d <= 0.1) for d in deltas):
@@ -203,7 +205,13 @@ def error_scaling(
             offsets = np.full(len(pulses), delta)
             max_offset = max(max_offset, delta)
         perturbed = pulse_product(n_sites, pulses, offsets)
-        dists.append(distance(perturbed, ideal))
+        dist = distance(perturbed, ideal)
+        if not (math.isfinite(dist) and dist > 0.0):
+            raise ValueError(
+                f"distance {dist} at delta {delta!r}: the log-log fit needs "
+                "a positive, finite distance for every delta"
+            )
+        dists.append(dist)
 
     slope, intercept = np.polyfit(np.log(deltas), np.log(dists), 1)
     return ErrorScalingReport(

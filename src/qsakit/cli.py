@@ -4,9 +4,10 @@ Every invocation prints one RunReport JSON document to standard output and
 exits 0 when all checks pass, 1 when a check fails (the failing check names
 the violated invariant), 2 on malformed input and 3 when the dense oracle's
 resource limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded.  Reports are
-deterministic: identical input files, arguments and ``--seed`` produce
-byte-identical output.  Artifacts (compiled schedules) go to files named by
-``--out``; reports never mix with artifacts.
+strict JSON: a report holding a NaN or an infinity is not printed, and the
+run exits 2.  Reports are deterministic: identical input files, arguments
+and ``--seed`` produce byte-identical output.  Artifacts (compiled
+schedules) go to files named by ``--out``; reports never mix with artifacts.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ def _check(name: str, passed: bool, detail=None) -> dict:
     return entry
 
 
-def _print_report(report: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(report), indent=2, sort_keys=True))
-    sys.stdout.write("\n")
+def _report_text(report: dict) -> str:
+    """Strict JSON: a NaN or infinite number raises ``ValueError``."""
+    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _error_report(report: dict, status: str, error: str, code: int) -> int:
@@ -125,7 +126,7 @@ def _error_report(report: dict, status: str, error: str, code: int) -> int:
         "status": status, "error": error, "inputs_digest": _digest(report["command"], []),
         "checks": [], "metrics": {}, "artifacts": [],
     })
-    _print_report(report)
+    sys.stdout.write(_report_text(report))
     return code
 
 
@@ -637,22 +638,22 @@ def main(argv=None) -> int:
     report = {"command": argv, "seed": args.seed}
     try:
         checks, metrics, artifacts, paths = args.handler(args)
+        passed = all(c["passed"] for c in checks)
+        report.update(
+            {
+                "status": "pass" if passed else "fail",
+                "inputs_digest": _digest(argv, paths),
+                "checks": checks,
+                "metrics": metrics,
+                "artifacts": artifacts,
+            }
+        )
+        text = _report_text(report)
     except ResourceLimitError as exc:
         return _error_report(report, "resource-limit", str(exc), EXIT_RESOURCE_LIMIT)
     except (CliInputError, ValueError, TypeError, KeyError) as exc:
         return _error_report(
             report, "malformed-input", f"{type(exc).__name__}: {exc}", EXIT_MALFORMED_INPUT
         )
-
-    passed = all(c["passed"] for c in checks)
-    report.update(
-        {
-            "status": "pass" if passed else "fail",
-            "inputs_digest": _digest(argv, paths),
-            "checks": checks,
-            "metrics": metrics,
-            "artifacts": artifacts,
-        }
-    )
-    _print_report(report)
+    sys.stdout.write(text)
     return EXIT_PASS if passed else EXIT_CHECK_FAILURE

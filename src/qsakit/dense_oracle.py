@@ -3,9 +3,11 @@
 Every symbolic claim in the package can be replayed here numerically.  An
 array (dim,) or (dim, k) is viewed as a ``(2,)*n + rest`` tensor; a Pauli
 string flips its X/Y axes and signs its Y/Z axes.  Every pulse sequence runs
-through :func:`run_pulses`: a one-string pulse ``cos(t) - i sin(t) P`` uses
-that flip, a multi-term involution generator (attachment, swapper) becomes a
-``2^k x 2^k`` unitary contracted over its ``k`` support axes.
+through :func:`run_pulses`, which fuses consecutive pulses whose joint
+support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
+unitary contracted over those ``k`` axes, so a run of two-body pulses costs
+one pass over the array instead of one pass each.  A lone one-string pulse
+``cos(t) - i sin(t) P`` keeps the flip.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14).  Every verdict on whether a
@@ -44,6 +46,14 @@ DEFAULT_PROBES = 20
 
 DENSE_LIMIT_ENV = "QSA_MAX_DENSE_QUBITS"
 DEFAULT_DENSE_LIMIT = 14
+
+#: Most sites a fused group of pulses may span in :func:`run_pulses`.  One
+#: pass over a 10-qubit matrix costs 5.4, 6.4, 8.2, 11.6, 12.0 and 16.9 ms
+#: for 1 to 6 local sites (2-vCPU host, BLAS on one thread), while a wider
+#: cap saves passes: a 10-site doubling schedule runs its 31 pulses in 20,
+#: 11, 9 and 6 passes at caps 3 to 6.  Caps 4 and 5 were the fastest in a
+#: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
+FUSED_SITES = 4
 
 
 class ResourceLimitError(RuntimeError):
@@ -149,17 +159,20 @@ def _require_involution(deviation: float, generator: WeightedPauliSum) -> None:
 def _pauli_matrix(letters: tuple[str, ...]) -> np.ndarray:
     """Read-only matrix of a phase-free string on ``len(letters)`` sites."""
     k = len(letters)
-    m = _pauli(PauliString(k, letters), _tensor(np.eye(1 << k), k)).reshape(1 << k, 1 << k)
+    if k == 0:
+        m = np.ones((1, 1), dtype=np.complex128)
+    else:
+        m = _pauli(PauliString(k, letters), _tensor(np.eye(1 << k), k)).reshape(1 << k, 1 << k)
     m.flags.writeable = False
     return m
 
 
-def _local_unitary(generator: WeightedPauliSum, angle: float) -> np.ndarray:
-    """``cos - i sin G`` as a ``2^k x 2^k`` matrix on the ``k``-site support.
+def _local_unitary(generator: WeightedPauliSum, angle: float, sites: tuple[int, ...]) -> np.ndarray:
+    """``cos - i sin G`` as a ``2^k x 2^k`` matrix on ``sites``.
 
-    Its ``4^k`` entries are held to the dense cap like a ``2k``-qubit state.
+    ``sites`` is ascending and holds the generator's support.  Its ``4^k``
+    entries are held to the dense cap like a ``2k``-qubit state.
     """
-    sites = generator.support
     check_dense_limit(2 * len(sites), "local pulse unitary")
     eye = np.eye(1 << len(sites), dtype=np.complex128)
     local = np.zeros_like(eye)
@@ -169,16 +182,49 @@ def _local_unitary(generator: WeightedPauliSum, angle: float) -> np.ndarray:
     return math.cos(angle) * eye - 1j * math.sin(angle) * local
 
 
+def _fused_groups(pulses, shifts, n: int, cap: int):
+    """Yield ``(group, mask)``: runs of consecutive pulses, in program order.
+
+    A pulse joins the open group while the union ``mask`` of their supports
+    spans at most ``cap`` sites; a wider pulse makes a group of its own.
+    Each generator becomes a sum, takes its shift and has its register width
+    checked as the walk reaches it.
+    """
+    group, joint = [], 0
+    for (generator, angle), shift in zip(pulses, shifts):
+        generator = _as_sum(generator)
+        if generator.n_sites != n:
+            raise ValueError(f"generator on {generator.n_sites} sites, array on {n}")
+        mask = 0
+        for _, string in generator.terms:
+            mask |= string.x | string.z
+        if group and (joint | mask).bit_count() > cap:
+            yield group, joint
+            group, joint = [], 0
+        group.append((generator, angle + float(shift)))
+        joint |= mask
+    if group:
+        yield group, joint
+
+
 def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
     """Apply ``exp(-i * (angle + offset) * generator)`` for each pulse in order.
 
     ``pulses`` holds ``(generator, angle)`` pairs, first applied first; a
-    generator is a string or a weighted sum and must be an involution
-    (checked once per pulse, ``ValueError`` otherwise).  ``array`` is a state
-    (dim,) or a matrix / batch of states (dim, k) and is not modified.
-    ``offsets`` shifts the angles, one value per pulse or one for all.
-    A one-string generator is applied as a flip plus a sign, any other as a
-    local unitary on its support.
+    generator is a string or a weighted sum on the array's register and must
+    be an involution (checked once per pulse, ``ValueError`` naming it
+    otherwise).  ``array`` is a state (dim,) or a matrix / batch of states
+    (dim, k) and is not modified.  ``offsets`` shifts the angles, one value
+    per pulse or one for all.
+
+    Gate fusion (Häner & Steiger, arXiv:1704.01127): consecutive pulses are
+    grouped, without reordering, while their joint support spans at most
+    ``min(FUSED_SITES, max_dense_qubits() // 2)`` sites, so the group's
+    ``4^k`` entries stay within the dense cap.  A group that is one
+    one-string pulse is applied as a flip plus a sign; any other group is
+    the ordered product of its pulses' ``cos - i sin G`` on the group's
+    sites, applied as one local unitary.  A multi-term generator wider than
+    the cap is a group of its own.
     """
     n = array.shape[0].bit_length() - 1
     # two buffers take turns as source and destination, so a run holds three
@@ -187,11 +233,10 @@ def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
     spare = np.empty_like(own)
     tensor = own
     shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
-    for (generator, angle), shift in zip(pulses, shifts):
-        generator, angle = _as_sum(generator), angle + float(shift)
-        if generator.n_sites != n:
-            raise ValueError(f"generator on {generator.n_sites} sites, array on {n}")
-        if len(generator.terms) == 1:
+    cap = min(FUSED_SITES, max_dense_qubits() // 2)
+    for group, mask in _fused_groups(pulses, shifts, n, cap):
+        generator, angle = group[0]
+        if len(group) == 1 and len(generator.terms) == 1:
             (coeff, string), = generator.terms
             _require_involution(abs(coeff * coeff - 1.0), generator)
             out = _pauli(string, tensor, -1j * math.sin(angle) * coeff, out=spare)
@@ -199,13 +244,16 @@ def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
             out += tensor
             own, spare, tensor = spare, own, out
         else:
-            # copy the support axes to the front, act on them, put them back
-            sites = generator.support
+            sites = _sites(mask)
+            unitary = np.eye(1 << len(sites), dtype=np.complex128)
+            for generator, angle in group:
+                unitary = _local_unitary(generator, angle, sites) @ unitary
+            # copy the group's axes to the front, act on them, put them back
             order = sites + tuple(a for a in range(own.ndim) if a not in sites)
             moved = spare.reshape(tensor.transpose(order).shape)
             np.copyto(moved, tensor.transpose(order))
             flat = own.reshape(1 << len(sites), own.size >> len(sites))
-            np.matmul(_local_unitary(generator, angle), moved.reshape(flat.shape), out=flat)
+            np.matmul(unitary, moved.reshape(flat.shape), out=flat)
             tensor = own.reshape(moved.shape).transpose(np.argsort(order))
     if not tensor.flags.c_contiguous:
         np.copyto(spare, tensor)
@@ -436,7 +484,7 @@ def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> DenseOpe
     Time order: inverse swappers, inverse attachment pulses (outermost layer
     first), the seed propagator, forward attachment pulses (innermost layer
     first), forward swappers.  :func:`run_pulses` transforms the identity's
-    columns, at O(4^n) per pulse with no full-matrix products.
+    columns, at O(4^n) per fused group of pulses with no full-matrix products.
     """
     return pulse_unitary(schedule.n_sites, schedule_pulses(schedule, tg), "schedule_unitary")
 

@@ -161,6 +161,14 @@ def test_error_scaling_needs_two_deltas():
             error_scaling(plaquette_schedule(), deltas=deltas)
 
 
+def test_error_scaling_refuses_a_distance_the_fit_cannot_log():
+    # a delta of 1e-300 moves no angle in floating point: the distance is 0
+    with pytest.raises(ValueError, match=r"distance 0\.0 at delta 1e-300"):
+        error_scaling(plaquette_schedule(), deltas=(1e-300, 1e-301))
+    with pytest.raises(ValueError, match="at delta 1e-301"):
+        error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-301))
+
+
 def test_error_scaling_random_offsets_mode():
     report = error_scaling(
         plaquette_schedule(),

@@ -1,13 +1,15 @@
 """Batch front-end: exit codes, report shape, determinism, round trips."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qsakit import toric_lattice
+from qsakit import analysis, toric_lattice
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
@@ -353,6 +355,58 @@ def test_error_scaling_with_one_delta_is_malformed(tmp_path, capsys):
     report = json.loads(out)
     assert report["status"] == "malformed-input"
     assert "at least two deltas" in report["error"]
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_error_scaling_refuses_deltas_that_move_no_angle(tmp_path, capsys):
+    # cos(t + 1e-300) == cos(t): both distances are 0, and log(0) fits nothing
+    out_file = tmp_path / "plaquette.json"
+    run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])
+    code, out = run_cli(
+        capsys,
+        ["analyze", "error-scaling", "--schedule", str(out_file),
+         "--deltas", "1e-300,1e-301"],
+    )
+    report = strict_json(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert "delta 1e-300" in report["error"]
+
+
+def test_a_non_finite_report_value_is_refused_not_printed(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "plaquette.json"
+    run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])
+    real = analysis.error_scaling
+    monkeypatch.setattr(
+        analysis, "error_scaling",
+        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), intercept=math.nan),
+    )
+    code, out = run_cli(capsys, ["analyze", "error-scaling", "--schedule", str(out_file)])
+    report = strict_json(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert "JSON" in report["error"]
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_fused_pulses_stay_within_the_dense_limit(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", str(n))
+    path = [[k, k + 1] for k in range(n - 1)]
+    graph = write_json(tmp_path / "path.json", {"n_sites": n, "edges": path})
+    out_file = tmp_path / "line.json"
+    target = "".join("XYZ"[k % 3] for k in range(n))
+    code, _ = run_cli(capsys, ["compile", "--target", target, "--graph", graph,
+                               "--strategy", "line_endpoints", "--out", str(out_file)])
+    assert code == 0
+    code, out = run_cli(capsys, ["verify", "--schedule", str(out_file)])
+    report = strict_json(out)
+    assert code == 0 and report["status"] == "pass"
 
 
 def test_module_entry_point():

@@ -1,7 +1,9 @@
 """Dense backend against np.kron matrices and scipy.linalg.expm."""
 
+import contextlib
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -218,6 +220,20 @@ def test_env_var_limits_dense_work(monkeypatch):
     assert max_dense_qubits() == 14
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_fused_groups_stay_within_the_dense_limit(monkeypatch, n):
+    # on a path each attachment shares a site with the next, so runs of pulses
+    # span 3 or more sites; a fused group on k sites holds 4^k entries, so
+    # the limit n allows at most n // 2 sites per group
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", str(n))
+    target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
+    schedule = compile_schedule(target, ConnectivityGraph.path(n), "line_endpoints", 0.7)
+    report = verify_schedule(schedule)
+    assert report["passed"] and report["metric"] == "spectral_distance_bound"
+    want = kron_expm(kron_string(target), 0.7)
+    assert np.abs(schedule_unitary(schedule).matrix - want).max() <= 1e-12
+
+
 def test_env_var_that_is_not_an_integer_is_malformed_input(monkeypatch):
     monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "abc")
     with pytest.raises(ValueError, match="QSA_MAX_DENSE_QUBITS"):
@@ -230,18 +246,21 @@ PAULI = st.sampled_from("XYZ")
 
 
 @st.composite
-def local_generators(draw, n):
-    """Two-term involutions on 1-3 sites: attachments, swappers, and any
-    anticommuting pair (P + Q)/sqrt(2)."""
+def local_generators(draw, n, window=None):
+    """Two-term involutions on 1-3 sites of ``window`` (default: all ``n``):
+    attachments, swappers, and any anticommuting pair (P + Q)/sqrt(2)."""
+    window = range(n) if window is None else window
     kind = draw(st.sampled_from(["attachment", "swapper", "pair"]))
-    if kind == "swapper" or n == 1:
+    if kind == "swapper" or len(window) == 1:
         alpha, beta = draw(st.lists(PAULI, min_size=2, max_size=2, unique=True))
-        return SwapperSpec(draw(st.integers(0, n - 1)), alpha, beta).generator(n)
+        return SwapperSpec(draw(st.sampled_from(window)), alpha, beta).generator(n)
     if kind == "attachment":
-        c, a = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c, a = draw(st.lists(st.sampled_from(window), min_size=2, max_size=2, unique=True))
         alpha, beta = draw(st.lists(PAULI, min_size=2, max_size=2, unique=True))
         return AttachmentSpec(c, alpha, beta, a, draw(PAULI)).generator(n)
-    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(3, n), unique=True))
+    sites = draw(st.lists(
+        st.sampled_from(window), min_size=1, max_size=min(3, len(window)), unique=True
+    ))
     p = PauliString.from_sites(n, {s: draw(PAULI) for s in sites})
     q = PauliString.from_sites(n, {s: draw(PAULI) for s in sites})
     assume(not commutes(p, q))
@@ -260,11 +279,40 @@ def string_generators(draw, n):
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
 
 
+@contextlib.contextmanager
+def dense_limit(value):
+    """Set (or, for None, unset) QSA_MAX_DENSE_QUBITS, restoring it afterwards."""
+    saved = os.environ.pop("QSA_MAX_DENSE_QUBITS", None)
+    if value is not None:
+        os.environ["QSA_MAX_DENSE_QUBITS"] = str(value)
+    try:
+        yield
+    finally:
+        os.environ.pop("QSA_MAX_DENSE_QUBITS", None)
+        if saved is not None:
+            os.environ["QSA_MAX_DENSE_QUBITS"] = saved
+
+
 @st.composite
 def pulse_runs(draw):
-    n = draw(st.integers(1, 6))
-    generator = st.one_of(local_generators(n), string_generators(n))
-    pulses = draw(st.lists(st.tuples(generator, ANGLES), min_size=1, max_size=6))
+    """Up to 12 pulses on 1-7 sites: two runs, some generators drawn from a
+    2-3 site window so that a run fills the fused group's cap and overflows
+    it, with a full-weight string between the runs."""
+    n = draw(st.integers(1, 7))
+    width = draw(st.integers(1, min(3, n)))
+    start = draw(st.integers(0, n - width))
+    window = range(start, start + width)
+    generator = st.one_of(
+        local_generators(n), local_generators(n, window), string_generators(n)
+    )
+    first = draw(st.lists(st.tuples(generator, ANGLES), min_size=1, max_size=6))
+    second = draw(st.lists(st.tuples(generator, ANGLES), max_size=5))
+    if second:
+        wide = WeightedPauliSum.from_string(
+            PauliString(n, tuple(draw(st.lists(PAULI, min_size=n, max_size=n))))
+        )
+        second.insert(0, (wide, draw(ANGLES)))
+    pulses = first + second
     columns = draw(st.sampled_from([None, 1, 3]))
     offsets = draw(st.sampled_from(["none", "scalar", "per-pulse"]))
     if offsets == "scalar":
@@ -276,14 +324,15 @@ def pulse_runs(draw):
         ))
     else:
         offsets = None
+    limit = draw(st.sampled_from([None, 4, 6]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, pulses, columns, offsets, seed
+    return n, pulses, columns, offsets, limit, seed
 
 
 @settings(max_examples=200, deadline=None)
 @given(pulse_runs())
 def test_run_pulses_matches_kron_oracle(run):
-    n, pulses, columns, offsets, seed = run
+    n, pulses, columns, offsets, limit, seed = run
     rng = np.random.default_rng(seed)
     shape = (1 << n,) if columns is None else (1 << n, columns)
     array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -292,9 +341,18 @@ def test_run_pulses_matches_kron_oracle(run):
     want = array
     for (generator, angle), shift in zip(pulses, shifts):
         want = kron_expm(kron_sum(generator), angle + shift) @ want
-    got = run_pulses(pulses, array, offsets)
-    assert got.shape == shape
-    assert np.abs(got - want).max() <= 1e-12
+    # a multi-term generator's own 4^k entries count against the dense limit
+    too_wide = limit is not None and any(
+        len(g.terms) > 1 and 2 * len(g.support) > limit for g, _ in pulses
+    )
+    with dense_limit(limit):
+        if too_wide:
+            with pytest.raises(ResourceLimitError):
+                run_pulses(pulses, array, offsets)
+        else:
+            got = run_pulses(pulses, array, offsets)
+            assert got.shape == shape
+            assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(array, before)
 
 
@@ -302,6 +360,8 @@ def test_rotation_refuses_generators_that_are_not_involutions():
     x, z = PauliString.parse("XI"), PauliString.parse("ZI")
     raw = WeightedPauliSum.from_terms(2, [(1.0, x), (1.0, z)])
     normalised = raw.scaled(1 / math.sqrt(2.0))
+    swap = AttachmentSpec(0, "X", "Y", 1, "Z").generator(2)
+    zz = PauliString.parse("ZZ")
     vec = Statevector.random(2, seed=3)
     for bad in (raw, WeightedPauliSum.from_string(x, 2.0)):
         with pytest.raises(ValueError, match="not an involution") as err:
@@ -311,6 +371,13 @@ def test_rotation_refuses_generators_that_are_not_involutions():
             vec.apply_rotation(bad, 0.4)
         with pytest.raises(ValueError, match="not an involution"):
             run_pulses([(normalised, 0.1), (bad, 0.4)], np.eye(4))
+        # third in a run of four pulses on sites 0 and 1, fused into one group
+        run = [(normalised, 0.1), (swap, 0.2), (bad, 0.4), (zz, 0.3)]
+        matrix = np.eye(4, dtype=np.complex128)
+        with pytest.raises(ValueError, match="not an involution") as err:
+            run_pulses(run, matrix)
+        assert str(bad) in str(err.value)
+        assert np.array_equal(matrix, np.eye(4))
     want = kron_expm(kron_sum(normalised), 0.4) @ vec.data
     assert np.allclose(vec.apply_rotation(normalised, 0.4).data, want, atol=1e-12)
 
