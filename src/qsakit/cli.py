@@ -26,6 +26,7 @@ from .pauli_core import PauliString
 from .schedule_compiler import (
     ConnectivityGraph,
     QsaSchedule,
+    _violations,
     compile_schedule,
     validate,
 )
@@ -130,9 +131,8 @@ def _error_report(report: dict, status: str, error: str, code: int) -> int:
     return code
 
 
-def _validator_checks(schedule: QsaSchedule, graph) -> list[dict]:
+def _validator_checks(violations: list[str]) -> list[dict]:
     """One failing check per validator violation, or ``validator-clean``."""
-    violations = validate(schedule, graph)
     return [_check(v, False) for v in violations] or [_check("validator-clean", True)]
 
 
@@ -166,7 +166,9 @@ def _cmd_compile(args):
         graph = ConnectivityGraph.complete(target.n_sites)
     schedule = compile_schedule(target, graph, strategy=args.strategy, tg=args.tg)
 
-    checks = _validator_checks(schedule, graph)
+    # compile_schedule replayed the schedule and raised unless the replay
+    # gave the target, so the validator judges that string
+    checks = _validator_checks(_violations(schedule, graph, schedule.target))
     metrics = {
         "target": target.format(),
         "n_sites": schedule.n_sites,
@@ -203,7 +205,7 @@ def _cmd_verify(args):
         graph = ConnectivityGraph.from_dict(_load_json(args.graph))
         paths.append(args.graph)
 
-    checks = _validator_checks(schedule, graph)
+    checks = _validator_checks(validate(schedule, graph))
     metrics = {
         "target": schedule.target.format(),
         "n_sites": schedule.n_sites,

@@ -63,15 +63,19 @@ class ResourceLimitError(RuntimeError):
 def max_dense_qubits() -> int:
     """Dense-register cap (env ``QSA_MAX_DENSE_QUBITS``, default 14).
 
-    A value that is not an integer raises ``ValueError`` (malformed input).
+    A value that is not an integer of at least 1 raises ``ValueError``
+    (malformed input): a limit below 1 would allow no dense work at all.
     """
     raw = os.environ.get(DENSE_LIMIT_ENV, "")
     try:
-        return int(raw) if raw else DEFAULT_DENSE_LIMIT
+        limit = int(raw) if raw else DEFAULT_DENSE_LIMIT
     except ValueError:
+        limit = 0
+    if limit < 1:
         raise ValueError(
-            f"invalid {DENSE_LIMIT_ENV} value {raw!r}; expected an integer"
-        ) from None
+            f"invalid {DENSE_LIMIT_ENV} value {raw!r}; expected an integer of at least 1"
+        )
+    return limit
 
 
 def check_dense_limit(n_sites: int, context: str) -> None:

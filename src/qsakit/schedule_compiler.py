@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from .pauli_core import PauliString
 from .propagator_engine import (
     AttachmentSpec,
+    CollapseError,
     SwapperSpec,
     apply_swap,
-    conjugate_string,
-    make_attachment,
+    branch_conjugate,
 )
 
 STRATEGIES = ("doubling", "line_endpoints", "single_endpoint", "greedy", "auto")
@@ -488,16 +488,25 @@ def _materialize(
 
 
 def replay_symbolic(schedule: QsaSchedule) -> PauliString:
-    """Push the seed string through every conjugation, exactly.
+    """Push the seed string through every pulse, exactly.
 
-    Attachment layers are applied innermost-first; the swapper sandwich acts
-    last.  Every intermediate conjugation must collapse to a single string
-    with coefficient +1 (CollapseError otherwise).
+    Attachment layers act innermost-first, the swapper sandwich last.  Each
+    pulse sits at a branch angle, so it maps a string to a string of sign
+    ``+-1``, by the exact rule of
+    :func:`~qsakit.propagator_engine.branch_conjugate`.  After every
+    attachment the string must have sign ``+1`` (``CollapseError``
+    otherwise); a swapper's sign stays in the returned string's phase.
     """
+    n = schedule.n_sites
     q = schedule.seed
     for layer in schedule.layers:
         for spec in layer:
-            q = conjugate_string(q, make_attachment(spec, schedule.n_sites))
+            q = branch_conjugate(q, *spec.pair(n))
+            if q.phase_exp:
+                raise CollapseError(
+                    f"attachment ({spec.connector_site}, {spec.attached_site}) "
+                    f"gives {q.format()}: coefficient -1, not +1"
+                )
     for spec in schedule.final_swappers:
         q = apply_swap(q, spec)
     return q
@@ -513,6 +522,15 @@ def validate(
     graph is supplied), swapper-layer disjointness, and exact replay of the
     target with coefficient +1.
     """
+    return _violations(schedule, graph)
+
+
+def _violations(
+    schedule: QsaSchedule,
+    graph: ConnectivityGraph | None,
+    replayed: PauliString | None = None,
+) -> list[str]:
+    """:func:`validate`, judging ``replayed`` when the caller already replayed."""
     violations: list[str] = []
     n = schedule.n_sites
 
@@ -577,11 +595,12 @@ def validate(
                 f"string carries {letters[spec.site]!r}"
             )
 
-    try:
-        replayed = replay_symbolic(schedule)
-    except Exception as exc:  # CollapseError and friends
-        violations.append(f"replay failed: {exc}")
-        return violations
+    if replayed is None:
+        try:
+            replayed = replay_symbolic(schedule)
+        except Exception as exc:  # CollapseError and friends
+            violations.append(f"replay failed: {exc}")
+            return violations
     if replayed != schedule.target:
         violations.append(
             f"replay mismatch: got {replayed.format()}, "

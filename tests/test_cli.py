@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qsakit import analysis, toric_lattice
+from qsakit import analysis, schedule_compiler, toric_lattice
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
@@ -134,6 +134,94 @@ def test_unparsable_dense_limit_exits_two(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert report["status"] == "malformed-input"
     assert "QSA_MAX_DENSE_QUBITS" in report["error"]
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_a_dense_limit_below_one_exits_two(tmp_path, capsys, monkeypatch, limit):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", limit)
+    for argv in (PLAQUETTE_ARGS, ["verify", "--schedule", str(out_file)]):
+        code, out = run_cli(capsys, argv)
+        report = json.loads(out)
+        assert code == 2
+        assert report["status"] == "malformed-input"
+        assert "at least 1" in report["error"]
+
+
+@pytest.mark.parametrize("field", ["branch_m", "branch_mp"])
+def test_branch_integer_beyond_the_bound_exits_two(tmp_path, capsys, field):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    data = json.loads(out_file.read_text())
+    data["layers"][0][0][field] = 513
+    code, out = run_cli(capsys, ["verify", "--schedule", write_json(tmp_path / "far.json", data)])
+    report = json.loads(out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert f"{field} must lie in [-512, 512], got 513" in report["error"]
+
+
+def test_compile_replays_its_schedule_once(capsys, monkeypatch):
+    monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
+    calls = []
+    real = schedule_compiler.replay_symbolic
+
+    def counted(schedule):
+        calls.append(schedule)
+        return real(schedule)
+
+    monkeypatch.setattr(schedule_compiler, "replay_symbolic", counted)
+    code, out = run_cli(capsys, ["compile", "--target", "XYZZ" * 4])
+    report = json.loads(out)
+    assert code == 0
+    assert report["metrics"]["dense_verification"] == "skipped: register above dense limit"
+    assert [c["name"] for c in report["checks"]] == ["validator-clean"]
+    assert len(calls) == 1
+
+
+def _plant_target_letter(data):
+    data["target"] = "XZZY"
+    return ["replay mismatch: got XZZX, target XZZY"]
+
+
+def _plant_stale_connector(data):
+    # layer 1 grows from seed XX on sites 0 and 1 through connectors carrying X
+    spec = data["layers"][0][0]
+    spec["alpha"], spec["beta"] = "Y", "Z"
+    site = spec["connector_site"]
+    return [
+        f"layer 1: connector {site} carries 'X', spec expects Y/Z",
+        f"replay failed: attachment ({site}, {spec['attached_site']}) gives "
+        f"-XXII: coefficient -1, not +1",
+    ]
+
+
+def _plant_grown_attached_site(data):
+    spec = data["layers"][0][1]
+    spec["attached_site"] = data["layers"][0][0]["connector_site"]
+    return [
+        f"layer 1: attachments share sites [{spec['attached_site']}]",
+        f"layer 1: attached site {spec['attached_site']} is not fresh",
+    ]
+
+
+@pytest.mark.parametrize(
+    "plant", [_plant_target_letter, _plant_stale_connector, _plant_grown_attached_site]
+)
+def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    data = json.loads(out_file.read_text())
+    assert data["seed"]["string"] == "XXII"
+    assert [[s["connector_site"], s["attached_site"]] for s in data["layers"][0]] == [[0, 2], [1, 3]]
+    expected = plant(data)
+    code, out = run_cli(capsys, ["verify", "--schedule", write_json(tmp_path / "bad.json", data)])
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "fail"
+    failures = [c["name"] for c in report["checks"] if not c["passed"]]
+    for message in expected:
+        assert message in failures
 
 
 def test_toric_build_and_digital(tmp_path, capsys):

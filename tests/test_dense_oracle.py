@@ -240,6 +240,15 @@ def test_env_var_that_is_not_an_integer_is_malformed_input(monkeypatch):
         max_dense_qubits()
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_env_var_below_one_is_malformed_input(monkeypatch, value):
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", value)
+    with pytest.raises(ValueError, match="QSA_MAX_DENSE_QUBITS value .* at least 1"):
+        max_dense_qubits()
+    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "1")
+    assert max_dense_qubits() == 1
+
+
 # -- the pulse executor against the kron/scipy oracle --------------------------
 
 PAULI = st.sampled_from("XYZ")

@@ -4,19 +4,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qsakit.dense_oracle import verify_schedule
 from qsakit.pauli_core import PauliString, WeightedPauliSum
 from qsakit.propagator_engine import (
+    MAX_BRANCH,
     AttachmentSpec,
     CollapseError,
     PulseSpecError,
     SwapperSpec,
     apply_swap,
+    branch_conjugate,
     collapse,
     conjugate,
     conjugate_string,
     make_attachment,
     make_swapper,
+)
+from qsakit.schedule_compiler import (
+    ConnectivityGraph,
+    QsaSchedule,
+    compile_schedule,
+    validate,
 )
 
 from conftest import kron_expm, kron_string, kron_sum
@@ -201,3 +212,90 @@ def test_apply_swap_matches_dense_conjugation():
         u = kron_expm(kron_sum(rot.generator), rot.angle)
         want = u @ kron_string(q) @ u.conj().T
         assert np.allclose(kron_string(apply_swap(q, spec)), want, atol=1e-10)
+
+
+# -- the exact branch-angle rule against the float conjugation and kron -------
+
+BRANCHES = st.integers(-MAX_BRANCH, MAX_BRANCH)
+LETTER = st.sampled_from("XYZ")
+
+
+@st.composite
+def branch_cases(draw):
+    """(spec, rotation, string): a random pulse at random branch integers, at
+    its forward or inverse angle, and a string on its register."""
+    n = draw(st.integers(1, 6))
+    alpha, beta = draw(st.lists(LETTER, min_size=2, max_size=2, unique=True))
+    branches = {"branch_m": draw(BRANCHES), "branch_mp": draw(BRANCHES)}
+    direction = draw(st.sampled_from(["forward", "inverse"]))
+    if n > 1 and draw(st.booleans()):
+        c, a = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        spec = AttachmentSpec(c, alpha, beta, a, draw(LETTER), **branches)
+        rotation = make_attachment(spec, n, direction)
+    else:
+        spec = SwapperSpec(draw(st.integers(0, n - 1)), alpha, beta, **branches)
+        rotation = make_swapper(spec, n, direction)
+    letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
+    return spec, rotation, PauliString(n, letters, draw(st.sampled_from([0, 2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(branch_cases())
+def test_branch_rule_matches_float_conjugation_and_kron(case):
+    spec, rotation, q = case
+    got = branch_conjugate(q, *spec.pair(q.n_sites))
+    assert got.phase_exp in (0, 2)
+    # the float identity gives one string with coefficient +-1, the rule's sign
+    total = conjugate(q, rotation)
+    ((coeff, string),) = total.terms
+    assert string == got.with_phase_exp(0)
+    assert coeff == pytest.approx(got.phase.real, abs=1e-10)
+    if got.phase_exp == 0:
+        assert collapse(total) == got
+    else:
+        with pytest.raises(CollapseError):
+            collapse(total)
+    u = kron_expm(kron_sum(rotation.generator), rotation.angle)
+    want = u @ kron_string(q) @ u.conj().T
+    assert np.abs(kron_string(got) - want).max() <= 1e-9
+
+
+@settings(max_examples=50, deadline=None)
+@given(branch_cases(), st.sampled_from([1, 3]))
+def test_branch_rule_refuses_imaginary_phases_like_conjugate(case, phase_exp):
+    spec, rotation, q = case
+    q = q.with_phase_exp(phase_exp)
+    with pytest.raises(ValueError) as float_error:
+        conjugate(q, rotation)
+    with pytest.raises(ValueError) as rule_error:
+        branch_conjugate(q, *spec.pair(q.n_sites))
+    assert str(rule_error.value) == str(float_error.value)
+
+
+def test_branch_rule_refuses_a_commuting_pair():
+    with pytest.raises(PulseSpecError, match="anticommuting"):
+        branch_conjugate(PauliString.parse("ZI"), PauliString.parse("XX"), PauliString.parse("ZZ"))
+
+
+# -- the branch-integer bound ---------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["branch_m", "branch_mp"])
+@pytest.mark.parametrize("value", [MAX_BRANCH + 1, -MAX_BRANCH - 1])
+def test_branch_integers_beyond_the_bound_are_refused(field, value):
+    with pytest.raises(PulseSpecError, match=f"{field} must lie in"):
+        AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1, **{field: value})
+    with pytest.raises(PulseSpecError, match=f"{field} must lie in"):
+        SwapperSpec(site=0, alpha="X", beta="Z", **{field: value})
+
+
+@pytest.mark.parametrize("branch", [MAX_BRANCH, -MAX_BRANCH])
+def test_schedules_at_the_branch_bound_validate_and_verify(branch):
+    schedule = compile_schedule(PauliString.parse("XYZZYX"), ConnectivityGraph.complete(6))
+    data = schedule.to_dict()
+    for spec in [s for layer in data["layers"] for s in layer] + data["final_swappers"]:
+        spec["branch_m"] = spec["branch_mp"] = branch
+    assert data["final_swappers"]
+    at_bound = QsaSchedule.from_dict(data)
+    assert validate(at_bound) == []
+    assert verify_schedule(at_bound)["passed"]

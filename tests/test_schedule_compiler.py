@@ -1,11 +1,13 @@
 """Planner depths, symbolic replay, serialization and the validator."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qsakit.pauli_core import PauliString
+from qsakit.propagator_engine import SwapperSpec
 from qsakit.schedule_compiler import (
     CompileError,
     ConnectivityGraph,
@@ -264,3 +266,23 @@ def test_validator_catches_stale_connector_letter():
     )
     broken = QsaSchedule.from_dict(data)
     assert any("connector" in v or "replay" in v for v in validate(broken))
+
+
+
+def test_replay_names_width_and_site_faults():
+    schedule = compile_schedule(PauliString.parse("XZZX"), ConnectivityGraph.complete(4))
+    ((first, second),) = schedule.layers
+    cases = [
+        (replace(schedule, seed=PauliString.parse("XXI")),
+         "register mismatch: string on 3, rotation on 4 sites"),
+        (replace(schedule, layers=((first, replace(second, attached_site=5)),)),
+         "site 5 out of range for 4 sites"),
+        (replace(schedule, layers=((replace(first, connector_site=6), second),)),
+         "site 6 out of range for 4 sites"),
+        (replace(schedule, final_swappers=(SwapperSpec(7, "X", "Z"),)),
+         "swapper site 7 out of range for 4 sites"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(ValueError) as error:
+            replay_symbolic(broken)
+        assert str(error.value) == message
