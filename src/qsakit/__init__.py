@@ -7,168 +7,62 @@ ground-state preparation), drives string/anyon logic on top of it (syndromes,
 loop memories, magic states, a braided CNOT), and quantifies pulse-strength
 dilution and control-error scaling.  Everything is verified against a dense
 matrix/statevector oracle.
+
+Each export below loads its submodule on first access (PEP 562), so code
+that uses only the symbolic layer never imports numpy.
 """
 
-from .pauli_core import (
-    PauliString,
-    WeightedPauliSum,
-    anticommuting_pairs,
-    commutes,
-    multiply,
-    square,
-    sum_commutes,
-)
-from .propagator_engine import (
-    AttachmentSpec,
-    InvolutionRotation,
-    SwapperSpec,
-    apply_swap,
-    conjugate,
-    make_attachment,
-    make_swapper,
-)
-from .schedule_compiler import (
-    ConnectivityGraph,
-    QsaSchedule,
-    compile_schedule,
-    depth_bound,
-    replay_symbolic,
-    validate,
-)
-from .dense_oracle import (
-    DenseOperator,
-    ResourceLimitError,
-    Statevector,
-    apply_schedule,
-    distance,
-    expm,
-    schedule_unitary,
-    to_matrix,
-    verify_schedule,
-)
-from .toric_lattice import (
-    DigitalSequence,
-    HoleSpec,
-    LatticeError,
-    LatticeSpec,
-    PlaquetteSet,
-    TwistSpec,
-    build_variant,
-    build_wen,
-    digital_sequence,
-    ground_state_projector,
-    ground_state_sweep,
-    plaquette_schedule,
-)
-from .anyon_logic import (
-    EncodingError,
-    LogicalQubit,
-    LoopCnot,
-    PathError,
-    StringPath,
-    StringPropagator,
-    Syndrome,
-    TopologyError,
-    UnsupportedOperationError,
-    anyon_walk,
-    braiding_phase,
-    code_state,
-    hole_logicals,
-    hole_qubit,
-    interleaved_propagators,
-    loop_cnot,
-    magic_report,
-    magic_state,
-    memory_basis,
-    memory_encode,
-    memory_qubits,
-    naive_move_error,
-    path_string,
-    predict_syndrome,
-    string_propagator,
-    syndrome_of,
-)
-from .analysis import (
-    ErrorScalingReport,
-    StrengthParams,
-    error_scaling,
-    strength_target,
-    strength_toric,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "PauliString",
-    "WeightedPauliSum",
-    "anticommuting_pairs",
-    "commutes",
-    "multiply",
-    "square",
-    "sum_commutes",
-    "AttachmentSpec",
-    "SwapperSpec",
-    "InvolutionRotation",
-    "make_attachment",
-    "make_swapper",
-    "conjugate",
-    "apply_swap",
-    "ConnectivityGraph",
-    "QsaSchedule",
-    "compile_schedule",
-    "depth_bound",
-    "replay_symbolic",
-    "validate",
-    "DenseOperator",
-    "Statevector",
-    "ResourceLimitError",
-    "to_matrix",
-    "expm",
-    "apply_schedule",
-    "schedule_unitary",
-    "distance",
-    "verify_schedule",
-    "LatticeSpec",
-    "HoleSpec",
-    "TwistSpec",
-    "LatticeError",
-    "PlaquetteSet",
-    "DigitalSequence",
-    "build_wen",
-    "build_variant",
-    "plaquette_schedule",
-    "digital_sequence",
-    "ground_state_projector",
-    "ground_state_sweep",
-    "StringPath",
-    "Syndrome",
-    "StringPropagator",
-    "LogicalQubit",
-    "LoopCnot",
-    "PathError",
-    "EncodingError",
-    "TopologyError",
-    "UnsupportedOperationError",
-    "path_string",
-    "syndrome_of",
-    "predict_syndrome",
-    "string_propagator",
-    "interleaved_propagators",
-    "anyon_walk",
-    "braiding_phase",
-    "memory_qubits",
-    "memory_basis",
-    "memory_encode",
-    "code_state",
-    "hole_qubit",
-    "hole_logicals",
-    "magic_state",
-    "magic_report",
-    "loop_cnot",
-    "naive_move_error",
-    "StrengthParams",
-    "ErrorScalingReport",
-    "strength_target",
-    "strength_toric",
-    "error_scaling",
-]
+# Every export, by the submodule that defines it.
+_EXPORTS = {
+    "pauli_core": (
+        "PauliString", "WeightedPauliSum", "anticommuting_pairs", "commutes",
+        "multiply", "square", "sum_commutes",
+    ),
+    "propagator_engine": (
+        "AttachmentSpec", "SwapperSpec", "InvolutionRotation", "make_attachment",
+        "make_swapper", "conjugate", "apply_swap",
+    ),
+    "schedule_compiler": (
+        "ConnectivityGraph", "QsaSchedule", "compile_schedule", "depth_bound",
+        "replay_symbolic", "validate",
+    ),
+    "dense_oracle": (
+        "DenseOperator", "Statevector", "ResourceLimitError", "to_matrix", "expm",
+        "apply_schedule", "schedule_unitary", "distance", "verify_schedule",
+    ),
+    "toric_lattice": (
+        "LatticeSpec", "HoleSpec", "TwistSpec", "LatticeError", "PlaquetteSet",
+        "DigitalSequence", "build_wen", "build_variant", "plaquette_schedule",
+        "digital_sequence", "ground_state_projector", "ground_state_sweep",
+    ),
+    "anyon_logic": (
+        "StringPath", "Syndrome", "StringPropagator", "LogicalQubit", "LoopCnot",
+        "PathError", "EncodingError", "TopologyError", "UnsupportedOperationError",
+        "path_string", "syndrome_of", "predict_syndrome", "string_propagator",
+        "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
+        "memory_basis", "memory_encode", "code_state", "hole_qubit", "hole_logicals",
+        "magic_state", "magic_report", "loop_cnot", "naive_move_error",
+    ),
+    "analysis": (
+        "StrengthParams", "ErrorScalingReport", "strength_target", "strength_toric",
+        "error_scaling",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -2,26 +2,31 @@
 
 Every invocation prints one RunReport JSON document to standard output and
 exits 0 when all checks pass, 1 when a check fails (the failing check names
-the violated invariant), 2 on malformed input and 3 when the dense oracle's
-resource limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded.  Reports are
-strict JSON: a report holding a NaN or an infinity is not printed, and the
-run exits 2.  Reports are deterministic: identical input files, arguments
-and ``--seed`` produce byte-identical output.  Artifacts (compiled
-schedules) go to files named by ``--out``; reports never mix with artifacts.
+the violated invariant), 2 on malformed input, 3 when the dense oracle's
+resource limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded and 4 on an
+internal fault (any other exception, reported as ``internal-error``, with
+its traceback on standard error).  Reports are strict JSON: a report
+holding a NaN or an infinity is not printed, and the run exits 2.  Reports
+are deterministic: identical input files, arguments and ``--seed`` produce
+byte-identical output.  Artifacts (compiled schedules) go to files named by
+``--out``; reports never mix with artifacts.
+
+Only the symbolic layer is imported up front.  The dense oracle, the lattice
+and anyon workflows and the analyses (all of which load numpy) are imported
+by the handlers that use them, so ``compile`` above the dense limit never
+loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
 import sys
 
-import numpy as np
-
-from . import analysis, anyon_logic
-from .dense_oracle import ResourceLimitError, compare_pulses, max_dense_qubits, verify_schedule
+from .dense_limit import ResourceLimitError, max_dense_qubits
 from .pauli_core import PauliString
 from .schedule_compiler import (
     ConnectivityGraph,
@@ -30,19 +35,12 @@ from .schedule_compiler import (
     compile_schedule,
     validate,
 )
-from .toric_lattice import (
-    LATTICE_CHECKS,
-    LatticeSpec,
-    build_variant,
-    digital_sequence,
-    ground_state_projector,
-    ground_state_sweep,
-)
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_MALFORMED_INPUT = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 #: Largest accepted distance between a digital sequence and the exact evolution.
 DIGITAL_TOLERANCE = 1e-8
@@ -100,10 +98,12 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
         return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None:
+        if isinstance(value, (np.floating, np.integer)):
+            return value.item()
+        if isinstance(value, np.bool_):
+            return bool(value)
     if isinstance(value, PauliString):
         return value.format()
     return value
@@ -179,6 +179,8 @@ def _cmd_compile(args):
         "tg": schedule.tg,
     }
     if schedule.n_sites <= max_dense_qubits():
+        from .dense_oracle import verify_schedule
+
         report = verify_schedule(schedule, seed=args.seed)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
@@ -198,6 +200,8 @@ def _cmd_compile(args):
 
 
 def _cmd_verify(args):
+    from .dense_oracle import verify_schedule
+
     schedule = _load_schedule(args.schedule)
     paths = [args.schedule]
     graph = None
@@ -220,7 +224,10 @@ def _cmd_verify(args):
     return checks, metrics, [], paths
 
 
-def _lattice_spec(path: str) -> LatticeSpec:
+def _lattice_spec(path: str):
+    """A lattice spec file as a :class:`~qsakit.toric_lattice.LatticeSpec`, with a finite J."""
+    from .toric_lattice import LatticeSpec
+
     try:
         spec = LatticeSpec.from_dict(_load_json(path))
     except (KeyError, TypeError) as exc:
@@ -230,6 +237,15 @@ def _lattice_spec(path: str) -> LatticeSpec:
 
 
 def _cmd_toric(args):
+    from .dense_oracle import compare_pulses
+    from .toric_lattice import (
+        LATTICE_CHECKS,
+        build_variant,
+        digital_sequence,
+        ground_state_projector,
+        ground_state_sweep,
+    )
+
     spec = _lattice_spec(args.spec)
     paths = [args.spec]
     checks = []
@@ -306,6 +322,8 @@ def _payload(args) -> dict:
 
 
 def _cmd_anyon(args):
+    from . import anyon_logic
+
     spec = _lattice_spec(args.spec)
     paths = [args.spec]
     if args.path is not None:
@@ -459,10 +477,15 @@ def _hole_from_payload(payload, spec, key, default):
 
 
 def _hole_qubit_from_payload(payload, spec, key, default):
+    from . import anyon_logic
+
     return anyon_logic.hole_qubit(_hole_from_payload(payload, spec, key, default), spec)
 
 
 def _cmd_analyze(args):
+    from . import analysis
+    from .toric_lattice import digital_sequence
+
     checks = []
     metrics = {}
     paths = []
@@ -563,7 +586,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (``parse_args`` keeps no state)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=11, help="oracle state-sampling seed"
@@ -656,6 +681,13 @@ def main(argv=None) -> int:
     except (CliInputError, ValueError, TypeError, KeyError) as exc:
         return _error_report(
             report, "malformed-input", f"{type(exc).__name__}: {exc}", EXIT_MALFORMED_INPUT
+        )
+    except Exception as exc:  # a fault of the program, not of its input
+        import traceback
+
+        traceback.print_exc()  # to stderr; stdout keeps the one JSON report
+        return _error_report(
+            report, "internal-error", f"{type(exc).__name__}: {exc}", EXIT_INTERNAL_ERROR
         )
     sys.stdout.write(text)
     return EXIT_PASS if passed else EXIT_CHECK_FAILURE

@@ -10,7 +10,9 @@ one pass over the array instead of one pass each.  A lone one-string pulse
 ``cos(t) - i sin(t) P`` keeps the flip.
 
 The register width accepted for dense work is capped by the environment
-variable ``QSA_MAX_DENSE_QUBITS`` (default 14).  Every verdict on whether a
+variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
+:class:`ResourceLimitError` live in :mod:`qsakit.dense_limit`, which loads
+no numpy, and are re-exported here.  Every verdict on whether a
 pulse program equals its exact reference is made by :func:`compare_pulses`.
 Up to 10 qubits it compares the full products through
 :func:`certified_distance`: a norm bound on the difference decides a pass,
@@ -22,11 +24,17 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dense_limit import (
+    DEFAULT_DENSE_LIMIT,
+    DENSE_LIMIT_ENV,
+    ResourceLimitError,
+    check_dense_limit,
+    max_dense_qubits,
+)
 from .pauli_core import (
     TOL,
     PauliString,
@@ -44,9 +52,6 @@ MATRIX_QUBIT_CAP = 10
 #: Default number of probe states above the matrix cap.
 DEFAULT_PROBES = 20
 
-DENSE_LIMIT_ENV = "QSA_MAX_DENSE_QUBITS"
-DEFAULT_DENSE_LIMIT = 14
-
 #: Most sites a fused group of pulses may span in :func:`run_pulses`.  One
 #: pass over a 10-qubit matrix costs 5.4, 6.4, 8.2, 11.6, 12.0 and 16.9 ms
 #: for 1 to 6 local sites (2-vCPU host, BLAS on one thread), while a wider
@@ -54,37 +59,6 @@ DEFAULT_DENSE_LIMIT = 14
 #: 11, 9 and 6 passes at caps 3 to 6.  Caps 4 and 5 were the fastest in a
 #: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
 FUSED_SITES = 4
-
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a dense operation exceeds the configured qubit budget."""
-
-
-def max_dense_qubits() -> int:
-    """Dense-register cap (env ``QSA_MAX_DENSE_QUBITS``, default 14).
-
-    A value that is not an integer of at least 1 raises ``ValueError``
-    (malformed input): a limit below 1 would allow no dense work at all.
-    """
-    raw = os.environ.get(DENSE_LIMIT_ENV, "")
-    try:
-        limit = int(raw) if raw else DEFAULT_DENSE_LIMIT
-    except ValueError:
-        limit = 0
-    if limit < 1:
-        raise ValueError(
-            f"invalid {DENSE_LIMIT_ENV} value {raw!r}; expected an integer of at least 1"
-        )
-    return limit
-
-
-def check_dense_limit(n_sites: int, context: str) -> None:
-    limit = max_dense_qubits()
-    if n_sites > limit:
-        raise ResourceLimitError(
-            f"{context}: {n_sites} sites exceeds the dense limit of {limit} "
-            f"(set {DENSE_LIMIT_ENV} to raise it)"
-        )
 
 
 # -- Pauli action ----------------------------------------------------------------

@@ -67,7 +67,12 @@ class StrategyInfeasibleError(CompileError):
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
-    """Undirected hardware graph on ``n_sites`` vertices."""
+    """Undirected hardware graph on ``n_sites`` vertices.
+
+    ``edges`` may be any iterable of vertex pairs in either order; it is
+    stored as a frozenset of ``(a, b)`` with ``a < b``.  A self-loop or a
+    vertex outside ``range(n_sites)`` raises ``ValueError``.
+    """
 
     n_sites: int
     edges: frozenset[tuple[int, int]]
@@ -75,18 +80,20 @@ class ConnectivityGraph:
     def __post_init__(self) -> None:
         if self.n_sites < 1:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
+        normalized = set()
         for a, b in self.edges:
-            if not (0 <= a < b < self.n_sites):
+            if a == b:
+                raise ValueError("self-loop in edge list")
+            if a > b:
+                a, b = b, a
+            if a < 0 or b >= self.n_sites:
                 raise ValueError(f"bad edge ({a}, {b}) for {self.n_sites} sites")
+            normalized.add((a, b))
+        object.__setattr__(self, "edges", frozenset(normalized))
 
     @classmethod
     def from_edges(cls, n_sites: int, edges) -> "ConnectivityGraph":
-        normalized = frozenset(
-            (min(a, b), max(a, b)) for a, b in edges if a != b
-        )
-        if any(a == b for a, b in edges):
-            raise ValueError("self-loop in edge list")
-        return cls(n_sites, normalized)
+        return cls(n_sites, edges)
 
     @classmethod
     def complete(cls, n_sites: int) -> "ConnectivityGraph":
@@ -95,7 +102,7 @@ class ConnectivityGraph:
     @classmethod
     def complete_on(cls, n_sites: int, sites) -> "ConnectivityGraph":
         """Every pair of ``sites`` coupled, e.g. the support of a target string."""
-        return cls.from_edges(n_sites, list(itertools.combinations(sites, 2)))
+        return cls.from_edges(n_sites, itertools.combinations(sites, 2))
 
     @classmethod
     def path(cls, n_sites: int) -> "ConnectivityGraph":

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from qsakit import analysis, schedule_compiler, toric_lattice
+from qsakit import analysis, cli, schedule_compiler, toric_lattice
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
 
 PLAQUETTE_ARGS = ["compile", "--target", "XZZX", "--tg", "0.3"]
+STRENGTH_ARGS = ["analyze", "strength", "--tau", "0", "--tau-prime", "0"]
 
 
 def run_cli(capsys, argv):
@@ -60,6 +61,28 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _, first = run_cli(capsys, argv)
     _, second = run_cli(capsys, argv)
     assert first == second
+
+
+def test_the_cached_parser_gives_every_call_its_first_output(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    schedule = tmp_path / "plaquette.json"
+    compile_args = PLAQUETTE_ARGS + ["--out", str(schedule)]
+    calls = [
+        compile_args,
+        ["verify", "--schedule", str(schedule), "--seed", "3"],
+        ["compile", "--target", "XQZX"],
+        ["compile", "--target", "XZ", "--strategy", "nonesuch"],
+        STRENGTH_ARGS,
+        ["verify", "--schedule", str(schedule)],
+        ["compile", "--target", "YY", "--tg", "0.7"],
+    ]
+    first = {}
+    for argv in calls + calls[::-1] + calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        result = (code, captured.out, captured.err)
+        assert first.setdefault(tuple(argv), result) == result, argv
+    assert first[tuple(calls[3])][0] == 2 and "invalid choice" in first[tuple(calls[3])][2]
 
 
 def test_verify_names_the_violated_invariant(tmp_path, capsys):
@@ -147,6 +170,47 @@ def test_a_dense_limit_below_one_exits_two(tmp_path, capsys, monkeypatch, limit)
         assert code == 2
         assert report["status"] == "malformed-input"
         assert "at least 1" in report["error"]
+
+
+@pytest.mark.parametrize("fault", [
+    AssertionError("planted assertion"),
+    RuntimeError("planted runtime error"),
+    ImportError("planted import error"),
+])
+def test_an_internal_fault_exits_four(capsys, monkeypatch, fault):
+    def raise_fault(*args, **kwargs):
+        raise fault
+
+    monkeypatch.setattr(analysis, "strength_target", raise_fault)
+    code = main(STRENGTH_ARGS)
+    captured = capsys.readouterr()
+    report = strict_json(captured.out)
+    assert code == 4
+    assert report["status"] == "internal-error"
+    assert report["error"] == f"{type(fault).__name__}: {fault}"
+    assert report["checks"] == [] and report["command"] == STRENGTH_ARGS
+    assert "Traceback" in captured.err and "raise_fault" in captured.err
+
+
+def test_a_missing_lazy_module_exits_four(capsys, monkeypatch):
+    # compile imports the dense oracle only on its dense branch
+    monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
+    monkeypatch.setitem(sys.modules, "qsakit.dense_oracle", None)
+    code, out = run_cli(capsys, PLAQUETTE_ARGS)
+    report = strict_json(out)
+    assert code == 4
+    assert report["status"] == "internal-error"
+    assert report["error"].startswith("ModuleNotFoundError: ")
+    assert main(["compile", "--target", "XZ" * 10]) == 0
+
+
+def test_an_interrupt_is_not_an_internal_fault(capsys, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "strength_target", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(STRENGTH_ARGS)
 
 
 @pytest.mark.parametrize("field", ["branch_m", "branch_mp"])

@@ -36,10 +36,14 @@ def test_graph_constructors_and_membership():
     p = ConnectivityGraph.path(4)
     assert p.has_edge(1, 2) and not p.has_edge(0, 2)
     assert ConnectivityGraph.from_dict(g.to_dict()) == g
-    with pytest.raises(ValueError):
-        ConnectivityGraph.from_edges(2, [(0, 0)])
-    with pytest.raises(ValueError):
-        ConnectivityGraph.from_edges(2, [(0, 5)])
+    assert ConnectivityGraph.from_edges(3, [(2, 1), (1, 2), (0, 2)]).edges == {(1, 2), (0, 2)}
+    with pytest.raises(ValueError, match=r"^self-loop in edge list$"):
+        ConnectivityGraph.from_edges(2, [(0, 1), (1, 1)])
+    for edge in ((0, 5), (5, 0)):
+        with pytest.raises(ValueError, match=r"^bad edge \(0, 5\) for 2 sites$"):
+            ConnectivityGraph.from_edges(2, [edge])
+    with pytest.raises(ValueError, match=r"^bad edge \(-1, 1\) for 2 sites$"):
+        ConnectivityGraph.from_edges(2, [(1, -1)])
 
 
 def test_depth_bound_table():
