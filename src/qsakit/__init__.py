@@ -28,8 +28,9 @@ _EXPORTS = {
         "ConnectivityGraph", "QsaSchedule", "compile_schedule", "depth_bound",
         "replay_symbolic", "validate",
     ),
+    "dense_limit": ("ResourceLimitError",),
     "dense_oracle": (
-        "DenseOperator", "Statevector", "ResourceLimitError", "to_matrix", "expm",
+        "DenseOperator", "Statevector", "to_matrix", "expm",
         "apply_schedule", "schedule_unitary", "distance", "verify_schedule",
     ),
     "toric_lattice": (

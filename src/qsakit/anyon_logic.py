@@ -247,9 +247,7 @@ class StringPropagator:
         strategy: str = "auto",
         tg: float | None = None,
     ) -> QsaSchedule:
-        """Compile the propagator into attachment/swapper pulses."""
-        if graph is None:
-            graph = ConnectivityGraph.complete_on(self.n_sites, self.string.support)
+        """Compile the propagator into pulses; no ``graph`` couples its support all-to-all."""
         return compile_schedule(
             self.string, graph, strategy=strategy,
             tg=self.tg if tg is None else tg,
@@ -861,8 +859,7 @@ def naive_move_error(
     factor = float(np.linalg.norm(apply_string(ext, base.data) - base.data)) / 2.0
     predicted = 2.0 * abs(math.cos(tg)) * factor
 
-    graph = ConnectivityGraph.complete_on(spec.n_sites, extended.support)
-    schedule = compile_schedule(extended, graph, strategy="auto", tg=tg)
+    schedule = compile_schedule(extended, strategy="auto", tg=tg)
     loop_route = apply_schedule(schedule, base)
     loop_route_distance = float(np.linalg.norm(loop_route.data - intended))
 

@@ -159,11 +159,10 @@ def _load_schedule(path: str) -> QsaSchedule:
 def _cmd_compile(args):
     target = PauliString.parse(args.target)
     paths = []
+    graph = None  # every pair of support sites coupled
     if args.graph is not None:
         graph = ConnectivityGraph.from_dict(_load_json(args.graph))
         paths.append(args.graph)
-    else:
-        graph = ConnectivityGraph.complete(target.n_sites)
     schedule = compile_schedule(target, graph, strategy=args.strategy, tg=args.tg)
 
     # compile_schedule replayed the schedule and raised unless the replay

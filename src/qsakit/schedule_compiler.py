@@ -65,6 +65,10 @@ class StrategyInfeasibleError(CompileError):
     """The requested strategy is not admitted by the graph."""
 
 
+class ReplayFaultError(RuntimeError):
+    """A planned schedule did not replay to its target: a compiler fault, not bad input."""
+
+
 @dataclass(frozen=True)
 class ConnectivityGraph:
     """Undirected hardware graph on ``n_sites`` vertices.
@@ -97,12 +101,7 @@ class ConnectivityGraph:
 
     @classmethod
     def complete(cls, n_sites: int) -> "ConnectivityGraph":
-        return cls.complete_on(n_sites, range(n_sites))
-
-    @classmethod
-    def complete_on(cls, n_sites: int, sites) -> "ConnectivityGraph":
-        """Every pair of ``sites`` coupled, e.g. the support of a target string."""
-        return cls.from_edges(n_sites, itertools.combinations(sites, 2))
+        return cls.from_edges(n_sites, itertools.combinations(range(n_sites), 2))
 
     @classmethod
     def path(cls, n_sites: int) -> "ConnectivityGraph":
@@ -199,28 +198,32 @@ def depth_bound(n_support: int, strategy: str) -> int:
 # -- growth planning (site indices only) ------------------------------------
 
 
-def _induced_adjacency(support: tuple[int, ...], graph: ConnectivityGraph):
+def _support_graph(support: tuple[int, ...], graph: ConnectivityGraph | None):
+    """The ascending neighbour tuple of each (ascending) support site.
+
+    ``None`` couples every pair of support sites.  A graph is scanned once
+    for the edges inside the support, and a support it leaves disconnected
+    raises :class:`DisconnectedSupportError`.
+    """
+    if graph is None:
+        return {s: tuple(x for x in support if x != s) for s in support}
     adj: dict[int, list[int]] = {s: [] for s in support}
     for a, b in graph.edges:
         if a in adj and b in adj:
             adj[a].append(b)
             adj[b].append(a)
+    reached = {support[0]}
+    stack = [support[0]]
+    while stack:
+        for x in adj[stack.pop()]:
+            if x not in reached:
+                reached.add(x)
+                stack.append(x)
+    if len(reached) != len(support):
+        raise DisconnectedSupportError(
+            f"target support {support} is not connected in the graph"
+        )
     return {s: tuple(sorted(xs)) for s, xs in adj.items()}
-
-
-def _components(sites, adj) -> int:
-    """Number of connected components of the subgraph induced on ``sites``."""
-    unseen = set(sites)
-    count = 0
-    while unseen:
-        count += 1
-        stack = [unseen.pop()]
-        while stack:
-            for x in adj[stack.pop()]:
-                if x in unseen:
-                    unseen.remove(x)
-                    stack.append(x)
-    return count
 
 
 def _grow_from_seed(seed: tuple[int, int], support_set: set, adj):
@@ -257,7 +260,8 @@ def _plan_growth(support, adj, max_depth: int | None = None):
     is also the shallowest.
     """
     support_set = set(support)
-    for seed in sorted((a, b) for a in support for b in adj[a] if a < b):
+    # support and neighbour tuples ascend, so the seeds come in ascending order
+    for seed in ((a, b) for a in support for b in adj[a] if a < b):
         layers = _grow_from_seed(seed, support_set, adj)
         if max_depth is None or len(layers) <= max_depth:
             return seed, layers
@@ -377,7 +381,7 @@ def _plan(strategy, support, adj):
 
 def compile_schedule(
     target: PauliString,
-    graph: ConnectivityGraph,
+    graph: ConnectivityGraph | None = None,
     strategy: str = "auto",
     tg: float = 1.0,
 ) -> QsaSchedule:
@@ -387,6 +391,7 @@ def compile_schedule(
         target: N-body Pauli string with phase +1 and at least two
             non-identity letters.
         graph: Hardware connectivity; every attachment must run on an edge.
+            ``None`` couples every pair of support sites.
         strategy: One of ``doubling``, ``line_endpoints``, ``single_endpoint``,
             ``greedy``, ``auto``.
         tg: Seed rotation angle stored in the schedule.
@@ -397,10 +402,12 @@ def compile_schedule(
             reproduces +1-phase strings).
         DisconnectedSupportError: Support not connected inside the graph.
         StrategyInfeasibleError: Explicit strategy not admitted by the graph.
+        ReplayFaultError: The planned schedule did not replay to the target
+            (a fault of the compiler, not of its input).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected {STRATEGIES}")
-    if target.n_sites != graph.n_sites:
+    if graph is not None and target.n_sites != graph.n_sites:
         raise UnsupportedTargetError(
             f"target on {target.n_sites} sites, graph on {graph.n_sites}"
         )
@@ -413,11 +420,7 @@ def compile_schedule(
         raise UnsupportedTargetError(
             f"target must act on at least two sites, got {target.format()!r}"
         )
-    adj = _induced_adjacency(support, graph)
-    if _components(support, adj) != 1:
-        raise DisconnectedSupportError(
-            f"target support {support} is not connected in the graph"
-        )
+    adj = _support_graph(support, graph)
 
     if strategy == "auto":
         for candidate in ("doubling", "line_endpoints"):
@@ -485,9 +488,12 @@ def _materialize(
         final_swappers=tuple(swappers),
         target=target,
     )
-    replayed = replay_symbolic(schedule)
+    try:
+        replayed = replay_symbolic(schedule)
+    except CollapseError as exc:
+        raise ReplayFaultError(f"internal replay collapse: {exc}") from exc
     if replayed != target:
-        raise CompileError(
+        raise ReplayFaultError(
             f"internal replay mismatch: grew {replayed.format()}, "
             f"wanted {target.format()}"
         )

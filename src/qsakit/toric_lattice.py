@@ -33,7 +33,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs
-from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
+from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
     apply_string,
@@ -459,15 +459,16 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
         raise LatticeError(
             f"build_kitaev_holes needs model 'kitaev_holes', got {spec.model!r}"
         )
-    skips: dict[str, set[tuple[int, int]]] = {kind: set() for kind in HOLE_KINDS}
-    for hole in spec.holes:
+    # each removed cell -> the index of the hole that lists it
+    skips: dict[str, dict[tuple[int, int], int]] = {kind: {} for kind in HOLE_KINDS}
+    for index, hole in enumerate(spec.holes):
         for coord in hole.plaquettes:
             if coord in skips[hole.kind]:
                 raise LatticeError(f"holes overlap at {coord}")
-            skips[hole.kind].add(coord)
+            skips[hole.kind][coord] = index
 
     terms: list[PlaquetteTerm] = []
-    removed_supports: list[tuple[int, ...]] = []
+    regions: list[set[int]] = [set() for _ in spec.holes]  # sites each hole removes
     for kind, entry in _KITAEV_KINDS.items():
         skip = skips[entry.hole]
         rows, cols = _kitaev_anchors(spec, kind)
@@ -475,8 +476,7 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
             for j in cols:
                 operator = kitaev_operator(spec, kind, i, j)
                 if (i, j) in skip:
-                    skip.discard((i, j))
-                    removed_supports.append(operator.support)
+                    regions[skip.pop((i, j))].update(operator.support)
                     continue
                 terms.append(
                     PlaquetteTerm((i, j), operator, entry.group + (i + j) % 2, kind)
@@ -486,7 +486,7 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
             raise LatticeError(
                 f"{entry.hole} hole {entry.plural} out of range: {sorted(skips[entry.hole])}"
             )
-    if _shared_sites(removed_supports):
+    if _shared_sites(regions):
         raise LatticeError("hole regions share edges; holes must be disjoint")
 
     pset = PlaquetteSet(spec.n_sites, tuple(terms))
@@ -521,10 +521,7 @@ def plaquette_schedule(
     if spec.model != "wen":
         raise LatticeError("plaquette_schedule addresses wen terms")
     term = build_wen(spec).term_at((i, j))
-    graph = ConnectivityGraph.complete_on(spec.n_sites, term.operator.support)
-    return compile_schedule(
-        term.operator, graph, strategy=strategy, tg=spec.J * tau
-    )
+    return compile_schedule(term.operator, strategy=strategy, tg=spec.J * tau)
 
 
 @dataclass(frozen=True)
@@ -566,20 +563,14 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
     supports), so the intra-stage order is immaterial.  Hole terms are
     absent from every stage by construction.
     """
-    pset = build_variant(spec)
-    stages = []
-    for group, members in pset.groups().items():
-        stage = []
-        for term in members:
-            graph = ConnectivityGraph.complete_on(spec.n_sites, term.operator.support)
-            stage.append(
-                compile_schedule(
-                    term.operator, graph, strategy="line_endpoints",
-                    tg=-spec.J * tau,
-                )
-            )
-        stages.append(tuple(stage))
-    return DigitalSequence(spec, tau, tuple(stages))
+    stages = tuple(
+        tuple(
+            compile_schedule(term.operator, strategy="line_endpoints", tg=-spec.J * tau)
+            for term in members
+        )
+        for members in build_variant(spec).groups().values()
+    )
+    return DigitalSequence(spec, tau, stages)
 
 
 # -- wen ground states ----------------------------------------------------------

@@ -3,13 +3,14 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from qsakit import analysis, cli, schedule_compiler, toric_lattice
+from qsakit import analysis, cli, propagator_engine, schedule_compiler, toric_lattice
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
@@ -244,6 +245,29 @@ def test_compile_replays_its_schedule_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _flip_sign(q, a, b):
+    result = propagator_engine.branch_conjugate(q, a, b)
+    return result.with_phase_exp(result.phase_exp + 2)
+
+
+def _skip_pulse(q, a, b):
+    return q
+
+
+@pytest.mark.parametrize("fault, error", [
+    (_flip_sign, "ReplayFaultError: internal replay collapse: "
+                 "attachment (0, 2) gives -ZXXI: coefficient -1, not +1"),
+    (_skip_pulse, "ReplayFaultError: internal replay mismatch: grew "),
+], ids=["collapse", "mismatch"])
+def test_a_compiler_replay_fault_exits_four(capsys, monkeypatch, fault, error):
+    # no input makes the compiler's own replay fail, so it is not malformed input
+    monkeypatch.setattr(schedule_compiler, "branch_conjugate", fault)
+    code, out = run_cli(capsys, ["compile", "--target", "XZZX"])
+    report = strict_json(out)
+    assert code == 4 and report["status"] == "internal-error"
+    assert report["error"].startswith(error)
+
+
 def _plant_target_letter(data):
     data["target"] = "XZZY"
     return ["replay mismatch: got XZZX, target XZZY"]
@@ -286,6 +310,39 @@ def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
     failures = [c["name"] for c in report["checks"] if not c["passed"]]
     for message in expected:
         assert message in failures
+
+
+PATH4 = {"n_sites": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize("argv, code, status, checks", [
+    (["anyon", "braid", "--spec", "{periodic44}"], 0, "pass",
+     ["braiding-phase-minus-one", "ground-loop-expectation-plus-one"]),
+    (["anyon", "memory", "--spec", "{periodic44}"], 0, "pass",
+     ["basis-pairwise-orthogonal", "encoded-overlaps-match"]),
+    (["toric", "ground", "--spec", "{periodic44}"], 0, "pass",
+     ["plaquette-expectations-plus-one"]),
+    (["analyze", "error-scaling", "--digital", "{wen33}"], 0, "pass",
+     ["slope-first-order"]),
+    (["verify", "--schedule", "{plaquette}", "--graph", "{path4}"], 1, "fail",
+     ["layer 1: (0, 2) is not a graph edge", "layer 1: (1, 3) is not a graph edge"]),
+    (["analyze", "strength", "--tau", "0.1"], 2, "malformed-input", []),
+], ids=["anyon-braid", "anyon-memory", "toric-ground", "error-scaling-digital",
+        "verify-graph", "strength-without-tau-prime"])
+def test_command_verdicts(tmp_path, capsys, dense16, argv, code, status, checks):
+    plaquette = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(plaquette)])[0] == 0
+    files = {
+        "periodic44": write_json(tmp_path / "periodic44.json",
+                                 {"rows": 4, "cols": 4, "boundary": "periodic"}),
+        "wen33": write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3}),
+        "plaquette": str(plaquette),
+        "path4": write_json(tmp_path / "path4.json", PATH4),
+    }
+    got, out = run_cli(capsys, [arg.format(**files) for arg in argv])
+    report = strict_json(out)
+    assert (got, report["status"]) == (code, status)
+    assert [c["name"] for c in report["checks"]] == checks
 
 
 def test_toric_build_and_digital(tmp_path, capsys):
@@ -562,11 +619,14 @@ def test_fused_pulses_stay_within_the_dense_limit(tmp_path, capsys, monkeypatch,
 
 
 def test_module_entry_point():
+    # the child finds qsakit where this process did, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "qsakit", "analyze", "strength",
          "--g", "1", "--t", "1", "--tau", "0", "--tau-prime", "0"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["metrics"]["g_prime"] == 1.0

@@ -60,6 +60,20 @@ def test_compile_above_the_dense_limit_loads_no_numpy():
     assert lines == ["0 False"]
 
 
+@pytest.mark.parametrize(
+    "module", ["pauli_core", "propagator_engine", "schedule_compiler", "dense_limit"]
+)
+def test_symbolic_exports_load_no_numpy(module):
+    names = qsakit._EXPORTS[module]
+    lines = fresh_python(
+        "import sys\n"
+        f"for name in {names!r}:\n"
+        "    exec(f'from qsakit import {name}')\n"
+        "    print(name, 'numpy' in sys.modules)\n"
+    )
+    assert lines == [f"{name} False" for name in names]
+
+
 def test_verify_loads_the_dense_oracle(tmp_path, capsys):
     schedule = tmp_path / "six.json"
     assert main(["compile", "--target", "XYZZYX", "--out", str(schedule)]) == 0

@@ -9,6 +9,7 @@ import pytest
 from qsakit.pauli_core import PauliString
 from qsakit.propagator_engine import SwapperSpec
 from qsakit.schedule_compiler import (
+    STRATEGIES,
     CompileError,
     ConnectivityGraph,
     DisconnectedSupportError,
@@ -77,6 +78,26 @@ def test_replay_matches_target_randomized():
         schedule = compile_schedule(target, ConnectivityGraph.complete(n))
         assert replay_symbolic(schedule) == target
         assert validate(schedule, ConnectivityGraph.complete(n)) == []
+
+
+def test_no_graph_compiles_as_the_complete_graph():
+    # identity sites, sub-two-site and -1-phase targets included: those must
+    # raise the same class whether or not a graph is given
+    rng = np.random.default_rng(SEED + 9)
+    for _ in range(150):
+        n = int(rng.integers(2, 25))
+        target = random_target(rng, n, min_weight=0)
+        if rng.random() < 0.1:
+            target = target.with_phase_exp(2)
+        complete = ConnectivityGraph.complete(n)
+        for strategy in STRATEGIES:
+            outcomes = []
+            for graph in (None, complete):
+                try:
+                    outcomes.append(compile_schedule(target, graph, strategy, 0.3))
+                except CompileError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1], (target.format(), strategy)
 
 
 def test_plaquette_compiles_to_one_layer_no_swappers():

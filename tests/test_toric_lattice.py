@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from qsakit.dense_oracle import Statevector, apply_string, distance
-from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes
+from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes, multiply
 from qsakit.schedule_compiler import validate
 from qsakit.toric_lattice import (
     HoleSpec,
@@ -23,6 +23,7 @@ from qsakit.toric_lattice import (
     ground_state_projector,
     ground_state_sweep,
     kitaev_edge_index,
+    kitaev_operator,
     plaquette_schedule,
 )
 
@@ -277,6 +278,21 @@ def test_kitaev_holes_free_logical_qubits():
     assert gf2_rank(rows) == 12  # n - k with k = number of holes
 
 
+def test_kitaev_two_cell_hole_is_one_hole():
+    # adjacent faces listed by one hole share an edge; only separate holes must be disjoint
+    spec = _kitaev_with(([(1, 0), (1, 1)], "smooth"))
+    pset = build_kitaev_holes(spec)
+    faces = {term.index for term in pset.terms if term.kind == "face"}
+    assert (1, 0) not in faces and (1, 1) not in faces
+    removed = multiply(
+        kitaev_operator(spec, "face", 1, 0), kitaev_operator(spec, "face", 1, 1)
+    )
+    edge = PauliString.from_sites(spec.n_sites, {kitaev_edge_index(spec, "h", 2, 0): "X"})
+    for op in pset.operators():
+        assert commutes(removed, op) and commutes(edge, op)
+    assert not commutes(edge, removed)
+
+
 def test_kitaev_periodic_needs_even_dims():
     with pytest.raises(LatticeError):
         LatticeSpec(rows=3, cols=4, model="kitaev_holes", boundary="periodic")
@@ -379,7 +395,7 @@ def _kitaev_with(*holes):
     (_kitaev_with(([(0, 0)], "rough")), "rough hole vertices out of range: [(0, 0)]"),
     (_kitaev_with(([(2, 0), (5, 5)], "smooth"), ([(0, 1)], "rough")),
      "smooth hole faces out of range: [(2, 0), (5, 5)]"),
-    (_kitaev_with(([(1, 0), (1, 1)], "smooth")),
+    (_kitaev_with(([(1, 0)], "smooth"), ([(1, 1)], "smooth")),
      "hole regions share edges; holes must be disjoint"),
     (_kitaev_with(([(0, 0)], "smooth"), ([(1, 0)], "rough")),
      "hole regions share edges; holes must be disjoint"),
