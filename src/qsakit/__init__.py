@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "dense_limit": ("ResourceLimitError",),
     "dense_oracle": (
-        "DenseOperator", "Statevector", "to_matrix", "expm",
+        "Statevector", "to_matrix", "expm",
         "apply_schedule", "schedule_unitary", "distance", "verify_schedule",
     ),
     "toric_lattice": (

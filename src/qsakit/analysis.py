@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import DenseOperator, distance, pulse_unitary, schedule_pulses
+from .dense_oracle import distance, pulse_unitary, schedule_pulses
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -142,9 +142,7 @@ def _subject_pulses(subject) -> tuple[int, list, str]:
     raise TypeError("subject must be a QsaSchedule or a DigitalSequence")
 
 
-def pulse_product(
-    n_sites: int, pulses, offsets=None
-) -> DenseOperator:
+def pulse_product(n_sites: int, pulses, offsets=None) -> np.ndarray:
     """Time-ordered pulse product as a matrix, with optional angle offsets."""
     return pulse_unitary(n_sites, pulses, "pulse product", offsets)
 

@@ -19,6 +19,7 @@ hole-move error live here too.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ import numpy as np
 from .pauli_core import LETTERS, PauliString, commutes, multiply
 from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
 from .dense_oracle import (
-    DenseOperator,
     Statevector,
     apply_rotation,
     apply_schedule,
@@ -93,7 +93,7 @@ class StringPath:
     @classmethod
     def from_dict(cls, data: dict) -> "StringPath":
         return cls(
-            tuple((int(i), int(j)) for i, j in data["sites"]),
+            tuple((operator.index(i), operator.index(j)) for i, j in data["sites"]),
             tuple(str(c) for c in data["letters"]),
         )
 
@@ -238,7 +238,7 @@ class StringPropagator:
         """``cos(tg)|psi> - i sin(tg) P|psi>``, exactly."""
         return Statevector.from_array(run_pulses(self._pulses(tg), state.data))
 
-    def unitary(self, tg: float | None = None) -> DenseOperator:
+    def unitary(self, tg: float | None = None) -> np.ndarray:
         return pulse_unitary(self.n_sites, self._pulses(tg), "string propagator unitary")
 
     def schedule(
@@ -402,7 +402,8 @@ def memory_program(spec: LatticeSpec, amplitudes) -> dict:
 
     Returns:
         dict with ``operations`` (ordered (label, PauliString, angle)),
-        ``recorded_phase``, and the normalized target ``amplitudes``.
+        ``recorded_phase``, the normalized target ``amplitudes`` and the
+        ``ground_state`` the signs were read from.
     """
     a = np.asarray(list(amplitudes), dtype=np.complex128)
     if a.shape != (4,):
@@ -474,22 +475,23 @@ def memory_program(spec: LatticeSpec, amplitudes) -> dict:
         "amplitudes": a,
         "operations": operations,
         "recorded_phase": recorded,
+        "ground_state": g,
     }
 
 
 def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
     """Prepare the memory state with the requested basis overlaps.
 
-    Runs the :func:`memory_program` rotations on the ground state and folds
-    the recorded scalar phase back in, so the returned state's overlaps with
-    the four basis states equal the normalized amplitudes exactly (up to
-    float roundoff).
+    Runs the :func:`memory_program` rotations on the ground state the program
+    read its signs from and folds the recorded scalar phase back in, so the
+    returned state's overlaps with the four basis states equal the normalized
+    amplitudes exactly (up to float roundoff).
     """
     if spec.boundary != "periodic":
         raise EncodingError("the quantum memory requires a periodic boundary")
     program = memory_program(spec, amplitudes)
     pulses = [(string, angle) for _, string, angle in program["operations"]]
-    arr = run_pulses(pulses, ground_state_projector(spec).data)
+    arr = run_pulses(pulses, program["ground_state"].data)
     return Statevector.from_array(program["recorded_phase"] * arr)
 
 

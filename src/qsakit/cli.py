@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 
 from .dense_limit import ResourceLimitError, max_dense_qubits
@@ -119,6 +120,18 @@ def _check(name: str, passed: bool, detail=None) -> dict:
 def _report_text(report: dict) -> str:
     """Strict JSON: a NaN or infinite number raises ``ValueError``."""
     return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _is_input_fault(exc: Exception) -> bool:
+    """Whether ``exc`` blames the input: a ``ValueError``, ``TypeError`` or ``KeyError``.
+
+    numpy's ``LinAlgError`` is a ``ValueError`` raised by a numerical routine
+    that failed, a fault of the program.
+    """
+    np = sys.modules.get("numpy")  # a LinAlgError exists only once numpy is loaded
+    if np is not None and isinstance(exc, np.linalg.LinAlgError):
+        return False
+    return isinstance(exc, (ValueError, TypeError, KeyError))
 
 
 def _error_report(report: dict, status: str, error: str, code: int) -> int:
@@ -466,7 +479,7 @@ def _amplitude(entry, field: str) -> complex:
 
 
 def _hole_from_payload(payload, spec, key, default):
-    idx = int(payload.get(key, default))
+    idx = operator.index(payload.get(key, default))
     if not (0 <= idx < len(spec.holes)):
         raise CliInputError(
             f"{key} hole index {idx} out of range: spec defines "
@@ -574,15 +587,19 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(least: int, text: str) -> int:
+    """argparse type for integers no smaller than ``least``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, 1)
+_seed_int = functools.partial(_int_at_least, 0)
 
 
 @functools.cache
@@ -590,7 +607,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (``parse_args`` keeps no state)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=11, help="oracle state-sampling seed"
+        "--seed", type=_seed_int, default=11, help="oracle state-sampling seed (at least 0)"
     )
 
     parser = argparse.ArgumentParser(
@@ -677,12 +694,12 @@ def main(argv=None) -> int:
         text = _report_text(report)
     except ResourceLimitError as exc:
         return _error_report(report, "resource-limit", str(exc), EXIT_RESOURCE_LIMIT)
-    except (CliInputError, ValueError, TypeError, KeyError) as exc:
-        return _error_report(
-            report, "malformed-input", f"{type(exc).__name__}: {exc}", EXIT_MALFORMED_INPUT
-        )
-    except Exception as exc:  # a fault of the program, not of its input
-        import traceback
+    except Exception as exc:
+        if _is_input_fault(exc):
+            return _error_report(
+                report, "malformed-input", f"{type(exc).__name__}: {exc}", EXIT_MALFORMED_INPUT
+            )
+        import traceback  # a fault of the program, not of its input
 
         traceback.print_exc()  # to stderr; stdout keeps the one JSON report
         return _error_report(

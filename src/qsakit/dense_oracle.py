@@ -7,7 +7,8 @@ through :func:`run_pulses`, which fuses consecutive pulses whose joint
 support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
 unitary contracted over those ``k`` axes, so a run of two-body pulses costs
 one pass over the array instead of one pass each.  A lone one-string pulse
-``cos(t) - i sin(t) P`` keeps the flip.
+``cos(t) - i sin(t) P`` keeps the flip.  Every dense product is a plain
+``2^n x 2^n`` array; a state is a :class:`Statevector`, which holds its norm.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
@@ -43,7 +44,6 @@ from .pauli_core import (
     anticommuting_pairs,
     is_involution,
 )
-from .propagator_engine import InvolutionRotation, make_attachment, make_swapper
 from .schedule_compiler import QsaSchedule
 
 #: Hard cap for full-matrix (4^n) comparisons in :func:`compare_pulses`.
@@ -239,50 +239,28 @@ def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
     return tensor.reshape(array.shape)
 
 
-def pulse_unitary(n_sites: int, pulses, context: str, offsets=None) -> DenseOperator:
+def pulse_unitary(n_sites: int, pulses, context: str, offsets=None) -> np.ndarray:
     """Time-ordered product of ``pulses`` as a matrix: :func:`run_pulses` on the identity.
 
     The register is held to the dense cap; ``context`` names the caller in the error.
     """
     check_dense_limit(n_sites, context)
     eye = np.eye(1 << n_sites, dtype=np.complex128)
-    return DenseOperator(n_sites, run_pulses(pulses, eye, offsets))
+    return run_pulses(pulses, eye, offsets)
 
 
-# -- dense operators ----------------------------------------------------------
+# -- dense matrices -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """An explicit matrix on ``n_sites`` qubits."""
-
-    n_sites: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = 1 << self.n_sites
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{self.n_sites} sites"
-            )
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_sites
-
-
-def to_matrix(op: PauliString | WeightedPauliSum) -> DenseOperator:
-    """Explicit matrix of a string or weighted sum (respects the dense cap)."""
+def to_matrix(op: PauliString | WeightedPauliSum) -> np.ndarray:
+    """Explicit ``2^n x 2^n`` matrix of a string or weighted sum (respects the dense cap)."""
     check_dense_limit(op.n_sites, "to_matrix")
     apply = apply_string if isinstance(op, PauliString) else apply_sum
-    return DenseOperator(op.n_sites, apply(op, np.eye(1 << op.n_sites, dtype=np.complex128)))
+    return apply(op, np.eye(1 << op.n_sites, dtype=np.complex128))
 
 
-def expm(
-    generator: PauliString | WeightedPauliSum, angle: float
-) -> DenseOperator:
-    """Exact ``exp(-i * angle * generator)`` as a dense matrix.
+def expm(generator: PauliString | WeightedPauliSum, angle: float) -> np.ndarray:
+    """Exact ``exp(-i * angle * generator)`` as a ``2^n x 2^n`` matrix.
 
     Involution generators use the closed form.  A sum of pairwise commuting
     strings is the product of its per-term rotations
@@ -292,39 +270,30 @@ def expm(
     h = _as_sum(generator)
     check_dense_limit(h.n_sites, "expm")
     if is_involution(h):
-        m = to_matrix(h).matrix
-        u = math.cos(angle) * np.eye(len(m)) - 1j * math.sin(angle) * m
-    elif not anticommuting_pairs([string for _, string in h.terms]):
+        m = to_matrix(h)
+        return math.cos(angle) * np.eye(len(m)) - 1j * math.sin(angle) * m
+    if not anticommuting_pairs([string for _, string in h.terms]):
         return pulse_unitary(h.n_sites, [(s, c * angle) for c, s in h.terms], "expm")
-    else:
-        vals, vecs = np.linalg.eigh(to_matrix(h).matrix)
-        u = (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
-    return DenseOperator(h.n_sites, u)
+    vals, vecs = np.linalg.eigh(to_matrix(h))
+    return (vecs * np.exp(-1j * angle * vals)) @ vecs.conj().T
 
 
-def _matrix_of(x: DenseOperator | np.ndarray) -> np.ndarray:
-    return x.matrix if isinstance(x, DenseOperator) else x
-
-
-def _difference(a: DenseOperator | np.ndarray, b: DenseOperator | np.ndarray) -> np.ndarray:
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch {ma.shape} vs {mb.shape}")
-    return ma - mb
+def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
+    return a - b
 
 
 def _spectral_norm(d: np.ndarray) -> float:
     return float(np.linalg.svd(d, compute_uv=False)[0])
 
 
-def distance(a: DenseOperator | np.ndarray, b: DenseOperator | np.ndarray) -> float:
+def distance(a: np.ndarray, b: np.ndarray) -> float:
     """Spectral distance: the largest singular value of ``a - b``."""
     return _spectral_norm(_difference(a, b))
 
 
-def certified_distance(
-    a: DenseOperator | np.ndarray, b: DenseOperator | np.ndarray, tolerance: float
-) -> tuple[float, str]:
+def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[float, str]:
     """``(value, metric)`` deciding whether ``a`` and ``b`` agree to ``tolerance``.
 
     With ``D = a - b``, ``||D||_2 <= min(||D||_F, sqrt(||D||_1 * ||D||_inf))``.
@@ -424,27 +393,21 @@ class Statevector:
 def schedule_pulses(
     schedule: QsaSchedule, tg: float | None = None
 ) -> list[tuple[WeightedPauliSum, float]]:
-    """The schedule's pulse list in time order (first applied first)."""
+    """The schedule's pulse list in the time order of :func:`schedule_unitary`.
+
+    Each attachment or swapper pulse is its spec's generator at the spec's
+    inverse or forward branch angle; the seed runs at ``tg``.
+    """
     n = schedule.n_sites
-    if tg is None:
-        tg = schedule.tg
-    pulses: list[tuple[WeightedPauliSum, float]] = []
-
-    def add(rot: InvolutionRotation) -> None:
-        pulses.append((rot.generator, rot.angle))
-
-    for spec in schedule.final_swappers:
-        add(make_swapper(spec, n, "inverse"))
-    for layer in reversed(schedule.layers):
-        for spec in layer:
-            add(make_attachment(spec, n, "inverse"))
-    pulses.append((WeightedPauliSum.from_string(schedule.seed), tg))
-    for layer in schedule.layers:
-        for spec in layer:
-            add(make_attachment(spec, n, "forward"))
-    for spec in schedule.final_swappers:
-        add(make_swapper(spec, n, "forward"))
-    return pulses
+    tg = schedule.tg if tg is None else tg
+    swappers = list(schedule.final_swappers)
+    inverse = swappers + [spec for layer in reversed(schedule.layers) for spec in layer]
+    forward = [spec for layer in schedule.layers for spec in layer] + swappers
+    return [
+        *[(spec.generator(n), spec.inverse_angle) for spec in inverse],
+        (WeightedPauliSum.from_string(schedule.seed), tg),
+        *[(spec.generator(n), spec.forward_angle) for spec in forward],
+    ]
 
 
 def apply_schedule(
@@ -456,7 +419,7 @@ def apply_schedule(
     return Statevector.from_array(run_pulses(schedule_pulses(schedule, tg), state.data))
 
 
-def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> DenseOperator:
+def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> np.ndarray:
     """The ordered pulse product as an explicit matrix.
 
     Time order: inverse swappers, inverse attachment pulses (outermost layer

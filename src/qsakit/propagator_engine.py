@@ -30,14 +30,15 @@ sign ``-1``.  A swapper exchanges ``alpha`` and ``beta`` at its site and
 flips the sign of a string carrying the third letter there.
 
 :func:`conjugate` is the float three-term conjugation identity for any
-angle.  The dense oracle runs the pulses as :class:`InvolutionRotation`
-objects at their float angles, and the tests use :func:`conjugate` as the
-reference for the rule.
+angle, applied to an :class:`InvolutionRotation`; the tests use it as the
+reference for the rule.  The dense oracle runs each pulse straight from its
+spec, as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .pauli_core import (
@@ -160,13 +161,13 @@ class AttachmentSpec(_BranchPulse):
     def from_dict(cls, data: dict) -> "AttachmentSpec":
         try:
             return cls(
-                connector_site=int(data["connector_site"]),
+                connector_site=operator.index(data["connector_site"]),
                 alpha=str(data["alpha"]),
                 beta=str(data["beta"]),
-                attached_site=int(data["attached_site"]),
+                attached_site=operator.index(data["attached_site"]),
                 attached_letter=str(data.get("attached_letter", "X")),
-                branch_m=int(data.get("branch_m", DEFAULT_BRANCH_M)),
-                branch_mp=int(data.get("branch_mp", DEFAULT_BRANCH_MP)),
+                branch_m=operator.index(data.get("branch_m", DEFAULT_BRANCH_M)),
+                branch_mp=operator.index(data.get("branch_mp", DEFAULT_BRANCH_MP)),
             )
         except KeyError as exc:
             raise PulseSpecError(f"attachment spec missing field {exc}") from exc
@@ -211,11 +212,11 @@ class SwapperSpec(_BranchPulse):
     def from_dict(cls, data: dict) -> "SwapperSpec":
         try:
             return cls(
-                site=int(data["site"]),
+                site=operator.index(data["site"]),
                 alpha=str(data["alpha"]),
                 beta=str(data["beta"]),
-                branch_m=int(data.get("branch_m", DEFAULT_BRANCH_M)),
-                branch_mp=int(data.get("branch_mp", DEFAULT_BRANCH_MP)),
+                branch_m=operator.index(data.get("branch_m", DEFAULT_BRANCH_M)),
+                branch_mp=operator.index(data.get("branch_mp", DEFAULT_BRANCH_MP)),
             )
         except KeyError as exc:
             raise PulseSpecError(f"swapper spec missing field {exc}") from exc

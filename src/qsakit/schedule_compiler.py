@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 from .pauli_core import PauliString
@@ -86,6 +87,7 @@ class ConnectivityGraph:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
         normalized = set()
         for a, b in self.edges:
+            a, b = operator.index(a), operator.index(b)
             if a == b:
                 raise ValueError("self-loop in edge list")
             if a > b:
@@ -115,7 +117,7 @@ class ConnectivityGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectivityGraph":
-        return cls.from_edges(int(data["n_sites"]), [tuple(e) for e in data["edges"]])
+        return cls.from_edges(operator.index(data["n_sites"]), [tuple(e) for e in data["edges"]])
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class QsaSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QsaSchedule":
-        n_sites = int(data["n_sites"])
+        n_sites = operator.index(data["n_sites"])
         seed = PauliString.parse(data["seed"]["string"], n_sites)
         tg = float(data["seed"]["tg"])
         layers = tuple(

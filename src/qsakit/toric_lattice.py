@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -75,7 +76,7 @@ class HoleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "HoleSpec":
         return cls(
-            tuple((int(i), int(j)) for i, j in data["plaquettes"]),
+            tuple((operator.index(i), operator.index(j)) for i, j in data["plaquettes"]),
             str(data.get("kind", "smooth")),
         )
 
@@ -97,7 +98,7 @@ class TwistSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwistSpec":
-        return cls(int(data["row"]), int(data["col"]))
+        return cls(operator.index(data["row"]), operator.index(data["col"]))
 
 
 @dataclass(frozen=True)
@@ -173,8 +174,8 @@ class LatticeSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeSpec":
         return cls(
-            rows=int(data["rows"]),
-            cols=int(data["cols"]),
+            rows=operator.index(data["rows"]),
+            cols=operator.index(data["cols"]),
             boundary=str(data.get("boundary", "open")),
             model=str(data.get("model", "wen")),
             J=float(data.get("J", 1.0)),
@@ -550,7 +551,7 @@ class DigitalSequence:
         return Statevector.from_array(run_pulses(self.pulses(), state.data))
 
     def unitary(self) -> np.ndarray:
-        return pulse_unitary(self.n_sites, self.pulses(), "digital unitary").matrix
+        return pulse_unitary(self.n_sites, self.pulses(), "digital unitary")
 
     def hamiltonian(self) -> WeightedPauliSum:
         return build_variant(self.spec).hamiltonian(self.spec.J)

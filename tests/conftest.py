@@ -76,8 +76,8 @@ def kron_expm(generator_matrix, angle):
 
 
 def frobenius_distance(a, b):
-    """Frobenius norm of ``a - b``; matrices or objects holding one in ``.matrix``."""
-    return float(np.linalg.norm(getattr(a, "matrix", a) - getattr(b, "matrix", b)))
+    """Frobenius norm of ``a - b``."""
+    return float(np.linalg.norm(a - b))
 
 
 def random_string_letters(rng, n_sites, min_weight=2):

@@ -160,7 +160,7 @@ def test_criterion_05_toric_digital_sequence(dense16):
     tau = 0.3
     seq = digital_sequence(spec, tau)
     ideal = expm(seq.hamiltonian(), tau)
-    assert ideal.dim == 512
+    assert ideal.shape == (512, 512)
     assert distance(seq.unitary(), ideal) <= 1e-8
 
     big = LatticeSpec(rows=4, cols=4)

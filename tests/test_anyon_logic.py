@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qsakit import anyon_logic
 from qsakit.anyon_logic import (
     EncodingError,
     PathError,
@@ -175,6 +176,19 @@ def test_memory_basis_and_encode(dense16):
     state = memory_encode(spec, list(amps))
     overlaps = np.array([b.inner(state) for b in basis])
     assert np.max(np.abs(overlaps - amps)) <= 1e-8
+
+
+def test_memory_encode_projects_the_ground_state_once(dense16, monkeypatch):
+    spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ground_state_projector(*args, **kwargs)
+
+    monkeypatch.setattr(anyon_logic, "ground_state_projector", counted)
+    memory_encode(spec, [1.0, 0.5, 0.0, 0.25j])
+    assert len(calls) == 1
 
 
 def test_single_loop_rotation_amplitudes(dense16):

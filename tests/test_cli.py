@@ -642,3 +642,73 @@ def test_benchmark_tracer_finds_every_reported_function():
         cwd=Path(__file__).resolve().parent.parent, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, but an SVD that does not converge
+    # is a fault of the numerics, not of the input
+    import numpy as np
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    spec = write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3})
+    code = main(["analyze", "error-scaling", "--digital", spec])
+    captured = capsys.readouterr()
+    report = strict_json(captured.out)
+    assert code == 4 and report["status"] == "internal-error"
+    assert report["error"] == "LinAlgError: SVD did not converge"
+    assert "Traceback" in captured.err and "no_convergence" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    PLAQUETTE_ARGS,
+    ["compile", "--target", "XZZX" * 3],  # 12 sites: the probe branch draws states
+    ["verify", "--schedule", None],
+], ids=["compile", "compile-probes", "verify"])
+def test_a_negative_seed_exits_two(tmp_path, capsys, argv):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    argv = [str(out_file) if a is None else a for a in argv]
+    code = main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--seed: must be at least 0, got '-1'" in captured.err
+    code, out = run_cli(capsys, argv + ["--seed", "0"])
+    assert code == 0 and json.loads(out)["seed"] == 0
+
+
+def _fractional_connector_site(tmp_path, capsys):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    data = json.loads(out_file.read_text())
+    data["layers"][0][0]["connector_site"] += 0.4
+    return ["verify", "--schedule", write_json(tmp_path / "fractional.json", data)]
+
+
+def _fractional_hole(tmp_path, capsys):
+    spec = write_json(tmp_path / "holes.json", HOLES_SPEC)
+    payload = write_json(tmp_path / "magic.json", {"hole": 0.9})
+    return ["anyon", "magic", "--spec", spec, "--path", payload]
+
+
+def _fractional_rows(tmp_path, capsys):
+    return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", {"rows": 3.7, "cols": 3})]
+
+
+def _fractional_edge(tmp_path, capsys):
+    edges = [[a, b] for a in range(4) for b in range(a + 1, 4)] + [[0, 1.5]]
+    graph = write_json(tmp_path / "graph.json", {"n_sites": 4, "edges": edges})
+    return ["compile", "--target", "XZZX", "--graph", graph]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _fractional_connector_site, _fractional_hole, _fractional_rows, _fractional_edge,
+], ids=["connector-site", "hole", "rows", "graph-edge"])
+def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv):
+    # int() would truncate 0.4 to 0 and run on the wrong site, hole or lattice
+    code, out = run_cli(capsys, make_argv(tmp_path, capsys))
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert "'float' object cannot be interpreted as an integer" in report["error"]

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qsakit import dense_oracle
+from qsakit.analysis import pulse_product
+from qsakit.anyon_logic import StringPropagator
 from qsakit.dense_oracle import (
     MATRIX_QUBIT_CAP,
     ResourceLimitError,
@@ -26,6 +30,7 @@ from qsakit.dense_oracle import (
     distance,
     expm,
     max_dense_qubits,
+    pulse_unitary,
     run_pulses,
     schedule_pulses,
     schedule_unitary,
@@ -34,9 +39,14 @@ from qsakit.dense_oracle import (
     verify_schedule,
 )
 from qsakit.pauli_core import PauliString, WeightedPauliSum, commutes
-from qsakit.propagator_engine import AttachmentSpec, SwapperSpec
+from qsakit.propagator_engine import (
+    AttachmentSpec,
+    SwapperSpec,
+    make_attachment,
+    make_swapper,
+)
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
-from qsakit.toric_lattice import LatticeSpec, build_variant
+from qsakit.toric_lattice import LatticeSpec, build_variant, digital_sequence
 
 from conftest import (
     SIGMA,
@@ -60,7 +70,7 @@ def test_to_matrix_matches_kron():
     for _ in range(120):
         n = int(rng.integers(1, 7))
         s = random_string(rng, n)
-        assert np.allclose(to_matrix(s).matrix, kron_string(s), atol=1e-12)
+        assert np.allclose(to_matrix(s), kron_string(s), atol=1e-12)
         perm, phase = string_action(s)
         m = np.zeros((1 << n, 1 << n), dtype=np.complex128)
         m[perm, np.arange(1 << n)] = phase
@@ -108,7 +118,7 @@ def test_expm_matches_scipy_for_sums():
             continue
         tg = float(rng.uniform(-2, 2))
         assert np.allclose(
-            expm(h, tg).matrix, kron_expm(kron_sum(h), tg), atol=1e-10
+            expm(h, tg), kron_expm(kron_sum(h), tg), atol=1e-10
         )
 
 
@@ -155,7 +165,54 @@ def test_schedule_unitary_equals_pulse_product():
         u = np.eye(1 << n, dtype=np.complex128)
         for generator, angle in schedule_pulses(schedule):
             u = kron_expm(kron_sum(generator), angle) @ u
-        assert np.allclose(schedule_unitary(schedule).matrix, u, atol=1e-9)
+        assert np.allclose(schedule_unitary(schedule), u, atol=1e-9)
+
+
+@pytest.mark.parametrize("target", ["XZZX", "YYYY", "XYZXY", "ZZZZZZ"])
+def test_schedule_pulses_are_the_spec_rotations_in_time_order(target):
+    n = len(target)
+    schedule = compile_schedule(PauliString.parse(target), ConnectivityGraph.path(n), tg=0.3)
+    swappers, layers = schedule.final_swappers, schedule.layers
+    rotations = (
+        [make_swapper(spec, n, "inverse") for spec in swappers]
+        + [make_attachment(spec, n, "inverse") for layer in reversed(layers) for spec in layer]
+    )
+    want = [(rot.generator, rot.angle) for rot in rotations]
+    want.append((WeightedPauliSum.from_string(schedule.seed), 0.3))
+    rotations = (
+        [make_attachment(spec, n, "forward") for layer in layers for spec in layer]
+        + [make_swapper(spec, n, "forward") for spec in swappers]
+    )
+    want += [(rot.generator, rot.angle) for rot in rotations]
+    assert schedule_pulses(schedule) == want
+    assert len(want) == 1 + 2 * (len(swappers) + sum(len(layer) for layer in layers))
+
+
+def test_dense_products_are_square_arrays():
+    n = 4
+    x, zz = PauliString.parse("XIII"), PauliString.parse("ZZII")
+    commuting = WeightedPauliSum.from_terms(n, [(0.5, x), (0.25, PauliString.parse("XXII"))])
+    general = WeightedPauliSum.from_terms(n, [(0.5, x), (0.25, zz)])
+    schedule = compile_schedule(PauliString.parse("XZZX"), ConnectivityGraph.complete(n), tg=0.3)
+    products = [
+        pulse_unitary(n, [(x, 0.2), (zz, 0.1)], "test"),
+        schedule_unitary(schedule),
+        to_matrix(x),
+        to_matrix(commuting),
+        expm(x, 0.3),
+        expm(commuting, 0.3),
+        expm(general, 0.3),
+        StringPropagator(n, zz, 0.4).unitary(),
+        pulse_product(n, schedule_pulses(schedule)),
+        digital_sequence(LatticeSpec(rows=2, cols=2), tau=0.3).unitary(),
+    ]
+    for product in products:
+        assert type(product) is np.ndarray
+        assert product.shape == (1 << n, 1 << n)
+
+
+def test_dense_oracle_imports_nothing_from_the_pulse_engine():
+    assert "propagator_engine" not in Path(dense_oracle.__file__).read_text(encoding="utf-8")
 
 
 def test_schedule_unitary_realizes_target_exponential():
@@ -176,7 +233,7 @@ def test_apply_schedule_matches_unitary_action():
     for k in range(5):
         v = Statevector.random(4, seed=k)
         got = apply_schedule(schedule, v)
-        want = schedule_unitary(schedule).matrix @ v.data
+        want = schedule_unitary(schedule) @ v.data
         assert np.allclose(got.data, want, atol=1e-12)
     del rng
 
@@ -231,7 +288,7 @@ def test_fused_groups_stay_within_the_dense_limit(monkeypatch, n):
     report = verify_schedule(schedule)
     assert report["passed"] and report["metric"] == "spectral_distance_bound"
     want = kron_expm(kron_string(target), 0.7)
-    assert np.abs(schedule_unitary(schedule).matrix - want).max() <= 1e-12
+    assert np.abs(schedule_unitary(schedule) - want).max() <= 1e-12
 
 
 def test_env_var_that_is_not_an_integer_is_malformed_input(monkeypatch):
@@ -572,7 +629,7 @@ def commuting_sums(draw):
 @settings(max_examples=200, deadline=None)
 @given(commuting_sums(), ANGLES)
 def test_expm_of_commuting_sums_matches_scipy(h, angle):
-    got = expm(h, angle).matrix
+    got = expm(h, angle)
     assert np.abs(got - kron_expm(kron_sum(h), angle)).max() <= 1e-12
 
 
@@ -584,4 +641,4 @@ def test_expm_of_the_wen_hamiltonian_needs_no_eigendecomposition(monkeypatch):
         raise AssertionError("eigh called for a commuting sum")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    assert np.abs(expm(h, 0.3).matrix - want).max() <= 1e-12
+    assert np.abs(expm(h, 0.3) - want).max() <= 1e-12

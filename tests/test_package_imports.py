@@ -16,7 +16,7 @@ SRC = Path(qsakit.__file__).resolve().parent.parent
 
 # The export set of qsakit/__init__.py; a change to it must be recorded.
 EXPORTS = sorted([
-    "AttachmentSpec", "ConnectivityGraph", "DenseOperator", "DigitalSequence",
+    "AttachmentSpec", "ConnectivityGraph", "DigitalSequence",
     "EncodingError", "ErrorScalingReport", "HoleSpec", "InvolutionRotation",
     "LatticeError", "LatticeSpec", "LogicalQubit", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError", "Statevector",
