@@ -19,12 +19,11 @@ hole-move error live here too.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import LETTERS, PauliString, commutes, multiply
+from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply
 from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -93,7 +92,9 @@ class StringPath:
     @classmethod
     def from_dict(cls, data: dict) -> "StringPath":
         return cls(
-            tuple((operator.index(i), operator.index(j)) for i, j in data["sites"]),
+            tuple(
+                (index_field(i, "sites"), index_field(j, "sites")) for i, j in data["sites"]
+            ),
             tuple(str(c) for c in data["letters"]),
         )
 
@@ -230,6 +231,10 @@ class StringPropagator:
     def __post_init__(self) -> None:
         if self.string.phase_exp != 0:
             raise ValueError("propagator strings must carry phase +1")
+        if self.string.n_sites != self.n_sites:
+            raise ValueError(
+                f"propagator on {self.n_sites} sites, string on {self.string.n_sites}"
+            )
 
     def _pulses(self, tg: float | None) -> list[tuple[PauliString, float]]:
         return [(self.string, self.tg if tg is None else tg)]
@@ -389,22 +394,23 @@ def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, alpha + math.pi / 2.0, beta, gamma - math.pi / 2.0
 
 
-def memory_program(spec: LatticeSpec, amplitudes) -> dict:
-    """Loop-rotation program preparing the requested memory superposition.
+def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
+    """Prepare the memory state with the requested basis overlaps.
 
-    The target coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) are Schmidt
-    decomposed; one XX-loop rotation produces the Schmidt weights, three
-    Z-type loop rotations fix the relative phases, and per-qubit ZXZ Euler
-    rotations finish the local frames.  Logical Z actions carry measured
-    signs (Z_logical|G> = s|G> with s = +-1 read off the ground state), so
-    physical angles are sign-corrected.  Scalar factors the hardware would
-    never apply are accumulated in ``recorded_phase``.
-
-    Returns:
-        dict with ``operations`` (ordered (label, PauliString, angle)),
-        ``recorded_phase``, the normalized target ``amplitudes`` and the
-        ``ground_state`` the signs were read from.
+    The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) form
+    ``C = [[a0, a2], [a1, a3]] = U S V^H`` (row: qubit-1 bit,
+    ``S = diag(s0, s1)``).  One XX-loop rotation by ``chi = atan2(s1, s0)``
+    gives ``cos chi|00> - i sin chi|11>``; a ZXZ frame per qubit then
+    applies ``U`` to qubit 1 and ``V^T diag(1, i)`` to qubit 2, the ``i``
+    undoing the ``-i``.  Logical Z actions carry measured signs
+    (``Z_logical|G> = +-|G>``, read off the ground state), so Z-loop angles
+    are sign-corrected.  The frames' scalar phases, which the hardware never
+    applies, are folded back in, so the returned state's overlaps with the
+    four basis states equal the normalized amplitudes up to float roundoff.
+    Zero-angle rotations are dropped: at most seven loop rotations run.
     """
+    if spec.boundary != "periodic":
+        raise EncodingError("the quantum memory requires a periodic boundary")
     a = np.asarray(list(amplitudes), dtype=np.complex128)
     if a.shape != (4,):
         raise ValueError("amplitudes must have exactly four entries")
@@ -417,82 +423,30 @@ def memory_program(spec: LatticeSpec, amplitudes) -> dict:
     x1, z1 = memory_logical_strings(q1, spec)
     x2, z2 = memory_logical_strings(q2, spec)
     x12 = multiply(x1, x2)
-    z12 = multiply(z1, z2)
-    if x12.phase_exp or z12.phase_exp:
+    if x12.phase_exp:
         raise EncodingError("loop products must combine with phase +1")
 
     g = ground_state_projector(spec)
-    s1 = float(np.round(g.expectation(z1).real))
-    s2 = float(np.round(g.expectation(z2).real))
-    for name, s, string in (("Z1", s1, z1), ("Z2", s2, z2)):
-        if abs(abs(s) - 1.0) > 1e-9 or abs(g.expectation(string) - s) > 1e-9:
+    signs = []
+    for name, string in (("Z1", z1), ("Z2", z2)):
+        value = g.expectation(string)
+        s = float(np.round(value.real))
+        if abs(abs(s) - 1.0) > 1e-9 or abs(value - s) > 1e-9:
             raise EncodingError(f"{name} is not sharp on the ground state")
+        signs.append(s)
 
-    # Schmidt split of the 2x2 coefficient matrix (row: qubit-1 bit).
-    coeff = np.array([[a[0], a[2]], [a[1], a[3]]], dtype=np.complex128)
-    u_mat, svals, vh = np.linalg.svd(coeff)
-    chi = math.atan2(float(svals[1]), float(svals[0]))
-
-    operations: list[tuple[str, PauliString, float]] = []
+    u_mat, svals, vh = np.linalg.svd(np.array([[a[0], a[2]], [a[1], a[3]]]))
+    pulses = [(x12, math.atan2(float(svals[1]), float(svals[0])))]
     recorded = complex(1.0)
-
-    if abs(chi) > 1e-14:
-        operations.append(("xx_entangle", x12, chi))
-    # exp(-i chi X1X2)|00> = cos chi |00> - i sin chi |11|; rephase |11> by +i
-    target_phases = np.array([0.0, 0.0, 0.0, math.pi / 2.0])
-    mat = np.array(
-        [
-            [1.0, -1.0, -1.0, -1.0],
-            [1.0, -1.0, 1.0, 1.0],
-            [1.0, 1.0, -1.0, 1.0],
-            [1.0, 1.0, 1.0, -1.0],
-        ]
-    )
-    phi, a2, b2, c2 = np.linalg.solve(mat, target_phases)
-    recorded *= np.exp(1j * phi)
-    for label, string, half, sign in (
-        ("phase_z1", z1, a2, s1),
-        ("phase_z2", z2, b2, s2),
-        ("phase_z1z2", z12, c2, s1 * s2),
+    for frame, xs, zs, sign in (
+        (vh.T @ np.diag([1.0, 1j]), x2, z2, signs[1]),
+        (u_mat, x1, z1, signs[0]),
     ):
-        if abs(half) > 1e-14:
-            operations.append((label, string, float(half) * sign))
-
-    for label, gate, xs, zs, sign in (
-        ("local_q2", vh.T.copy(), x2, z2, s2),
-        ("local_q1", u_mat, x1, z1, s1),
-    ):
-        delta, alpha, beta, gamma = _euler_zxz(gate)
+        delta, alpha, beta, gamma = _euler_zxz(frame)
         recorded *= np.exp(1j * delta)
-        if abs(gamma) > 1e-14:
-            operations.append((label + "_rz", zs, (gamma / 2.0) * sign))
-        if abs(beta) > 1e-14:
-            operations.append((label + "_rx", xs, beta / 2.0))
-        if abs(alpha) > 1e-14:
-            operations.append((label + "_rz2", zs, (alpha / 2.0) * sign))
-
-    return {
-        "amplitudes": a,
-        "operations": operations,
-        "recorded_phase": recorded,
-        "ground_state": g,
-    }
-
-
-def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
-    """Prepare the memory state with the requested basis overlaps.
-
-    Runs the :func:`memory_program` rotations on the ground state the program
-    read its signs from and folds the recorded scalar phase back in, so the
-    returned state's overlaps with the four basis states equal the normalized
-    amplitudes exactly (up to float roundoff).
-    """
-    if spec.boundary != "periodic":
-        raise EncodingError("the quantum memory requires a periodic boundary")
-    program = memory_program(spec, amplitudes)
-    pulses = [(string, angle) for _, string, angle in program["operations"]]
-    arr = run_pulses(pulses, program["ground_state"].data)
-    return Statevector.from_array(program["recorded_phase"] * arr)
+        pulses += [(zs, gamma / 2.0 * sign), (xs, beta / 2.0), (zs, alpha / 2.0 * sign)]
+    pulses = [(string, angle) for string, angle in pulses if abs(angle) > 1e-14]
+    return Statevector.from_array(recorded * run_pulses(pulses, g.data))
 
 
 # -- braiding statistics ----------------------------------------------------------

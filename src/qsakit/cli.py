@@ -24,11 +24,10 @@ import functools
 import hashlib
 import json
 import math
-import operator
 import sys
 
 from .dense_limit import ResourceLimitError, max_dense_qubits
-from .pauli_core import PauliString
+from .pauli_core import PauliString, index_field
 from .schedule_compiler import (
     ConnectivityGraph,
     QsaSchedule,
@@ -154,6 +153,14 @@ def _dense_check(report: dict, name: str = "dense-identity") -> dict:
     return _check(name, report["passed"], f"{report['metric']} = {report['distance']:.3e}")
 
 
+def _load_graph(path: str) -> ConnectivityGraph:
+    """A connectivity graph file; a missing or non-integer field names the file."""
+    try:
+        return ConnectivityGraph.from_dict(_load_json(path))
+    except (KeyError, TypeError) as exc:
+        raise CliInputError(f"bad graph file {path}: {exc}") from exc
+
+
 def _load_schedule(path: str) -> QsaSchedule:
     """A schedule file, with a finite seed angle."""
     data = _load_json(path)
@@ -174,7 +181,7 @@ def _cmd_compile(args):
     paths = []
     graph = None  # every pair of support sites coupled
     if args.graph is not None:
-        graph = ConnectivityGraph.from_dict(_load_json(args.graph))
+        graph = _load_graph(args.graph)
         paths.append(args.graph)
     schedule = compile_schedule(target, graph, strategy=args.strategy, tg=args.tg)
 
@@ -218,7 +225,7 @@ def _cmd_verify(args):
     paths = [args.schedule]
     graph = None
     if args.graph is not None:
-        graph = ConnectivityGraph.from_dict(_load_json(args.graph))
+        graph = _load_graph(args.graph)
         paths.append(args.graph)
 
     checks = _validator_checks(validate(schedule, graph))
@@ -479,7 +486,7 @@ def _amplitude(entry, field: str) -> complex:
 
 
 def _hole_from_payload(payload, spec, key, default):
-    idx = operator.index(payload.get(key, default))
+    idx = index_field(payload.get(key, default), key)
     if not (0 <= idx < len(spec.holes)):
         raise CliInputError(
             f"{key} hole index {idx} out of range: spec defines "

@@ -57,6 +57,18 @@ class PauliFormatError(ValueError):
     """Raised when a Pauli literal cannot be parsed."""
 
 
+def index_field(value, field: str) -> int:
+    """``operator.index(value)`` for an integer field read from input, naming ``field``.
+
+    A float or a numeric string raises ``TypeError`` instead of being
+    truncated or converted.
+    """
+    try:
+        return index(value)
+    except TypeError as exc:
+        raise TypeError(f"{field}: {exc}") from None
+
+
 def _sites(mask: int) -> tuple[int, ...]:
     """Ascending positions of the set bits of ``mask``."""
     bits = format(mask, "b")[::-1]

@@ -38,7 +38,6 @@ spec, as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 from .pauli_core import (
@@ -46,6 +45,7 @@ from .pauli_core import (
     PauliString,
     WeightedPauliSum,
     commutes,
+    index_field,
     is_involution,
     multiply,
 )
@@ -161,13 +161,13 @@ class AttachmentSpec(_BranchPulse):
     def from_dict(cls, data: dict) -> "AttachmentSpec":
         try:
             return cls(
-                connector_site=operator.index(data["connector_site"]),
+                connector_site=index_field(data["connector_site"], "connector_site"),
                 alpha=str(data["alpha"]),
                 beta=str(data["beta"]),
-                attached_site=operator.index(data["attached_site"]),
+                attached_site=index_field(data["attached_site"], "attached_site"),
                 attached_letter=str(data.get("attached_letter", "X")),
-                branch_m=operator.index(data.get("branch_m", DEFAULT_BRANCH_M)),
-                branch_mp=operator.index(data.get("branch_mp", DEFAULT_BRANCH_MP)),
+                branch_m=index_field(data.get("branch_m", DEFAULT_BRANCH_M), "branch_m"),
+                branch_mp=index_field(data.get("branch_mp", DEFAULT_BRANCH_MP), "branch_mp"),
             )
         except KeyError as exc:
             raise PulseSpecError(f"attachment spec missing field {exc}") from exc
@@ -212,11 +212,11 @@ class SwapperSpec(_BranchPulse):
     def from_dict(cls, data: dict) -> "SwapperSpec":
         try:
             return cls(
-                site=operator.index(data["site"]),
+                site=index_field(data["site"], "site"),
                 alpha=str(data["alpha"]),
                 beta=str(data["beta"]),
-                branch_m=operator.index(data.get("branch_m", DEFAULT_BRANCH_M)),
-                branch_mp=operator.index(data.get("branch_mp", DEFAULT_BRANCH_MP)),
+                branch_m=index_field(data.get("branch_m", DEFAULT_BRANCH_M), "branch_m"),
+                branch_mp=index_field(data.get("branch_mp", DEFAULT_BRANCH_MP), "branch_mp"),
             )
         except KeyError as exc:
             raise PulseSpecError(f"swapper spec missing field {exc}") from exc

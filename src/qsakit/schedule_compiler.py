@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .pauli_core import PauliString
+from .pauli_core import PauliString, index_field
 from .propagator_engine import (
     AttachmentSpec,
     CollapseError,
+    PulseSpecError,
     SwapperSpec,
     apply_swap,
     branch_conjugate,
@@ -87,7 +87,7 @@ class ConnectivityGraph:
             raise ValueError(f"n_sites must be positive, got {self.n_sites}")
         normalized = set()
         for a, b in self.edges:
-            a, b = operator.index(a), operator.index(b)
+            a, b = index_field(a, "edges"), index_field(b, "edges")
             if a == b:
                 raise ValueError("self-loop in edge list")
             if a > b:
@@ -117,7 +117,9 @@ class ConnectivityGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectivityGraph":
-        return cls.from_edges(operator.index(data["n_sites"]), [tuple(e) for e in data["edges"]])
+        return cls.from_edges(
+            index_field(data["n_sites"], "n_sites"), [tuple(e) for e in data["edges"]]
+        )
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ class QsaSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QsaSchedule":
-        n_sites = operator.index(data["n_sites"])
+        n_sites = index_field(data["n_sites"], "n_sites")
         seed = PauliString.parse(data["seed"]["string"], n_sites)
         tg = float(data["seed"]["tg"])
         layers = tuple(
@@ -404,8 +406,9 @@ def compile_schedule(
             reproduces +1-phase strings).
         DisconnectedSupportError: Support not connected inside the graph.
         StrategyInfeasibleError: Explicit strategy not admitted by the graph.
-        ReplayFaultError: The planned schedule did not replay to the target
-            (a fault of the compiler, not of its input).
+        ReplayFaultError: The planned schedule did not replay to the target,
+            or grew a site its swappers cannot fix (a fault of the compiler,
+            not of its input).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected {STRATEGIES}")
@@ -434,34 +437,21 @@ def compile_schedule(
     return _materialize(target, *_plan(strategy, support, adj), tg)
 
 
-def _step_letters(letters: dict[int, str], layer) -> None:
-    """Advance the per-site letters of a growing string through one layer.
-
-    Each attachment toggles its connector's letter between ``alpha`` and
-    ``beta`` (a connector carrying neither keeps it) and writes its attached
-    letter onto the fresh site.
-    """
-    for spec in layer:
-        have = letters.get(spec.connector_site)
-        if have == spec.alpha:
-            letters[spec.connector_site] = spec.beta
-        elif have == spec.beta:
-            letters[spec.connector_site] = spec.alpha
-        letters[spec.attached_site] = spec.attached_letter
-
-
 def _materialize(
     target: PauliString,
     seed_pair: tuple[int, int],
     layer_pairs,
     tg: float,
 ) -> QsaSchedule:
-    """Turn a growth plan into specs, track letters, and emit swappers."""
+    """Turn a growth plan into specs, replay it, and emit swappers off the replay.
+
+    The attachment layers are replayed once; every grown site whose replayed
+    letter differs from the target's gets a swapper, and the swapped string
+    must be the target.
+    """
     n = target.n_sites
-    letters = {seed_pair[0]: "X", seed_pair[1]: "X"}
-    layers = []
-    for pairs in layer_pairs:
-        layer = tuple(
+    layers = tuple(
+        tuple(
             AttachmentSpec(
                 connector_site=connector,
                 alpha=GROW_ALPHA,
@@ -471,35 +461,29 @@ def _materialize(
             )
             for connector, attached in pairs
         )
-        _step_letters(letters, layer)
-        layers.append(layer)
-
-    swappers = []
-    for site in sorted(letters):
-        want = target.letter(site)
-        have = letters[site]
-        if want != have:
-            swappers.append(SwapperSpec(site=site, alpha=have, beta=want))
-
-    seed = PauliString.from_sites(n, {seed_pair[0]: "X", seed_pair[1]: "X"})
-    schedule = QsaSchedule(
-        n_sites=n,
-        seed=seed,
-        tg=tg,
-        layers=tuple(layers),
-        final_swappers=tuple(swappers),
-        target=target,
+        for pairs in layer_pairs
     )
+    seed = PauliString.from_sites(n, {seed_pair[0]: "X", seed_pair[1]: "X"})
+    schedule = QsaSchedule(n, seed, tg, layers, (), target)
     try:
-        replayed = replay_symbolic(schedule)
+        grown = replay_symbolic(schedule)
+        swappers = tuple(
+            SwapperSpec(site=site, alpha=grown.letter(site), beta=target.letter(site))
+            for site in grown.support
+            if grown.letter(site) != target.letter(site)
+        )
+        for spec in swappers:
+            grown = apply_swap(grown, spec)
     except CollapseError as exc:
         raise ReplayFaultError(f"internal replay collapse: {exc}") from exc
-    if replayed != target:
+    except PulseSpecError as exc:
+        raise ReplayFaultError(f"internal swapper fault: {exc}") from exc
+    if grown != target:
         raise ReplayFaultError(
-            f"internal replay mismatch: grew {replayed.format()}, "
+            f"internal replay mismatch: grew {grown.format()}, "
             f"wanted {target.format()}"
         )
-    return schedule
+    return replace(schedule, final_swappers=swappers)
 
 
 def replay_symbolic(schedule: QsaSchedule) -> PauliString:
@@ -596,7 +580,13 @@ def _violations(
                     f"layer {idx}: ({spec.connector_site}, {spec.attached_site}) "
                     f"is not a graph edge"
                 )
-        _step_letters(letters, layer)
+        for spec in layer:
+            have = letters.get(spec.connector_site)
+            if have == spec.alpha:
+                letters[spec.connector_site] = spec.beta
+            elif have == spec.beta:
+                letters[spec.connector_site] = spec.alpha
+            letters[spec.attached_site] = spec.attached_letter
 
     swap_sites = [spec.site for spec in schedule.final_swappers]
     if len(swap_sites) != len(set(swap_sites)):

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs
+from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs, index_field
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -76,7 +75,10 @@ class HoleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "HoleSpec":
         return cls(
-            tuple((operator.index(i), operator.index(j)) for i, j in data["plaquettes"]),
+            tuple(
+                (index_field(i, "plaquettes"), index_field(j, "plaquettes"))
+                for i, j in data["plaquettes"]
+            ),
             str(data.get("kind", "smooth")),
         )
 
@@ -98,7 +100,7 @@ class TwistSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwistSpec":
-        return cls(operator.index(data["row"]), operator.index(data["col"]))
+        return cls(index_field(data["row"], "row"), index_field(data["col"], "col"))
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ class LatticeSpec:
     def site_index(self, i: int, j: int) -> int:
         """Row-major spin index for the wen model (row 0 at the bottom)."""
         if self.model != "wen":
-            raise LatticeError("site_index addresses wen spins; use edge_index")
+            raise LatticeError("site_index addresses wen spins; use kitaev_edge_index")
         if self.boundary == "periodic":
             i %= self.rows
             j %= self.cols
@@ -174,8 +176,8 @@ class LatticeSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeSpec":
         return cls(
-            rows=operator.index(data["rows"]),
-            cols=operator.index(data["cols"]),
+            rows=index_field(data["rows"], "rows"),
+            cols=index_field(data["cols"], "cols"),
             boundary=str(data.get("boundary", "open")),
             model=str(data.get("model", "wen")),
             J=float(data.get("J", 1.0)),

@@ -36,7 +36,7 @@ from qsakit.anyon_logic import (
     string_propagator,
     syndrome_of,
 )
-from qsakit.dense_oracle import Statevector, apply_string
+from qsakit.dense_oracle import Statevector, apply_string, run_pulses
 from qsakit.pauli_core import PauliString, commutes
 from qsakit.toric_lattice import (
     HoleSpec,
@@ -191,6 +191,33 @@ def test_memory_encode_projects_the_ground_state_once(dense16, monkeypatch):
     assert len(calls) == 1
 
 
+MEMORY_CASES = {f"basis-{k}": np.eye(4)[k] for k in range(4)} | {
+    "bell": [1, 0, 0, 1], "bell-phase": [1, 0, 0, 1j],
+    "product-q1": [1, 1, 0, 0], "product-plus": [1, 1, 1, 1],
+} | {
+    f"random-{k}": v
+    for k, v in enumerate(np.random.default_rng(SEED + 2).normal(size=(10, 4, 2)) @ [1, 1j])
+}
+
+
+@pytest.mark.parametrize("amps", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
+def test_memory_encode_runs_at_most_seven_loop_rotations(dense16, monkeypatch, amps):
+    spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
+    basis = memory_basis(spec)
+    counts = []
+
+    def counted(pulses, data):
+        counts.append(len(pulses))
+        return run_pulses(pulses, data)
+
+    monkeypatch.setattr(anyon_logic, "run_pulses", counted)
+    amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
+    state = memory_encode(spec, list(amps))
+    overlaps = np.array([b.inner(state) for b in basis])
+    assert np.max(np.abs(overlaps - amps)) <= 1e-12
+    assert len(counts) == 1 and counts[0] <= 7
+
+
 def test_single_loop_rotation_amplitudes(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     basis = memory_basis(spec)
@@ -201,6 +228,11 @@ def test_single_loop_rotation_amplitudes(dense16):
     a1 = basis[1].inner(rotated)
     assert abs(a0 - math.cos(math.pi / 8.0)) <= 1e-10
     assert abs(a1 - (-1j) * math.sin(math.pi / 8.0)) <= 1e-10
+
+
+def test_string_propagator_refuses_a_width_mismatch():
+    with pytest.raises(ValueError, match="propagator on 5 sites, string on 4"):
+        StringPropagator(5, PauliString.parse("XZZX"), 0.3)
 
 
 def test_interleaved_crossings_rejected():

@@ -254,15 +254,22 @@ def _skip_pulse(q, a, b):
     return q
 
 
-@pytest.mark.parametrize("fault, error", [
-    (_flip_sign, "ReplayFaultError: internal replay collapse: "
-                 "attachment (0, 2) gives -ZXXI: coefficient -1, not +1"),
-    (_skip_pulse, "ReplayFaultError: internal replay mismatch: grew "),
-], ids=["collapse", "mismatch"])
-def test_a_compiler_replay_fault_exits_four(capsys, monkeypatch, fault, error):
+def _grow_an_idle_site(strategy, support, adj):
+    # site 4 grows, but the target XZZXI leaves it as the identity
+    return (0, 1), [[(0, 2), (1, 3)], [(2, 4)]]
+
+
+@pytest.mark.parametrize("name, fault, target, error", [
+    ("branch_conjugate", _flip_sign, "XZZX", "ReplayFaultError: internal replay collapse: "
+     "attachment (0, 2) gives -ZXXI: coefficient -1, not +1"),
+    ("branch_conjugate", _skip_pulse, "XZZX", "ReplayFaultError: internal replay mismatch: grew "),
+    ("_plan", _grow_an_idle_site, "XZZXI", "ReplayFaultError: internal swapper fault: "
+     "beta must be X, Y or Z, got 'I'"),
+], ids=["collapse", "mismatch", "swapper"])
+def test_a_compiler_replay_fault_exits_four(capsys, monkeypatch, name, fault, target, error):
     # no input makes the compiler's own replay fail, so it is not malformed input
-    monkeypatch.setattr(schedule_compiler, "branch_conjugate", fault)
-    code, out = run_cli(capsys, ["compile", "--target", "XZZX"])
+    monkeypatch.setattr(schedule_compiler, name, fault)
+    code, out = run_cli(capsys, ["compile", "--target", target])
     report = strict_json(out)
     assert code == 4 and report["status"] == "internal-error"
     assert report["error"].startswith(error)
@@ -697,18 +704,41 @@ def _fractional_rows(tmp_path, capsys):
     return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", {"rows": 3.7, "cols": 3})]
 
 
+def _fractional_hole_cell(tmp_path, capsys):
+    spec = {"rows": 4, "cols": 4, "holes": [{"plaquettes": [[1, 0.5]]}]}
+    return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", spec)]
+
+
+def _fractional_twist_row(tmp_path, capsys):
+    spec = {"rows": 4, "cols": 4, "twists": [{"row": 0.5, "col": 1}]}
+    return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", spec)]
+
+
 def _fractional_edge(tmp_path, capsys):
     edges = [[a, b] for a in range(4) for b in range(a + 1, 4)] + [[0, 1.5]]
     graph = write_json(tmp_path / "graph.json", {"n_sites": 4, "edges": edges})
     return ["compile", "--target", "XZZX", "--graph", graph]
 
 
-@pytest.mark.parametrize("make_argv", [
-    _fractional_connector_site, _fractional_hole, _fractional_rows, _fractional_edge,
-], ids=["connector-site", "hole", "rows", "graph-edge"])
-def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv):
-    # int() would truncate 0.4 to 0 and run on the wrong site, hole or lattice
+def _fractional_path_site(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3})
+    path = write_json(tmp_path / "path.json", {"sites": [[0, 0.5]], "letters": "X"})
+    return ["anyon", "syndrome", "--spec", spec, "--path", path]
+
+
+@pytest.mark.parametrize("make_argv, context", [
+    (_fractional_connector_site, "bad schedule file: connector_site: "),
+    (_fractional_hole, "TypeError: hole: "),
+    (_fractional_rows, "wen.json: rows: "),
+    (_fractional_hole_cell, "wen.json: plaquettes: "),
+    (_fractional_twist_row, "wen.json: row: "),
+    (_fractional_edge, "graph.json: edges: "),
+    (_fractional_path_site, "bad path file: sites: "),
+], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site"])
+def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, context):
+    # int() would truncate 0.4 to 0 and run on the wrong site, hole or lattice;
+    # the error names the file, where there is one, and the field
     code, out = run_cli(capsys, make_argv(tmp_path, capsys))
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
-    assert "'float' object cannot be interpreted as an integer" in report["error"]
+    assert context + "'float' object cannot be interpreted as an integer" in report["error"]

@@ -1,11 +1,14 @@
 """Lattice builds, digital evolution and ground states vs brute force."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qsakit.dense_oracle import Statevector, apply_string, distance
 from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes, multiply
+from qsakit import toric_lattice
 from qsakit.schedule_compiler import validate
 from qsakit.toric_lattice import (
     HoleSpec,
@@ -253,6 +256,14 @@ def test_kitaev_edge_indexing_and_counts():
     assert seen == set(range(14))
     with pytest.raises(LatticeError):
         kitaev_edge_index(spec, "h", 0, 0)  # rough top row has no horizontals
+
+
+def test_site_index_on_a_hole_spec_names_an_existing_function():
+    spec = LatticeSpec(rows=3, cols=4, model="kitaev_holes")
+    with pytest.raises(LatticeError) as info:
+        spec.site_index(0, 0)
+    named = re.search(r"use (\w+)", str(info.value)).group(1)
+    assert callable(getattr(toric_lattice, named, None))
 
 
 def test_kitaev_bare_lattice_fills_the_register():
