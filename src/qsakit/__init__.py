@@ -21,8 +21,8 @@ _EXPORTS = {
         "multiply", "square", "sum_commutes",
     ),
     "propagator_engine": (
-        "AttachmentSpec", "SwapperSpec", "InvolutionRotation", "make_attachment",
-        "make_swapper", "conjugate", "apply_swap",
+        "AttachmentSpec", "SwapperSpec", "make_attachment", "make_swapper",
+        "conjugate", "apply_swap",
     ),
     "schedule_compiler": (
         "ConnectivityGraph", "QsaSchedule", "compile_schedule", "depth_bound",

@@ -147,18 +147,6 @@ def pulse_product(n_sites: int, pulses, offsets=None) -> np.ndarray:
     return pulse_unitary(n_sites, pulses, "pulse product", offsets)
 
 
-def perturbed_distance(subject, delta: float) -> float:
-    """Spectral distance to the ideal product when every angle shifts by +delta.
-
-    Accepts delta = 0 (returning 0 up to roundoff); the scaling fit in
-    :func:`error_scaling` restricts its deltas to (0, 0.1].
-    """
-    n_sites, pulses, _ = _subject_pulses(subject)
-    ideal = pulse_product(n_sites, pulses)
-    perturbed = pulse_product(n_sites, pulses, np.full(len(pulses), float(delta)))
-    return distance(perturbed, ideal)
-
-
 def error_scaling(
     subject,
     deltas=(1e-2, 1e-3, 1e-4),

@@ -153,10 +153,6 @@ class Syndrome:
     def plaquettes(self) -> tuple[tuple[int, int], ...]:
         return tuple(p for p, _ in self.entries)
 
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        return tuple(k for _, k in self.entries)
-
     def is_empty(self) -> bool:
         return not self.entries
 

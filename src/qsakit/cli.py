@@ -154,10 +154,11 @@ def _dense_check(report: dict, name: str = "dense-identity") -> dict:
 
 
 def _load_graph(path: str) -> ConnectivityGraph:
-    """A connectivity graph file; a missing or non-integer field names the file."""
+    """A connectivity graph file; a missing or non-integer field or a bad edge names the file."""
+    data = _load_json(path)  # its CliInputError already names the file
     try:
-        return ConnectivityGraph.from_dict(_load_json(path))
-    except (KeyError, TypeError) as exc:
+        return ConnectivityGraph.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad graph file {path}: {exc}") from exc
 
 
@@ -372,7 +373,10 @@ def _cmd_anyon(args):
         metrics["closed"] = anyon_logic.path_is_closed(string_path, spec)
 
     elif args.action == "braid":
-        center = tuple(payload.get("center", (1, 1)))
+        raw = payload.get("center", [1, 1])
+        if not isinstance(raw, list) or len(raw) != 2:
+            raise CliInputError(f"center must hold two entries, got {raw!r}")
+        center = tuple(index_field(entry, "center") for entry in raw)
         report = anyon_logic.braiding_phase(spec, center)
         checks.append(
             _check(
@@ -435,7 +439,7 @@ def _cmd_anyon(args):
 
     elif args.action == "magic":
         theta = _finite_number(payload.get("theta", math.pi / 4.0), "theta")
-        qubit = _hole_qubit_from_payload(payload, spec, "hole", default=0)
+        qubit = anyon_logic.hole_qubit(_hole_from_payload(payload, spec, "hole", default=0), spec)
         report = anyon_logic.magic_report(qubit, theta, spec)
         checks.append(
             _check(
@@ -493,12 +497,6 @@ def _hole_from_payload(payload, spec, key, default):
             f"{len(spec.holes)} hole(s)"
         )
     return spec.holes[idx]
-
-
-def _hole_qubit_from_payload(payload, spec, key, default):
-    from . import anyon_logic
-
-    return anyon_logic.hole_qubit(_hole_from_payload(payload, spec, key, default), spec)
 
 
 def _cmd_analyze(args):

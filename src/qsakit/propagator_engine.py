@@ -29,10 +29,10 @@ toggles the connector letter to ``beta`` (or ``alpha``) and deposits the
 sign ``-1``.  A swapper exchanges ``alpha`` and ``beta`` at its site and
 flips the sign of a string carrying the third letter there.
 
-:func:`conjugate` is the float three-term conjugation identity for any
-angle, applied to an :class:`InvolutionRotation`; the tests use it as the
-reference for the rule.  The dense oracle runs each pulse straight from its
-spec, as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
+:func:`conjugate` is the float three-term conjugation identity for a pulse
+``(generator, angle)`` at any angle; the tests use it as the reference for
+the rule.  :func:`make_attachment`, :func:`make_swapper` and the dense oracle
+give a spec's pulse as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
 """
 
 from __future__ import annotations
@@ -222,52 +222,28 @@ class SwapperSpec(_BranchPulse):
             raise PulseSpecError(f"swapper spec missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
-class InvolutionRotation:
-    """A rotation ``exp(-i * angle * generator)`` with ``generator**2 == 1``.
-
-    The involution property is what makes every propagator here exact:
-    ``exp(-i t H) = cos(t) - i sin(t) H`` whenever ``H**2 == 1``.
-    """
-
-    generator: WeightedPauliSum
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not is_involution(self.generator):
-            raise PulseSpecError(
-                f"generator does not square to the identity: {self.generator}"
-            )
-
-    @property
-    def n_sites(self) -> int:
-        return self.generator.n_sites
-
-
 def _branch_rotation(
     spec: AttachmentSpec | SwapperSpec, n_sites: int, direction: str
-) -> InvolutionRotation:
-    """The spec's rotation at its forward or inverse branch angle."""
+) -> tuple[WeightedPauliSum, float]:
+    """The spec's pulse ``(generator, angle)`` at its forward or inverse branch angle."""
     if direction == "forward":
-        angle = spec.forward_angle
-    elif direction == "inverse":
-        angle = spec.inverse_angle
-    else:
-        raise PulseSpecError(f"invalid direction {direction!r}")
-    return InvolutionRotation(spec.generator(n_sites), angle)
+        return spec.generator(n_sites), spec.forward_angle
+    if direction == "inverse":
+        return spec.generator(n_sites), spec.inverse_angle
+    raise PulseSpecError(f"invalid direction {direction!r}")
 
 
 def make_attachment(
     spec: AttachmentSpec, n_sites: int, direction: str = "forward"
-) -> InvolutionRotation:
-    """Build the attachment rotation at the spec's branch angle."""
+) -> tuple[WeightedPauliSum, float]:
+    """The attachment pulse ``(generator, angle)`` at the spec's branch angle."""
     return _branch_rotation(spec, n_sites, direction)
 
 
 def make_swapper(
     spec: SwapperSpec, n_sites: int, direction: str = "forward"
-) -> InvolutionRotation:
-    """Build the swapper rotation at the spec's branch angle."""
+) -> tuple[WeightedPauliSum, float]:
+    """The swapper pulse ``(generator, angle)`` at the spec's branch angle."""
     return _branch_rotation(spec, n_sites, direction)
 
 
@@ -281,8 +257,8 @@ def _check_conjugand(q: PauliString, n_sites: int) -> None:
         raise ValueError(f"cannot conjugate non-Hermitian-phase string {q}")
 
 
-def conjugate(q: PauliString, rotation: InvolutionRotation) -> WeightedPauliSum:
-    """Exact conjugation ``U q U^dag`` with ``U = exp(-i * angle * H)``.
+def conjugate(q: PauliString, pulse: tuple[WeightedPauliSum, float]) -> WeightedPauliSum:
+    """Exact conjugation ``U q U^dag`` for the pulse ``(H, t)``, ``U = exp(-i t H)``.
 
     Uses the involution identity
 
@@ -290,10 +266,16 @@ def conjugate(q: PauliString, rotation: InvolutionRotation) -> WeightedPauliSum:
 
     and collects the result.  ``q`` must carry a real phase (+1 or -1);
     imaginary-phased strings cannot appear in a real-coefficient sum.
+
+    Raises:
+        PulseSpecError: ``H`` does not square to the identity.
     """
-    _check_conjugand(q, rotation.n_sites)
-    h = rotation.generator
-    t = rotation.angle
+    h, t = pulse
+    if not is_involution(h):
+        raise PulseSpecError(
+            f"generator does not square to the identity: {h}"
+        )
+    _check_conjugand(q, h.n_sites)
     cos_t, sin_t = math.cos(t), math.sin(t)
     terms: list[tuple[complex, PauliString]] = [(cos_t * cos_t, q)]
     for ca, sa in h.terms:
@@ -307,13 +289,14 @@ def conjugate(q: PauliString, rotation: InvolutionRotation) -> WeightedPauliSum:
     return WeightedPauliSum.from_terms(q.n_sites, terms)
 
 
-def collapse(total: WeightedPauliSum) -> PauliString:
-    """Extract the single string of a sum whose lone coefficient is +1.
+def conjugate_string(q: PauliString, pulse: tuple[WeightedPauliSum, float]) -> PauliString:
+    """:func:`conjugate`, collapsed to the lone string of a +1 coefficient.
 
     Raises:
-        CollapseError: If the sum has more than one term or the coefficient
+        CollapseError: If the result has more than one term or its coefficient
             deviates from +1 by more than the collection tolerance.
     """
+    total = conjugate(q, pulse)
     if len(total.terms) != 1:
         raise CollapseError(
             f"conjugation did not collapse to one string: {total}"
@@ -324,11 +307,6 @@ def collapse(total: WeightedPauliSum) -> PauliString:
             f"collapsed coefficient {coeff!r} differs from +1: {total}"
         )
     return string
-
-
-def conjugate_string(q: PauliString, rotation: InvolutionRotation) -> PauliString:
-    """Conjugate and collapse in one step (the scheduling fast path)."""
-    return collapse(conjugate(q, rotation))
 
 
 def branch_conjugate(q: PauliString, a: PauliString, b: PauliString) -> PauliString:

@@ -9,7 +9,7 @@ from qsakit.analysis import (
     ErrorScalingReport,
     StrengthParams,
     error_scaling,
-    perturbed_distance,
+    pulse_product,
     strength_target,
     strength_toric,
 )
@@ -130,7 +130,11 @@ def test_error_scaling_slope_on_plaquette():
 
 
 def test_error_scaling_zero_offset_gives_zero_distance():
-    assert perturbed_distance(plaquette_schedule(), 0.0) == 0.0
+    schedule = plaquette_schedule()
+    pulses = schedule_pulses(schedule)
+    n = schedule.n_sites
+    zero = pulse_product(n, pulses, np.zeros(len(pulses)))
+    assert np.array_equal(zero, pulse_product(n, pulses))
 
 
 def test_error_scaling_first_order_bound():

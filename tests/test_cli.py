@@ -726,6 +726,12 @@ def _fractional_path_site(tmp_path, capsys):
     return ["anyon", "syndrome", "--spec", spec, "--path", path]
 
 
+def _fractional_braid_center(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 4, "cols": 4})
+    payload = write_json(tmp_path / "braid.json", {"center": [1.5, 1]})
+    return ["anyon", "braid", "--spec", spec, "--path", payload]
+
+
 @pytest.mark.parametrize("make_argv, context", [
     (_fractional_connector_site, "bad schedule file: connector_site: "),
     (_fractional_hole, "TypeError: hole: "),
@@ -734,7 +740,9 @@ def _fractional_path_site(tmp_path, capsys):
     (_fractional_twist_row, "wen.json: row: "),
     (_fractional_edge, "graph.json: edges: "),
     (_fractional_path_site, "bad path file: sites: "),
-], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site"])
+    (_fractional_braid_center, "TypeError: center: "),
+], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site",
+        "braid-center"])
 def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, context):
     # int() would truncate 0.4 to 0 and run on the wrong site, hole or lattice;
     # the error names the file, where there is one, and the field
@@ -742,3 +750,31 @@ def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, conte
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
     assert context + "'float' object cannot be interpreted as an integer" in report["error"]
+
+
+def test_a_braid_center_needs_two_entries(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 4, "cols": 4})
+    payload = write_json(tmp_path / "braid.json", {"center": [1, 1, 7]})
+    code, out = run_cli(capsys, ["anyon", "braid", "--spec", spec, "--path", payload])
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == "CliInputError: center must hold two entries, got [1, 1, 7]"
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+@pytest.mark.parametrize("edge, message", [
+    ([0, 0], "self-loop in edge list"),
+    ([0, 5], "bad edge (0, 5) for 4 sites"),
+], ids=["self-loop", "off-register"])
+def test_a_bad_graph_edge_names_the_file(tmp_path, capsys, command, edge, message):
+    edges = [[a, a + 1] for a in range(3)] + [edge]
+    graph = write_json(tmp_path / "graph.json", {"n_sites": 4, "edges": edges})
+    argv = PLAQUETTE_ARGS + ["--graph", graph]
+    if command == "verify":
+        schedule = str(tmp_path / "plaquette.json")
+        assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", schedule])[0] == 0
+        argv = ["verify", "--schedule", schedule, "--graph", graph]
+    code, out = run_cli(capsys, argv)
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == f"CliInputError: bad graph file {graph}: {message}"

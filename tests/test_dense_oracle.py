@@ -173,17 +173,13 @@ def test_schedule_pulses_are_the_spec_rotations_in_time_order(target):
     n = len(target)
     schedule = compile_schedule(PauliString.parse(target), ConnectivityGraph.path(n), tg=0.3)
     swappers, layers = schedule.final_swappers, schedule.layers
-    rotations = (
+    want = (
         [make_swapper(spec, n, "inverse") for spec in swappers]
         + [make_attachment(spec, n, "inverse") for layer in reversed(layers) for spec in layer]
-    )
-    want = [(rot.generator, rot.angle) for rot in rotations]
-    want.append((WeightedPauliSum.from_string(schedule.seed), 0.3))
-    rotations = (
-        [make_attachment(spec, n, "forward") for layer in layers for spec in layer]
+        + [(WeightedPauliSum.from_string(schedule.seed), 0.3)]
+        + [make_attachment(spec, n, "forward") for layer in layers for spec in layer]
         + [make_swapper(spec, n, "forward") for spec in swappers]
     )
-    want += [(rot.generator, rot.angle) for rot in rotations]
     assert schedule_pulses(schedule) == want
     assert len(want) == 1 + 2 * (len(swappers) + sum(len(layer) for layer in layers))
 

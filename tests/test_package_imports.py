@@ -17,7 +17,7 @@ SRC = Path(qsakit.__file__).resolve().parent.parent
 # The export set of qsakit/__init__.py; a change to it must be recorded.
 EXPORTS = sorted([
     "AttachmentSpec", "ConnectivityGraph", "DigitalSequence",
-    "EncodingError", "ErrorScalingReport", "HoleSpec", "InvolutionRotation",
+    "EncodingError", "ErrorScalingReport", "HoleSpec",
     "LatticeError", "LatticeSpec", "LogicalQubit", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError", "Statevector",
     "StrengthParams", "StringPath", "StringPropagator", "SwapperSpec", "Syndrome",

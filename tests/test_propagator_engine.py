@@ -17,7 +17,6 @@ from qsakit.propagator_engine import (
     SwapperSpec,
     apply_swap,
     branch_conjugate,
-    collapse,
     conjugate,
     conjugate_string,
     make_attachment,
@@ -99,8 +98,10 @@ def test_pulse_makers_reject_unknown_direction():
         make_attachment(attach, 2, direction="backward")
     with pytest.raises(PulseSpecError, match="direction"):
         make_swapper(swap, 2, direction="backward")
-    assert make_attachment(attach, 2, "inverse").angle == attach.inverse_angle
-    assert make_swapper(swap, 2, "forward").angle == swap.forward_angle
+    assert make_attachment(attach, 2, "inverse") == (attach.generator(2), attach.inverse_angle)
+    assert make_attachment(attach, 3) == (attach.generator(3), attach.forward_angle)
+    assert make_swapper(swap, 2, "forward") == (swap.generator(2), swap.forward_angle)
+    assert make_swapper(swap, 2, "inverse") == (swap.generator(2), swap.inverse_angle)
 
 
 def test_spec_dict_round_trip():
@@ -120,7 +121,7 @@ def test_conjugate_matches_sandwich_oracle():
         sites = rng.choice(n, size=2, replace=False)
         alpha, beta = rng.choice(["X", "Y", "Z"], size=2, replace=False)
         if rng.integers(0, 2):
-            rot = make_attachment(
+            pulse = make_attachment(
                 AttachmentSpec(
                     connector_site=int(sites[0]),
                     alpha=str(alpha),
@@ -132,14 +133,15 @@ def test_conjugate_matches_sandwich_oracle():
                 direction="forward" if rng.integers(0, 2) else "inverse",
             )
         else:
-            rot = make_swapper(
+            pulse = make_swapper(
                 SwapperSpec(site=int(sites[0]), alpha=str(alpha), beta=str(beta)),
                 n,
                 direction="forward" if rng.integers(0, 2) else "inverse",
             )
         q = random_phase_free(rng, n)
-        got = kron_sum(conjugate(q, rot))
-        u = kron_expm(kron_sum(rot.generator), rot.angle)
+        got = kron_sum(conjugate(q, pulse))
+        generator, angle = pulse
+        u = kron_expm(kron_sum(generator), angle)
         want = u @ kron_string(q) @ u.conj().T
         assert np.allclose(got, want, atol=1e-10)
 
@@ -147,23 +149,19 @@ def test_conjugate_matches_sandwich_oracle():
 def test_collapse_at_quarter_turns():
     n = 2
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    rot = make_attachment(spec, n, direction="forward")
-    grown = collapse(conjugate(PauliString.parse("ZI"), rot))
+    generator, angle = make_attachment(spec, n, direction="forward")
+    grown = conjugate_string(PauliString.parse("ZI"), (generator, angle))
     assert grown.phase_exp == 0
-    u = kron_expm(kron_sum(rot.generator), rot.angle)
+    u = kron_expm(kron_sum(generator), angle)
     want = u @ kron_string(PauliString.parse("ZI")) @ u.conj().T
     assert np.allclose(kron_string(grown), want, atol=1e-12)
 
 
 def test_collapse_rejects_partial_rotation():
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    rot = make_attachment(spec, 2, direction="forward")
-    partial = conjugate(
-        PauliString.parse("ZI"),
-        type(rot)(rot.generator, rot.angle / 2.0),
-    )
-    with pytest.raises(CollapseError):
-        collapse(partial)
+    generator, angle = make_attachment(spec, 2, direction="forward")
+    with pytest.raises(CollapseError, match="did not collapse to one string"):
+        conjugate_string(PauliString.parse("ZI"), (generator, angle / 2.0))
 
 
 def test_conjugate_string_letter_rules():
@@ -207,9 +205,9 @@ def test_apply_swap_matches_dense_conjugation():
         spec = SwapperSpec(
             site=int(rng.integers(0, n)), alpha=str(alpha), beta=str(beta)
         )
-        rot = make_swapper(spec, n, direction="forward")
+        generator, angle = make_swapper(spec, n, direction="forward")
         q = random_phase_free(rng, n)
-        u = kron_expm(kron_sum(rot.generator), rot.angle)
+        u = kron_expm(kron_sum(generator), angle)
         want = u @ kron_string(q) @ u.conj().T
         assert np.allclose(kron_string(apply_swap(q, spec)), want, atol=1e-10)
 
@@ -222,8 +220,9 @@ LETTER = st.sampled_from("XYZ")
 
 @st.composite
 def branch_cases(draw):
-    """(spec, rotation, string): a random pulse at random branch integers, at
-    its forward or inverse angle, and a string on its register."""
+    """(spec, pulse, string): a random spec's ``(generator, angle)`` at random
+    branch integers, at its forward or inverse angle, and a string on its
+    register."""
     n = draw(st.integers(1, 6))
     alpha, beta = draw(st.lists(LETTER, min_size=2, max_size=2, unique=True))
     branches = {"branch_m": draw(BRANCHES), "branch_mp": draw(BRANCHES)}
@@ -231,31 +230,31 @@ def branch_cases(draw):
     if n > 1 and draw(st.booleans()):
         c, a = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         spec = AttachmentSpec(c, alpha, beta, a, draw(LETTER), **branches)
-        rotation = make_attachment(spec, n, direction)
+        pulse = make_attachment(spec, n, direction)
     else:
         spec = SwapperSpec(draw(st.integers(0, n - 1)), alpha, beta, **branches)
-        rotation = make_swapper(spec, n, direction)
+        pulse = make_swapper(spec, n, direction)
     letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
-    return spec, rotation, PauliString(n, letters, draw(st.sampled_from([0, 2])))
+    return spec, pulse, PauliString(n, letters, draw(st.sampled_from([0, 2])))
 
 
 @settings(max_examples=300, deadline=None)
 @given(branch_cases())
 def test_branch_rule_matches_float_conjugation_and_kron(case):
-    spec, rotation, q = case
+    spec, pulse, q = case
     got = branch_conjugate(q, *spec.pair(q.n_sites))
     assert got.phase_exp in (0, 2)
     # the float identity gives one string with coefficient +-1, the rule's sign
-    total = conjugate(q, rotation)
-    ((coeff, string),) = total.terms
+    ((coeff, string),) = conjugate(q, pulse).terms
     assert string == got.with_phase_exp(0)
     assert coeff == pytest.approx(got.phase.real, abs=1e-10)
     if got.phase_exp == 0:
-        assert collapse(total) == got
+        assert conjugate_string(q, pulse) == got
     else:
-        with pytest.raises(CollapseError):
-            collapse(total)
-    u = kron_expm(kron_sum(rotation.generator), rotation.angle)
+        with pytest.raises(CollapseError, match="differs from \\+1"):
+            conjugate_string(q, pulse)
+    generator, angle = pulse
+    u = kron_expm(kron_sum(generator), angle)
     want = u @ kron_string(q) @ u.conj().T
     assert np.abs(kron_string(got) - want).max() <= 1e-9
 
@@ -263,13 +262,24 @@ def test_branch_rule_matches_float_conjugation_and_kron(case):
 @settings(max_examples=50, deadline=None)
 @given(branch_cases(), st.sampled_from([1, 3]))
 def test_branch_rule_refuses_imaginary_phases_like_conjugate(case, phase_exp):
-    spec, rotation, q = case
+    spec, pulse, q = case
     q = q.with_phase_exp(phase_exp)
     with pytest.raises(ValueError) as float_error:
-        conjugate(q, rotation)
+        conjugate(q, pulse)
     with pytest.raises(ValueError) as rule_error:
         branch_conjugate(q, *spec.pair(q.n_sites))
     assert str(rule_error.value) == str(float_error.value)
+
+
+def test_conjugate_refuses_a_non_involution_pulse():
+    # (ZI + XI)**2 = 2 + {Z, X} = 2, not the identity
+    generator = WeightedPauliSum.from_terms(
+        2, [(1.0, PauliString.parse("ZI")), (1.0, PauliString.parse("XI"))]
+    )
+    with pytest.raises(PulseSpecError, match="^generator does not square to the identity: "):
+        conjugate(PauliString.parse("ZZ"), (generator, -math.pi / 2.0))
+    with pytest.raises(PulseSpecError, match="^generator does not square to the identity: "):
+        conjugate_string(PauliString.parse("ZZ"), (generator, -math.pi / 2.0))
 
 
 def test_branch_rule_refuses_a_commuting_pair():
