@@ -17,8 +17,15 @@ no numpy, and are re-exported here.  Every verdict on whether a
 pulse program equals its exact reference is made by :func:`compare_pulses`.
 Up to 10 qubits it compares the full products through
 :func:`certified_distance`: a norm bound on the difference decides a pass,
-and only a bound above the tolerance pays for the exact SVD.  Beyond that it
-compares their action on a batch of seeded random states.
+and only a bound above the tolerance pays for the spectral norm.  Beyond
+that it compares their action on a batch of seeded random states.
+
+The spectral norm behind :func:`distance` and :func:`certified_distance`
+needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
+up it is a Golub–Kahan–Lanczos bidiagonalization that stops once the top
+Ritz residual is at roundoff (``4 eps sigma``) or the Krylov space is
+invariant.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP`
+rows, and below the crossover, it is the top value of numpy's SVD.
 """
 
 from __future__ import annotations
@@ -59,6 +66,22 @@ DEFAULT_PROBES = 20
 #: 11, 9 and 6 passes at caps 3 to 6.  Caps 4 and 5 were the fastest in a
 #: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
 FUSED_SITES = 4
+
+#: Fewest rows and columns for which the spectral norm runs the Krylov solver
+#: instead of the SVD.  Per call on schedule differences (2-vCPU host, BLAS on
+#: one thread): 1.8 ms against 0.6 ms for the SVD at 64 rows; at 128 rows
+#: 2.5 ms against 3.1 ms with 32 steps allowed, but the 25 steps of the
+#: budget below ran out and cost 1.6-1.7 times the SVD; 4 ms against 16 ms
+#: at 256 rows (``BENCH_17.json``).
+KRYLOV_MIN_ROWS = 256
+
+#: Krylov-step budget of the spectral norm: one step per this many rows.  A
+#: step passes over the matrix twice, the SVD costs about ``n`` passes, so
+#: the worst case, a difference of random unitaries with no gap at the top
+#: of its spectrum, costs the budget plus one SVD: 1.25-1.65 times the SVD
+#: at 256-1024 rows, against 1.6-1.9 for one step per four rows.  The
+#: benchmark's schedule and 3x3 differences converge in 29-71 steps.
+KRYLOV_ROWS_PER_STEP = 5
 
 
 # -- Pauli action ----------------------------------------------------------------
@@ -284,12 +307,102 @@ def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a - b
 
 
+_EPS = float(np.finfo(float).eps)
+
+#: Most bidiagonalization steps between two solves of the projected problem.
+_RITZ_EVERY = 8
+
+
+def _krylov_norm(d: np.ndarray) -> float | None:
+    """Largest singular value of ``d`` by Golub–Kahan–Lanczos, or ``None``.
+
+    The bidiagonalization (Golub & Kahan 1965) starts from a fixed-seed
+    Gaussian unit vector and reorthogonalizes each new vector against all
+    earlier ones.  ``D^H u`` is computed as ``(u^H D)^H``, and every product
+    is divided by the peak entry of the first one, so entries near the ends
+    of the float range neither underflow nor overflow.  The top Ritz value
+    of the bidiagonal ``B`` is returned once its residual ``beta |x_k|`` is
+    at most ``4 eps sigma``, or once a new ``alpha`` or ``beta`` is that
+    small, which means the Krylov space is invariant and the value exact.
+    ``B`` is solved every :data:`_RITZ_EVERY` steps, or sooner where the
+    residual, falling geometrically since the last solve, should reach the
+    bound.  ``None`` means "take the SVD": the start vector lies in the
+    kernel of a nonzero ``d``, or ``min(m, n) // KRYLOV_ROWS_PER_STEP``
+    steps did not converge.  A NaN or infinite entry is returned as a
+    non-finite value at once, and a zero matrix as exactly 0.0.
+    """
+    m, n = d.shape
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if np.iscomplexobj(d) else 0.0)
+    v /= np.linalg.norm(v)
+    with np.errstate(invalid="ignore"):  # an infinite entry may sum to inf - inf
+        u = d @ v
+    scale = float(np.abs(u).max())
+    if not math.isfinite(scale):
+        return scale
+    if scale == 0.0:
+        return None if d.any() else 0.0
+    steps = min(m, n) // KRYLOV_ROWS_PER_STEP
+    right = np.empty((steps, n), u.dtype)
+    left = np.empty((steps, m), u.dtype)
+    bidiagonal = np.zeros((steps, steps + 1))
+    right[0] = v
+    u /= scale
+    peak = 0.0  # largest entry of B so far: a lower bound on its norm
+    check, last = _RITZ_EVERY, None
+    for k in range(steps):
+        alpha = math.sqrt(np.vdot(u, u).real)
+        bidiagonal[k, k] = alpha
+        peak = max(peak, alpha)
+        if alpha <= 4 * _EPS * peak:
+            return scale * float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
+        np.multiply(u, 1.0 / alpha, out=left[k])
+        w = np.conjugate(left[k]) @ d
+        np.conjugate(w, out=w)
+        w *= 1.0 / scale
+        w -= alpha * right[k]
+        w -= np.conjugate(right[:k + 1] @ np.conjugate(w)) @ right[:k + 1]
+        beta = math.sqrt(np.vdot(w, w).real)
+        bidiagonal[k, k + 1] = beta
+        peak = max(peak, beta)
+        if k + 1 in (check, steps) or beta <= 4 * _EPS * peak:
+            x, s, _ = np.linalg.svd(bidiagonal[:k + 1, :k + 1])
+            residual, bound = beta * abs(x[k, 0]), 4 * _EPS * s[0]
+            if residual <= bound:
+                return scale * float(s[0])
+            gap = _RITZ_EVERY
+            if last is not None and residual < last[1]:
+                rate = math.log(residual / last[1]) / (k + 1 - last[0])
+                gap = min(gap, max(1, math.ceil(math.log(bound / residual) / rate)))
+            last, check = (k + 1, residual), k + 1 + gap
+        if k + 1 == steps:
+            return None
+        np.multiply(w, 1.0 / beta, out=right[k + 1])
+        u = d @ right[k + 1]
+        u *= 1.0 / scale
+        u -= beta * left[k]
+        u -= np.conjugate(left[:k + 1] @ np.conjugate(u)) @ left[:k + 1]
+    return None
+
+
 def _spectral_norm(d: np.ndarray) -> float:
-    return float(np.linalg.svd(d, compute_uv=False)[0])
+    sigma = _krylov_norm(d) if d.ndim == 2 and min(d.shape) >= KRYLOV_MIN_ROWS else None
+    return float(np.linalg.svd(d, compute_uv=False)[0]) if sigma is None else sigma
 
 
 def distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral distance: the largest singular value of ``a - b``."""
+    """Spectral distance: the largest singular value of ``a - b``.
+
+    From :data:`KRYLOV_MIN_ROWS` (256) rows up it comes from a Golub–Kahan–
+    Lanczos bidiagonalization with a fixed-seed start and full
+    reorthogonalization, which stops when the top Ritz residual is at most
+    ``4 eps sigma`` or the Krylov space is invariant (the value is then
+    exact).  Past a budget of ``rows // KRYLOV_ROWS_PER_STEP`` steps (a
+    spectrum with no gap at the top, like a difference of random unitaries)
+    and below 256 rows, where the SVD is faster, it is the top value of
+    ``np.linalg.svd``.  Both agree at roundoff.  On the Krylov path a NaN or
+    infinite entry gives a non-finite distance at once.
+    """
     return _spectral_norm(_difference(a, b))
 
 
@@ -299,11 +412,14 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     With ``D = a - b``, ``||D||_2 <= min(||D||_F, sqrt(||D||_1 * ||D||_inf))``.
     When that bound is at most ``tolerance`` it is returned under the metric
     ``spectral_distance_bound``: the exact distance is no larger, so the pass
-    is certified without an SVD.  Otherwise the exact :func:`distance` is
-    returned under ``spectral_distance``, so ``value <= tolerance`` is the
-    same verdict the exact distance gives.  A NaN or infinite entry is
-    returned as a non-finite exact distance without an SVD, so it passes no
-    finite tolerance.
+    is certified without a spectral norm.  Otherwise :func:`distance` is
+    returned under ``spectral_distance``: a Golub–Kahan–Lanczos value that
+    stops at a ``4 eps sigma`` Ritz residual from 256 rows up, and the SVD
+    below 256 rows or past the ``rows // KRYLOV_ROWS_PER_STEP`` step budget.
+    It matches the SVD at roundoff, so ``value <= tolerance`` is the verdict
+    the exact distance gives.  A NaN or infinite entry is returned as a
+    non-finite exact distance without any iteration, so it passes no finite
+    tolerance.
     """
     d = _difference(a, b)
     mag = np.abs(d)
@@ -314,7 +430,7 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     if bound <= tolerance:  # False for NaN
         return bound, "spectral_distance_bound"
     peak = float(mag.max())
-    del mag  # the SVD allocates its own copy of d
+    del mag  # the norm allocates its own work arrays
     if not math.isfinite(peak):
         return peak, "spectral_distance"
     return _spectral_norm(d), "spectral_distance"

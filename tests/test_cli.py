@@ -653,7 +653,8 @@ def test_benchmark_tracer_finds_every_reported_function():
 
 def test_a_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError, but an SVD that does not converge
-    # is a fault of the numerics, not of the input
+    # is a fault of the numerics, not of the input.  The 3x3 differences have
+    # 512 rows, so the SVD that fails is the Krylov solver's projected problem.
     import numpy as np
 
     def no_convergence(*args, **kwargs):

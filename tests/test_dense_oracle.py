@@ -588,6 +588,145 @@ def test_verify_schedule_with_a_nan_angle_fails():
     assert not report["passed"] and report["metric"] == "spectral_distance"
 
 
+# -- the Krylov spectral norm --------------------------------------------------
+
+
+def gaussian_matrix(rng, rows):
+    return rng.normal(size=(rows, rows)) + 1j * rng.normal(size=(rows, rows))
+
+
+def haar_unitary(rng, rows):
+    """Haar-random unitary: QR of a complex Gaussian with the phases of R fixed."""
+    q, r = np.linalg.qr(gaussian_matrix(rng, rows))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def schedule_difference(n, delta, seed):
+    """``U(delta) - U(0)`` for a doubling schedule of a random n-site target."""
+    rng = np.random.default_rng(seed)
+    target = PauliString(n, random_string_letters(rng, n, min_weight=n))
+    graph = ConnectivityGraph.complete(n)
+    pulses = schedule_pulses(compile_schedule(target, graph, "doubling", 0.7))
+    return pulse_product(n, pulses, np.full(len(pulses), delta)) - pulse_product(n, pulses)
+
+
+def wen_difference(delta):
+    sequence = digital_sequence(LatticeSpec(3, 3), 0.7)
+    pulses = sequence.pulses()
+    return (pulse_product(sequence.n_sites, pulses, np.full(len(pulses), delta))
+            - pulse_product(sequence.n_sites, pulses))
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices handed to ``np.linalg.svd`` from here on."""
+    calls = []
+    real_svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def assert_spectral_norm(d, calls):
+    """``distance(d, 0)`` is ``||d||_2`` within 1e-13; returns the SVD shapes it used."""
+    want = float(np.linalg.norm(d, 2))  # numpy's own SVD, which the spy does not see
+    start = len(calls)
+    assert distance(d, np.zeros_like(d)) == pytest.approx(want, rel=1e-13, abs=0.0)
+    return calls[start:]
+
+
+@pytest.mark.parametrize("rows", [
+    1, 2, 3, 5, 8, 13, 31, 64,
+    dense_oracle.KRYLOV_MIN_ROWS - 1, dense_oracle.KRYLOV_MIN_ROWS, 300,
+])
+def test_spectral_norm_matches_the_svd_on_random_matrices(svd_calls, rows):
+    rng = np.random.default_rng(SEED + rows)
+    a, b = gaussian_matrix(rng, rows), gaussian_matrix(rng, rows)
+    assert distance(a, b) == pytest.approx(np.linalg.norm(a - b, 2), rel=1e-13, abs=0.0)
+    assert_spectral_norm(rng.normal(size=(rows, rows)), svd_calls)  # real steps
+
+
+def test_spectral_norm_of_a_rank_one_matrix_stops_on_an_invariant_space(svd_calls):
+    rng = np.random.default_rng(SEED)
+    rows = dense_oracle.KRYLOV_MIN_ROWS
+    d = np.outer(rng.normal(size=rows) + 1j, rng.normal(size=rows) - 2j)
+    used = assert_spectral_norm(d, svd_calls)
+    assert max(used)[0] <= 3  # one or two Krylov steps, no SVD of d
+
+
+def test_spectral_norm_of_a_zero_matrix_is_exactly_zero(svd_calls):
+    rows = dense_oracle.KRYLOV_MIN_ROWS
+    zero = np.zeros((rows, rows), dtype=np.complex128)
+    assert distance(zero, zero) == 0.0
+    assert svd_calls == []  # no iteration, no SVD
+
+
+@pytest.mark.parametrize("factor", [1e-200, 1e150])
+def test_spectral_norm_of_tiny_and_huge_entries(svd_calls, factor):
+    d = schedule_difference(8, 1e-3, SEED) * factor
+    used = assert_spectral_norm(d, svd_calls)
+    assert d.shape not in used
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_spectral_norm_of_schedule_differences(svd_calls, n):
+    budget = (1 << n) // dense_oracle.KRYLOV_ROWS_PER_STEP
+    for delta in (1e-2, 1e-3, 1e-4):
+        d = schedule_difference(n, delta, SEED + n)
+        used = assert_spectral_norm(d, svd_calls)
+        if len(d) >= dense_oracle.KRYLOV_MIN_ROWS:
+            # converged within the budget: only the projected problems were solved
+            assert used and max(used)[0] <= budget
+
+
+def test_spectral_norm_of_the_degenerate_wen_difference(svd_calls):
+    for delta in (1e-2, 1e-3, 1e-4):
+        d = wen_difference(delta)
+        top = np.linalg.svd(d, compute_uv=False)[:5]
+        assert np.allclose(top[:4], top[0], rtol=1e-12, atol=0.0) and top[4] < top[0] * (1 - 1e-3)
+        used = assert_spectral_norm(d, svd_calls)
+        assert d.shape not in used
+
+
+def test_spectral_distance_is_symmetric_and_repeatable():
+    rng = np.random.default_rng(SEED)
+    for a, b in [
+        (schedule_difference(8, 1e-3, SEED), np.zeros((256, 256))),  # Krylov converges
+        (haar_unitary(rng, 256), haar_unitary(rng, 256)),  # the budget runs out
+        (gaussian_matrix(rng, 40), np.eye(40)),  # below the crossover
+    ]:
+        first = distance(a, b)
+        assert distance(b, a) == first
+        assert distance(a, b) == first
+
+
+@pytest.mark.parametrize("rows", [128, 256, 512])
+def test_haar_differences_fall_back_to_the_svd_within_the_budget(svd_calls, rows):
+    # differences of random unitaries have no gap at the top of the spectrum,
+    # so the Krylov solver spends its whole budget and then takes one SVD
+    rng = np.random.default_rng(SEED + rows)
+    d = haar_unitary(rng, rows) - haar_unitary(rng, rows)
+    used = assert_spectral_norm(d, svd_calls)
+    assert used.count(d.shape) == 1
+    ritz = [shape for shape in used if shape != d.shape]
+    if rows < dense_oracle.KRYLOV_MIN_ROWS:
+        assert ritz == []
+    else:
+        assert max(ritz) == (rows // dense_oracle.KRYLOV_ROWS_PER_STEP,) * 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectral_norm_of_a_non_finite_entry_is_non_finite_at_once(svd_calls, bad):
+    d = schedule_difference(8, 1e-3, SEED)
+    d[17, 200] = bad
+    assert not math.isfinite(distance(d, np.zeros_like(d)))
+    assert svd_calls == []
+
+
 def test_planted_defect_fails_with_the_exact_spectral_distance():
     target = PauliString.parse("XYZZYX")
     schedule = compile_schedule(target, ConnectivityGraph.complete(6), tg=0.7)
