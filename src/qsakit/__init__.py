@@ -39,7 +39,7 @@ _EXPORTS = {
         "digital_sequence", "ground_state_projector", "ground_state_sweep",
     ),
     "anyon_logic": (
-        "StringPath", "Syndrome", "StringPropagator", "LogicalQubit", "LoopCnot",
+        "StringPath", "Syndrome", "LogicalQubit", "LoopCnot",
         "PathError", "EncodingError", "TopologyError", "UnsupportedOperationError",
         "path_string", "syndrome_of", "predict_syndrome", "string_propagator",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",

@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply
-from .schedule_compiler import ConnectivityGraph, QsaSchedule, compile_schedule
+from .schedule_compiler import compile_schedule
 from .dense_oracle import (
     Statevector,
     apply_rotation,
     apply_schedule,
     apply_string,
     check_dense_limit,
-    pulse_unitary,
     run_pulses,
 )
 from .toric_lattice import (
@@ -186,14 +185,16 @@ def predict_syndrome(path: StringPath, spec: LatticeSpec) -> Syndrome:
 
     Per site: Z excites anchors (i-1, j-1) and (i, j); X excites (i-1, j) and
     (i, j-1); Y excites all four.  Repeated excitations cancel pairwise.
-    Only standard lattices (no twists) are supported; holes simply cannot be
-    excited.
+    Only standard lattices (no twists) are supported; the plaquettes listed
+    in ``spec.holes`` are not driven, so they cannot be excited.  The holes
+    are read as listed, not validated: :func:`syndrome_of` builds the lattice
+    and refuses a bad one.
     """
     if spec.twists:
         raise PathError("the color-rule prediction does not cover twist defects")
     path_string(path, spec)  # validate geometry
     prow, pcol = plaquette_range(spec)
-    driven = {t.index for t in build_wen(spec).terms}
+    holes = {p for hole in spec.holes for p in hole.plaquettes}
     excited: set[tuple[int, int]] = set()
     for (i, j), letter in zip(path.sites, path.letters):
         anchors = []
@@ -207,7 +208,7 @@ def predict_syndrome(path: StringPath, spec: LatticeSpec) -> Syndrome:
                 b %= pcol
             elif not (0 <= a < prow and 0 <= b < pcol):
                 continue
-            if (a, b) not in driven:
+            if (a, b) in holes:
                 continue
             excited ^= {(a, b)}
     return Syndrome(tuple(sorted((p, _anyon_kind(*p)) for p in excited)))
@@ -216,56 +217,21 @@ def predict_syndrome(path: StringPath, spec: LatticeSpec) -> Syndrome:
 # -- string propagators -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StringPropagator:
-    """Handle for ``exp(-i tg P)`` with P a (phase-free) Pauli string."""
-
-    n_sites: int
-    string: PauliString
-    tg: float
-
-    def __post_init__(self) -> None:
-        if self.string.phase_exp != 0:
-            raise ValueError("propagator strings must carry phase +1")
-        if self.string.n_sites != self.n_sites:
-            raise ValueError(
-                f"propagator on {self.n_sites} sites, string on {self.string.n_sites}"
-            )
-
-    def _pulses(self, tg: float | None) -> list[tuple[PauliString, float]]:
-        return [(self.string, self.tg if tg is None else tg)]
-
-    def apply(self, state: Statevector, tg: float | None = None) -> Statevector:
-        """``cos(tg)|psi> - i sin(tg) P|psi>``, exactly."""
-        return Statevector.from_array(run_pulses(self._pulses(tg), state.data))
-
-    def unitary(self, tg: float | None = None) -> np.ndarray:
-        return pulse_unitary(self.n_sites, self._pulses(tg), "string propagator unitary")
-
-    def schedule(
-        self,
-        graph: ConnectivityGraph | None = None,
-        strategy: str = "auto",
-        tg: float | None = None,
-    ) -> QsaSchedule:
-        """Compile the propagator into pulses; no ``graph`` couples its support all-to-all."""
-        return compile_schedule(
-            self.string, graph, strategy=strategy,
-            tg=self.tg if tg is None else tg,
-        )
-
-
 def string_propagator(
     path: StringPath, tg: float, spec: LatticeSpec
-) -> StringPropagator:
-    """Propagator handle for a wen-model path string."""
-    return StringPropagator(spec.n_sites, path_string(path, spec), tg)
+) -> tuple[PauliString, float]:
+    """``exp(-i tg P)`` for a wen-model path string ``P``: the pulse ``(P, tg)``.
+
+    :func:`~qsakit.dense_oracle.run_pulses` applies it and
+    :func:`~qsakit.schedule_compiler.compile_schedule` compiles ``P`` at ``tg``.
+    """
+    return path_string(path, spec), tg
 
 
 def interleaved_propagators(
-    first: StringPropagator, second: StringPropagator
-) -> tuple[StringPropagator, StringPropagator]:
-    """Serialize two string propagators, rejecting time-interleaved crossings.
+    first: tuple[PauliString, float], second: tuple[PauliString, float]
+) -> tuple[tuple[PauliString, float], tuple[PauliString, float]]:
+    """Serialize two string propagators ``(P, tg)``, rejecting time-interleaved crossings.
 
     Two loop propagators whose strings commute can always be applied one
     after the other.  When the strings anticommute (they cross an odd number
@@ -273,9 +239,9 @@ def interleaved_propagators(
     neither serialization represents the braided process; that pattern is
     outside the supported scope.
     """
-    if first.n_sites != second.n_sites:
+    if first[0].n_sites != second[0].n_sites:
         raise ValueError("propagators act on different registers")
-    if not commutes(first.string, second.string):
+    if not commutes(first[0], second[0]):
         raise UnsupportedOperationError(
             "interleaved crossing propagators are not supported: the two "
             "strings anticommute, so no sequential pulse order reproduces "
@@ -509,14 +475,10 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     braided = complex(excited.expectation(loop_op))
     return {
         "center": [ci, cj],
-        "error_spin": list(error_spin),
         "loop": loop.to_dict(),
         "expectation_ground": ref.real,
         "expectation_excited": braided.real,
         "braiding_phase": (braided / ref).real,
-        "syndrome": syndrome_of(
-            StringPath((error_spin,), ("Z",)), spec
-        ).to_dict(),
     }
 
 
@@ -657,15 +619,9 @@ class LoopCnot:
     target: LogicalQubit
     braid: PauliString
 
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
-
-    def braid_propagator(self, tg: float) -> StringPropagator:
-        return StringPropagator(self.n_sites, self.braid, tg)
-
     def apply(self, state: Statevector, tg: float) -> Statevector:
-        return self.braid_propagator(tg).apply(state)
+        """The braid propagator, the pulse ``(braid, tg)``, on ``state``."""
+        return Statevector.from_array(run_pulses([(self.braid, tg)], state.data))
 
     def truth_table(self) -> dict:
         """Braid-route CNOT rows on the logical basis.

@@ -168,8 +168,8 @@ def _load_schedule(path: str) -> QsaSchedule:
     try:
         schedule = QsaSchedule.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliInputError(f"bad schedule file: {exc}") from exc
-    _finite_number(schedule.tg, "seed.tg")
+        raise CliInputError(f"bad schedule file {path}: {exc}") from exc
+    _finite_number(schedule.tg, f"bad schedule file {path}: seed.tg")
     return schedule
 
 
@@ -245,14 +245,18 @@ def _cmd_verify(args):
 
 
 def _lattice_spec(path: str):
-    """A lattice spec file as a :class:`~qsakit.toric_lattice.LatticeSpec`, with a finite J."""
+    """A lattice spec file as a :class:`~qsakit.toric_lattice.LatticeSpec`, with a finite J.
+
+    A missing or malformed field, or a spec its own checks refuse, names the file.
+    """
     from .toric_lattice import LatticeSpec
 
+    data = _load_json(path)  # its CliInputError already names the file
     try:
-        spec = LatticeSpec.from_dict(_load_json(path))
-    except (KeyError, TypeError) as exc:
+        spec = LatticeSpec.from_dict(data)
+    except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"bad lattice spec {path}: {exc}") from exc
-    _finite_number(spec.J, "J")
+    _finite_number(spec.J, f"bad lattice spec {path}: J")
     return spec
 
 
@@ -357,8 +361,8 @@ def _cmd_anyon(args):
             raise CliInputError("anyon syndrome requires --path")
         try:
             string_path = anyon_logic.StringPath.from_dict(payload)
-        except (KeyError, TypeError) as exc:
-            raise CliInputError(f"bad path file: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliInputError(f"bad path file {args.path}: {exc}") from exc
         predicted = anyon_logic.predict_syndrome(string_path, spec)
         actual = anyon_logic.syndrome_of(string_path, spec)
         checks.append(

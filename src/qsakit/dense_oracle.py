@@ -493,15 +493,6 @@ class Statevector:
     def expectation(self, op: PauliString | WeightedPauliSum) -> complex:
         return complex(np.vdot(self.data, apply_sum(_as_sum(op), self.data)))
 
-    def apply(self, op: PauliString | WeightedPauliSum) -> "Statevector":
-        """Apply a unitary Pauli string (weighted sums must stay norm-preserving)."""
-        return Statevector.from_array(apply_sum(_as_sum(op), self.data))
-
-    def apply_rotation(
-        self, generator: PauliString | WeightedPauliSum, angle: float
-    ) -> "Statevector":
-        return Statevector.from_array(apply_rotation(generator, angle, self.data))
-
 
 # -- schedule execution --------------------------------------------------------
 

@@ -69,6 +69,14 @@ def index_field(value, field: str) -> int:
         raise TypeError(f"{field}: {exc}") from None
 
 
+def float_field(value, field: str) -> float:
+    """``float(value)`` for a real field read from input, naming ``field`` on a refusal."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{field}: {exc}") from None
+
+
 def _sites(mask: int) -> tuple[int, ...]:
     """Ascending positions of the set bits of ``mask``."""
     bits = format(mask, "b")[::-1]

@@ -32,7 +32,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 
-from .pauli_core import PauliString, index_field
+from .pauli_core import PauliString, float_field, index_field
 from .propagator_engine import (
     AttachmentSpec,
     CollapseError,
@@ -167,7 +167,7 @@ class QsaSchedule:
     def from_dict(cls, data: dict) -> "QsaSchedule":
         n_sites = index_field(data["n_sites"], "n_sites")
         seed = PauliString.parse(data["seed"]["string"], n_sites)
-        tg = float(data["seed"]["tg"])
+        tg = float_field(data["seed"]["tg"], "seed.tg")
         layers = tuple(
             tuple(AttachmentSpec.from_dict(d) for d in layer)
             for layer in data["layers"]

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs, index_field
+from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs, float_field, index_field
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -180,7 +180,7 @@ class LatticeSpec:
             cols=index_field(data["cols"], "cols"),
             boundary=str(data.get("boundary", "open")),
             model=str(data.get("model", "wen")),
-            J=float(data.get("J", 1.0)),
+            J=float_field(data.get("J", 1.0), "J"),
             holes=tuple(HoleSpec.from_dict(h) for h in data.get("holes", [])),
             twists=tuple(TwistSpec.from_dict(t) for t in data.get("twists", [])),
         )

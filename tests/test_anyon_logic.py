@@ -10,7 +10,6 @@ from qsakit.anyon_logic import (
     EncodingError,
     PathError,
     StringPath,
-    StringPropagator,
     TopologyError,
     UnsupportedOperationError,
     anyon_walk,
@@ -36,15 +35,18 @@ from qsakit.anyon_logic import (
     string_propagator,
     syndrome_of,
 )
-from qsakit.dense_oracle import Statevector, apply_string, run_pulses
+from qsakit.dense_oracle import Statevector, apply_rotation, apply_string, run_pulses
 from qsakit.pauli_core import PauliString, commutes
 from qsakit.toric_lattice import (
     HoleSpec,
+    LatticeError,
     LatticeSpec,
     build_variant,
     build_wen,
     ground_state_projector,
 )
+
+from conftest import kron_expm, kron_letters
 
 SEED = 20240816
 
@@ -113,14 +115,28 @@ def test_path_string_resolution_and_errors():
 
 def test_prediction_matches_anticommutation_randomized():
     rng = np.random.default_rng(SEED)
-    for boundary in ("open", "periodic"):
-        spec = LatticeSpec(rows=4, cols=4, boundary=boundary)
+    one_cell = (HoleSpec(((1, 1),)),)
+    two_cells = (HoleSpec(((1, 1), (2, 1))),)
+    specs = [
+        LatticeSpec(rows=4, cols=4, boundary=boundary, holes=holes)
+        for holes in ((), one_cell, two_cells)
+        for boundary in ("open", "periodic")
+    ]
+    for spec in specs:
         for _ in range(60):
             path = random_walk_path(rng, spec, int(rng.integers(1, 7)))
             assert (
                 predict_syndrome(path, spec).entries
                 == syndrome_of(path, spec).entries
             )
+
+
+def test_an_off_lattice_hole_is_refused_by_the_build_not_the_prediction():
+    z = StringPath(((2, 2),), ("Z",))
+    bad = LatticeSpec(rows=4, cols=4, holes=(HoleSpec(((3, 0),)),))
+    assert predict_syndrome(z, bad).entries == (((1, 1), "e"), ((2, 2), "e"))
+    with pytest.raises(LatticeError, match=r"hole plaquette \(3, 0\) out of range"):
+        syndrome_of(z, bad)
 
 
 def test_single_letter_syndromes():
@@ -222,17 +238,44 @@ def test_single_loop_rotation_amplitudes(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     basis = memory_basis(spec)
     q1, _ = memory_qubits(spec)
-    prop = string_propagator(q1.x_path, math.pi / 8.0, spec)
-    rotated = prop.apply(basis[0])
+    pulse = string_propagator(q1.x_path, math.pi / 8.0, spec)
+    rotated = Statevector.from_array(run_pulses([pulse], basis[0].data))
     a0 = basis[0].inner(rotated)
     a1 = basis[1].inner(rotated)
     assert abs(a0 - math.cos(math.pi / 8.0)) <= 1e-10
     assert abs(a1 - (-1j) * math.sin(math.pi / 8.0)) <= 1e-10
 
 
-def test_string_propagator_refuses_a_width_mismatch():
-    with pytest.raises(ValueError, match="propagator on 5 sites, string on 4"):
-        StringPropagator(5, PauliString.parse("XZZX"), 0.3)
+def kron_propagator(string, tg, data):
+    """scipy's ``exp(-i tg P)`` of ``P``'s letters on its support, contracted into ``data``."""
+    sites, k = string.support, len(string.support)
+    local = kron_expm(kron_letters([string.letter(site) for site in sites]), tg)
+    tensor = np.moveaxis(data.reshape((2,) * string.n_sites), sites, range(k))
+    out = (local @ tensor.reshape(1 << k, -1)).reshape(tensor.shape)
+    return np.moveaxis(out, range(k), sites).reshape(data.shape)
+
+
+def test_string_propagator_is_the_pulse(dense16):
+    spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
+    ground = ground_state_projector(spec)
+    q1, q2 = memory_qubits(spec)
+    walk = anyon_walk(spec, [(0, 0), (1, 1), (2, 2)])
+    for path, tg in ((q1.x_path, 0.3), (q2.z_path, -1.1), (walk, 0.7)):
+        pulse = string_propagator(path, tg, spec)
+        assert pulse == (path_string(path, spec), tg)
+        want = kron_propagator(pulse[0], tg, ground.data)
+        assert np.abs(run_pulses([pulse], ground.data) - want).max() <= 1e-12
+
+
+def test_a_string_pulse_on_another_register_is_refused():
+    pulse = (PauliString.parse("XZZX"), 0.3)
+    wider = Statevector.basis_state(5).data
+    with pytest.raises(ValueError, match="generator on 4 sites, array on 5"):
+        run_pulses([pulse], wider)
+    with pytest.raises(ValueError, match="generator on 4 sites, array on 5"):
+        apply_rotation(*pulse, wider)
+    with pytest.raises(ValueError, match="propagators act on different registers"):
+        interleaved_propagators(pulse, (PauliString.parse("XZZXI"), 0.3))
 
 
 def test_interleaved_crossings_rejected():
@@ -331,6 +374,10 @@ def test_loop_cnot_truth_table_and_composite():
     gate = loop_cnot(HOLES_SPEC.holes[0], HOLES_SPEC.holes[1], HOLES_SPEC)
     table = gate.truth_table()
     assert table["max_distance"] <= 1e-8
+    state = code_state(HOLES_SPEC)
+    for tg in (0.0, 0.4, math.pi / 2.0):
+        braided = gate.apply(state, tg).data
+        assert np.array_equal(braided, run_pulses([(gate.braid, tg)], state.data))
     basis = logical_basis(
         HOLES_SPEC,
         [hole_qubit(h, HOLES_SPEC) for h in HOLES_SPEC.holes],

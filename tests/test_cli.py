@@ -734,13 +734,13 @@ def _fractional_braid_center(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("make_argv, context", [
-    (_fractional_connector_site, "bad schedule file: connector_site: "),
+    (_fractional_connector_site, "fractional.json: connector_site: "),
     (_fractional_hole, "TypeError: hole: "),
     (_fractional_rows, "wen.json: rows: "),
     (_fractional_hole_cell, "wen.json: plaquettes: "),
     (_fractional_twist_row, "wen.json: row: "),
     (_fractional_edge, "graph.json: edges: "),
-    (_fractional_path_site, "bad path file: sites: "),
+    (_fractional_path_site, "path.json: sites: "),
     (_fractional_braid_center, "TypeError: center: "),
 ], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site",
         "braid-center"])
@@ -751,6 +751,59 @@ def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, conte
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
     assert context + "'float' object cannot be interpreted as an integer" in report["error"]
+
+
+def _non_numeric_coupling(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3, "J": "abc"})
+    error = f"bad lattice spec {spec}: J: could not convert string to float: 'abc'"
+    return ["toric", "build", "--spec", spec], error
+
+
+def _non_numeric_seed_angle(tmp_path, capsys):
+    schedule = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
+    data = json.loads(schedule.read_text())
+    data["seed"]["tg"] = "abc"
+    bad = write_json(tmp_path / "bad.json", data)
+    error = f"bad schedule file {bad}: seed.tg: could not convert string to float: 'abc'"
+    return ["verify", "--schedule", bad], error
+
+
+def _lattice_spec_refused_by_its_checks(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 1, "cols": 3})
+    path = write_json(tmp_path / "path.json", {"sites": [[0, 0]], "letters": "X"})
+    error = f"bad lattice spec {spec}: lattice needs rows, cols >= 2, got 1x3"
+    return ["anyon", "syndrome", "--spec", spec, "--path", path], error
+
+
+def _path_refused_by_its_checks(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3})
+    path = write_json(tmp_path / "path.json", {"sites": [[0, 0]], "letters": "XZ"})
+    error = f"bad path file {path}: path needs one letter per site"
+    return ["anyon", "syndrome", "--spec", spec, "--path", path], error
+
+
+@pytest.mark.parametrize("make_case", [
+    _non_numeric_coupling, _non_numeric_seed_angle, _lattice_spec_refused_by_its_checks,
+    _path_refused_by_its_checks,
+], ids=["coupling", "seed-angle", "lattice-checks", "path-checks"])
+def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_case):
+    argv, error = make_case(tmp_path, capsys)
+    code, out = run_cli(capsys, argv)
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == f"CliInputError: {error}"
+
+
+def test_anyon_syndrome_refuses_a_bad_hole(tmp_path, capsys):
+    # the hole is checked where the lattice is built, not in the spec file
+    spec = {"rows": 4, "cols": 4, "holes": [{"plaquettes": [[3, 0]]}]}
+    spec = write_json(tmp_path / "wen.json", spec)
+    path = write_json(tmp_path / "path.json", {"sites": [[2, 2]], "letters": "Z"})
+    code, out = run_cli(capsys, ["anyon", "syndrome", "--spec", spec, "--path", path])
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == "LatticeError: hole plaquette (3, 0) out of range"
 
 
 def test_a_braid_center_needs_two_entries(tmp_path, capsys):

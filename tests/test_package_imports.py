@@ -20,7 +20,7 @@ EXPORTS = sorted([
     "EncodingError", "ErrorScalingReport", "HoleSpec",
     "LatticeError", "LatticeSpec", "LogicalQubit", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError", "Statevector",
-    "StrengthParams", "StringPath", "StringPropagator", "SwapperSpec", "Syndrome",
+    "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",
     "TopologyError", "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
     "anticommuting_pairs", "anyon_walk", "apply_schedule", "apply_swap",
     "braiding_phase", "build_variant", "build_wen", "code_state", "commutes",
