@@ -39,11 +39,11 @@ _EXPORTS = {
         "digital_sequence", "ground_state_projector", "ground_state_sweep",
     ),
     "anyon_logic": (
-        "StringPath", "Syndrome", "LogicalQubit", "LoopCnot",
+        "StringPath", "Syndrome", "LoopCnot",
         "PathError", "EncodingError", "TopologyError", "UnsupportedOperationError",
         "path_string", "syndrome_of", "predict_syndrome", "string_propagator",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
-        "memory_basis", "memory_encode", "code_state", "hole_qubit", "hole_logicals",
+        "memory_basis", "memory_encode", "code_state", "hole_logicals",
         "magic_state", "magic_report", "loop_cnot", "naive_move_error",
     ),
     "analysis": (

@@ -1,19 +1,22 @@
 """Anyons, string propagators, and logical qubits on the plaquette models.
 
+A logical qubit is its pair of Pauli strings ``(X_logical, Z_logical)``.
+
 Wen-model side: Pauli strings on spins create/move anyon pairs on the
 diagonally adjacent plaquettes (Z excites the bottom-left/top-right pair, X
 the top-left/bottom-right pair, interior excitations cancel pairwise).
 Plaquettes are colored by anchor parity -- dark ``(i+j) even`` hosts ``e``
 anyons, light hosts ``m`` -- and closed loop strings commute with every
 plaquette.  On the periodic lattice the two homology classes of loops supply
-two logical qubits (the quantum memory); arbitrary two-qubit encodings are
-synthesized from loop-string rotations alone.
+two logical qubits (the quantum memory, :func:`memory_qubits`); arbitrary
+two-qubit encodings are synthesized from loop-string rotations alone.
 
 Hole-model side: removing a face (smooth hole) or a vertex star (rough hole)
-frees one logical qubit each.  Logical operators are the removed stabilizer
-(the loop around the hole) paired with a string tying the hole to the
-matching boundary.  Magic states, the braiding CNOT, and the single-Pauli
-hole-move error live here too.
+frees one logical qubit each, named by the hole's
+:class:`~qsakit.toric_lattice.HoleSpec`.  Its logical operators
+(:func:`hole_logicals`) are the removed stabilizer (the loop around the hole)
+paired with a string tying the hole to the matching boundary.  Magic states,
+the braiding CNOT, and the single-Pauli hole-move error live here too.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply
+from .pauli_core import LETTERS, PauliString, commutes, multiply, pair_field
 from .schedule_compiler import compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -44,8 +47,6 @@ from .toric_lattice import (
     plaquette_range,
     project_plus,
 )
-
-ENCODINGS = ("memory_loops", "smooth_hole", "rough_hole")
 
 
 class PathError(ValueError):
@@ -91,9 +92,7 @@ class StringPath:
     @classmethod
     def from_dict(cls, data: dict) -> "StringPath":
         return cls(
-            tuple(
-                (index_field(i, "sites"), index_field(j, "sites")) for i, j in data["sites"]
-            ),
+            tuple(pair_field(site, "sites") for site in data["sites"]),
             tuple(str(c) for c in data["letters"]),
         )
 
@@ -147,10 +146,6 @@ class Syndrome:
     """
 
     entries: tuple[tuple[tuple[int, int], str], ...]
-
-    @property
-    def plaquettes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(p for p, _ in self.entries)
 
     def is_empty(self) -> bool:
         return not self.entries
@@ -280,60 +275,32 @@ def loop_path(spec: LatticeSpec, kind: str, orientation: str, offset: int = 0) -
     return StringPath(sites, tuple(_loop_letter(kind, i, j) for (i, j) in sites))
 
 
-@dataclass(frozen=True)
-class LogicalQubit:
-    """One encoded qubit: loop pair (memory) or hole plus boundary string."""
-
-    encoding: str
-    x_path: StringPath | None = None
-    z_path: StringPath | None = None
-    hole: HoleSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.encoding not in ENCODINGS:
-            raise EncodingError(f"encoding must be one of {ENCODINGS}")
-
-
-def memory_qubits(spec: LatticeSpec) -> tuple[LogicalQubit, LogicalQubit]:
-    """The two loop-encoded qubits of the periodic lattice.
+def memory_qubits(spec: LatticeSpec) -> tuple[tuple[PauliString, PauliString], ...]:
+    """``((X1, Z1), (X2, Z2))``: the two loop-encoded qubits of the periodic lattice.
 
     Qubit 1: logical X = vertical m-loop (column 0), logical Z = horizontal
     e-loop (row 0).  Qubit 2: the transposed pair.  Conjugate pairs cross at
     exactly one spin with clashing letters; all other combinations share
     either nothing, one spin with equal letters, or a full line with an even
     number of clashes, so they commute.
+
+    Raises:
+        PathError: not the periodic wen model, or a side of 2 (no loop closes).
     """
-    q1 = LogicalQubit(
-        "memory_loops",
-        x_path=loop_path(spec, "m", "vertical", 0),
-        z_path=loop_path(spec, "e", "horizontal", 0),
+    pairs = (
+        (loop_path(spec, "m", "vertical"), loop_path(spec, "e", "horizontal")),
+        (loop_path(spec, "m", "horizontal"), loop_path(spec, "e", "vertical")),
     )
-    q2 = LogicalQubit(
-        "memory_loops",
-        x_path=loop_path(spec, "m", "horizontal", 0),
-        z_path=loop_path(spec, "e", "vertical", 0),
-    )
-    return q1, q2
-
-
-def memory_logical_strings(
-    qubit: LogicalQubit, spec: LatticeSpec
-) -> tuple[PauliString, PauliString]:
-    """(X_logical, Z_logical) strings of a loop-encoded qubit."""
-    if qubit.encoding != "memory_loops":
-        raise EncodingError("expected a memory_loops qubit")
-    if not (path_is_closed(qubit.x_path, spec) and path_is_closed(qubit.z_path, spec)):
+    if not all(path_is_closed(path, spec) for pair in pairs for path in pair):
         raise PathError("memory loop paths must be closed")
-    return path_string(qubit.x_path, spec), path_string(qubit.z_path, spec)
+    return tuple((path_string(x, spec), path_string(z, spec)) for x, z in pairs)
 
 
 def memory_basis(spec: LatticeSpec) -> tuple[Statevector, ...]:
     """(|G>, X1|G>, X2|G>, X1 X2|G>): the four loop-distinct ground states."""
     if spec.boundary != "periodic":
         raise EncodingError("the quantum memory requires a periodic boundary")
-    q1, q2 = memory_qubits(spec)
-    x1, _ = memory_logical_strings(q1, spec)
-    x2, _ = memory_logical_strings(q2, spec)
+    (x1, _), (x2, _) = memory_qubits(spec)
     g = ground_state_projector(spec)
     psi1 = Statevector.from_array(apply_string(x1, g.data))
     psi2 = Statevector.from_array(apply_string(x2, g.data))
@@ -381,12 +348,8 @@ def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
         raise ValueError("amplitudes must not all vanish")
     a = a / norm
 
-    q1, q2 = memory_qubits(spec)
-    x1, z1 = memory_logical_strings(q1, spec)
-    x2, z2 = memory_logical_strings(q2, spec)
-    x12 = multiply(x1, x2)
-    if x12.phase_exp:
-        raise EncodingError("loop products must combine with phase +1")
+    (x1, z1), (x2, z2) = memory_qubits(spec)
+    x12 = multiply(x1, x2)  # the m loops share one spin, with equal letters: phase +1
 
     g = ground_state_projector(spec)
     signs = []
@@ -501,8 +464,18 @@ def code_state(spec: LatticeSpec) -> Statevector:
     )
 
 
-def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
-    """Wrap one single-plaquette hole of the spec as a logical qubit."""
+def hole_logicals(hole: HoleSpec, spec: LatticeSpec) -> tuple[PauliString, PauliString]:
+    """(X_logical, Z_logical) of the qubit a one-plaquette hole of ``spec`` frees.
+
+    Smooth hole: X string of edges from the hole straight down to the smooth
+    bottom boundary; Z is the removed face (the Z loop around the hole).
+    Rough hole: X is the removed vertex star (the X loop around the hole);
+    Z string of edges straight up to the rough top boundary.
+
+    Raises:
+        EncodingError: not the open ``kitaev_holes`` model, a hole the spec
+            does not list, or a hole of more than one plaquette.
+    """
     if spec.model != "kitaev_holes":
         raise EncodingError("hole qubits require the kitaev_holes model")
     if spec.boundary != "open":
@@ -511,28 +484,8 @@ def hole_qubit(hole: HoleSpec, spec: LatticeSpec) -> LogicalQubit:
         raise EncodingError("hole is not part of the lattice spec")
     if len(hole.plaquettes) != 1:
         raise EncodingError("multi-plaquette holes are not supported as qubits")
+    (a, b), = hole.plaquettes
     if hole.kind == "smooth":
-        return LogicalQubit("smooth_hole", hole=hole)
-    return LogicalQubit("rough_hole", hole=hole)
-
-
-def hole_logicals(qubit: LogicalQubit, spec: LatticeSpec) -> tuple[PauliString, PauliString]:
-    """(X_logical, Z_logical) of a hole qubit.
-
-    Smooth hole: X string of edges from the hole straight down to the smooth
-    bottom boundary; Z is the removed face (the Z loop around the hole).
-    Rough hole: X is the removed vertex star (the X loop around the hole);
-    Z string of edges straight up to the rough top boundary.
-
-    Raises:
-        EncodingError: the qubit is not a one-plaquette hole qubit.
-    """
-    if qubit.encoding not in ("smooth_hole", "rough_hole"):
-        raise EncodingError("expected a hole-encoded qubit")
-    if qubit.hole is None or len(qubit.hole.plaquettes) != 1:
-        raise EncodingError("hole qubit must carry exactly one plaquette")
-    (a, b) = qubit.hole.plaquettes[0]
-    if qubit.encoding == "smooth_hole":
         x_bar = PauliString.from_sites(
             spec.n_sites,
             {kitaev_edge_index(spec, "h", i, b): "X" for i in range(a + 1, spec.rows)},
@@ -547,24 +500,22 @@ def hole_logicals(qubit: LogicalQubit, spec: LatticeSpec) -> tuple[PauliString, 
     return x_bar, z_bar
 
 
-def logical_basis(spec: LatticeSpec, qubits) -> list[Statevector]:
-    """Code-space basis states indexed by logical bits (first qubit = MSB)."""
+def logical_basis(spec: LatticeSpec, holes) -> list[Statevector]:
+    """Code-space basis states of the holes' qubits, indexed by logical bits (first hole = MSB)."""
+    xs = [hole_logicals(hole, spec)[0] for hole in holes]
     base = code_state(spec)
-    xs = [hole_logicals(q, spec)[0] for q in qubits]
     states = []
-    for idx in range(1 << len(qubits)):
+    for idx in range(1 << len(xs)):
         arr = base.data
         for k, x_bar in enumerate(xs):
-            if (idx >> (len(qubits) - 1 - k)) & 1:
+            if (idx >> (len(xs) - 1 - k)) & 1:
                 arr = apply_string(x_bar, arr)
         states.append(Statevector.from_array(arr))
     return states
 
 
-def magic_state(
-    qubit: LogicalQubit, theta: float, spec: LatticeSpec
-) -> Statevector:
-    """Prepare ``(|0> + e^{i theta}|1>)/sqrt(2)`` on one hole qubit.
+def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> Statevector:
+    """Prepare ``(|0> + e^{i theta}|1>)/sqrt(2)`` on the qubit of one hole.
 
     The logical-X quarter rotation gives ``(|0> - i|1>)/sqrt(2)``; the -i is
     then turned into e^{i theta} by the phase gate P(theta + pi/2), realized
@@ -573,19 +524,17 @@ def magic_state(
     to apply; it is divided back out so the returned state matches the
     target exactly.
     """
-    x_bar, z_bar = hole_logicals(qubit, spec)
+    x_bar, z_bar = hole_logicals(hole, spec)
     phi = theta + math.pi / 2.0
     arr = run_pulses([(x_bar, math.pi / 4.0), (z_bar, phi / 2.0)], code_state(spec).data)
     recorded = complex(np.exp(-1j * phi / 2.0))
     return Statevector.from_array(arr / recorded)
 
 
-def magic_report(qubit: LogicalQubit, theta: float, spec: LatticeSpec) -> dict:
+def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
     """Magic-state preparation summary: fidelity vs analytic target, phase."""
-    state = magic_state(qubit, theta, spec)
-    x_bar, _ = hole_logicals(qubit, spec)
-    zero = code_state(spec)
-    one = Statevector.from_array(apply_string(x_bar, zero.data))
+    state = magic_state(hole, theta, spec)
+    zero, one = logical_basis(spec, [hole])
     target = Statevector.from_array(
         (zero.data + np.exp(1j * theta) * one.data) / math.sqrt(2.0)
     )
@@ -615,8 +564,8 @@ class LoopCnot:
     """
 
     spec: LatticeSpec
-    control: LogicalQubit
-    target: LogicalQubit
+    control: HoleSpec
+    target: HoleSpec
     braid: PauliString
 
     def apply(self, state: Statevector, tg: float) -> Statevector:
@@ -685,15 +634,11 @@ def loop_cnot(
         raise EncodingError("the braided (control) hole must be smooth")
     if target_hole.kind != "rough":
         raise EncodingError("the enclosed (target) hole must be rough")
-    control = hole_qubit(control_hole, spec)
-    target = hole_qubit(target_hole, spec)
-    x_c, z_c = hole_logicals(control, spec)
-    x_t, z_t = hole_logicals(target, spec)
+    x_c, z_c = hole_logicals(control_hole, spec)
+    x_t, z_t = hole_logicals(target_hole, spec)
 
     if loop_edges is None:
-        braid = multiply(x_c, x_t)
-        if braid.phase_exp:
-            raise TopologyError("braid string must combine with phase +1")
+        braid = multiply(x_c, x_t)  # two X-only strings: phase +1
     else:
         sites = {}
         for key in loop_edges:
@@ -711,17 +656,15 @@ def loop_cnot(
         raise TopologyError("loop does not enclose the target hole")
     if commutes(braid, z_c):
         raise TopologyError("loop does not drag the control hole around")
-    return LoopCnot(spec, control, target, braid)
+    return LoopCnot(spec, control_hole, target_hole, braid)
 
 
 # -- hole moves --------------------------------------------------------------------
 
 
-def prepare_hole_superposition(
-    qubit: LogicalQubit, tg: float, spec: LatticeSpec
-) -> Statevector:
+def prepare_hole_superposition(hole: HoleSpec, tg: float, spec: LatticeSpec) -> Statevector:
     """``exp(-i tg X_logical)|0...0>_L``: hole empty/occupied superposition."""
-    x_bar, _ = hole_logicals(qubit, spec)
+    x_bar, _ = hole_logicals(hole, spec)
     return Statevector.from_array(apply_rotation(x_bar, tg, code_state(spec).data))
 
 
@@ -729,7 +672,7 @@ def naive_move_error(
     state: Statevector,
     extension: tuple,
     spec: LatticeSpec,
-    qubit: LogicalQubit,
+    hole: HoleSpec,
     tg: float,
 ) -> dict:
     """Compare the single-Pauli hole move against the intended extension.
@@ -742,9 +685,9 @@ def naive_move_error(
     The faithful route -- compiling the extended string propagator as one
     pulse schedule -- matches the intended state to numerical precision.
     """
-    if qubit.encoding != "smooth_hole":
+    if hole.kind != "smooth":
         raise EncodingError("hole moves are demonstrated on a smooth hole")
-    x_bar, _ = hole_logicals(qubit, spec)
+    x_bar, _ = hole_logicals(hole, spec)
     kind, i, j = extension
     ext_index = kitaev_edge_index(spec, str(kind), int(i), int(j))
     if ext_index in x_bar.support:
@@ -753,7 +696,7 @@ def naive_move_error(
     extended = multiply(x_bar, ext)
 
     base = code_state(spec)
-    prepared = prepare_hole_superposition(qubit, tg, spec)
+    prepared = prepare_hole_superposition(hole, tg, spec)
     prep_err = float(np.linalg.norm(state.data - prepared.data))
     if prep_err > 1e-8:
         raise ValueError(

@@ -20,6 +20,7 @@ loads numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -27,7 +28,7 @@ import math
 import sys
 
 from .dense_limit import ResourceLimitError, max_dense_qubits
-from .pauli_core import PauliString, index_field
+from .pauli_core import PauliString, index_field, pair_field
 from .schedule_compiler import (
     ConnectivityGraph,
     QsaSchedule,
@@ -345,6 +346,20 @@ def _payload(args) -> dict:
     return data
 
 
+@contextlib.contextmanager
+def _reading_payload(path: str | None):
+    """Name the ``--path`` file on a ``KeyError``, ``TypeError`` or ``ValueError`` raised inside.
+
+    Wrap only the reading of payload values: a library refusal keeps its own text.
+    """
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        if path is None:
+            raise
+        raise CliInputError(f"bad path file {path}: {exc}") from exc
+
+
 def _cmd_anyon(args):
     from . import anyon_logic
 
@@ -359,10 +374,8 @@ def _cmd_anyon(args):
     if args.action == "syndrome":
         if args.path is None:
             raise CliInputError("anyon syndrome requires --path")
-        try:
+        with _reading_payload(args.path):
             string_path = anyon_logic.StringPath.from_dict(payload)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliInputError(f"bad path file {args.path}: {exc}") from exc
         predicted = anyon_logic.predict_syndrome(string_path, spec)
         actual = anyon_logic.syndrome_of(string_path, spec)
         checks.append(
@@ -377,10 +390,8 @@ def _cmd_anyon(args):
         metrics["closed"] = anyon_logic.path_is_closed(string_path, spec)
 
     elif args.action == "braid":
-        raw = payload.get("center", [1, 1])
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise CliInputError(f"center must hold two entries, got {raw!r}")
-        center = tuple(index_field(entry, "center") for entry in raw)
+        with _reading_payload(args.path):
+            center = pair_field(payload.get("center", [1, 1]), "center")
         report = anyon_logic.braiding_phase(spec, center)
         checks.append(
             _check(
@@ -406,13 +417,14 @@ def _cmd_anyon(args):
         )
 
     elif args.action == "memory":
-        raw = payload.get("amplitudes", [0.5, 0.5, 0.5, 0.5])
-        if len(raw) != 4:
-            raise CliInputError("memory amplitudes must hold four entries")
-        amplitudes = [_amplitude(a, f"amplitudes[{k}]") for k, a in enumerate(raw)]
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
-        if norm == 0:
-            raise CliInputError("memory amplitudes must not all vanish")
+        with _reading_payload(args.path):
+            raw = payload.get("amplitudes", [0.5, 0.5, 0.5, 0.5])
+            if not isinstance(raw, list) or len(raw) != 4:
+                raise CliInputError(f"amplitudes must hold four entries, got {raw!r}")
+            amplitudes = [_amplitude(a, f"amplitudes[{k}]") for k, a in enumerate(raw)]
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+            if norm == 0:
+                raise CliInputError("amplitudes must not all vanish")
         amplitudes = [a / norm for a in amplitudes]
         basis = anyon_logic.memory_basis(spec)
         worst_pair = max(
@@ -442,9 +454,10 @@ def _cmd_anyon(args):
         metrics["max_overlap_error"] = err
 
     elif args.action == "magic":
-        theta = _finite_number(payload.get("theta", math.pi / 4.0), "theta")
-        qubit = anyon_logic.hole_qubit(_hole_from_payload(payload, spec, "hole", default=0), spec)
-        report = anyon_logic.magic_report(qubit, theta, spec)
+        with _reading_payload(args.path):
+            theta = _finite_number(payload.get("theta", math.pi / 4.0), "theta")
+            hole = _hole_from_payload(payload, spec, "hole", default=0)
+        report = anyon_logic.magic_report(hole, theta, spec)
         checks.append(
             _check(
                 "magic-state-fidelity",
@@ -463,8 +476,9 @@ def _cmd_anyon(args):
         )
 
     else:  # cnot
-        control = _hole_from_payload(payload, spec, "control", default=0)
-        target = _hole_from_payload(payload, spec, "target", default=1)
+        with _reading_payload(args.path):
+            control = _hole_from_payload(payload, spec, "control", default=0)
+            target = _hole_from_payload(payload, spec, "target", default=1)
         gate = anyon_logic.loop_cnot(control, target, spec)
         table = gate.truth_table()
         for row in table["rows"]:
@@ -494,11 +508,11 @@ def _amplitude(entry, field: str) -> complex:
 
 
 def _hole_from_payload(payload, spec, key, default):
+    """The spec's hole that the payload's ``key`` indexes."""
     idx = index_field(payload.get(key, default), key)
     if not (0 <= idx < len(spec.holes)):
         raise CliInputError(
-            f"{key} hole index {idx} out of range: spec defines "
-            f"{len(spec.holes)} hole(s)"
+            f"{key}: index {idx} out of range: spec defines {len(spec.holes)} hole(s)"
         )
     return spec.holes[idx]
 

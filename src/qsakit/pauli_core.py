@@ -69,6 +69,13 @@ def index_field(value, field: str) -> int:
         raise TypeError(f"{field}: {exc}") from None
 
 
+def pair_field(value, field: str) -> tuple[int, int]:
+    """A ``[row, col]`` pair read from input: two entries, each through :func:`index_field`."""
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{field} must hold two entries, got {value!r}")
+    return index_field(value[0], field), index_field(value[1], field)
+
+
 def float_field(value, field: str) -> float:
     """``float(value)`` for a real field read from input, naming ``field`` on a refusal."""
     try:

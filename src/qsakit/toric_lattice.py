@@ -32,7 +32,9 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .pauli_core import PauliString, WeightedPauliSum, anticommuting_pairs, float_field, index_field
+from .pauli_core import (
+    PauliString, WeightedPauliSum, anticommuting_pairs, float_field, index_field, pair_field,
+)
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
     Statevector,
@@ -75,10 +77,7 @@ class HoleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "HoleSpec":
         return cls(
-            tuple(
-                (index_field(i, "plaquettes"), index_field(j, "plaquettes"))
-                for i, j in data["plaquettes"]
-            ),
+            tuple(pair_field(cell, "plaquettes") for cell in data["plaquettes"]),
             str(data.get("kind", "smooth")),
         )
 

@@ -18,14 +18,12 @@ from qsakit.analysis import (
     strength_toric,
 )
 from qsakit.anyon_logic import (
-    hole_qubit,
     loop_cnot,
     magic_report,
     memory_basis,
     memory_qubits,
     naive_move_error,
     prepare_hole_superposition,
-    string_propagator,
 )
 from qsakit.dense_oracle import (
     Statevector,
@@ -195,18 +193,18 @@ def test_criterion_07_quantum_memory(dense16):
         for j in range(i + 1, 4):
             assert abs(basis[i].inner(basis[j])) <= 1e-10
 
-    q1, _ = memory_qubits(spec)
+    (x1, _), _ = memory_qubits(spec)
     tg = math.pi / 8.0
-    pulse = string_propagator(q1.x_path, tg, spec)
+    pulse = (x1, tg)
     rotated = Statevector.from_array(run_pulses([pulse], basis[0].data))
     assert abs(basis[0].inner(rotated) - math.cos(tg)) <= 1e-10
     assert abs(basis[1].inner(rotated) - (-1j) * math.sin(tg)) <= 1e-10
 
 
 def test_criterion_08_magic_states():
-    qubit = hole_qubit(TWO_HOLE_SPEC.holes[0], TWO_HOLE_SPEC)
+    hole = TWO_HOLE_SPEC.holes[0]
     for theta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-        report = magic_report(qubit, theta, TWO_HOLE_SPEC)
+        report = magic_report(hole, theta, TWO_HOLE_SPEC)
         assert report["fidelity"] >= 1.0 - 1e-10
 
     for tg in (0.3, math.pi / 8.0, 2.0):
@@ -227,18 +225,18 @@ def test_criterion_09_loop_cnot():
 
 
 def test_criterion_10_naive_move_error():
-    qubit = hole_qubit(TWO_HOLE_SPEC.holes[0], TWO_HOLE_SPEC)
+    hole = TWO_HOLE_SPEC.holes[0]
     extension = ("h", 1, 0)
 
     tg = math.pi / 4.0
-    state = prepare_hole_superposition(qubit, tg, TWO_HOLE_SPEC)
-    report = naive_move_error(state, extension, TWO_HOLE_SPEC, qubit, tg)
+    state = prepare_hole_superposition(hole, tg, TWO_HOLE_SPEC)
+    report = naive_move_error(state, extension, TWO_HOLE_SPEC, hole, tg)
     assert report["distance"] > 0.0
     assert report["loop_route_distance"] <= 1e-10
 
     tg = math.pi / 2.0
-    state = prepare_hole_superposition(qubit, tg, TWO_HOLE_SPEC)
-    report = naive_move_error(state, extension, TWO_HOLE_SPEC, qubit, tg)
+    state = prepare_hole_superposition(hole, tg, TWO_HOLE_SPEC)
+    report = naive_move_error(state, extension, TWO_HOLE_SPEC, hole, tg)
     assert report["distance"] <= 1e-10
     assert report["loop_route_distance"] <= 1e-10
 

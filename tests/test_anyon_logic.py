@@ -16,7 +16,6 @@ from qsakit.anyon_logic import (
     braiding_phase,
     code_state,
     hole_logicals,
-    hole_qubit,
     interleaved_propagators,
     logical_basis,
     loop_cnot,
@@ -25,7 +24,6 @@ from qsakit.anyon_logic import (
     magic_state,
     memory_basis,
     memory_encode,
-    memory_logical_strings,
     memory_qubits,
     naive_move_error,
     path_is_closed,
@@ -35,7 +33,7 @@ from qsakit.anyon_logic import (
     string_propagator,
     syndrome_of,
 )
-from qsakit.dense_oracle import Statevector, apply_rotation, apply_string, run_pulses
+from qsakit.dense_oracle import Statevector, apply_rotation, run_pulses
 from qsakit.pauli_core import PauliString, commutes
 from qsakit.toric_lattice import (
     HoleSpec,
@@ -168,9 +166,11 @@ def test_loop_paths_close_and_clear_the_syndrome():
 
 def test_memory_loop_algebra_is_symbolic():
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    q1, q2 = memory_qubits(spec)
-    x1, z1 = memory_logical_strings(q1, spec)
-    x2, z2 = memory_logical_strings(q2, spec)
+    (x1, z1), (x2, z2) = memory_qubits(spec)
+    assert x1 == path_string(loop_path(spec, "m", "vertical"), spec)
+    assert z1 == path_string(loop_path(spec, "e", "horizontal"), spec)
+    assert x2 == path_string(loop_path(spec, "m", "horizontal"), spec)
+    assert z2 == path_string(loop_path(spec, "e", "vertical"), spec)
     assert not commutes(x1, z1)
     assert not commutes(x2, z2)
     assert commutes(x1, z2) and commutes(x2, z1)
@@ -178,6 +178,12 @@ def test_memory_loop_algebra_is_symbolic():
     for term in build_wen(spec).terms:
         for logical in (x1, z1, x2, z2):
             assert commutes(logical, term.operator)
+
+
+def test_memory_qubits_need_loops_that_close():
+    # a vertical loop on two rows is two sites, which close no loop
+    with pytest.raises(PathError, match="^memory loop paths must be closed$"):
+        memory_qubits(LatticeSpec(rows=2, cols=4, boundary="periodic"))
 
 
 def test_memory_basis_and_encode(dense16):
@@ -237,8 +243,8 @@ def test_memory_encode_runs_at_most_seven_loop_rotations(dense16, monkeypatch, a
 def test_single_loop_rotation_amplitudes(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     basis = memory_basis(spec)
-    q1, _ = memory_qubits(spec)
-    pulse = string_propagator(q1.x_path, math.pi / 8.0, spec)
+    (x1, _), _ = memory_qubits(spec)
+    pulse = (x1, math.pi / 8.0)
     rotated = Statevector.from_array(run_pulses([pulse], basis[0].data))
     a0 = basis[0].inner(rotated)
     a1 = basis[1].inner(rotated)
@@ -258,9 +264,10 @@ def kron_propagator(string, tg, data):
 def test_string_propagator_is_the_pulse(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     ground = ground_state_projector(spec)
-    q1, q2 = memory_qubits(spec)
+    m_loop = loop_path(spec, "m", "vertical")
+    e_loop = loop_path(spec, "e", "vertical")
     walk = anyon_walk(spec, [(0, 0), (1, 1), (2, 2)])
-    for path, tg in ((q1.x_path, 0.3), (q2.z_path, -1.1), (walk, 0.7)):
+    for path, tg in ((m_loop, 0.3), (e_loop, -1.1), (walk, 0.7)):
         pulse = string_propagator(path, tg, spec)
         assert pulse == (path_string(path, spec), tg)
         want = kron_propagator(pulse[0], tg, ground.data)
@@ -280,10 +287,8 @@ def test_a_string_pulse_on_another_register_is_refused():
 
 def test_interleaved_crossings_rejected():
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    q1, q2 = memory_qubits(spec)
-    x1 = string_propagator(q1.x_path, 0.3, spec)
-    z1 = string_propagator(q1.z_path, 0.4, spec)
-    x2 = string_propagator(q2.x_path, 0.5, spec)
+    (x1, z1), (x2, _) = memory_qubits(spec)
+    x1, z1, x2 = (x1, 0.3), (z1, 0.4), (x2, 0.5)
     assert interleaved_propagators(x1, x2) == (x1, x2)
     with pytest.raises(UnsupportedOperationError):
         interleaved_propagators(x1, z1)
@@ -312,10 +317,8 @@ def test_braiding_phase_is_minus_one():
 
 
 def test_hole_qubit_edges_and_logicals():
-    smooth = hole_qubit(HOLES_SPEC.holes[0], HOLES_SPEC)
-    rough = hole_qubit(HOLES_SPEC.holes[1], HOLES_SPEC)
-    xs, zs = hole_logicals(smooth, HOLES_SPEC)
-    xr, zr = hole_logicals(rough, HOLES_SPEC)
+    xs, zs = hole_logicals(HOLES_SPEC.holes[0], HOLES_SPEC)
+    xr, zr = hole_logicals(HOLES_SPEC.holes[1], HOLES_SPEC)
     assert xs.weight == 1 and zs.weight == 4
     assert xr.weight == 4 and zr.weight == 1
     assert not commutes(xs, zs)
@@ -327,8 +330,26 @@ def test_hole_qubit_edges_and_logicals():
 
 
 def test_hole_qubit_requires_declared_hole():
-    with pytest.raises(EncodingError):
-        hole_qubit(HoleSpec(((0, 1),), "smooth"), HOLES_SPEC)
+    with pytest.raises(EncodingError, match="^hole is not part of the lattice spec$"):
+        hole_logicals(HoleSpec(((0, 1),), "smooth"), HOLES_SPEC)
+
+
+SMOOTH = HoleSpec(((1, 0),), "smooth")
+WIDE = HoleSpec(((1, 0), (1, 2)), "smooth")
+
+
+@pytest.mark.parametrize("hole, spec, error", [
+    (SMOOTH, LatticeSpec(rows=3, cols=4, holes=(SMOOTH,)),
+     "hole qubits require the kitaev_holes model"),
+    (SMOOTH, LatticeSpec(rows=4, cols=4, boundary="periodic", model="kitaev_holes",
+                         holes=(SMOOTH,)),
+     "hole logicals need boundaries to terminate on"),
+    (WIDE, LatticeSpec(rows=3, cols=4, model="kitaev_holes", holes=(WIDE,)),
+     "multi-plaquette holes are not supported as qubits"),
+], ids=["wen-model", "periodic", "two-plaquettes"])
+def test_hole_logicals_refuses_a_hole_that_frees_no_qubit(hole, spec, error):
+    with pytest.raises(EncodingError, match=f"^{error}$"):
+        hole_logicals(hole, spec)
 
 
 def test_code_state_is_the_logical_zero():
@@ -336,14 +357,12 @@ def test_code_state_is_the_logical_zero():
     for term in build_variant(HOLES_SPEC).terms:
         assert state.expectation(term.operator).real == pytest.approx(1.0)
     for hole in HOLES_SPEC.holes:
-        qubit = hole_qubit(hole, HOLES_SPEC)
-        _, z_bar = hole_logicals(qubit, HOLES_SPEC)
+        _, z_bar = hole_logicals(hole, HOLES_SPEC)
         assert state.expectation(z_bar).real == pytest.approx(1.0)
 
 
 def test_logical_basis_is_orthonormal():
-    qubits = [hole_qubit(h, HOLES_SPEC) for h in HOLES_SPEC.holes]
-    basis = logical_basis(HOLES_SPEC, qubits)
+    basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
     assert len(basis) == 4
     for i in range(4):
         assert np.isclose(np.linalg.norm(basis[i].data), 1.0)
@@ -352,11 +371,11 @@ def test_logical_basis_is_orthonormal():
 
 
 def test_magic_state_fidelities():
-    qubit = hole_qubit(HOLES_SPEC.holes[0], HOLES_SPEC)
+    hole = HOLES_SPEC.holes[0]
     for theta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-        report = magic_report(qubit, theta, HOLES_SPEC)
+        report = magic_report(hole, theta, HOLES_SPEC)
         assert report["fidelity"] >= 1.0 - 1e-10
-        state = magic_state(qubit, theta, HOLES_SPEC)
+        state = magic_state(hole, theta, HOLES_SPEC)
         assert isinstance(state, Statevector)
 
 
@@ -378,10 +397,8 @@ def test_loop_cnot_truth_table_and_composite():
     for tg in (0.0, 0.4, math.pi / 2.0):
         braided = gate.apply(state, tg).data
         assert np.array_equal(braided, run_pulses([(gate.braid, tg)], state.data))
-    basis = logical_basis(
-        HOLES_SPEC,
-        [hole_qubit(h, HOLES_SPEC) for h in HOLES_SPEC.holes],
-    )
+    assert (gate.control, gate.target) == HOLES_SPEC.holes
+    basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
     expected_index = {0: 0, 1: 1, 2: 3, 3: 2}
     for k, state in enumerate(basis):
         out, recorded = gate.composite_apply(state)
@@ -408,14 +425,16 @@ def test_loop_cnot_rejects_bad_loops():
 
 
 def test_naive_move_error_values():
-    qubit = hole_qubit(HOLES_SPEC.holes[0], HOLES_SPEC)
+    hole = HOLES_SPEC.holes[0]
     extension = ("h", 1, 0)
     for tg, expect_zero in ((math.pi / 4.0, False), (math.pi / 2.0, True)):
-        state = prepare_hole_superposition(qubit, tg, HOLES_SPEC)
-        report = naive_move_error(state, extension, HOLES_SPEC, qubit, tg)
+        state = prepare_hole_superposition(hole, tg, HOLES_SPEC)
+        report = naive_move_error(state, extension, HOLES_SPEC, hole, tg)
         assert report["distance"] == pytest.approx(report["predicted"], abs=1e-10)
         if expect_zero:
             assert report["distance"] <= 1e-10
         else:
             assert report["distance"] > 0.5
         assert report["loop_route_distance"] <= 1e-10
+    with pytest.raises(EncodingError, match="^hole moves are demonstrated on a smooth hole$"):
+        naive_move_error(state, extension, HOLES_SPEC, HOLES_SPEC.holes[1], tg)

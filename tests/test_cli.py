@@ -529,10 +529,11 @@ def test_anyon_magic_and_cnot(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["metrics"]["max_distance"] <= 1e-8
 
+    # the library's refusal keeps its own text: the payload file read fine
     swapped = write_json(tmp_path / "swapped.json", {"control": 1, "target": 0})
     code, out = run_cli(capsys, ["anyon", "cnot", "--spec", spec, "--path", swapped])
     assert code == 2
-    assert "EncodingError" in json.loads(out)["error"]
+    assert json.loads(out)["error"] == "EncodingError: the braided (control) hole must be smooth"
 
 
 def test_analyze_strength_and_scaling(tmp_path, capsys):
@@ -735,13 +736,13 @@ def _fractional_braid_center(tmp_path, capsys):
 
 @pytest.mark.parametrize("make_argv, context", [
     (_fractional_connector_site, "fractional.json: connector_site: "),
-    (_fractional_hole, "TypeError: hole: "),
+    (_fractional_hole, "magic.json: hole: "),
     (_fractional_rows, "wen.json: rows: "),
     (_fractional_hole_cell, "wen.json: plaquettes: "),
     (_fractional_twist_row, "wen.json: row: "),
     (_fractional_edge, "graph.json: edges: "),
     (_fractional_path_site, "path.json: sites: "),
-    (_fractional_braid_center, "TypeError: center: "),
+    (_fractional_braid_center, "braid.json: center: "),
 ], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site",
         "braid-center"])
 def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, context):
@@ -812,7 +813,69 @@ def test_a_braid_center_needs_two_entries(tmp_path, capsys):
     code, out = run_cli(capsys, ["anyon", "braid", "--spec", spec, "--path", payload])
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
-    assert report["error"] == "CliInputError: center must hold two entries, got [1, 1, 7]"
+    assert report["error"] == (
+        f"CliInputError: bad path file {payload}: center must hold two entries, got [1, 1, 7]"
+    )
+
+
+def _payload_case(action, spec, payload, error):
+    def make(tmp_path):
+        spec_file = write_json(tmp_path / "spec.json", spec)
+        path = write_json(tmp_path / "payload.json", payload)
+        argv = ["anyon", action, "--spec", spec_file, "--path", path]
+        return argv, f"CliInputError: bad path file {path}: {error}"
+    return make
+
+
+def _three_entry_plaquette(tmp_path):
+    spec = {"rows": 4, "cols": 4, "holes": [{"plaquettes": [[1, 0, 2]]}]}
+    spec = write_json(tmp_path / "spec.json", spec)
+    path = write_json(tmp_path / "payload.json", {"sites": [[2, 2]], "letters": "Z"})
+    argv = ["anyon", "syndrome", "--spec", spec, "--path", path]
+    error = f"bad lattice spec {spec}: plaquettes must hold two entries, got [1, 0, 2]"
+    return argv, f"CliInputError: {error}"
+
+
+WEN44 = {"rows": 4, "cols": 4}
+
+
+@pytest.mark.parametrize("make_case", [
+    _payload_case("magic", HOLES_SPEC, {"hole": 0.9},
+                  "hole: 'float' object cannot be interpreted as an integer"),
+    _payload_case("braid", WEN44, {"center": 3}, "center must hold two entries, got 3"),
+    _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
+                  {"amplitudes": [1, 0, 0]}, "amplitudes must hold four entries, got [1, 0, 0]"),
+    _payload_case("magic", HOLES_SPEC, {"theta": "abc"}, "theta: invalid float value: 'abc'"),
+    _payload_case("cnot", HOLES_SPEC, {"control": 2},
+                  "control: index 2 out of range: spec defines 2 hole(s)"),
+    _payload_case("syndrome", WEN44, {"sites": [[0, 0, 1]], "letters": "X"},
+                  "sites must hold two entries, got [0, 0, 1]"),
+    _three_entry_plaquette,
+], ids=["fractional-hole", "center", "three-amplitudes", "non-numeric-theta",
+        "control-out-of-range", "three-entry-site", "three-entry-plaquette"])
+def test_a_refused_payload_value_names_the_file_and_the_field(tmp_path, capsys, make_case):
+    argv, error = make_case(tmp_path)
+    code, out = run_cli(capsys, argv)
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == error
+
+
+def test_a_hole_index_without_a_payload_names_only_the_field(tmp_path, capsys):
+    # the default hole index 0 reads no file, so no file is blamed
+    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 4, "model": "kitaev_holes"})
+    code, out = run_cli(capsys, ["anyon", "magic", "--spec", spec])
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == "CliInputError: hole: index 0 out of range: spec defines 0 hole(s)"
+
+
+def test_anyon_memory_refuses_a_torus_whose_loops_do_not_close(tmp_path, capsys):
+    spec = write_json(tmp_path / "torus24.json", {"rows": 2, "cols": 4, "boundary": "periodic"})
+    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == "PathError: memory loop paths must be closed"
 
 
 @pytest.mark.parametrize("command", ["compile", "verify"])

@@ -18,7 +18,7 @@ SRC = Path(qsakit.__file__).resolve().parent.parent
 EXPORTS = sorted([
     "AttachmentSpec", "ConnectivityGraph", "DigitalSequence",
     "EncodingError", "ErrorScalingReport", "HoleSpec",
-    "LatticeError", "LatticeSpec", "LogicalQubit", "LoopCnot", "PathError",
+    "LatticeError", "LatticeSpec", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError", "Statevector",
     "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",
     "TopologyError", "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
@@ -26,7 +26,7 @@ EXPORTS = sorted([
     "braiding_phase", "build_variant", "build_wen", "code_state", "commutes",
     "compile_schedule", "conjugate", "depth_bound", "digital_sequence", "distance",
     "error_scaling", "expm", "ground_state_projector", "ground_state_sweep",
-    "hole_logicals", "hole_qubit", "interleaved_propagators", "loop_cnot",
+    "hole_logicals", "interleaved_propagators", "loop_cnot",
     "magic_report", "magic_state", "make_attachment", "make_swapper", "memory_basis",
     "memory_encode", "memory_qubits", "multiply", "naive_move_error", "path_string",
     "plaquette_schedule", "predict_syndrome", "replay_symbolic", "schedule_unitary",

@@ -10,8 +10,9 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8")
 
 
 def test_readme_holds_the_quick_start_and_toric_code_examples():
-    assert len(BLOCKS) == 2
+    assert len(BLOCKS) == 3
     assert "schedule_unitary" in BLOCKS[0] and "digital_sequence" in BLOCKS[1]
+    assert "hole_logicals" in BLOCKS[2] and "memory_qubits" in BLOCKS[2]
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
