@@ -30,7 +30,7 @@ _EXPORTS = {
     ),
     "dense_limit": ("ResourceLimitError",),
     "dense_oracle": (
-        "Statevector", "to_matrix", "expm",
+        "expectation", "to_matrix", "expm",
         "apply_schedule", "schedule_unitary", "distance", "verify_schedule",
     ),
     "toric_lattice": (
@@ -44,7 +44,8 @@ _EXPORTS = {
         "path_string", "syndrome_of", "predict_syndrome", "string_propagator",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
         "memory_basis", "memory_encode", "code_state", "hole_logicals",
-        "magic_state", "magic_report", "loop_cnot", "naive_move_error",
+        "magic_state", "magic_report", "loop_cnot", "prepare_hole_superposition",
+        "naive_move_error",
     ),
     "analysis": (
         "StrengthParams", "ErrorScalingReport", "strength_target", "strength_toric",

@@ -29,11 +29,11 @@ import numpy as np
 from .pauli_core import LETTERS, PauliString, commutes, multiply, pair_field
 from .schedule_compiler import compile_schedule
 from .dense_oracle import (
-    Statevector,
     apply_rotation,
     apply_schedule,
     apply_string,
     check_dense_limit,
+    expectation,
     run_pulses,
 )
 from .toric_lattice import (
@@ -296,16 +296,14 @@ def memory_qubits(spec: LatticeSpec) -> tuple[tuple[PauliString, PauliString], .
     return tuple((path_string(x, spec), path_string(z, spec)) for x, z in pairs)
 
 
-def memory_basis(spec: LatticeSpec) -> tuple[Statevector, ...]:
+def memory_basis(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
     """(|G>, X1|G>, X2|G>, X1 X2|G>): the four loop-distinct ground states."""
     if spec.boundary != "periodic":
         raise EncodingError("the quantum memory requires a periodic boundary")
     (x1, _), (x2, _) = memory_qubits(spec)
     g = ground_state_projector(spec)
-    psi1 = Statevector.from_array(apply_string(x1, g.data))
-    psi2 = Statevector.from_array(apply_string(x2, g.data))
-    psi3 = Statevector.from_array(apply_string(x1, psi2.data))
-    return g, psi1, psi2, psi3
+    psi2 = apply_string(x2, g)
+    return g, apply_string(x1, g), psi2, apply_string(x1, psi2)
 
 
 def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -323,7 +321,7 @@ def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, alpha + math.pi / 2.0, beta, gamma - math.pi / 2.0
 
 
-def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
+def memory_encode(spec: LatticeSpec, amplitudes) -> np.ndarray:
     """Prepare the memory state with the requested basis overlaps.
 
     The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) form
@@ -354,7 +352,7 @@ def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
     g = ground_state_projector(spec)
     signs = []
     for name, string in (("Z1", z1), ("Z2", z2)):
-        value = g.expectation(string)
+        value = expectation(string, g)
         s = float(np.round(value.real))
         if abs(abs(s) - 1.0) > 1e-9 or abs(value - s) > 1e-9:
             raise EncodingError(f"{name} is not sharp on the ground state")
@@ -371,7 +369,7 @@ def memory_encode(spec: LatticeSpec, amplitudes) -> Statevector:
         recorded *= np.exp(1j * delta)
         pulses += [(zs, gamma / 2.0 * sign), (xs, beta / 2.0), (zs, alpha / 2.0 * sign)]
     pulses = [(string, angle) for string, angle in pulses if abs(angle) > 1e-14]
-    return Statevector.from_array(recorded * run_pulses(pulses, g.data))
+    return recorded * run_pulses(pulses, g)
 
 
 # -- braiding statistics ----------------------------------------------------------
@@ -432,10 +430,10 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     g = ground_state_projector(spec)
     error_spin = ((ci + 1) % spec.rows, (cj + 1) % spec.cols)
     error = PauliString.from_sites(spec.n_sites, {spec.site_index(*error_spin): "Z"})
-    excited = Statevector.from_array(apply_string(error, g.data))
+    excited = apply_string(error, g)
 
-    ref = complex(g.expectation(loop_op))
-    braided = complex(excited.expectation(loop_op))
+    ref = expectation(loop_op, g)
+    braided = expectation(loop_op, excited)
     return {
         "center": [ci, cj],
         "loop": loop.to_dict(),
@@ -448,7 +446,7 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
 # -- hole-model logical qubits -----------------------------------------------------
 
 
-def code_state(spec: LatticeSpec) -> Statevector:
+def code_state(spec: LatticeSpec) -> np.ndarray:
     """Logical all-|0> state of the hole model.
 
     Projects |0...0> (already +1 for every Z-type face and for both kinds of
@@ -457,8 +455,10 @@ def code_state(spec: LatticeSpec) -> Statevector:
     if spec.model != "kitaev_holes":
         raise EncodingError("code_state is defined for the kitaev_holes model")
     check_dense_limit(spec.n_sites, "code_state")
+    zero = np.zeros(1 << spec.n_sites, dtype=np.complex128)
+    zero[0] = 1.0
     return project_plus(
-        Statevector.basis_state(spec.n_sites, 0).data,
+        zero,
         (term.operator for term in build_variant(spec).terms if term.kind == "vertex"),
         EncodingError("star projection annihilated the seed state"),
     )
@@ -500,21 +500,25 @@ def hole_logicals(hole: HoleSpec, spec: LatticeSpec) -> tuple[PauliString, Pauli
     return x_bar, z_bar
 
 
-def logical_basis(spec: LatticeSpec, holes) -> list[Statevector]:
+def logical_basis(spec: LatticeSpec, holes) -> list[np.ndarray]:
     """Code-space basis states of the holes' qubits, indexed by logical bits (first hole = MSB)."""
     xs = [hole_logicals(hole, spec)[0] for hole in holes]
-    base = code_state(spec)
+    return _logical_basis(xs, code_state(spec))
+
+
+def _logical_basis(xs, base: np.ndarray) -> list[np.ndarray]:
+    """:func:`logical_basis` from the holes' logical X strings and the built code state."""
     states = []
     for idx in range(1 << len(xs)):
-        arr = base.data
+        arr = base
         for k, x_bar in enumerate(xs):
             if (idx >> (len(xs) - 1 - k)) & 1:
                 arr = apply_string(x_bar, arr)
-        states.append(Statevector.from_array(arr))
+        states.append(arr)
     return states
 
 
-def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> Statevector:
+def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> np.ndarray:
     """Prepare ``(|0> + e^{i theta}|1>)/sqrt(2)`` on the qubit of one hole.
 
     The logical-X quarter rotation gives ``(|0> - i|1>)/sqrt(2)``; the -i is
@@ -525,25 +529,30 @@ def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> Statevector:
     target exactly.
     """
     x_bar, z_bar = hole_logicals(hole, spec)
+    return _magic_state(x_bar, z_bar, theta, code_state(spec))
+
+
+def _magic_state(x_bar, z_bar, theta: float, base: np.ndarray) -> np.ndarray:
+    """:func:`magic_state` from the hole's logical pair and the built code state."""
     phi = theta + math.pi / 2.0
-    arr = run_pulses([(x_bar, math.pi / 4.0), (z_bar, phi / 2.0)], code_state(spec).data)
+    arr = run_pulses([(x_bar, math.pi / 4.0), (z_bar, phi / 2.0)], base)
     recorded = complex(np.exp(-1j * phi / 2.0))
-    return Statevector.from_array(arr / recorded)
+    return arr / recorded
 
 
 def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
     """Magic-state preparation summary: fidelity vs analytic target, phase."""
-    state = magic_state(hole, theta, spec)
-    zero, one = logical_basis(spec, [hole])
-    target = Statevector.from_array(
-        (zero.data + np.exp(1j * theta) * one.data) / math.sqrt(2.0)
-    )
+    x_bar, z_bar = hole_logicals(hole, spec)
+    base = code_state(spec)
+    state = _magic_state(x_bar, z_bar, theta, base)
+    zero, one = _logical_basis([x_bar], base)
+    target = (zero + np.exp(1j * theta) * one) / math.sqrt(2.0)
     return {
         "theta": theta,
         "recorded_phase": complex(np.exp(-1j * (theta + math.pi / 2.0) / 2.0)),
-        "fidelity": float(state.fidelity(target)),
-        "overlap_zero": complex(zero.inner(state)),
-        "overlap_one": complex(one.inner(state)),
+        "fidelity": float(abs(complex(np.vdot(state, target))) ** 2),
+        "overlap_zero": complex(np.vdot(zero, state)),
+        "overlap_one": complex(np.vdot(one, state)),
     }
 
 
@@ -568,9 +577,9 @@ class LoopCnot:
     target: HoleSpec
     braid: PauliString
 
-    def apply(self, state: Statevector, tg: float) -> Statevector:
+    def apply(self, state: np.ndarray, tg: float) -> np.ndarray:
         """The braid propagator, the pulse ``(braid, tg)``, on ``state``."""
-        return Statevector.from_array(run_pulses([(self.braid, tg)], state.data))
+        return run_pulses([(self.braid, tg)], state)
 
     def truth_table(self) -> dict:
         """Braid-route CNOT rows on the logical basis.
@@ -586,7 +595,7 @@ class LoopCnot:
             rows.append({
                 "input": (0, t), "expected": (0, t),
                 "recorded_phase": complex(1.0),
-                "distance": float(np.linalg.norm(out.data - basis[t].data)),
+                "distance": float(np.linalg.norm(out - basis[t])),
             })
         for t in (0, 1):
             out = self.apply(basis[t], math.pi / 2.0)
@@ -594,13 +603,11 @@ class LoopCnot:
             rows.append({
                 "input": (1, t), "expected": (1, 1 - t),
                 "recorded_phase": complex(-1j),
-                "distance": float(
-                    np.linalg.norm(out.data - (-1j) * expected.data)
-                ),
+                "distance": float(np.linalg.norm(out - (-1j) * expected)),
             })
         return {"rows": rows, "max_distance": max(r["distance"] for r in rows)}
 
-    def composite_apply(self, state: Statevector) -> tuple[Statevector, complex]:
+    def composite_apply(self, state: np.ndarray) -> tuple[np.ndarray, complex]:
         """Exact CNOT: three commuting rotations plus recorded e^{i pi/4}."""
         _, z_c = hole_logicals(self.control, self.spec)
         x_t, _ = hole_logicals(self.target, self.spec)
@@ -608,9 +615,9 @@ class LoopCnot:
         if zx.phase_exp:
             raise EncodingError("control-Z and target-X strings must be disjoint")
         quarter = math.pi / 4.0
-        arr = run_pulses([(z_c, quarter), (x_t, quarter), (zx, -quarter)], state.data)
+        arr = run_pulses([(z_c, quarter), (x_t, quarter), (zx, -quarter)], state)
         recorded = complex(np.exp(1j * quarter))
-        return Statevector.from_array(recorded * arr), recorded
+        return recorded * arr, recorded
 
 
 def loop_cnot(
@@ -662,14 +669,14 @@ def loop_cnot(
 # -- hole moves --------------------------------------------------------------------
 
 
-def prepare_hole_superposition(hole: HoleSpec, tg: float, spec: LatticeSpec) -> Statevector:
+def prepare_hole_superposition(hole: HoleSpec, tg: float, spec: LatticeSpec) -> np.ndarray:
     """``exp(-i tg X_logical)|0...0>_L``: hole empty/occupied superposition."""
     x_bar, _ = hole_logicals(hole, spec)
-    return Statevector.from_array(apply_rotation(x_bar, tg, code_state(spec).data))
+    return apply_rotation(x_bar, tg, code_state(spec))
 
 
 def naive_move_error(
-    state: Statevector,
+    state: np.ndarray,
     extension: tuple,
     spec: LatticeSpec,
     hole: HoleSpec,
@@ -696,23 +703,22 @@ def naive_move_error(
     extended = multiply(x_bar, ext)
 
     base = code_state(spec)
-    prepared = prepare_hole_superposition(hole, tg, spec)
-    prep_err = float(np.linalg.norm(state.data - prepared.data))
+    prep_err = float(np.linalg.norm(state - apply_rotation(x_bar, tg, base)))
     if prep_err > 1e-8:
         raise ValueError(
             "state is not the prepared hole superposition for this tg "
             f"(deviation {prep_err:.2e})"
         )
 
-    naive = apply_string(ext, state.data)
-    intended = apply_rotation(extended, tg, base.data)
+    naive = apply_string(ext, state)
+    intended = apply_rotation(extended, tg, base)
     distance = float(np.linalg.norm(naive - intended))
-    factor = float(np.linalg.norm(apply_string(ext, base.data) - base.data)) / 2.0
+    factor = float(np.linalg.norm(apply_string(ext, base) - base)) / 2.0
     predicted = 2.0 * abs(math.cos(tg)) * factor
 
     schedule = compile_schedule(extended, strategy="auto", tg=tg)
     loop_route = apply_schedule(schedule, base)
-    loop_route_distance = float(np.linalg.norm(loop_route.data - intended))
+    loop_route_distance = float(np.linalg.norm(loop_route - intended))
 
     return {
         "tg": tg,

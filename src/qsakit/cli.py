@@ -262,7 +262,9 @@ def _lattice_spec(path: str):
 
 
 def _cmd_toric(args):
-    from .dense_oracle import compare_pulses
+    import numpy as np
+
+    from .dense_oracle import compare_pulses, expectation
     from .toric_lattice import (
         LATTICE_CHECKS,
         build_variant,
@@ -296,7 +298,7 @@ def _cmd_toric(args):
         ops = build_variant(spec).operators()
         if spec.boundary == "open":
             swept, stages = ground_state_sweep(spec)
-            fid = swept.fidelity(reference)
+            fid = float(abs(complex(np.vdot(swept, reference))) ** 2)
             checks.append(
                 _check(
                     "sweep-matches-projector",
@@ -309,7 +311,7 @@ def _cmd_toric(args):
             state = swept
         else:
             state = reference
-        expectations = [state.expectation(op) for op in ops]
+        expectations = [expectation(op, state) for op in ops]
         worst = min(x.real for x in expectations) if expectations else 1.0
         checks.append(
             _check(
@@ -361,6 +363,8 @@ def _reading_payload(path: str | None):
 
 
 def _cmd_anyon(args):
+    import numpy as np
+
     from . import anyon_logic
 
     spec = _lattice_spec(args.spec)
@@ -428,7 +432,7 @@ def _cmd_anyon(args):
         amplitudes = [a / norm for a in amplitudes]
         basis = anyon_logic.memory_basis(spec)
         worst_pair = max(
-            abs(basis[i].inner(basis[j]))
+            abs(complex(np.vdot(basis[i], basis[j])))
             for i in range(4)
             for j in range(i + 1, 4)
         )
@@ -440,7 +444,7 @@ def _cmd_anyon(args):
             )
         )
         encoded = anyon_logic.memory_encode(spec, amplitudes)
-        overlaps = [b.inner(encoded) for b in basis]
+        overlaps = [complex(np.vdot(b, encoded)) for b in basis]
         err = max(abs(o - a) for o, a in zip(overlaps, amplitudes))
         checks.append(
             _check(

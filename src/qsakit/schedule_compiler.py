@@ -16,7 +16,9 @@ Strategies:
   reaches the target support in ``ceil(log2 N) - 1`` layers is taken, else
   the graph does not admit doubling.
 * ``line_endpoints`` -- seed in the middle of a Hamiltonian path of the
-  support, grow both endpoints outward: ``ceil(N/2) - 1`` layers.
+  support, grow both endpoints outward: ``ceil(N/2) - 1`` layers.  The path
+  search gives up after :data:`PATH_SEARCH_BUDGET` partial paths, which
+  makes the strategy infeasible like a support with no path.
 * ``single_endpoint`` -- seed at one end of the path, grow one site per
   layer: ``N - 2`` layers.
 * ``greedy`` -- the doubling growth rule from the lowest-index seed edge,
@@ -48,6 +50,15 @@ STRATEGIES = ("doubling", "line_endpoints", "single_endpoint", "greedy", "auto")
 GROW_ALPHA = "Z"
 GROW_BETA = "X"
 ATTACHED_LETTER = "X"
+
+#: Most partial paths the Hamiltonian-path search extends before it gives up
+#: with :class:`StrategyInfeasibleError`.  The largest count on the test
+#: suite's inputs is 4,556 (the golden ``sparse14`` graph) and 128 on the
+#: benchmark's (seeds 1-3); three 4-cliques joined to two hubs need 62,867
+#: to find their path.  Supports that pass every guard yet have no path, such
+#: as four k-cliques joined to two hubs, would otherwise search for seconds
+#: to hours.  About 1e6 nodes a second in pure Python: 0.1 s.
+PATH_SEARCH_BUDGET = 100_000
 
 
 class CompileError(ValueError):
@@ -325,6 +336,10 @@ def _hamiltonian_path(support, adj):
     path out before the (exponential) search starts: a vertex of degree <= 1
     can only be an endpoint, so at most two such vertices exist; and
     :func:`_path_possible` checks cut vertices and bipartite balance.
+
+    Raises:
+        StrategyInfeasibleError: the search extended :data:`PATH_SEARCH_BUDGET`
+            partial paths without deciding.
     """
     ordered = list(support)
     if all(ordered[i + 1] in adj[ordered[i]] for i in range(len(ordered) - 1)):
@@ -336,8 +351,15 @@ def _hamiltonian_path(support, adj):
 
     n = len(support)
     starts = sorted(support, key=lambda s: (len(adj[s]), s))
+    budget = PATH_SEARCH_BUDGET
 
     def extend(path: list[int], used: set) -> list[int] | None:
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise StrategyInfeasibleError(
+                f"Hamiltonian-path search gave up after {PATH_SEARCH_BUDGET} nodes"
+            )
         if len(path) == n:
             return path
         for nxt in adj[path[-1]]:

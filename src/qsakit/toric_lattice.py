@@ -37,7 +37,6 @@ from .pauli_core import (
 )
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
-    Statevector,
     apply_string,
     check_dense_limit,
     pulse_unitary,
@@ -548,8 +547,8 @@ class DigitalSequence:
         """Every pulse of every stage, in execution order."""
         return [p for stage in self.stages for sched in stage for p in schedule_pulses(sched)]
 
-    def apply(self, state: Statevector) -> Statevector:
-        return Statevector.from_array(run_pulses(self.pulses(), state.data))
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        return run_pulses(self.pulses(), state)
 
     def unitary(self) -> np.ndarray:
         return pulse_unitary(self.n_sites, self.pulses(), "digital unitary")
@@ -578,7 +577,7 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
 # -- wen ground states ----------------------------------------------------------
 
 
-def build_psi0(spec: LatticeSpec) -> Statevector:
+def build_psi0(spec: LatticeSpec) -> np.ndarray:
     """Product seed state: odd-parity spins in |+>, even-parity spins in |0>.
 
     Odd-anchored plaquettes place X on the odd spins and Z on the even spins,
@@ -594,14 +593,14 @@ def build_psi0(spec: LatticeSpec) -> Statevector:
     for i in range(spec.rows):
         for j in range(spec.cols):
             state = np.kron(state, plus if (i + j) % 2 else zero)
-    return Statevector.from_array(state)
+    return state
 
 
 def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
     return [t for t in pset.terms if (t.index[0] + t.index[1]) % 2 == 0]
 
 
-def project_plus(array: np.ndarray, operators, error: Exception) -> Statevector:
+def project_plus(array: np.ndarray, operators, error: Exception) -> np.ndarray:
     """Normalized ``prod (1 + P)/sqrt(2)`` of ``array`` over commuting ``operators``.
 
     Raises:
@@ -609,12 +608,13 @@ def project_plus(array: np.ndarray, operators, error: Exception) -> Statevector:
     """
     for op in operators:
         array = (array + apply_string(op, array)) / math.sqrt(2.0)
-    if float(np.linalg.norm(array)) < 1e-9:
+    norm = float(np.linalg.norm(array))
+    if norm < 1e-9:
         raise error
-    return Statevector.from_array(array, normalize=True)
+    return array / norm
 
 
-def ground_state_projector(spec: LatticeSpec) -> Statevector:
+def ground_state_projector(spec: LatticeSpec) -> np.ndarray:
     """Ground state via ``prod_even (1 + P)/sqrt(2)`` on the seed state.
 
     Works for open and periodic boundaries (the periodic product of all even
@@ -624,7 +624,7 @@ def ground_state_projector(spec: LatticeSpec) -> Statevector:
     if spec.twists:
         raise LatticeError("ground-state construction does not support twists")
     return project_plus(
-        build_psi0(spec).data,
+        build_psi0(spec),
         (term.operator for term in _even_terms(build_wen(spec))),
         LatticeError("projector annihilated the seed state"),
     )
@@ -685,4 +685,4 @@ def ground_state_sweep(spec: LatticeSpec):
             pulses.append((rotation, math.pi / 4))
             # every spin this plaquette touched is no longer fresh
             used_corners.update(rotation.support)
-    return Statevector.from_array(run_pulses(pulses, psi0.data)), tuple(stages)
+    return run_pulses(pulses, psi0), tuple(stages)

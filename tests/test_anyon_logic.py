@@ -33,15 +33,25 @@ from qsakit.anyon_logic import (
     string_propagator,
     syndrome_of,
 )
-from qsakit.dense_oracle import Statevector, apply_rotation, run_pulses
+from qsakit.dense_oracle import (
+    _random_state,
+    apply_rotation,
+    apply_schedule,
+    expectation,
+    run_pulses,
+)
 from qsakit.pauli_core import PauliString, commutes
+from qsakit.schedule_compiler import compile_schedule
 from qsakit.toric_lattice import (
     HoleSpec,
     LatticeError,
     LatticeSpec,
+    build_psi0,
     build_variant,
     build_wen,
+    digital_sequence,
     ground_state_projector,
+    ground_state_sweep,
 )
 
 from conftest import kron_expm, kron_letters
@@ -191,12 +201,12 @@ def test_memory_basis_and_encode(dense16):
     basis = memory_basis(spec)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert abs(basis[i].inner(basis[j])) <= 1e-10
+            assert abs(np.vdot(basis[i], basis[j])) <= 1e-10
     rng = np.random.default_rng(SEED + 1)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps = amps / np.linalg.norm(amps)
     state = memory_encode(spec, list(amps))
-    overlaps = np.array([b.inner(state) for b in basis])
+    overlaps = np.array([np.vdot(b, state) for b in basis])
     assert np.max(np.abs(overlaps - amps)) <= 1e-8
 
 
@@ -235,7 +245,7 @@ def test_memory_encode_runs_at_most_seven_loop_rotations(dense16, monkeypatch, a
     monkeypatch.setattr(anyon_logic, "run_pulses", counted)
     amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
     state = memory_encode(spec, list(amps))
-    overlaps = np.array([b.inner(state) for b in basis])
+    overlaps = np.array([np.vdot(b, state) for b in basis])
     assert np.max(np.abs(overlaps - amps)) <= 1e-12
     assert len(counts) == 1 and counts[0] <= 7
 
@@ -245,9 +255,9 @@ def test_single_loop_rotation_amplitudes(dense16):
     basis = memory_basis(spec)
     (x1, _), _ = memory_qubits(spec)
     pulse = (x1, math.pi / 8.0)
-    rotated = Statevector.from_array(run_pulses([pulse], basis[0].data))
-    a0 = basis[0].inner(rotated)
-    a1 = basis[1].inner(rotated)
+    rotated = run_pulses([pulse], basis[0])
+    a0 = np.vdot(basis[0], rotated)
+    a1 = np.vdot(basis[1], rotated)
     assert abs(a0 - math.cos(math.pi / 8.0)) <= 1e-10
     assert abs(a1 - (-1j) * math.sin(math.pi / 8.0)) <= 1e-10
 
@@ -270,13 +280,13 @@ def test_string_propagator_is_the_pulse(dense16):
     for path, tg in ((m_loop, 0.3), (e_loop, -1.1), (walk, 0.7)):
         pulse = string_propagator(path, tg, spec)
         assert pulse == (path_string(path, spec), tg)
-        want = kron_propagator(pulse[0], tg, ground.data)
-        assert np.abs(run_pulses([pulse], ground.data) - want).max() <= 1e-12
+        want = kron_propagator(pulse[0], tg, ground)
+        assert np.abs(run_pulses([pulse], ground) - want).max() <= 1e-12
 
 
 def test_a_string_pulse_on_another_register_is_refused():
     pulse = (PauliString.parse("XZZX"), 0.3)
-    wider = Statevector.basis_state(5).data
+    wider = np.zeros(32, dtype=np.complex128)
     with pytest.raises(ValueError, match="generator on 4 sites, array on 5"):
         run_pulses([pulse], wider)
     with pytest.raises(ValueError, match="generator on 4 sites, array on 5"):
@@ -355,19 +365,19 @@ def test_hole_logicals_refuses_a_hole_that_frees_no_qubit(hole, spec, error):
 def test_code_state_is_the_logical_zero():
     state = code_state(HOLES_SPEC)
     for term in build_variant(HOLES_SPEC).terms:
-        assert state.expectation(term.operator).real == pytest.approx(1.0)
+        assert expectation(term.operator, state).real == pytest.approx(1.0)
     for hole in HOLES_SPEC.holes:
         _, z_bar = hole_logicals(hole, HOLES_SPEC)
-        assert state.expectation(z_bar).real == pytest.approx(1.0)
+        assert expectation(z_bar, state).real == pytest.approx(1.0)
 
 
 def test_logical_basis_is_orthonormal():
     basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
     assert len(basis) == 4
     for i in range(4):
-        assert np.isclose(np.linalg.norm(basis[i].data), 1.0)
+        assert np.isclose(np.linalg.norm(basis[i]), 1.0)
         for j in range(i + 1, 4):
-            assert abs(basis[i].inner(basis[j])) <= 1e-10
+            assert abs(np.vdot(basis[i], basis[j])) <= 1e-10
 
 
 def test_magic_state_fidelities():
@@ -375,8 +385,100 @@ def test_magic_state_fidelities():
     for theta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
         report = magic_report(hole, theta, HOLES_SPEC)
         assert report["fidelity"] >= 1.0 - 1e-10
-        state = magic_state(hole, theta, HOLES_SPEC)
-        assert isinstance(state, Statevector)
+
+
+def test_magic_report_builds_the_code_state_once(monkeypatch):
+    hole = HOLES_SPEC.holes[0]
+    zero, one = logical_basis(HOLES_SPEC, [hole])
+    state = magic_state(hole, 0.7, HOLES_SPEC)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return code_state(spec)
+
+    monkeypatch.setattr(anyon_logic, "code_state", counted)
+    report = magic_report(hole, 0.7, HOLES_SPEC)
+    assert len(calls) == 1
+    # the same numbers as the public functions give one by one
+    target = (zero + np.exp(0.7j) * one) / math.sqrt(2.0)
+    assert report["fidelity"] == float(abs(complex(np.vdot(state, target))) ** 2)
+    assert report["overlap_zero"] == complex(np.vdot(zero, state))
+    assert report["overlap_one"] == complex(np.vdot(one, state))
+
+
+def test_naive_move_error_builds_the_code_state_once(monkeypatch):
+    hole, tg = HOLES_SPEC.holes[0], math.pi / 4.0
+    state = prepare_hole_superposition(hole, tg, HOLES_SPEC)
+    want = naive_move_error(state, ("h", 1, 0), HOLES_SPEC, hole, tg)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return code_state(spec)
+
+    monkeypatch.setattr(anyon_logic, "code_state", counted)
+    assert naive_move_error(state, ("h", 1, 0), HOLES_SPEC, hole, tg) == want
+    assert len(calls) == 1
+
+
+def _memory_spec():
+    return LatticeSpec(rows=4, cols=4, boundary="periodic")
+
+
+def _cnot():
+    return loop_cnot(HOLES_SPEC.holes[0], HOLES_SPEC.holes[1], HOLES_SPEC)
+
+
+def _schedule_on_a_probe():
+    schedule = compile_schedule(PauliString.parse("XZZX"), tg=0.3)
+    return [apply_schedule(schedule, _random_state(4, seed=3))]
+
+
+WEN_3X3 = LatticeSpec(rows=3, cols=3)
+
+# every function that hands back a dense state: (register width, its states)
+STATE_MAKERS = {
+    "build_psi0": (9, lambda: [build_psi0(WEN_3X3)]),
+    "ground_state_projector": (9, lambda: [ground_state_projector(WEN_3X3)]),
+    "ground_state_sweep": (9, lambda: [ground_state_sweep(WEN_3X3)[0]]),
+    "DigitalSequence.apply": (9, lambda: [
+        digital_sequence(WEN_3X3, 0.3).apply(build_psi0(WEN_3X3))
+    ]),
+    "memory_basis": (16, lambda: list(memory_basis(_memory_spec()))),
+    "memory_encode": (16, lambda: [memory_encode(_memory_spec(), [1.0, 0.5j, 0.0, -0.25])]),
+    "code_state": (HOLES_SPEC.n_sites, lambda: [code_state(HOLES_SPEC)]),
+    "logical_basis": (HOLES_SPEC.n_sites, lambda: logical_basis(HOLES_SPEC, HOLES_SPEC.holes)),
+    "magic_state": (HOLES_SPEC.n_sites, lambda: [
+        magic_state(HOLES_SPEC.holes[0], 0.7, HOLES_SPEC)
+    ]),
+    "prepare_hole_superposition": (HOLES_SPEC.n_sites, lambda: [
+        prepare_hole_superposition(HOLES_SPEC.holes[0], 0.4, HOLES_SPEC)
+    ]),
+    "LoopCnot.apply": (HOLES_SPEC.n_sites, lambda: [
+        _cnot().apply(code_state(HOLES_SPEC), 0.4)
+    ]),
+    "LoopCnot.composite_apply": (HOLES_SPEC.n_sites, lambda: [
+        _cnot().composite_apply(state)[0]
+        for state in logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
+    ]),
+    "apply_schedule": (4, _schedule_on_a_probe),
+}
+
+
+@pytest.mark.parametrize("n_sites, make", STATE_MAKERS.values(), ids=STATE_MAKERS.keys())
+def test_every_state_is_a_unit_complex_array(dense16, n_sites, make):
+    for state in make():
+        assert isinstance(state, np.ndarray)
+        assert state.shape == (1 << n_sites,) and state.dtype == np.complex128
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+
+
+def test_apply_schedule_refuses_a_state_of_the_wrong_width():
+    schedule = compile_schedule(PauliString.parse("XZZX"), tg=0.3)
+    for wrong in (np.zeros(8, dtype=np.complex128), np.zeros((16, 1), dtype=np.complex128)):
+        with pytest.raises(ValueError, match="^state width does not match schedule$"):
+            apply_schedule(schedule, wrong)
 
 
 def test_phase_gate_identity_two_by_two():
@@ -395,15 +497,15 @@ def test_loop_cnot_truth_table_and_composite():
     assert table["max_distance"] <= 1e-8
     state = code_state(HOLES_SPEC)
     for tg in (0.0, 0.4, math.pi / 2.0):
-        braided = gate.apply(state, tg).data
-        assert np.array_equal(braided, run_pulses([(gate.braid, tg)], state.data))
+        braided = gate.apply(state, tg)
+        assert np.array_equal(braided, run_pulses([(gate.braid, tg)], state))
     assert (gate.control, gate.target) == HOLES_SPEC.holes
     basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
     expected_index = {0: 0, 1: 1, 2: 3, 3: 2}
     for k, state in enumerate(basis):
         out, recorded = gate.composite_apply(state)
         want = basis[expected_index[k]]
-        assert abs(abs(out.inner(want)) - 1.0) <= 1e-10
+        assert abs(abs(np.vdot(out, want)) - 1.0) <= 1e-10
         assert abs(recorded - np.exp(1j * math.pi / 4.0)) <= 1e-12
 
 

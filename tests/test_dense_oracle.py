@@ -19,7 +19,7 @@ from qsakit.analysis import pulse_product
 from qsakit.dense_oracle import (
     MATRIX_QUBIT_CAP,
     ResourceLimitError,
-    Statevector,
+    _random_state,
     apply_rotation,
     apply_schedule,
     apply_string,
@@ -27,6 +27,7 @@ from qsakit.dense_oracle import (
     check_dense_limit,
     compare_pulses,
     distance,
+    expectation,
     expm,
     max_dense_qubits,
     pulse_unitary,
@@ -131,26 +132,27 @@ def test_distance_is_exact_spectral_norm():
     assert frobenius_distance(a, b) >= distance(a, b) - 1e-12
 
 
-def test_statevector_basics():
-    v = Statevector.random(4, seed=5)
-    assert np.isclose(np.linalg.norm(v.data), 1.0)
-    w = Statevector.random(4, seed=5)
-    assert np.allclose(v.data, w.data)
-    z = Statevector.basis_state(2, 3)
-    assert z.data[3] == 1.0
-    zz = PauliString.parse("ZZ")
-    assert z.expectation(zz) == pytest.approx(1.0)
-    assert z.fidelity(z) == pytest.approx(1.0)
+def test_random_state_is_the_seeded_gaussian_draw():
+    v = _random_state(4, seed=5)
+    # the probes of compare_pulses: real parts drawn first, then imaginary parts
+    rng = np.random.default_rng(5)
+    draw = rng.normal(size=16) + 1j * rng.normal(size=16)
+    assert v.dtype == np.complex128
+    assert np.array_equal(v, draw / float(np.linalg.norm(draw)))
+    assert np.isclose(np.linalg.norm(v), 1.0)
+    z = np.zeros(4, dtype=np.complex128)
+    z[3] = 1.0
+    assert expectation(PauliString.parse("ZZ"), z) == pytest.approx(1.0)
 
 
-def test_statevector_expectation_matches_kron():
+def test_expectation_matches_kron():
     rng = np.random.default_rng(SEED + 5)
     for _ in range(40):
         n = int(rng.integers(1, 6))
         s = random_string(rng, n).with_phase_exp(0)
-        v = Statevector.random(n, seed=int(rng.integers(0, 10**6)))
-        want = np.vdot(v.data, kron_string(s) @ v.data)
-        assert np.isclose(v.expectation(s), want, atol=1e-12)
+        v = _random_state(n, seed=int(rng.integers(0, 10**6)))
+        want = np.vdot(v, kron_string(s) @ v)
+        assert np.isclose(expectation(s, v), want, atol=1e-12)
 
 
 def test_schedule_unitary_equals_pulse_product():
@@ -225,10 +227,10 @@ def test_apply_schedule_matches_unitary_action():
     target = PauliString.parse("XZZX")
     schedule = compile_schedule(target, ConnectivityGraph.complete(4), tg=0.3)
     for k in range(5):
-        v = Statevector.random(4, seed=k)
+        v = _random_state(4, seed=k)
         got = apply_schedule(schedule, v)
-        want = schedule_unitary(schedule) @ v.data
-        assert np.allclose(got.data, want, atol=1e-12)
+        want = schedule_unitary(schedule) @ v
+        assert np.allclose(got, want, atol=1e-12)
     del rng
 
 
@@ -422,10 +424,10 @@ def test_rotation_refuses_generators_that_are_not_involutions():
     normalised = raw.scaled(1 / math.sqrt(2.0))
     swap = AttachmentSpec(0, "X", "Y", 1, "Z").generator(2)
     zz = PauliString.parse("ZZ")
-    vec = Statevector.random(2, seed=3)
+    vec = _random_state(2, seed=3)
     for bad in (raw, WeightedPauliSum.from_string(x, 2.0)):
         with pytest.raises(ValueError, match="not an involution") as err:
-            apply_rotation(bad, 0.4, vec.data)
+            apply_rotation(bad, 0.4, vec)
         assert str(bad) in str(err.value)
         with pytest.raises(ValueError, match="not an involution"):
             run_pulses([(normalised, 0.1), (bad, 0.4)], np.eye(4))
@@ -436,8 +438,8 @@ def test_rotation_refuses_generators_that_are_not_involutions():
             run_pulses(run, matrix)
         assert str(bad) in str(err.value)
         assert np.array_equal(matrix, np.eye(4))
-    want = kron_expm(kron_sum(normalised), 0.4) @ vec.data
-    assert np.allclose(apply_rotation(normalised, 0.4, vec.data), want, atol=1e-12)
+    want = kron_expm(kron_sum(normalised), 0.4) @ vec
+    assert np.allclose(apply_rotation(normalised, 0.4, vec), want, atol=1e-12)
 
 
 def test_batched_probes_match_a_per_probe_loop():
@@ -448,10 +450,10 @@ def test_batched_probes_match_a_per_probe_loop():
     target_sum = WeightedPauliSum.from_string(target)
     worst = 0.0
     for k in range(4):
-        probe = Statevector.random(n, 5 + k)
+        probe = _random_state(n, 5 + k)
         via_schedule = apply_schedule(schedule, probe)
-        via_target = apply_rotation(target_sum, 0.4, probe.data)
-        worst = max(worst, float(np.linalg.norm(via_schedule.data - via_target)))
+        via_target = apply_rotation(target_sum, 0.4, probe)
+        worst = max(worst, float(np.linalg.norm(via_schedule - via_target)))
     assert report["metric"] == "max_state_l2[4 probes]"
     assert report["seed"] == 5
     assert abs(report["distance"] - worst) <= 1e-14
@@ -491,7 +493,7 @@ def test_compare_pulses_matches_the_kron_oracle_on_both_sides_of_the_cap(n):
         assert report["metric"] == "spectral_distance" and report["seed"] is None
         assert report["distance"] == pytest.approx(np.linalg.norm(u - v, 2), rel=1e-10)
     else:
-        probes = np.stack([Statevector.random(n, 5 + k).data for k in range(3)], axis=1)
+        probes = np.stack([_random_state(n, 5 + k) for k in range(3)], axis=1)
         want = np.linalg.norm(oracle_run(pulses, probes) - oracle_run(reference, probes), axis=0)
         assert report["metric"] == "max_state_l2[3 probes]" and report["seed"] == 5
         assert report["distance"] == pytest.approx(want.max(), rel=1e-10)

@@ -19,17 +19,18 @@ EXPORTS = sorted([
     "AttachmentSpec", "ConnectivityGraph", "DigitalSequence",
     "EncodingError", "ErrorScalingReport", "HoleSpec",
     "LatticeError", "LatticeSpec", "LoopCnot", "PathError",
-    "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError", "Statevector",
+    "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError",
     "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",
     "TopologyError", "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
     "anticommuting_pairs", "anyon_walk", "apply_schedule", "apply_swap",
     "braiding_phase", "build_variant", "build_wen", "code_state", "commutes",
     "compile_schedule", "conjugate", "depth_bound", "digital_sequence", "distance",
-    "error_scaling", "expm", "ground_state_projector", "ground_state_sweep",
+    "error_scaling", "expectation", "expm", "ground_state_projector", "ground_state_sweep",
     "hole_logicals", "interleaved_propagators", "loop_cnot",
     "magic_report", "magic_state", "make_attachment", "make_swapper", "memory_basis",
     "memory_encode", "memory_qubits", "multiply", "naive_move_error", "path_string",
-    "plaquette_schedule", "predict_syndrome", "replay_symbolic", "schedule_unitary",
+    "plaquette_schedule", "predict_syndrome", "prepare_hole_superposition",
+    "replay_symbolic", "schedule_unitary",
     "square", "strength_target", "strength_toric", "string_propagator",
     "sum_commutes", "syndrome_of", "to_matrix", "validate", "verify_schedule",
 ])

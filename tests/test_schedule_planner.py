@@ -2,13 +2,16 @@
 
 import hashlib
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsakit.dense_oracle import verify_schedule
 from qsakit.pauli_core import PauliString
 from qsakit.schedule_compiler import (
+    PATH_SEARCH_BUDGET,
     STRATEGIES,
     ConnectivityGraph,
     StrategyInfeasibleError,
@@ -160,6 +163,48 @@ def test_compiled_schedules_match_pinned_digests():
         for strategy in STRATEGIES
     }
     assert got == GOLDEN_DIGESTS
+
+
+def _hub_family(k, cliques=4):
+    """``cliques`` k-cliques, each fully joined to the two hub sites 0 and 1.
+
+    No guard rules a Hamiltonian path out (every degree is above k, no single
+    site cuts the graph, it is not bipartite).  Removing both hubs leaves one
+    piece per clique, and a path covers at most three, so four cliques have
+    no path and three have one.
+    """
+    n = cliques * k + 2
+    edges = []
+    for c in range(cliques):
+        members = range(2 + c * k, 2 + (c + 1) * k)
+        edges += [(a, b) for a in members for b in members if a < b]
+        edges += [(hub, m) for hub in (0, 1) for m in members]
+    return ConnectivityGraph.from_edges(n, edges)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_path_search_on_the_hub_family_is_bounded(k):
+    graph = _hub_family(k)
+    target = PauliString(graph.n_sites, ("X",) * graph.n_sites)
+    start = time.perf_counter()
+    with pytest.raises(StrategyInfeasibleError) as err:
+        compile_schedule(target, graph, strategy="line_endpoints")
+    assert time.perf_counter() - start < 1.0
+    # k = 2 is decided within the budget; larger k runs it out
+    assert (f"gave up after {PATH_SEARCH_BUDGET} nodes" in str(err.value)) == (k > 2)
+    start = time.perf_counter()
+    auto = compile_schedule(target, graph, strategy="auto")
+    assert time.perf_counter() - start < 1.0
+    assert auto == compile_schedule(target, graph, strategy="greedy")
+
+
+def test_path_search_budget_covers_a_path_found_deep_in_the_search():
+    # three 4-cliques on two hubs: the search extends 62,867 partial paths
+    graph = _hub_family(4, cliques=3)
+    target = PauliString(graph.n_sites, ("X",) * graph.n_sites)
+    schedule = compile_schedule(target, graph, strategy="line_endpoints")
+    assert schedule.depth == depth_bound(graph.n_sites, "line_endpoints")
+    assert compile_schedule(target, graph, strategy="auto") == schedule
 
 
 @st.composite
