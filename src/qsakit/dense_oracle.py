@@ -285,16 +285,15 @@ def to_matrix(op: PauliString | WeightedPauliSum) -> np.ndarray:
 def expm(generator: PauliString | WeightedPauliSum, angle: float) -> np.ndarray:
     """Exact ``exp(-i * angle * generator)`` as a ``2^n x 2^n`` matrix.
 
-    Involution generators use the closed form.  A sum of pairwise commuting
-    strings is the product of its per-term rotations
-    ``exp(-i * angle * c * P)``, run by :func:`pulse_unitary`.  Anything else
-    falls back to a Hermitian eigendecomposition.
+    An involution generator is one pulse ``(h, angle)``, and a sum of
+    pairwise commuting strings the product of its per-term rotations
+    ``exp(-i * angle * c * P)``, both run by :func:`pulse_unitary`.  Anything
+    else falls back to a Hermitian eigendecomposition.
     """
     h = _as_sum(generator)
     check_dense_limit(h.n_sites, "expm")
     if is_involution(h):
-        m = to_matrix(h)
-        return math.cos(angle) * np.eye(len(m)) - 1j * math.sin(angle) * m
+        return pulse_unitary(h.n_sites, [(h, angle)], "expm")
     if not anticommuting_pairs([string for _, string in h.terms]):
         return pulse_unitary(h.n_sites, [(s, c * angle) for c, s in h.terms], "expm")
     vals, vecs = np.linalg.eigh(to_matrix(h))

@@ -491,9 +491,6 @@ class WeightedPauliSum:
             self.n_sites, list(self.terms) + list(other.terms)
         )
 
-    def __sub__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
-        return self + other.scaled(-1.0)
-
     def __mul__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         """Operator product, expanded term-by-term and recollected.
 

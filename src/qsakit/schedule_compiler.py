@@ -78,7 +78,12 @@ class StrategyInfeasibleError(CompileError):
 
 
 class ReplayFaultError(RuntimeError):
-    """A planned schedule did not replay to its target: a compiler fault, not bad input."""
+    """A planned schedule did not replay to its target or broke a shape rule of
+    :func:`validate`: a compiler fault, not bad input."""
+
+
+class LetterFaultError(CollapseError):
+    """A replayed pulse meets a letter its spec does not act on, or a grown attached site."""
 
 
 @dataclass(frozen=True)
@@ -429,8 +434,8 @@ def compile_schedule(
         DisconnectedSupportError: Support not connected inside the graph.
         StrategyInfeasibleError: Explicit strategy not admitted by the graph.
         ReplayFaultError: The planned schedule did not replay to the target,
-            or grew a site its swappers cannot fix (a fault of the compiler,
-            not of its input).
+            grew a site its swappers cannot fix, or broke a shape rule of
+            :func:`validate` (a fault of the compiler, not of its input).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected {STRATEGIES}")
@@ -452,11 +457,19 @@ def compile_schedule(
     if strategy == "auto":
         for candidate in ("doubling", "line_endpoints"):
             try:
-                return _materialize(target, *_plan(candidate, support, adj), tg)
+                plan = _plan(candidate, support, adj)
+                break
             except StrategyInfeasibleError:
                 continue
-        strategy = "greedy"
-    return _materialize(target, *_plan(strategy, support, adj), tg)
+        else:
+            plan = _plan("greedy", support, adj)
+    else:
+        plan = _plan(strategy, support, adj)
+    schedule = _materialize(target, *plan, tg)
+    violations = _shape_violations(schedule, graph)
+    if violations:
+        raise ReplayFaultError(f"internal schedule fault: {'; '.join(violations)}")
+    return schedule
 
 
 def _materialize(
@@ -514,50 +527,63 @@ def replay_symbolic(schedule: QsaSchedule) -> PauliString:
     Attachment layers act innermost-first, the swapper sandwich last.  Each
     pulse sits at a branch angle, so it maps a string to a string of sign
     ``+-1``, by the exact rule of
-    :func:`~qsakit.propagator_engine.branch_conjugate`.  After every
-    attachment the string must have sign ``+1`` (``CollapseError``
-    otherwise); a swapper's sign stays in the returned string's phase.
+    :func:`~qsakit.propagator_engine.branch_conjugate`.  Each attachment must
+    meet its connector carrying the spec's alpha or beta and a fresh attached
+    site, and each swapper its site carrying alpha or beta
+    (:class:`LetterFaultError` otherwise); after every attachment the string
+    must have sign ``+1`` (``CollapseError`` otherwise).  A swapper's sign
+    stays in the returned string's phase.
     """
     n = schedule.n_sites
     q = schedule.seed
-    for layer in schedule.layers:
+    # each pulse runs before its letters are read, so a register or site
+    # fault keeps the text of branch_conjugate or apply_swap
+    for idx, layer in enumerate(schedule.layers, start=1):
         for spec in layer:
-            q = branch_conjugate(q, *spec.pair(n))
-            if q.phase_exp:
+            grown = branch_conjugate(q, *spec.pair(n))
+            carried = q.letter(spec.connector_site)
+            if carried == "I":
+                raise LetterFaultError(
+                    f"layer {idx}: connector {spec.connector_site} not in grown support"
+                )
+            if carried not in (spec.alpha, spec.beta):
+                raise LetterFaultError(
+                    f"layer {idx}: connector {spec.connector_site} carries "
+                    f"{carried!r}, spec expects {spec.alpha}/{spec.beta}"
+                )
+            if q.letter(spec.attached_site) != "I":
+                raise LetterFaultError(
+                    f"layer {idx}: attached site {spec.attached_site} is not fresh"
+                )
+            if grown.phase_exp:
                 raise CollapseError(
                     f"attachment ({spec.connector_site}, {spec.attached_site}) "
-                    f"gives {q.format()}: coefficient -1, not +1"
+                    f"gives {grown.format()}: coefficient -1, not +1"
                 )
+            q = grown
     for spec in schedule.final_swappers:
-        q = apply_swap(q, spec)
+        swapped = apply_swap(q, spec)
+        carried = q.letter(spec.site)
+        if carried == "I":
+            raise LetterFaultError(f"swapper on site {spec.site} outside grown support")
+        if carried not in (spec.alpha, spec.beta):
+            raise LetterFaultError(
+                f"swapper on site {spec.site} expects {spec.alpha}/{spec.beta}, "
+                f"string carries {carried!r}"
+            )
+        q = swapped
     return q
 
 
-def validate(
-    schedule: QsaSchedule, graph: ConnectivityGraph | None = None
-) -> list[str]:
-    """Structural and replay checks; returns a list of violations (empty = ok).
-
-    Checks: seed shape, per-layer site disjointness, attached-site freshness,
-    connector membership and letter compatibility, edge existence (when a
-    graph is supplied), swapper-layer disjointness, and exact replay of the
-    target with coefficient +1.
-    """
-    return _violations(schedule, graph)
+_WIDTH_FAULT = "seed/target register width differs from n_sites"
 
 
-def _violations(
-    schedule: QsaSchedule,
-    graph: ConnectivityGraph | None,
-    replayed: PauliString | None = None,
-) -> list[str]:
-    """:func:`validate`, judging ``replayed`` when the caller already replayed."""
-    violations: list[str] = []
+def _shape_violations(schedule: QsaSchedule, graph: ConnectivityGraph | None) -> list[str]:
+    """The rules of :func:`validate` that read no letter: widths, phases, disjointness, edges."""
     n = schedule.n_sites
-
     if schedule.seed.n_sites != n or schedule.target.n_sites != n:
-        violations.append("seed/target register width differs from n_sites")
-        return violations
+        return [_WIDTH_FAULT]
+    violations: list[str] = []
     if schedule.seed.weight != 2:
         violations.append(f"seed must act on exactly 2 sites, acts on {schedule.seed.weight}")
     if schedule.seed.phase_exp != 0:
@@ -570,8 +596,6 @@ def _violations(
         if not graph.has_edge(a, b):
             violations.append(f"seed pair ({a}, {b}) is not a graph edge")
 
-    # the grown support is exactly the set of sites with a tracked letter
-    letters = {s: schedule.seed.letter(s) for s in schedule.seed.support}
     for idx, layer in enumerate(schedule.layers, start=1):
         engaged: set[int] = set()
         for spec in layer:
@@ -581,20 +605,6 @@ def _violations(
                     f"layer {idx}: attachments share sites {sorted(pair & engaged)}"
                 )
             engaged |= pair
-            if spec.connector_site not in letters:
-                violations.append(
-                    f"layer {idx}: connector {spec.connector_site} not in grown support"
-                )
-            elif letters[spec.connector_site] not in (spec.alpha, spec.beta):
-                violations.append(
-                    f"layer {idx}: connector {spec.connector_site} carries "
-                    f"{letters[spec.connector_site]!r}, spec expects "
-                    f"{spec.alpha}/{spec.beta}"
-                )
-            if spec.attached_site in letters:
-                violations.append(
-                    f"layer {idx}: attached site {spec.attached_site} is not fresh"
-                )
             if graph is not None and not graph.has_edge(
                 spec.connector_site, spec.attached_site
             ):
@@ -602,32 +612,34 @@ def _violations(
                     f"layer {idx}: ({spec.connector_site}, {spec.attached_site}) "
                     f"is not a graph edge"
                 )
-        for spec in layer:
-            have = letters.get(spec.connector_site)
-            if have == spec.alpha:
-                letters[spec.connector_site] = spec.beta
-            elif have == spec.beta:
-                letters[spec.connector_site] = spec.alpha
-            letters[spec.attached_site] = spec.attached_letter
 
     swap_sites = [spec.site for spec in schedule.final_swappers]
     if len(swap_sites) != len(set(swap_sites)):
         violations.append("final swapper layer touches a site twice")
-    for spec in schedule.final_swappers:
-        if spec.site not in letters:
-            violations.append(f"swapper on site {spec.site} outside grown support")
-        elif letters[spec.site] not in (spec.alpha, spec.beta):
-            violations.append(
-                f"swapper on site {spec.site} expects {spec.alpha}/{spec.beta}, "
-                f"string carries {letters[spec.site]!r}"
-            )
+    return violations
 
-    if replayed is None:
-        try:
-            replayed = replay_symbolic(schedule)
-        except Exception as exc:  # CollapseError and friends
-            violations.append(f"replay failed: {exc}")
-            return violations
+
+def validate(
+    schedule: QsaSchedule, graph: ConnectivityGraph | None = None
+) -> list[str]:
+    """Shape rules plus the exact replay; returns a list of violations (empty = ok).
+
+    The shape rules read no letter: register width, seed weight and phase,
+    target phase, site-disjoint layers and swappers, and edges (when a graph
+    is supplied).  Then :func:`replay_symbolic` runs once and its first fault
+    is reported: a connector or swapper letter, a stale attached site, a
+    collapse (``replay failed: ...``), or a grown string that is not the
+    target (``replay mismatch``).
+    """
+    violations = _shape_violations(schedule, graph)
+    if _WIDTH_FAULT in violations:
+        return violations  # the replay needs one register
+    try:
+        replayed = replay_symbolic(schedule)
+    except LetterFaultError as exc:
+        return violations + [str(exc)]
+    except Exception as exc:  # CollapseError and friends
+        return violations + [f"replay failed: {exc}"]
     if replayed != schedule.target:
         violations.append(
             f"replay mismatch: got {replayed.format()}, "

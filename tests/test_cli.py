@@ -228,21 +228,25 @@ def test_branch_integer_beyond_the_bound_exits_two(tmp_path, capsys, field):
 
 
 def test_compile_replays_its_schedule_once(capsys, monkeypatch):
+    # every pulse of a replay is one branch_conjugate call, wherever it is made
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
     calls = []
-    real = schedule_compiler.replay_symbolic
+    real = propagator_engine.branch_conjugate
 
-    def counted(schedule):
-        calls.append(schedule)
-        return real(schedule)
+    def counted(q, a, b):
+        calls.append(q)
+        return real(q, a, b)
 
-    monkeypatch.setattr(schedule_compiler, "replay_symbolic", counted)
+    monkeypatch.setattr(schedule_compiler, "branch_conjugate", counted)
+    monkeypatch.setattr(propagator_engine, "branch_conjugate", counted)
     code, out = run_cli(capsys, ["compile", "--target", "XYZZ" * 4])
     report = json.loads(out)
     assert code == 0
-    assert report["metrics"]["dense_verification"] == "skipped: register above dense limit"
+    metrics = report["metrics"]
+    assert metrics["dense_verification"] == "skipped: register above dense limit"
     assert [c["name"] for c in report["checks"]] == ["validator-clean"]
-    assert len(calls) == 1
+    assert metrics["n_swappers"] > 0
+    assert len(calls) == metrics["n_attachments"] + metrics["n_swappers"]
 
 
 def _flip_sign(q, a, b):
@@ -259,15 +263,23 @@ def _grow_an_idle_site(strategy, support, adj):
     return (0, 1), [[(0, 2), (1, 3)], [(2, 4)]]
 
 
+def _share_a_site(strategy, support, adj):
+    # replays to XZZX, but both attachments of layer 1 touch site 2
+    return (0, 1), [[(0, 2), (2, 3)]]
+
+
 @pytest.mark.parametrize("name, fault, target, error", [
     ("branch_conjugate", _flip_sign, "XZZX", "ReplayFaultError: internal replay collapse: "
      "attachment (0, 2) gives -ZXXI: coefficient -1, not +1"),
     ("branch_conjugate", _skip_pulse, "XZZX", "ReplayFaultError: internal replay mismatch: grew "),
     ("_plan", _grow_an_idle_site, "XZZXI", "ReplayFaultError: internal swapper fault: "
      "beta must be X, Y or Z, got 'I'"),
-], ids=["collapse", "mismatch", "swapper"])
+    ("_plan", _share_a_site, "XZZX", "ReplayFaultError: internal schedule fault: "
+     "layer 1: attachments share sites [2]"),
+], ids=["collapse", "mismatch", "swapper", "shape"])
 def test_a_compiler_replay_fault_exits_four(capsys, monkeypatch, name, fault, target, error):
-    # no input makes the compiler's own replay fail, so it is not malformed input
+    # no input makes the compiler's own schedule fail its replay or a shape
+    # rule, so it is not malformed input
     monkeypatch.setattr(schedule_compiler, name, fault)
     code, out = run_cli(capsys, ["compile", "--target", target])
     report = strict_json(out)
@@ -284,12 +296,7 @@ def _plant_stale_connector(data):
     # layer 1 grows from seed XX on sites 0 and 1 through connectors carrying X
     spec = data["layers"][0][0]
     spec["alpha"], spec["beta"] = "Y", "Z"
-    site = spec["connector_site"]
-    return [
-        f"layer 1: connector {site} carries 'X', spec expects Y/Z",
-        f"replay failed: attachment ({site}, {spec['attached_site']}) gives "
-        f"-XXII: coefficient -1, not +1",
-    ]
+    return [f"layer 1: connector {spec['connector_site']} carries 'X', spec expects Y/Z"]
 
 
 def _plant_grown_attached_site(data):
@@ -314,9 +321,8 @@ def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
     code, out = run_cli(capsys, ["verify", "--schedule", write_json(tmp_path / "bad.json", data)])
     report = json.loads(out)
     assert code == 1 and report["status"] == "fail"
-    failures = [c["name"] for c in report["checks"] if not c["passed"]]
-    for message in expected:
-        assert message in failures
+    # the shape rules, then the replay's first fault and nothing after it
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == expected
 
 
 PATH4 = {"n_sites": 4, "edges": [[0, 1], [1, 2], [2, 3]]}

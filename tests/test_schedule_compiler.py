@@ -1,13 +1,17 @@
 """Planner depths, symbolic replay, serialization and the validator."""
 
+import functools
+import json
+import operator
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qsakit.dense_oracle import verify_schedule
 from qsakit.pauli_core import PauliString
-from qsakit.propagator_engine import SwapperSpec
+from qsakit.propagator_engine import PulseSpecError, SwapperSpec
 from qsakit.schedule_compiler import (
     STRATEGIES,
     CompileError,
@@ -259,9 +263,12 @@ def test_validator_names_layer_violations():
     data = schedule.to_dict()
     data["layers"][0][1]["attached_site"] = data["layers"][0][0]["attached_site"]
     broken = QsaSchedule.from_dict(data)
-    violations = validate(broken)
-    assert any("share sites" in v for v in violations)
-    assert any("replay mismatch" in v for v in violations)
+    # the shape rule, then the replay's first fault: the second attachment
+    # writes onto the site the first one grew
+    assert validate(broken) == [
+        "layer 1: attachments share sites [2]",
+        "layer 1: attached site 2 is not fresh",
+    ]
 
 
 def test_validator_checks_graph_edges():
@@ -286,12 +293,10 @@ def test_validator_catches_stale_connector_letter():
     )
     data = schedule.to_dict()
     spec = data["layers"][0][0]
-    spec["alpha"], spec["beta"] = (
-        ("X", "Y") if spec["alpha"] != "X" else ("Y", "Z")
-    )
+    # the seed XX puts X on the connector, which a Y/Z attachment does not act on
+    spec["alpha"], spec["beta"] = "Y", "Z"
     broken = QsaSchedule.from_dict(data)
-    assert any("connector" in v or "replay" in v for v in validate(broken))
-
+    assert validate(broken) == ["layer 1: connector 0 carries 'X', spec expects Y/Z"]
 
 
 def test_replay_names_width_and_site_faults():
@@ -311,3 +316,74 @@ def test_replay_names_width_and_site_faults():
         with pytest.raises(ValueError) as error:
             replay_symbolic(broken)
         assert str(error.value) == message
+
+
+
+def _sparse_graph(rng, n):
+    """A random spanning tree on ``n`` sites plus one random edge."""
+    order = [int(s) for s in rng.permutation(n)]
+    edges = [(order[k], order[int(rng.integers(k))]) for k in range(1, n)]
+    edges.append(tuple(int(s) for s in rng.choice(n, 2, replace=False)))
+    return ConnectivityGraph.from_edges(n, edges)
+
+
+def _at(data, path):
+    return functools.reduce(operator.getitem, path, data)
+
+
+def _single_faults(data):
+    """Copies of a schedule's dict form, each with one fault planted.
+
+    A target or spec letter becomes another letter, a site or a branch
+    integer moves by one, an attachment or a swapper is dropped, or the
+    layers run in reverse order.
+    """
+    def planted(path, key, value):
+        copy = json.loads(json.dumps(data))
+        _at(copy, path)[key] = value
+        return copy
+
+    target = data["target"]
+    for site, letter in enumerate(target):
+        for other in "IXYZ".replace(letter, ""):
+            yield planted((), "target", target[:site] + other + target[site + 1:])
+    specs = [("layers", i, j) for i, layer in enumerate(data["layers"]) for j in range(len(layer))]
+    specs += [("final_swappers", k) for k in range(len(data["final_swappers"]))]
+    for path in specs:
+        for key, value in _at(data, path).items():
+            news = "XYZ".replace(value, "") if isinstance(value, str) else (value - 1, value + 1)
+            for new in news:
+                yield planted(path, key, new)
+        # the spec's list, less the spec
+        *outer, key, index = path
+        kept = _at(data, path[:-1])
+        yield planted(tuple(outer), key, kept[:index] + kept[index + 1:])
+    if len(data["layers"]) > 1:
+        yield planted((), "layers", data["layers"][::-1])
+
+
+def test_validator_agrees_with_the_dense_oracle_on_single_faults():
+    # validate(s) == [] exactly when the dense product is exp(-i tg target)
+    rng = np.random.default_rng(SEED + 9)
+    judged = 0
+    for n in (3, 4, 5, 6, 7) * 2:
+        target = random_target(rng, n)
+        for graph in (None, _sparse_graph(rng, n)):
+            for strategy in STRATEGIES:
+                try:
+                    schedule = compile_schedule(target, graph, strategy, tg=0.4)
+                except (StrategyInfeasibleError, DisconnectedSupportError):
+                    continue
+                faults = list(_single_faults(schedule.to_dict()))
+                for k in rng.choice(len(faults), min(6, len(faults)), replace=False):
+                    try:
+                        broken = QsaSchedule.from_dict(faults[k])
+                    except PulseSpecError:  # a spec constructor refuses the fault
+                        continue
+                    try:
+                        passed = verify_schedule(broken)["passed"]
+                    except ValueError:  # a site outside the register
+                        passed = False
+                    assert (validate(broken) == []) == passed, faults[k]
+                    judged += 1
+    assert judged >= 350
