@@ -147,9 +147,6 @@ class Syndrome:
 
     entries: tuple[tuple[tuple[int, int], str], ...]
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def to_dict(self) -> dict:
         return {"entries": [[list(p), k] for p, k in self.entries]}
 

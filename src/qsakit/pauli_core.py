@@ -167,11 +167,6 @@ class PauliString:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, n_sites: int) -> "PauliString":
-        _check_width(n_sites)
-        return _masked(n_sites, 0, 0, 0)
-
-    @classmethod
     def from_sites(
         cls,
         n_sites: int,
@@ -462,9 +457,6 @@ class WeightedPauliSum:
     def __post_init__(self) -> None:
         _check_width(self.n_sites)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_identity(self) -> bool:
         """True when the sum equals the identity operator exactly (within TOL)."""
         return (
@@ -479,11 +471,6 @@ class WeightedPauliSum:
         for _, string in self.terms:
             mask |= string.x | string.z
         return _sites(mask)
-
-    def scaled(self, factor: float) -> "WeightedPauliSum":
-        return WeightedPauliSum.from_terms(
-            self.n_sites, [(factor * c, s) for c, s in self.terms]
-        )
 
     def __add__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         _check_same_register(self, other)

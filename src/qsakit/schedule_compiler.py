@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .pauli_core import PauliString, float_field, index_field
 from .propagator_engine import (
@@ -195,11 +196,69 @@ class QsaSchedule:
         return cls(n_sites, seed, tg, layers, swappers, target)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, written out directly.
+
+        CPython's C encoder runs only without ``indent``, so this spells out
+        the fixed layout: integers by ``repr``, strings and the float ``tg``
+        through json's own C encoders.  Tests pin the text byte for byte
+        against ``json.dumps``.
+        """
+        layers = [
+            "    " + _json_list([_attachment_json(spec) for spec in layer], "    ")
+            for layer in self.layers
+        ]
+        swappers = [_swapper_json(spec) for spec in self.final_swappers]
+        return (
+            "{\n"
+            f'  "n_sites": {self.n_sites},\n'
+            '  "seed": {\n'
+            f'    "string": {_json_str(self.seed.format())},\n'
+            f'    "tg": {json.dumps(self.tg)}\n'
+            "  },\n"
+            f'  "layers": {_json_list(layers, "  ")},\n'
+            f'  "final_swappers": {_json_list(swappers, "  ")},\n'
+            f'  "target": {_json_str(self.target.format())}\n'
+            "}"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "QsaSchedule":
         return cls.from_dict(json.loads(text))
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Written, indented ``items`` as an ``indent=2`` JSON list closing at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
+def _attachment_json(spec: AttachmentSpec) -> str:
+    """``spec.to_dict()`` in the ``indent=2`` layout, as an item of a layer."""
+    return (
+        "      {\n"
+        f'        "connector_site": {spec.connector_site},\n'
+        f'        "alpha": {_json_str(spec.alpha)},\n'
+        f'        "beta": {_json_str(spec.beta)},\n'
+        f'        "attached_site": {spec.attached_site},\n'
+        f'        "attached_letter": {_json_str(spec.attached_letter)},\n'
+        f'        "branch_m": {spec.branch_m},\n'
+        f'        "branch_mp": {spec.branch_mp}\n'
+        "      }"
+    )
+
+
+def _swapper_json(spec: SwapperSpec) -> str:
+    """``spec.to_dict()`` in the ``indent=2`` layout, as an item of ``final_swappers``."""
+    return (
+        "    {\n"
+        f'      "site": {spec.site},\n'
+        f'      "alpha": {_json_str(spec.alpha)},\n'
+        f'      "beta": {_json_str(spec.beta)},\n'
+        f'      "branch_m": {spec.branch_m},\n'
+        f'      "branch_mp": {spec.branch_mp}\n'
+        "    }"
+    )
 
 
 def depth_bound(n_support: int, strategy: str) -> int:

@@ -171,7 +171,7 @@ def test_loop_paths_close_and_clear_the_syndrome():
         for orientation in ("vertical", "horizontal"):
             loop = loop_path(spec, kind, orientation)
             assert path_is_closed(loop, spec)
-            assert syndrome_of(loop, spec).is_empty()
+            assert syndrome_of(loop, spec).entries == ()
 
 
 def test_memory_loop_algebra_is_symbolic():

@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsakit.dense_oracle import verify_schedule
 from qsakit.pauli_core import PauliString
-from qsakit.propagator_engine import PulseSpecError, SwapperSpec
+from qsakit.propagator_engine import MAX_BRANCH, AttachmentSpec, PulseSpecError, SwapperSpec
 from qsakit.schedule_compiler import (
     STRATEGIES,
     CompileError,
@@ -254,6 +256,49 @@ def test_json_round_trip():
         again = QsaSchedule.from_json(schedule.to_json())
         assert again == schedule
         assert validate(again) == []
+
+
+def _assert_written_as_dumped(schedule):
+    """``to_json`` is the ``indent=2`` dump of ``to_dict``, byte for byte."""
+    assert schedule.to_json() == json.dumps(schedule.to_dict(), indent=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    letters=st.lists(st.sampled_from("IXYZ"), min_size=2, max_size=12).filter(
+        lambda letters: len(letters) - letters.count("I") >= 2
+    ),
+    tg=st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_to_json_writes_the_indent_2_dump(letters, tg):
+    target = PauliString(len(letters), tuple(letters))
+    for strategy in STRATEGIES:
+        schedule = compile_schedule(target, strategy=strategy, tg=tg)
+        _assert_written_as_dumped(schedule)
+        assert QsaSchedule.from_json(schedule.to_json()) == schedule
+
+
+def test_to_json_writes_hand_built_schedules_as_dumped():
+    two_site = compile_schedule(PauliString.parse("XZ"), tg=0.7)
+    assert two_site.layers == ()
+    wide = compile_schedule(PauliString.parse("XYZXZ"), tg=0.7)
+    extremes = AttachmentSpec(0, "Y", "Z", 2, "Y", -MAX_BRANCH, MAX_BRANCH)
+    cases = [
+        two_site,
+        replace(wide, final_swappers=()),
+        replace(wide, layers=((extremes,),) + wide.layers[1:]),
+        replace(wide, final_swappers=(SwapperSpec(1, "X", "Y", MAX_BRANCH, -MAX_BRANCH),)),
+    ]
+    for schedule in cases:
+        _assert_written_as_dumped(schedule)
+        assert QsaSchedule.from_json(schedule.to_json()) == schedule
+    for tg in (1e-05, 1e16, -0.0, 0.1 + 0.2):
+        schedule = replace(wide, tg=tg)
+        _assert_written_as_dumped(schedule)
+        again = QsaSchedule.from_json(schedule.to_json())
+        assert again == schedule and repr(again.tg) == repr(tg)
+    for tg in (float("nan"), float("inf")):
+        _assert_written_as_dumped(replace(wide, tg=tg))
 
 
 def test_validator_names_layer_violations():
