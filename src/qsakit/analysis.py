@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import distance, pulse_unitary, schedule_pulses
+from .dense_oracle import (
+    MATRIX_QUBIT_CAP,
+    distance,
+    fuse_pulses,
+    fused_distance,
+    pulse_unitary,
+    schedule_pulses,
+)
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -158,14 +165,21 @@ def error_scaling(
     For each delta the perturbed product offsets all pulse angles by +delta
     (or, behind the ``random_offsets`` flag, by independent uniform draws
     from [-delta, +delta]); the reported distance is the spectral distance
-    to the ideal product, :func:`~qsakit.dense_oracle.distance`.  From 256
-    rows (8 sites) up that is a Golub–Kahan–Lanczos bidiagonalization that
-    stops at a ``4 eps sigma`` Ritz residual; below 256 rows, and past a
-    budget of one step per five rows, it is numpy's SVD.  Both agree at
-    roundoff.  slope/intercept are the least-squares fit of log(distance)
-    against log(delta).
+    to the ideal product.  Up to :data:`~qsakit.dense_oracle.MATRIX_QUBIT_CAP`
+    (10) sites both products are built and compared by
+    :func:`~qsakit.dense_oracle.distance`: from 256 rows (8 sites) up a
+    Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
+    estimate, below 256 rows, and past a budget of one step per five rows,
+    numpy's SVD.  Above the cap no product is built: the same solver runs
+    matrix-free on the perturbed program minus the ideal one,
+    :func:`~qsakit.dense_oracle.fused_distance`, with the fused groups of
+    each program built once.  Both agree with the SVD at roundoff, within
+    the floating-point split of a degenerate top.  slope/intercept are the
+    least-squares fit of log(distance) against log(delta).
 
     Raises:
+        ResourceLimitError: above the dense limit, or above the matrix cap
+            when the matrix-free solver spends its step budget.
         ValueError: deltas not strictly decreasing, outside (0, 0.1], or
             fewer than two (a line through one point fits nothing); or a
             distance that is 0 or not finite, whose log the fit cannot take
@@ -182,7 +196,16 @@ def error_scaling(
         raise ValueError(
             f"the slope fit needs at least two deltas, got {len(deltas)}"
         )
-    ideal = pulse_product(n_sites, pulses)
+    if n_sites <= MATRIX_QUBIT_CAP:
+        ideal = pulse_product(n_sites, pulses)
+
+        def distance_at(offsets):
+            return distance(pulse_product(n_sites, pulses, offsets), ideal)
+    else:
+        ideal = fuse_pulses(n_sites, pulses)
+
+        def distance_at(offsets):
+            return fused_distance(n_sites, fuse_pulses(n_sites, pulses, offsets), ideal)
 
     rng = np.random.default_rng(seed)
     max_offset = 0.0
@@ -194,8 +217,7 @@ def error_scaling(
         else:
             offsets = np.full(len(pulses), delta)
             max_offset = max(max_offset, delta)
-        perturbed = pulse_product(n_sites, pulses, offsets)
-        dist = distance(perturbed, ideal)
+        dist = distance_at(offsets)
         if not (math.isfinite(dist) and dist > 0.0):
             raise ValueError(
                 f"distance {dist} at delta {delta!r}: the log-log fit needs "

@@ -5,11 +5,12 @@ array (dim,) or (dim, k) is viewed as a ``(2,)*n + rest`` tensor; a Pauli
 string flips its X/Y axes and signs its Y/Z axes.  Every pulse sequence runs
 through :func:`run_pulses`, which fuses consecutive pulses whose joint
 support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
-unitary contracted over those ``k`` axes, so a run of two-body pulses costs
-one pass over the array instead of one pass each.  A lone one-string pulse
-``cos(t) - i sin(t) P`` keeps the flip.  Every dense product is a plain
-``2^n x 2^n`` array and every state a plain ``(2^n,)`` complex array;
-:func:`expectation` reads an operator's mean on one.
+unitary contracted over those ``k`` axes (:func:`fuse_pulses`), so a run
+of two-body pulses costs one pass over the array instead of one pass each.
+A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  Every
+dense product is a plain ``2^n x 2^n`` array and every state a plain
+``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
+one.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
@@ -23,10 +24,17 @@ that it compares their action on a batch of seeded random states.
 
 The spectral norm behind :func:`distance` and :func:`certified_distance`
 needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
-up it is a Golub–Kahan–Lanczos bidiagonalization that stops once the top
-Ritz residual is at roundoff (``4 eps sigma``) or the Krylov space is
-invariant.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP`
+up it is a Golub–Kahan–Lanczos bidiagonalization that stops on the Ritz
+gap: once the top Ritz residual ``r`` is at most ``max(4 eps theta1,
+sqrt(8 eps (theta1^2 - theta2^2)))`` for the top two Ritz values, where the
+Kato–Temple estimate of the error falls to ``4 eps theta1``, or once the
+Krylov space is invariant.  That is an estimate, not a rigorous bound; on a
+degenerate top it returns a value within the floating-point split of the
+top copies.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP`
 rows, and below the crossover, it is the top value of numpy's SVD.
+:func:`fused_distance` runs the same solver on the difference of two fused
+pulse programs as an operator, with no ``2^n x 2^n`` array and a fixed
+budget of :data:`MATRIX_FREE_STEPS` steps.
 """
 
 from __future__ import annotations
@@ -79,9 +87,15 @@ KRYLOV_MIN_ROWS = 256
 #: step passes over the matrix twice, the SVD costs about ``n`` passes, so
 #: the worst case, a difference of random unitaries with no gap at the top
 #: of its spectrum, costs the budget plus one SVD: 1.25-1.65 times the SVD
-#: at 256-1024 rows, against 1.6-1.9 for one step per four rows.  The
-#: benchmark's schedule and 3x3 differences converge in 29-71 steps.
+#: at 256-1024 rows, against 1.6-1.9 for one step per four rows.  With the
+#: Ritz-gap stop, 8-10-site schedule differences converge in 16-31 steps and
+#: 3x3 lattice differences, whose top is 4-fold degenerate, in 24-29.
 KRYLOV_ROWS_PER_STEP = 5
+
+#: Krylov-step budget of :func:`fused_distance`, which has no SVD to fall
+#: back on.  Each step keeps one left and one right vector of ``2^n``
+#: complex entries, so at 14 sites the two bases hold at most 96 MiB.
+MATRIX_FREE_STEPS = 192
 
 
 # -- Pauli action ----------------------------------------------------------------
@@ -208,6 +222,85 @@ def _fused_groups(pulses, shifts, n: int, cap: int):
         yield group, joint
 
 
+def fuse_pulses(n_sites: int, pulses, offsets=None) -> list:
+    """The pulse program ``pulses`` on ``n_sites`` as fused groups, first applied first.
+
+    ``pulses`` and ``offsets`` are as :func:`run_pulses` takes them.  Gate
+    fusion (Häner & Steiger, arXiv:1704.01127): consecutive pulses are
+    grouped, without reordering, while their joint support spans at most
+    ``min(FUSED_SITES, max_dense_qubits() // 2)`` sites, so the group's
+    ``4^k`` entries stay within the dense cap.  A group that is one
+    one-string pulse becomes ``(string, (cos, scale))``, the flip
+    ``cos + scale P``; any other group becomes ``(sites, unitary)``, the
+    ordered product of its pulses' ``cos - i sin G`` on the group's sites.
+    A multi-term generator wider than the cap is a group of its own.  Each
+    generator is checked to be an involution (``ValueError`` naming it).
+    :func:`_apply_fused` runs the groups, so a program fused once can act on
+    many arrays.
+    """
+    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
+    cap = min(FUSED_SITES, max_dense_qubits() // 2)
+    fused = []
+    for group, mask in _fused_groups(pulses, shifts, n_sites, cap):
+        generator, angle = group[0]
+        if len(group) == 1 and len(generator.terms) == 1:
+            (coeff, string), = generator.terms
+            _require_involution(abs(coeff * coeff - 1.0), generator)
+            fused.append((string, (math.cos(angle), -1j * math.sin(angle) * coeff)))
+        else:
+            sites = _sites(mask)
+            unitary = np.eye(1 << len(sites), dtype=np.complex128)
+            for generator, angle in group:
+                unitary = _local_unitary(generator, angle, sites) @ unitary
+            fused.append((sites, unitary))
+    return fused
+
+
+def _adjoint(fused: list) -> list:
+    """The fused program of the adjoint: groups reversed, each conjugate-transposed.
+
+    A flip's generator is Hermitian, so its adjoint is the flip with the
+    sign of ``scale`` turned.
+    """
+    return [
+        (key, (op[0], -op[1]) if isinstance(key, PauliString) else op.conj().T)
+        for key, op in reversed(fused)
+    ]
+
+
+def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
+    """Run the groups of :func:`fuse_pulses` on a state (dim,) or matrix (dim, k) array.
+
+    A flip is an axis flip plus a sign; a unitary group is contracted over
+    its sites' axes.  ``array`` is not modified.
+    """
+    n = array.shape[0].bit_length() - 1
+    # two buffers take turns as source and destination, so a run holds three
+    # arrays of this size, the input included
+    own = np.array(_tensor(array, n))
+    spare = np.empty_like(own)
+    tensor = own
+    for key, op in fused:
+        if isinstance(key, PauliString):
+            cos, scale = op
+            out = _pauli(key, tensor, scale, out=spare)
+            tensor *= cos
+            out += tensor
+            own, spare, tensor = spare, own, out
+        else:
+            # copy the group's axes to the front, act on them, put them back
+            order = key + tuple(a for a in range(own.ndim) if a not in key)
+            moved = spare.reshape(tensor.transpose(order).shape)
+            np.copyto(moved, tensor.transpose(order))
+            flat = own.reshape(1 << len(key), own.size >> len(key))
+            np.matmul(op, moved.reshape(flat.shape), out=flat)
+            tensor = own.reshape(moved.shape).transpose(np.argsort(order))
+    if not tensor.flags.c_contiguous:
+        np.copyto(spare, tensor)
+        tensor = spare
+    return tensor.reshape(array.shape)
+
+
 def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
     """Apply ``exp(-i * (angle + offset) * generator)`` for each pulse in order.
 
@@ -216,50 +309,11 @@ def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
     be an involution (checked once per pulse, ``ValueError`` naming it
     otherwise).  ``array`` is a state (dim,) or a matrix / batch of states
     (dim, k) and is not modified.  ``offsets`` shifts the angles, one value
-    per pulse or one for all.
-
-    Gate fusion (Häner & Steiger, arXiv:1704.01127): consecutive pulses are
-    grouped, without reordering, while their joint support spans at most
-    ``min(FUSED_SITES, max_dense_qubits() // 2)`` sites, so the group's
-    ``4^k`` entries stay within the dense cap.  A group that is one
-    one-string pulse is applied as a flip plus a sign; any other group is
-    the ordered product of its pulses' ``cos - i sin G`` on the group's
-    sites, applied as one local unitary.  A multi-term generator wider than
-    the cap is a group of its own.
+    per pulse or one for all.  The program is fused by :func:`fuse_pulses`
+    and run by :func:`_apply_fused`.
     """
     n = array.shape[0].bit_length() - 1
-    # two buffers take turns as source and destination, so a run holds three
-    # arrays of this size, the input included
-    own = np.array(_tensor(array, n))
-    spare = np.empty_like(own)
-    tensor = own
-    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
-    cap = min(FUSED_SITES, max_dense_qubits() // 2)
-    for group, mask in _fused_groups(pulses, shifts, n, cap):
-        generator, angle = group[0]
-        if len(group) == 1 and len(generator.terms) == 1:
-            (coeff, string), = generator.terms
-            _require_involution(abs(coeff * coeff - 1.0), generator)
-            out = _pauli(string, tensor, -1j * math.sin(angle) * coeff, out=spare)
-            tensor *= math.cos(angle)
-            out += tensor
-            own, spare, tensor = spare, own, out
-        else:
-            sites = _sites(mask)
-            unitary = np.eye(1 << len(sites), dtype=np.complex128)
-            for generator, angle in group:
-                unitary = _local_unitary(generator, angle, sites) @ unitary
-            # copy the group's axes to the front, act on them, put them back
-            order = sites + tuple(a for a in range(own.ndim) if a not in sites)
-            moved = spare.reshape(tensor.transpose(order).shape)
-            np.copyto(moved, tensor.transpose(order))
-            flat = own.reshape(1 << len(sites), own.size >> len(sites))
-            np.matmul(unitary, moved.reshape(flat.shape), out=flat)
-            tensor = own.reshape(moved.shape).transpose(np.argsort(order))
-    if not tensor.flags.c_contiguous:
-        np.copyto(spare, tensor)
-        tensor = spare
-    return tensor.reshape(array.shape)
+    return _apply_fused(fuse_pulses(n, pulses, offsets), array)
 
 
 def pulse_unitary(n_sites: int, pulses, context: str, offsets=None) -> np.ndarray:
@@ -312,38 +366,46 @@ _EPS = float(np.finfo(float).eps)
 _RITZ_EVERY = 8
 
 
-def _krylov_norm(d: np.ndarray) -> float | None:
-    """Largest singular value of ``d`` by Golub–Kahan–Lanczos, or ``None``.
+def _krylov_norm(product, adjoint, n: int, dtype, steps: int) -> float | None:
+    """Largest singular value of an operator ``D`` by Golub–Kahan–Lanczos, or ``None``.
 
-    The bidiagonalization (Golub & Kahan 1965) starts from a fixed-seed
-    Gaussian unit vector and reorthogonalizes each new vector against all
-    earlier ones.  ``D^H u`` is computed as ``(u^H D)^H``, and every product
-    is divided by the peak entry of the first one, so entries near the ends
-    of the float range neither underflow nor overflow.  The top Ritz value
-    of the bidiagonal ``B`` is returned once its residual ``beta |x_k|`` is
-    at most ``4 eps sigma``, or once a new ``alpha`` or ``beta`` is that
-    small, which means the Krylov space is invariant and the value exact.
-    ``B`` is solved every :data:`_RITZ_EVERY` steps, or sooner where the
-    residual, falling geometrically since the last solve, should reach the
-    bound.  ``None`` means "take the SVD": the start vector lies in the
-    kernel of a nonzero ``d``, or ``min(m, n) // KRYLOV_ROWS_PER_STEP``
-    steps did not converge.  A NaN or infinite entry is returned as a
-    non-finite value at once, and a zero matrix as exactly 0.0.
+    ``D`` has ``n`` columns and is given by its two products: ``product(v)``
+    returns ``D v`` and ``adjoint(u)`` returns ``D^H u``.  The
+    bidiagonalization (Golub & Kahan 1965) starts from a fixed-seed Gaussian
+    unit vector, real for a real ``dtype``, and reorthogonalizes each new
+    vector against all earlier ones.  Every product is divided by the peak
+    entry of the first one, so entries near the ends of the float range
+    neither underflow nor overflow.
+
+    The projected bidiagonal ``B`` is solved every :data:`_RITZ_EVERY`
+    steps, or sooner where the top Ritz residual ``r = beta |x_k|``, falling
+    geometrically since the last solve, should reach the stop bound.  With
+    ``theta1 > theta2`` the top two Ritz values, the top one is returned
+    once ``r <= max(4 eps theta1, sqrt(8 eps (theta1^2 - theta2^2)))``: the
+    Kato–Temple bound ``sigma - theta1 <= theta1 r^2 / (2 (theta1^2 -
+    theta2^2))`` (Parlett, *The Symmetric Eigenvalue Problem*) set to ``4
+    eps theta1``.  ``theta2`` stands in for the true second singular value,
+    so this is a Ritz-gap estimate, not a rigorous bound; on a degenerate
+    top it returns a value within the floating-point split of the top
+    copies instead of waiting for the Krylov space to grow every copy.  The
+    value is also returned once a new ``alpha`` or ``beta`` is at roundoff,
+    which means the Krylov space is invariant and the value exact.
+
+    ``None`` means ``steps`` steps did not converge.  A NaN or infinite
+    first product is returned as a non-finite value at once, and a start
+    vector in the kernel of ``D`` as 0.0.
     """
-    m, n = d.shape
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if np.iscomplexobj(d) else 0.0)
+    real = not np.issubdtype(dtype, np.complexfloating)
+    v = rng.standard_normal(n) + (0.0 if real else 1j * rng.standard_normal(n))
     v /= np.linalg.norm(v)
     with np.errstate(invalid="ignore"):  # an infinite entry may sum to inf - inf
-        u = d @ v
+        u = product(v)
     scale = float(np.abs(u).max())
-    if not math.isfinite(scale):
+    if scale == 0.0 or not math.isfinite(scale):
         return scale
-    if scale == 0.0:
-        return None if d.any() else 0.0
-    steps = min(m, n) // KRYLOV_ROWS_PER_STEP
     right = np.empty((steps, n), u.dtype)
-    left = np.empty((steps, m), u.dtype)
+    left = np.empty((steps, u.shape[0]), u.dtype)
     bidiagonal = np.zeros((steps, steps + 1))
     right[0] = v
     u /= scale
@@ -356,8 +418,7 @@ def _krylov_norm(d: np.ndarray) -> float | None:
         if alpha <= 4 * _EPS * peak:
             return scale * float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
         np.multiply(u, 1.0 / alpha, out=left[k])
-        w = np.conjugate(left[k]) @ d
-        np.conjugate(w, out=w)
+        w = adjoint(left[k])
         w *= 1.0 / scale
         w -= alpha * right[k]
         w -= np.conjugate(right[:k + 1] @ np.conjugate(w)) @ right[:k + 1]
@@ -366,18 +427,20 @@ def _krylov_norm(d: np.ndarray) -> float | None:
         peak = max(peak, beta)
         if k + 1 in (check, steps) or beta <= 4 * _EPS * peak:
             x, s, _ = np.linalg.svd(bidiagonal[:k + 1, :k + 1])
-            residual, bound = beta * abs(x[k, 0]), 4 * _EPS * s[0]
+            gap = (s[0] - s[1]) * (s[0] + s[1]) if k else 0.0
+            residual = beta * abs(x[k, 0])
+            bound = max(4 * _EPS * s[0], math.sqrt(8 * _EPS * gap))
             if residual <= bound:
                 return scale * float(s[0])
-            gap = _RITZ_EVERY
+            wait = _RITZ_EVERY
             if last is not None and residual < last[1]:
                 rate = math.log(residual / last[1]) / (k + 1 - last[0])
-                gap = min(gap, max(1, math.ceil(math.log(bound / residual) / rate)))
-            last, check = (k + 1, residual), k + 1 + gap
+                wait = min(wait, max(1, math.ceil(math.log(bound / residual) / rate)))
+            last, check = (k + 1, residual), k + 1 + wait
         if k + 1 == steps:
             return None
         np.multiply(w, 1.0 / beta, out=right[k + 1])
-        u = d @ right[k + 1]
+        u = product(right[k + 1])
         u *= 1.0 / scale
         u -= beta * left[k]
         u -= np.conjugate(left[:k + 1] @ np.conjugate(u)) @ left[:k + 1]
@@ -385,7 +448,15 @@ def _krylov_norm(d: np.ndarray) -> float | None:
 
 
 def _spectral_norm(d: np.ndarray) -> float:
-    sigma = _krylov_norm(d) if d.ndim == 2 and min(d.shape) >= KRYLOV_MIN_ROWS else None
+    sigma = None
+    if d.ndim == 2 and min(d.shape) >= KRYLOV_MIN_ROWS:
+        sigma = _krylov_norm(
+            lambda v: d @ v,
+            lambda u: np.conjugate(np.conjugate(u) @ d),  # (u^H d)^H: no second n x n array
+            d.shape[1], d.dtype, min(d.shape) // KRYLOV_ROWS_PER_STEP,
+        )
+        if sigma == 0.0 and d.any():  # the start vector lies in the kernel
+            sigma = None
     return float(np.linalg.svd(d, compute_uv=False)[0]) if sigma is None else sigma
 
 
@@ -394,9 +465,12 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
 
     From :data:`KRYLOV_MIN_ROWS` (256) rows up it comes from a Golub–Kahan–
     Lanczos bidiagonalization with a fixed-seed start and full
-    reorthogonalization, which stops when the top Ritz residual is at most
-    ``4 eps sigma`` or the Krylov space is invariant (the value is then
-    exact).  Past a budget of ``rows // KRYLOV_ROWS_PER_STEP`` steps (a
+    reorthogonalization, which stops when the Kato–Temple estimate from the
+    top two Ritz values puts the top one within ``4 eps`` of the singular
+    value (a Ritz-gap estimate, not a rigorous bound; on a degenerate top
+    the value lies within the floating-point split of the top copies), or
+    when the Krylov space is invariant (the value is then exact).  Past a
+    budget of ``rows // KRYLOV_ROWS_PER_STEP`` steps (a
     spectrum with no gap at the top, like a difference of random unitaries)
     and below 256 rows, where the SVD is faster, it is the top value of
     ``np.linalg.svd``.  Both agree at roundoff.  On the Krylov path a NaN or
@@ -413,10 +487,11 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     ``spectral_distance_bound``: the exact distance is no larger, so the pass
     is certified without a spectral norm.  Otherwise :func:`distance` is
     returned under ``spectral_distance``: a Golub–Kahan–Lanczos value that
-    stops at a ``4 eps sigma`` Ritz residual from 256 rows up, and the SVD
-    below 256 rows or past the ``rows // KRYLOV_ROWS_PER_STEP`` step budget.
-    It matches the SVD at roundoff, so ``value <= tolerance`` is the verdict
-    the exact distance gives.  A NaN or infinite entry is returned as a
+    stops on the Ritz-gap estimate of :func:`distance` from 256 rows up, and
+    the SVD below 256 rows or past the ``rows // KRYLOV_ROWS_PER_STEP`` step
+    budget.  It matches the SVD at roundoff, so ``value <= tolerance`` is the
+    verdict the exact distance gives, up to a tolerance within roundoff of
+    the distance.  A NaN or infinite entry is returned as a
     non-finite exact distance without any iteration, so it passes no finite
     tolerance.
     """
@@ -433,6 +508,35 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     if not math.isfinite(peak):
         return peak, "spectral_distance"
     return _spectral_norm(d), "spectral_distance"
+
+
+def fused_distance(n_sites: int, program: list, reference: list) -> float:
+    """Spectral distance between two fused pulse programs, without forming either product.
+
+    ``program`` and ``reference`` come from :func:`fuse_pulses` on
+    ``n_sites``.  The Golub–Kahan–Lanczos solver of :func:`distance` runs on
+    their difference as an operator: ``D v`` is both programs run on ``v`` by
+    :func:`_apply_fused`, and ``D^H u`` both adjoint programs (groups
+    reversed and conjugate-transposed) run on ``u``, so the work is
+    ``O(2^n)`` per product and no ``2^n x 2^n`` array exists.  There is no
+    SVD to fall back on, so the solver stops after
+    :data:`MATRIX_FREE_STEPS` steps and raises :class:`ResourceLimitError`
+    naming that budget.  A start vector the two programs map alike reads as
+    0.0.  The register is held to the dense cap.
+    """
+    check_dense_limit(n_sites, "fused_distance")
+    program_h, reference_h = _adjoint(program), _adjoint(reference)
+    sigma = _krylov_norm(
+        lambda v: _apply_fused(program, v) - _apply_fused(reference, v),
+        lambda u: _apply_fused(program_h, u) - _apply_fused(reference_h, u),
+        1 << n_sites, np.complex128, MATRIX_FREE_STEPS,
+    )
+    if sigma is None:
+        raise ResourceLimitError(
+            f"fused_distance: the spectral norm did not converge within the "
+            f"MATRIX_FREE_STEPS budget of {MATRIX_FREE_STEPS} Krylov steps"
+        )
+    return sigma
 
 
 # -- states ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from qsakit import analysis, cli, propagator_engine, schedule_compiler, toric_lattice
+from qsakit import (
+    analysis, cli, dense_oracle, propagator_engine, schedule_compiler, toric_lattice,
+)
 from qsakit.cli import main
 from qsakit.dense_oracle import verify_schedule
 from qsakit.schedule_compiler import QsaSchedule
@@ -585,6 +587,32 @@ def strict_json(text):
     def refuse(constant):
         raise ValueError(f"non-JSON constant {constant} in a report")
     return json.loads(text, parse_constant=refuse)
+
+
+@pytest.fixture
+def schedule11(tmp_path, capsys):
+    """An 11-site doubling schedule file, one site above the matrix cap."""
+    out_file = tmp_path / "schedule11.json"
+    argv = ["compile", "--target", "XYZXYZXYZXY", "--tg", "0.7", "--strategy", "doubling"]
+    assert run_cli(capsys, argv + ["--out", str(out_file)])[0] == 0
+    return str(out_file)
+
+
+def test_error_scaling_above_the_matrix_cap_is_matrix_free(schedule11, capsys):
+    code, out = run_cli(capsys, ["analyze", "error-scaling", "--schedule", schedule11])
+    report = strict_json(out)
+    assert (code, report["status"]) == (0, "pass")
+    assert 0.9 <= report["metrics"]["slope"] <= 1.1
+
+
+def test_error_scaling_past_the_krylov_budget_is_a_resource_limit(
+    schedule11, capsys, monkeypatch
+):
+    monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
+    code, out = run_cli(capsys, ["analyze", "error-scaling", "--schedule", schedule11])
+    report = strict_json(out)
+    assert (code, report["status"]) == (3, "resource-limit")
+    assert "MATRIX_FREE_STEPS budget of 3 Krylov steps" in report["error"]
 
 
 def test_error_scaling_refuses_deltas_that_move_no_angle(tmp_path, capsys):

@@ -29,6 +29,8 @@ from qsakit.dense_oracle import (
     distance,
     expectation,
     expm,
+    fuse_pulses,
+    fused_distance,
     max_dense_qubits,
     pulse_unitary,
     run_pulses,
@@ -689,6 +691,46 @@ def test_spectral_norm_of_the_degenerate_wen_difference(svd_calls):
         assert np.allclose(top[:4], top[0], rtol=1e-12, atol=0.0) and top[4] < top[0] * (1 - 1e-3)
         used = assert_spectral_norm(d, svd_calls)
         assert d.shape not in used
+        # the Ritz-gap stop does not wait for every copy of the top to grow
+        assert max(used) <= (32, 32)
+
+
+def schedule_program(n, seed):
+    rng = np.random.default_rng(seed)
+    target = PauliString(n, random_string_letters(rng, n, min_weight=n))
+    return schedule_pulses(compile_schedule(target, None, "doubling", 0.7))
+
+
+@pytest.mark.parametrize("n, program", [
+    (8, lambda: schedule_program(8, SEED)),
+    (9, lambda: schedule_program(9, SEED + 9)),
+    (8, lambda: digital_sequence(LatticeSpec(2, 4), 0.7).pulses()),
+    (9, lambda: digital_sequence(LatticeSpec(3, 3), 0.3).pulses()),
+], ids=["schedule8", "schedule9", "wen2x4", "wen3x3"])
+def test_fused_distance_matches_the_svd_without_a_matrix(n, program):
+    pulses = program()
+    ideal = fuse_pulses(n, pulses)
+    for delta in (1e-2, 1e-3, 1e-4):
+        offsets = np.full(len(pulses), delta)
+        want = np.linalg.norm(pulse_product(n, pulses, offsets) - pulse_product(n, pulses), 2)
+        got = fused_distance(n, fuse_pulses(n, pulses, offsets), ideal)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_the_adjoint_program_is_the_conjugate_transpose():
+    pulses = schedule_program(5, SEED) + [(PauliString.parse("XYZIZ"), 0.4)]
+    fused = fuse_pulses(5, pulses, 0.01)
+    assert any(isinstance(key, PauliString) for key, _ in fused)  # a flip group too
+    eye = np.eye(32, dtype=np.complex128)
+    adjoint = dense_oracle._apply_fused(dense_oracle._adjoint(fused), eye)
+    assert np.abs(adjoint - run_pulses(pulses, eye, 0.01).conj().T).max() <= 1e-14
+
+
+def test_fused_distance_names_its_step_budget(monkeypatch):
+    pulses = schedule_program(8, SEED)
+    monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
+    with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 3 Krylov steps"):
+        fused_distance(8, fuse_pulses(8, pulses, 1e-3), fuse_pulses(8, pulses))
 
 
 def test_spectral_distance_is_symmetric_and_repeatable():

@@ -3,10 +3,12 @@
 A module-level name passes when it is referenced in ``src/qsakit`` outside its
 own definition, exported by ``qsakit/__init__.py``, or named in the
 benchmark's per-layer list ``bench/tracing.REPORTED`` (read from its source,
-not run).  A public method of a public class passes when its name is
-referenced in ``src/qsakit`` outside its own definition, or ``Class.method``
-is in ``REPORTED`` or in :data:`KEPT_METHODS`; exporting the class does not
-cover its methods.
+not run).  A public method of a public class passes when it is called as
+``x.method(...)`` or referenced as ``Class.method`` in ``src/qsakit`` outside
+its own definition (a property when it is read as ``x.method``), or
+``Class.method`` is in ``REPORTED`` or in :data:`KEPT_METHODS`; exporting the
+class does not cover its methods, and reading an attribute of the same name,
+such as ``args.path``, does not cover a method.
 """
 
 import ast
@@ -27,6 +29,9 @@ KEPT_METHODS = {
     ("schedule_compiler", "ConnectivityGraph.complete"):
         "the all-to-all graph of the exported graph type; tests build their "
         "complete couplings with it",
+    ("schedule_compiler", "ConnectivityGraph.path"):
+        "the line graph of the exported graph type; tests build their path "
+        "couplings with it",
 }
 
 
@@ -40,7 +45,12 @@ def _reported() -> set[tuple[str, str]]:
 
 
 def _names(tree: ast.AST, skip: ast.AST) -> set[str]:
-    """Names, attributes and imported names used in ``tree`` outside ``skip``."""
+    """What ``tree`` uses outside ``skip``.
+
+    Names, imported names and attributes read appear as themselves; an
+    attribute called as ``x.attr(...)`` also as ``attr()``, and one read as
+    ``Name.attr`` also as ``Name.attr``.
+    """
     used, stack = set(), [tree]
     while stack:
         node = stack.pop()
@@ -50,6 +60,10 @@ def _names(tree: ast.AST, skip: ast.AST) -> set[str]:
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                used.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            used.add(f"{node.func.attr}()")
         elif isinstance(node, ast.alias):
             used.add(node.name)
         stack.extend(ast.iter_child_nodes(node))
@@ -63,6 +77,14 @@ def _public(nodes) -> list:
     ]
 
 
+def _uses(cls: ast.ClassDef, method: ast.FunctionDef) -> set[str]:
+    """The uses of ``_names`` that count for ``method`` of ``cls``."""
+    uses = {f"{method.name}()", f"{cls.name}.{method.name}"}
+    if any(ast.unparse(d) == "property" for d in method.decorator_list):
+        uses.add(method.name)
+    return uses
+
+
 def uncalled(sources: dict[str, str], exported: set[tuple[str, str]],
              reported: set[tuple[str, str]]) -> list[str]:
     """``module.name`` of each public def, class or method of ``sources`` that passes no rule.
@@ -74,16 +96,16 @@ def uncalled(sources: dict[str, str], exported: set[tuple[str, str]],
     out = []
     for module, tree in trees.items():
         for node in _public(tree.body):
-            candidates = [(node.name, node, exported | reported)]
+            candidates = [(node.name, node, {node.name}, exported | reported)]
             if isinstance(node, ast.ClassDef):
                 candidates += [
-                    (f"{node.name}.{method.name}", method, reported)
+                    (f"{node.name}.{method.name}", method, _uses(node, method), reported)
                     for method in _public(node.body) if isinstance(method, ast.FunctionDef)
                 ]
-            for name, defn, kept in candidates:
+            for name, defn, uses, kept in candidates:
                 if (module, name) in kept:
                     continue
-                if not any(defn.name in _names(other, defn) for other in trees.values()):
+                if not any(uses & _names(other, defn) for other in trees.values()):
                     out.append(f"{module}.{name}")
     return out
 
@@ -107,14 +129,23 @@ def test_the_guard_finds_an_uncalled_method():
     sources = {
         "a": (
             "class Box:\n"
-            "    def used(self):\n        return self.lonely\n"
+            "    def used(self):\n        return self.lonely()\n"
             "    def lonely(self):\n        return self.lonely()\n"
+            "    def named(self):\n        pass\n"
+            "    @property\n    def size(self):\n        return 0\n"
             "    def traced(self):\n        pass\n"
             "    def _private(self):\n        pass\n"
         ),
-        "b": "from .a import Box\n\ndef f(box):\n    return box.used()\n",
+        "b": (
+            "from .a import Box\n\n"
+            "def f(box):\n    return box.used(), box.size, Box.named\n"
+        ),
     }
     exported, reported = {("a", "Box"), ("b", "f")}, {("a", "Box.traced")}
     assert uncalled(sources, exported, reported) == []
-    sources["a"] = sources["a"].replace("return self.lonely\n", "return 0\n")
+    # reading an attribute of the same name, like ``args.lonely``, is no call
+    sources["a"] = sources["a"].replace("return self.lonely()\n", "return self.lonely\n", 1)
     assert uncalled(sources, exported, reported) == ["a.Box.lonely"]
+    # a method read off another name than its class is no reference either
+    sources["b"] = sources["b"].replace("Box.named", "box.named")
+    assert uncalled(sources, exported, reported) == ["a.Box.lonely", "a.Box.named"]
