@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import (
-    MATRIX_QUBIT_CAP,
-    distance,
-    fuse_pulses,
-    fused_distance,
-    pulse_unitary,
-    schedule_pulses,
-)
+from .dense_oracle import fuse_pulses, program_distances, pulse_unitary, schedule_pulses
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -165,21 +158,25 @@ def error_scaling(
     For each delta the perturbed product offsets all pulse angles by +delta
     (or, behind the ``random_offsets`` flag, by independent uniform draws
     from [-delta, +delta]); the reported distance is the spectral distance
-    to the ideal product.  Up to :data:`~qsakit.dense_oracle.MATRIX_QUBIT_CAP`
-    (10) sites both products are built and compared by
-    :func:`~qsakit.dense_oracle.distance`: from 256 rows (8 sites) up a
-    Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
-    estimate, below 256 rows, and past a budget of one step per five rows,
-    numpy's SVD.  Above the cap no product is built: the same solver runs
-    matrix-free on the perturbed program minus the ideal one,
-    :func:`~qsakit.dense_oracle.fused_distance`, with the fused groups of
-    each program built once.  Both agree with the SVD at roundoff, within
-    the floating-point split of a degenerate top.  slope/intercept are the
-    least-squares fit of log(distance) against log(delta).
+    to the ideal product, from :func:`~qsakit.dense_oracle.program_distances`
+    on the fused programs.  Up to 8 sites it forms both products and takes
+    :func:`~qsakit.dense_oracle.distance`: numpy's SVD below 256 rows, at
+    256 a Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
+    estimate, with the SVD past a budget of one step per five rows.  From 9
+    sites up no product is formed: the same solver runs matrix-free on the
+    perturbed program minus the ideal one, with no SVD to fall back on.
+    On a top pair split by less than about ``1000 eps`` (the products are
+    unitary, of norm 1), such as the floating-point split of a degenerate
+    top, either may return a value between the two copies.  The matrix-free
+    path also carries the roundoff of running two programs, about ``eps``
+    over the distance: on 9-10-site schedules at delta 1e-4 its values lie
+    within 1.2e-13 of the SVD of the formed difference.
+    slope/intercept are the least-squares fit of log(distance) against
+    log(delta).
 
     Raises:
-        ResourceLimitError: above the dense limit, or above the matrix cap
-            when the matrix-free solver spends its step budget.
+        ResourceLimitError: above the dense limit, or from 9 sites up when
+            the matrix-free solver spends its step budget.
         ValueError: deltas not strictly decreasing, outside (0, 0.1], or
             fewer than two (a line through one point fits nothing); or a
             distance that is 0 or not finite, whose log the fit cannot take
@@ -196,20 +193,9 @@ def error_scaling(
         raise ValueError(
             f"the slope fit needs at least two deltas, got {len(deltas)}"
         )
-    if n_sites <= MATRIX_QUBIT_CAP:
-        ideal = pulse_product(n_sites, pulses)
-
-        def distance_at(offsets):
-            return distance(pulse_product(n_sites, pulses, offsets), ideal)
-    else:
-        ideal = fuse_pulses(n_sites, pulses)
-
-        def distance_at(offsets):
-            return fused_distance(n_sites, fuse_pulses(n_sites, pulses, offsets), ideal)
-
     rng = np.random.default_rng(seed)
     max_offset = 0.0
-    dists = []
+    programs = []
     for delta in deltas:
         if random_offsets:
             offsets = rng.uniform(-delta, delta, size=len(pulses))
@@ -217,13 +203,14 @@ def error_scaling(
         else:
             offsets = np.full(len(pulses), delta)
             max_offset = max(max_offset, delta)
-        dist = distance_at(offsets)
+        programs.append(fuse_pulses(n_sites, pulses, offsets))
+    dists = program_distances(n_sites, programs, fuse_pulses(n_sites, pulses))
+    for delta, dist in zip(deltas, dists):
         if not (math.isfinite(dist) and dist > 0.0):
             raise ValueError(
                 f"distance {dist} at delta {delta!r}: the log-log fit needs "
                 "a positive, finite distance for every delta"
             )
-        dists.append(dist)
 
     slope, intercept = np.polyfit(np.log(deltas), np.log(dists), 1)
     return ErrorScalingReport(

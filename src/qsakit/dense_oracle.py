@@ -26,12 +26,15 @@ The spectral norm behind :func:`distance` and :func:`certified_distance`
 needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
 up it is a Golub–Kahan–Lanczos bidiagonalization that stops on the Ritz
 gap: once the top Ritz residual ``r`` is at most ``max(4 eps theta1,
-sqrt(8 eps (theta1^2 - theta2^2)))`` for the top two Ritz values, where the
-Kato–Temple estimate of the error falls to ``4 eps theta1``, or once the
-Krylov space is invariant.  That is an estimate, not a rigorous bound; on a
-degenerate top it returns a value within the floating-point split of the
-top copies.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP`
-rows, and below the crossover, it is the top value of numpy's SVD.
+min(sqrt(8 eps (theta1^2 - theta2^2)), 1000 eps max(theta1, m)))`` for the
+top two Ritz values and a lower bound ``m`` on the norms of the two
+operands, where the Kato–Temple estimate of the error falls to ``4 eps
+theta1`` and the residual itself to the cap :data:`_RESIDUAL_CAP`, or once
+the Krylov space is invariant.  That is an estimate, not a rigorous bound;
+on a top pair split by less than about ``1000 eps max(theta1, m)``, such as
+the floating-point split of a degenerate top, it returns a value between
+the two.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP` rows,
+and below the crossover, it is the top value of numpy's SVD.
 :func:`fused_distance` runs the same solver on the difference of two fused
 pulse programs as an operator, with no ``2^n x 2^n`` array and a fixed
 budget of :data:`MATRIX_FREE_STEPS` steps.
@@ -88,14 +91,24 @@ KRYLOV_MIN_ROWS = 256
 #: the worst case, a difference of random unitaries with no gap at the top
 #: of its spectrum, costs the budget plus one SVD: 1.25-1.65 times the SVD
 #: at 256-1024 rows, against 1.6-1.9 for one step per four rows.  With the
-#: Ritz-gap stop, 8-10-site schedule differences converge in 16-31 steps and
-#: 3x3 lattice differences, whose top is 4-fold degenerate, in 24-29.
+#: Ritz-gap stop, 8-10-site schedule differences converge in 24-38 steps and
+#: 3x3 lattice differences, whose top is 4-fold degenerate, in 29-34.
 KRYLOV_ROWS_PER_STEP = 5
 
 #: Krylov-step budget of :func:`fused_distance`, which has no SVD to fall
 #: back on.  Each step keeps one left and one right vector of ``2^n``
 #: complex entries, so at 14 sites the two bases hold at most 96 MiB.
 MATRIX_FREE_STEPS = 192
+
+#: Widest register on which :func:`program_distances` forms the products and
+#: takes :func:`distance`; from one site more it runs :func:`fused_distance`.
+#: Three distances (deltas 1e-2, 1e-3, 1e-4; 2-vCPU host, BLAS on one
+#: thread) take 3.6-4.2 ms formed against 16-31 ms matrix-free on 6-site
+#: schedules, 11-17 against 26-31 at 7 and 22-33 against 38-67 at 8, where
+#: each Krylov step pays the Python cost of four program runs; at 9 sites
+#: 121-140 against 61-113 (the 3x3 Wen lattice 77 against 31), and at 10
+#: 531-699 against 78-150 (``BENCH_23.json``).
+MATRIX_DISTANCE_SITES = 8
 
 
 # -- Pauli action ----------------------------------------------------------------
@@ -365,8 +378,25 @@ _EPS = float(np.finfo(float).eps)
 #: Most bidiagonalization steps between two solves of the projected problem.
 _RITZ_EVERY = 8
 
+#: Largest top Ritz residual the Ritz-gap stop accepts, in units of ``eps
+#: max(theta1, m)`` for a lower bound ``m`` on the operands' norms.
+#: ``theta2`` is only the next value the Krylov space has found: a top pair
+#: split by ``delta`` that it has not yet separated leaves ``theta1`` a mix
+#: of the two with a residual of about ``delta``, which the gap term alone
+#: would accept up to ``sqrt(8 eps) theta1``.  Under the cap such a pair must
+#: be separated, unless its split is below the roundoff the operands leave
+#: in their difference, about ``eps m``.  On diagonals with a top split of
+#: 5e-14 to 1e-8 the value stays within 3e-14 of the SVD, where the gap term
+#: alone is off by 5e-13 at a split of 1e-12; 3x3 Wen differences stop in
+#: 29-34 steps, against 24-29 without the cap and 34-69 for a residual of
+#: ``4 eps``.  With ``m`` left out, a Wen difference at delta 1e-5 to 1e-7
+#: would take 99-106 steps to part copies that only roundoff split.
+_RESIDUAL_CAP = 1000
 
-def _krylov_norm(product, adjoint, n: int, dtype, steps: int) -> float | None:
+
+def _krylov_norm(
+    product, adjoint, n: int, dtype, steps: int, operand_norm: float = 0.0
+) -> float | None:
     """Largest singular value of an operator ``D`` by Golub–Kahan–Lanczos, or ``None``.
 
     ``D`` has ``n`` columns and is given by its two products: ``product(v)``
@@ -381,13 +411,18 @@ def _krylov_norm(product, adjoint, n: int, dtype, steps: int) -> float | None:
     steps, or sooner where the top Ritz residual ``r = beta |x_k|``, falling
     geometrically since the last solve, should reach the stop bound.  With
     ``theta1 > theta2`` the top two Ritz values, the top one is returned
-    once ``r <= max(4 eps theta1, sqrt(8 eps (theta1^2 - theta2^2)))``: the
-    Kato–Temple bound ``sigma - theta1 <= theta1 r^2 / (2 (theta1^2 -
-    theta2^2))`` (Parlett, *The Symmetric Eigenvalue Problem*) set to ``4
-    eps theta1``.  ``theta2`` stands in for the true second singular value,
-    so this is a Ritz-gap estimate, not a rigorous bound; on a degenerate
-    top it returns a value within the floating-point split of the top
-    copies instead of waiting for the Krylov space to grow every copy.  The
+    once ``r <= max(4 eps theta1, min(sqrt(8 eps (theta1^2 - theta2^2)),
+    _RESIDUAL_CAP eps max(theta1, operand_norm)))``: the Kato–Temple bound
+    ``sigma - theta1 <= theta1 r^2 / (2 (theta1^2 - theta2^2))`` (Parlett,
+    *The Symmetric Eigenvalue Problem*) set to ``4 eps theta1``, with the
+    residual held under the cap :data:`_RESIDUAL_CAP`.  ``operand_norm`` is
+    a lower bound on the norms of the operands ``D`` is the difference of (0
+    when it is none), whose roundoff ``D`` carries.  ``theta2`` stands in
+    for the true second singular value, so this is a Ritz-gap estimate, not
+    a rigorous bound; the cap keeps a top pair the Krylov space has not yet
+    separated from passing for a gap.  On a degenerate top it returns a
+    value within the floating-point split of the top copies instead of
+    waiting for the Krylov space to grow every copy.  The
     value is also returned once a new ``alpha`` or ``beta`` is at roundoff,
     which means the Krylov space is invariant and the value exact.
 
@@ -429,7 +464,8 @@ def _krylov_norm(product, adjoint, n: int, dtype, steps: int) -> float | None:
             x, s, _ = np.linalg.svd(bidiagonal[:k + 1, :k + 1])
             gap = (s[0] - s[1]) * (s[0] + s[1]) if k else 0.0
             residual = beta * abs(x[k, 0])
-            bound = max(4 * _EPS * s[0], math.sqrt(8 * _EPS * gap))
+            cap = _RESIDUAL_CAP * _EPS * max(s[0], operand_norm / scale)
+            bound = max(4 * _EPS * s[0], min(math.sqrt(8 * _EPS * gap), cap))
             if residual <= bound:
                 return scale * float(s[0])
             wait = _RITZ_EVERY
@@ -447,13 +483,16 @@ def _krylov_norm(product, adjoint, n: int, dtype, steps: int) -> float | None:
     return None
 
 
-def _spectral_norm(d: np.ndarray) -> float:
+def _spectral_norm(d: np.ndarray, operands=()) -> float:
     sigma = None
     if d.ndim == 2 and min(d.shape) >= KRYLOV_MIN_ROWS:
+        # ||x||_F / sqrt(min(shape)) <= ||x||_2 bounds the operands' norms from below
+        operand_norm = max((float(np.linalg.norm(x)) for x in operands), default=0.0)
         sigma = _krylov_norm(
             lambda v: d @ v,
             lambda u: np.conjugate(np.conjugate(u) @ d),  # (u^H d)^H: no second n x n array
             d.shape[1], d.dtype, min(d.shape) // KRYLOV_ROWS_PER_STEP,
+            operand_norm / math.sqrt(min(d.shape)),
         )
         if sigma == 0.0 and d.any():  # the start vector lies in the kernel
             sigma = None
@@ -467,16 +506,18 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     Lanczos bidiagonalization with a fixed-seed start and full
     reorthogonalization, which stops when the Kato–Temple estimate from the
     top two Ritz values puts the top one within ``4 eps`` of the singular
-    value (a Ritz-gap estimate, not a rigorous bound; on a degenerate top
-    the value lies within the floating-point split of the top copies), or
-    when the Krylov space is invariant (the value is then exact).  Past a
-    budget of ``rows // KRYLOV_ROWS_PER_STEP`` steps (a
+    value and its residual is at most ``1000 eps`` of the larger of that
+    value and a lower bound on the norms of ``a`` and ``b`` (a Ritz-gap
+    estimate, not a rigorous bound; on a top pair split by less than that,
+    such as the floating-point split of a degenerate top, the value lies
+    between the two), or when the Krylov space is invariant (the value is
+    then exact).  Past a budget of ``rows // KRYLOV_ROWS_PER_STEP`` steps (a
     spectrum with no gap at the top, like a difference of random unitaries)
     and below 256 rows, where the SVD is faster, it is the top value of
-    ``np.linalg.svd``.  Both agree at roundoff.  On the Krylov path a NaN or
-    infinite entry gives a non-finite distance at once.
+    ``np.linalg.svd``.  Both agree within that split of the top.  On the
+    Krylov path a NaN or infinite entry gives a non-finite distance at once.
     """
-    return _spectral_norm(_difference(a, b))
+    return _spectral_norm(_difference(a, b), (a, b))
 
 
 def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[float, str]:
@@ -489,11 +530,12 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     returned under ``spectral_distance``: a Golub–Kahan–Lanczos value that
     stops on the Ritz-gap estimate of :func:`distance` from 256 rows up, and
     the SVD below 256 rows or past the ``rows // KRYLOV_ROWS_PER_STEP`` step
-    budget.  It matches the SVD at roundoff, so ``value <= tolerance`` is the
-    verdict the exact distance gives, up to a tolerance within roundoff of
-    the distance.  A NaN or infinite entry is returned as a
-    non-finite exact distance without any iteration, so it passes no finite
-    tolerance.
+    budget.  It matches the SVD within the split of a top pair closer than
+    about ``1000 eps`` of the larger of the distance and the operands'
+    norms, so ``value <= tolerance`` is the verdict the exact distance gives,
+    up to a tolerance that close to the distance.  A NaN or infinite entry
+    is returned as a non-finite exact distance without any iteration, so it
+    passes no finite tolerance.
     """
     d = _difference(a, b)
     mag = np.abs(d)
@@ -507,7 +549,7 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     del mag  # the norm allocates its own work arrays
     if not math.isfinite(peak):
         return peak, "spectral_distance"
-    return _spectral_norm(d), "spectral_distance"
+    return _spectral_norm(d, (a, b)), "spectral_distance"
 
 
 def fused_distance(n_sites: int, program: list, reference: list) -> float:
@@ -518,7 +560,8 @@ def fused_distance(n_sites: int, program: list, reference: list) -> float:
     their difference as an operator: ``D v`` is both programs run on ``v`` by
     :func:`_apply_fused`, and ``D^H u`` both adjoint programs (groups
     reversed and conjugate-transposed) run on ``u``, so the work is
-    ``O(2^n)`` per product and no ``2^n x 2^n`` array exists.  There is no
+    ``O(2^n)`` per product and no ``2^n x 2^n`` array exists.  Both programs
+    are unitary, so the stop takes 1 as the operands' norm.  There is no
     SVD to fall back on, so the solver stops after
     :data:`MATRIX_FREE_STEPS` steps and raises :class:`ResourceLimitError`
     naming that budget.  A start vector the two programs map alike reads as
@@ -529,7 +572,7 @@ def fused_distance(n_sites: int, program: list, reference: list) -> float:
     sigma = _krylov_norm(
         lambda v: _apply_fused(program, v) - _apply_fused(reference, v),
         lambda u: _apply_fused(program_h, u) - _apply_fused(reference_h, u),
-        1 << n_sites, np.complex128, MATRIX_FREE_STEPS,
+        1 << n_sites, np.complex128, MATRIX_FREE_STEPS, 1.0,
     )
     if sigma is None:
         raise ResourceLimitError(
@@ -537,6 +580,24 @@ def fused_distance(n_sites: int, program: list, reference: list) -> float:
             f"MATRIX_FREE_STEPS budget of {MATRIX_FREE_STEPS} Krylov steps"
         )
     return sigma
+
+
+def program_distances(n_sites: int, programs: list, reference: list) -> list[float]:
+    """Spectral distance from each fused program in ``programs`` to ``reference``.
+
+    All come from :func:`fuse_pulses` on ``n_sites``.  Up to
+    :data:`MATRIX_DISTANCE_SITES` sites each program is run on the identity
+    once and compared by :func:`distance`, which falls back on the SVD past
+    its step budget; wider registers go through :func:`fused_distance`, so
+    no ``2^n x 2^n`` array exists and a spent budget raises
+    :class:`ResourceLimitError`.  The register is held to the dense cap.
+    """
+    check_dense_limit(n_sites, "program_distances")
+    if n_sites > MATRIX_DISTANCE_SITES:
+        return [fused_distance(n_sites, program, reference) for program in programs]
+    eye = np.eye(1 << n_sites, dtype=np.complex128)
+    ideal = _apply_fused(reference, eye)
+    return [distance(_apply_fused(program, eye), ideal) for program in programs]
 
 
 # -- states ----------------------------------------------------------------------

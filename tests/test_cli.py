@@ -591,7 +591,7 @@ def strict_json(text):
 
 @pytest.fixture
 def schedule11(tmp_path, capsys):
-    """An 11-site doubling schedule file, one site above the matrix cap."""
+    """An 11-site doubling schedule file, above the widest formed product."""
     out_file = tmp_path / "schedule11.json"
     argv = ["compile", "--target", "XYZXYZXYZXY", "--tg", "0.7", "--strategy", "doubling"]
     assert run_cli(capsys, argv + ["--out", str(out_file)])[0] == 0

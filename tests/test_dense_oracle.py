@@ -32,6 +32,7 @@ from qsakit.dense_oracle import (
     fuse_pulses,
     fused_distance,
     max_dense_qubits,
+    program_distances,
     pulse_unitary,
     run_pulses,
     schedule_pulses,
@@ -695,6 +696,35 @@ def test_spectral_norm_of_the_degenerate_wen_difference(svd_calls):
         assert max(used) <= (32, 32)
 
 
+@pytest.mark.parametrize("split", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_spectral_norm_of_a_near_degenerate_top(svd_calls, split):
+    # theta2 is the next Ritz value the Krylov space has found, not the
+    # second singular value: until the space separates the top pair, theta1
+    # is a mix of the two with a residual of about the split, which the
+    # Ritz-gap term alone would accept
+    rows = 300
+    d = np.diag(np.concatenate([[1.0, 1.0 - split], np.linspace(0.5, 0.0, rows - 2)]))
+    assert_spectral_norm(d, svd_calls)
+
+
+def test_a_tiny_offset_stops_at_the_roundoff_of_its_operands(svd_calls):
+    # a difference of two unitaries carries their roundoff, about eps, so the
+    # copies of its 4-fold top split by about eps / distance (2e-11 at delta
+    # 1e-7); the residual cap scales with the operands' norm, 1, and does not
+    # wait for the Krylov space to part copies that only roundoff split
+    pulses = digital_sequence(LatticeSpec(3, 3), 0.7).pulses()
+    ideal = pulse_product(9, pulses)
+    for delta in (1e-5, 1e-6, 1e-7):
+        perturbed = pulse_product(9, pulses, delta)
+        want = np.linalg.norm(perturbed - ideal, 2)
+        start = len(svd_calls)
+        formed = distance(perturbed, ideal)
+        free = fused_distance(9, fuse_pulses(9, pulses, delta), fuse_pulses(9, pulses))
+        assert max(svd_calls[start:]) <= (32, 32)
+        assert formed == pytest.approx(want, rel=1e-10, abs=0.0)
+        assert free == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def schedule_program(n, seed):
     rng = np.random.default_rng(seed)
     target = PauliString(n, random_string_letters(rng, n, min_weight=n))
@@ -715,6 +745,26 @@ def test_fused_distance_matches_the_svd_without_a_matrix(n, program):
         want = np.linalg.norm(pulse_product(n, pulses, offsets) - pulse_product(n, pulses), 2)
         got = fused_distance(n, fuse_pulses(n, pulses, offsets), ideal)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [
+    4, dense_oracle.MATRIX_DISTANCE_SITES, dense_oracle.MATRIX_DISTANCE_SITES + 1,
+])
+def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatch, n):
+    pulses = schedule_program(n, SEED + n)
+    deltas = (1e-2, 1e-3)
+    programs = [fuse_pulses(n, pulses, delta) for delta in deltas]
+    got = program_distances(n, programs, fuse_pulses(n, pulses))
+    for delta, value in zip(deltas, got):
+        want = np.linalg.norm(pulse_product(n, pulses, delta) - pulse_product(n, pulses), 2)
+        assert value == pytest.approx(want, rel=1e-13, abs=0.0)
+    # only the matrix-free path has a budget it cannot fall back from
+    monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
+    if n > dense_oracle.MATRIX_DISTANCE_SITES:
+        with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS"):
+            program_distances(n, programs, fuse_pulses(n, pulses))
+    else:
+        assert program_distances(n, programs, fuse_pulses(n, pulses)) == got
 
 
 def test_the_adjoint_program_is_the_conjugate_transpose():
