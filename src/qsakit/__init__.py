@@ -41,7 +41,7 @@ _EXPORTS = {
     "anyon_logic": (
         "StringPath", "Syndrome", "LoopCnot",
         "PathError", "EncodingError", "TopologyError", "UnsupportedOperationError",
-        "path_string", "syndrome_of", "predict_syndrome", "string_propagator",
+        "path_string", "syndrome_of", "predict_syndrome",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
         "memory_basis", "memory_encode", "code_state", "hole_logicals",
         "magic_state", "magic_report", "loop_cnot", "prepare_hole_superposition",

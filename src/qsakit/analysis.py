@@ -9,7 +9,9 @@ coupling by another factor of four.
 
 Coherent control errors enter as a common offset delta added to every pulse
 angle; the resulting distance from the ideal unitary is first order in
-delta, verified here by a log-log fit over a span of deltas.
+delta, verified here by a log-log fit over a span of deltas.  The offsets
+are this module's: it shifts a program's angles and hands the dense oracle
+the shifted program.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import fuse_pulses, program_distances, pulse_unitary, schedule_pulses
+from .dense_oracle import fuse_pulses, program_distances, pulse_unitary
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -125,26 +127,26 @@ class ErrorScalingReport:
         }
 
 
-def _subject_pulses(subject) -> tuple[int, list, str]:
+def _subject_label(subject) -> str:
     if isinstance(subject, QsaSchedule):
-        return (
-            subject.n_sites,
-            schedule_pulses(subject),
-            f"schedule[{subject.target}]",
-        )
+        return f"schedule[{subject.target}]"
     if isinstance(subject, DigitalSequence):
         spec = subject.spec
-        return (
-            subject.n_sites,
-            subject.pulses(),
-            f"digital[{spec.rows}x{spec.cols} {spec.boundary} {spec.model}]",
-        )
+        return f"digital[{spec.rows}x{spec.cols} {spec.boundary} {spec.model}]"
     raise TypeError("subject must be a QsaSchedule or a DigitalSequence")
+
+
+def _shifted(pulses, offsets) -> list:
+    """``pulses`` with each angle shifted by its offset: one value per pulse, or one for all."""
+    shifts = np.broadcast_to(offsets, (len(pulses),))
+    return [(generator, angle + float(shift)) for (generator, angle), shift in zip(pulses, shifts)]
 
 
 def pulse_product(n_sites: int, pulses, offsets=None) -> np.ndarray:
     """Time-ordered pulse product as a matrix, with optional angle offsets."""
-    return pulse_unitary(n_sites, pulses, "pulse product", offsets)
+    if offsets is not None:
+        pulses = _shifted(pulses, offsets)
+    return pulse_unitary(n_sites, pulses, "pulse product")
 
 
 def error_scaling(
@@ -188,7 +190,8 @@ def error_scaling(
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
 
-    n_sites, pulses, label = _subject_pulses(subject)
+    label = _subject_label(subject)
+    n_sites, pulses = subject.n_sites, subject.pulses()
     if len(deltas) < 2:
         raise ValueError(
             f"the slope fit needs at least two deltas, got {len(deltas)}"
@@ -203,7 +206,7 @@ def error_scaling(
         else:
             offsets = np.full(len(pulses), delta)
             max_offset = max(max_offset, delta)
-        programs.append(fuse_pulses(n_sites, pulses, offsets))
+        programs.append(fuse_pulses(n_sites, _shifted(pulses, offsets)))
     dists = program_distances(n_sites, programs, fuse_pulses(n_sites, pulses))
     for delta, dist in zip(deltas, dists):
         if not (math.isfinite(dist) and dist > 0.0):

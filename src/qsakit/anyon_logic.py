@@ -209,17 +209,6 @@ def predict_syndrome(path: StringPath, spec: LatticeSpec) -> Syndrome:
 # -- string propagators -----------------------------------------------------------
 
 
-def string_propagator(
-    path: StringPath, tg: float, spec: LatticeSpec
-) -> tuple[PauliString, float]:
-    """``exp(-i tg P)`` for a wen-model path string ``P``: the pulse ``(P, tg)``.
-
-    :func:`~qsakit.dense_oracle.run_pulses` applies it and
-    :func:`~qsakit.schedule_compiler.compile_schedule` compiles ``P`` at ``tg``.
-    """
-    return path_string(path, spec), tg
-
-
 def interleaved_propagators(
     first: tuple[PauliString, float], second: tuple[PauliString, float]
 ) -> tuple[tuple[PauliString, float], tuple[PauliString, float]]:
@@ -574,10 +563,6 @@ class LoopCnot:
     target: HoleSpec
     braid: PauliString
 
-    def apply(self, state: np.ndarray, tg: float) -> np.ndarray:
-        """The braid propagator, the pulse ``(braid, tg)``, on ``state``."""
-        return run_pulses([(self.braid, tg)], state)
-
     def truth_table(self) -> dict:
         """Braid-route CNOT rows on the logical basis.
 
@@ -588,14 +573,14 @@ class LoopCnot:
         basis = logical_basis(self.spec, [self.control, self.target])
         rows = []
         for t in (0, 1):
-            out = self.apply(basis[t], 0.0)
+            out = run_pulses([(self.braid, 0.0)], basis[t])
             rows.append({
                 "input": (0, t), "expected": (0, t),
                 "recorded_phase": complex(1.0),
                 "distance": float(np.linalg.norm(out - basis[t])),
             })
         for t in (0, 1):
-            out = self.apply(basis[t], math.pi / 2.0)
+            out = run_pulses([(self.braid, math.pi / 2.0)], basis[t])
             expected = basis[2 + (1 - t)]
             rows.append({
                 "input": (1, t), "expected": (1, 1 - t),

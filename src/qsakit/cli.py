@@ -28,8 +28,9 @@ import math
 import sys
 
 from .dense_limit import ResourceLimitError, max_dense_qubits
-from .pauli_core import PauliString, index_field, pair_field
+from .pauli_core import PauliString, float_field, index_field, pair_field
 from .schedule_compiler import (
+    STRATEGIES,
     ConnectivityGraph,
     QsaSchedule,
     compile_schedule,
@@ -64,7 +65,8 @@ def _finite_number(value, field: str | None = None) -> float:
     """``float(value)``, refusing NaN, infinities and non-numbers.
 
     Every real number read from an option, a payload or a spec goes through
-    here; a refusal is malformed input naming ``field``.
+    here (a payload's through :func:`_payload_number`, which first refuses
+    anything but a JSON number); a refusal is malformed input naming ``field``.
     """
     prefix = f"{field}: " if field else ""
     try:
@@ -74,6 +76,11 @@ def _finite_number(value, field: str | None = None) -> float:
     if not math.isfinite(number):
         raise CliInputError(f"{prefix}must be a finite number, got {value!r}")
     return number
+
+
+def _payload_number(value, field: str) -> float:
+    """A finite real read from a payload: a JSON number (:func:`float_field`), and finite."""
+    return _finite_number(float_field(value, field), field)
 
 
 def _digest(argv, paths) -> str:
@@ -444,7 +451,7 @@ def _cmd_anyon(args):
 
     elif args.action == "magic":
         with _naming("path file", args.path):
-            theta = _finite_number(payload.get("theta", math.pi / 4.0), "theta")
+            theta = _payload_number(payload.get("theta", math.pi / 4.0), "theta")
             hole = _hole_from_payload(payload, spec, "hole", default=0)
         report = anyon_logic.magic_report(hole, theta, spec)
         checks.append(
@@ -483,9 +490,9 @@ def _amplitude(entry, field: str) -> complex:
     if isinstance(entry, (list, tuple)):
         if len(entry) != 2:
             raise CliInputError(f"{field}: expected a number or [re, im], got {entry!r}")
-        re, im = (_finite_number(part, f"{field}[{k}]") for k, part in enumerate(entry))
+        re, im = (_payload_number(part, f"{field}[{k}]") for k, part in enumerate(entry))
         return complex(re, im)
-    return complex(_finite_number(entry, field))
+    return complex(_payload_number(entry, field))
 
 
 def _hole_from_payload(payload, spec, key, default):
@@ -623,11 +630,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", parents=[common], help="compile a Pauli target")
     p.add_argument("--target", required=True, help="Pauli literal, e.g. XZZX")
     p.add_argument("--graph", default=None, help="connectivity graph JSON file")
-    p.add_argument(
-        "--strategy",
-        default="auto",
-        choices=["auto", "doubling", "line_endpoints", "single_endpoint", "greedy"],
-    )
+    p.add_argument("--strategy", default="auto", choices=STRATEGIES)
     p.add_argument("--tg", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None, help="write the schedule JSON here")
     p.set_defaults(handler=_cmd_compile)

@@ -7,7 +7,10 @@ through :func:`run_pulses`, which fuses consecutive pulses whose joint
 support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
 unitary contracted over those ``k`` axes (:func:`fuse_pulses`), so a run
 of two-body pulses costs one pass over the array instead of one pass each.
-A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  Every
+A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  The
+executor runs the program it is given: a schedule's program comes from
+``QsaSchedule.pulses`` in :mod:`qsakit.schedule_compiler`, and
+:mod:`qsakit.analysis` shifts the angles of a perturbed one.  Every
 dense product is a plain ``2^n x 2^n`` array and every state a plain
 ``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
 one.
@@ -62,7 +65,6 @@ from .pauli_core import (
     anticommuting_pairs,
     is_involution,
 )
-from .schedule_compiler import QsaSchedule
 
 #: Hard cap for full-matrix (4^n) comparisons in :func:`compare_pulses`.
 MATRIX_QUBIT_CAP = 10
@@ -210,51 +212,36 @@ def _local_unitary(generator: WeightedPauliSum, angle: float, sites: tuple[int, 
     return math.cos(angle) * eye - 1j * math.sin(angle) * local
 
 
-def _fused_groups(pulses, shifts, n: int, cap: int):
-    """Yield ``(group, mask)``: runs of consecutive pulses, in program order.
+def fuse_pulses(n_sites: int, pulses) -> list:
+    """The pulse program ``pulses`` on ``n_sites`` as fused groups, first applied first.
 
-    A pulse joins the open group while the union ``mask`` of their supports
-    spans at most ``cap`` sites; a wider pulse makes a group of its own.
-    Each generator becomes a sum, takes its shift and has its register width
-    checked as the walk reaches it.
+    ``pulses`` is as :func:`run_pulses` takes it.  Gate fusion (Häner &
+    Steiger, arXiv:1704.01127): a pulse joins the open group, without
+    reordering, while their joint support spans at most ``min(FUSED_SITES,
+    max_dense_qubits() // 2)`` sites, so the group's ``4^k`` entries stay
+    within the dense cap; a wider pulse opens a group of its own.  A group
+    that is one one-string pulse becomes ``(string, (cos, scale))``, the
+    flip ``cos + scale P``; any other group becomes ``(sites, unitary)``,
+    the ordered product of its pulses' ``cos - i sin G`` on the group's
+    sites.  Each generator is checked to be an involution (``ValueError``
+    naming it).  :func:`_apply_fused` runs the groups, so a program fused
+    once can act on many arrays.
     """
-    group, joint = [], 0
-    for (generator, angle), shift in zip(pulses, shifts):
+    cap = min(FUSED_SITES, max_dense_qubits() // 2)
+    groups = []  # [pulses, mask of their joint support], in program order
+    for generator, angle in pulses:
         generator = _as_sum(generator)
-        if generator.n_sites != n:
-            raise ValueError(f"generator on {generator.n_sites} sites, array on {n}")
+        if generator.n_sites != n_sites:
+            raise ValueError(f"generator on {generator.n_sites} sites, array on {n_sites}")
         mask = 0
         for _, string in generator.terms:
             mask |= string.x | string.z
-        if group and (joint | mask).bit_count() > cap:
-            yield group, joint
-            group, joint = [], 0
-        group.append((generator, angle + float(shift)))
-        joint |= mask
-    if group:
-        yield group, joint
-
-
-def fuse_pulses(n_sites: int, pulses, offsets=None) -> list:
-    """The pulse program ``pulses`` on ``n_sites`` as fused groups, first applied first.
-
-    ``pulses`` and ``offsets`` are as :func:`run_pulses` takes them.  Gate
-    fusion (Häner & Steiger, arXiv:1704.01127): consecutive pulses are
-    grouped, without reordering, while their joint support spans at most
-    ``min(FUSED_SITES, max_dense_qubits() // 2)`` sites, so the group's
-    ``4^k`` entries stay within the dense cap.  A group that is one
-    one-string pulse becomes ``(string, (cos, scale))``, the flip
-    ``cos + scale P``; any other group becomes ``(sites, unitary)``, the
-    ordered product of its pulses' ``cos - i sin G`` on the group's sites.
-    A multi-term generator wider than the cap is a group of its own.  Each
-    generator is checked to be an involution (``ValueError`` naming it).
-    :func:`_apply_fused` runs the groups, so a program fused once can act on
-    many arrays.
-    """
-    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
-    cap = min(FUSED_SITES, max_dense_qubits() // 2)
+        if not groups or (groups[-1][1] | mask).bit_count() > cap:
+            groups.append([[], 0])
+        groups[-1][0].append((generator, angle))
+        groups[-1][1] |= mask
     fused = []
-    for group, mask in _fused_groups(pulses, shifts, n_sites, cap):
+    for group, mask in groups:
         generator, angle = group[0]
         if len(group) == 1 and len(generator.terms) == 1:
             (coeff, string), = generator.terms
@@ -314,29 +301,28 @@ def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
     return tensor.reshape(array.shape)
 
 
-def run_pulses(pulses, array: np.ndarray, offsets=None) -> np.ndarray:
-    """Apply ``exp(-i * (angle + offset) * generator)`` for each pulse in order.
+def run_pulses(pulses, array: np.ndarray) -> np.ndarray:
+    """Apply ``exp(-i * angle * generator)`` for each pulse in order.
 
     ``pulses`` holds ``(generator, angle)`` pairs, first applied first; a
     generator is a string or a weighted sum on the array's register and must
     be an involution (checked once per pulse, ``ValueError`` naming it
     otherwise).  ``array`` is a state (dim,) or a matrix / batch of states
-    (dim, k) and is not modified.  ``offsets`` shifts the angles, one value
-    per pulse or one for all.  The program is fused by :func:`fuse_pulses`
-    and run by :func:`_apply_fused`.
+    (dim, k) and is not modified.  The program is fused by
+    :func:`fuse_pulses` and run by :func:`_apply_fused`.
     """
     n = array.shape[0].bit_length() - 1
-    return _apply_fused(fuse_pulses(n, pulses, offsets), array)
+    return _apply_fused(fuse_pulses(n, pulses), array)
 
 
-def pulse_unitary(n_sites: int, pulses, context: str, offsets=None) -> np.ndarray:
+def pulse_unitary(n_sites: int, pulses, context: str) -> np.ndarray:
     """Time-ordered product of ``pulses`` as a matrix: :func:`run_pulses` on the identity.
 
     The register is held to the dense cap; ``context`` names the caller in the error.
     """
     check_dense_limit(n_sites, context)
     eye = np.eye(1 << n_sites, dtype=np.complex128)
-    return run_pulses(pulses, eye, offsets)
+    return run_pulses(pulses, eye)
 
 
 # -- dense matrices -------------------------------------------------------------
@@ -617,46 +603,25 @@ def _random_state(n_sites: int, seed: int) -> np.ndarray:
 
 
 # -- schedule execution --------------------------------------------------------
+#
+# A schedule is a :class:`~qsakit.schedule_compiler.QsaSchedule`, which owns
+# its time order and branch angles: ``schedule.pulses(tg)`` is its program.
 
 
-def schedule_pulses(
-    schedule: QsaSchedule, tg: float | None = None
-) -> list[tuple[WeightedPauliSum, float]]:
-    """The schedule's pulse list in the time order of :func:`schedule_unitary`.
-
-    Each attachment or swapper pulse is its spec's generator at the spec's
-    inverse or forward branch angle; the seed runs at ``tg``.
-    """
-    n = schedule.n_sites
-    tg = schedule.tg if tg is None else tg
-    swappers = list(schedule.final_swappers)
-    inverse = swappers + [spec for layer in reversed(schedule.layers) for spec in layer]
-    forward = [spec for layer in schedule.layers for spec in layer] + swappers
-    return [
-        *[(spec.generator(n), spec.inverse_angle) for spec in inverse],
-        (WeightedPauliSum.from_string(schedule.seed), tg),
-        *[(spec.generator(n), spec.forward_angle) for spec in forward],
-    ]
-
-
-def apply_schedule(
-    schedule: QsaSchedule, state: np.ndarray, tg: float | None = None
-) -> np.ndarray:
-    """Run the schedule's pulse sequence on a ``(2^n,)`` state."""
+def apply_schedule(schedule, state: np.ndarray, tg: float | None = None) -> np.ndarray:
+    """Run the schedule's pulse program on a ``(2^n,)`` state."""
     if state.shape != (1 << schedule.n_sites,):
         raise ValueError("state width does not match schedule")
-    return run_pulses(schedule_pulses(schedule, tg), state)
+    return run_pulses(schedule.pulses(tg), state)
 
 
-def schedule_unitary(schedule: QsaSchedule, tg: float | None = None) -> np.ndarray:
-    """The ordered pulse product as an explicit matrix.
+def schedule_unitary(schedule, tg: float | None = None) -> np.ndarray:
+    """The schedule's pulse product as an explicit matrix.
 
-    Time order: inverse swappers, inverse attachment pulses (outermost layer
-    first), the seed propagator, forward attachment pulses (innermost layer
-    first), forward swappers.  :func:`run_pulses` transforms the identity's
-    columns, at O(4^n) per fused group of pulses with no full-matrix products.
+    :func:`run_pulses` transforms the identity's columns, at O(4^n) per
+    fused group of pulses with no full-matrix products.
     """
-    return pulse_unitary(schedule.n_sites, schedule_pulses(schedule, tg), "schedule_unitary")
+    return pulse_unitary(schedule.n_sites, schedule.pulses(tg), "schedule_unitary")
 
 
 def compare_pulses(
@@ -711,7 +676,7 @@ def compare_pulses(
 
 
 def verify_schedule(
-    schedule: QsaSchedule,
+    schedule,
     tg: float | None = None,
     tolerance: float = 1e-10,
     n_probes: int = DEFAULT_PROBES,
@@ -726,7 +691,7 @@ def verify_schedule(
     """
     tg = schedule.tg if tg is None else tg
     report = compare_pulses(
-        schedule.n_sites, schedule_pulses(schedule, tg), [(schedule.target, tg)],
+        schedule.n_sites, schedule.pulses(tg), [(schedule.target, tg)],
         tolerance, n_probes, seed,
     )
     return {"n_sites": schedule.n_sites, "tg": tg, **report}

@@ -60,9 +60,11 @@ class PauliFormatError(ValueError):
 def index_field(value, field: str) -> int:
     """``operator.index(value)`` for an integer field read from input, naming ``field``.
 
-    A float or a numeric string raises ``TypeError`` instead of being
-    truncated or converted.
+    A float, a numeric string or a bool (JSON ``true`` is not 1) raises
+    ``TypeError`` instead of being truncated or converted.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"{field}: 'bool' object cannot be interpreted as an integer")
     try:
         return index(value)
     except TypeError as exc:
@@ -77,7 +79,13 @@ def pair_field(value, field: str) -> tuple[int, int]:
 
 
 def float_field(value, field: str) -> float:
-    """``float(value)`` for a real field read from input, naming ``field`` on a refusal."""
+    """``float(value)`` for a real field read from input, naming ``field`` on a refusal.
+
+    Only a JSON number is a real: a bool or a string, numeric or not, raises
+    ``TypeError`` instead of being converted.
+    """
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{field}: expected a JSON number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:

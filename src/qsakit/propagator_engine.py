@@ -31,8 +31,9 @@ flips the sign of a string carrying the third letter there.
 
 :func:`conjugate` is the float three-term conjugation identity for a pulse
 ``(generator, angle)`` at any angle; the tests use it as the reference for
-the rule.  :func:`make_attachment`, :func:`make_swapper` and the dense oracle
-give a spec's pulse as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
+the rule.  :func:`make_attachment`, :func:`make_swapper` and a schedule's
+pulse program (``QsaSchedule.pulses``, which the dense oracle runs) give a
+spec's pulse as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
 """
 
 from __future__ import annotations

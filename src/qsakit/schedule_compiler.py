@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .pauli_core import PauliString, float_field, index_field
+from .pauli_core import PauliString, WeightedPauliSum, float_field, index_field
 from .propagator_engine import (
     AttachmentSpec,
     CollapseError,
@@ -168,6 +168,26 @@ class QsaSchedule:
     @property
     def n_attachments(self) -> int:
         return sum(len(layer) for layer in self.layers)
+
+    def pulses(self, tg: float | None = None) -> list[tuple[WeightedPauliSum, float]]:
+        """The schedule as a pulse program ``(generator, angle)``, first applied first.
+
+        Time order: inverse swappers, inverse attachment pulses (outermost
+        layer first), the seed at ``tg`` (default :attr:`tg`), forward
+        attachment pulses (innermost layer first), forward swappers.  Each
+        attachment or swapper pulse is its spec's generator at the spec's
+        inverse or forward branch angle.
+        """
+        n = self.n_sites
+        tg = self.tg if tg is None else tg
+        swappers = list(self.final_swappers)
+        inverse = swappers + [spec for layer in reversed(self.layers) for spec in layer]
+        forward = [spec for layer in self.layers for spec in layer] + swappers
+        return [
+            *[(spec.generator(n), spec.inverse_angle) for spec in inverse],
+            (WeightedPauliSum.from_string(self.seed), tg),
+            *[(spec.generator(n), spec.forward_angle) for spec in forward],
+        ]
 
     def to_dict(self) -> dict:
         return {

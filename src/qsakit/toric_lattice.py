@@ -14,9 +14,9 @@ out its terms once, as data:
   with a rough top boundary (the top row of horizontal edges is absent, so
   top faces are three-body and top vertex stars are missing) and smooth
   left/right/bottom boundaries.  The table ``_KITAEV_KINDS`` gives each term
-  kind its edge list, its letter, its digital groups and the hole kind that
-  removes it: ``face`` terms carry Z and are removed by smooth holes,
-  ``vertex`` stars carry X and are removed by rough holes.
+  kind its four edge offsets, its letter, its digital groups and the hole
+  kind that removes it: ``face`` terms carry Z and are removed by smooth
+  holes, ``vertex`` stars carry X and are removed by rough holes.
 
 Every builder checks that all emitted terms pairwise commute and that the
 four digital groups have pairwise site-disjoint members.
@@ -28,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .dense_oracle import (
     check_dense_limit,
     pulse_unitary,
     run_pulses,
-    schedule_pulses,
 )
 
 MODELS = ("wen", "kitaev_holes")
@@ -388,43 +387,24 @@ def kitaev_edge_index(spec: LatticeSpec, kind: str, i: int, j: int) -> int:
     return table[key]
 
 
-def _face_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
-    if spec.boundary == "periodic":
-        return [("v", i, j), ("v", i, (j + 1) % spec.cols),
-                ("h", i, j), ("h", (i + 1) % spec.rows, j)]
-    out = [("v", i, j), ("v", i, j + 1), ("h", i + 1, j)]
-    if i >= 1:
-        out.append(("h", i, j))
-    return out
-
-
-def _star_edges(spec: LatticeSpec, i: int, j: int) -> list[tuple]:
-    if spec.boundary == "periodic":
-        return [("v", i, j), ("v", (i - 1) % spec.rows, j),
-                ("h", i, j), ("h", i, (j - 1) % spec.cols)]
-    out = [("v", i - 1, j)]
-    if i <= spec.rows - 2:
-        out.append(("v", i, j))
-    if j >= 1:
-        out.append(("h", i, j - 1))
-    if j <= spec.cols - 2:
-        out.append(("h", i, j))
-    return out
-
-
 class _KitaevKind(NamedTuple):
     letter: str  # on every edge of the term
     group: int  # digital group of even anchors; odd anchors run in group + 1
     hole: str  # the hole kind that removes the term
-    edges: Callable[[LatticeSpec, int, int], list[tuple]]
+    offsets: tuple[tuple[str, int, int], ...]  # edge keys relative to the anchor
     name: str  # singular and plural, for error messages
     plural: str
 
 
 #: Face and vertex-star terms of the hole model, in build order.
 _KITAEV_KINDS: dict[str, _KitaevKind] = {
-    "face": _KitaevKind("Z", 1, "smooth", _face_edges, "face", "faces"),
-    "vertex": _KitaevKind("X", 3, "rough", _star_edges, "vertex star", "vertices"),
+    "face": _KitaevKind(
+        "Z", 1, "smooth", (("v", 0, 0), ("v", 0, 1), ("h", 0, 0), ("h", 1, 0)), "face", "faces",
+    ),
+    "vertex": _KitaevKind(
+        "X", 3, "rough", (("v", -1, 0), ("v", 0, 0), ("h", 0, -1), ("h", 0, 0)),
+        "vertex star", "vertices",
+    ),
 }
 
 
@@ -438,11 +418,23 @@ def _kitaev_anchors(spec: LatticeSpec, kind: str) -> tuple[range, range]:
 
 
 def kitaev_edge_keys(spec: LatticeSpec, kind: str, i: int, j: int) -> tuple[tuple, ...]:
-    """Edge keys ('v'|'h', i, j) of the face or vertex star ``kind`` at (i, j)."""
+    """Edge keys ('v'|'h', i, j) of the face or vertex star ``kind`` at (i, j).
+
+    They are the kind's four offsets from (i, j), wrapped on a periodic grid;
+    an edge the grid does not have, past an open boundary, is left out.
+    """
     rows, cols = _kitaev_anchors(spec, kind)
     if i not in rows or j not in cols:
         raise LatticeError(f"{_KITAEV_KINDS[kind].name} ({i}, {j}) out of range")
-    return tuple(_KITAEV_KINDS[kind].edges(spec, i, j))
+    table = _kitaev_edges(spec)
+    keys = []
+    for edge, di, dj in _KITAEV_KINDS[kind].offsets:
+        a, b = i + di, j + dj
+        if spec.boundary == "periodic":
+            a, b = a % spec.rows, b % spec.cols
+        if (edge, a, b) in table:
+            keys.append((edge, a, b))
+    return tuple(keys)
 
 
 def kitaev_operator(spec: LatticeSpec, kind: str, i: int, j: int) -> PauliString:
@@ -545,7 +537,7 @@ class DigitalSequence:
 
     def pulses(self) -> list[tuple[WeightedPauliSum, float]]:
         """Every pulse of every stage, in execution order."""
-        return [p for stage in self.stages for sched in stage for p in schedule_pulses(sched)]
+        return [p for stage in self.stages for sched in stage for p in sched.pulses()]
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return run_pulses(self.pulses(), state)

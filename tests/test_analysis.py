@@ -13,10 +13,11 @@ from qsakit.analysis import (
     strength_target,
     strength_toric,
 )
-from qsakit.dense_oracle import schedule_pulses
 from qsakit.pauli_core import PauliString
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
 from qsakit.toric_lattice import LatticeSpec, digital_sequence
+
+from conftest import kron_expm, kron_sum
 
 SEED = 20240817
 
@@ -131,15 +132,29 @@ def test_error_scaling_slope_on_plaquette():
 
 def test_error_scaling_zero_offset_gives_zero_distance():
     schedule = plaquette_schedule()
-    pulses = schedule_pulses(schedule)
+    pulses = schedule.pulses()
     n = schedule.n_sites
     zero = pulse_product(n, pulses, np.zeros(len(pulses)))
     assert np.array_equal(zero, pulse_product(n, pulses))
 
 
+PER_PULSE = [0.01, -0.02, 0.0, 0.03, -0.01, 0.02, 0.0, 0.01, -0.03]
+
+
+@pytest.mark.parametrize("offsets", [0.01, PER_PULSE], ids=["one-for-all", "per-pulse"])
+def test_pulse_product_shifts_each_angle_by_its_offset(offsets):
+    schedule = plaquette_schedule()
+    pulses = schedule.pulses()
+    shifts = np.broadcast_to(offsets, (len(pulses),))
+    want = np.eye(1 << schedule.n_sites)
+    for (generator, angle), shift in zip(pulses, shifts):
+        want = kron_expm(kron_sum(generator), angle + shift) @ want
+    assert np.abs(pulse_product(schedule.n_sites, pulses, offsets) - want).max() <= 1e-12
+
+
 def test_error_scaling_first_order_bound():
     schedule = plaquette_schedule()
-    n_pulses = len(schedule_pulses(schedule))
+    n_pulses = len(schedule.pulses())
     report = error_scaling(schedule, deltas=(1e-2, 1e-3, 1e-4))
     for delta, dist in zip(report.deltas, report.distances):
         assert dist <= 2.0 * delta * n_pulses

@@ -30,7 +30,6 @@ from qsakit.anyon_logic import (
     path_string,
     predict_syndrome,
     prepare_hole_superposition,
-    string_propagator,
     syndrome_of,
 )
 from qsakit.dense_oracle import (
@@ -271,15 +270,14 @@ def kron_propagator(string, tg, data):
     return np.moveaxis(out, range(k), sites).reshape(data.shape)
 
 
-def test_string_propagator_is_the_pulse(dense16):
+def test_a_path_string_pulse_is_its_propagator(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     ground = ground_state_projector(spec)
     m_loop = loop_path(spec, "m", "vertical")
     e_loop = loop_path(spec, "e", "vertical")
     walk = anyon_walk(spec, [(0, 0), (1, 1), (2, 2)])
     for path, tg in ((m_loop, 0.3), (e_loop, -1.1), (walk, 0.7)):
-        pulse = string_propagator(path, tg, spec)
-        assert pulse == (path_string(path, spec), tg)
+        pulse = (path_string(path, spec), tg)
         want = kron_propagator(pulse[0], tg, ground)
         assert np.abs(run_pulses([pulse], ground) - want).max() <= 1e-12
 
@@ -455,8 +453,8 @@ STATE_MAKERS = {
     "prepare_hole_superposition": (HOLES_SPEC.n_sites, lambda: [
         prepare_hole_superposition(HOLES_SPEC.holes[0], 0.4, HOLES_SPEC)
     ]),
-    "LoopCnot.apply": (HOLES_SPEC.n_sites, lambda: [
-        _cnot().apply(code_state(HOLES_SPEC), 0.4)
+    "LoopCnot.braid": (HOLES_SPEC.n_sites, lambda: [
+        run_pulses([(_cnot().braid, 0.4)], code_state(HOLES_SPEC))
     ]),
     "LoopCnot.composite_apply": (HOLES_SPEC.n_sites, lambda: [
         _cnot().composite_apply(state)[0]
@@ -495,10 +493,6 @@ def test_loop_cnot_truth_table_and_composite():
     gate = loop_cnot(HOLES_SPEC.holes[0], HOLES_SPEC.holes[1], HOLES_SPEC)
     table = gate.truth_table()
     assert table["max_distance"] <= 1e-8
-    state = code_state(HOLES_SPEC)
-    for tg in (0.0, 0.4, math.pi / 2.0):
-        braided = gate.apply(state, tg)
-        assert np.array_equal(braided, run_pulses([(gate.braid, tg)], state))
     assert (gate.control, gate.target) == HOLES_SPEC.holes
     basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
     expected_index = {0: 0, 1: 1, 2: 3, 3: 2}

@@ -722,22 +722,29 @@ def test_a_negative_seed_exits_two(tmp_path, capsys, argv):
     assert code == 0 and json.loads(out)["seed"] == 0
 
 
-def _fractional_connector_site(tmp_path, capsys):
-    out_file = tmp_path / "plaquette.json"
-    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
-    data = json.loads(out_file.read_text())
-    data["layers"][0][0]["connector_site"] += 0.4
-    return ["verify", "--schedule", write_json(tmp_path / "fractional.json", data)]
+def _connector_site(value):
+    def make(tmp_path, capsys):
+        out_file = tmp_path / "plaquette.json"
+        assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+        data = json.loads(out_file.read_text())
+        data["layers"][0][0]["connector_site"] = value
+        return ["verify", "--schedule", write_json(tmp_path / "fractional.json", data)]
+    return make
 
 
-def _fractional_hole(tmp_path, capsys):
-    spec = write_json(tmp_path / "holes.json", HOLES_SPEC)
-    payload = write_json(tmp_path / "magic.json", {"hole": 0.9})
-    return ["anyon", "magic", "--spec", spec, "--path", payload]
+def _hole(value):
+    def make(tmp_path, capsys):
+        spec = write_json(tmp_path / "holes.json", HOLES_SPEC)
+        payload = write_json(tmp_path / "magic.json", {"hole": value})
+        return ["anyon", "magic", "--spec", spec, "--path", payload]
+    return make
 
 
-def _fractional_rows(tmp_path, capsys):
-    return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", {"rows": 3.7, "cols": 3})]
+def _rows(value):
+    def make(tmp_path, capsys):
+        spec = write_json(tmp_path / "wen.json", {"rows": value, "cols": 3})
+        return ["toric", "build", "--spec", spec]
+    return make
 
 
 def _fractional_hole_cell(tmp_path, capsys):
@@ -750,10 +757,12 @@ def _fractional_twist_row(tmp_path, capsys):
     return ["toric", "build", "--spec", write_json(tmp_path / "wen.json", spec)]
 
 
-def _fractional_edge(tmp_path, capsys):
-    edges = [[a, b] for a in range(4) for b in range(a + 1, 4)] + [[0, 1.5]]
-    graph = write_json(tmp_path / "graph.json", {"n_sites": 4, "edges": edges})
-    return ["compile", "--target", "XZZX", "--graph", graph]
+def _edge(value):
+    def make(tmp_path, capsys):
+        edges = [[a, b] for a in range(4) for b in range(a + 1, 4)] + [[0, value]]
+        graph = write_json(tmp_path / "graph.json", {"n_sites": 4, "edges": edges})
+        return ["compile", "--target", "XZZX", "--graph", graph]
+    return make
 
 
 def _fractional_path_site(tmp_path, capsys):
@@ -768,13 +777,21 @@ def _fractional_braid_center(tmp_path, capsys):
     return ["anyon", "braid", "--spec", spec, "--path", payload]
 
 
+INTEGER_FIELDS = {
+    "connector-site": (_connector_site, "fractional.json: connector_site: "),
+    "hole": (_hole, "magic.json: hole: "),
+    "rows": (_rows, "wen.json: rows: "),
+    "graph-edge": (_edge, "graph.json: edges: "),
+}
+
+
 @pytest.mark.parametrize("make_argv, context", [
-    (_fractional_connector_site, "fractional.json: connector_site: "),
-    (_fractional_hole, "magic.json: hole: "),
-    (_fractional_rows, "wen.json: rows: "),
+    (_connector_site(0.4), "fractional.json: connector_site: "),
+    (_hole(0.9), "magic.json: hole: "),
+    (_rows(3.7), "wen.json: rows: "),
     (_fractional_hole_cell, "wen.json: plaquettes: "),
     (_fractional_twist_row, "wen.json: row: "),
-    (_fractional_edge, "graph.json: edges: "),
+    (_edge(1.5), "graph.json: edges: "),
     (_fractional_path_site, "path.json: sites: "),
     (_fractional_braid_center, "braid.json: center: "),
 ], ids=["connector-site", "hole", "rows", "hole-cell", "twist-row", "graph-edge", "path-site",
@@ -788,20 +805,35 @@ def test_a_fractional_integer_field_exits_two(tmp_path, capsys, make_argv, conte
     assert context + "'float' object cannot be interpreted as an integer" in report["error"]
 
 
-def _non_numeric_coupling(tmp_path, capsys):
-    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3, "J": "abc"})
-    error = f"bad lattice spec {spec}: J: could not convert string to float: 'abc'"
-    return ["toric", "build", "--spec", spec], error
+@pytest.mark.parametrize("value, kind", [(True, "bool"), ("1.5", "str")], ids=["true", "string"])
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_a_json_bool_or_string_integer_field_exits_two(tmp_path, capsys, field, value, kind):
+    # operator.index(True) is 1, so JSON true would pass for the integer 1
+    make, context = INTEGER_FIELDS[field]
+    code, out = run_cli(capsys, make(value)(tmp_path, capsys))
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert context + f"'{kind}' object cannot be interpreted as an integer" in report["error"]
 
 
-def _non_numeric_seed_angle(tmp_path, capsys):
-    schedule = tmp_path / "plaquette.json"
-    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
-    data = json.loads(schedule.read_text())
-    data["seed"]["tg"] = "abc"
-    bad = write_json(tmp_path / "bad.json", data)
-    error = f"bad schedule file {bad}: seed.tg: could not convert string to float: 'abc'"
-    return ["verify", "--schedule", bad], error
+def _coupling(value):
+    def make(tmp_path, capsys):
+        spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3, "J": value})
+        error = f"bad lattice spec {spec}: J: expected a JSON number, got {value!r}"
+        return ["toric", "build", "--spec", spec], error
+    return make
+
+
+def _seed_angle(value):
+    def make(tmp_path, capsys):
+        schedule = tmp_path / "plaquette.json"
+        assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
+        data = json.loads(schedule.read_text())
+        data["seed"]["tg"] = value
+        bad = write_json(tmp_path / "bad.json", data)
+        error = f"bad schedule file {bad}: seed.tg: expected a JSON number, got {value!r}"
+        return ["verify", "--schedule", bad], error
+    return make
 
 
 def _lattice_spec_refused_by_its_checks(tmp_path, capsys):
@@ -819,9 +851,11 @@ def _path_refused_by_its_checks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("make_case", [
-    _non_numeric_coupling, _non_numeric_seed_angle, _lattice_spec_refused_by_its_checks,
-    _path_refused_by_its_checks,
-], ids=["coupling", "seed-angle", "lattice-checks", "path-checks"])
+    _coupling("abc"), _coupling(True), _coupling("1.5"),
+    _seed_angle("abc"), _seed_angle(True), _seed_angle("1.5"),
+    _lattice_spec_refused_by_its_checks, _path_refused_by_its_checks,
+], ids=["coupling", "coupling-true", "coupling-string", "seed-angle", "seed-angle-true",
+        "seed-angle-string", "lattice-checks", "path-checks"])
 def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_case):
     argv, error = make_case(tmp_path, capsys)
     code, out = run_cli(capsys, argv)
@@ -879,14 +913,22 @@ WEN44 = {"rows": 4, "cols": 4}
     _payload_case("braid", WEN44, {"center": 3}, "center must hold two entries, got 3"),
     _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
                   {"amplitudes": [1, 0, 0]}, "amplitudes must hold four entries, got [1, 0, 0]"),
-    _payload_case("magic", HOLES_SPEC, {"theta": "abc"}, "theta: invalid float value: 'abc'"),
+    _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
+                  {"amplitudes": [1, [0, True], 0, 0]},
+                  "amplitudes[1][1]: expected a JSON number, got True"),
+    _payload_case("magic", HOLES_SPEC, {"theta": "abc"},
+                  "theta: expected a JSON number, got 'abc'"),
+    _payload_case("magic", HOLES_SPEC, {"theta": True}, "theta: expected a JSON number, got True"),
+    _payload_case("magic", HOLES_SPEC, {"theta": "1.5"},
+                  "theta: expected a JSON number, got '1.5'"),
     _payload_case("cnot", HOLES_SPEC, {"control": 2},
                   "control: index 2 out of range: spec defines 2 hole(s)"),
     _payload_case("syndrome", WEN44, {"sites": [[0, 0, 1]], "letters": "X"},
                   "sites must hold two entries, got [0, 0, 1]"),
     _three_entry_plaquette,
-], ids=["fractional-hole", "center", "three-amplitudes", "non-numeric-theta",
-        "control-out-of-range", "three-entry-site", "three-entry-plaquette"])
+], ids=["fractional-hole", "center", "three-amplitudes", "true-amplitude", "non-numeric-theta",
+        "true-theta", "string-theta", "control-out-of-range", "three-entry-site",
+        "three-entry-plaquette"])
 def test_a_refused_payload_value_names_the_file_and_the_field(tmp_path, capsys, make_case):
     argv, error = make_case(tmp_path)
     code, out = run_cli(capsys, argv)

@@ -35,7 +35,6 @@ from qsakit.dense_oracle import (
     program_distances,
     pulse_unitary,
     run_pulses,
-    schedule_pulses,
     schedule_unitary,
     string_action,
     to_matrix,
@@ -167,7 +166,7 @@ def test_schedule_unitary_equals_pulse_product():
             target, ConnectivityGraph.complete(n), tg=float(rng.uniform(-2, 2))
         )
         u = np.eye(1 << n, dtype=np.complex128)
-        for generator, angle in schedule_pulses(schedule):
+        for generator, angle in schedule.pulses():
             u = kron_expm(kron_sum(generator), angle) @ u
         assert np.allclose(schedule_unitary(schedule), u, atol=1e-9)
 
@@ -184,7 +183,7 @@ def test_schedule_pulses_are_the_spec_rotations_in_time_order(target):
         + [make_attachment(spec, n, "forward") for layer in layers for spec in layer]
         + [make_swapper(spec, n, "forward") for spec in swappers]
     )
-    assert schedule_pulses(schedule) == want
+    assert schedule.pulses() == want
     assert len(want) == 1 + 2 * (len(swappers) + sum(len(layer) for layer in layers))
 
 
@@ -202,7 +201,7 @@ def test_dense_products_are_square_arrays():
         expm(x, 0.3),
         expm(commuting, 0.3),
         expm(general, 0.3),
-        pulse_product(n, schedule_pulses(schedule)),
+        pulse_product(n, schedule.pulses()),
         digital_sequence(LatticeSpec(rows=2, cols=2), tau=0.3).unitary(),
     ]
     for product in products:
@@ -379,33 +378,22 @@ def pulse_runs(draw):
         second.insert(0, (wide, draw(ANGLES)))
     pulses = first + second
     columns = draw(st.sampled_from([None, 1, 3]))
-    offsets = draw(st.sampled_from(["none", "scalar", "per-pulse"]))
-    if offsets == "scalar":
-        offsets = draw(st.floats(-0.1, 0.1, allow_nan=False))
-    elif offsets == "per-pulse":
-        offsets = draw(st.lists(
-            st.floats(-0.1, 0.1, allow_nan=False),
-            min_size=len(pulses), max_size=len(pulses),
-        ))
-    else:
-        offsets = None
     limit = draw(st.sampled_from([None, 4, 6]))
     seed = draw(st.integers(0, 2**32 - 1))
-    return n, pulses, columns, offsets, limit, seed
+    return n, pulses, columns, limit, seed
 
 
 @settings(max_examples=200, deadline=None)
 @given(pulse_runs())
 def test_run_pulses_matches_kron_oracle(run):
-    n, pulses, columns, offsets, limit, seed = run
+    n, pulses, columns, limit, seed = run
     rng = np.random.default_rng(seed)
     shape = (1 << n,) if columns is None else (1 << n, columns)
     array = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     before = array.copy()
-    shifts = np.broadcast_to(0.0 if offsets is None else offsets, (len(pulses),))
     want = array
-    for (generator, angle), shift in zip(pulses, shifts):
-        want = kron_expm(kron_sum(generator), angle + shift) @ want
+    for generator, angle in pulses:
+        want = kron_expm(kron_sum(generator), angle) @ want
     # a multi-term generator's own 4^k entries count against the dense limit
     too_wide = limit is not None and any(
         len(g.terms) > 1 and 2 * len(g.support) > limit for g, _ in pulses
@@ -413,9 +401,9 @@ def test_run_pulses_matches_kron_oracle(run):
     with dense_limit(limit):
         if too_wide:
             with pytest.raises(ResourceLimitError):
-                run_pulses(pulses, array, offsets)
+                run_pulses(pulses, array)
         else:
-            got = run_pulses(pulses, array, offsets)
+            got = run_pulses(pulses, array)
             assert got.shape == shape
             assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(array, before)
@@ -513,7 +501,7 @@ def test_compare_pulses_matches_the_kron_oracle_on_both_sides_of_the_cap(n):
 )
 def test_compare_pulses_fails_a_planted_angle_defect(n, metric):
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
-    pulses = schedule_pulses(compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7))
+    pulses = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7).pulses()
     reference = [(target, 0.7)]
     assert compare_pulses(n, pulses, reference, 1e-10, n_probes=4)["passed"]
     for k in (0, len(pulses) // 2, len(pulses) - 1):
@@ -608,7 +596,7 @@ def schedule_difference(n, delta, seed):
     rng = np.random.default_rng(seed)
     target = PauliString(n, random_string_letters(rng, n, min_weight=n))
     graph = ConnectivityGraph.complete(n)
-    pulses = schedule_pulses(compile_schedule(target, graph, "doubling", 0.7))
+    pulses = compile_schedule(target, graph, "doubling", 0.7).pulses()
     return pulse_product(n, pulses, np.full(len(pulses), delta)) - pulse_product(n, pulses)
 
 
@@ -719,16 +707,21 @@ def test_a_tiny_offset_stops_at_the_roundoff_of_its_operands(svd_calls):
         want = np.linalg.norm(perturbed - ideal, 2)
         start = len(svd_calls)
         formed = distance(perturbed, ideal)
-        free = fused_distance(9, fuse_pulses(9, pulses, delta), fuse_pulses(9, pulses))
+        free = fused_distance(9, fuse_pulses(9, shifted(pulses, delta)), fuse_pulses(9, pulses))
         assert max(svd_calls[start:]) <= (32, 32)
         assert formed == pytest.approx(want, rel=1e-10, abs=0.0)
         assert free == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
+def shifted(pulses, delta):
+    """``pulses`` with every angle shifted by ``delta``."""
+    return [(generator, angle + delta) for generator, angle in pulses]
+
+
 def schedule_program(n, seed):
     rng = np.random.default_rng(seed)
     target = PauliString(n, random_string_letters(rng, n, min_weight=n))
-    return schedule_pulses(compile_schedule(target, None, "doubling", 0.7))
+    return compile_schedule(target, None, "doubling", 0.7).pulses()
 
 
 @pytest.mark.parametrize("n, program", [
@@ -743,7 +736,7 @@ def test_fused_distance_matches_the_svd_without_a_matrix(n, program):
     for delta in (1e-2, 1e-3, 1e-4):
         offsets = np.full(len(pulses), delta)
         want = np.linalg.norm(pulse_product(n, pulses, offsets) - pulse_product(n, pulses), 2)
-        got = fused_distance(n, fuse_pulses(n, pulses, offsets), ideal)
+        got = fused_distance(n, fuse_pulses(n, shifted(pulses, delta)), ideal)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -753,7 +746,7 @@ def test_fused_distance_matches_the_svd_without_a_matrix(n, program):
 def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatch, n):
     pulses = schedule_program(n, SEED + n)
     deltas = (1e-2, 1e-3)
-    programs = [fuse_pulses(n, pulses, delta) for delta in deltas]
+    programs = [fuse_pulses(n, shifted(pulses, delta)) for delta in deltas]
     got = program_distances(n, programs, fuse_pulses(n, pulses))
     for delta, value in zip(deltas, got):
         want = np.linalg.norm(pulse_product(n, pulses, delta) - pulse_product(n, pulses), 2)
@@ -769,18 +762,19 @@ def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatc
 
 def test_the_adjoint_program_is_the_conjugate_transpose():
     pulses = schedule_program(5, SEED) + [(PauliString.parse("XYZIZ"), 0.4)]
-    fused = fuse_pulses(5, pulses, 0.01)
+    pulses = shifted(pulses, 0.01)
+    fused = fuse_pulses(5, pulses)
     assert any(isinstance(key, PauliString) for key, _ in fused)  # a flip group too
     eye = np.eye(32, dtype=np.complex128)
     adjoint = dense_oracle._apply_fused(dense_oracle._adjoint(fused), eye)
-    assert np.abs(adjoint - run_pulses(pulses, eye, 0.01).conj().T).max() <= 1e-14
+    assert np.abs(adjoint - run_pulses(pulses, eye).conj().T).max() <= 1e-14
 
 
 def test_fused_distance_names_its_step_budget(monkeypatch):
     pulses = schedule_program(8, SEED)
     monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
     with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 3 Krylov steps"):
-        fused_distance(8, fuse_pulses(8, pulses, 1e-3), fuse_pulses(8, pulses))
+        fused_distance(8, fuse_pulses(8, shifted(pulses, 1e-3)), fuse_pulses(8, pulses))
 
 
 def test_spectral_distance_is_symmetric_and_repeatable():
@@ -825,7 +819,7 @@ def test_planted_defect_fails_with_the_exact_spectral_distance():
         defect = with_one_letter_changed(schedule, site)
         report = verify_schedule(defect)
         u = np.eye(64, dtype=np.complex128)
-        for generator, angle in schedule_pulses(defect):
+        for generator, angle in defect.pulses():
             u = kron_expm(kron_sum(generator), angle) @ u
         want = np.linalg.norm(u - kron_expm(kron_string(defect.target), 0.7), 2)
         assert not report["passed"]

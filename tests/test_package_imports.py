@@ -31,7 +31,7 @@ EXPORTS = sorted([
     "memory_encode", "memory_qubits", "multiply", "naive_move_error", "path_string",
     "plaquette_schedule", "predict_syndrome", "prepare_hole_superposition",
     "replay_symbolic", "schedule_unitary",
-    "square", "strength_target", "strength_toric", "string_propagator",
+    "square", "strength_target", "strength_toric",
     "sum_commutes", "syndrome_of", "to_matrix", "validate", "verify_schedule",
 ])
 
@@ -73,6 +73,25 @@ def test_symbolic_exports_load_no_numpy(module):
         "    print(name, 'numpy' in sys.modules)\n"
     )
     assert lines == [f"{name} False" for name in names]
+
+
+def test_a_schedules_pulse_program_loads_no_numpy():
+    lines = fresh_python(
+        "import sys\n"
+        "from qsakit.pauli_core import PauliString\n"
+        "from qsakit.schedule_compiler import compile_schedule\n"
+        "pulses = compile_schedule(PauliString.parse('XYZZYX'), tg=0.3).pulses()\n"
+        "print(len(pulses), 'numpy' in sys.modules)\n"
+    )
+    assert lines == ["17 False"]
+
+
+def test_the_pulse_executor_loads_no_schedule_compiler():
+    lines = fresh_python(
+        "import sys, qsakit.dense_oracle\n"
+        "print('qsakit.schedule_compiler' in sys.modules)\n"
+    )
+    assert lines == ["False"]
 
 
 def test_verify_loads_the_dense_oracle(tmp_path, capsys):
