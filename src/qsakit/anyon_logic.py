@@ -93,7 +93,7 @@ class StringPath:
     def from_dict(cls, data: dict) -> "StringPath":
         return cls(
             tuple(pair_field(site, "sites") for site in data["sites"]),
-            tuple(str(c) for c in data["letters"]),
+            tuple(data["letters"]),
         )
 
 

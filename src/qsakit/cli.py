@@ -218,7 +218,7 @@ def _cmd_compile(args):
     if schedule.n_sites <= max_dense_qubits():
         from .dense_oracle import verify_schedule
 
-        report = verify_schedule(schedule, seed=args.seed)
+        report = verify_schedule(schedule)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
     else:
@@ -254,7 +254,7 @@ def _cmd_verify(args):
         "tg": schedule.tg if args.tg is None else args.tg,
     }
     if checks[0]["passed"]:
-        report = verify_schedule(schedule, tg=args.tg, seed=args.seed)
+        report = verify_schedule(schedule, tg=args.tg)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
         metrics["dense_metric"] = report["metric"]
@@ -342,9 +342,7 @@ def _cmd_toric(args):
         # the terms commute and are Pauli involutions, so the exact evolution
         # is the product of per-term rotations
         exact = [(term, coeff * args.tau) for coeff, term in seq.hamiltonian().terms]
-        report = compare_pulses(
-            spec.n_sites, seq.pulses(), exact, DIGITAL_TOLERANCE, args.probes, args.seed
-        )
+        report = compare_pulses(spec.n_sites, seq.pulses(), exact, DIGITAL_TOLERANCE)
         checks.append(_dense_check(report, "digital-matches-exponential"))
         metrics.update(
             tau=args.tau, n_stages=len(seq.stages),
@@ -598,19 +596,15 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _int_at_least(least: int, text: str) -> int:
-    """argparse type for integers no smaller than ``least``."""
+def _seed_int(text: str) -> int:
+    """argparse type for ``--seed``: an integer of at least 0."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be at least {least}, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
     return value
-
-
-_positive_int = functools.partial(_int_at_least, 1)
-_seed_int = functools.partial(_int_at_least, 0)
 
 
 @functools.cache
@@ -618,7 +612,9 @@ def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (``parse_args`` keeps no state)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=_seed_int, default=11, help="oracle state-sampling seed (at least 0)"
+        "--seed", type=_seed_int, default=11,
+        help="seed of the angle offsets of 'analyze error-scaling --random-offsets' "
+        "(at least 0); no other command reads it",
     )
 
     parser = argparse.ArgumentParser(
@@ -645,7 +641,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build", "ground", "digital"])
     p.add_argument("--spec", required=True, help="lattice spec JSON file")
     p.add_argument("--tau", type=_finite_float, default=0.3)
-    p.add_argument("--probes", type=_positive_int, default=5)
     p.set_defaults(handler=_cmd_toric)
 
     p = sub.add_parser("anyon", parents=[common], help="anyon experiments")

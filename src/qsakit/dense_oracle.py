@@ -7,6 +7,8 @@ through :func:`run_pulses`, which fuses consecutive pulses whose joint
 support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
 unitary contracted over those ``k`` axes (:func:`fuse_pulses`), so a run
 of two-body pulses costs one pass over the array instead of one pass each.
+The grouping does not depend on the dense limit, so a program's result is
+the same under every limit that admits its register.
 A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  The
 executor runs the program it is given: a schedule's program comes from
 ``QsaSchedule.pulses`` in :mod:`qsakit.schedule_compiler`, and
@@ -19,11 +21,14 @@ The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
 :class:`ResourceLimitError` live in :mod:`qsakit.dense_limit`, which loads
 no numpy, and are re-exported here.  Every verdict on whether a
-pulse program equals its exact reference is made by :func:`compare_pulses`.
-Up to 10 qubits it compares the full products through
-:func:`certified_distance`: a norm bound on the difference decides a pass,
-and only a bound above the tolerance pays for the spectral norm.  Beyond
-that it compares their action on a batch of seeded random states.
+pulse program equals its exact reference is made by :func:`compare_pulses`,
+which runs both programs on one fixed input batch per register width.  Up
+to 10 qubits the batch is the identity and the full products are compared
+through :func:`certified_distance`: a norm bound on the difference decides
+a pass, and only a bound above the tolerance pays for the spectral norm.
+Beyond that the batch is :data:`PROBES` probe states drawn from
+:data:`PROBE_SEED` on, and the verdict reads their largest deviation.  A
+verdict is thus a function of the two programs and the tolerance alone.
 
 The spectral norm behind :func:`distance` and :func:`certified_distance`
 needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
@@ -69,8 +74,15 @@ from .pauli_core import (
 #: Hard cap for full-matrix (4^n) comparisons in :func:`compare_pulses`.
 MATRIX_QUBIT_CAP = 10
 
-#: Default number of probe states above the matrix cap.
-DEFAULT_PROBES = 20
+#: Number of probe states :func:`compare_pulses` runs above the matrix cap.
+PROBES = 20
+
+#: Seed of the first probe state: probe ``k`` is drawn from ``PROBE_SEED + k``.
+PROBE_SEED = 11
+
+#: Largest distance :func:`verify_schedule` accepts between a schedule's
+#: pulse product and its target exponential.
+SCHEDULE_TOLERANCE = 1e-10
 
 #: Most sites a fused group of pulses may span in :func:`run_pulses`.  One
 #: pass over a 10-qubit matrix costs 5.4, 6.4, 8.2, 11.6, 12.0 and 16.9 ms
@@ -200,10 +212,13 @@ def _pauli_matrix(letters: tuple[str, ...]) -> np.ndarray:
 def _local_unitary(generator: WeightedPauliSum, angle: float, sites: tuple[int, ...]) -> np.ndarray:
     """``cos - i sin G`` as a ``2^k x 2^k`` matrix on ``sites``.
 
-    ``sites`` is ascending and holds the generator's support.  Its ``4^k``
-    entries are held to the dense cap like a ``2k``-qubit state.
+    ``sites`` is ascending and holds the generator's support.  A fused
+    group spans at most :data:`FUSED_SITES` sites whatever the dense limit;
+    only a lone multi-term pulse can be wider, and then its ``4^k`` entries
+    are held to the dense cap like a ``2k``-qubit state.
     """
-    check_dense_limit(2 * len(sites), "local pulse unitary")
+    if len(sites) > FUSED_SITES:
+        check_dense_limit(2 * len(sites), "local pulse unitary")
     eye = np.eye(1 << len(sites), dtype=np.complex128)
     local = np.zeros_like(eye)
     for coeff, string in generator.terms:
@@ -217,9 +232,10 @@ def fuse_pulses(n_sites: int, pulses) -> list:
 
     ``pulses`` is as :func:`run_pulses` takes it.  Gate fusion (Häner &
     Steiger, arXiv:1704.01127): a pulse joins the open group, without
-    reordering, while their joint support spans at most ``min(FUSED_SITES,
-    max_dense_qubits() // 2)`` sites, so the group's ``4^k`` entries stay
-    within the dense cap; a wider pulse opens a group of its own.  A group
+    reordering, while their joint support spans at most
+    :data:`FUSED_SITES` sites; a wider pulse opens a group of its own.  The
+    grouping ignores the dense limit, so the groups, and every product they
+    make, are the same under every limit.  A group
     that is one one-string pulse becomes ``(string, (cos, scale))``, the
     flip ``cos + scale P``; any other group becomes ``(sites, unitary)``,
     the ordered product of its pulses' ``cos - i sin G`` on the group's
@@ -227,7 +243,6 @@ def fuse_pulses(n_sites: int, pulses) -> list:
     naming it).  :func:`_apply_fused` runs the groups, so a program fused
     once can act on many arrays.
     """
-    cap = min(FUSED_SITES, max_dense_qubits() // 2)
     groups = []  # [pulses, mask of their joint support], in program order
     for generator, angle in pulses:
         generator = _as_sum(generator)
@@ -236,7 +251,7 @@ def fuse_pulses(n_sites: int, pulses) -> list:
         mask = 0
         for _, string in generator.terms:
             mask |= string.x | string.z
-        if not groups or (groups[-1][1] | mask).bit_count() > cap:
+        if not groups or (groups[-1][1] | mask).bit_count() > FUSED_SITES:
             groups.append([[], 0])
         groups[-1][0].append((generator, angle))
         groups[-1][1] |= mask
@@ -595,8 +610,7 @@ def expectation(op: PauliString | WeightedPauliSum, state: np.ndarray) -> comple
 
 
 def _random_state(n_sites: int, seed: int) -> np.ndarray:
-    """A seeded Gaussian unit state on ``n_sites`` qubits (held to the dense cap)."""
-    check_dense_limit(n_sites, "random state")
+    """A seeded Gaussian unit state on ``n_sites`` qubits: real parts drawn first."""
     rng = np.random.default_rng(seed)
     data = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
     return data / float(np.linalg.norm(data))
@@ -624,74 +638,55 @@ def schedule_unitary(schedule, tg: float | None = None) -> np.ndarray:
     return pulse_unitary(schedule.n_sites, schedule.pulses(tg), "schedule_unitary")
 
 
-def compare_pulses(
-    n_sites: int,
-    pulses,
-    reference,
-    tolerance: float,
-    n_probes: int = DEFAULT_PROBES,
-    seed: int = 7,
-) -> dict:
+def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
     """Judge the pulse program ``pulses`` against the pulse program ``reference``.
 
-    Both are ``(generator, angle)`` lists as :func:`run_pulses` takes them.  Up
-    to :data:`MATRIX_QUBIT_CAP` sites both products are built by
-    :func:`pulse_unitary` and compared by :func:`certified_distance`.  Above
-    that, up to the dense limit, both lists run on one ``(2^n, n_probes)``
-    batch of random states (probe ``k`` drawn from ``seed + k``), and the
-    distance is the largest L2 deviation, under the metric
-    ``max_state_l2[<n_probes> probes]``.  No separate norm check is needed:
-    ``||a - b|| >= | ||a|| - ||b|| |``, so a program that loses norm fails the
-    tolerance like any other wrong output.
+    Both are ``(generator, angle)`` lists as :func:`run_pulses` takes them,
+    and both run on one fixed input batch, held to the dense cap once.  Up
+    to :data:`MATRIX_QUBIT_CAP` sites it is the identity, and the products
+    are compared by :func:`certified_distance`.  Above that its column ``k``
+    of :data:`PROBES` is the probe state drawn from ``PROBE_SEED + k``, and
+    the distance is the largest L2 deviation of a column, under the metric
+    ``max_state_l2[<PROBES> probes]``.  No separate norm check is needed:
+    ``||a - b|| >= | ||a|| - ||b|| |``, so a program that loses norm fails
+    the tolerance like any other wrong output.
 
-    Returns a deterministic report with the metric, distance, tolerance, probe
-    seed (``None`` when no probe was drawn) and pass flag.
+    Returns a deterministic report with the metric, distance, tolerance and
+    pass flag: a function of the two programs and the tolerance alone.
     """
+    check_dense_limit(n_sites, "compare_pulses")
     if n_sites <= MATRIX_QUBIT_CAP:
-        dist, metric = certified_distance(
-            pulse_unitary(n_sites, pulses, "compare_pulses"),
-            pulse_unitary(n_sites, reference, "compare_pulses"),
-            tolerance,
-        )
-        seed = None
+        batch = np.eye(1 << n_sites, dtype=np.complex128)
     else:
-        check_dense_limit(n_sites, "compare_pulses")
-        if n_probes < 1:
-            raise ValueError(f"n_probes must be at least 1, got {n_probes}")
-        probes = np.empty((1 << n_sites, n_probes), dtype=np.complex128)
-        for k in range(n_probes):
-            probes[:, k] = _random_state(n_sites, seed + k)
-        dist = max(
-            float(np.linalg.norm(a - b))
-            for a, b in zip(run_pulses(pulses, probes).T, run_pulses(reference, probes).T)
-        )
-        metric = f"max_state_l2[{n_probes} probes]"
+        batch = np.empty((1 << n_sites, PROBES), dtype=np.complex128)
+        for k in range(PROBES):
+            batch[:, k] = _random_state(n_sites, PROBE_SEED + k)
+    outputs, expected = run_pulses(pulses, batch), run_pulses(reference, batch)
+    del batch  # the metric needs only the outputs
+    if n_sites <= MATRIX_QUBIT_CAP:
+        dist, metric = certified_distance(outputs, expected, tolerance)
+    else:
+        dist = max(float(np.linalg.norm(a - b)) for a, b in zip(outputs.T, expected.T))
+        metric = f"max_state_l2[{PROBES} probes]"
     return {
         "metric": metric,
         "distance": dist,
         "tolerance": tolerance,
-        "seed": seed,
         "passed": bool(dist <= tolerance),
     }
 
 
-def verify_schedule(
-    schedule,
-    tg: float | None = None,
-    tolerance: float = 1e-10,
-    n_probes: int = DEFAULT_PROBES,
-    seed: int = 7,
-) -> dict:
+def verify_schedule(schedule, tg: float | None = None) -> dict:
     """Compare the schedule's pulse product against the target exponential.
 
     The reference is the one-pulse program ``[(target, tg)]``, which is the
     exact ``exp(-i tg target)``; :func:`compare_pulses` makes the judgement
-    (full matrices up to 10 sites, ``n_probes`` probe states from ``seed``
-    above).  Returns its report plus ``n_sites`` and the angle ``tg`` used.
+    at :data:`SCHEDULE_TOLERANCE` (full matrices up to 10 sites, the fixed
+    probe states above).  Returns its report plus ``n_sites`` and the angle
+    ``tg`` used.
     """
     tg = schedule.tg if tg is None else tg
     report = compare_pulses(
-        schedule.n_sites, schedule.pulses(tg), [(schedule.target, tg)],
-        tolerance, n_probes, seed,
+        schedule.n_sites, schedule.pulses(tg), [(schedule.target, tg)], SCHEDULE_TOLERANCE
     )
     return {"n_sites": schedule.n_sites, "tg": tg, **report}

@@ -163,10 +163,10 @@ class AttachmentSpec(_BranchPulse):
         try:
             return cls(
                 connector_site=index_field(data["connector_site"], "connector_site"),
-                alpha=str(data["alpha"]),
-                beta=str(data["beta"]),
+                alpha=data["alpha"],
+                beta=data["beta"],
                 attached_site=index_field(data["attached_site"], "attached_site"),
-                attached_letter=str(data.get("attached_letter", "X")),
+                attached_letter=data.get("attached_letter", "X"),
                 branch_m=index_field(data.get("branch_m", DEFAULT_BRANCH_M), "branch_m"),
                 branch_mp=index_field(data.get("branch_mp", DEFAULT_BRANCH_MP), "branch_mp"),
             )
@@ -214,8 +214,8 @@ class SwapperSpec(_BranchPulse):
         try:
             return cls(
                 site=index_field(data["site"], "site"),
-                alpha=str(data["alpha"]),
-                beta=str(data["beta"]),
+                alpha=data["alpha"],
+                beta=data["beta"],
                 branch_m=index_field(data.get("branch_m", DEFAULT_BRANCH_M), "branch_m"),
                 branch_mp=index_field(data.get("branch_mp", DEFAULT_BRANCH_MP), "branch_mp"),
             )

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, replace
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .pauli_core import PauliString, WeightedPauliSum, float_field, index_field
+from .pauli_core import PauliString, WeightedPauliSum, float_field, index_field, pair_field
 from .propagator_engine import (
     AttachmentSpec,
     CollapseError,
@@ -135,7 +135,7 @@ class ConnectivityGraph:
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectivityGraph":
         return cls.from_edges(
-            index_field(data["n_sites"], "n_sites"), [tuple(e) for e in data["edges"]]
+            index_field(data["n_sites"], "n_sites"), [pair_field(e, "edges") for e in data["edges"]]
         )
 
 

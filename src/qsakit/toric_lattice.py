@@ -76,7 +76,7 @@ class HoleSpec:
     def from_dict(cls, data: dict) -> "HoleSpec":
         return cls(
             tuple(pair_field(cell, "plaquettes") for cell in data["plaquettes"]),
-            str(data.get("kind", "smooth")),
+            data.get("kind", "smooth"),
         )
 
 
@@ -175,8 +175,8 @@ class LatticeSpec:
         return cls(
             rows=index_field(data["rows"], "rows"),
             cols=index_field(data["cols"], "cols"),
-            boundary=str(data.get("boundary", "open")),
-            model=str(data.get("model", "wen")),
+            boundary=data.get("boundary", "open"),
+            model=data.get("model", "wen"),
             J=float_field(data.get("J", 1.0), "J"),
             holes=tuple(HoleSpec.from_dict(h) for h in data.get("holes", [])),
             twists=tuple(TwistSpec.from_dict(t) for t in data.get("twists", [])),

@@ -18,6 +18,8 @@ from qsakit import dense_oracle
 from qsakit.analysis import pulse_product
 from qsakit.dense_oracle import (
     MATRIX_QUBIT_CAP,
+    PROBE_SEED,
+    PROBES,
     ResourceLimitError,
     _random_state,
     apply_rotation,
@@ -257,8 +259,8 @@ def test_verify_schedule_matrix_and_probe_paths():
     n = MATRIX_QUBIT_CAP + 1
     big_target = PauliString(n, tuple("Z" * n))
     big = compile_schedule(big_target, ConnectivityGraph.complete(n), tg=0.2)
-    report = verify_schedule(big, n_probes=3)
-    assert report["passed"] and "probes" in report["metric"]
+    report = verify_schedule(big)
+    assert report["passed"] and report["metric"] == f"max_state_l2[{PROBES} probes]"
 
 
 def test_env_var_limits_dense_work(monkeypatch):
@@ -276,17 +278,38 @@ def test_env_var_limits_dense_work(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [4, 6])
-def test_fused_groups_stay_within_the_dense_limit(monkeypatch, n):
+def test_schedule_unitary_is_bitwise_equal_under_every_admitting_limit(n):
     # on a path each attachment shares a site with the next, so runs of pulses
-    # span 3 or more sites; a fused group on k sites holds 4^k entries, so
-    # the limit n allows at most n // 2 sites per group
-    monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", str(n))
+    # span 3 or more sites; the groups span up to FUSED_SITES sites whatever
+    # the limit, so every limit that admits the register makes one product
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
     schedule = compile_schedule(target, ConnectivityGraph.path(n), "line_endpoints", 0.7)
-    report = verify_schedule(schedule)
-    assert report["passed"] and report["metric"] == "spectral_distance_bound"
+    products = []
+    for limit in (n, 8, 14):
+        with dense_limit(limit):
+            products.append(schedule_unitary(schedule))
+            report = verify_schedule(schedule)
+        assert report["passed"] and report["metric"] == "spectral_distance_bound"
+    assert all(np.array_equal(u, products[0]) for u in products[1:])
     want = kron_expm(kron_string(target), 0.7)
-    assert np.abs(schedule_unitary(schedule) - want).max() <= 1e-12
+    assert np.abs(products[0] - want).max() <= 1e-12
+
+
+def test_a_one_qubit_swapper_runs_at_a_dense_limit_of_one():
+    pulse = make_swapper(SwapperSpec(0, "X", "Z"), 1, "forward")
+    state = _random_state(1, seed=3)
+    want = run_pulses([pulse], state)
+    with dense_limit(1):
+        assert np.array_equal(run_pulses([pulse], state), want)
+
+
+def test_a_lone_multi_term_pulse_wider_than_a_group_is_held_to_the_limit():
+    # (P + Q)/sqrt(2) with P, Q anticommuting on all 8 sites: its own 2^8 x 2^8
+    # matrix counts as a 16-qubit state
+    p, q = PauliString.parse("XXXXXXXX"), PauliString.parse("YXXXXXXX")
+    wide = WeightedPauliSum.from_terms(8, [(1 / math.sqrt(2.0), p), (1 / math.sqrt(2.0), q)])
+    with dense_limit(14), pytest.raises(ResourceLimitError, match="local pulse unitary"):
+        run_pulses([(wide, 0.3)], _random_state(8, seed=3))
 
 
 def test_env_var_that_is_not_an_integer_is_malformed_input(monkeypatch):
@@ -394,18 +417,12 @@ def test_run_pulses_matches_kron_oracle(run):
     want = array
     for generator, angle in pulses:
         want = kron_expm(kron_sum(generator), angle) @ want
-    # a multi-term generator's own 4^k entries count against the dense limit
-    too_wide = limit is not None and any(
-        len(g.terms) > 1 and 2 * len(g.support) > limit for g, _ in pulses
-    )
+    # every generator is at most FUSED_SITES wide or a single string, so no
+    # limit refuses the run
     with dense_limit(limit):
-        if too_wide:
-            with pytest.raises(ResourceLimitError):
-                run_pulses(pulses, array)
-        else:
-            got = run_pulses(pulses, array)
-            assert got.shape == shape
-            assert np.abs(got - want).max() <= 1e-12
+        got = run_pulses(pulses, array)
+    assert got.shape == shape
+    assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(array, before)
 
 
@@ -438,16 +455,15 @@ def test_batched_probes_match_a_per_probe_loop():
     n = MATRIX_QUBIT_CAP + 1
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
     schedule = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.4)
-    report = verify_schedule(schedule, n_probes=4, seed=5)
+    report = verify_schedule(schedule)
     target_sum = WeightedPauliSum.from_string(target)
     worst = 0.0
-    for k in range(4):
-        probe = _random_state(n, 5 + k)
+    for k in range(PROBES):
+        probe = _random_state(n, PROBE_SEED + k)
         via_schedule = apply_schedule(schedule, probe)
         via_target = apply_rotation(target_sum, 0.4, probe)
         worst = max(worst, float(np.linalg.norm(via_schedule - via_target)))
-    assert report["metric"] == "max_state_l2[4 probes]"
-    assert report["seed"] == 5
+    assert report["metric"] == f"max_state_l2[{PROBES} probes]" and "seed" not in report
     assert abs(report["distance"] - worst) <= 1e-14
 
 
@@ -477,38 +493,38 @@ def test_compare_pulses_matches_the_kron_oracle_on_both_sides_of_the_cap(n):
          for _ in range(4)]
         for _ in range(2)
     )
-    report = compare_pulses(n, pulses, reference, 1e-10, n_probes=3, seed=5)
+    report = compare_pulses(n, pulses, reference, 1e-10)
     assert not report["passed"] and report["tolerance"] == 1e-10
     if n <= MATRIX_QUBIT_CAP:
         u, v = (oracle_run(program, np.eye(1 << n, dtype=np.complex128))
                 for program in (pulses, reference))
-        assert report["metric"] == "spectral_distance" and report["seed"] is None
+        assert report["metric"] == "spectral_distance"
         assert report["distance"] == pytest.approx(np.linalg.norm(u - v, 2), rel=1e-10)
     else:
-        probes = np.stack([_random_state(n, 5 + k) for k in range(3)], axis=1)
+        probes = np.stack([_random_state(n, PROBE_SEED + k) for k in range(PROBES)], axis=1)
         want = np.linalg.norm(oracle_run(pulses, probes) - oracle_run(reference, probes), axis=0)
-        assert report["metric"] == "max_state_l2[3 probes]" and report["seed"] == 5
+        assert report["metric"] == f"max_state_l2[{PROBES} probes]"
         assert report["distance"] == pytest.approx(want.max(), rel=1e-10)
     # the same product written as another program passes
     (first, angle), rest = pulses[0], pulses[1:]
     split = [(first, 0.25 * angle), (first, 0.75 * angle)] + rest
-    report = compare_pulses(n, pulses, split, 1e-10, n_probes=3, seed=5)
+    report = compare_pulses(n, pulses, split, 1e-10)
     assert report["passed"] and report["distance"] <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "n, metric", [(6, "spectral_distance"), (MATRIX_QUBIT_CAP + 1, "max_state_l2[4 probes]")]
-)
+@pytest.mark.parametrize("n, metric", [
+    (6, "spectral_distance"), (MATRIX_QUBIT_CAP + 1, f"max_state_l2[{PROBES} probes]"),
+])
 def test_compare_pulses_fails_a_planted_angle_defect(n, metric):
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
     pulses = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7).pulses()
     reference = [(target, 0.7)]
-    assert compare_pulses(n, pulses, reference, 1e-10, n_probes=4)["passed"]
+    assert compare_pulses(n, pulses, reference, 1e-10)["passed"]
     for k in (0, len(pulses) // 2, len(pulses) - 1):
         defect = list(pulses)
         generator, angle = defect[k]
         defect[k] = (generator, angle + 1e-3)
-        report = compare_pulses(n, defect, reference, 1e-10, n_probes=4)
+        report = compare_pulses(n, defect, reference, 1e-10)
         assert not report["passed"] and report["metric"] == metric
         # for an involution G, exp(-i d G) - 1 has norm 2|sin(d/2)| on every state
         assert abs(report["distance"] - 2 * math.sin(5e-4)) <= 1e-12
