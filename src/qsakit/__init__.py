@@ -44,8 +44,7 @@ _EXPORTS = {
         "path_string", "syndrome_of", "predict_syndrome",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
         "memory_basis", "memory_encode", "code_state", "hole_logicals",
-        "magic_state", "magic_report", "loop_cnot", "prepare_hole_superposition",
-        "naive_move_error",
+        "magic_state", "magic_report", "loop_cnot", "naive_move_error",
     ),
     "analysis": (
         "StrengthParams", "ErrorScalingReport", "strength_target", "strength_toric",

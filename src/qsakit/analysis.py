@@ -152,16 +152,16 @@ def pulse_product(n_sites: int, pulses, offsets=None) -> np.ndarray:
 def error_scaling(
     subject,
     deltas=(1e-2, 1e-3, 1e-4),
-    random_offsets: bool = False,
-    seed: int = 11,
+    seed: int | None = None,
 ) -> ErrorScalingReport:
-    """Perturb every pulse angle (seed included) and fit the error order.
+    """Perturb every pulse angle (the seed pulse included) and fit the error order.
 
     For each delta the perturbed product offsets all pulse angles by +delta
-    (or, behind the ``random_offsets`` flag, by independent uniform draws
-    from [-delta, +delta]); the reported distance is the spectral distance
-    to the ideal product, from :func:`~qsakit.dense_oracle.program_distances`
-    on the fused programs.  Up to 8 sites it forms both products and takes
+    (or, given a ``seed``, by independent uniform draws from [-delta, +delta]
+    of ``numpy.random.default_rng(seed)``; with no seed no generator is made);
+    the reported distance is the spectral distance to the ideal product, from
+    :func:`~qsakit.dense_oracle.program_distances` on the fused programs.
+    Up to 8 sites it forms both products and takes
     :func:`~qsakit.dense_oracle.distance`: numpy's SVD below 256 rows, at
     256 a Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
     estimate, with the SVD past a budget of one step per five rows.  From 9
@@ -196,16 +196,16 @@ def error_scaling(
         raise ValueError(
             f"the slope fit needs at least two deltas, got {len(deltas)}"
         )
-    rng = np.random.default_rng(seed)
+    rng = None if seed is None else np.random.default_rng(seed)
     max_offset = 0.0
     programs = []
     for delta in deltas:
-        if random_offsets:
-            offsets = rng.uniform(-delta, delta, size=len(pulses))
-            max_offset = max(max_offset, float(np.max(np.abs(offsets))))
-        else:
+        if rng is None:
             offsets = np.full(len(pulses), delta)
             max_offset = max(max_offset, delta)
+        else:
+            offsets = rng.uniform(-delta, delta, size=len(pulses))
+            max_offset = max(max_offset, float(np.max(np.abs(offsets))))
         programs.append(fuse_pulses(n_sites, _shifted(pulses, offsets)))
     dists = program_distances(n_sites, programs, fuse_pulses(n_sites, pulses))
     for delta, dist in zip(deltas, dists):
@@ -222,7 +222,7 @@ def error_scaling(
         distances=tuple(dists),
         slope=float(slope),
         intercept=float(intercept),
-        mode="random" if random_offsets else "uniform",
-        seed=seed if random_offsets else None,
+        mode="uniform" if seed is None else "random",
+        seed=seed,
         max_offset=max_offset,
     )

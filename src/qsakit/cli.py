@@ -7,7 +7,7 @@ resource limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded and 4 on an
 internal fault (any other exception, reported as ``internal-error``, with
 its traceback on standard error).  Reports are strict JSON: a report
 holding a NaN or an infinity is not printed, and the run exits 2.  Reports
-are deterministic: identical input files, arguments and ``--seed`` produce
+are deterministic: identical input files and arguments produce
 byte-identical output.  Artifacts (compiled schedules) go to files named by
 ``--out``; reports never mix with artifacts.
 
@@ -503,86 +503,77 @@ def _hole_from_payload(payload, spec, key, default):
     return spec.holes[idx]
 
 
-def _cmd_analyze(args):
+def _cmd_strength(args):
+    from . import analysis
+
+    params = analysis.StrengthParams(
+        g=args.g,
+        t=args.t,
+        tau=args.tau,
+        tau_prime=args.tau_prime,
+        omega=args.omega,
+        omega_prime=args.omega_prime,
+        n=args.n,
+    )
+    # an overflow in a derived number is malformed input, named like an option
+    tau, tau_prime = (
+        _finite_number(x, name) for x, name in zip(params.durations(), ("tau", "tau_prime"))
+    )
+    t_prime = _finite_number(params.total_time(), "t_prime")
+    g_prime = _finite_number(analysis.strength_target(params), "g_prime")
+    conserved = abs(params.t * params.g - t_prime * g_prime)
+    checks = [
+        _check(
+            "conservation-tg",
+            conserved <= 1e-12 * max(1.0, abs(params.t * params.g)),
+            f"|t g - t' g'| = {conserved:.3e}",
+        )
+    ]
+    metrics = {
+        "g": params.g,
+        "t": params.t,
+        "tau": tau,
+        "tau_prime": tau_prime,
+        "n": params.n,
+        "g_prime": g_prime,
+        "t_prime": t_prime,
+        "regime_tau_exceeds_t": bool(tau + tau_prime > params.t),
+    }
+    if params.n == 1:
+        g_w = _finite_number(analysis.strength_toric(params), "g_wall")
+        checks.append(_check("toric-quarter-of-target", g_w * 4.0 == g_prime))
+        metrics["g_wall"] = g_w
+        metrics["wall_ratio"] = g_w / params.g if params.g else None
+    return checks, metrics, [], []
+
+
+def _cmd_error_scaling(args):
     from . import analysis
     from .toric_lattice import digital_sequence
 
-    checks = []
-    metrics = {}
-    paths = []
-
-    if args.action == "strength":
-        params = analysis.StrengthParams(
-            g=args.g,
-            t=args.t,
-            tau=args.tau,
-            tau_prime=args.tau_prime,
-            omega=args.omega,
-            omega_prime=args.omega_prime,
-            n=args.n,
-        )
-        # an overflow in a derived number is malformed input, named like an option
-        tau, tau_prime = (
-            _finite_number(x, name) for x, name in zip(params.durations(), ("tau", "tau_prime"))
-        )
-        t_prime = _finite_number(params.total_time(), "t_prime")
-        g_prime = _finite_number(analysis.strength_target(params), "g_prime")
-        conserved = abs(params.t * params.g - t_prime * g_prime)
-        checks.append(
-            _check(
-                "conservation-tg",
-                conserved <= 1e-12 * max(1.0, abs(params.t * params.g)),
-                f"|t g - t' g'| = {conserved:.3e}",
-            )
-        )
-        metrics.update(
-            {
-                "g": params.g,
-                "t": params.t,
-                "tau": tau,
-                "tau_prime": tau_prime,
-                "n": params.n,
-                "g_prime": g_prime,
-                "t_prime": t_prime,
-                "regime_tau_exceeds_t": bool(tau + tau_prime > params.t),
-            }
-        )
-        if params.n == 1:
-            g_w = _finite_number(analysis.strength_toric(params), "g_wall")
-            checks.append(_check("toric-quarter-of-target", g_w * 4.0 == g_prime))
-            metrics["g_wall"] = g_w
-            metrics["wall_ratio"] = g_w / params.g if params.g else None
-
-    else:  # error-scaling
-        if (args.schedule is None) == (args.digital is None):
+    if (args.schedule is None) == (args.digital is None):
+        raise CliInputError("provide exactly one subject: --schedule or --digital")
+    if args.schedule is not None:
+        if args.tau is not None:
             raise CliInputError(
-                "provide exactly one subject: --schedule or --digital"
+                "--tau sets the time step of a --digital subject; a --schedule has none"
             )
-        if args.schedule is not None:
-            subject = _load_schedule(args.schedule)
-            paths.append(args.schedule)
-        else:
-            spec = _lattice_spec(args.digital)
-            subject = digital_sequence(
-                spec, 0.3 if args.tau is None else args.tau
-            )
-            paths.append(args.digital)
-        deltas = tuple(_finite_number(x, "--deltas") for x in args.deltas.split(","))
-        report = analysis.error_scaling(
-            subject,
-            deltas=deltas,
-            random_offsets=args.random_offsets,
-            seed=args.seed,
+        subject = _load_schedule(args.schedule)
+        paths = [args.schedule]
+    else:
+        spec = _lattice_spec(args.digital)
+        subject = digital_sequence(spec, 0.3 if args.tau is None else args.tau)
+        paths = [args.digital]
+    deltas = tuple(_finite_number(x, "--deltas") for x in args.deltas.split(","))
+    report = analysis.error_scaling(subject, deltas=deltas, seed=args.random_offsets)
+    checks = [
+        _check(
+            "slope-first-order",
+            0.9 <= report.slope <= 1.1,
+            f"log-log slope = {report.slope:.4f}",
         )
-        checks.append(
-            _check(
-                "slope-first-order",
-                0.9 <= report.slope <= 1.1,
-                f"log-log slope = {report.slope:.4f}",
-            )
-        )
-        metrics.update(report.to_dict())
-    return checks, metrics, [], paths
+    ]
+    return checks, report.to_dict(), [], paths
 
 
 # -- parser -------------------------------------------------------------------------
@@ -597,7 +588,7 @@ def _finite_float(text: str) -> float:
 
 
 def _seed_int(text: str) -> int:
-    """argparse type for ``--seed``: an integer of at least 0."""
+    """argparse type for the seed of ``--random-offsets``: an integer of at least 0."""
     try:
         value = int(text)
     except ValueError:
@@ -609,21 +600,17 @@ def _seed_int(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (``parse_args`` keeps no state)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed", type=_seed_int, default=11,
-        help="seed of the angle offsets of 'analyze error-scaling --random-offsets' "
-        "(at least 0); no other command reads it",
-    )
+    """The command-line parser, built once per process (``parse_args`` keeps no state).
 
+    Each action accepts only the options its handler reads.
+    """
     parser = argparse.ArgumentParser(
         prog="qsakit",
         description="Compile, verify and analyze exact N-body pulse schedules.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compile", parents=[common], help="compile a Pauli target")
+    p = sub.add_parser("compile", help="compile a Pauli target")
     p.add_argument("--target", required=True, help="Pauli literal, e.g. XZZX")
     p.add_argument("--graph", default=None, help="connectivity graph JSON file")
     p.add_argument("--strategy", default="auto", choices=STRATEGIES)
@@ -631,19 +618,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the schedule JSON here")
     p.set_defaults(handler=_cmd_compile)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a schedule file")
+    p = sub.add_parser("verify", help="verify a schedule file")
     p.add_argument("--schedule", required=True)
     p.add_argument("--tg", type=_finite_float, default=None)
     p.add_argument("--graph", default=None)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("toric", parents=[common], help="lattice builds and states")
-    p.add_argument("action", choices=["build", "ground", "digital"])
-    p.add_argument("--spec", required=True, help="lattice spec JSON file")
-    p.add_argument("--tau", type=_finite_float, default=0.3)
-    p.set_defaults(handler=_cmd_toric)
+    toric = sub.add_parser("toric", help="lattice builds and states")
+    actions = toric.add_subparsers(dest="action", required=True)
+    for action in ("build", "ground", "digital"):
+        p = actions.add_parser(action)
+        p.add_argument("--spec", required=True, help="lattice spec JSON file")
+        p.set_defaults(handler=_cmd_toric)
+    p.add_argument("--tau", type=_finite_float, default=0.3)  # digital only
 
-    p = sub.add_parser("anyon", parents=[common], help="anyon experiments")
+    p = sub.add_parser("anyon", help="anyon experiments")
     p.add_argument(
         "action", choices=["syndrome", "braid", "memory", "magic", "cnot"]
     )
@@ -655,8 +644,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_anyon)
 
-    p = sub.add_parser("analyze", parents=[common], help="strength and error scaling")
-    p.add_argument("action", choices=["strength", "error-scaling"])
+    analyze = sub.add_parser("analyze", help="strength and error scaling")
+    actions = analyze.add_subparsers(dest="action", required=True)
+    p = actions.add_parser("strength")
     p.add_argument("--g", type=_finite_float, default=1.0)
     p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--tau", type=_finite_float, default=None)
@@ -664,11 +654,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=_finite_float, default=None)
     p.add_argument("--omega-prime", type=_finite_float, default=None)
     p.add_argument("--n", type=int, default=1)
+    p.set_defaults(handler=_cmd_strength)
+
+    p = actions.add_parser("error-scaling")
     p.add_argument("--schedule", default=None)
     p.add_argument("--digital", default=None, help="lattice spec JSON file")
+    p.add_argument("--tau", type=_finite_float, default=None,
+                   help="time step of the --digital sequence (default 0.3)")
     p.add_argument("--deltas", default="1e-2,1e-3,1e-4")
-    p.add_argument("--random-offsets", action="store_true")
-    p.set_defaults(handler=_cmd_analyze)
+    p.add_argument(
+        "--random-offsets", metavar="SEED", type=_seed_int, nargs="?", const=11,
+        default=None, help="draw each angle offset from [-delta, delta] with this "
+        "seed (at least 0; default 11) instead of offsetting every angle by delta",
+    )
+    p.set_defaults(handler=_cmd_error_scaling)
     return parser
 
 
@@ -680,7 +679,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_MALFORMED_INPUT if exc.code else int(exc.code or 0)
 
-    report = {"command": argv, "seed": args.seed}
+    report = {"command": argv}
     try:
         checks, metrics, artifacts, paths = args.handler(args)
         passed = all(c["passed"] for c in checks)

@@ -655,7 +655,8 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
     pass flag: a function of the two programs and the tolerance alone.
     """
     check_dense_limit(n_sites, "compare_pulses")
-    if n_sites <= MATRIX_QUBIT_CAP:
+    matrix = n_sites <= MATRIX_QUBIT_CAP  # the one test of the cap
+    if matrix:
         batch = np.eye(1 << n_sites, dtype=np.complex128)
     else:
         batch = np.empty((1 << n_sites, PROBES), dtype=np.complex128)
@@ -663,7 +664,7 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
             batch[:, k] = _random_state(n_sites, PROBE_SEED + k)
     outputs, expected = run_pulses(pulses, batch), run_pulses(reference, batch)
     del batch  # the metric needs only the outputs
-    if n_sites <= MATRIX_QUBIT_CAP:
+    if matrix:
         dist, metric = certified_distance(outputs, expected, tolerance)
     else:
         dist = max(float(np.linalg.norm(a - b)) for a, b in zip(outputs.T, expected.T))

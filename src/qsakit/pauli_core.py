@@ -71,11 +71,18 @@ def index_field(value, field: str) -> int:
         raise TypeError(f"{field}: {exc}") from None
 
 
-def pair_field(value, field: str) -> tuple[int, int]:
-    """A ``[row, col]`` pair read from input: two entries, each through :func:`index_field`."""
+def pair_entries(value, field: str) -> list:
+    """``value`` if it is a two-entry list read from input, else ``ValueError`` naming ``field``."""
     if not isinstance(value, list) or len(value) != 2:
         raise ValueError(f"{field} must hold two entries, got {value!r}")
-    return index_field(value[0], field), index_field(value[1], field)
+    return value
+
+
+def pair_field(value, field: str) -> tuple[int, int]:
+    """A ``[row, col]`` pair read from input: :func:`pair_entries`, each through
+    :func:`index_field`."""
+    a, b = pair_entries(value, field)
+    return index_field(a, field), index_field(b, field)
 
 
 def float_field(value, field: str) -> float:

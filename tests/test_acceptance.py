@@ -23,7 +23,6 @@ from qsakit.anyon_logic import (
     memory_basis,
     memory_qubits,
     naive_move_error,
-    prepare_hole_superposition,
 )
 from qsakit.dense_oracle import (
     _random_state,
@@ -230,14 +229,12 @@ def test_criterion_10_naive_move_error():
     extension = ("h", 1, 0)
 
     tg = math.pi / 4.0
-    state = prepare_hole_superposition(hole, tg, TWO_HOLE_SPEC)
-    report = naive_move_error(state, extension, TWO_HOLE_SPEC, hole, tg)
+    report = naive_move_error(extension, TWO_HOLE_SPEC, hole, tg)
     assert report["distance"] > 0.0
     assert report["loop_route_distance"] <= 1e-10
 
     tg = math.pi / 2.0
-    state = prepare_hole_superposition(hole, tg, TWO_HOLE_SPEC)
-    report = naive_move_error(state, extension, TWO_HOLE_SPEC, hole, tg)
+    report = naive_move_error(extension, TWO_HOLE_SPEC, hole, tg)
     assert report["distance"] <= 1e-10
     assert report["loop_route_distance"] <= 1e-10
 

@@ -189,19 +189,21 @@ def test_error_scaling_refuses_a_distance_the_fit_cannot_log():
 
 
 def test_error_scaling_random_offsets_mode():
-    report = error_scaling(
-        plaquette_schedule(),
-        deltas=(1e-2, 1e-3),
-        random_offsets=True,
-        seed=3,
-    )
+    report = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3), seed=3)
     assert report.mode == "random"
     assert report.seed == 3
     assert 0.0 < report.max_offset <= 1e-2
-    again = error_scaling(
-        plaquette_schedule(), deltas=(1e-2, 1e-3), random_offsets=True, seed=3
-    )
+    again = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3), seed=3)
     assert again.distances == report.distances
+
+
+def test_uniform_offsets_draw_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("uniform offsets made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    report = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3))
+    assert (report.mode, report.seed, report.max_offset) == ("uniform", None, 1e-2)
 
 
 def test_error_scaling_digital_subject():

@@ -29,7 +29,6 @@ from qsakit.anyon_logic import (
     path_is_closed,
     path_string,
     predict_syndrome,
-    prepare_hole_superposition,
     syndrome_of,
 )
 from qsakit.dense_oracle import (
@@ -407,8 +406,7 @@ def test_magic_report_builds_the_code_state_once(monkeypatch):
 
 def test_naive_move_error_builds_the_code_state_once(monkeypatch):
     hole, tg = HOLES_SPEC.holes[0], math.pi / 4.0
-    state = prepare_hole_superposition(hole, tg, HOLES_SPEC)
-    want = naive_move_error(state, ("h", 1, 0), HOLES_SPEC, hole, tg)
+    want = naive_move_error(("h", 1, 0), HOLES_SPEC, hole, tg)
     calls = []
 
     def counted(spec):
@@ -416,7 +414,7 @@ def test_naive_move_error_builds_the_code_state_once(monkeypatch):
         return code_state(spec)
 
     monkeypatch.setattr(anyon_logic, "code_state", counted)
-    assert naive_move_error(state, ("h", 1, 0), HOLES_SPEC, hole, tg) == want
+    assert naive_move_error(("h", 1, 0), HOLES_SPEC, hole, tg) == want
     assert len(calls) == 1
 
 
@@ -449,9 +447,6 @@ STATE_MAKERS = {
     "logical_basis": (HOLES_SPEC.n_sites, lambda: logical_basis(HOLES_SPEC, HOLES_SPEC.holes)),
     "magic_state": (HOLES_SPEC.n_sites, lambda: [
         magic_state(HOLES_SPEC.holes[0], 0.7, HOLES_SPEC)
-    ]),
-    "prepare_hole_superposition": (HOLES_SPEC.n_sites, lambda: [
-        prepare_hole_superposition(HOLES_SPEC.holes[0], 0.4, HOLES_SPEC)
     ]),
     "LoopCnot.braid": (HOLES_SPEC.n_sites, lambda: [
         run_pulses([(_cnot().braid, 0.4)], code_state(HOLES_SPEC))
@@ -524,8 +519,7 @@ def test_naive_move_error_values():
     hole = HOLES_SPEC.holes[0]
     extension = ("h", 1, 0)
     for tg, expect_zero in ((math.pi / 4.0, False), (math.pi / 2.0, True)):
-        state = prepare_hole_superposition(hole, tg, HOLES_SPEC)
-        report = naive_move_error(state, extension, HOLES_SPEC, hole, tg)
+        report = naive_move_error(extension, HOLES_SPEC, hole, tg)
         assert report["distance"] == pytest.approx(report["predicted"], abs=1e-10)
         if expect_zero:
             assert report["distance"] <= 1e-10
@@ -533,4 +527,4 @@ def test_naive_move_error_values():
             assert report["distance"] > 0.5
         assert report["loop_route_distance"] <= 1e-10
     with pytest.raises(EncodingError, match="^hole moves are demonstrated on a smooth hole$"):
-        naive_move_error(state, extension, HOLES_SPEC, HOLES_SPEC.holes[1], tg)
+        naive_move_error(extension, HOLES_SPEC, HOLES_SPEC.holes[1], tg)

@@ -1,5 +1,6 @@
 """Batch front-end: exit codes, report shape, determinism, round trips."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -70,7 +71,7 @@ def test_the_cached_parser_gives_every_call_its_first_output(tmp_path, capsys):
     compile_args = PLAQUETTE_ARGS + ["--out", str(schedule)]
     calls = [
         compile_args,
-        ["verify", "--schedule", str(schedule), "--seed", "3"],
+        ["verify", "--schedule", str(schedule), "--tg", "0.5"],
         ["compile", "--target", "XQZX"],
         ["compile", "--target", "XZ", "--strategy", "nonesuch"],
         STRENGTH_ARGS,
@@ -84,6 +85,131 @@ def test_the_cached_parser_gives_every_call_its_first_output(tmp_path, capsys):
         result = (code, captured.out, captured.err)
         assert first.setdefault(tuple(argv), result) == result, argv
     assert first[tuple(calls[3])][0] == 2 and "invalid choice" in first[tuple(calls[3])][2]
+
+
+# Every option of every action, over one or more runs that each exit 0:
+# {(command, action or None): [options of one run]}, files as {placeholders}.
+EVERY_OPTION = {
+    ("compile", None): [["--target", "XZZX", "--graph", "{complete4}", "--strategy", "doubling",
+                         "--tg", "0.3", "--out", "{out}"]],
+    ("verify", None): [["--schedule", "{plaquette}", "--tg", "0.4", "--graph", "{complete4}"]],
+    ("toric", "build"): [["--spec", "{wen33}"]],
+    ("toric", "ground"): [["--spec", "{wen33}"]],
+    ("toric", "digital"): [["--spec", "{wen33}", "--tau", "0.2"]],
+    ("anyon", "syndrome"): [["--spec", "{wen44}", "--path", "{string}"]],
+    ("anyon", "braid"): [["--spec", "{wen44}", "--path", "{center}"]],
+    ("anyon", "memory"): [["--spec", "{periodic44}", "--path", "{amplitudes}"]],
+    ("anyon", "magic"): [["--spec", "{holes}", "--path", "{magic}"]],
+    ("anyon", "cnot"): [["--spec", "{holes}", "--path", "{cnot}"]],
+    ("analyze", "strength"): [
+        ["--g", "2", "--t", "1", "--tau", "0.1", "--tau-prime", "0.2", "--n", "3"],
+        ["--omega", "-2", "--omega-prime", "3"],
+    ],
+    ("analyze", "error-scaling"): [
+        ["--schedule", "{plaquette}", "--deltas", "1e-2,1e-3,1e-4", "--random-offsets"],
+        ["--digital", "{wen23}", "--tau", "0.2", "--random-offsets", "5"],
+    ],
+}
+
+
+def _action_parsers():
+    """{(command, action or None): the parser of that action's options}."""
+    def subparsers(parser):
+        return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    found = {}
+    for command, parser in subparsers(cli._build_parser())[0].choices.items():
+        nested = subparsers(parser)
+        listed = [a for a in parser._actions if not a.option_strings and a.choices]
+        if nested:
+            found.update({(command, act): p for act, p in nested[0].choices.items()})
+        elif listed:
+            found.update({(command, act): parser for act in listed[0].choices})
+        else:
+            found[(command, None)] = parser
+    return found
+
+
+def test_every_option_an_action_accepts_is_read(tmp_path, capsys, dense16, monkeypatch):
+    # an option no handler reads changes nothing, so the parser must not take it
+    parsers = _action_parsers()
+    assert set(EVERY_OPTION) == set(parsers)
+    plaquette = str(tmp_path / "plaquette.json")
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", plaquette])[0] == 0
+    files = {
+        "complete4": complete_graph_file(tmp_path, 4),
+        "out": str(tmp_path / "out.json"),
+        "plaquette": plaquette,
+        "wen23": write_json(tmp_path / "wen23.json", {"rows": 2, "cols": 3}),
+        "wen33": write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3}),
+        "wen44": write_json(tmp_path / "wen44.json", {"rows": 4, "cols": 4}),
+        "periodic44": write_json(tmp_path / "periodic44.json",
+                                 {"rows": 4, "cols": 4, "boundary": "periodic"}),
+        "holes": write_json(tmp_path / "holes.json", HOLES_SPEC),
+        "string": write_json(tmp_path / "string.json",
+                             {"sites": [[1, 1], [2, 2]], "letters": "ZZ"}),
+        "center": write_json(tmp_path / "center.json", {"center": [1, 1]}),
+        "amplitudes": write_json(tmp_path / "amplitudes.json", {"amplitudes": [1, 0, 0.5, 0]}),
+        "magic": write_json(tmp_path / "magic.json", {"theta": 0.5, "hole": 0}),
+        "cnot": write_json(tmp_path / "cnot.json", {"control": 0, "target": 1}),
+    }
+    build = cli._build_parser
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    class RecordingParser:
+        def parse_args(self, argv):
+            return Recording(**vars(build().parse_args(argv)))
+
+    monkeypatch.setattr(cli, "_build_parser", RecordingParser)
+    for (command, action), runs in EVERY_OPTION.items():
+        dests = {opt: a.dest for a in parsers[command, action]._actions for opt in a.option_strings
+                 if not isinstance(a, argparse._HelpAction)}
+        given = set()
+        for options in runs:
+            argv = [command] + [action] * (action is not None)
+            argv += [arg.format(**files) for arg in options]
+            reads.clear()
+            code, out = run_cli(capsys, argv)
+            assert code == 0, (argv, out)
+            flags = [arg for arg in options if arg.startswith("--")]
+            assert {dests[flag] for flag in flags} <= reads, argv
+            given.update(flags)
+        assert given == set(dests), (command, action)
+
+
+@pytest.mark.parametrize("argv", [
+    ["compile", "--target", "XZZX", "--seed", "3"],
+    ["verify", "--schedule", "s", "--seed", "3"],
+    ["toric", "build", "--spec", "s", "--tau", "1"],
+    ["toric", "--spec", "s", "build"],
+    ["anyon", "braid", "--spec", "s", "--seed", "1"],
+    ["analyze", "strength", "--g", "1", "--t", "1", "--tau", "0.1", "--tau-prime", "0.1",
+     "--deltas", "bogus"],
+    ["analyze", "error-scaling", "--schedule", "s", "--g", "2"],
+], ids=["compile-seed", "verify-seed", "build-tau", "option-before-action", "braid-seed",
+        "strength-deltas", "error-scaling-g"])
+def test_an_option_the_action_does_not_read_exits_two(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+
+
+def test_error_scaling_refuses_a_time_step_for_a_schedule(tmp_path, capsys):
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+    code, out = run_cli(
+        capsys, ["analyze", "error-scaling", "--schedule", str(out_file), "--tau", "0.5"]
+    )
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == (
+        "CliInputError: --tau sets the time step of a --digital subject; a --schedule has none"
+    )
 
 
 def test_verify_names_the_violated_invariant(tmp_path, capsys):
@@ -407,9 +533,8 @@ def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):
 
 
 def test_dense_verdicts_do_not_depend_on_the_seed(tmp_path, capsys):
-    # 12 sites each: the dense verdict runs on the fixed probe states, and only
-    # analyze error-scaling reads --seed; the command and the inputs digest
-    # echo the argument vector
+    # 12 sites each: the dense verdict runs on the fixed probe states, no
+    # option of these commands takes a seed, and no report holds one
     schedule = str(tmp_path / "big.json")
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
     for argv in (
@@ -417,16 +542,13 @@ def test_dense_verdicts_do_not_depend_on_the_seed(tmp_path, capsys):
         ["verify", "--schedule", schedule],
         ["toric", "digital", "--spec", spec],
     ):
-        reports = []
-        for seed in ("3", "100"):
-            code, out = run_cli(capsys, argv + ["--seed", seed])
-            assert code == 0 and "max_state_l2[20 probes]" in out
-            report = strict_json(out)
-            assert report.pop("seed") == int(seed)
-            assert report.pop("command") == argv + ["--seed", seed]
-            del report["inputs_digest"]
-            reports.append(report)
-        assert reports[0] == reports[1]
+        code = main(argv + ["--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unrecognized arguments: --seed 3" in captured.err
+        code, out = run_cli(capsys, argv)
+        assert code == 0 and "max_state_l2[20 probes]" in out
+        assert "seed" not in strict_json(out)
 
 
 def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
@@ -721,21 +843,26 @@ def test_a_numerical_failure_exits_four(tmp_path, capsys, monkeypatch):
     assert "Traceback" in captured.err and "no_convergence" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    PLAQUETTE_ARGS,
-    ["compile", "--target", "XZZX" * 3],  # 12 sites: the probe branch draws states
-    ["verify", "--schedule", None],
-], ids=["compile", "compile-probes", "verify"])
-def test_a_negative_seed_exits_two(tmp_path, capsys, argv):
+@pytest.mark.parametrize("subject, negative, zero", [
+    ("schedule", ["--random-offsets", "-1"], ["--random-offsets", "0"]),
+    ("schedule", ["--random-offsets=-1"], ["--random-offsets=0"]),
+    ("digital", ["--random-offsets", "-1"], ["--random-offsets", "0"]),
+], ids=["schedule", "schedule-equals", "digital"])
+def test_a_negative_seed_exits_two(tmp_path, capsys, subject, negative, zero):
+    # the seed of the angle offsets is the one seed the CLI takes
     out_file = tmp_path / "plaquette.json"
     assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
-    argv = [str(out_file) if a is None else a for a in argv]
-    code = main(argv + ["--seed", "-1"])
+    files = {"schedule": str(out_file), "digital": write_json(tmp_path / "wen23.json",
+                                                              {"rows": 2, "cols": 3})}
+    argv = ["analyze", "error-scaling", f"--{subject}", files[subject]]
+    code = main(argv + negative)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "--seed: must be at least 0, got '-1'" in captured.err
-    code, out = run_cli(capsys, argv + ["--seed", "0"])
-    assert code == 0 and json.loads(out)["seed"] == 0
+    assert "--random-offsets: must be at least 0, got '-1'" in captured.err
+    code, out = run_cli(capsys, argv + zero)
+    report = strict_json(out)
+    assert code == 0 and "seed" not in report
+    assert (report["metrics"]["mode"], report["metrics"]["seed"]) == ("random", 0)
 
 
 def _connector_site(value):

@@ -513,7 +513,8 @@ def test_compare_pulses_matches_the_kron_oracle_on_both_sides_of_the_cap(n):
 
 
 @pytest.mark.parametrize("n, metric", [
-    (6, "spectral_distance"), (MATRIX_QUBIT_CAP + 1, f"max_state_l2[{PROBES} probes]"),
+    (6, "spectral_distance"), (MATRIX_QUBIT_CAP, "spectral_distance"),
+    (MATRIX_QUBIT_CAP + 1, f"max_state_l2[{PROBES} probes]"),
 ])
 def test_compare_pulses_fails_a_planted_angle_defect(n, metric):
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
@@ -530,15 +531,26 @@ def test_compare_pulses_fails_a_planted_angle_defect(n, metric):
         assert abs(report["distance"] - 2 * math.sin(5e-4)) <= 1e-12
 
 
+def test_a_passing_verify_at_the_cap_is_certified_by_the_bound():
+    n = MATRIX_QUBIT_CAP
+    target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
+    report = verify_schedule(compile_schedule(target, ConnectivityGraph.complete(n), tg=0.4))
+    assert report["passed"] and report["metric"] == "spectral_distance_bound"
+    assert report["distance"] <= report["tolerance"]
+
+
 # -- certified distances -------------------------------------------------------
 
 
 @st.composite
 def matrix_pairs(draw):
-    """(a, b) up to 64x64: random complex, rank-1 and diagonal differences,
-    and differences of two unitaries, at scales from 1e-16 to 1e2."""
+    """(a, b) up to 64x64: random complex, rank-1, diagonal, one-column and
+    one-row differences, and differences of two unitaries, at scales from
+    1e-16 to 1e2.  A difference in one column has its largest column sum far
+    above its largest row sum, and one in one row the other way round, so
+    the bound needs both sums."""
     n = draw(st.integers(1, 64))
-    kind = draw(st.sampled_from(["complex", "rank1", "diagonal", "unitaries"]))
+    kind = draw(st.sampled_from(["complex", "rank1", "diagonal", "column", "row", "unitaries"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def gaussian(*shape):
@@ -553,8 +565,15 @@ def matrix_pairs(draw):
         d = gaussian(n, n)
     elif kind == "rank1":
         d = np.outer(gaussian(n), gaussian(n).conj())
-    else:
+    elif kind == "diagonal":
         d = np.diag(gaussian(n))
+    else:
+        d = np.zeros((n, n), dtype=np.complex128)
+        k = draw(st.integers(0, n - 1))
+        if kind == "column":
+            d[:, k] = gaussian(n)
+        else:
+            d[k, :] = gaussian(n)
     d *= 10.0 ** draw(st.integers(-16, 2))
     b = gaussian(n, n)
     return b + d, b

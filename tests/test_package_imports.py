@@ -29,7 +29,7 @@ EXPORTS = sorted([
     "hole_logicals", "interleaved_propagators", "loop_cnot",
     "magic_report", "magic_state", "make_attachment", "make_swapper", "memory_basis",
     "memory_encode", "memory_qubits", "multiply", "naive_move_error", "path_string",
-    "plaquette_schedule", "predict_syndrome", "prepare_hole_superposition",
+    "plaquette_schedule", "predict_syndrome",
     "replay_symbolic", "schedule_unitary",
     "square", "strength_target", "strength_toric",
     "sum_commutes", "syndrome_of", "to_matrix", "validate", "verify_schedule",

@@ -287,6 +287,15 @@ def test_branch_rule_refuses_a_commuting_pair():
         branch_conjugate(PauliString.parse("ZI"), PauliString.parse("XX"), PauliString.parse("ZZ"))
 
 
+@pytest.mark.parametrize("imaginary", ["a", "b"])
+def test_branch_rule_refuses_one_imaginary_phase(imaginary):
+    # X and Z anticommute, but iX is not Hermitian: (iX + Z)/sqrt(2) is no involution
+    pair = {"a": PauliString.parse("X"), "b": PauliString.parse("Z")}
+    pair[imaginary] = pair[imaginary].with_phase_exp(1)
+    with pytest.raises(PulseSpecError, match="not an anticommuting Hermitian pair"):
+        branch_conjugate(PauliString.parse("Y"), pair["a"], pair["b"])
+
+
 # -- the branch-integer bound ---------------------------------------------------
 
 

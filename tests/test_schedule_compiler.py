@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsakit import pauli_core, schedule_compiler
 from qsakit.dense_oracle import verify_schedule
-from qsakit.pauli_core import PauliString
+from qsakit.pauli_core import PauliString, index_field
 from qsakit.propagator_engine import MAX_BRANCH, AttachmentSpec, PulseSpecError, SwapperSpec
 from qsakit.schedule_compiler import (
     STRATEGIES,
@@ -51,6 +52,22 @@ def test_graph_constructors_and_membership():
             ConnectivityGraph.from_edges(2, [edge])
     with pytest.raises(ValueError, match=r"^bad edge \(-1, 1\) for 2 sites$"):
         ConnectivityGraph.from_edges(2, [(1, -1)])
+    with pytest.raises(TypeError, match="^edges: 'bool' object cannot be interpreted"):
+        ConnectivityGraph.from_edges(2, [(True, 0)])
+
+
+def test_a_graph_file_reads_each_edge_entry_once(monkeypatch):
+    calls = []
+
+    def counted(value, field):
+        calls.append(field)
+        return index_field(value, field)
+
+    monkeypatch.setattr(pauli_core, "index_field", counted)
+    monkeypatch.setattr(schedule_compiler, "index_field", counted)
+    graph = ConnectivityGraph.from_dict({"n_sites": 4, "edges": [[0, 1], [1, 2], [3, 2]]})
+    assert graph.edges == {(0, 1), (1, 2), (2, 3)}
+    assert calls == ["n_sites"] + ["edges"] * 6
 
 
 def test_depth_bound_table():
