@@ -40,7 +40,7 @@ _EXPORTS = {
     ),
     "anyon_logic": (
         "StringPath", "Syndrome", "LoopCnot",
-        "PathError", "EncodingError", "TopologyError", "UnsupportedOperationError",
+        "PathError", "EncodingError", "UnsupportedOperationError",
         "path_string", "syndrome_of", "predict_syndrome",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
         "memory_basis", "memory_encode", "code_state", "hole_logicals",

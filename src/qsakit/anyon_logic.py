@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_core import LETTERS, PauliString, commutes, multiply, pair_field
+from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply, pair_field
 from .schedule_compiler import compile_schedule
 from .dense_oracle import (
     apply_rotation,
@@ -55,10 +55,6 @@ class PathError(ValueError):
 
 class EncodingError(ValueError):
     """Raised for logical-qubit constructions with incompatible geometry."""
-
-
-class TopologyError(ValueError):
-    """Raised when a braid loop does not have the required topology."""
 
 
 class UnsupportedOperationError(RuntimeError):
@@ -239,23 +235,23 @@ def _loop_letter(kind: str, i: int, j: int) -> str:
     return "Z" if ((i + j) % 2 == 0) == (kind == "e") else "X"
 
 
-def loop_path(spec: LatticeSpec, kind: str, orientation: str, offset: int = 0) -> StringPath:
+def loop_path(spec: LatticeSpec, kind: str, orientation: str) -> StringPath:
     """A homologically nontrivial loop string on the periodic lattice.
 
     Both kinds commute with every plaquette (no excitations).  ``e`` loops
     stabilize the reference ground state (+1 eigenvalue, logical-Z role);
     ``m`` loops anticommute with the crossing e-loops and flip the ground
     state into its orthogonal partners (logical-X role).  orientation is
-    ``vertical`` (column ``offset``) or ``horizontal`` (row ``offset``).
+    ``vertical`` (column 0) or ``horizontal`` (row 0).
     """
     if spec.model != "wen" or spec.boundary != "periodic":
         raise PathError("memory loops require the periodic wen model")
     if kind not in ("e", "m"):
         raise PathError(f"loop kind must be 'e' or 'm', got {kind!r}")
     if orientation == "vertical":
-        sites = tuple((i, offset % spec.cols) for i in range(spec.rows))
+        sites = tuple((i, 0) for i in range(spec.rows))
     elif orientation == "horizontal":
-        sites = tuple((offset % spec.rows, j) for j in range(spec.cols))
+        sites = tuple((0, j) for j in range(spec.cols))
     else:
         raise PathError(f"orientation must be vertical or horizontal, got {orientation!r}")
     return StringPath(sites, tuple(_loop_letter(kind, i, j) for (i, j) in sites))
@@ -307,17 +303,19 @@ def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, alpha + math.pi / 2.0, beta, gamma - math.pi / 2.0
 
 
-def memory_encode(spec: LatticeSpec, amplitudes) -> np.ndarray:
-    """Prepare the memory state with the requested basis overlaps.
+def memory_encode(spec: LatticeSpec, amplitudes, ground: np.ndarray) -> np.ndarray:
+    """Rotate the ground state ``ground`` (``memory_basis(spec)[0]``) into the
+    memory state with the requested basis overlaps.
 
     The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) form
     ``C = [[a0, a2], [a1, a3]] = U S V^H`` (row: qubit-1 bit,
     ``S = diag(s0, s1)``).  One XX-loop rotation by ``chi = atan2(s1, s0)``
     gives ``cos chi|00> - i sin chi|11>``; a ZXZ frame per qubit then
     applies ``U`` to qubit 1 and ``V^T diag(1, i)`` to qubit 2, the ``i``
-    undoing the ``-i``.  Logical Z actions carry measured signs
-    (``Z_logical|G> = +-|G>``, read off the ground state), so Z-loop angles
-    are sign-corrected.  The frames' scalar phases, which the hardware never
+    undoing the ``-i``.  Both logical Z loops are e-loops: they commute with
+    every plaquette and put Z on the spins the seed state sets to |0> and X
+    on those it sets to |+>, so ``Z_logical|G> = +|G>`` and the Z-loop
+    angles need no sign.  The frames' scalar phases, which the hardware never
     applies, are folded back in, so the returned state's overlaps with the
     four basis states equal the normalized amplitudes up to float roundoff.
     Zero-angle rotations are dropped: at most seven loop rotations run.
@@ -335,27 +333,15 @@ def memory_encode(spec: LatticeSpec, amplitudes) -> np.ndarray:
     (x1, z1), (x2, z2) = memory_qubits(spec)
     x12 = multiply(x1, x2)  # the m loops share one spin, with equal letters: phase +1
 
-    g = ground_state_projector(spec)
-    signs = []
-    for name, string in (("Z1", z1), ("Z2", z2)):
-        value = expectation(string, g)
-        s = float(np.round(value.real))
-        if abs(abs(s) - 1.0) > 1e-9 or abs(value - s) > 1e-9:
-            raise EncodingError(f"{name} is not sharp on the ground state")
-        signs.append(s)
-
     u_mat, svals, vh = np.linalg.svd(np.array([[a[0], a[2]], [a[1], a[3]]]))
     pulses = [(x12, math.atan2(float(svals[1]), float(svals[0])))]
     recorded = complex(1.0)
-    for frame, xs, zs, sign in (
-        (vh.T @ np.diag([1.0, 1j]), x2, z2, signs[1]),
-        (u_mat, x1, z1, signs[0]),
-    ):
+    for frame, xs, zs in ((vh.T @ np.diag([1.0, 1j]), x2, z2), (u_mat, x1, z1)):
         delta, alpha, beta, gamma = _euler_zxz(frame)
         recorded *= np.exp(1j * delta)
-        pulses += [(zs, gamma / 2.0 * sign), (xs, beta / 2.0), (zs, alpha / 2.0 * sign)]
+        pulses += [(zs, gamma / 2.0), (xs, beta / 2.0), (zs, alpha / 2.0)]
     pulses = [(string, angle) for string, angle in pulses if abs(angle) > 1e-14]
-    return recorded * run_pulses(pulses, g)
+    return recorded * run_pulses(pulses, ground)
 
 
 # -- braiding statistics ----------------------------------------------------------
@@ -549,13 +535,15 @@ def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
 class LoopCnot:
     """The braid of a smooth (control) hole around a rough (target) hole.
 
-    The braid string is the X loop the control hole traverses; combined with
-    the control's boundary tail it equals X_control * X_target up to kept
-    stabilizers.  Applying ``exp(-i tg W)`` to |0, t> yields exactly the
+    The braid string ``W = X_control * X_target`` (:func:`loop_cnot`) is the
+    control's boundary tail times the X loop around the target hole: it
+    commutes with every kept term and anticommutes with both holes' logical
+    Z.  Applying ``exp(-i tg W)`` to |0, t> yields exactly the
     state CNOT produces on a superposed control ``cos(tg)|0> - i sin(tg)|1>``
     against target ``t``; at tg = pi/2 the basis rows |1, t> -> |1, 1-t|
     appear with recorded phase -i.  ``composite_apply`` realizes the exact
-    CNOT from three commuting logical rotations plus a recorded scalar.
+    CNOT from three commuting logical rotations (the control's Z loop and
+    the target's X loop share no edge) plus a recorded scalar.
     """
 
     spec: LatticeSpec
@@ -593,59 +581,35 @@ class LoopCnot:
         """Exact CNOT: three commuting rotations plus recorded e^{i pi/4}."""
         _, z_c = hole_logicals(self.control, self.spec)
         x_t, _ = hole_logicals(self.target, self.spec)
-        zx = multiply(z_c, x_t)
-        if zx.phase_exp:
-            raise EncodingError("control-Z and target-X strings must be disjoint")
+        zx = multiply(z_c, x_t)  # disjoint strings: phase +1
         quarter = math.pi / 4.0
         arr = run_pulses([(z_c, quarter), (x_t, quarter), (zx, -quarter)], state)
         recorded = complex(np.exp(1j * quarter))
         return recorded * arr, recorded
 
 
-def loop_cnot(
-    control_hole: HoleSpec,
-    target_hole: HoleSpec,
-    spec: LatticeSpec,
-    loop_edges=None,
-) -> LoopCnot:
+def loop_cnot(control_hole: HoleSpec, target_hole: HoleSpec, spec: LatticeSpec) -> LoopCnot:
     """Build the braiding CNOT handle for two holes of the lattice.
 
-    The default braid string is the control's boundary tail times the loop
-    around the target (the dual walk from the boundary to the control hole,
-    around the target hole, and back, with doubly crossed edges cancelled).
+    The braid string is the control's boundary tail times the loop around
+    the target (the dual walk from the boundary to the control hole, around
+    the target hole, and back, with doubly crossed edges cancelled).  Both
+    factors are X strings that every kept face meets on an even number of
+    edges, so the braid stays in the code space; it anticommutes with both
+    holes' logical Z, so it encloses the target and drags the control.  The
+    lattice itself is built, and refused, by the handle's state preparation.
 
     Raises:
-        EncodingError: control is not smooth / target is not rough.
-        TopologyError: the braid loop leaves the code space, fails to
-            enclose the target, or fails to drag the control.
+        EncodingError: control is not smooth / target is not rough, or a
+            hole :func:`hole_logicals` refuses.
     """
     if control_hole.kind != "smooth":
         raise EncodingError("the braided (control) hole must be smooth")
     if target_hole.kind != "rough":
         raise EncodingError("the enclosed (target) hole must be rough")
-    x_c, z_c = hole_logicals(control_hole, spec)
-    x_t, z_t = hole_logicals(target_hole, spec)
-
-    if loop_edges is None:
-        braid = multiply(x_c, x_t)  # two X-only strings: phase +1
-    else:
-        sites = {}
-        for key in loop_edges:
-            kind, i, j = key
-            sites[kitaev_edge_index(spec, str(kind), int(i), int(j))] = "X"
-        braid = PauliString.from_sites(spec.n_sites, sites)
-
-    for term in build_variant(spec).terms:
-        if not commutes(braid, term.operator):
-            raise TopologyError(
-                f"braid loop leaves the code space (anticommutes with the "
-                f"{term.kind} term at {term.index})"
-            )
-    if commutes(braid, z_t):
-        raise TopologyError("loop does not enclose the target hole")
-    if commutes(braid, z_c):
-        raise TopologyError("loop does not drag the control hole around")
-    return LoopCnot(spec, control_hole, target_hole, braid)
+    x_c, _ = hole_logicals(control_hole, spec)
+    x_t, _ = hole_logicals(target_hole, spec)
+    return LoopCnot(spec, control_hole, target_hole, multiply(x_c, x_t))  # X strings: phase +1
 
 
 # -- hole moves --------------------------------------------------------------------
@@ -666,7 +630,8 @@ def naive_move_error(extension: tuple, spec: LatticeSpec, hole: HoleSpec, tg: fl
         raise EncodingError("hole moves are demonstrated on a smooth hole")
     x_bar, _ = hole_logicals(hole, spec)
     kind, i, j = extension
-    ext_index = kitaev_edge_index(spec, str(kind), int(i), int(j))
+    i, j = index_field(i, "extension"), index_field(j, "extension")
+    ext_index = kitaev_edge_index(spec, kind, i, j)
     if ext_index in x_bar.support:
         raise EncodingError("extension edge already belongs to the hole string")
     ext = PauliString.from_sites(spec.n_sites, {ext_index: "X"})
@@ -686,7 +651,7 @@ def naive_move_error(extension: tuple, spec: LatticeSpec, hole: HoleSpec, tg: fl
 
     return {
         "tg": tg,
-        "extension_edge": [kind, int(i), int(j)],
+        "extension_edge": [kind, i, j],
         "distance": distance,
         "overlap_factor": factor,
         "predicted": predicted,

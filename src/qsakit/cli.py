@@ -1,9 +1,10 @@
 """JSON batch front-end for compiling, verifying and analyzing schedules.
 
-Every invocation prints one RunReport JSON document to standard output and
-exits 0 when all checks pass, 1 when a check fails (the failing check names
-the violated invariant), 2 on malformed input, 3 when the dense oracle's
-resource limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded and 4 on an
+Every invocation but ``--help`` prints one RunReport JSON document to
+standard output and exits 0 when all checks pass, 1 when a check fails (the
+failing check names the violated invariant), 2 on malformed input (a
+command line argparse refuses included), 3 when the dense oracle's resource
+limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded and 4 on an
 internal fault (any other exception, reported as ``internal-error``, with
 its traceback on standard error).  Reports are strict JSON: a report
 holding a NaN or an infinity is not printed, and the run exits 2.  Reports
@@ -97,35 +98,25 @@ def _digest(argv, paths) -> str:
     return h.hexdigest()
 
 
-def _jsonable(value):
-    """Recursively coerce report values to plain JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if np is not None:
-        if isinstance(value, (np.floating, np.integer)):
-            return value.item()
-        if isinstance(value, np.bool_):
-            return bool(value)
-    if isinstance(value, PauliString):
-        return value.format()
-    return value
-
-
 def _check(name: str, passed: bool, detail=None) -> dict:
     entry = {"name": name, "passed": bool(passed)}
     if detail is not None:
-        entry["detail"] = _jsonable(detail)
+        entry["detail"] = detail
     return entry
+
+
+def _complex_pair(value) -> list:
+    """``json.dumps`` hook: a complex number as ``[real, imag]``."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _report_text(report: dict) -> str:
     """Strict JSON: a NaN or infinite number raises ``ValueError``."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(
+        report, indent=2, sort_keys=True, allow_nan=False, default=_complex_pair
+    ) + "\n"
 
 
 def _is_input_fault(exc: Exception) -> bool:
@@ -433,7 +424,7 @@ def _cmd_anyon(args):
                 f"max |overlap| = {worst_pair:.3e}",
             )
         )
-        encoded = anyon_logic.memory_encode(spec, amplitudes)
+        encoded = anyon_logic.memory_encode(spec, amplitudes, basis[0])
         overlaps = [complex(np.vdot(b, encoded)) for b in basis]
         err = max(abs(o - a) for o, a in zip(overlaps, amplitudes))
         checks.append(
@@ -598,13 +589,27 @@ def _seed_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose refusal is malformed input with a report.
+
+    argparse's usage line and message still go to standard error; the
+    :class:`CliInputError` raised in place of its exit gets the JSON report.
+    Subparsers are made of this class too.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise CliInputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process (``parse_args`` keeps no state).
 
     Each action accepts only the options its handler reads.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsakit",
         description="Compile, verify and analyze exact N-body pulse schedules.",
     )
@@ -673,14 +678,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_MALFORMED_INPUT if exc.code else int(exc.code or 0)
-
     report = {"command": argv}
     try:
+        args = _build_parser().parse_args(argv)  # a refusal raises CliInputError
         checks, metrics, artifacts, paths = args.handler(args)
         passed = all(c["passed"] for c in checks)
         report.update(
@@ -693,6 +693,8 @@ def main(argv=None) -> int:
             }
         )
         text = _report_text(report)
+    except SystemExit:  # only --help stops the parser, after printing the help
+        return EXIT_PASS
     except ResourceLimitError as exc:
         return _error_report(report, "resource-limit", str(exc), EXIT_RESOURCE_LIMIT)
     except Exception as exc:

@@ -519,7 +519,8 @@ def plaquette_schedule(
 
 @dataclass(frozen=True)
 class DigitalSequence:
-    """Four commuting stages realizing ``exp(+i J tau sum(P))`` exactly.
+    """Four commuting stages realizing ``exp(+i J tau sum(P))`` exactly, for
+    the ``tau`` given to :func:`digital_sequence`.
 
     Each stage holds one compiled schedule per group member; every schedule's
     seed angle is ``-J*tau``, so the per-term propagator is
@@ -528,7 +529,6 @@ class DigitalSequence:
     """
 
     spec: LatticeSpec
-    tau: float
     stages: tuple[tuple[QsaSchedule, ...], ...]
 
     @property
@@ -563,7 +563,7 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
         )
         for members in build_variant(spec).groups().values()
     )
-    return DigitalSequence(spec, tau, stages)
+    return DigitalSequence(spec, stages)
 
 
 # -- wen ground states ----------------------------------------------------------

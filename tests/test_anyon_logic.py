@@ -10,7 +10,6 @@ from qsakit.anyon_logic import (
     EncodingError,
     PathError,
     StringPath,
-    TopologyError,
     UnsupportedOperationError,
     anyon_walk,
     braiding_phase,
@@ -35,10 +34,11 @@ from qsakit.dense_oracle import (
     _random_state,
     apply_rotation,
     apply_schedule,
+    apply_string,
     expectation,
     run_pulses,
 )
-from qsakit.pauli_core import PauliString, commutes
+from qsakit.pauli_core import PauliString, commutes, multiply
 from qsakit.schedule_compiler import compile_schedule
 from qsakit.toric_lattice import (
     HoleSpec,
@@ -50,6 +50,7 @@ from qsakit.toric_lattice import (
     digital_sequence,
     ground_state_projector,
     ground_state_sweep,
+    plaquette_range,
 )
 
 from conftest import kron_expm, kron_letters
@@ -203,22 +204,27 @@ def test_memory_basis_and_encode(dense16):
     rng = np.random.default_rng(SEED + 1)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps = amps / np.linalg.norm(amps)
-    state = memory_encode(spec, list(amps))
+    state = memory_encode(spec, list(amps), basis[0])
     overlaps = np.array([np.vdot(b, state) for b in basis])
     assert np.max(np.abs(overlaps - amps)) <= 1e-8
 
 
-def test_memory_encode_projects_the_ground_state_once(dense16, monkeypatch):
-    spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return ground_state_projector(*args, **kwargs)
-
-    monkeypatch.setattr(anyon_logic, "ground_state_projector", counted)
-    memory_encode(spec, [1.0, 0.5, 0.0, 0.25j])
-    assert len(calls) == 1
+def test_memory_logical_zs_are_e_loops_on_the_seed_state(dense16):
+    # memory_encode gives the Z loops no sign: each puts Z on the spins
+    # build_psi0 sets to |0> ((i + j) even) and X on those it sets to |+>
+    for rows in range(4, 21, 2):
+        for cols in range(4, 21, 2):
+            spec = LatticeSpec(rows=rows, cols=cols, boundary="periodic")
+            spins = {spec.site_index(i, j): (i, j) for i in range(rows) for j in range(cols)}
+            for _, z_bar in memory_qubits(spec):
+                assert z_bar.phase_exp == 0
+                for site in z_bar.support:
+                    i, j = spins[site]
+                    assert z_bar.letter(site) == ("Z" if (i + j) % 2 == 0 else "X")
+    spec = _memory_spec()
+    seed = build_psi0(spec)
+    for _, z_bar in memory_qubits(spec):
+        assert np.array_equal(apply_string(z_bar, seed), seed)
 
 
 MEMORY_CASES = {f"basis-{k}": np.eye(4)[k] for k in range(4)} | {
@@ -242,7 +248,7 @@ def test_memory_encode_runs_at_most_seven_loop_rotations(dense16, monkeypatch, a
 
     monkeypatch.setattr(anyon_logic, "run_pulses", counted)
     amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
-    state = memory_encode(spec, list(amps))
+    state = memory_encode(spec, list(amps), basis[0])
     overlaps = np.array([np.vdot(b, state) for b in basis])
     assert np.max(np.abs(overlaps - amps)) <= 1e-12
     assert len(counts) == 1 and counts[0] <= 7
@@ -442,7 +448,9 @@ STATE_MAKERS = {
         digital_sequence(WEN_3X3, 0.3).apply(build_psi0(WEN_3X3))
     ]),
     "memory_basis": (16, lambda: list(memory_basis(_memory_spec()))),
-    "memory_encode": (16, lambda: [memory_encode(_memory_spec(), [1.0, 0.5j, 0.0, -0.25])]),
+    "memory_encode": (16, lambda: [
+        memory_encode(_memory_spec(), [1.0, 0.5j, 0.0, -0.25], memory_basis(_memory_spec())[0])
+    ]),
     "code_state": (HOLES_SPEC.n_sites, lambda: [code_state(HOLES_SPEC)]),
     "logical_basis": (HOLES_SPEC.n_sites, lambda: logical_basis(HOLES_SPEC, HOLES_SPEC.holes)),
     "magic_state": (HOLES_SPEC.n_sites, lambda: [
@@ -503,16 +511,38 @@ def test_loop_cnot_rejects_wrong_hole_kinds():
         loop_cnot(HOLES_SPEC.holes[1], HOLES_SPEC.holes[0], HOLES_SPEC)
 
 
-def test_loop_cnot_rejects_bad_loops():
-    # a contractible loop: the Z-boundary of the kept face at (0, 0)
-    from qsakit.toric_lattice import kitaev_edge_keys
+def _hole_pairs():
+    """Every (smooth face, rough star) one-plaquette hole pair the build accepts,
+    on open kitaev_holes grids from 2x2 to 5x5: (spec, kept terms)."""
+    for rows in range(2, 6):
+        for cols in range(2, 6):
+            prow, pcol = plaquette_range(LatticeSpec(rows=rows, cols=cols, model="kitaev_holes"))
+            faces = [(i, j) for i in range(prow) for j in range(pcol)]
+            stars = [(i, j) for i in range(1, rows) for j in range(cols)]  # none on the top row
+            for face in faces:
+                for star in stars:
+                    holes = (HoleSpec((face,), "smooth"), HoleSpec((star,), "rough"))
+                    spec = LatticeSpec(rows=rows, cols=cols, model="kitaev_holes", holes=holes)
+                    try:
+                        terms = build_variant(spec).terms
+                    except LatticeError:  # the face and the star share an edge
+                        continue
+                    yield spec, terms
 
-    contractible = kitaev_edge_keys(HOLES_SPEC, "face", 0, 0)
-    with pytest.raises(TopologyError):
-        loop_cnot(
-            HOLES_SPEC.holes[0], HOLES_SPEC.holes[1], HOLES_SPEC,
-            loop_edges=contractible,
-        )
+
+def test_every_hole_pair_braid_stays_in_the_code_space_and_links_both_holes():
+    # what loop_cnot and composite_apply need of the braid, on every pair
+    count = 0
+    for spec, terms in _hole_pairs():
+        control, target = spec.holes
+        braid = loop_cnot(control, target, spec).braid
+        _, z_c = hole_logicals(control, spec)
+        x_t, z_t = hole_logicals(target, spec)
+        assert all(commutes(braid, term.operator) for term in terms)
+        assert not commutes(braid, z_c) and not commutes(braid, z_t)
+        assert multiply(z_c, x_t).phase_exp == 0
+        count += 1
+    assert count == 880
 
 
 def test_naive_move_error_values():
@@ -528,3 +558,8 @@ def test_naive_move_error_values():
         assert report["loop_route_distance"] <= 1e-10
     with pytest.raises(EncodingError, match="^hole moves are demonstrated on a smooth hole$"):
         naive_move_error(extension, HOLES_SPEC, HOLES_SPEC.holes[1], tg)
+    # a fractional index is refused, not truncated to edge ("h", 1, 0)
+    with pytest.raises(
+        TypeError, match="^extension: 'float' object cannot be interpreted as an integer$"
+    ):
+        naive_move_error(("h", 1.7, 0), HOLES_SPEC, hole, tg)

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from qsakit import (
-    analysis, cli, dense_oracle, propagator_engine, schedule_compiler, toric_lattice,
+    analysis, anyon_logic, cli, dense_oracle, propagator_engine, schedule_compiler,
+    toric_lattice,
 )
 from qsakit.cli import main
 
@@ -194,9 +195,38 @@ def test_every_option_an_action_accepts_is_read(tmp_path, capsys, dense16, monke
 ], ids=["compile-seed", "verify-seed", "build-tau", "option-before-action", "braid-seed",
         "strength-deltas", "error-scaling-g"])
 def test_an_option_the_action_does_not_read_exits_two(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"].startswith("CliInputError: ")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["compile", "--target", "XZZX", "--verbose"], "unrecognized arguments: --verbose"),
+    (["analyze", "error-scaling", "--schedule", "s", "--random-offsets", "x"],
+     "argument --random-offsets: invalid int value: 'x'"),
+    (["compile", "--target", "XZZX", "--tg", "nan"],
+     "argument --tg: must be a finite number, got 'nan'"),
+    (["compile", "--target", "XZZX", "--strategy", "nonesuch"],
+     "argument --strategy: invalid choice: 'nonesuch'"),
+    (["toric", "build"], "the following arguments are required: --spec"),
+], ids=["unknown-option", "bad-seed", "nan-tg", "bad-strategy", "missing-option"])
+def test_a_refused_command_line_prints_a_report(capsys, argv, error):
+    # argparse's usage and message still go to stderr
     code = main(argv)
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    report = strict_json(captured.out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"].startswith(f"CliInputError: {error}")
+    assert report["command"] == argv and report["checks"] == []
+    assert captured.err.startswith("usage: ") and f"error: {error}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "error-scaling", "-h"]])
+def test_help_exits_zero_without_a_report(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.startswith("usage: qsakit")
 
 
 def test_error_scaling_refuses_a_time_step_for_a_schedule(tmp_path, capsys):
@@ -434,9 +464,28 @@ def _plant_grown_attached_site(data):
     ]
 
 
-@pytest.mark.parametrize(
-    "plant", [_plant_target_letter, _plant_stale_connector, _plant_grown_attached_site]
-)
+def _plant_seed_weight(data):
+    data["seed"]["string"] = "XXXI"
+    return ["seed must act on exactly 2 sites, acts on 3", "layer 1: attached site 2 is not fresh"]
+
+
+def _plant_seed_phase(data):
+    data["seed"]["string"] = "-XXII"
+    return [
+        "seed phase must be +1",
+        "replay failed: attachment (0, 2) gives -ZXXI: coefficient -1, not +1",
+    ]
+
+
+def _plant_target_phase(data):
+    data["target"] = "-XZZX"
+    return ["target phase must be +1", "replay mismatch: got XZZX, target -XZZX"]
+
+
+@pytest.mark.parametrize("plant", [
+    _plant_target_letter, _plant_stale_connector, _plant_grown_attached_site,
+    _plant_seed_weight, _plant_seed_phase, _plant_target_phase,
+])
 def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
     out_file = tmp_path / "plaquette.json"
     assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
@@ -465,9 +514,16 @@ PATH4 = {"n_sites": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
      ["slope-first-order"]),
     (["verify", "--schedule", "{plaquette}", "--graph", "{path4}"], 1, "fail",
      ["layer 1: (0, 2) is not a graph edge", "layer 1: (1, 3) is not a graph edge"]),
+    (["verify", "--schedule", "{plaquette}", "--graph", "{layers4}"], 1, "fail",
+     ["seed pair (0, 1) is not a graph edge"]),
     (["analyze", "strength", "--tau", "0.1"], 2, "malformed-input", []),
+    (["anyon", "braid", "--spec", "{periodic44}", "--path", "{light_center}"], 2,
+     "malformed-input", []),
+    (["anyon", "memory", "--spec", "{periodic44}", "--path", "{list_payload}"], 2,
+     "malformed-input", []),
 ], ids=["anyon-braid", "anyon-memory", "toric-ground", "error-scaling-digital",
-        "verify-graph", "strength-without-tau-prime"])
+        "verify-graph", "verify-seed-off-graph", "strength-without-tau-prime",
+        "braid-light-center", "payload-not-an-object"])
 def test_command_verdicts(tmp_path, capsys, dense16, argv, code, status, checks):
     plaquette = tmp_path / "plaquette.json"
     assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(plaquette)])[0] == 0
@@ -477,6 +533,11 @@ def test_command_verdicts(tmp_path, capsys, dense16, argv, code, status, checks)
         "wen33": write_json(tmp_path / "wen33.json", {"rows": 3, "cols": 3}),
         "plaquette": str(plaquette),
         "path4": write_json(tmp_path / "path4.json", PATH4),
+        # the plaquette schedule's layer pairs (0, 2), (1, 3), but not its seed pair (0, 1)
+        "layers4": write_json(tmp_path / "layers4.json",
+                              {"n_sites": 4, "edges": [[0, 2], [1, 3], [0, 3]]}),
+        "light_center": write_json(tmp_path / "light.json", {"center": [1, 2]}),
+        "list_payload": write_json(tmp_path / "list.json", [0.5, 0.5, 0.5, 0.5]),
     }
     got, out = run_cli(capsys, [arg.format(**files) for arg in argv])
     report = strict_json(out)
@@ -542,10 +603,9 @@ def test_dense_verdicts_do_not_depend_on_the_seed(tmp_path, capsys):
         ["verify", "--schedule", schedule],
         ["toric", "digital", "--spec", spec],
     ):
-        code = main(argv + ["--seed", "3"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "unrecognized arguments: --seed 3" in captured.err
+        code, out = run_cli(capsys, argv + ["--seed", "3"])
+        assert code == 2
+        assert strict_json(out)["error"] == "CliInputError: unrecognized arguments: --seed 3"
         code, out = run_cli(capsys, argv)
         assert code == 0 and "max_state_l2[20 probes]" in out
         assert "seed" not in strict_json(out)
@@ -562,10 +622,9 @@ def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
 
 def test_the_probe_count_is_not_an_option(tmp_path, capsys):
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
-    code = main(["toric", "digital", "--spec", spec, "--probes=5"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "unrecognized arguments: --probes=5" in captured.err
+    code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--probes=5"])
+    assert code == 2
+    assert strict_json(out)["error"] == "CliInputError: unrecognized arguments: --probes=5"
 
 
 def assert_malformed_naming(capsys, argv, field):
@@ -855,10 +914,10 @@ def test_a_negative_seed_exits_two(tmp_path, capsys, subject, negative, zero):
     files = {"schedule": str(out_file), "digital": write_json(tmp_path / "wen23.json",
                                                               {"rows": 2, "cols": 3})}
     argv = ["analyze", "error-scaling", f"--{subject}", files[subject]]
-    code = main(argv + negative)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "--random-offsets: must be at least 0, got '-1'" in captured.err
+    code, out = run_cli(capsys, argv + negative)
+    assert code == 2 and strict_json(out)["error"] == (
+        "CliInputError: argument --random-offsets: must be at least 0, got '-1'"
+    )
     code, out = run_cli(capsys, argv + zero)
     report = strict_json(out)
     assert code == 0 and "seed" not in report
@@ -1011,6 +1070,16 @@ def _swapper(data):
     return data["final_swappers"][0]
 
 
+def _attachment_without_attached_site(tmp_path, capsys):
+    schedule = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
+    data = json.loads(schedule.read_text())
+    del _attachment(data)["attached_site"]
+    bad = write_json(tmp_path / "bad.json", data)
+    error = f"bad schedule file {bad}: attachment spec missing field 'attached_site'"
+    return ["verify", "--schedule", bad], error
+
+
 def _lattice_spec_refused_by_its_checks(tmp_path, capsys):
     spec = write_json(tmp_path / "wen.json", {"rows": 1, "cols": 3})
     path = write_json(tmp_path / "path.json", {"sites": [[0, 0]], "letters": "X"})
@@ -1035,10 +1104,12 @@ def _path_refused_by_its_checks(tmp_path, capsys):
     _pulse_text("XZZX", _attachment, "alpha"), _pulse_text("XZZX", _attachment, "beta"),
     _pulse_text("XZZX", _attachment, "attached_letter"),
     _pulse_text("XZY", _swapper, "alpha"), _pulse_text("XZY", _swapper, "beta"),
+    _attachment_without_attached_site,
 ], ids=["coupling", "coupling-true", "coupling-string", "seed-angle", "seed-angle-true",
         "seed-angle-string", "lattice-checks", "path-checks", "boundary-true", "model-true",
         "hole-kind-true", "attachment-alpha-true", "attachment-beta-true",
-        "attached-letter-true", "swapper-alpha-true", "swapper-beta-true"])
+        "attached-letter-true", "swapper-alpha-true", "swapper-beta-true",
+        "attachment-without-attached-site"])
 def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_case):
     argv, error = make_case(tmp_path, capsys)
     code, out = run_cli(capsys, argv)
@@ -1129,6 +1200,21 @@ def test_a_hole_index_without_a_payload_names_only_the_field(tmp_path, capsys):
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
     assert report["error"] == "CliInputError: hole: index 0 out of range: spec defines 0 hole(s)"
+
+
+def test_anyon_memory_projects_the_ground_state_once(tmp_path, capsys, dense16, monkeypatch):
+    # memory_encode rotates the ground state memory_basis built
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return toric_lattice.ground_state_projector(spec)
+
+    monkeypatch.setattr(anyon_logic, "ground_state_projector", counted)
+    spec = write_json(tmp_path / "torus44.json", {"rows": 4, "cols": 4, "boundary": "periodic"})
+    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
+    assert code == 0 and strict_json(out)["status"] == "pass"
+    assert len(calls) == 1
 
 
 def test_anyon_memory_refuses_a_torus_whose_loops_do_not_close(tmp_path, capsys):

@@ -21,7 +21,7 @@ EXPORTS = sorted([
     "LatticeError", "LatticeSpec", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError",
     "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",
-    "TopologyError", "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
+    "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
     "anticommuting_pairs", "anyon_walk", "apply_schedule", "apply_swap",
     "braiding_phase", "build_variant", "build_wen", "code_state", "commutes",
     "compile_schedule", "conjugate", "depth_bound", "digital_sequence", "distance",
