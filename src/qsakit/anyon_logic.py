@@ -432,7 +432,6 @@ def code_state(spec: LatticeSpec) -> np.ndarray:
     return project_plus(
         zero,
         (term.operator for term in build_variant(spec).terms if term.kind == "vertex"),
-        EncodingError("star projection annihilated the seed state"),
     )
 
 

@@ -29,7 +29,7 @@ import math
 import sys
 
 from .dense_limit import ResourceLimitError, max_dense_qubits
-from .pauli_core import PauliString, float_field, index_field, pair_field
+from .pauli_core import PauliString, anticommuting_pairs, float_field, index_field, pair_field
 from .schedule_compiler import (
     STRATEGIES,
     ConnectivityGraph,
@@ -65,9 +65,9 @@ def _load_json(path: str):
 def _finite_number(value, field: str | None = None) -> float:
     """``float(value)``, refusing NaN, infinities and non-numbers.
 
-    Every real number read from an option, a payload or a spec goes through
-    here (a payload's through :func:`_payload_number`, which first refuses
-    anything but a JSON number); a refusal is malformed input naming ``field``.
+    Every real number read from an option or derived from one goes through
+    here (one read from a file goes through :func:`float_field`); a refusal
+    is malformed input naming ``field``.
     """
     prefix = f"{field}: " if field else ""
     try:
@@ -77,11 +77,6 @@ def _finite_number(value, field: str | None = None) -> float:
     if not math.isfinite(number):
         raise CliInputError(f"{prefix}must be a finite number, got {value!r}")
     return number
-
-
-def _payload_number(value, field: str) -> float:
-    """A finite real read from a payload: a JSON number (:func:`float_field`), and finite."""
-    return _finite_number(float_field(value, field), field)
 
 
 def _digest(argv, paths) -> str:
@@ -174,12 +169,10 @@ def _load_graph(path: str) -> ConnectivityGraph:
 
 
 def _load_schedule(path: str) -> QsaSchedule:
-    """A schedule file, with a finite seed angle."""
+    """A schedule file; a missing or malformed field names the file."""
     data = _load_json(path)
     with _naming("schedule file", path):
-        schedule = QsaSchedule.from_dict(data)
-    _finite_number(schedule.tg, f"bad schedule file {path}: seed.tg")
-    return schedule
+        return QsaSchedule.from_dict(data)
 
 
 # -- subcommand handlers ------------------------------------------------------------
@@ -253,7 +246,7 @@ def _cmd_verify(args):
 
 
 def _lattice_spec(path: str):
-    """A lattice spec file as a :class:`~qsakit.toric_lattice.LatticeSpec`, with a finite J.
+    """A lattice spec file as a :class:`~qsakit.toric_lattice.LatticeSpec`.
 
     A missing or malformed field, or a spec its own checks refuse, names the file.
     """
@@ -261,9 +254,7 @@ def _lattice_spec(path: str):
 
     data = _load_json(path)  # its CliInputError already names the file
     with _naming("lattice spec", path):
-        spec = LatticeSpec.from_dict(data)
-    _finite_number(spec.J, f"bad lattice spec {path}: J")
-    return spec
+        return LatticeSpec.from_dict(data)
 
 
 def _cmd_toric(args):
@@ -271,7 +262,6 @@ def _cmd_toric(args):
 
     from .dense_oracle import compare_pulses, expectation
     from .toric_lattice import (
-        LATTICE_CHECKS,
         build_variant,
         digital_sequence,
         ground_state_projector,
@@ -290,9 +280,20 @@ def _cmd_toric(args):
     }
 
     if args.action == "build":
-        # build_variant raises LatticeError (exit 2) unless both checks hold
         pset = build_variant(spec)
-        checks += [_check(name, True) for name in LATTICE_CHECKS]
+        # the builders do not re-check their sets: a faulty term table shows here
+        clashing = anticommuting_pairs(pset.operators())
+        detail = None
+        if clashing:
+            a, b = (pset.terms[k] for k in clashing[0])
+            detail = f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"
+        checks.append(_check("terms-pairwise-commute", not clashing, detail))
+        overlap = pset.group_overlap()
+        detail = None
+        if overlap is not None:
+            group, sites = overlap
+            detail = f"group {group} members share sites {sites}"
+        checks.append(_check("groups-support-disjoint", overlap is None, detail))
         metrics["n_terms"] = len(pset.terms)
         metrics["group_sizes"] = {
             str(g): len(t) for g, t in sorted(pset.groups().items())
@@ -440,7 +441,7 @@ def _cmd_anyon(args):
 
     elif args.action == "magic":
         with _naming("path file", args.path):
-            theta = _payload_number(payload.get("theta", math.pi / 4.0), "theta")
+            theta = float_field(payload.get("theta", math.pi / 4.0), "theta")
             hole = _hole_from_payload(payload, spec, "hole", default=0)
         report = anyon_logic.magic_report(hole, theta, spec)
         checks.append(
@@ -479,9 +480,9 @@ def _amplitude(entry, field: str) -> complex:
     if isinstance(entry, (list, tuple)):
         if len(entry) != 2:
             raise CliInputError(f"{field}: expected a number or [re, im], got {entry!r}")
-        re, im = (_payload_number(part, f"{field}[{k}]") for k, part in enumerate(entry))
+        re, im = (float_field(part, f"{field}[{k}]") for k, part in enumerate(entry))
         return complex(re, im)
-    return complex(_payload_number(entry, field))
+    return complex(float_field(entry, field))
 
 
 def _hole_from_payload(payload, spec, key, default):

@@ -32,6 +32,7 @@ module is ``TOL`` (1e-12), used when real coefficients are collected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from operator import index
 from typing import Iterable, Mapping, Sequence
@@ -88,15 +89,19 @@ def pair_field(value, field: str) -> tuple[int, int]:
 def float_field(value, field: str) -> float:
     """``float(value)`` for a real field read from input, naming ``field`` on a refusal.
 
-    Only a JSON number is a real: a bool or a string, numeric or not, raises
-    ``TypeError`` instead of being converted.
+    Only a finite JSON number is a real: a bool or a string, numeric or not,
+    raises ``TypeError`` instead of being converted, and NaN or an infinity
+    raises ``ValueError``.
     """
     if isinstance(value, (bool, str)):
         raise TypeError(f"{field}: expected a JSON number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{field}: {exc}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{field}: must be a finite number, got {value!r}")
+    return number
 
 
 def _sites(mask: int) -> tuple[int, ...]:
@@ -314,9 +319,6 @@ class PauliString:
     def with_phase_exp(self, phase_exp: int) -> "PauliString":
         return _masked(self.n_sites, self.x, self.z, phase_exp)
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        return multiply(self, other)
-
     def adjoint(self) -> "PauliString":
         """Hermitian adjoint (letters are self-adjoint; phase conjugates)."""
         return self.with_phase_exp(-self.phase_exp)
@@ -486,12 +488,6 @@ class WeightedPauliSum:
         for _, string in self.terms:
             mask |= string.x | string.z
         return _sites(mask)
-
-    def __add__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
-        _check_same_register(self, other)
-        return WeightedPauliSum.from_terms(
-            self.n_sites, list(self.terms) + list(other.terms)
-        )
 
     def __mul__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         """Operator product, expanded term-by-term and recollected.

@@ -18,8 +18,12 @@ out its terms once, as data:
   kind that removes it: ``face`` terms carry Z and are removed by smooth
   holes, ``vertex`` stars carry X and are removed by rough holes.
 
-Every builder checks that all emitted terms pairwise commute and that the
-four digital groups have pairwise site-disjoint members.
+The builders only build: neighbouring terms share an even number of
+clashing sites by construction, so every set they emit pairwise commutes,
+and each digital group has site-disjoint members.  ``qsakit toric build``
+computes both invariants from the set it built and reports them as its
+checks ``terms-pairwise-commute`` and ``groups-support-disjoint``; a fault
+in a term table is a failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .pauli_core import (
-    PauliString, WeightedPauliSum, anticommuting_pairs, float_field, index_field, pair_field,
+    PauliString, WeightedPauliSum, float_field, index_field, pair_field,
 )
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
@@ -207,9 +211,9 @@ class PlaquetteSet:
     def operators(self) -> tuple[PauliString, ...]:
         return tuple(t.operator for t in self.terms)
 
-    def term_at(self, index: tuple[int, int], kind: str | None = None) -> PlaquetteTerm:
+    def term_at(self, index: tuple[int, int]) -> PlaquetteTerm:
         for t in self.terms:
-            if t.index == tuple(index) and (kind is None or t.kind == kind):
+            if t.index == tuple(index):
                 return t
         raise LatticeError(f"no driven term at index {tuple(index)} (hole or out of range)")
 
@@ -243,24 +247,6 @@ def _shared_sites(supports) -> list[int]:
             return sorted(overlap)
         seen.update(support)
     return []
-
-
-#: The checks :func:`_validate_set` makes on every built set, by report name.
-LATTICE_CHECKS = ("terms-pairwise-commute", "groups-support-disjoint")
-
-
-def _validate_set(pset: PlaquetteSet) -> None:
-    """Builder sanity: mutual commutation and group support-disjointness."""
-    clashing = anticommuting_pairs(pset.operators())
-    if clashing:
-        a, b = (pset.terms[k] for k in clashing[0])
-        raise LatticeError(
-            f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"
-        )
-    overlap = pset.group_overlap()
-    if overlap is not None:
-        group, sites = overlap
-        raise LatticeError(f"group {group} members share sites {sites}")
 
 
 def plaquette_range(spec: LatticeSpec) -> tuple[int, int]:
@@ -336,9 +322,7 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
             terms.append(
                 PlaquetteTerm((i, j), _wen_term(spec, shape, i, j), _wen_group(i, j), shape)
             )
-    pset = PlaquetteSet(spec.n_sites, tuple(terms))
-    _validate_set(pset)
-    return pset
+    return PlaquetteSet(spec.n_sites, tuple(terms))
 
 
 # -- hole-model builder --------------------------------------------------------
@@ -482,9 +466,7 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
     if _shared_sites(regions):
         raise LatticeError("hole regions share edges; holes must be disjoint")
 
-    pset = PlaquetteSet(spec.n_sites, tuple(terms))
-    _validate_set(pset)
-    return pset
+    return PlaquetteSet(spec.n_sites, tuple(terms))
 
 
 def build_variant(spec: LatticeSpec) -> PlaquetteSet:
@@ -592,18 +574,15 @@ def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
     return [t for t in pset.terms if (t.index[0] + t.index[1]) % 2 == 0]
 
 
-def project_plus(array: np.ndarray, operators, error: Exception) -> np.ndarray:
+def project_plus(array: np.ndarray, operators) -> np.ndarray:
     """Normalized ``prod (1 + P)/sqrt(2)`` of ``array`` over commuting ``operators``.
 
-    Raises:
-        error: the projection annihilated the state.
+    Each caller's seed overlaps the joint +1 space of its terms, so the norm
+    divided out is never zero.
     """
     for op in operators:
         array = (array + apply_string(op, array)) / math.sqrt(2.0)
-    norm = float(np.linalg.norm(array))
-    if norm < 1e-9:
-        raise error
-    return array / norm
+    return array / float(np.linalg.norm(array))
 
 
 def ground_state_projector(spec: LatticeSpec) -> np.ndarray:
@@ -618,7 +597,6 @@ def ground_state_projector(spec: LatticeSpec) -> np.ndarray:
     return project_plus(
         build_psi0(spec),
         (term.operator for term in _even_terms(build_wen(spec))),
-        LatticeError("projector annihilated the seed state"),
     )
 
 
@@ -664,17 +642,8 @@ def ground_state_sweep(spec: LatticeSpec):
         )
         stages.append(stage)
 
-    pulses = []
-    used_corners: set[int] = set()
-    for stage in stages:
-        for (i, j, kind) in stage:
-            rotation = _wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j)
-            corner = next(k for k in rotation.support if rotation.letter(k) == "Y")
-            if corner in used_corners:
-                raise LatticeError(
-                    f"sweep ordering bug: corner spin {corner} reused at ({i},{j})"
-                )
-            pulses.append((rotation, math.pi / 4))
-            # every spin this plaquette touched is no longer fresh
-            used_corners.update(rotation.support)
+    pulses = [
+        (_wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j), math.pi / 4)
+        for stage in stages for (i, j, kind) in stage
+    ]
     return run_pulses(pulses, psi0), tuple(stages)

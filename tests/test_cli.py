@@ -209,8 +209,11 @@ def test_an_option_the_action_does_not_read_exits_two(capsys, argv):
      "argument --tg: must be a finite number, got 'nan'"),
     (["compile", "--target", "XZZX", "--strategy", "nonesuch"],
      "argument --strategy: invalid choice: 'nonesuch'"),
+    (["compile", "--target", "XZZX", "--tg", "abc"],
+     "argument --tg: invalid float value: 'abc'"),
     (["toric", "build"], "the following arguments are required: --spec"),
-], ids=["unknown-option", "bad-seed", "nan-tg", "bad-strategy", "missing-option"])
+], ids=["unknown-option", "bad-seed", "nan-tg", "bad-strategy", "non-numeric-tg",
+        "missing-option"])
 def test_a_refused_command_line_prints_a_report(capsys, argv, error):
     # argparse's usage and message still go to stderr
     code = main(argv)
@@ -220,6 +223,26 @@ def test_a_refused_command_line_prints_a_report(capsys, argv, error):
     assert report["error"].startswith(f"CliInputError: {error}")
     assert report["command"] == argv and report["checks"] == []
     assert captured.err.startswith("usage: ") and f"error: {error}" in captured.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["toric", "ground", "--spec", "{holes}"],
+     "LatticeError: build_psi0 is defined for the wen model"),
+    (["toric", "ground", "--spec", "{twisted}"],
+     "LatticeError: ground-state construction does not support twists"),
+    (["analyze", "strength", "--omega", "-1"],
+     "ValueError: both omega and omega_prime are required"),
+], ids=["ground-on-holes", "ground-on-a-twist", "strength-without-omega-prime"])
+def test_a_request_outside_a_workflow_exits_two_naming_the_rule(tmp_path, capsys, argv, error):
+    files = {
+        "holes": write_json(tmp_path / "holes.json", HOLES_SPEC),
+        "twisted": write_json(tmp_path / "twisted.json",
+                              {"rows": 4, "cols": 4, "twists": [{"row": 1, "col": 0}]}),
+    }
+    code, out = run_cli(capsys, [arg.format(**files) for arg in argv])
+    report = strict_json(out)
+    assert code == 2 and report["status"] == "malformed-input"
+    assert report["error"] == error
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["analyze", "error-scaling", "-h"]])
@@ -577,9 +600,13 @@ def test_toric_build_fails_on_a_planted_shape_letter(tmp_path, capsys, monkeypat
     spec = write_json(tmp_path / "wen44.json", {"rows": 4, "cols": 4})
     code, out = run_cli(capsys, ["toric", "build", "--spec", spec])
     report = json.loads(out)
-    assert code == 2
-    assert report["status"] == "malformed-input"
-    assert "do not commute" in report["error"]
+    assert code == 1
+    assert report["status"] == "fail"
+    assert report["checks"] == [
+        {"name": "terms-pairwise-commute", "passed": False,
+         "detail": "terms (0, 0)/plaquette and (1, 1)/plaquette do not commute"},
+        {"name": "groups-support-disjoint", "passed": True},
+    ]
 
 
 def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):
@@ -1070,14 +1097,16 @@ def _swapper(data):
     return data["final_swappers"][0]
 
 
-def _attachment_without_attached_site(tmp_path, capsys):
-    schedule = tmp_path / "plaquette.json"
-    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
-    data = json.loads(schedule.read_text())
-    del _attachment(data)["attached_site"]
-    bad = write_json(tmp_path / "bad.json", data)
-    error = f"bad schedule file {bad}: attachment spec missing field 'attached_site'"
-    return ["verify", "--schedule", bad], error
+def _missing(target, plant, kind, field):
+    def make(tmp_path, capsys):
+        schedule = tmp_path / "good.json"
+        assert run_cli(capsys, ["compile", "--target", target, "--out", str(schedule)])[0] == 0
+        data = json.loads(schedule.read_text())
+        del plant(data)[field]
+        bad = write_json(tmp_path / "bad.json", data)
+        error = f"bad schedule file {bad}: {kind} spec missing field '{field}'"
+        return ["verify", "--schedule", bad], error
+    return make
 
 
 def _lattice_spec_refused_by_its_checks(tmp_path, capsys):
@@ -1104,12 +1133,13 @@ def _path_refused_by_its_checks(tmp_path, capsys):
     _pulse_text("XZZX", _attachment, "alpha"), _pulse_text("XZZX", _attachment, "beta"),
     _pulse_text("XZZX", _attachment, "attached_letter"),
     _pulse_text("XZY", _swapper, "alpha"), _pulse_text("XZY", _swapper, "beta"),
-    _attachment_without_attached_site,
+    _missing("XZZX", _attachment, "attachment", "attached_site"),
+    _missing("XZY", _swapper, "swapper", "site"),
 ], ids=["coupling", "coupling-true", "coupling-string", "seed-angle", "seed-angle-true",
         "seed-angle-string", "lattice-checks", "path-checks", "boundary-true", "model-true",
         "hole-kind-true", "attachment-alpha-true", "attachment-beta-true",
         "attached-letter-true", "swapper-alpha-true", "swapper-beta-true",
-        "attachment-without-attached-site"])
+        "attachment-without-attached-site", "swapper-without-site"])
 def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_case):
     argv, error = make_case(tmp_path, capsys)
     code, out = run_cli(capsys, argv)
@@ -1170,6 +1200,11 @@ WEN44 = {"rows": 4, "cols": 4}
     _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
                   {"amplitudes": [1, [0, True], 0, 0]},
                   "amplitudes[1][1]: expected a JSON number, got True"),
+    _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
+                  {"amplitudes": [[1, 2, 3], 0, 0, 0]},
+                  "amplitudes[0]: expected a number or [re, im], got [1, 2, 3]"),
+    _payload_case("memory", {"rows": 4, "cols": 4, "boundary": "periodic"},
+                  {"amplitudes": [0, [0, 0], 0.0, 0]}, "amplitudes must not all vanish"),
     _payload_case("magic", HOLES_SPEC, {"theta": "abc"},
                   "theta: expected a JSON number, got 'abc'"),
     _payload_case("magic", HOLES_SPEC, {"theta": True}, "theta: expected a JSON number, got True"),
@@ -1182,7 +1217,8 @@ WEN44 = {"rows": 4, "cols": 4}
     _three_entry_plaquette,
     _payload_case("syndrome", WEN44, {"sites": [[0, 0]], "letters": [True]},
                   "invalid path letter True"),
-], ids=["fractional-hole", "center", "three-amplitudes", "true-amplitude", "non-numeric-theta",
+], ids=["fractional-hole", "center", "three-amplitudes", "true-amplitude",
+        "three-part-amplitude", "vanishing-amplitudes", "non-numeric-theta",
         "true-theta", "string-theta", "control-out-of-range", "three-entry-site",
         "three-entry-plaquette", "true-letter"])
 def test_a_refused_payload_value_names_the_file_and_the_field(tmp_path, capsys, make_case):

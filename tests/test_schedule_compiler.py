@@ -318,6 +318,15 @@ def test_to_json_writes_hand_built_schedules_as_dumped():
         _assert_written_as_dumped(replace(wide, tg=tg))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_schedule_with_a_non_finite_seed_angle_is_refused(value):
+    data = compile_schedule(PauliString.parse("XZZX")).to_dict()
+    data["seed"]["tg"] = value
+    with pytest.raises(ValueError) as info:
+        QsaSchedule.from_dict(data)
+    assert str(info.value) == f"seed.tg: must be a finite number, got {value!r}"
+
+
 def test_validator_names_layer_violations():
     schedule = compile_schedule(
         PauliString.parse("XZZX"), ConnectivityGraph.complete(4)

@@ -1,11 +1,15 @@
 """Lattice builds, digital evolution and ground states vs brute force."""
 
+import itertools
+import json
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from qsakit.anyon_logic import code_state
+from qsakit.cli import main
 from qsakit.dense_oracle import apply_string, distance, expectation
 from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes, multiply
 from qsakit import toric_lattice
@@ -17,7 +21,6 @@ from qsakit.toric_lattice import (
     PlaquetteSet,
     PlaquetteTerm,
     TwistSpec,
-    _validate_set,
     build_kitaev_holes,
     build_variant,
     build_wen,
@@ -95,6 +98,13 @@ def test_spec_dict_round_trip():
     assert LatticeSpec.from_dict(spec.to_dict()) == spec
     twisted = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
     assert LatticeSpec.from_dict(twisted.to_dict()) == twisted
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_spec_with_a_non_finite_coupling_is_refused(value):
+    with pytest.raises(ValueError) as info:
+        LatticeSpec.from_dict({"rows": 3, "cols": 3, "J": value})
+    assert str(info.value) == f"J: must be a finite number, got {value!r}"
 
 
 def test_wen_plaquette_pattern():
@@ -216,11 +226,19 @@ def test_psi0_is_stabilized_by_odd_plaquettes():
 
 
 def test_ground_state_projector_stabilizes_everything():
-    for rows, cols, boundary in [(3, 3, "open"), (3, 4, "open")]:
-        spec = LatticeSpec(rows=rows, cols=cols, boundary=boundary)
-        g = ground_state_projector(spec)
-        for term in build_wen(spec).terms:
-            assert expectation(term.operator, g).real == pytest.approx(1.0)
+    # every spec up to 12 sites that a projection accepts: the wen ground
+    # state and the hole model's code state are unit states that every
+    # driven term, projected or not, stabilizes
+    projected = 0
+    for spec, pset in accepted_builds(12, max_sites=12):
+        if spec.twists:
+            continue
+        state = ground_state_projector(spec) if spec.model == "wen" else code_state(spec)
+        assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+        for op in pset.operators():
+            assert abs(expectation(op, state) - 1.0) <= 1e-10
+        projected += 1
+    assert projected == 285
 
 
 def test_ground_state_sweep_equals_projector():
@@ -232,6 +250,34 @@ def test_ground_state_sweep_equals_projector():
         assert len(stages) >= 1
         for term in build_wen(spec).terms:
             assert expectation(term.operator, swept).real == pytest.approx(1.0)
+
+
+def test_sweep_rotations_find_their_y_corner_fresh(monkeypatch):
+    # the sweep's rotations only, without the dense state: each rotation acts
+    # as (1 + P)/sqrt(2) because its Y corner is still in |0>, untouched by
+    # every rotation before it; grids up to 12x12 without a hole, and every
+    # even-anchored single hole up to 8x8 (only even terms are swept)
+    monkeypatch.setattr(toric_lattice, "build_psi0", lambda spec: None)
+    monkeypatch.setattr(toric_lattice, "run_pulses", lambda pulses, state: pulses)
+    for rows, cols in itertools.product(range(2, 13), repeat=2):
+        holes = [()]
+        if rows <= 8 and cols <= 8:
+            holes += [
+                (HoleSpec((cell,)),)
+                for cell in itertools.product(range(rows - 1), range(cols - 1))
+                if sum(cell) % 2 == 0
+            ]
+        for hole in holes:
+            spec = LatticeSpec(rows=rows, cols=cols, holes=hole)
+            pulses, stages = ground_state_sweep(spec)
+            entries = [entry for stage in stages for entry in stage]
+            assert len(pulses) == len(entries)
+            touched = set()
+            for (rotation, angle), (i, j, kind) in zip(pulses, entries):
+                corner = spec.site_index(i + 1, j + 1) if kind == "A" else spec.site_index(i, j)
+                assert rotation.letter(corner) == "Y" and angle == np.pi / 4
+                assert corner not in touched, (spec, i, j)
+                touched.update(rotation.support)
 
 
 def test_ground_state_energy_is_minimal():
@@ -334,16 +380,30 @@ def first_anticommuting(pset):
     return None
 
 
-def test_validate_set_names_the_first_anticommuting_pair():
+def toric_build_checks(monkeypatch, capsys, tmp_path, spec, pset=None):
+    """The checks ``qsakit toric build`` reports on ``spec``, whose build is ``pset`` if given."""
+    if pset is not None:
+        monkeypatch.setattr(toric_lattice, "build_variant", lambda _: pset)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["toric", "build", "--spec", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == {"pass": 0, "fail": 1}[report["status"]]
+    return report["checks"]
+
+
+def test_toric_build_names_the_first_anticommuting_pair(monkeypatch, capsys, tmp_path):
     # XXII anticommutes with IZIZ (site 1) and with ZIII (site 0)
     pset = hand_set(("XXII", 1), ("IIZZ", 2), ("IZIZ", 3), ("ZIII", 4))
     assert first_anticommuting(pset) == (0, 2)
-    with pytest.raises(LatticeError, match=r"terms \(0, 0\)/plaquette and "
-                       r"\(0, 2\)/plaquette do not commute"):
-        _validate_set(pset)
+    assert toric_build_checks(monkeypatch, capsys, tmp_path, {"rows": 2, "cols": 2}, pset) == [
+        {"name": "terms-pairwise-commute", "passed": False,
+         "detail": "terms (0, 0)/plaquette and (0, 2)/plaquette do not commute"},
+        {"name": "groups-support-disjoint", "passed": True},
+    ]
 
 
-def test_validate_set_catches_a_planted_letter_on_a_lattice():
+def test_toric_build_catches_a_planted_letter_on_a_lattice(monkeypatch, capsys, tmp_path):
     terms = list(build_wen(LatticeSpec(rows=5, cols=5)).terms)
     # plant a Y in one term, then in a second one as well
     for k in (5, 10):
@@ -364,20 +424,80 @@ def test_validate_set_catches_a_planted_letter_on_a_lattice():
         assert expected
         assert anticommuting_pairs(ops) == expected
         a, b = (pset.terms[i] for i in expected[0])
-        with pytest.raises(LatticeError) as info:
-            _validate_set(pset)
-        assert str(info.value) == (
-            f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"
-        )
+        checks = toric_build_checks(monkeypatch, capsys, tmp_path, {"rows": 5, "cols": 5}, pset)
+        assert checks == [
+            {"name": "terms-pairwise-commute", "passed": False,
+             "detail": f"terms {a.index}/{a.kind} and {b.index}/{b.kind} do not commute"},
+            {"name": "groups-support-disjoint", "passed": True},
+        ]
 
 
-def test_validate_set_rejects_group_overlap():
+def test_toric_build_fails_on_a_group_overlap(monkeypatch, capsys, tmp_path):
     pset = hand_set(("XXII", 1), ("IIIZ", 2), ("IXXI", 1))
     assert first_anticommuting(pset) is None
     assert pset.group_overlap() == (1, [1])
-    with pytest.raises(LatticeError, match=r"group 1 members share sites \[1\]"):
-        _validate_set(pset)
-    assert build_wen(LatticeSpec(rows=4, cols=4)).group_overlap() is None
+    assert toric_build_checks(monkeypatch, capsys, tmp_path, {"rows": 2, "cols": 2}, pset) == [
+        {"name": "terms-pairwise-commute", "passed": True},
+        {"name": "groups-support-disjoint", "passed": False,
+         "detail": "group 1 members share sites [1]"},
+    ]
+    # a planted group rule on the real builder: every wen plaquette in group 1
+    monkeypatch.undo()
+    monkeypatch.setattr(toric_lattice, "_wen_group", lambda i, j: 1)
+    assert toric_build_checks(monkeypatch, capsys, tmp_path, {"rows": 3, "cols": 3}) == [
+        {"name": "terms-pairwise-commute", "passed": True},
+        {"name": "groups-support-disjoint", "passed": False,
+         "detail": "group 1 members share sites [1, 4]"},
+    ]
+
+
+def accepted_builds(largest, max_sites=None):
+    """``(spec, build_variant(spec))`` for every spec on grids from 2x2 to
+    ``largest`` x ``largest`` (of at most ``max_sites`` sites) that the builders accept.
+
+    Both boundaries and both models, each with no hole or one single-cell
+    hole of either kind, and open wen with one twist or two (in different
+    rows).  A hole cell is any grid cell its builder accepts.
+    """
+    for rows, cols in itertools.product(range(2, largest + 1), repeat=2):
+        for boundary, model in itertools.product(toric_lattice.BOUNDARIES, toric_lattice.MODELS):
+            if boundary == "periodic" and (rows % 2 or cols % 2):
+                continue
+            base = {"rows": rows, "cols": cols, "boundary": boundary, "model": model}
+            if max_sites is not None and LatticeSpec(**base).n_sites > max_sites:
+                continue
+            specs = [LatticeSpec(**base)] + [
+                LatticeSpec(**base, holes=(HoleSpec((cell,), kind),))
+                for kind in toric_lattice.HOLE_KINDS
+                for cell in itertools.product(range(rows), range(cols))
+            ]
+            if model == "wen" and boundary == "open" and cols >= 3:
+                anchors = list(itertools.product(range(rows - 1), range(cols - 2)))
+                specs += [
+                    LatticeSpec(**base, twists=tuple(TwistSpec(*t) for t in twists))
+                    for twists in itertools.chain(
+                        ((a,) for a in anchors),
+                        ((a, b) for a, b in itertools.combinations(anchors, 2) if a[0] != b[0]),
+                    )
+                ]
+            for spec in specs:
+                try:
+                    pset = build_variant(spec)
+                except LatticeError as exc:
+                    assert spec.holes and "out of range" in str(exc), spec
+                    continue
+                yield spec, pset
+
+
+def test_every_accepted_spec_builds_a_commuting_disjoint_set():
+    # the builders no longer check their sets, so this test does: up to 6x6
+    # no two terms anticommute and no group's members share a site
+    count = 0
+    for spec, pset in accepted_builds(6):
+        assert anticommuting_pairs(pset.operators()) == [], spec
+        assert pset.group_overlap() is None, spec
+        count += 1
+    assert count == 2369
 
 
 def test_kitaev_hole_overlap_rejected():
