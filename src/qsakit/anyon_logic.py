@@ -158,8 +158,6 @@ def syndrome_of(path: StringPath, spec: LatticeSpec) -> Syndrome:
     X strings the antidiagonal, interior pairs cancel) is exactly the
     anticommutation computation performed here.
     """
-    if spec.model != "wen":
-        raise PathError("syndromes are defined for the wen model")
     string = path_string(path, spec)
     entries = []
     for term in build_wen(spec).terms:
@@ -174,9 +172,7 @@ def predict_syndrome(path: StringPath, spec: LatticeSpec) -> Syndrome:
     Per site: Z excites anchors (i-1, j-1) and (i, j); X excites (i-1, j) and
     (i, j-1); Y excites all four.  Repeated excitations cancel pairwise.
     Only standard lattices (no twists) are supported; the plaquettes listed
-    in ``spec.holes`` are not driven, so they cannot be excited.  The holes
-    are read as listed, not validated: :func:`syndrome_of` builds the lattice
-    and refuses a bad one.
+    in ``spec.holes`` are not driven, so they cannot be excited.
     """
     if spec.twists:
         raise PathError("the color-rule prediction does not cover twist defects")
@@ -278,14 +274,10 @@ def memory_qubits(spec: LatticeSpec) -> tuple[tuple[PauliString, PauliString], .
     return tuple((path_string(x, spec), path_string(z, spec)) for x, z in pairs)
 
 
-def memory_basis(spec: LatticeSpec) -> tuple[np.ndarray, ...]:
-    """(|G>, X1|G>, X2|G>, X1 X2|G>): the four loop-distinct ground states."""
-    if spec.boundary != "periodic":
-        raise EncodingError("the quantum memory requires a periodic boundary")
+def memory_basis(spec: LatticeSpec) -> list[np.ndarray]:
+    """[|G>, X1|G>, X2|G>, X1 X2|G>]: the four loop-distinct ground states."""
     (x1, _), (x2, _) = memory_qubits(spec)
-    g = ground_state_projector(spec)
-    psi2 = apply_string(x2, g)
-    return g, apply_string(x1, g), psi2, apply_string(x1, psi2)
+    return _logical_basis([x2, x1], ground_state_projector(spec))
 
 
 def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -320,8 +312,6 @@ def memory_encode(spec: LatticeSpec, amplitudes, ground: np.ndarray) -> np.ndarr
     four basis states equal the normalized amplitudes up to float roundoff.
     Zero-angle rotations are dropped: at most seven loop rotations run.
     """
-    if spec.boundary != "periodic":
-        raise EncodingError("the quantum memory requires a periodic boundary")
     a = np.asarray(list(amplitudes), dtype=np.complex128)
     if a.shape != (4,):
         raise ValueError("amplitudes must have exactly four entries")
@@ -595,8 +585,7 @@ def loop_cnot(control_hole: HoleSpec, target_hole: HoleSpec, spec: LatticeSpec) 
     the target hole, and back, with doubly crossed edges cancelled).  Both
     factors are X strings that every kept face meets on an even number of
     edges, so the braid stays in the code space; it anticommutes with both
-    holes' logical Z, so it encloses the target and drags the control.  The
-    lattice itself is built, and refused, by the handle's state preparation.
+    holes' logical Z, so it encloses the target and drags the control.
 
     Raises:
         EncodingError: control is not smooth / target is not rough, or a

@@ -481,7 +481,6 @@ def _krylov_norm(
         u *= 1.0 / scale
         u -= beta * left[k]
         u -= np.conjugate(left[:k + 1] @ np.conjugate(u)) @ left[:k + 1]
-    return None
 
 
 def _spectral_norm(d: np.ndarray, operands=()) -> float:

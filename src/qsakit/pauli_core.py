@@ -90,8 +90,8 @@ def float_field(value, field: str) -> float:
     """``float(value)`` for a real field read from input, naming ``field`` on a refusal.
 
     Only a finite JSON number is a real: a bool or a string, numeric or not,
-    raises ``TypeError`` instead of being converted, and NaN or an infinity
-    raises ``ValueError``.
+    raises ``TypeError`` instead of being converted, and NaN, an infinity or
+    an integer too large for a float raises ``ValueError``.
     """
     if isinstance(value, (bool, str)):
         raise TypeError(f"{field}: expected a JSON number, got {value!r}")
@@ -99,6 +99,8 @@ def float_field(value, field: str) -> float:
         number = float(value)
     except (TypeError, ValueError) as exc:
         raise type(exc)(f"{field}: {exc}") from None
+    except OverflowError as exc:
+        raise ValueError(f"{field}: {exc}") from None
     if not math.isfinite(number):
         raise ValueError(f"{field}: must be a finite number, got {value!r}")
     return number

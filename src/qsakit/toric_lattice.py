@@ -18,12 +18,13 @@ out its terms once, as data:
   kind that removes it: ``face`` terms carry Z and are removed by smooth
   holes, ``vertex`` stars carry X and are removed by rough holes.
 
-The builders only build: neighbouring terms share an even number of
-clashing sites by construction, so every set they emit pairwise commutes,
-and each digital group has site-disjoint members.  ``qsakit toric build``
-computes both invariants from the set it built and reports them as its
-checks ``terms-pairwise-commute`` and ``groups-support-disjoint``; a fault
-in a term table is a failed check (exit 1).
+A :class:`LatticeSpec` refuses a bad hole when it is made, so every spec it
+accepts builds.  The builders only build: neighbouring terms share an even
+number of clashing sites by construction, so every set they emit pairwise
+commutes, and each digital group has site-disjoint members.
+``qsakit toric build`` computes both invariants from the set it built and
+reports them as its checks ``terms-pairwise-commute`` and
+``groups-support-disjoint``; a fault in a term table is a failed check (exit 1).
 """
 
 from __future__ import annotations
@@ -142,6 +143,7 @@ class LatticeSpec:
                 if tw.row in rows_used:
                     raise LatticeError("at most one twist per plaquette row")
                 rows_used.add(tw.row)
+        _check_holes(self)
 
     @property
     def n_sites(self) -> int:
@@ -291,20 +293,12 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
     five-body defect and the rest of its row by skewed terms.
 
     Raises:
-        LatticeError: wrong model; invalid holes.
+        LatticeError: wrong model.
     """
     if spec.model != "wen":
         raise LatticeError(f"build_wen needs model 'wen', got {spec.model!r}")
     prow, pcol = plaquette_range(spec)
-    holes: set[tuple[int, int]] = set()
-    for hole in spec.holes:
-        for (i, j) in hole.plaquettes:
-            if not (0 <= i < prow and 0 <= j < pcol):
-                raise LatticeError(f"hole plaquette ({i}, {j}) out of range")
-            if (i, j) in holes:
-                raise LatticeError(f"holes overlap at plaquette ({i}, {j})")
-            holes.add((i, j))
-
+    holes = {cell for hole in spec.holes for cell in hole.plaquettes}
     twist_rows = {tw.row: tw.col for tw in spec.twists}
     terms: list[PlaquetteTerm] = []
     for i in range(prow):
@@ -361,9 +355,6 @@ def _kitaev_edge_table(r: int, c: int, boundary: str) -> Mapping[tuple, int]:
 
 def kitaev_edge_index(spec: LatticeSpec, kind: str, i: int, j: int) -> int:
     """Qubit index of edge ('v', i, j) = (i,j)-(i+1,j) or ('h', i, j) = (i,j)-(i,j+1)."""
-    if spec.boundary == "periodic":
-        i %= spec.rows
-        j %= spec.cols
     table = _kitaev_edges(spec)
     key = (kind, i, j)
     if key not in table:
@@ -376,18 +367,17 @@ class _KitaevKind(NamedTuple):
     group: int  # digital group of even anchors; odd anchors run in group + 1
     hole: str  # the hole kind that removes the term
     offsets: tuple[tuple[str, int, int], ...]  # edge keys relative to the anchor
-    name: str  # singular and plural, for error messages
-    plural: str
+    name: str  # for error messages
 
 
 #: Face and vertex-star terms of the hole model, in build order.
 _KITAEV_KINDS: dict[str, _KitaevKind] = {
     "face": _KitaevKind(
-        "Z", 1, "smooth", (("v", 0, 0), ("v", 0, 1), ("h", 0, 0), ("h", 1, 0)), "face", "faces",
+        "Z", 1, "smooth", (("v", 0, 0), ("v", 0, 1), ("h", 0, 0), ("h", 1, 0)), "face",
     ),
     "vertex": _KitaevKind(
         "X", 3, "rough", (("v", -1, 0), ("v", 0, 0), ("h", 0, -1), ("h", 0, 0)),
-        "vertex star", "vertices",
+        "vertex star",
     ),
 }
 
@@ -436,37 +426,52 @@ def build_kitaev_holes(spec: LatticeSpec) -> PlaquetteSet:
         raise LatticeError(
             f"build_kitaev_holes needs model 'kitaev_holes', got {spec.model!r}"
         )
-    # each removed cell -> the index of the hole that lists it
-    skips: dict[str, dict[tuple[int, int], int]] = {kind: {} for kind in HOLE_KINDS}
-    for index, hole in enumerate(spec.holes):
-        for coord in hole.plaquettes:
-            if coord in skips[hole.kind]:
-                raise LatticeError(f"holes overlap at {coord}")
-            skips[hole.kind][coord] = index
-
     terms: list[PlaquetteTerm] = []
-    regions: list[set[int]] = [set() for _ in spec.holes]  # sites each hole removes
     for kind, entry in _KITAEV_KINDS.items():
-        skip = skips[entry.hole]
+        skip = {cell for hole in spec.holes if hole.kind == entry.hole for cell in hole.plaquettes}
         rows, cols = _kitaev_anchors(spec, kind)
-        for i in rows:
-            for j in cols:
-                operator = kitaev_operator(spec, kind, i, j)
-                if (i, j) in skip:
-                    regions[skip.pop((i, j))].update(operator.support)
-                    continue
-                terms.append(
-                    PlaquetteTerm((i, j), operator, entry.group + (i + j) % 2, kind)
-                )
-    for entry in _KITAEV_KINDS.values():
-        if skips[entry.hole]:
-            raise LatticeError(
-                f"{entry.hole} hole {entry.plural} out of range: {sorted(skips[entry.hole])}"
+        terms += [
+            PlaquetteTerm(
+                (i, j), kitaev_operator(spec, kind, i, j), entry.group + (i + j) % 2, kind
             )
+            for i in rows for j in cols if (i, j) not in skip
+        ]
+    return PlaquetteSet(spec.n_sites, tuple(terms))
+
+
+def _check_holes(spec: LatticeSpec) -> None:
+    """Refuse hole cells off the cell grid or listed twice and, in the hole model,
+    holes whose removed terms share an edge.  Wen checks cell by cell; the hole
+    model checks every repeat, then the faces' range, the stars', then the edges."""
+    if spec.model == "wen":
+        prow, pcol = plaquette_range(spec)
+        seen: set[tuple[int, int]] = set()
+        for (i, j) in (cell for hole in spec.holes for cell in hole.plaquettes):
+            if not (0 <= i < prow and 0 <= j < pcol):
+                raise LatticeError(f"hole plaquette ({i}, {j}) out of range")
+            if (i, j) in seen:
+                raise LatticeError(f"holes overlap at plaquette ({i}, {j})")
+            seen.add((i, j))
+        return
+    cells: dict[str, set[tuple[int, int]]] = {kind: set() for kind in HOLE_KINDS}
+    for hole in spec.holes:
+        for coord in hole.plaquettes:
+            if coord in cells[hole.kind]:
+                raise LatticeError(f"holes overlap at {coord}")
+            cells[hole.kind].add(coord)
+    for kind, entry in _KITAEV_KINDS.items():
+        rows, cols = _kitaev_anchors(spec, kind)
+        off = sorted((i, j) for (i, j) in cells[entry.hole] if i not in rows or j not in cols)
+        if off:
+            plural = "faces" if kind == "face" else "vertices"
+            raise LatticeError(f"{entry.hole} hole {plural} out of range: {off}")
+    removed = {entry.hole: kind for kind, entry in _KITAEV_KINDS.items()}
+    regions = (
+        {e for cell in hole.plaquettes for e in kitaev_edge_keys(spec, removed[hole.kind], *cell)}
+        for hole in spec.holes
+    )
     if _shared_sites(regions):
         raise LatticeError("hole regions share edges; holes must be disjoint")
-
-    return PlaquetteSet(spec.n_sites, tuple(terms))
 
 
 def build_variant(spec: LatticeSpec) -> PlaquetteSet:
@@ -490,11 +495,9 @@ def plaquette_schedule(
     swappers.
 
     Raises:
-        LatticeError: non-wen model, or no driven term at ``(i, j)``
-            (hole overlap / out of range).
+        LatticeError: non-wen model, or no driven term at ``(i, j)`` (a hole
+            or out of range).
     """
-    if spec.model != "wen":
-        raise LatticeError("plaquette_schedule addresses wen terms")
     term = build_wen(spec).term_at((i, j))
     return compile_schedule(term.operator, strategy=strategy, tg=spec.J * tau)
 

@@ -138,12 +138,10 @@ def test_prediction_matches_anticommutation_randomized():
             )
 
 
-def test_an_off_lattice_hole_is_refused_by_the_build_not_the_prediction():
-    z = StringPath(((2, 2),), ("Z",))
-    bad = LatticeSpec(rows=4, cols=4, holes=(HoleSpec(((3, 0),)),))
-    assert predict_syndrome(z, bad).entries == (((1, 1), "e"), ((2, 2), "e"))
-    with pytest.raises(LatticeError, match=r"hole plaquette \(3, 0\) out of range"):
-        syndrome_of(z, bad)
+def test_an_off_lattice_hole_is_refused_before_any_syndrome():
+    # the spec refuses the hole when it is made, so neither route ever reads it
+    with pytest.raises(LatticeError, match=r"^hole plaquette \(3, 0\) out of range$"):
+        LatticeSpec(rows=4, cols=4, holes=(HoleSpec(((3, 0),)),))
 
 
 def test_single_letter_syndromes():
@@ -512,7 +510,7 @@ def test_loop_cnot_rejects_wrong_hole_kinds():
 
 
 def _hole_pairs():
-    """Every (smooth face, rough star) one-plaquette hole pair the build accepts,
+    """Every (smooth face, rough star) one-plaquette hole pair the spec accepts,
     on open kitaev_holes grids from 2x2 to 5x5: (spec, kept terms)."""
     for rows in range(2, 6):
         for cols in range(2, 6):
@@ -522,12 +520,11 @@ def _hole_pairs():
             for face in faces:
                 for star in stars:
                     holes = (HoleSpec((face,), "smooth"), HoleSpec((star,), "rough"))
-                    spec = LatticeSpec(rows=rows, cols=cols, model="kitaev_holes", holes=holes)
                     try:
-                        terms = build_variant(spec).terms
+                        spec = LatticeSpec(rows=rows, cols=cols, model="kitaev_holes", holes=holes)
                     except LatticeError:  # the face and the star share an edge
                         continue
-                    yield spec, terms
+                    yield spec, build_variant(spec).terms
 
 
 def test_every_hole_pair_braid_stays_in_the_code_space_and_links_both_holes():
@@ -563,3 +560,33 @@ def test_naive_move_error_values():
         TypeError, match="^extension: 'float' object cannot be interpreted as an integer$"
     ):
         naive_move_error(("h", 1.7, 0), HOLES_SPEC, hole, tg)
+
+
+TORUS_44 = LatticeSpec(rows=4, cols=4, boundary="periodic")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: anyon_walk(TORUS_44, [(0, 0)]), PathError, "a walk needs at least two plaquettes"),
+    (lambda: anyon_walk(TORUS_44, [(0, 0), (0, 1)]), PathError,
+     "plaquettes (0, 0) and (0, 1) are not diagonal neighbors"),
+    (lambda: loop_path(TORUS_44, "f", "vertical"), PathError,
+     "loop kind must be 'e' or 'm', got 'f'"),
+    (lambda: loop_path(TORUS_44, "e", "diagonal"), PathError,
+     "orientation must be vertical or horizontal, got 'diagonal'"),
+    (lambda: code_state(WEN_3X3), EncodingError,
+     "code_state is defined for the kitaev_holes model"),
+    # the smooth hole's X string is the one edge below it
+    (lambda: naive_move_error(("h", 2, 0), HOLES_SPEC, HOLES_SPEC.holes[0], 0.3), EncodingError,
+     "extension edge already belongs to the hole string"),
+    # the CLI refuses both before the ground state; these guard library callers,
+    # whose fifth amplitude the 2x2 coefficient matrix would drop unread
+    (lambda: memory_encode(TORUS_44, [1, 0, 0, 0, 1], None), ValueError,
+     "amplitudes must have exactly four entries"),
+    (lambda: memory_encode(TORUS_44, [0, 0, 0, 0], None), ValueError,
+     "amplitudes must not all vanish"),
+], ids=["walk-of-one", "walk-off-the-diagonal", "loop-kind", "loop-orientation",
+        "code-state-on-wen", "move-onto-the-string", "five-amplitudes", "zero-amplitudes"])
+def test_an_anyon_routine_refuses_what_it_cannot_do(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

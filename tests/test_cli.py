@@ -2,9 +2,11 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -232,12 +234,32 @@ def test_a_refused_command_line_prints_a_report(capsys, argv, error):
      "LatticeError: ground-state construction does not support twists"),
     (["analyze", "strength", "--omega", "-1"],
      "ValueError: both omega and omega_prime are required"),
-], ids=["ground-on-holes", "ground-on-a-twist", "strength-without-omega-prime"])
+    (["anyon", "syndrome", "--spec", "{holes}", "--path", "{path}"],
+     "PathError: string paths address wen-model spins"),
+    (["anyon", "syndrome", "--spec", "{twisted}", "--path", "{path}"],
+     "PathError: the color-rule prediction does not cover twist defects"),
+    (["anyon", "memory", "--spec", "{wen}"],
+     "PathError: memory loops require the periodic wen model"),
+    (["anyon", "memory", "--spec", "{holes_torus}"],
+     "PathError: memory loops require the periodic wen model"),
+    (["anyon", "cnot", "--spec", "{holes}", "--path", "{smooth_target}"],
+     "EncodingError: the enclosed (target) hole must be rough"),
+    (["compile", "--target", "XZZX", "--graph", "{graph5}"],
+     "UnsupportedTargetError: target on 4 sites, graph on 5"),
+], ids=["ground-on-holes", "ground-on-a-twist", "strength-without-omega-prime",
+        "syndrome-on-holes", "syndrome-on-a-twist", "memory-on-open-wen",
+        "memory-on-a-holes-torus", "cnot-with-a-smooth-target", "graph-wider-than-target"])
 def test_a_request_outside_a_workflow_exits_two_naming_the_rule(tmp_path, capsys, argv, error):
     files = {
         "holes": write_json(tmp_path / "holes.json", HOLES_SPEC),
         "twisted": write_json(tmp_path / "twisted.json",
                               {"rows": 4, "cols": 4, "twists": [{"row": 1, "col": 0}]}),
+        "wen": write_json(tmp_path / "wen.json", {"rows": 4, "cols": 4}),
+        "holes_torus": write_json(tmp_path / "torus.json", {
+            "rows": 2, "cols": 2, "boundary": "periodic", "model": "kitaev_holes"}),
+        "path": write_json(tmp_path / "path.json", {"sites": [[1, 1]], "letters": "Z"}),
+        "smooth_target": write_json(tmp_path / "cnot.json", {"control": 0, "target": 0}),
+        "graph5": complete_graph_file(tmp_path, 5),
     }
     code, out = run_cli(capsys, [arg.format(**files) for arg in argv])
     report = strict_json(out)
@@ -898,6 +920,23 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["metrics"]["g_prime"] == 1.0
 
 
+def test_the_module_entry_point_runs_main_in_this_process(capsys, monkeypatch):
+    # runpy executes qsakit/__main__.py here, where the child process above cannot be seen
+    monkeypatch.setattr(sys, "argv", ["qsakit"] + STRENGTH_ARGS)
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("qsakit", run_name="__main__")
+    assert info.value.code == 0
+    assert strict_json(capsys.readouterr().out)["metrics"]["g_prime"] == 1.0
+
+
+def test_the_digest_and_the_report_encoder_on_what_they_cannot_read(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    want = hashlib.sha256("\x1f".join(["verify", missing]).encode() + b"\x1e<unreadable>")
+    assert cli._digest(["verify", missing], [missing]) == want.hexdigest()
+    with pytest.raises(TypeError, match="^Object of type object is not JSON serializable$"):
+        cli._complex_pair(object())
+
+
 def test_benchmark_tracer_finds_every_reported_function():
     # bench/run.py --trace 1 wraps these functions by name and refuses to start
     # when one of them is missing from qsakit
@@ -1116,6 +1155,57 @@ def _lattice_spec_refused_by_its_checks(tmp_path, capsys):
     return ["anyon", "syndrome", "--spec", spec, "--path", path], error
 
 
+def _spec_refused(spec, message):
+    def make(tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json", {"rows": 3, "cols": 4, **spec})
+        return ["toric", "build", "--spec", path], f"bad lattice spec {path}: {message}"
+    return make
+
+
+def _unreadable_spec(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    error = f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    return ["toric", "build", "--spec", str(path)], error
+
+
+def _graph_without_sites(tmp_path, capsys):
+    graph = write_json(tmp_path / "graph.json", {"n_sites": 0, "edges": []})
+    error = f"bad graph file {graph}: n_sites must be positive, got 0"
+    return PLAQUETTE_ARGS + ["--graph", graph], error
+
+
+HUGE = 10**400  # a JSON integer no float holds
+TOO_LARGE = "int too large to convert to float"
+
+
+def _huge_coupling(tmp_path, capsys):
+    spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3, "J": HUGE})
+    return ["toric", "build", "--spec", spec], f"bad lattice spec {spec}: J: {TOO_LARGE}"
+
+
+def _huge_seed_angle(tmp_path, capsys):
+    schedule = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(schedule)])[0] == 0
+    data = json.loads(schedule.read_text())
+    data["seed"]["tg"] = HUGE
+    bad = write_json(tmp_path / "bad.json", data)
+    return ["verify", "--schedule", bad], f"bad schedule file {bad}: seed.tg: {TOO_LARGE}"
+
+
+def _huge_theta(tmp_path, capsys):
+    spec = write_json(tmp_path / "holes.json", HOLES_SPEC)
+    payload = write_json(tmp_path / "magic.json", {"theta": HUGE})
+    argv = ["anyon", "magic", "--spec", spec, "--path", payload]
+    return argv, f"bad path file {payload}: theta: {TOO_LARGE}"
+
+
+def _huge_amplitude(tmp_path, capsys):
+    spec = write_json(tmp_path / "torus.json", {"rows": 4, "cols": 4, "boundary": "periodic"})
+    payload = write_json(tmp_path / "memory.json", {"amplitudes": [1, [0, HUGE], 0, 0]})
+    argv = ["anyon", "memory", "--spec", spec, "--path", payload]
+    return argv, f"bad path file {payload}: amplitudes[1][1]: {TOO_LARGE}"
+
+
 def _path_refused_by_its_checks(tmp_path, capsys):
     spec = write_json(tmp_path / "wen.json", {"rows": 3, "cols": 3})
     path = write_json(tmp_path / "path.json", {"sites": [[0, 0]], "letters": "XZ"})
@@ -1135,11 +1225,19 @@ def _path_refused_by_its_checks(tmp_path, capsys):
     _pulse_text("XZY", _swapper, "alpha"), _pulse_text("XZY", _swapper, "beta"),
     _missing("XZZX", _attachment, "attachment", "attached_site"),
     _missing("XZY", _swapper, "swapper", "site"),
+    _spec_refused({"holes": [{"plaquettes": []}]}, "hole must list at least one plaquette"),
+    _spec_refused({"model": "kitaev_holes", "twists": [{"row": 0, "col": 0}]},
+                  "twists are only defined for the wen model"),
+    _spec_refused({"cols": 2, "twists": [{"row": 0, "col": 0}]}, "twists need cols >= 3"),
+    _unreadable_spec, _graph_without_sites,
+    _huge_coupling, _huge_seed_angle, _huge_theta, _huge_amplitude,
 ], ids=["coupling", "coupling-true", "coupling-string", "seed-angle", "seed-angle-true",
         "seed-angle-string", "lattice-checks", "path-checks", "boundary-true", "model-true",
         "hole-kind-true", "attachment-alpha-true", "attachment-beta-true",
         "attached-letter-true", "swapper-alpha-true", "swapper-beta-true",
-        "attachment-without-attached-site", "swapper-without-site"])
+        "attachment-without-attached-site", "swapper-without-site", "hole-without-cells",
+        "twist-on-holes", "twist-on-two-cols", "unreadable-spec", "graph-without-sites",
+        "huge-coupling", "huge-seed-angle", "huge-theta", "huge-amplitude"])
 def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_case):
     argv, error = make_case(tmp_path, capsys)
     code, out = run_cli(capsys, argv)
@@ -1149,14 +1247,42 @@ def test_a_refused_input_file_is_named_with_its_field(tmp_path, capsys, make_cas
 
 
 def test_anyon_syndrome_refuses_a_bad_hole(tmp_path, capsys):
-    # the hole is checked where the lattice is built, not in the spec file
+    # the hole is checked when the spec file is read, so the error names the file
     spec = {"rows": 4, "cols": 4, "holes": [{"plaquettes": [[3, 0]]}]}
     spec = write_json(tmp_path / "wen.json", spec)
     path = write_json(tmp_path / "path.json", {"sites": [[2, 2]], "letters": "Z"})
     code, out = run_cli(capsys, ["anyon", "syndrome", "--spec", spec, "--path", path])
     report = strict_json(out)
     assert code == 2 and report["status"] == "malformed-input"
-    assert report["error"] == "LatticeError: hole plaquette (3, 0) out of range"
+    assert report["error"] == (
+        f"CliInputError: bad lattice spec {spec}: hole plaquette (3, 0) out of range"
+    )
+
+
+ROUGH_12 = {"plaquettes": [[1, 2]], "kind": "rough"}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**HOLES_SPEC, "holes": [{"plaquettes": [[9, 9]], "kind": "smooth"}, ROUGH_12]},
+     "smooth hole faces out of range: [(9, 9)]"),
+    ({**HOLES_SPEC, "holes": [{"plaquettes": [[1, 2]]}, ROUGH_12, ROUGH_12]},
+     "holes overlap at (1, 2)"),
+    ({**HOLES_SPEC, "holes": [{"plaquettes": [[1, 1]]}, ROUGH_12]},
+     "hole regions share edges; holes must be disjoint"),
+    ({"rows": 4, "cols": 4, "holes": [{"plaquettes": [[1, 1]]}, {"plaquettes": [[1, 1]]}]},
+     "holes overlap at plaquette (1, 1)"),
+], ids=["face-off-the-grid", "repeated-star", "holes-sharing-an-edge", "repeated-wen-cell"])
+def test_a_bad_hole_gets_one_refusal_from_every_command(tmp_path, capsys, spec, message):
+    spec = write_json(tmp_path / "spec.json", spec)
+    path = write_json(tmp_path / "path.json", {"sites": [[2, 2]], "letters": "Z"})
+    for argv in (
+        ["toric", "build", "--spec", spec], ["anyon", "magic", "--spec", spec],
+        ["anyon", "cnot", "--spec", spec], ["anyon", "syndrome", "--spec", spec, "--path", path],
+    ):
+        code, out = run_cli(capsys, argv)
+        assert code == 2 and strict_json(out)["error"] == (
+            f"CliInputError: bad lattice spec {spec}: {message}"
+        ), argv
 
 
 def test_a_braid_center_needs_two_entries(tmp_path, capsys):

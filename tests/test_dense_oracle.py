@@ -88,6 +88,8 @@ def test_apply_string_matches_kron_on_vectors():
         s = random_string(rng, n)
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         assert np.allclose(apply_string(s, vec), kron_string(s) @ vec, atol=1e-12)
+    with pytest.raises(ValueError, match="^array of dimension 8 does not fit 2 sites$"):
+        apply_string(PauliString.parse("XZ"), np.zeros(8, dtype=np.complex128))
 
 
 def test_apply_rotation_matches_scipy_expm():
@@ -134,6 +136,8 @@ def test_distance_is_exact_spectral_norm():
     assert distance(a, b) == pytest.approx(want, rel=1e-12)
     assert distance(a, a) == 0.0
     assert frobenius_distance(a, b) >= distance(a, b) - 1e-12
+    with pytest.raises(ValueError, match=r"^shape mismatch \(8, 8\) vs \(4, 4\)$"):
+        distance(a, np.eye(4))
 
 
 def test_random_state_is_the_seeded_gaussian_draw():
@@ -424,6 +428,15 @@ def test_run_pulses_matches_kron_oracle(run):
     assert got.shape == shape
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(array, before)
+
+
+def test_identity_pulses_fuse_into_a_group_on_no_site():
+    identity = PauliString.parse("II")
+    state = _random_state(2, seed=5)
+    (group,) = fuse_pulses(2, [(identity, 0.3), (identity, 0.4)])
+    assert group[0] == () and group[1].shape == (1, 1)
+    got = run_pulses([(identity, 0.3), (identity, 0.4)], state)
+    assert np.abs(got - np.exp(-0.7j) * state).max() <= 1e-15
 
 
 def test_rotation_refuses_generators_that_are_not_involutions():

@@ -14,6 +14,7 @@ from qsakit.pauli_core import (
     WeightedPauliSum,
     anticommuting_pairs,
     commutes,
+    float_field,
     is_involution,
     multiply,
     square,
@@ -148,6 +149,8 @@ def test_anticommuting_pairs_known_cases():
 def test_register_width_mismatch_raises():
     with pytest.raises(ValueError):
         multiply(PauliString.parse("XX"), PauliString.parse("X"))
+    with pytest.raises(ValueError, match="^term on 1 sites in a 2-site sum$"):
+        WeightedPauliSum.from_terms(2, [(1.0, PauliString.parse("X"))])
 
 
 def test_sum_folds_duplicates_and_orders():
@@ -400,4 +403,16 @@ def test_strings_are_immutable():
         del s.x
     assert s == PauliString.parse("XZ")
     assert repr(s) == "PauliString(n_sites=2, letters=('X', 'Z'), phase_exp=0)"
+    assert s != 3 and s.__eq__(3) is NotImplemented
+    assert str(WeightedPauliSum.from_terms(2, [])) == "0"
     assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (None, TypeError, "J: float() argument must be a string or a real number, not 'NoneType'"),
+    (10**400, ValueError, "J: int too large to convert to float"),
+], ids=["null", "huge-integer"])
+def test_float_field_names_the_field_it_refuses(value, error, message):
+    with pytest.raises(error) as info:
+        float_field(value, "J")
+    assert type(info.value) is error and str(info.value) == message

@@ -80,6 +80,10 @@ def test_depth_bound_table():
     assert [depth_bound(n, "single_endpoint") for n in (2, 3, 5, 7)] == [
         0, 1, 3, 5,
     ]
+    with pytest.raises(ValueError, match=r"^depth bounds are defined for supports of >= 2 sites$"):
+        depth_bound(1, "doubling")
+    with pytest.raises(ValueError, match="^no depth bound for strategy 'greedy'$"):
+        depth_bound(4, "greedy")
 
 
 def test_compiled_depths_match_bounds_on_complete_graphs():
@@ -243,6 +247,8 @@ def test_unsupported_targets_rejected():
         compile_schedule(PauliString.parse("XIII"), graph)
     with pytest.raises(UnsupportedTargetError):
         compile_schedule(PauliString.parse("-XZZX"), graph)
+    with pytest.raises(ValueError, match="^unknown strategy 'bogus'; expected "):
+        compile_schedule(PauliString.parse("XZZX"), graph, strategy="bogus")
 
 
 def test_disconnected_support_rejected():
@@ -387,6 +393,8 @@ def test_replay_names_width_and_site_faults():
         with pytest.raises(ValueError) as error:
             replay_symbolic(broken)
         assert str(error.value) == message
+    # validate reports the width fault alone, without the replay
+    assert validate(cases[0][0]) == ["seed/target register width differs from n_sites"]
 
 
 

@@ -337,7 +337,7 @@ def test_kitaev_holes_free_logical_qubits():
 
 def test_kitaev_two_cell_hole_is_one_hole():
     # adjacent faces listed by one hole share an edge; only separate holes must be disjoint
-    spec = _kitaev_with(([(1, 0), (1, 1)], "smooth"))
+    spec = LatticeSpec.from_dict(_kitaev_with(([(1, 0), (1, 1)], "smooth")))
     pset = build_kitaev_holes(spec)
     faces = {term.index for term in pset.terms if term.kind == "face"}
     assert (1, 0) not in faces and (1, 1) not in faces
@@ -453,11 +453,11 @@ def test_toric_build_fails_on_a_group_overlap(monkeypatch, capsys, tmp_path):
 
 def accepted_builds(largest, max_sites=None):
     """``(spec, build_variant(spec))`` for every spec on grids from 2x2 to
-    ``largest`` x ``largest`` (of at most ``max_sites`` sites) that the builders accept.
+    ``largest`` x ``largest`` (of at most ``max_sites`` sites) that ``LatticeSpec`` accepts.
 
     Both boundaries and both models, each with no hole or one single-cell
     hole of either kind, and open wen with one twist or two (in different
-    rows).  A hole cell is any grid cell its builder accepts.
+    rows).  A hole cell is any grid cell the spec accepts.
     """
     for rows, cols in itertools.product(range(2, largest + 1), repeat=2):
         for boundary, model in itertools.product(toric_lattice.BOUNDARIES, toric_lattice.MODELS):
@@ -466,27 +466,27 @@ def accepted_builds(largest, max_sites=None):
             base = {"rows": rows, "cols": cols, "boundary": boundary, "model": model}
             if max_sites is not None and LatticeSpec(**base).n_sites > max_sites:
                 continue
-            specs = [LatticeSpec(**base)] + [
-                LatticeSpec(**base, holes=(HoleSpec((cell,), kind),))
+            fields = [{}] + [
+                {"holes": (HoleSpec((cell,), kind),)}
                 for kind in toric_lattice.HOLE_KINDS
                 for cell in itertools.product(range(rows), range(cols))
             ]
             if model == "wen" and boundary == "open" and cols >= 3:
                 anchors = list(itertools.product(range(rows - 1), range(cols - 2)))
-                specs += [
-                    LatticeSpec(**base, twists=tuple(TwistSpec(*t) for t in twists))
+                fields += [
+                    {"twists": tuple(TwistSpec(*t) for t in twists)}
                     for twists in itertools.chain(
                         ((a,) for a in anchors),
                         ((a, b) for a, b in itertools.combinations(anchors, 2) if a[0] != b[0]),
                     )
                 ]
-            for spec in specs:
+            for extra in fields:
                 try:
-                    pset = build_variant(spec)
+                    spec = LatticeSpec(**base, **extra)
                 except LatticeError as exc:
-                    assert spec.holes and "out of range" in str(exc), spec
+                    assert "holes" in extra and "out of range" in str(exc), extra
                     continue
-                yield spec, pset
+                yield spec, build_variant(spec)
 
 
 def test_every_accepted_spec_builds_a_commuting_disjoint_set():
@@ -501,25 +501,23 @@ def test_every_accepted_spec_builds_a_commuting_disjoint_set():
 
 
 def test_kitaev_hole_overlap_rejected():
-    with pytest.raises(LatticeError):
-        build_kitaev_holes(
-            LatticeSpec(
-                rows=3, cols=4, model="kitaev_holes",
-                holes=(
-                    HoleSpec(((1, 0),), "smooth"),
-                    HoleSpec(((1, 0),), "smooth"),
-                ),
-            )
+    # the spec refuses the repeat when it is made; no build is needed
+    with pytest.raises(LatticeError, match=r"^holes overlap at \(1, 0\)$"):
+        LatticeSpec(
+            rows=3, cols=4, model="kitaev_holes",
+            holes=(HoleSpec(((1, 0),), "smooth"), HoleSpec(((1, 0),), "smooth")),
         )
 
 
 def _kitaev_with(*holes):
-    return LatticeSpec(
-        rows=3, cols=4, model="kitaev_holes",
-        holes=tuple(HoleSpec(tuple(p), kind) for p, kind in holes),
-    )
+    """A 3x4 hole-model spec dict with ``(cells, kind)`` holes."""
+    return {
+        "rows": 3, "cols": 4, "model": "kitaev_holes",
+        "holes": [{"plaquettes": [list(c) for c in cells], "kind": kind} for cells, kind in holes],
+    }
 
 
+# spec dicts, made into specs inside the test, where the refusal now comes
 @pytest.mark.parametrize("spec, message", [
     (_kitaev_with(([(1, 0)], "smooth"), ([(1, 0)], "smooth")), "holes overlap at (1, 0)"),
     (_kitaev_with(([(2, 0)], "smooth")), "smooth hole faces out of range: [(2, 0)]"),
@@ -530,15 +528,50 @@ def _kitaev_with(*holes):
      "hole regions share edges; holes must be disjoint"),
     (_kitaev_with(([(0, 0)], "smooth"), ([(1, 0)], "rough")),
      "hole regions share edges; holes must be disjoint"),
-    (LatticeSpec(rows=3, cols=3, holes=(HoleSpec(((2, 0),)),)),
+    ({"rows": 3, "cols": 3, "holes": [{"plaquettes": [[2, 0]]}]},
      "hole plaquette (2, 0) out of range"),
-    (LatticeSpec(rows=3, cols=3, holes=(HoleSpec(((0, 0),)), HoleSpec(((0, 0),)))),
+    ({"rows": 3, "cols": 3, "holes": [{"plaquettes": [[0, 0]]}, {"plaquettes": [[0, 0]]}]},
      "holes overlap at plaquette (0, 0)"),
 ])
 def test_hole_errors_name_the_fault(spec, message):
     with pytest.raises(LatticeError) as info:
-        build_variant(spec)
+        LatticeSpec.from_dict(spec)
     assert str(info.value) == message
+
+
+HOLE_FAULTS = re.compile(
+    r"hole plaquette \(\d+, \d+\) out of range|holes overlap at (plaquette )?\(\d+, \d+\)"
+    r"|(smooth hole faces|rough hole vertices) out of range: \[.*\]"
+    r"|hole regions share edges; holes must be disjoint"
+)
+
+
+def test_every_spec_with_accepted_holes_builds():
+    # 2x2 to 4x4, both boundaries and both models, with no hole or one or two
+    # single-cell holes of either kind on any cell up to one past the grid:
+    # every spec LatticeSpec accepts builds, and every refusal names a hole fault
+    enumerated = accepted = 0
+    for rows, cols in itertools.product(range(2, 5), repeat=2):
+        for boundary, model in itertools.product(toric_lattice.BOUNDARIES, toric_lattice.MODELS):
+            if boundary == "periodic" and (rows % 2 or cols % 2):
+                continue
+            holes = [
+                HoleSpec((cell,), kind)
+                for kind in toric_lattice.HOLE_KINDS
+                for cell in itertools.product(range(rows + 1), range(cols + 1))
+            ]
+            for chosen in itertools.chain(
+                [()], ((hole,) for hole in holes), itertools.combinations(holes, 2)
+            ):
+                enumerated += 1
+                try:
+                    spec = LatticeSpec(rows, cols, boundary, model, holes=chosen)
+                except LatticeError as exc:
+                    assert HOLE_FAULTS.fullmatch(str(exc)), (chosen, exc)
+                    continue
+                build_variant(spec)
+                accepted += 1
+    assert (enumerated, accepted) == (15066, 2209)
 
 
 def test_build_variant_dispatch():
@@ -546,3 +579,30 @@ def test_build_variant_dispatch():
     assert build_variant(wen).terms == build_wen(wen).terms
     kit = LatticeSpec(rows=3, cols=4, model="kitaev_holes")
     assert build_variant(kit).terms == build_kitaev_holes(kit).terms
+
+
+HOLES_34 = LatticeSpec(rows=3, cols=4, model="kitaev_holes")
+TORUS_44 = LatticeSpec(rows=4, cols=4, boundary="periodic")
+TWISTED_44 = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ground_state_sweep(TORUS_44), "the unitary sweep requires an open boundary"),
+    (lambda: ground_state_sweep(TWISTED_44), "ground-state construction does not support twists"),
+    (lambda: build_wen(HOLES_34), "build_wen needs model 'wen', got 'kitaev_holes'"),
+    (lambda: plaquette_schedule(0, 0, HOLES_34), "build_wen needs model 'wen', got 'kitaev_holes'"),
+    (lambda: build_kitaev_holes(TORUS_44),
+     "build_kitaev_holes needs model 'kitaev_holes', got 'wen'"),
+    (lambda: LatticeSpec(rows=3, cols=4).site_index(3, 0), "spin (3, 0) outside the 3x4 grid"),
+    (lambda: kitaev_operator(HOLES_34, "vertex", 0, 1), "vertex star (0, 1) out of range"),
+    # edge keys are not wrapped on a periodic grid
+    (lambda: kitaev_edge_index(LatticeSpec(2, 2, "periodic", "kitaev_holes"), "v", 2, 0),
+     "edge ('v', 2, 0) does not exist on this lattice"),
+], ids=["sweep-on-a-torus", "sweep-on-a-twist", "build-wen-on-holes", "schedule-on-holes",
+        "build-holes-on-wen", "spin-off-the-grid", "star-on-the-rough-top",
+        "edge-past-a-periodic-row"])
+def test_a_lattice_routine_refuses_what_it_cannot_do(call, message):
+    with pytest.raises(LatticeError) as info:
+        call()
+    assert str(info.value) == message
+

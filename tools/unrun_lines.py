@@ -7,12 +7,16 @@ lives under ``src/qsakit``, then prints, module by module, each executable
 line that never ran, with its text.  A line is executable when a code
 object of its module maps an instruction to it (``co_lines``); ``def`` and
 decorator lines and docstrings are left out, since they run on import or
-hold no instruction.  Code that a test runs in a child process, such as
-``python -m qsakit``, is not seen and counts as unrun.
+hold no instruction.  Code that a test runs in a child process is not
+seen and counts as unrun, so the suite also runs ``python -m qsakit``
+in-process through ``runpy``.
 
 It needs only the standard library next to pytest, and it is not part of
-the test suite.  A run takes about 105 s on a 2-CPU machine, twice the
-untraced suite.  Under tracing, cases of
+the test suite.  A run takes about 85 s on a 2-CPU machine, more than twice
+the untraced suite, and lists one line: the fallback in
+``dense_oracle._spectral_norm`` for a Krylov start vector in the kernel of
+the difference, which no deterministic test reaches (roundoff in the BLAS
+product keeps ``D v`` off exact zero).  Under tracing, cases of
 ``test_path_search_on_the_hub_family_is_bounded`` fail their 1 s wall-time
 bounds (k = 3 to 8 on that machine; how many depends on its speed); every
 other test passes, the listing is still complete, and the script exits 0
