@@ -15,7 +15,15 @@ executor runs the program it is given: a schedule's program comes from
 :mod:`qsakit.analysis` shifts the angles of a perturbed one.  Every
 dense product is a plain ``2^n x 2^n`` array and every state a plain
 ``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
-one.
+one.  A product, whether :func:`pulse_unitary`'s, the matrix branch of
+:func:`compare_pulses` or the formed branch of :func:`program_distances`,
+comes from :func:`_identity_product`: the fused program runs on the
+identity's columns a block of :data:`IDENTITY_BLOCK` entries at a time,
+each block written into the one output array, so the groups pass over a
+cache-sized block and the full identity is never formed (cache blocking,
+Häner & Steiger, arXiv:1704.01127).  Columns are transformed independently,
+so the product is bitwise the whole identity's.  States and probe batches
+run whole.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
@@ -91,6 +99,17 @@ SCHEDULE_TOLERANCE = 1e-10
 #: 11, 9 and 6 passes at caps 3 to 6.  Caps 4 and 5 were the fastest in a
 #: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
 FUSED_SITES = 4
+
+#: Entries of one column block of the identity in :func:`_identity_product`.
+#: A block of ``2^15`` complex entries is 512 KiB, so the block and the two
+#: work buffers of :func:`_apply_fused` stay in a 4 MiB L2 cache while every
+#: fused group runs over them (cache blocking, Häner & Steiger,
+#: arXiv:1704.01127).  Summed over the five verify-dense schedules of 8 to
+#: 10 sites (medians of 15 rounds, 2-vCPU host, BLAS on one thread),
+#: ``verify_schedule`` took 188 ms on the whole identity and 164, 143, 139,
+#: 145 and 159 ms with blocks of ``2^13`` to ``2^17`` entries; the 10-site
+#: schedule alone fell from 136 to 91 ms (``BENCH_30.json``).
+IDENTITY_BLOCK = 1 << 15
 
 #: Fewest rows and columns for which the spectral norm runs the Krylov solver
 #: instead of the SVD.  Per call on schedule differences (2-vCPU host, BLAS on
@@ -283,15 +302,28 @@ def _adjoint(fused: list) -> list:
     ]
 
 
+@functools.lru_cache(maxsize=1024)
+def _axis_orders(sites: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``(order, inverse)``: the transpose that brings ``sites`` to the front, and its undoing."""
+    order = sites + tuple(a for a in range(ndim) if a not in sites)
+    inverse = [0] * ndim
+    for position, axis in enumerate(order):
+        inverse[axis] = position
+    return order, tuple(inverse)
+
+
 def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
     """Run the groups of :func:`fuse_pulses` on a state (dim,) or matrix (dim, k) array.
 
     A flip is an axis flip plus a sign; a unitary group is contracted over
-    its sites' axes.  ``array`` is not modified.
+    its sites' axes.  ``array`` is not modified.  Every column is
+    transformed on its own, so a block of columns comes out bitwise as it
+    does inside the whole matrix; :func:`_identity_product` relies on that.
     """
     n = array.shape[0].bit_length() - 1
     # two buffers take turns as source and destination, so a run holds three
-    # arrays of this size, the input included
+    # arrays of this size, the input included; an identity product holds
+    # three of one block's size next to its output
     own = np.array(_tensor(array, n))
     spare = np.empty_like(own)
     tensor = own
@@ -304,12 +336,12 @@ def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
             own, spare, tensor = spare, own, out
         else:
             # copy the group's axes to the front, act on them, put them back
-            order = key + tuple(a for a in range(own.ndim) if a not in key)
+            order, inverse = _axis_orders(key, own.ndim)
             moved = spare.reshape(tensor.transpose(order).shape)
             np.copyto(moved, tensor.transpose(order))
             flat = own.reshape(1 << len(key), own.size >> len(key))
             np.matmul(op, moved.reshape(flat.shape), out=flat)
-            tensor = own.reshape(moved.shape).transpose(np.argsort(order))
+            tensor = own.reshape(moved.shape).transpose(inverse)
     if not tensor.flags.c_contiguous:
         np.copyto(spare, tensor)
         tensor = spare
@@ -330,14 +362,33 @@ def run_pulses(pulses, array: np.ndarray) -> np.ndarray:
     return _apply_fused(fuse_pulses(n, pulses), array)
 
 
-def pulse_unitary(n_sites: int, pulses, context: str) -> np.ndarray:
-    """Time-ordered product of ``pulses`` as a matrix: :func:`run_pulses` on the identity.
+def _identity_product(n_sites: int, fused: list) -> np.ndarray:
+    """The fused program's ``2^n x 2^n`` product: :func:`_apply_fused` on the identity.
 
-    The register is held to the dense cap; ``context`` names the caller in the error.
+    The identity is never formed.  Its columns run :data:`IDENTITY_BLOCK`
+    entries at a time, each block written into its slice of the one output
+    array, so every group passes over a cache-sized block instead of the
+    whole matrix, and the entries are bitwise those of the whole identity.
+    """
+    dim = 1 << n_sites
+    width = min(dim, max(1, IDENTITY_BLOCK >> n_sites))
+    product = np.empty((dim, dim), dtype=np.complex128)
+    for start in range(0, dim, width):
+        columns = np.eye(dim, width, -start, dtype=np.complex128)
+        product[:, start:start + width] = _apply_fused(fused, columns)
+    return product
+
+
+def pulse_unitary(n_sites: int, pulses, context: str) -> np.ndarray:
+    """Time-ordered product of ``pulses`` as a ``2^n x 2^n`` matrix.
+
+    The program is fused by :func:`fuse_pulses` and run on the identity a
+    block of columns at a time by :func:`_identity_product`, so the result
+    is bitwise :func:`run_pulses` on the whole identity.  The register is
+    held to the dense cap; ``context`` names the caller in the error.
     """
     check_dense_limit(n_sites, context)
-    eye = np.eye(1 << n_sites, dtype=np.complex128)
-    return run_pulses(pulses, eye)
+    return _identity_product(n_sites, fuse_pulses(n_sites, pulses))
 
 
 # -- dense matrices -------------------------------------------------------------
@@ -595,9 +646,8 @@ def program_distances(n_sites: int, programs: list, reference: list) -> list[flo
     check_dense_limit(n_sites, "program_distances")
     if n_sites > MATRIX_DISTANCE_SITES:
         return [fused_distance(n_sites, program, reference) for program in programs]
-    eye = np.eye(1 << n_sites, dtype=np.complex128)
-    ideal = _apply_fused(reference, eye)
-    return [distance(_apply_fused(program, eye), ideal) for program in programs]
+    ideal = _identity_product(n_sites, reference)
+    return [distance(_identity_product(n_sites, program), ideal) for program in programs]
 
 
 # -- states ----------------------------------------------------------------------
@@ -631,8 +681,9 @@ def apply_schedule(schedule, state: np.ndarray, tg: float | None = None) -> np.n
 def schedule_unitary(schedule, tg: float | None = None) -> np.ndarray:
     """The schedule's pulse product as an explicit matrix.
 
-    :func:`run_pulses` transforms the identity's columns, at O(4^n) per
-    fused group of pulses with no full-matrix products.
+    :func:`pulse_unitary` transforms the identity's columns a block at a
+    time, at O(4^n) per fused group of pulses with no full-matrix products,
+    and holds one ``2^n x 2^n`` array, the result.
     """
     return pulse_unitary(schedule.n_sites, schedule.pulses(tg), "schedule_unitary")
 
@@ -642,8 +693,9 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
 
     Both are ``(generator, angle)`` lists as :func:`run_pulses` takes them,
     and both run on one fixed input batch, held to the dense cap once.  Up
-    to :data:`MATRIX_QUBIT_CAP` sites it is the identity, and the products
-    are compared by :func:`certified_distance`.  Above that its column ``k``
+    to :data:`MATRIX_QUBIT_CAP` sites it is the identity, run a block of
+    columns at a time by :func:`_identity_product`, and the products are
+    compared by :func:`certified_distance`.  Above that its column ``k``
     of :data:`PROBES` is the probe state drawn from ``PROBE_SEED + k``, and
     the distance is the largest L2 deviation of a column, under the metric
     ``max_state_l2[<PROBES> probes]``.  No separate norm check is needed:
@@ -654,18 +706,16 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
     pass flag: a function of the two programs and the tolerance alone.
     """
     check_dense_limit(n_sites, "compare_pulses")
-    matrix = n_sites <= MATRIX_QUBIT_CAP  # the one test of the cap
-    if matrix:
-        batch = np.eye(1 << n_sites, dtype=np.complex128)
+    program, ideal = fuse_pulses(n_sites, pulses), fuse_pulses(n_sites, reference)
+    if n_sites <= MATRIX_QUBIT_CAP:  # the one test of the cap
+        dist, metric = certified_distance(
+            _identity_product(n_sites, program), _identity_product(n_sites, ideal), tolerance
+        )
     else:
         batch = np.empty((1 << n_sites, PROBES), dtype=np.complex128)
         for k in range(PROBES):
             batch[:, k] = _random_state(n_sites, PROBE_SEED + k)
-    outputs, expected = run_pulses(pulses, batch), run_pulses(reference, batch)
-    del batch  # the metric needs only the outputs
-    if matrix:
-        dist, metric = certified_distance(outputs, expected, tolerance)
-    else:
+        outputs, expected = _apply_fused(program, batch), _apply_fused(ideal, batch)
         dist = max(float(np.linalg.norm(a - b)) for a, b in zip(outputs.T, expected.T))
         metric = f"max_state_l2[{PROBES} probes]"
     return {

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -478,6 +479,92 @@ def test_batched_probes_match_a_per_probe_loop():
         worst = max(worst, float(np.linalg.norm(via_schedule - via_target)))
     assert report["metric"] == f"max_state_l2[{PROBES} probes]" and "seed" not in report
     assert abs(report["distance"] - worst) <= 1e-14
+
+
+# -- identity products, a block of columns at a time ------------------------------
+
+
+def random_program(rng, n):
+    """Seeded pulses on ``n`` sites: swappers and attachments, which fuse into
+    groups of 2-4 sites, strings of any weight, and from 5 sites one string
+    on every site, a flip, and one two-term pulse on 5 sites, which is wider
+    than a group and runs alone."""
+    pulses = []
+    kinds = ["swapper", "string", "attachment"] if n > 1 else ["swapper", "string"]
+    for _ in range(int(rng.integers(6, 12))):
+        alpha, beta, gamma = rng.choice(list("XYZ"), size=3, replace=False)
+        kind = rng.choice(kinds)
+        if kind == "swapper":
+            generator = SwapperSpec(int(rng.integers(n)), alpha, beta).generator(n)
+        elif kind == "string":
+            generator = PauliString(n, tuple(rng.choice(list("IXYZ"), size=n)))
+        else:
+            c, a = (int(s) for s in rng.choice(n, size=2, replace=False))
+            generator = AttachmentSpec(c, alpha, beta, a, gamma).generator(n)
+        pulses.append((generator, float(rng.uniform(-math.pi, math.pi))))
+    if n >= 5:
+        sites = [int(s) for s in rng.choice(n, size=5, replace=False)]
+        pairs = [rng.choice(list("XYZ"), size=2, replace=False) for _ in sites]
+        # the two strings differ at all five sites, so they anticommute
+        p, q = (PauliString.from_sites(n, {s: pair[k] for s, pair in zip(sites, pairs)})
+                for k in (0, 1))
+        wide = WeightedPauliSum.from_terms(n, [(1 / math.sqrt(2.0), p), (1 / math.sqrt(2.0), q)])
+        full = PauliString(n, tuple(rng.choice(list("XYZ"), size=n)))
+        pulses[len(pulses) // 2:len(pulses) // 2] = [(wide, 0.3), (full, -0.8)]
+    return pulses
+
+
+@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
+def test_identity_products_are_bitwise_the_whole_identity_run(n):
+    rng = np.random.default_rng(SEED + 30 + n)
+    pulses = random_program(rng, n)
+    (first, angle), rest = pulses[0], pulses[1:]
+    k = int(rng.integers(len(pulses)))
+    programs = {
+        "pulses": pulses,
+        # the same product as another program
+        "split": [(first, 0.25 * angle), (first, 0.75 * angle)] + rest,
+        # one angle off by 1e-3: the bound exceeds the tolerance
+        "defect": pulses[:k] + [(pulses[k][0], pulses[k][1] + 1e-3)] + pulses[k + 1:],
+        "empty": [],
+        "flip": [(PauliString(n, tuple(rng.choice(list("XYZ"), size=n))), 0.4)],
+    }
+    fused = {name: fuse_pulses(n, program) for name, program in programs.items()}
+    widths = {len(key) if isinstance(key, tuple) else "flip" for key, _ in fused["pulses"]}
+    assert n == 1 or widths & {2, 3, 4}
+    assert n < 5 or {5, "flip"} <= widths
+    assert isinstance(fused["flip"][0][0], PauliString)
+    eye = np.eye(1 << n, dtype=np.complex128)
+    whole = {name: dense_oracle._apply_fused(f, eye) for name, f in fused.items()}
+    for name, program in programs.items():
+        assert np.array_equal(pulse_unitary(n, program, "test"), whole[name])
+    assert np.array_equal(whole["empty"], eye)
+    for name, metric in (("split", "spectral_distance_bound"), ("defect", "spectral_distance")):
+        report = compare_pulses(n, programs[name], pulses, 1e-10)
+        want = certified_distance(whole[name], whole["pulses"], 1e-10)
+        assert (report["distance"], report["metric"]) == want and want[1] == metric
+    if n <= dense_oracle.MATRIX_DISTANCE_SITES:
+        others = ("split", "defect", "empty", "flip")
+        got = program_distances(n, [fused[name] for name in others], fused["pulses"])
+        assert got == [distance(whole[name], whole["pulses"]) for name in others]
+
+
+def test_a_verify_at_nine_sites_holds_no_full_identity():
+    n = 9
+    target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
+    schedule = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7)
+    verify_schedule(schedule)  # fill the lru caches outside the trace
+    tracemalloc.start()
+    try:
+        report = verify_schedule(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two products, their difference and its real magnitudes make 3.5
+    # arrays of 4^n complex entries; holding the whole identity while the
+    # second product is run makes 4
+    assert report["passed"]
+    assert peak <= 3.6 * 16 * 4**n
 
 
 # -- one judgement: pulse program against reference program ---------------------
