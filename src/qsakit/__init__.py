@@ -35,8 +35,8 @@ _EXPORTS = {
     ),
     "toric_lattice": (
         "LatticeSpec", "HoleSpec", "TwistSpec", "LatticeError", "PlaquetteSet",
-        "DigitalSequence", "build_wen", "build_variant", "plaquette_schedule",
-        "digital_sequence", "ground_state_projector", "ground_state_sweep",
+        "DigitalSequence", "build_wen", "build_variant", "digital_sequence",
+        "ground_state_projector", "ground_state_sweep",
     ),
     "anyon_logic": (
         "StringPath", "Syndrome", "LoopCnot",

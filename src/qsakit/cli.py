@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import json
@@ -46,6 +47,9 @@ EXIT_INTERNAL_ERROR = 4
 
 #: Largest accepted distance between a digital sequence and the exact evolution.
 DIGITAL_TOLERANCE = 1e-8
+
+#: Time step of a digital sequence when ``--tau`` is not given.
+DIGITAL_TAU = 0.3
 
 
 class CliInputError(ValueError):
@@ -224,6 +228,8 @@ def _cmd_verify(args):
     from .dense_oracle import verify_schedule
 
     schedule = _load_schedule(args.schedule)
+    if args.tg is not None:  # verify a copy of the schedule at that seed angle
+        schedule = dataclasses.replace(schedule, tg=args.tg)
     paths = [args.schedule]
     graph = None
     if args.graph is not None:
@@ -235,10 +241,10 @@ def _cmd_verify(args):
         "target": schedule.target.format(),
         "n_sites": schedule.n_sites,
         "depth": schedule.depth,
-        "tg": schedule.tg if args.tg is None else args.tg,
+        "tg": schedule.tg,
     }
     if checks[0]["passed"]:
-        report = verify_schedule(schedule, tg=args.tg)
+        report = verify_schedule(schedule)
         checks.append(_dense_check(report))
         metrics["dense_distance"] = report["distance"]
         metrics["dense_metric"] = report["metric"]
@@ -554,7 +560,7 @@ def _cmd_error_scaling(args):
         paths = [args.schedule]
     else:
         spec = _lattice_spec(args.digital)
-        subject = digital_sequence(spec, 0.3 if args.tau is None else args.tau)
+        subject = digital_sequence(spec, DIGITAL_TAU if args.tau is None else args.tau)
         paths = [args.digital]
     deltas = tuple(_finite_number(x, "--deltas") for x in args.deltas.split(","))
     report = analysis.error_scaling(subject, deltas=deltas, seed=args.random_offsets)
@@ -636,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = actions.add_parser(action)
         p.add_argument("--spec", required=True, help="lattice spec JSON file")
         p.set_defaults(handler=_cmd_toric)
-    p.add_argument("--tau", type=_finite_float, default=0.3)  # digital only
+    p.add_argument("--tau", type=_finite_float, default=DIGITAL_TAU)  # digital only
 
     p = sub.add_parser("anyon", help="anyon experiments")
     p.add_argument(
@@ -666,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None)
     p.add_argument("--digital", default=None, help="lattice spec JSON file")
     p.add_argument("--tau", type=_finite_float, default=None,
-                   help="time step of the --digital sequence (default 0.3)")
+                   help=f"time step of the --digital sequence (default {DIGITAL_TAU})")
     p.add_argument("--deltas", default="1e-2,1e-3,1e-4")
     p.add_argument(
         "--random-offsets", metavar="SEED", type=_seed_int, nargs="?", const=11,

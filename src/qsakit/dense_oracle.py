@@ -668,24 +668,25 @@ def _random_state(n_sites: int, seed: int) -> np.ndarray:
 # -- schedule execution --------------------------------------------------------
 #
 # A schedule is a :class:`~qsakit.schedule_compiler.QsaSchedule`, which owns
-# its time order and branch angles: ``schedule.pulses(tg)`` is its program.
+# its time order, branch angles and seed angle: ``schedule.pulses()`` is its
+# program.
 
 
-def apply_schedule(schedule, state: np.ndarray, tg: float | None = None) -> np.ndarray:
+def apply_schedule(schedule, state: np.ndarray) -> np.ndarray:
     """Run the schedule's pulse program on a ``(2^n,)`` state."""
     if state.shape != (1 << schedule.n_sites,):
         raise ValueError("state width does not match schedule")
-    return run_pulses(schedule.pulses(tg), state)
+    return run_pulses(schedule.pulses(), state)
 
 
-def schedule_unitary(schedule, tg: float | None = None) -> np.ndarray:
+def schedule_unitary(schedule) -> np.ndarray:
     """The schedule's pulse product as an explicit matrix.
 
     :func:`pulse_unitary` transforms the identity's columns a block at a
     time, at O(4^n) per fused group of pulses with no full-matrix products,
     and holds one ``2^n x 2^n`` array, the result.
     """
-    return pulse_unitary(schedule.n_sites, schedule.pulses(tg), "schedule_unitary")
+    return pulse_unitary(schedule.n_sites, schedule.pulses(), "schedule_unitary")
 
 
 def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
@@ -726,17 +727,16 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
     }
 
 
-def verify_schedule(schedule, tg: float | None = None) -> dict:
+def verify_schedule(schedule) -> dict:
     """Compare the schedule's pulse product against the target exponential.
 
-    The reference is the one-pulse program ``[(target, tg)]``, which is the
-    exact ``exp(-i tg target)``; :func:`compare_pulses` makes the judgement
-    at :data:`SCHEDULE_TOLERANCE` (full matrices up to 10 sites, the fixed
-    probe states above).  Returns its report plus ``n_sites`` and the angle
-    ``tg`` used.
+    The reference is the one-pulse program ``[(target, tg)]`` at the
+    schedule's seed angle, which is the exact ``exp(-i tg target)``;
+    :func:`compare_pulses` makes the judgement at
+    :data:`SCHEDULE_TOLERANCE` (full matrices up to 10 sites, the fixed
+    probe states above) and its report is returned.
     """
-    tg = schedule.tg if tg is None else tg
-    report = compare_pulses(
-        schedule.n_sites, schedule.pulses(tg), [(schedule.target, tg)], SCHEDULE_TOLERANCE
+    return compare_pulses(
+        schedule.n_sites, schedule.pulses(), [(schedule.target, schedule.tg)],
+        SCHEDULE_TOLERANCE,
     )
-    return {"n_sites": schedule.n_sites, "tg": tg, **report}

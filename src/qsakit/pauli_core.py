@@ -189,18 +189,12 @@ class PauliString:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_sites(
-        cls,
-        n_sites: int,
-        site_letters: Mapping[int, str],
-        phase_exp: int = 0,
-    ) -> "PauliString":
-        """Build a string that is identity except at the given sites.
+    def from_sites(cls, n_sites: int, site_letters: Mapping[int, str]) -> "PauliString":
+        """Build a phase-free string that is identity except at the given sites.
 
         Args:
             n_sites: Register width.
             site_letters: Map from site index to letter, e.g. ``{0: "X", 3: "Z"}``.
-            phase_exp: Global phase exponent of ``i``.
         """
         x = z = 0
         bad = {}
@@ -217,7 +211,7 @@ class PauliString:
         _check_width(n_sites)
         if bad:
             raise ValueError(f"invalid Pauli letters: {[bad[s] for s in sorted(bad)]}")
-        return _masked(n_sites, x, z, phase_exp)
+        return _masked(n_sites, x, z, 0)
 
     @classmethod
     def parse(cls, text: str, n_sites: int | None = None) -> "PauliString":
@@ -470,8 +464,8 @@ class WeightedPauliSum:
         return cls(n_sites, tuple(collected))
 
     @classmethod
-    def from_string(cls, string: PauliString, coeff: complex = 1.0) -> "WeightedPauliSum":
-        return cls.from_terms(string.n_sites, [(coeff, string)])
+    def from_string(cls, string: PauliString) -> "WeightedPauliSum":
+        return cls.from_terms(string.n_sites, [(1.0, string)])
 
     def __post_init__(self) -> None:
         _check_width(self.n_sites)

@@ -169,23 +169,23 @@ class QsaSchedule:
     def n_attachments(self) -> int:
         return sum(len(layer) for layer in self.layers)
 
-    def pulses(self, tg: float | None = None) -> list[tuple[WeightedPauliSum, float]]:
+    def pulses(self) -> list[tuple[WeightedPauliSum, float]]:
         """The schedule as a pulse program ``(generator, angle)``, first applied first.
 
         Time order: inverse swappers, inverse attachment pulses (outermost
-        layer first), the seed at ``tg`` (default :attr:`tg`), forward
-        attachment pulses (innermost layer first), forward swappers.  Each
-        attachment or swapper pulse is its spec's generator at the spec's
-        inverse or forward branch angle.
+        layer first), the seed at :attr:`tg`, forward attachment pulses
+        (innermost layer first), forward swappers.  Each attachment or
+        swapper pulse is its spec's generator at the spec's inverse or
+        forward branch angle.  A program at another seed angle is that of
+        ``dataclasses.replace(schedule, tg=...)``.
         """
         n = self.n_sites
-        tg = self.tg if tg is None else tg
         swappers = list(self.final_swappers)
         inverse = swappers + [spec for layer in reversed(self.layers) for spec in layer]
         forward = [spec for layer in self.layers for spec in layer] + swappers
         return [
             *[(spec.generator(n), spec.inverse_angle) for spec in inverse],
-            (WeightedPauliSum.from_string(self.seed), tg),
+            (WeightedPauliSum.from_string(self.seed), self.tg),
             *[(spec.generator(n), spec.forward_angle) for spec in forward],
         ]
 
@@ -707,8 +707,10 @@ def validate(
     target phase, site-disjoint layers and swappers, and edges (when a graph
     is supplied).  Then :func:`replay_symbolic` runs once and its first fault
     is reported: a connector or swapper letter, a stale attached site, a
-    collapse (``replay failed: ...``), or a grown string that is not the
-    target (``replay mismatch``).
+    collapse, a bad spec, or a register or site fault (``replay failed:
+    ...``), or a grown string that is not the target (``replay mismatch``).
+    Every fault the replay blames on the schedule is a ``ValueError``; any
+    other exception is a fault of the program and is not caught.
     """
     violations = _shape_violations(schedule, graph)
     if _WIDTH_FAULT in violations:
@@ -717,7 +719,7 @@ def validate(
         replayed = replay_symbolic(schedule)
     except LetterFaultError as exc:
         return violations + [str(exc)]
-    except Exception as exc:  # CollapseError and friends
+    except ValueError as exc:  # CollapseError, PulseSpecError, register or site
         return violations + [f"replay failed: {exc}"]
     if replayed != schedule.target:
         violations.append(

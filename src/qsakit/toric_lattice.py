@@ -29,11 +29,9 @@ reports them as its checks ``terms-pairwise-commute`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,12 +211,6 @@ class PlaquetteSet:
     def operators(self) -> tuple[PauliString, ...]:
         return tuple(t.operator for t in self.terms)
 
-    def term_at(self, index: tuple[int, int]) -> PlaquetteTerm:
-        for t in self.terms:
-            if t.index == tuple(index):
-                return t
-        raise LatticeError(f"no driven term at index {tuple(index)} (hole or out of range)")
-
     def groups(self) -> dict[int, tuple[PlaquetteTerm, ...]]:
         out: dict[int, list[PlaquetteTerm]] = {}
         for t in self.terms:
@@ -322,44 +314,30 @@ def build_wen(spec: LatticeSpec) -> PlaquetteSet:
 # -- hole-model builder --------------------------------------------------------
 
 
-def _kitaev_edges(spec: LatticeSpec) -> Mapping[tuple, int]:
-    """Deterministic edge -> qubit indexing, built once per grid geometry."""
-    return _kitaev_edge_table(spec.rows, spec.cols, spec.boundary)
-
-
-@functools.lru_cache(maxsize=16)
-def _kitaev_edge_table(r: int, c: int, boundary: str) -> Mapping[tuple, int]:
-    """Read-only edge table of an ``r x c`` vertex grid.
+def _kitaev_edge(spec: LatticeSpec, kind: str, i: int, j: int) -> int | None:
+    """Qubit index of edge (kind, i, j) of an ``r x c`` vertex grid, or None if it has none.
 
     Open boundary: vertical edges first (row-major), then horizontal edges of
-    rows 1..rows-1 (the rough top has no row-0 horizontals).  Periodic: every
-    vertex gets one downward and one rightward edge.
+    rows 1..r-1 (the rough top has no row-0 horizontals).  Periodic: every
+    vertex gets one downward and one rightward edge, verticals first.
     """
-    edges: dict[tuple, int] = {}
-    if boundary == "periodic":
-        for i in range(r):
-            for j in range(c):
-                edges[("v", i, j)] = i * c + j
-        for i in range(r):
-            for j in range(c):
-                edges[("h", i, j)] = r * c + i * c + j
-    else:
-        for i in range(r - 1):
-            for j in range(c):
-                edges[("v", i, j)] = i * c + j
-        for i in range(1, r):
-            for j in range(c - 1):
-                edges[("h", i, j)] = (r - 1) * c + (i - 1) * (c - 1) + j
-    return MappingProxyType(edges)
+    r, c = spec.rows, spec.cols
+    if spec.boundary == "periodic":
+        if kind in ("v", "h") and 0 <= i < r and 0 <= j < c:
+            return (r * c if kind == "h" else 0) + i * c + j
+    elif kind == "v" and 0 <= i < r - 1 and 0 <= j < c:
+        return i * c + j
+    elif kind == "h" and 1 <= i < r and 0 <= j < c - 1:
+        return (r - 1) * c + (i - 1) * (c - 1) + j
+    return None
 
 
 def kitaev_edge_index(spec: LatticeSpec, kind: str, i: int, j: int) -> int:
     """Qubit index of edge ('v', i, j) = (i,j)-(i+1,j) or ('h', i, j) = (i,j)-(i,j+1)."""
-    table = _kitaev_edges(spec)
-    key = (kind, i, j)
-    if key not in table:
-        raise LatticeError(f"edge {key} does not exist on this lattice")
-    return table[key]
+    index = _kitaev_edge(spec, kind, i, j)
+    if index is None:
+        raise LatticeError(f"edge {(kind, i, j)} does not exist on this lattice")
+    return index
 
 
 class _KitaevKind(NamedTuple):
@@ -400,23 +378,21 @@ def kitaev_edge_keys(spec: LatticeSpec, kind: str, i: int, j: int) -> tuple[tupl
     rows, cols = _kitaev_anchors(spec, kind)
     if i not in rows or j not in cols:
         raise LatticeError(f"{_KITAEV_KINDS[kind].name} ({i}, {j}) out of range")
-    table = _kitaev_edges(spec)
     keys = []
     for edge, di, dj in _KITAEV_KINDS[kind].offsets:
         a, b = i + di, j + dj
         if spec.boundary == "periodic":
             a, b = a % spec.rows, b % spec.cols
-        if (edge, a, b) in table:
+        if _kitaev_edge(spec, edge, a, b) is not None:
             keys.append((edge, a, b))
     return tuple(keys)
 
 
 def kitaev_operator(spec: LatticeSpec, kind: str, i: int, j: int) -> PauliString:
     """The face (Z) or vertex-star (X) operator at (i, j), whether driven or removed as a hole."""
-    edges = _kitaev_edges(spec)
     letter = _KITAEV_KINDS[kind].letter
     return PauliString.from_sites(
-        spec.n_sites, {edges[e]: letter for e in kitaev_edge_keys(spec, kind, i, j)}
+        spec.n_sites, {_kitaev_edge(spec, *e): letter for e in kitaev_edge_keys(spec, kind, i, j)}
     )
 
 
@@ -484,24 +460,6 @@ def build_variant(spec: LatticeSpec) -> PlaquetteSet:
 # -- schedules ----------------------------------------------------------------
 
 
-def plaquette_schedule(
-    i: int, j: int, spec: LatticeSpec, tau: float = 1.0,
-    strategy: str = "line_endpoints",
-) -> QsaSchedule:
-    """Compile one wen term's propagator ``exp(-i * J*tau * P_{i,j})``.
-
-    The default strategy seeds the middle pair of the term's (sorted) support
-    and grows both ends, which realizes the standard plaquette with zero
-    swappers.
-
-    Raises:
-        LatticeError: non-wen model, or no driven term at ``(i, j)`` (a hole
-            or out of range).
-    """
-    term = build_wen(spec).term_at((i, j))
-    return compile_schedule(term.operator, strategy=strategy, tg=spec.J * tau)
-
-
 @dataclass(frozen=True)
 class DigitalSequence:
     """Four commuting stages realizing ``exp(+i J tau sum(P))`` exactly, for
@@ -539,7 +497,10 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
 
     Stages follow the group order 1..4; group members commute (disjoint
     supports), so the intra-stage order is immaterial.  Hole terms are
-    absent from every stage by construction.
+    absent from every stage by construction.  Each term is compiled with
+    ``line_endpoints``, which seeds the middle pair of its (sorted) support
+    and grows both ends: a standard plaquette needs one layer and no
+    swappers.
     """
     stages = tuple(
         tuple(

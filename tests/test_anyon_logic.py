@@ -316,7 +316,8 @@ def test_anyon_walk_hop_rules():
 def test_anyon_walk_ring_equals_plaquette():
     spec = LatticeSpec(rows=3, cols=3)
     ring = anyon_walk(spec, [(0, 1), (1, 2), (2, 1), (1, 0), (0, 1)])
-    assert path_string(ring, spec) == build_wen(spec).term_at((1, 1)).operator
+    plaquette = next(t for t in build_wen(spec).terms if t.index == (1, 1))
+    assert path_string(ring, spec) == plaquette.operator
 
 
 def test_braiding_phase_is_minus_one():

@@ -527,9 +527,20 @@ def _plant_target_phase(data):
     return ["target phase must be +1", "replay mismatch: got XZZX, target -XZZX"]
 
 
+def _plant_attached_site_off_the_register(data):
+    data["layers"][0][1]["attached_site"] = 7
+    return ["replay failed: site 7 out of range for 4 sites"]
+
+
+def _plant_swapper_site_off_the_register(data):
+    data["final_swappers"] = [{"site": 9, "alpha": "X", "beta": "Z"}]
+    return ["replay failed: swapper site 9 out of range for 4 sites"]
+
+
 @pytest.mark.parametrize("plant", [
     _plant_target_letter, _plant_stale_connector, _plant_grown_attached_site,
     _plant_seed_weight, _plant_seed_phase, _plant_target_phase,
+    _plant_attached_site_off_the_register, _plant_swapper_site_off_the_register,
 ])
 def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
     out_file = tmp_path / "plaquette.json"
@@ -543,6 +554,23 @@ def test_verify_names_each_planted_defect(tmp_path, capsys, plant):
     assert code == 1 and report["status"] == "fail"
     # the shape rules, then the replay's first fault and nothing after it
     assert [c["name"] for c in report["checks"] if not c["passed"]] == expected
+
+
+def test_a_program_fault_in_the_verify_replay_exits_four(tmp_path, capsys, monkeypatch):
+    # validate blames the schedule for a ValueError only: any other exception
+    # in the replay is a fault of the program, not a failed check
+    out_file = tmp_path / "plaquette.json"
+    assert run_cli(capsys, PLAQUETTE_ARGS + ["--out", str(out_file)])[0] == 0
+
+    def planted(q, a, b):
+        raise AttributeError("planted internal bug")
+
+    monkeypatch.setattr(schedule_compiler, "branch_conjugate", planted)
+    code, out = run_cli(capsys, ["verify", "--schedule", str(out_file)])
+    report = strict_json(out)
+    assert code == 4 and report["status"] == "internal-error"
+    assert report["error"] == "AttributeError: planted internal bug"
+    assert report["checks"] == []
 
 
 PATH4 = {"n_sites": 4, "edges": [[0, 1], [1, 2], [2, 3]]}

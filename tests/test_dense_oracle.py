@@ -365,7 +365,8 @@ def local_generators(draw, n, window=None):
 def string_generators(draw, n):
     """One Pauli string of any weight (identity included), coefficient +-1."""
     letters = tuple(draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)))
-    return WeightedPauliSum.from_string(PauliString(n, letters), draw(st.sampled_from([1.0, -1.0])))
+    coeff = draw(st.sampled_from([1.0, -1.0]))
+    return WeightedPauliSum.from_terms(n, [(coeff, PauliString(n, letters))])
 
 
 ANGLES = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -448,7 +449,7 @@ def test_rotation_refuses_generators_that_are_not_involutions():
     swap = AttachmentSpec(0, "X", "Y", 1, "Z").generator(2)
     zz = PauliString.parse("ZZ")
     vec = _random_state(2, seed=3)
-    for bad in (raw, WeightedPauliSum.from_string(x, 2.0)):
+    for bad in (raw, WeightedPauliSum.from_terms(2, [(2.0, x)])):
         with pytest.raises(ValueError, match="not an involution") as err:
             apply_rotation(bad, 0.4, vec)
         assert str(bad) in str(err.value)
@@ -709,7 +710,7 @@ def test_certified_distance_never_passes_a_non_finite_entry(bad, tolerance):
 
 def test_verify_schedule_with_a_nan_angle_fails():
     schedule = compile_schedule(PauliString.parse("XZZX"), ConnectivityGraph.complete(4))
-    report = verify_schedule(schedule, tg=math.nan)
+    report = verify_schedule(dataclasses.replace(schedule, tg=math.nan))
     assert not report["passed"] and report["metric"] == "spectral_distance"
 
 
@@ -788,6 +789,23 @@ def test_spectral_norm_of_a_zero_matrix_is_exactly_zero(svd_calls):
     zero = np.zeros((rows, rows), dtype=np.complex128)
     assert distance(zero, zero) == 0.0
     assert svd_calls == []  # no iteration, no SVD
+
+
+def test_a_start_vector_in_the_kernel_falls_back_on_the_svd(svd_calls, monkeypatch):
+    # the start vector is drawn as e_0 and column 0 of d is zero, so d v = 0
+    # would read as a zero norm; the SVD of d gives the top value instead
+    rows = dense_oracle.KRYLOV_MIN_ROWS
+    d = np.random.default_rng(SEED).normal(size=(rows, rows))
+    d[:, 0] = 0.0
+    want = float(np.linalg.norm(d, 2))
+
+    class FirstBasisVector:
+        def standard_normal(self, n):
+            return np.eye(1, n)[0]
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FirstBasisVector())
+    assert distance(d, np.zeros_like(d)) == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert svd_calls == [d.shape]
 
 
 @pytest.mark.parametrize("factor", [1e-200, 1e150])

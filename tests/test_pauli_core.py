@@ -357,7 +357,7 @@ def test_bit_packed_core_matches_the_letter_table(width, data):
     assert PauliString.parse(a.format()) == a
 
     # the same operator built three ways is one value
-    from_sites = PauliString.from_sites(n, {i: la[i] for i in support}, pa)
+    from_sites = PauliString.from_sites(n, {i: la[i] for i in support}).with_phase_exp(pa)
     from_product = multiply(multiply(a, b), b.adjoint())
     for other in (from_sites, from_product):
         assert other == a and hash(other) == hash(a)

@@ -30,7 +30,6 @@ from qsakit.toric_lattice import (
     ground_state_sweep,
     kitaev_edge_index,
     kitaev_operator,
-    plaquette_schedule,
 )
 
 from conftest import kron_expm, kron_string, kron_sum
@@ -109,8 +108,7 @@ def test_a_spec_with_a_non_finite_coupling_is_refused(value):
 
 def test_wen_plaquette_pattern():
     spec = LatticeSpec(rows=3, cols=3)
-    pset = build_wen(spec)
-    term = pset.term_at((0, 0))
+    term = next(t for t in build_wen(spec).terms if t.index == (0, 0))
     # X at the two corners of one diagonal, Z at the other
     assert term.operator.letter(spec.site_index(0, 0)) == "X"
     assert term.operator.letter(spec.site_index(0, 1)) == "Z"
@@ -151,8 +149,7 @@ def test_wen_holes_skip_terms():
     spec = LatticeSpec(rows=4, cols=4, holes=(HoleSpec(((1, 1),)),))
     pset = build_wen(spec)
     assert len(pset.terms) == 8
-    with pytest.raises(LatticeError):
-        pset.term_at((1, 1))
+    assert (1, 1) not in [t.index for t in pset.terms]
     with pytest.raises(LatticeError):
         build_wen(LatticeSpec(rows=4, cols=4, holes=(HoleSpec(((5, 5),)),)))
 
@@ -179,18 +176,19 @@ def test_twist_pentagon_compiles():
     pentagon = next(
         t for t in build_wen(spec).terms if t.kind == "twist"
     )
-    schedule = plaquette_schedule(
-        *pentagon.index, spec, tau=0.4, strategy="line_endpoints"
-    )
-    assert validate(schedule) == []
+    schedules = [s for stage in digital_sequence(spec, 0.4).stages for s in stage]
+    assert pentagon.operator in [s.target for s in schedules]
+    assert all(validate(s) == [] for s in schedules)
 
 
 def test_plaquette_schedule_depth_and_identity():
+    # the digital sequence's schedule of a standard plaquette
     spec = LatticeSpec(rows=3, cols=3, J=2.0)
-    schedule = plaquette_schedule(0, 0, spec, tau=0.25)
+    schedule = digital_sequence(spec, 0.25).stages[0][0]
+    assert schedule.target == build_wen(spec).terms[0].operator
     assert schedule.depth == 1
     assert len(schedule.final_swappers) == 0
-    assert schedule.tg == pytest.approx(0.5)  # J * tau
+    assert schedule.tg == pytest.approx(-0.5)  # -J * tau
     assert validate(schedule) == []
 
 
@@ -590,7 +588,6 @@ TWISTED_44 = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
     (lambda: ground_state_sweep(TORUS_44), "the unitary sweep requires an open boundary"),
     (lambda: ground_state_sweep(TWISTED_44), "ground-state construction does not support twists"),
     (lambda: build_wen(HOLES_34), "build_wen needs model 'wen', got 'kitaev_holes'"),
-    (lambda: plaquette_schedule(0, 0, HOLES_34), "build_wen needs model 'wen', got 'kitaev_holes'"),
     (lambda: build_kitaev_holes(TORUS_44),
      "build_kitaev_holes needs model 'kitaev_holes', got 'wen'"),
     (lambda: LatticeSpec(rows=3, cols=4).site_index(3, 0), "spin (3, 0) outside the 3x4 grid"),
@@ -598,9 +595,8 @@ TWISTED_44 = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
     # edge keys are not wrapped on a periodic grid
     (lambda: kitaev_edge_index(LatticeSpec(2, 2, "periodic", "kitaev_holes"), "v", 2, 0),
      "edge ('v', 2, 0) does not exist on this lattice"),
-], ids=["sweep-on-a-torus", "sweep-on-a-twist", "build-wen-on-holes", "schedule-on-holes",
-        "build-holes-on-wen", "spin-off-the-grid", "star-on-the-rough-top",
-        "edge-past-a-periodic-row"])
+], ids=["sweep-on-a-torus", "sweep-on-a-twist", "build-wen-on-holes", "build-holes-on-wen",
+        "spin-off-the-grid", "star-on-the-rough-top", "edge-past-a-periodic-row"])
 def test_a_lattice_routine_refuses_what_it_cannot_do(call, message):
     with pytest.raises(LatticeError) as info:
         call()

@@ -13,10 +13,7 @@ in-process through ``runpy``.
 
 It needs only the standard library next to pytest, and it is not part of
 the test suite.  A run takes about 85 s on a 2-CPU machine, more than twice
-the untraced suite, and lists one line: the fallback in
-``dense_oracle._spectral_norm`` for a Krylov start vector in the kernel of
-the difference, which no deterministic test reaches (roundoff in the BLAS
-product keeps ``D v`` off exact zero).  Under tracing, cases of
+the untraced suite, and lists no line.  Under tracing, cases of
 ``test_path_search_on_the_hub_family_is_bounded`` fail their 1 s wall-time
 bounds (k = 3 to 8 on that machine; how many depends on its speed); every
 other test passes, the listing is still complete, and the script exits 0
