@@ -47,8 +47,7 @@ _EXPORTS = {
         "magic_state", "magic_report", "loop_cnot", "naive_move_error",
     ),
     "analysis": (
-        "StrengthParams", "ErrorScalingReport", "strength_target", "strength_toric",
-        "error_scaling",
+        "StrengthParams", "strength_target", "strength_toric", "error_scaling",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -101,32 +101,6 @@ def strength_toric(p: StrengthParams) -> float:
     return strength_target(p) / 4.0
 
 
-@dataclass(frozen=True)
-class ErrorScalingReport:
-    """Log-log error-scaling fit for one perturbed subject."""
-
-    subject: str
-    deltas: tuple[float, ...]
-    distances: tuple[float, ...]
-    slope: float
-    intercept: float
-    mode: str = "uniform"
-    seed: int | None = None
-    max_offset: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "deltas": list(self.deltas),
-            "distances": list(self.distances),
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "mode": self.mode,
-            "seed": self.seed,
-            "max_offset": self.max_offset,
-        }
-
-
 def _subject_label(subject) -> str:
     if isinstance(subject, QsaSchedule):
         return f"schedule[{subject.target}]"
@@ -150,10 +124,10 @@ def pulse_product(n_sites: int, pulses, offsets=None) -> np.ndarray:
 
 
 def error_scaling(
-    subject,
+    subject: QsaSchedule | DigitalSequence,
     deltas=(1e-2, 1e-3, 1e-4),
     seed: int | None = None,
-) -> ErrorScalingReport:
+) -> dict:
     """Perturb every pulse angle (the seed pulse included) and fit the error order.
 
     For each delta the perturbed product offsets all pulse angles by +delta
@@ -175,6 +149,11 @@ def error_scaling(
     within 1.2e-13 of the SVD of the formed difference.
     slope/intercept are the least-squares fit of log(distance) against
     log(delta).
+
+    Returns the report ``{"subject", "deltas", "distances", "slope",
+    "intercept", "mode", "seed", "max_offset"}``: ``mode`` is ``"uniform"``
+    with no seed and ``"random"`` with one, and ``max_offset`` is the largest
+    ``|offset|`` applied.
 
     Raises:
         ResourceLimitError: above the dense limit, or from 9 sites up when
@@ -216,13 +195,13 @@ def error_scaling(
             )
 
     slope, intercept = np.polyfit(np.log(deltas), np.log(dists), 1)
-    return ErrorScalingReport(
-        subject=label,
-        deltas=deltas,
-        distances=tuple(dists),
-        slope=float(slope),
-        intercept=float(intercept),
-        mode="uniform" if seed is None else "random",
-        seed=seed,
-        max_offset=max_offset,
-    )
+    return {
+        "subject": label,
+        "deltas": list(deltas),
+        "distances": list(dists),
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "mode": "uniform" if seed is None else "random",
+        "seed": seed,
+        "max_offset": max_offset,
+    }

@@ -214,12 +214,15 @@ def _cmd_compile(args):
 
     artifacts = []
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(schedule.to_json())
-            fh.write("\n")
-        with open(args.out, encoding="utf-8") as fh:
-            reread = QsaSchedule.from_json(fh.read())
-        checks.append(_check("artifact-round-trip", reread == schedule))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(schedule.to_json())
+                fh.write("\n")
+            with open(args.out, encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise CliInputError(f"cannot write {args.out}: {exc}") from exc
+        checks.append(_check("artifact-round-trip", QsaSchedule.from_json(text) == schedule))
         artifacts.append(args.out)
     return checks, metrics, artifacts, paths
 
@@ -567,11 +570,11 @@ def _cmd_error_scaling(args):
     checks = [
         _check(
             "slope-first-order",
-            0.9 <= report.slope <= 1.1,
-            f"log-log slope = {report.slope:.4f}",
+            0.9 <= report["slope"] <= 1.1,
+            f"log-log slope = {report['slope']:.4f}",
         )
     ]
-    return checks, report.to_dict(), [], paths
+    return checks, report, [], paths
 
 
 # -- parser -------------------------------------------------------------------------

@@ -24,7 +24,7 @@ moving ``Z**za`` past ``X**xb`` gives the product rule
 (``x``, ``z`` the product's masks), and two strings commute exactly when
 ``|xa & zb| + |za & xb|`` is even.  Every product and commutation test is a
 few big-int operations, whatever the register width; the per-site
-``letters`` and ``support`` are views computed on first use.
+``letters`` are computed when read, and ``support`` on first use, then kept.
 
 All operations are exact on the integer data; the only tolerance in this
 module is ``TOL`` (1e-12), used when real coefficients are collected.
@@ -142,7 +142,7 @@ class PauliString:
         phase_exp: Global phase as an exponent of ``i``, reduced mod 4.
     """
 
-    __slots__ = ("n_sites", "x", "z", "phase_exp", "_letters", "_support")
+    __slots__ = ("n_sites", "x", "z", "phase_exp", "_support")
 
     n_sites: int
     x: int
@@ -274,11 +274,7 @@ class PauliString:
     @property
     def letters(self) -> tuple[str, ...]:
         """Tuple of per-site letters drawn from ``I, X, Y, Z``."""
-        try:
-            return self._letters
-        except AttributeError:
-            _set_letters(self, tuple(self._text()))
-            return self._letters
+        return tuple(self._text())
 
     @property
     def phase(self) -> complex:
@@ -327,7 +323,6 @@ _set_n = PauliString.n_sites.__set__
 _set_x = PauliString.x.__set__
 _set_z = PauliString.z.__set__
 _set_phase = PauliString.phase_exp.__set__
-_set_letters = PauliString._letters.__set__
 _set_support = PauliString._support.__set__
 
 
@@ -477,13 +472,6 @@ class WeightedPauliSum:
             and self.terms[0][1].is_identity()
             and abs(self.terms[0][0] - 1.0) <= TOL
         )
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        mask = 0
-        for _, string in self.terms:
-            mask |= string.x | string.z
-        return _sites(mask)
 
     def __mul__(self, other: "WeightedPauliSum") -> "WeightedPauliSum":
         """Operator product, expanded term-by-term and recollected.

@@ -31,9 +31,10 @@ flips the sign of a string carrying the third letter there.
 
 :func:`conjugate` is the float three-term conjugation identity for a pulse
 ``(generator, angle)`` at any angle; the tests use it as the reference for
-the rule.  :func:`make_attachment`, :func:`make_swapper` and a schedule's
-pulse program (``QsaSchedule.pulses``, which the dense oracle runs) give a
-spec's pulse as ``(spec.generator(n), spec.forward_angle)`` or ``inverse_angle``.
+the rule.  :func:`make_attachment` and :func:`make_swapper` give a spec's
+forward pulse ``(spec.generator(n), spec.forward_angle)``; its inverse pulse
+is ``(spec.generator(n), spec.inverse_angle)``, and a schedule's pulse program
+(``QsaSchedule.pulses``, which the dense oracle runs) is made of both.
 """
 
 from __future__ import annotations
@@ -223,29 +224,14 @@ class SwapperSpec(_BranchPulse):
             raise PulseSpecError(f"swapper spec missing field {exc}") from exc
 
 
-def _branch_rotation(
-    spec: AttachmentSpec | SwapperSpec, n_sites: int, direction: str
-) -> tuple[WeightedPauliSum, float]:
-    """The spec's pulse ``(generator, angle)`` at its forward or inverse branch angle."""
-    if direction == "forward":
-        return spec.generator(n_sites), spec.forward_angle
-    if direction == "inverse":
-        return spec.generator(n_sites), spec.inverse_angle
-    raise PulseSpecError(f"invalid direction {direction!r}")
+def make_attachment(spec: AttachmentSpec, n_sites: int) -> tuple[WeightedPauliSum, float]:
+    """The attachment's forward pulse ``(generator, angle)``."""
+    return spec.generator(n_sites), spec.forward_angle
 
 
-def make_attachment(
-    spec: AttachmentSpec, n_sites: int, direction: str = "forward"
-) -> tuple[WeightedPauliSum, float]:
-    """The attachment pulse ``(generator, angle)`` at the spec's branch angle."""
-    return _branch_rotation(spec, n_sites, direction)
-
-
-def make_swapper(
-    spec: SwapperSpec, n_sites: int, direction: str = "forward"
-) -> tuple[WeightedPauliSum, float]:
-    """The swapper pulse ``(generator, angle)`` at the spec's branch angle."""
-    return _branch_rotation(spec, n_sites, direction)
+def make_swapper(spec: SwapperSpec, n_sites: int) -> tuple[WeightedPauliSum, float]:
+    """The swapper's forward pulse ``(generator, angle)``."""
+    return spec.generator(n_sites), spec.forward_angle
 
 
 def _check_conjugand(q: PauliString, n_sites: int) -> None:

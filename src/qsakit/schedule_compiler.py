@@ -129,9 +129,6 @@ class ConnectivityGraph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def to_dict(self) -> dict:
-        return {"n_sites": self.n_sites, "edges": sorted(list(e) for e in self.edges)}
-
     @classmethod
     def from_dict(cls, data: dict) -> "ConnectivityGraph":
         n_sites = index_field(data["n_sites"], "n_sites")

@@ -72,9 +72,6 @@ class HoleSpec:
         if not self.plaquettes:
             raise LatticeError("hole must list at least one plaquette")
 
-    def to_dict(self) -> dict:
-        return {"plaquettes": [list(p) for p in self.plaquettes], "kind": self.kind}
-
     @classmethod
     def from_dict(cls, data: dict) -> "HoleSpec":
         return cls(
@@ -94,9 +91,6 @@ class TwistSpec:
 
     row: int
     col: int
-
-    def to_dict(self) -> dict:
-        return {"row": self.row, "col": self.col}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TwistSpec":
@@ -162,17 +156,6 @@ class LatticeSpec:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise LatticeError(f"spin ({i}, {j}) outside the {self.rows}x{self.cols} grid")
         return i * self.cols + j
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "boundary": self.boundary,
-            "model": self.model,
-            "J": self.J,
-            "holes": [h.to_dict() for h in self.holes],
-            "twists": [t.to_dict() for t in self.twists],
-        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LatticeSpec":

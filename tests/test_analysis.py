@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qsakit.analysis import (
-    ErrorScalingReport,
     StrengthParams,
     error_scaling,
     pulse_product,
@@ -123,11 +122,13 @@ def test_params_validation():
 
 def test_error_scaling_slope_on_plaquette():
     report = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3, 1e-4))
-    assert isinstance(report, ErrorScalingReport)
-    assert 0.9 <= report.slope <= 1.1
-    assert report.mode == "uniform"
-    assert len(report.distances) == 3
-    assert all(a > b for a, b in zip(report.distances, report.distances[1:]))
+    assert list(report) == [
+        "subject", "deltas", "distances", "slope", "intercept", "mode", "seed", "max_offset",
+    ]
+    assert 0.9 <= report["slope"] <= 1.1
+    assert report["mode"] == "uniform"
+    assert len(report["distances"]) == 3
+    assert all(a > b for a, b in zip(report["distances"], report["distances"][1:]))
 
 
 def test_error_scaling_zero_offset_gives_zero_distance():
@@ -156,7 +157,7 @@ def test_error_scaling_first_order_bound():
     schedule = plaquette_schedule()
     n_pulses = len(schedule.pulses())
     report = error_scaling(schedule, deltas=(1e-2, 1e-3, 1e-4))
-    for delta, dist in zip(report.deltas, report.distances):
+    for delta, dist in zip(report["deltas"], report["distances"]):
         assert dist <= 2.0 * delta * n_pulses
         assert dist >= 0.1 * delta
 
@@ -190,11 +191,11 @@ def test_error_scaling_refuses_a_distance_the_fit_cannot_log():
 
 def test_error_scaling_random_offsets_mode():
     report = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3), seed=3)
-    assert report.mode == "random"
-    assert report.seed == 3
-    assert 0.0 < report.max_offset <= 1e-2
+    assert report["mode"] == "random"
+    assert report["seed"] == 3
+    assert 0.0 < report["max_offset"] <= 1e-2
     again = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3), seed=3)
-    assert again.distances == report.distances
+    assert again["distances"] == report["distances"]
 
 
 def test_uniform_offsets_draw_nothing(monkeypatch):
@@ -203,14 +204,14 @@ def test_uniform_offsets_draw_nothing(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", refuse)
     report = error_scaling(plaquette_schedule(), deltas=(1e-2, 1e-3))
-    assert (report.mode, report.seed, report.max_offset) == ("uniform", None, 1e-2)
+    assert (report["mode"], report["seed"], report["max_offset"]) == ("uniform", None, 1e-2)
 
 
 def test_error_scaling_digital_subject():
     seq = digital_sequence(LatticeSpec(rows=2, cols=3), tau=0.3)
     report = error_scaling(seq, deltas=(1e-2, 1e-3, 1e-4))
-    assert 0.9 <= report.slope <= 1.1
-    assert report.subject.startswith("digital[")
+    assert 0.9 <= report["slope"] <= 1.1
+    assert report["subject"].startswith("digital[")
 
 
 def test_error_scaling_rejects_unknown_subject():

@@ -1,7 +1,6 @@
 """Batch front-end: exit codes, report shape, determinism, round trips."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -312,6 +311,21 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, ["compile"])
     assert code == 2
+
+
+@pytest.mark.parametrize("parent", ["missing-directory", "regular-file"])
+def test_compile_out_to_an_unwritable_path_exits_two(tmp_path, capsys, parent):
+    (tmp_path / "regular-file").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    path = tmp_path / parent / "s.json"
+    code = main(["compile", "--target", "XZZX", "--out", str(path)])
+    captured = capsys.readouterr()
+    report = strict_json(captured.out)
+    assert code == 2
+    assert report["status"] == "malformed-input"
+    assert report["error"].startswith(f"CliInputError: cannot write {path}: ")
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -899,7 +913,7 @@ def test_a_non_finite_report_value_is_refused_not_printed(tmp_path, capsys, monk
     real = analysis.error_scaling
     monkeypatch.setattr(
         analysis, "error_scaling",
-        lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), intercept=math.nan),
+        lambda *args, **kwargs: {**real(*args, **kwargs), "intercept": math.nan},
     )
     code, out = run_cli(capsys, ["analyze", "error-scaling", "--schedule", str(out_file)])
     report = strict_json(out)

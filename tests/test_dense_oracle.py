@@ -184,11 +184,11 @@ def test_schedule_pulses_are_the_spec_rotations_in_time_order(target):
     schedule = compile_schedule(PauliString.parse(target), ConnectivityGraph.path(n), tg=0.3)
     swappers, layers = schedule.final_swappers, schedule.layers
     want = (
-        [make_swapper(spec, n, "inverse") for spec in swappers]
-        + [make_attachment(spec, n, "inverse") for layer in reversed(layers) for spec in layer]
+        [(spec.generator(n), spec.inverse_angle) for spec in swappers]
+        + [(spec.generator(n), spec.inverse_angle) for layer in reversed(layers) for spec in layer]
         + [(WeightedPauliSum.from_string(schedule.seed), 0.3)]
-        + [make_attachment(spec, n, "forward") for layer in layers for spec in layer]
-        + [make_swapper(spec, n, "forward") for spec in swappers]
+        + [make_attachment(spec, n) for layer in layers for spec in layer]
+        + [make_swapper(spec, n) for spec in swappers]
     )
     assert schedule.pulses() == want
     assert len(want) == 1 + 2 * (len(swappers) + sum(len(layer) for layer in layers))
@@ -301,7 +301,7 @@ def test_schedule_unitary_is_bitwise_equal_under_every_admitting_limit(n):
 
 
 def test_a_one_qubit_swapper_runs_at_a_dense_limit_of_one():
-    pulse = make_swapper(SwapperSpec(0, "X", "Z"), 1, "forward")
+    pulse = make_swapper(SwapperSpec(0, "X", "Z"), 1)
     state = _random_state(1, seed=3)
     want = run_pulses([pulse], state)
     with dense_limit(1):

@@ -17,7 +17,7 @@ SRC = Path(qsakit.__file__).resolve().parent.parent
 # The export set of qsakit/__init__.py; a change to it must be recorded.
 EXPORTS = sorted([
     "AttachmentSpec", "ConnectivityGraph", "DigitalSequence",
-    "EncodingError", "ErrorScalingReport", "HoleSpec",
+    "EncodingError", "HoleSpec",
     "LatticeError", "LatticeSpec", "LoopCnot", "PathError",
     "PauliString", "PlaquetteSet", "QsaSchedule", "ResourceLimitError",
     "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",

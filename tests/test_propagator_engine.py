@@ -91,17 +91,11 @@ def test_spec_validation():
         SwapperSpec(site=0, alpha="Y", beta="Y")
 
 
-def test_pulse_makers_reject_unknown_direction():
+def test_pulse_makers_give_the_forward_pulse():
     attach = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
     swap = SwapperSpec(site=0, alpha="X", beta="Z")
-    with pytest.raises(PulseSpecError, match="direction"):
-        make_attachment(attach, 2, direction="backward")
-    with pytest.raises(PulseSpecError, match="direction"):
-        make_swapper(swap, 2, direction="backward")
-    assert make_attachment(attach, 2, "inverse") == (attach.generator(2), attach.inverse_angle)
     assert make_attachment(attach, 3) == (attach.generator(3), attach.forward_angle)
-    assert make_swapper(swap, 2, "forward") == (swap.generator(2), swap.forward_angle)
-    assert make_swapper(swap, 2, "inverse") == (swap.generator(2), swap.inverse_angle)
+    assert make_swapper(swap, 2) == (swap.generator(2), swap.forward_angle)
 
 
 def test_spec_dict_round_trip():
@@ -121,23 +115,21 @@ def test_conjugate_matches_sandwich_oracle():
         sites = rng.choice(n, size=2, replace=False)
         alpha, beta = rng.choice(["X", "Y", "Z"], size=2, replace=False)
         if rng.integers(0, 2):
-            pulse = make_attachment(
-                AttachmentSpec(
-                    connector_site=int(sites[0]),
-                    alpha=str(alpha),
-                    beta=str(beta),
-                    attached_site=int(sites[1]),
-                    attached_letter=str(rng.choice(["X", "Y", "Z"])),
-                ),
-                n,
-                direction="forward" if rng.integers(0, 2) else "inverse",
+            spec = AttachmentSpec(
+                connector_site=int(sites[0]),
+                alpha=str(alpha),
+                beta=str(beta),
+                attached_site=int(sites[1]),
+                attached_letter=str(rng.choice(["X", "Y", "Z"])),
             )
+            make = make_attachment
         else:
-            pulse = make_swapper(
-                SwapperSpec(site=int(sites[0]), alpha=str(alpha), beta=str(beta)),
-                n,
-                direction="forward" if rng.integers(0, 2) else "inverse",
-            )
+            spec = SwapperSpec(site=int(sites[0]), alpha=str(alpha), beta=str(beta))
+            make = make_swapper
+        if rng.integers(0, 2):
+            pulse = make(spec, n)
+        else:
+            pulse = (spec.generator(n), spec.inverse_angle)
         q = random_phase_free(rng, n)
         got = kron_sum(conjugate(q, pulse))
         generator, angle = pulse
@@ -149,7 +141,7 @@ def test_conjugate_matches_sandwich_oracle():
 def test_collapse_at_quarter_turns():
     n = 2
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    generator, angle = make_attachment(spec, n, direction="forward")
+    generator, angle = make_attachment(spec, n)
     grown = conjugate_string(PauliString.parse("ZI"), (generator, angle))
     assert grown.phase_exp == 0
     u = kron_expm(kron_sum(generator), angle)
@@ -159,7 +151,7 @@ def test_collapse_at_quarter_turns():
 
 def test_collapse_rejects_partial_rotation():
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    generator, angle = make_attachment(spec, 2, direction="forward")
+    generator, angle = make_attachment(spec, 2)
     with pytest.raises(CollapseError, match="did not collapse to one string"):
         conjugate_string(PauliString.parse("ZI"), (generator, angle / 2.0))
 
@@ -167,7 +159,7 @@ def test_collapse_rejects_partial_rotation():
 def test_conjugate_string_letter_rules():
     n = 2
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    fwd = make_attachment(spec, n, direction="forward")
+    fwd = make_attachment(spec, n)
     # alpha at the connector swaps to beta and drags the attached letter in.
     assert conjugate_string(PauliString.parse("ZI"), fwd).letters == ("X", "X")
     # beta swaps back to alpha, also dragging the attached letter.
@@ -176,13 +168,13 @@ def test_conjugate_string_letter_rules():
 
 def test_conjugate_fixes_strings_off_the_pulse():
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    fwd = make_attachment(spec, 3, direction="forward")
+    fwd = make_attachment(spec, 3)
     assert conjugate_string(PauliString.parse("IIZ"), fwd).format() == "IIZ"
 
 
 def test_conjugate_third_letter_flips_sign():
     spec = AttachmentSpec(connector_site=0, alpha="Z", beta="X", attached_site=1)
-    fwd = make_attachment(spec, 2, direction="forward")
+    fwd = make_attachment(spec, 2)
     total = conjugate(PauliString.parse("YI"), fwd)
     ((coeff, string),) = total.terms
     assert string == PauliString.parse("YI")
@@ -205,7 +197,7 @@ def test_apply_swap_matches_dense_conjugation():
         spec = SwapperSpec(
             site=int(rng.integers(0, n)), alpha=str(alpha), beta=str(beta)
         )
-        generator, angle = make_swapper(spec, n, direction="forward")
+        generator, angle = make_swapper(spec, n)
         q = random_phase_free(rng, n)
         u = kron_expm(kron_sum(generator), angle)
         want = u @ kron_string(q) @ u.conj().T
@@ -226,14 +218,15 @@ def branch_cases(draw):
     n = draw(st.integers(1, 6))
     alpha, beta = draw(st.lists(LETTER, min_size=2, max_size=2, unique=True))
     branches = {"branch_m": draw(BRANCHES), "branch_mp": draw(BRANCHES)}
-    direction = draw(st.sampled_from(["forward", "inverse"]))
+    forward = draw(st.booleans())
     if n > 1 and draw(st.booleans()):
         c, a = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         spec = AttachmentSpec(c, alpha, beta, a, draw(LETTER), **branches)
-        pulse = make_attachment(spec, n, direction)
+        make = make_attachment
     else:
         spec = SwapperSpec(draw(st.integers(0, n - 1)), alpha, beta, **branches)
-        pulse = make_swapper(spec, n, direction)
+        make = make_swapper
+    pulse = make(spec, n) if forward else (spec.generator(n), spec.inverse_angle)
     letters = draw(st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n))
     return spec, pulse, PauliString(n, letters, draw(st.sampled_from([0, 2])))
 

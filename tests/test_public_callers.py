@@ -3,20 +3,30 @@
 A module-level name passes when it is referenced in ``src/qsakit`` outside its
 own definition, exported by ``qsakit/__init__.py``, or named in the
 benchmark's per-layer list ``bench/tracing.REPORTED`` (read from its source,
-not run).  A public method of a public class passes when it is called as
-``x.method(...)`` or referenced as ``Class.method`` in ``src/qsakit`` outside
-its own definition (a property when it is read as ``x.method``), or
-``Class.method`` is in ``REPORTED`` or in :data:`KEPT_METHODS`; exporting the
-class does not cover its methods, and reading an attribute of the same name,
-such as ``args.path``, does not cover a method.
+not run).  A public method of a public class passes when ``Class.method`` is
+in ``REPORTED`` or in :data:`KEPT_METHODS`, or when it has a use outside its
+own definition; exporting the class does not cover its methods.
+
+* A method whose name only one public class defines is used when it is called
+  as ``x.method(...)`` or referenced as ``Class.method`` in ``src/qsakit`` (a
+  property when it is read as ``x.method``); reading an attribute of the same
+  name, such as ``args.path``, does not cover a method.
+* A method whose name two or more public classes define, such as ``to_dict``,
+  is used by ``r.method`` in ``src/qsakit`` or ``bench/`` only when the
+  receiver ``r`` resolves to its class (see :class:`_Receivers`).  A use
+  whose receiver does not resolve counts for no class.
 
 No optional parameter of a public function or method is left unset either:
 each is passed, by keyword or by position, by some call under ``src/qsakit``
 or ``bench/`` (tests do not count), or it is listed in :data:`KEPT_OPTIONS`.
+Every entry of either list must still be needed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import qsakit
 
@@ -24,13 +34,21 @@ SRC = Path(qsakit.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
 
-#: ``(module, "Class.method")`` kept with no caller under ``src/``, with why.
+#: ``(module, "Class.method")`` kept with no use the guard finds, with why.
 KEPT_METHODS = {
     ("anyon_logic", "LoopCnot.composite_apply"):
         "the exact CNOT from three commuting logical rotations, which the "
         "tests check against the braid route",
     ("pauli_core", "PauliString.adjoint"):
         "the Hermitian adjoint of the exported Pauli type, pinned against the kron oracle",
+    ("pauli_core", "PauliString.is_identity"):
+        "WeightedPauliSum.is_identity calls it on self.terms[0][1], a receiver "
+        "the guard does not type",
+    ("propagator_engine", "AttachmentSpec.to_dict"):
+        "QsaSchedule.to_dict calls it on the items of layers, which the guard does not type",
+    ("propagator_engine", "SwapperSpec.to_dict"):
+        "QsaSchedule.to_dict calls it on the items of final_swappers, which the "
+        "guard does not type",
     ("schedule_compiler", "ConnectivityGraph.complete"):
         "the all-to-all graph of the exported graph type; tests build their "
         "complete couplings with it",
@@ -42,10 +60,6 @@ KEPT_METHODS = {
 #: ``(module, "name", parameter)`` optional parameters that no call under
 #: ``src/`` or ``bench/`` sets, kept with why.
 KEPT_OPTIONS = {
-    ("propagator_engine", "make_attachment", "direction"):
-        "make_attachment exists only because bench/tracing.REPORTED names it",
-    ("propagator_engine", "make_swapper", "direction"):
-        "make_swapper exists only because bench/tracing.REPORTED names it",
     ("analysis", "pulse_product", "offsets"):
         "the tests' reference product of a perturbed pulse program",
 }
@@ -101,36 +115,192 @@ def _uses(cls: ast.ClassDef, method: ast.FunctionDef) -> set[str]:
     return uses
 
 
-def uncalled(sources: dict[str, str], exported: set[tuple[str, str]],
-             reported: set[tuple[str, str]]) -> list[str]:
+def _annotated(node) -> set[str]:
+    """The type names of an annotation: ``C``, ``"C"``, ``m.C`` or a ``|`` union of them."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return _annotated(ast.parse(node.value, mode="eval").body)
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return _annotated(node.left) | _annotated(node.right)
+    return set()
+
+
+def _own(body: list) -> list:
+    """The nodes of ``body`` outside any def, class or lambda it holds, in source order."""
+    out, stack = [], list(body)
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(out, key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)))
+
+
+class _Receivers:
+    """The classes of ``sources`` and the class each receiver ``r`` of ``r.name`` resolves to.
+
+    ``r`` resolves to class ``C`` when it is ``C`` or ``module.C``; the first
+    parameter of a method of ``C`` or of a class ``C`` derives from; a
+    parameter annotated ``C`` or a union holding ``C``; a name the same
+    function assigns from ``C(...)``, ``C.<classmethod>(...)`` or a call of a
+    function annotated to return ``C``; or such a call itself.
+    """
+
+    def __init__(self, sources: list[ast.Module], callers: list[ast.Module]):
+        defs = [node for tree in sources for node in tree.body if isinstance(node, ast.ClassDef)]
+        self.classes = {node.name for node in defs}
+        bases = {node.name: set().union(*map(_annotated, node.bases)) & self.classes for node in defs}
+        self.ancestors = {}
+        for name in self.classes:
+            found, todo = set(), [name]
+            while todo:
+                for base in bases[todo.pop()] - found:
+                    found.add(base)
+                    todo.append(base)
+            self.ancestors[name] = found
+        self.classmethods = {
+            (node.name, fn.name) for node in defs for fn in node.body
+            if isinstance(fn, ast.FunctionDef)
+            and any(ast.unparse(d) == "classmethod" for d in fn.decorator_list)
+        }
+        self.returns = {
+            fn.name: _annotated(fn.returns) & self.classes
+            for tree in [*sources, *callers] for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.returns is not None
+        }
+
+    def of(self, expr: ast.AST, env: dict) -> set[str]:
+        """The classes ``expr`` is, or is an instance of; empty when it does not resolve."""
+        if isinstance(expr, ast.Name):
+            return env[expr.id] if expr.id in env else {expr.id} & self.classes
+        if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
+            return {expr.attr} & self.classes
+        if not isinstance(expr, ast.Call):
+            return set()
+        func = expr.func
+        if isinstance(func, ast.Attribute):
+            owners = self.of(func.value, env)
+            if owners:
+                return {c for c in owners if (c, func.attr) in self.classmethods}
+            if not isinstance(func.value, ast.Name) or func.value.id in env:
+                return set()
+            name = func.attr  # module.C(...) or module.f(...)
+        elif isinstance(func, ast.Name) and func.id not in env:
+            name = func.id
+        else:
+            return set()
+        return ({name} & self.classes) or self.returns.get(name, set())
+
+    def _scope(self, fn: ast.FunctionDef | ast.Module, outer: dict, owner: str | None) -> dict:
+        """``outer`` with the names ``fn`` binds: its parameters, then its assignments."""
+        env = dict(outer)
+        if isinstance(fn, ast.FunctionDef):
+            positional = fn.args.posonlyargs + fn.args.args
+            for arg in positional + fn.args.kwonlyargs:
+                env[arg.arg] = _annotated(arg.annotation) & self.classes
+            static = any(ast.unparse(d) == "staticmethod" for d in fn.decorator_list)
+            if owner is not None and positional and not static:
+                env[positional[0].arg] = {c for c in self.classes if owner in self.ancestors[c] | {c}}
+        for node in _own(fn.body):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target, value = node.target, node.value
+            else:
+                continue
+            if isinstance(target, ast.Name):
+                env[target.id] = self.of(value, env)
+        return env
+
+    def uses(self, tree: ast.Module) -> list[tuple[str, set[str], tuple]]:
+        """``(name, classes, enclosing defs)`` of each ``r.name`` in ``tree`` whose ``r`` resolves.
+
+        ``classes`` holds the receiver's classes and every class they derive from.
+        """
+        out = []
+
+        def visit(node, env, owner, within):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, env, child.name, within)
+                elif isinstance(child, ast.FunctionDef):
+                    visit(child, self._scope(child, env, owner), None, within + (child,))
+                else:
+                    if isinstance(child, ast.Attribute):
+                        found = self.of(child.value, env)
+                        if found:
+                            found = found.union(*(self.ancestors[c] for c in found))
+                            out.append((child.attr, found, within))
+                    visit(child, env, None, within)
+
+        visit(tree, self._scope(tree, {}, None), None, ())
+        return out
+
+
+def uncalled(sources: dict[str, str], callers: dict[str, str],
+             exported: set[tuple[str, str]], reported: set[tuple[str, str]]) -> list[str]:
     """``module.name`` of each public def, class or method of ``sources`` that passes no rule.
 
     ``exported`` names module-level defs and classes; ``reported`` also names
-    methods as ``Class.method``.
+    methods as ``Class.method``.  A method whose name two or more public
+    classes define counts only the uses ``r.name`` in ``sources`` and
+    ``callers`` whose receiver ``r`` resolves to its class (see
+    :class:`_Receivers`); any other method counts the uses of ``_names`` in
+    ``sources``.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
+    caller_trees = [ast.parse(text) for text in callers.values()]
+    receivers = _Receivers(list(trees.values()), caller_trees)
+    typed = [use for tree in [*trees.values(), *caller_trees] for use in receivers.uses(tree)]
+    defined = Counter(
+        method.name for tree in trees.values() for node in _public(tree.body)
+        if isinstance(node, ast.ClassDef)
+        for method in _public(node.body) if isinstance(method, ast.FunctionDef)
+    )
     out = []
     for module, tree in trees.items():
         for node in _public(tree.body):
-            candidates = [(node.name, node, {node.name}, exported | reported)]
+            candidates = [(node.name, node, None, exported | reported)]
             if isinstance(node, ast.ClassDef):
                 candidates += [
-                    (f"{node.name}.{method.name}", method, _uses(node, method), reported)
+                    (f"{node.name}.{method.name}", method, node.name, reported)
                     for method in _public(node.body) if isinstance(method, ast.FunctionDef)
                 ]
-            for name, defn, uses, kept in candidates:
+            for name, defn, cls, kept in candidates:
                 if (module, name) in kept:
                     continue
-                if not any(uses & _names(other, defn) for other in trees.values()):
+                if cls is not None and defined[defn.name] > 1:
+                    used = any(
+                        attr == defn.name and cls in classes and defn not in within
+                        for attr, classes, within in typed
+                    )
+                else:
+                    uses = {name} if cls is None else _uses(node, defn)
+                    used = any(uses & _names(other, defn) for other in trees.values())
+                if not used:
                     out.append(f"{module}.{name}")
     return out
 
 
+def stale_methods(sources: dict[str, str], callers: dict[str, str],
+                  exported: set[tuple[str, str]], reported: set[tuple[str, str]], kept) -> list[str]:
+    """``module.Class.method`` of each entry of ``kept`` that :func:`uncalled` passes without it."""
+    flagged = set(uncalled(sources, callers, exported, reported))
+    return sorted(f"{module}.{name}" for module, name in kept if f"{module}.{name}" not in flagged)
+
+
 def test_every_public_function_has_a_caller():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    callers = {p.stem: p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))}
     assert {"propagator_engine", "analysis", "cli"} <= set(sources)
+    assert {"run", "inputs"} <= set(callers)
     exported = {(module, name) for module, names in qsakit._EXPORTS.items() for name in names}
-    assert uncalled(sources, exported, _reported() | set(KEPT_METHODS)) == []
+    assert uncalled(sources, callers, exported, _reported() | set(KEPT_METHODS)) == []
+    # every exemption is needed
+    assert stale_methods(sources, callers, exported, _reported(), KEPT_METHODS) == []
 
 
 def test_the_guard_finds_an_uncalled_function():
@@ -138,7 +308,7 @@ def test_the_guard_finds_an_uncalled_function():
         "a": "def used():\n    pass\n\ndef lonely():\n    return lonely()\n",
         "b": "from .a import used\n\nclass Kept:\n    pass\n\ndef traced():\n    pass\n",
     }
-    assert uncalled(sources, {("b", "Kept")}, {("b", "traced")}) == ["a.lonely"]
+    assert uncalled(sources, {}, {("b", "Kept")}, {("b", "traced")}) == ["a.lonely"]
 
 
 def test_the_guard_finds_an_uncalled_method():
@@ -158,13 +328,64 @@ def test_the_guard_finds_an_uncalled_method():
         ),
     }
     exported, reported = {("a", "Box"), ("b", "f")}, {("a", "Box.traced")}
-    assert uncalled(sources, exported, reported) == []
+    assert uncalled(sources, {}, exported, reported) == []
     # reading an attribute of the same name, like ``args.lonely``, is no call
     sources["a"] = sources["a"].replace("return self.lonely()\n", "return self.lonely\n", 1)
-    assert uncalled(sources, exported, reported) == ["a.Box.lonely"]
+    assert uncalled(sources, {}, exported, reported) == ["a.Box.lonely"]
     # a method read off another name than its class is no reference either
     sources["b"] = sources["b"].replace("Box.named", "box.named")
-    assert uncalled(sources, exported, reported) == ["a.Box.lonely", "a.Box.named"]
+    assert uncalled(sources, {}, exported, reported) == ["a.Box.lonely", "a.Box.named"]
+
+
+#: A module whose classes share the method name ``tag``; ``{use}`` is the body of ``Box.use``.
+SHARED = (
+    "class Box(_Shelf):\n"
+    "    def tag(self):\n        pass\n"
+    "    def use(self):\n        return {use}\n"
+    "    @classmethod\n    def make(cls):\n        return cls()\n"
+    "class Bag:\n"
+    "    def tag(self):\n        pass\n"
+    "def box_of() -> 'Box':\n    return Box()\n"
+)
+SHARED_KEPT = {("a", "Box"), ("a", "Bag"), ("a", "box_of"), ("b", "f")}
+SHARED_REPORTED = {("a", "Box.use"), ("a", "Box.make")}
+
+
+def test_the_guard_matches_a_shared_method_name_to_its_class():
+    sources = {"a": SHARED.format(use="None"), "b": "def f(bag: Bag, x):\n    return bag.tag()\n"}
+    # a call on a Bag does not cover Box.tag, though the name matches
+    assert uncalled(sources, {}, SHARED_KEPT, SHARED_REPORTED) == ["a.Box.tag"]
+    # a receiver that resolves to no class covers neither
+    sources["b"] = "def f(x):\n    return x.tag()\n"
+    assert uncalled(sources, {}, SHARED_KEPT, SHARED_REPORTED) == ["a.Box.tag", "a.Bag.tag"]
+
+
+@pytest.mark.parametrize("use, caller, bench", [
+    ("None", "from a import Box\n\ndef f():\n    return Box.tag\n", ""),
+    ("None", "import a\n\ndef f():\n    return a.Box.tag\n", ""),
+    ("self.tag()", "", ""),
+    ("None", "class _Shelf:\n    def go(self):\n        return self.tag()\n", ""),
+    ("None", "def f(box: Box):\n    return box.tag()\n", ""),
+    ("None", "def f(box: 'Bin | Box | None'):\n    return box.tag()\n", ""),
+    ("None", "def f():\n    box = Box()\n    return box.tag()\n", ""),
+    ("None", "def f():\n    box = Box.make()\n    return box.tag()\n", ""),
+    ("None", "def f():\n    box = box_of()\n    return box.tag()\n", ""),
+    ("None", "def f():\n    return box_of().tag()\n", ""),
+    ("None", "", "def f(box: Box):\n    return box.tag()\n"),
+], ids=[
+    "class", "module-class", "self", "self-in-base", "annotated", "annotated-union",
+    "constructed", "classmethod", "returned", "call", "bench",
+])
+def test_each_receiver_form_credits_its_class(use, caller, bench):
+    sources = {"a": SHARED.format(use=use), "b": caller}
+    assert uncalled(sources, {"run": bench}, SHARED_KEPT, SHARED_REPORTED) == ["a.Bag.tag"]
+
+
+def test_a_stale_method_exemption_is_found():
+    sources = {"a": SHARED.format(use="None"), "b": "def f(box: Box):\n    return box.tag()\n"}
+    kept = {("a", "Bag.tag"): "no caller", ("a", "Box.tag"): "called by b.f"}
+    assert uncalled(sources, {}, SHARED_KEPT, SHARED_REPORTED | set(kept)) == []
+    assert stale_methods(sources, {}, SHARED_KEPT, SHARED_REPORTED, kept) == ["a.Box.tag"]
 
 
 def _optional(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:

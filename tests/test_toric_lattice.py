@@ -89,14 +89,19 @@ def test_spec_validation():
         )
 
 
-def test_spec_dict_round_trip():
+def test_spec_from_dict():
     spec = LatticeSpec(
         rows=3, cols=4, model="kitaev_holes",
         holes=(HoleSpec(((1, 0),), "smooth"), HoleSpec(((1, 2),), "rough")),
     )
-    assert LatticeSpec.from_dict(spec.to_dict()) == spec
+    data = {
+        "rows": 3, "cols": 4, "boundary": "open", "model": "kitaev_holes", "J": 1.0,
+        "holes": [{"plaquettes": [[1, 0]], "kind": "smooth"}, {"plaquettes": [[1, 2]], "kind": "rough"}],
+        "twists": [],
+    }
+    assert LatticeSpec.from_dict(data) == spec
     twisted = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
-    assert LatticeSpec.from_dict(twisted.to_dict()) == twisted
+    assert LatticeSpec.from_dict({"rows": 4, "cols": 4, "twists": [{"row": 1, "col": 0}]}) == twisted
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
