@@ -15,28 +15,29 @@ executor runs the program it is given: a schedule's program comes from
 :mod:`qsakit.analysis` shifts the angles of a perturbed one.  Every
 dense product is a plain ``2^n x 2^n`` array and every state a plain
 ``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
-one.  A product, whether :func:`pulse_unitary`'s, the matrix branch of
-:func:`compare_pulses` or the formed branch of :func:`program_distances`,
-comes from :func:`_identity_product`: the fused program runs on the
-identity's columns a block of :data:`IDENTITY_BLOCK` entries at a time,
-each block written into the one output array, so the groups pass over a
-cache-sized block and the full identity is never formed (cache blocking,
-Häner & Steiger, arXiv:1704.01127).  Columns are transformed independently,
-so the product is bitwise the whole identity's.  States and probe batches
-run whole.
+one.  A product, whether :func:`pulse_unitary`'s or the formed branch of
+:func:`program_distances`, comes from :func:`_identity_product`: the fused
+program runs on the identity's columns a block of :data:`IDENTITY_BLOCK`
+entries at a time, each block written into the one output array, so the
+groups pass over a cache-sized block and the full identity is never formed
+(cache blocking, Häner & Steiger, arXiv:1704.01127).  Columns are
+transformed independently, so the product is bitwise the whole identity's.
+A state runs whole.
 
 The register width accepted for dense work is capped by the environment
 variable ``QSA_MAX_DENSE_QUBITS`` (default 14); the cap and its
 :class:`ResourceLimitError` live in :mod:`qsakit.dense_limit`, which loads
 no numpy, and are re-exported here.  Every verdict on whether a
 pulse program equals its exact reference is made by :func:`compare_pulses`,
-which runs both programs on one fixed input batch per register width.  Up
-to 10 qubits the batch is the identity and the full products are compared
-through :func:`certified_distance`: a norm bound on the difference decides
-a pass, and only a bound above the tolerance pays for the spectral norm.
-Beyond that the batch is :data:`PROBES` probe states drawn from
-:data:`PROBE_SEED` on, and the verdict reads their largest deviation.  A
-verdict is thus a function of the two programs and the tolerance alone.
+which runs both programs on one fixed input batch per register width, a
+block of :data:`IDENTITY_BLOCK` entries at a time, and keeps only what the
+verdict reads.  Up to 10 qubits the batch is the identity: the blocks'
+``|program - reference|`` fill one float64 ``2^n x 2^n`` array, whose norm
+bound decides a pass, and only a bound above the tolerance forms both
+products for :func:`certified_distance` and its spectral norm.  Beyond that
+the batch is :data:`PROBES` probe states drawn from :data:`PROBE_SEED` on,
+and the verdict reads their largest deviation.  Either way the report is
+bitwise the whole batch's: a function of the two programs and the tolerance.
 
 The spectral norm behind :func:`distance` and :func:`certified_distance`
 needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
@@ -100,7 +101,7 @@ SCHEDULE_TOLERANCE = 1e-10
 #: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
 FUSED_SITES = 4
 
-#: Entries of one column block of the identity in :func:`_identity_product`.
+#: Entries of one column block of a fixed input batch in :func:`_input_blocks`.
 #: A block of ``2^15`` complex entries is 512 KiB, so the block and the two
 #: work buffers of :func:`_apply_fused` stay in a 4 MiB L2 cache while every
 #: fused group runs over them (cache blocking, Häner & Steiger,
@@ -318,7 +319,9 @@ def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
     A flip is an axis flip plus a sign; a unitary group is contracted over
     its sites' axes.  ``array`` is not modified.  Every column is
     transformed on its own, so a block of columns comes out bitwise as it
-    does inside the whole matrix; :func:`_identity_product` relies on that.
+    does inside the whole matrix where BLAS multiplies both alike, as it
+    does on the blocks of :func:`_input_blocks` (on one or three columns a
+    five-site group's 32 x 32 product can differ in the last bit).
     """
     n = array.shape[0].bit_length() - 1
     # two buffers take turns as source and destination, so a run holds three
@@ -362,20 +365,31 @@ def run_pulses(pulses, array: np.ndarray) -> np.ndarray:
     return _apply_fused(fuse_pulses(n, pulses), array)
 
 
+def _input_blocks(n_sites: int, probes: bool):
+    """Yield ``(columns, block)``: the identity, or with ``probes`` the :data:`PROBES`
+    probe states (column ``k`` from ``PROBE_SEED + k``), as ``(2^n, width)`` blocks
+    of :data:`IDENTITY_BLOCK` entries with their column slices, never whole.
+    """
+    dim = 1 << n_sites
+    count, width = PROBES if probes else dim, max(1, IDENTITY_BLOCK >> n_sites)
+    for start in range(0, count, width):
+        columns = range(start, min(start + width, count))
+        if probes:
+            block = np.stack([_random_state(n_sites, PROBE_SEED + k) for k in columns], axis=1)
+        else:
+            block = np.eye(dim, len(columns), -start, dtype=np.complex128)
+        yield slice(start, columns.stop), block
+
+
 def _identity_product(n_sites: int, fused: list) -> np.ndarray:
     """The fused program's ``2^n x 2^n`` product: :func:`_apply_fused` on the identity.
 
-    The identity is never formed.  Its columns run :data:`IDENTITY_BLOCK`
-    entries at a time, each block written into its slice of the one output
-    array, so every group passes over a cache-sized block instead of the
-    whole matrix, and the entries are bitwise those of the whole identity.
+    The identity's columns run a block at a time (:func:`_input_blocks`) into
+    the one output array, bitwise as the whole identity's.
     """
-    dim = 1 << n_sites
-    width = min(dim, max(1, IDENTITY_BLOCK >> n_sites))
-    product = np.empty((dim, dim), dtype=np.complex128)
-    for start in range(0, dim, width):
-        columns = np.eye(dim, width, -start, dtype=np.complex128)
-        product[:, start:start + width] = _apply_fused(fused, columns)
+    product = np.empty((1 << n_sites,) * 2, dtype=np.complex128)
+    for columns, block in _input_blocks(n_sites, False):
+        product[:, columns] = _apply_fused(fused, block)
     return product
 
 
@@ -571,6 +585,12 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return _spectral_norm(_difference(a, b), (a, b))
 
 
+def _norm_bound(mag: np.ndarray) -> float:
+    """``min(||D||_F, sqrt(||D||_1 ||D||_inf))``, at least ``||D||_2``, from ``|D|``."""
+    spread = float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max())
+    return min(float(np.linalg.norm(mag)), math.sqrt(spread))
+
+
 def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[float, str]:
     """``(value, metric)`` deciding whether ``a`` and ``b`` agree to ``tolerance``.
 
@@ -590,10 +610,7 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     """
     d = _difference(a, b)
     mag = np.abs(d)
-    bound = min(
-        float(np.linalg.norm(mag)),
-        math.sqrt(float(mag.sum(axis=0).max()) * float(mag.sum(axis=1).max())),
-    )
+    bound = _norm_bound(mag)
     if bound <= tolerance:  # False for NaN
         return bound, "spectral_distance_bound"
     peak = float(mag.max())
@@ -693,32 +710,40 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
     """Judge the pulse program ``pulses`` against the pulse program ``reference``.
 
     Both are ``(generator, angle)`` lists as :func:`run_pulses` takes them,
-    and both run on one fixed input batch, held to the dense cap once.  Up
-    to :data:`MATRIX_QUBIT_CAP` sites it is the identity, run a block of
-    columns at a time by :func:`_identity_product`, and the products are
-    compared by :func:`certified_distance`.  Above that its column ``k``
-    of :data:`PROBES` is the probe state drawn from ``PROBE_SEED + k``, and
-    the distance is the largest L2 deviation of a column, under the metric
-    ``max_state_l2[<PROBES> probes]``.  No separate norm check is needed:
-    ``||a - b|| >= | ||a|| - ||b|| |``, so a program that loses norm fails
-    the tolerance like any other wrong output.
+    and both run on one fixed input batch, held to the dense cap once, a
+    block of columns at a time (:func:`_input_blocks`).  Up to
+    :data:`MATRIX_QUBIT_CAP` sites it is the identity; the blocks'
+    ``|program - reference|`` fill one float64 ``2^n x 2^n`` array whose
+    ``spectral_distance_bound`` passes, or else the formed products go to
+    :func:`certified_distance`.  Above that column ``k`` of :data:`PROBES` is
+    the probe state drawn from ``PROBE_SEED + k``, and the distance is the
+    largest L2 deviation of a column, under ``max_state_l2[<PROBES> probes]``.
+    No separate norm check is needed: ``||a - b|| >= | ||a|| - ||b|| |``, so a
+    program that loses norm fails the tolerance like any other wrong output.
 
     Returns a deterministic report with the metric, distance, tolerance and
     pass flag: a function of the two programs and the tolerance alone.
     """
     check_dense_limit(n_sites, "compare_pulses")
     program, ideal = fuse_pulses(n_sites, pulses), fuse_pulses(n_sites, reference)
-    if n_sites <= MATRIX_QUBIT_CAP:  # the one test of the cap
-        dist, metric = certified_distance(
-            _identity_product(n_sites, program), _identity_product(n_sites, ideal), tolerance
-        )
+    matrix = n_sites <= MATRIX_QUBIT_CAP  # the one test of the cap
+    mag = np.empty((1 << n_sites,) * 2) if matrix else None
+    deviations = []
+    for columns, block in _input_blocks(n_sites, not matrix):
+        difference = _apply_fused(program, block)
+        difference -= _apply_fused(ideal, block)
+        if matrix:
+            np.abs(difference, out=mag[:, columns])
+        else:
+            deviations += [float(np.linalg.norm(column)) for column in difference.T]
+    if matrix:
+        dist, metric = _norm_bound(mag), "spectral_distance_bound"
+        if not dist <= tolerance:  # rare: only a failing bound forms the products
+            del mag
+            products = [_identity_product(n_sites, fused) for fused in (program, ideal)]
+            dist, metric = certified_distance(*products, tolerance)
     else:
-        batch = np.empty((1 << n_sites, PROBES), dtype=np.complex128)
-        for k in range(PROBES):
-            batch[:, k] = _random_state(n_sites, PROBE_SEED + k)
-        outputs, expected = _apply_fused(program, batch), _apply_fused(ideal, batch)
-        dist = max(float(np.linalg.norm(a - b)) for a, b in zip(outputs.T, expected.T))
-        metric = f"max_state_l2[{PROBES} probes]"
+        dist, metric = max(deviations), f"max_state_l2[{PROBES} probes]"
     return {
         "metric": metric,
         "distance": dist,

@@ -515,21 +515,27 @@ def random_program(rng, n):
     return pulses
 
 
-@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
-def test_identity_products_are_bitwise_the_whole_identity_run(n):
+def seeded_programs(n):
+    """:func:`random_program` on ``n`` sites under the name ``pulses``, with
+    programs to judge against it: ``split``, the same product written as
+    another program; ``defect``, one angle off by 1e-3, whose norm bound
+    exceeds any tolerance near 1e-10; ``empty`` and a lone ``flip``."""
     rng = np.random.default_rng(SEED + 30 + n)
     pulses = random_program(rng, n)
     (first, angle), rest = pulses[0], pulses[1:]
     k = int(rng.integers(len(pulses)))
-    programs = {
+    return {
         "pulses": pulses,
-        # the same product as another program
         "split": [(first, 0.25 * angle), (first, 0.75 * angle)] + rest,
-        # one angle off by 1e-3: the bound exceeds the tolerance
         "defect": pulses[:k] + [(pulses[k][0], pulses[k][1] + 1e-3)] + pulses[k + 1:],
         "empty": [],
         "flip": [(PauliString(n, tuple(rng.choice(list("XYZ"), size=n))), 0.4)],
     }
+
+
+@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
+def test_identity_products_are_bitwise_the_whole_identity_run(n):
+    programs = seeded_programs(n)
     fused = {name: fuse_pulses(n, program) for name, program in programs.items()}
     widths = {len(key) if isinstance(key, tuple) else "flip" for key, _ in fused["pulses"]}
     assert n == 1 or widths & {2, 3, 4}
@@ -540,32 +546,86 @@ def test_identity_products_are_bitwise_the_whole_identity_run(n):
     for name, program in programs.items():
         assert np.array_equal(pulse_unitary(n, program, "test"), whole[name])
     assert np.array_equal(whole["empty"], eye)
-    for name, metric in (("split", "spectral_distance_bound"), ("defect", "spectral_distance")):
-        report = compare_pulses(n, programs[name], pulses, 1e-10)
-        want = certified_distance(whole[name], whole["pulses"], 1e-10)
-        assert (report["distance"], report["metric"]) == want and want[1] == metric
     if n <= dense_oracle.MATRIX_DISTANCE_SITES:
         others = ("split", "defect", "empty", "flip")
         got = program_distances(n, [fused[name] for name in others], fused["pulses"])
         assert got == [distance(whole[name], whole["pulses"]) for name in others]
 
 
-def test_a_verify_at_nine_sites_holds_no_full_identity():
-    n = 9
+# -- the verdict, a block of columns at a time -----------------------------------
+
+
+def formed_report(n, program, reference, tolerance):
+    """:func:`compare_pulses`' report from formed arrays: the two identity
+    products compared by :func:`certified_distance` up to the cap, the whole
+    ``PROBES``-column batch above it."""
+    fused = [fuse_pulses(n, pulses) for pulses in (program, reference)]
+    if n <= MATRIX_QUBIT_CAP:
+        products = [dense_oracle._identity_product(n, f) for f in fused]
+        dist, metric = certified_distance(*products, tolerance)
+    else:
+        probes = np.stack([_random_state(n, PROBE_SEED + k) for k in range(PROBES)], axis=1)
+        outputs, expected = (dense_oracle._apply_fused(f, probes) for f in fused)
+        dist = max(float(np.linalg.norm(a - b)) for a, b in zip(outputs.T, expected.T))
+        metric = f"max_state_l2[{PROBES} probes]"
+    return {"metric": metric, "distance": dist, "tolerance": tolerance, "passed": dist <= tolerance}
+
+
+@pytest.mark.parametrize("width", [None, 1, 3])
+@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 3))
+def test_the_streamed_verdict_is_bitwise_the_formed_one(monkeypatch, n, width):
+    if width is not None:  # blocks of one and of three columns, the last one short
+        monkeypatch.setattr(dense_oracle, "IDENTITY_BLOCK", width << n)
+    programs = seeded_programs(n)
+    want = {
+        name: formed_report(n, programs[name], programs["pulses"], 1e-10)
+        for name in ("split", "defect")
+    }
+    assert want["split"]["passed"] and not want["defect"]["passed"]
+    if n <= MATRIX_QUBIT_CAP:
+        # the defect's bound fails, so the verdict forms both products
+        assert want["split"]["metric"] == "spectral_distance_bound"
+        assert want["defect"]["metric"] == "spectral_distance"
+    for name, report in want.items():
+        assert compare_pulses(n, programs[name], programs["pulses"], 1e-10) == report
+
+
+def verify_peak(n):
+    """``verify_schedule``'s report and its ``tracemalloc`` peak in bytes, on an
+    ``n``-site schedule with the lru caches filled outside the trace."""
     target = PauliString(n, tuple("XYZ"[k % 3] for k in range(n)))
     schedule = compile_schedule(target, ConnectivityGraph.complete(n), tg=0.7)
-    verify_schedule(schedule)  # fill the lru caches outside the trace
+    verify_schedule(schedule)
     tracemalloc.start()
     try:
         report = verify_schedule(schedule)
-        peak = tracemalloc.get_traced_memory()[1]
+        return report, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the two products, their difference and its real magnitudes make 3.5
-    # arrays of 4^n complex entries; holding the whole identity while the
-    # second product is run makes 4
+
+
+# a block of IDENTITY_BLOCK complex entries; six of them hold the input block,
+# the difference, the second run's two work buffers and numpy's temporaries
+BLOCK_BYTES = 16 * dense_oracle.IDENTITY_BLOCK
+
+
+def test_a_verify_at_nine_sites_holds_no_full_identity():
+    # the float64 magnitudes are half an array of 4^n complex entries, and
+    # the blocks 0.75 of one more at 9 sites; the products, their difference
+    # and its magnitudes made 3.5
+    report, peak = verify_peak(9)
     assert report["passed"]
-    assert peak <= 3.6 * 16 * 4**n
+    assert peak <= 8 * 4**9 + 6 * BLOCK_BYTES
+
+
+@pytest.mark.parametrize("n", [MATRIX_QUBIT_CAP, 14])
+def test_a_verify_holds_the_magnitudes_and_block_buffers_only(n):
+    # 11 MiB at 10 sites, where the whole products made 56; 3 MiB at 14
+    # sites, where three whole PROBES-column batches made 20
+    report, peak = verify_peak(n)
+    assert report["passed"]
+    magnitudes = 8 * 4**n if n <= MATRIX_QUBIT_CAP else 0
+    assert peak <= magnitudes + 6 * BLOCK_BYTES
 
 
 # -- one judgement: pulse program against reference program ---------------------
@@ -688,6 +748,9 @@ def test_certified_distance_bounds_the_exact_spectral_norm(pair, tolerance):
     bound, metric = certified_distance(a, b, 1e300)
     assert metric == "spectral_distance_bound"
     assert bound >= exact * (1 - 1e-12)
+    d = a - b
+    norms = [np.linalg.norm(d, order) for order in ("fro", 1, np.inf)]
+    assert bound == pytest.approx(min(norms[0], math.sqrt(norms[1] * norms[2])), rel=1e-12)
     value, metric = certified_distance(a, b, tolerance)
     if metric == "spectral_distance_bound":
         assert value == bound and value <= tolerance

@@ -2,12 +2,12 @@
 
 import hashlib
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsakit import schedule_compiler
 from qsakit.dense_oracle import verify_schedule
 from qsakit.pauli_core import PauliString
 from qsakit.schedule_compiler import (
@@ -182,19 +182,33 @@ def _hub_family(k, cliques=4):
     return ConnectivityGraph.from_edges(n, edges)
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap each named function of ``schedule_compiler`` to count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(schedule_compiler, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(schedule_compiler, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("k", range(2, 9))
-def test_path_search_on_the_hub_family_is_bounded(k):
+def test_path_search_on_the_hub_family_is_bounded(monkeypatch, k):
     graph = _hub_family(k)
     target = PauliString(graph.n_sites, ("X",) * graph.n_sites)
-    start = time.perf_counter()
+    calls = _count_calls(monkeypatch, "_grow_from_seed", "_hamiltonian_path")
     with pytest.raises(StrategyInfeasibleError) as err:
         compile_schedule(target, graph, strategy="line_endpoints")
-    assert time.perf_counter() - start < 1.0
-    # k = 2 is decided within the budget; larger k runs it out
+    # one search, held to the budget: k = 2 is decided within it, larger k runs it out
+    assert calls == {"_grow_from_seed": 0, "_hamiltonian_path": 1}
     assert (f"gave up after {PATH_SEARCH_BUDGET} nodes" in str(err.value)) == (k > 2)
-    start = time.perf_counter()
+    calls.update(dict.fromkeys(calls, 0))
     auto = compile_schedule(target, graph, strategy="auto")
-    assert time.perf_counter() - start < 1.0
+    # doubling grows from each seed edge at most once, line_endpoints searches
+    # once, and greedy grows from one seed
+    assert calls["_hamiltonian_path"] <= 1
+    assert calls["_grow_from_seed"] <= len(graph.edges) + 1
     assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
