@@ -15,12 +15,14 @@ executor runs the program it is given: a schedule's program comes from
 :mod:`qsakit.analysis` shifts the angles of a perturbed one.  Every
 dense product is a plain ``2^n x 2^n`` array and every state a plain
 ``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
-one.  A product, whether :func:`pulse_unitary`'s or the formed branch of
-:func:`program_distances`, comes from :func:`_identity_product`: the fused
-program runs on the identity's columns a block of :data:`IDENTITY_BLOCK`
-entries at a time, each block written into the one output array, so the
-groups pass over a cache-sized block and the full identity is never formed
-(cache blocking, Häner & Steiger, arXiv:1704.01127).  Columns are
+one, a one-term operator in one pass into one new array and one
+``np.vdot``.  A product, whether :func:`pulse_unitary`'s or the formed
+branch of :func:`program_distances`, comes from :func:`_identity_product`:
+the fused program runs on the identity's columns a block of
+:data:`IDENTITY_BLOCK` entries at a time, each block written into the one
+output array, so the groups pass over a cache-sized block and the full
+identity is never formed (cache blocking, Häner & Steiger,
+arXiv:1704.01127).  Columns are
 transformed independently, so the product is bitwise the whole identity's.
 A state runs whole.
 
@@ -183,6 +185,13 @@ def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
 def apply_string(string: PauliString, array: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a state (dim,) or matrix (dim, k) array."""
     return _pauli(string, _tensor(array, string.n_sites)).reshape(array.shape)
+
+
+def _apply_string_into(string: PauliString, array: np.ndarray, out: np.ndarray) -> None:
+    """:func:`apply_string` written into ``out``: a complex array of ``array``'s
+    shape that does not overlap it."""
+    n = string.n_sites
+    _pauli(string, _tensor(array, n), out=_tensor(out, n))
 
 
 def apply_sum(op: WeightedPauliSum, array: np.ndarray) -> np.ndarray:
@@ -671,8 +680,22 @@ def program_distances(n_sites: int, programs: list, reference: list) -> list[flo
 
 
 def expectation(op: PauliString | WeightedPauliSum, state: np.ndarray) -> complex:
-    """``<state|op|state>`` of a string or weighted sum on a ``(2^n,)`` state."""
-    return complex(np.vdot(state, apply_sum(_as_sum(op), state)))
+    """``<state|op|state>`` of a string or weighted sum on a ``(2^n,)`` state.
+
+    A one-term operator ``c P`` costs one pass, ``P |state>`` into one new
+    array, scaled in place when ``c`` is not 1, and one ``np.vdot``; every
+    entry is what :func:`apply_sum` gives, up to the sign of a zero, so the
+    value is the same.  A sum of several terms goes through
+    :func:`apply_sum`.
+    """
+    h = _as_sum(op)
+    if len(h.terms) != 1:
+        return complex(np.vdot(state, apply_sum(h, state)))
+    (coeff, string), = h.terms
+    image = apply_string(string, state)
+    if coeff != 1:
+        np.multiply(coeff, image, out=image)
+    return complex(np.vdot(state, image))
 
 
 def _random_state(n_sites: int, seed: int) -> np.ndarray:

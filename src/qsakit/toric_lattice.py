@@ -25,6 +25,12 @@ commutes, and each digital group has site-disjoint members.
 ``qsakit toric build`` computes both invariants from the set it built and
 reports them as its checks ``terms-pairwise-commute`` and
 ``groups-support-disjoint``; a fault in a term table is a failed check (exit 1).
+
+The wen ground state starts from the product seed of :func:`build_psi0`, one
+zeroed array with one amplitude written into its |0>-pinned slice, and is
+reached by projection (:func:`project_plus`: one pass per even term, in two
+work buffers that take turns) or by the pi/4 sweep through
+:func:`~qsakit.dense_oracle.run_pulses`.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .pauli_core import (
 )
 from .schedule_compiler import QsaSchedule, compile_schedule
 from .dense_oracle import (
-    apply_string,
+    _apply_string_into,
     check_dense_limit,
     pulse_unitary,
     run_pulses,
@@ -503,18 +509,27 @@ def build_psi0(spec: LatticeSpec) -> np.ndarray:
 
     Odd-anchored plaquettes place X on the odd spins and Z on the even spins,
     so they all stabilize this seed already; the ground state only needs the
-    even-anchored half enforced.
+    even-anchored half enforced.  Every amplitude with an even-parity spin in
+    |1> is zero and all others are equal, so the state is one zeroed
+    ``(2,)*n`` tensor whose |0>-pinned slice holds that one amplitude: the
+    running product, in site order, of the factors 1 (|0>) and 1/sqrt(2)
+    (|+>), bitwise the ``np.kron`` chain of the single-spin states.
     """
     if spec.model != "wen":
         raise LatticeError("build_psi0 is defined for the wen model")
-    check_dense_limit(spec.rows * spec.cols, "build_psi0")
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    zero = np.array([1.0, 0.0], dtype=np.complex128)
-    state = np.array([1.0], dtype=np.complex128)
+    n = spec.rows * spec.cols
+    check_dense_limit(n, "build_psi0")
+    one = np.complex128(1.0)
+    plus = one / math.sqrt(2.0)
+    amplitude, pinned = one, []
     for i in range(spec.rows):
         for j in range(spec.cols):
-            state = np.kron(state, plus if (i + j) % 2 else zero)
-    return state
+            odd = (i + j) % 2
+            amplitude = amplitude * (plus if odd else one)
+            pinned.append(slice(None) if odd else 0)
+    state = np.zeros((2,) * n, dtype=np.complex128)
+    state[tuple(pinned)] = amplitude
+    return state.reshape(1 << n)
 
 
 def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
@@ -525,11 +540,25 @@ def project_plus(array: np.ndarray, operators) -> np.ndarray:
     """Normalized ``prod (1 + P)/sqrt(2)`` of ``array`` over commuting ``operators``.
 
     Each caller's seed overlaps the joint +1 space of its terms, so the norm
-    divided out is never zero.
+    divided out is never zero.  ``array`` is not written: each step writes
+    ``P a`` into one of two work buffers, which take turns, adds ``a`` and
+    divides by sqrt(2) in place, and the last buffer is normalized in place,
+    so a projection holds the input and two arrays of its size, and every
+    entry is bitwise that of ``(a + P a)/sqrt(2)`` step by step.
     """
+    root2 = math.sqrt(2.0)
+    state, spare = array, None
     for op in operators:
-        array = (array + apply_string(op, array)) / math.sqrt(2.0)
-    return array / float(np.linalg.norm(array))
+        out = spare if spare is not None else np.empty(array.shape, dtype=np.complex128)
+        _apply_string_into(op, state, out)
+        out += state
+        out /= root2
+        spare = None if state is array else state
+        state = out
+    if state is array:
+        return array / float(np.linalg.norm(array))
+    state /= float(np.linalg.norm(state))
+    return state
 
 
 def ground_state_projector(spec: LatticeSpec) -> np.ndarray:

@@ -75,6 +75,13 @@ def kron_expm(generator_matrix, angle):
     return scipy.linalg.expm(-1j * angle * generator_matrix)
 
 
+def bitwise_equal(a, b):
+    """Equal shapes and equal real and imaginary parts, entry by entry; a
+    scalar counts as one entry."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.shape == b.shape and np.array_equal(a.view(float), b.view(float))
+
+
 def frobenius_distance(a, b):
     """Frobenius norm of ``a - b``."""
     return float(np.linalg.norm(a - b))
@@ -86,6 +93,17 @@ def random_string_letters(rng, n_sites, min_weight=2):
         letters = tuple(rng.choice(["I", "X", "Y", "Z"]) for _ in range(n_sites))
         if sum(1 for l in letters if l != "I") >= min_weight:
             return letters
+
+
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -55,6 +55,7 @@ from qsakit.toric_lattice import LatticeSpec, build_variant, digital_sequence
 
 from conftest import (
     SIGMA,
+    bitwise_equal,
     frobenius_distance,
     kron_expm,
     kron_string,
@@ -162,6 +163,25 @@ def test_expectation_matches_kron():
         v = _random_state(n, seed=int(rng.integers(0, 10**6)))
         want = np.vdot(v, kron_string(s) @ v)
         assert np.isclose(expectation(s, v), want, atol=1e-12)
+
+
+@pytest.mark.parametrize("coeff", [1, -1, 0.5, 0.3, 1j])
+def test_expectation_is_bitwise_the_applied_sum(coeff):
+    # the one-term pass against <state| apply_sum(op) |state>, which fills a
+    # zeroed sum with coeff * P|state>; a string phase of +-1 (+-i for 1j)
+    # keeps the folded coefficient real; 0.3, unlike a power of two, rounds
+    # differently when it is multiplied in elsewhere
+    rng = np.random.default_rng(SEED + 5)
+    phases = [1, 3] if coeff == 1j else [0, 2]
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        string = random_string(rng, n).with_phase_exp(int(rng.choice(phases)))
+        op = WeightedPauliSum.from_terms(n, [(coeff, string)])
+        state = _random_state(n, seed=int(rng.integers(0, 10**6)))
+        want = np.vdot(state, dense_oracle.apply_sum(op, state))
+        assert bitwise_equal(expectation(op, state), want)
+        if coeff == 1:
+            assert bitwise_equal(expectation(string, state), want)
 
 
 def test_schedule_unitary_equals_pulse_product():
@@ -852,6 +872,24 @@ def test_spectral_norm_of_a_zero_matrix_is_exactly_zero(svd_calls):
     zero = np.zeros((rows, rows), dtype=np.complex128)
     assert distance(zero, zero) == 0.0
     assert svd_calls == []  # no iteration, no SVD
+
+
+def test_a_difference_orthogonal_to_the_start_vector_takes_the_svd(svd_calls):
+    # D = a b^T with b orthogonal to the fixed real start vector v0: D v0 = 0
+    # reads as a zero norm, so the top value comes from the SVD of D
+    rows = dense_oracle.KRYLOV_MIN_ROWS
+    v0 = np.random.default_rng(0).standard_normal(rows)  # as _krylov_norm draws it
+    v0 /= np.linalg.norm(v0)
+    b = np.zeros(rows)
+    b[0], b[1] = v0[1], -v0[0]
+    # powers of two keep every entry of D an exact product, so each row of
+    # D v0 is a multiple of v0[1] v0[0] - v0[0] v0[1]: exactly zero where the
+    # matrix-vector product sums columns 0 and 1 in separate accumulators
+    a = np.random.default_rng(SEED).choice([-2.0, -1.0, 0.5, 1.0, 4.0], size=rows)
+    d = np.outer(a, b)
+    assert not (d @ v0).any()
+    assert distance(d, np.zeros_like(d)) == float(np.linalg.svd(d, compute_uv=False)[0])
+    assert svd_calls == [d.shape, d.shape]  # the fallback's SVD, then this test's
 
 
 def test_a_start_vector_in_the_kernel_falls_back_on_the_svd(svd_calls, monkeypatch):

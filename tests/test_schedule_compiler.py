@@ -3,7 +3,6 @@
 import functools
 import json
 import operator
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -29,7 +28,7 @@ from qsakit.schedule_compiler import (
     validate,
 )
 
-from conftest import random_string_letters
+from conftest import count_calls, random_string_letters
 
 SEED = 20240813
 
@@ -176,24 +175,37 @@ def test_star_graph_has_no_endpoint_line():
     assert replay_symbolic(schedule) == target
 
 
-def test_path_search_rejects_three_leaves_at_once():
+def guarded_search(monkeypatch):
+    """Counted calls of the path search and of its linear-time guard, with the
+    search's budget at zero nodes: a refusal the search itself reached, after
+    extending any partial path, reads ``gave up after 0 nodes``."""
+    monkeypatch.setattr(schedule_compiler, "PATH_SEARCH_BUDGET", 0)
+    return count_calls(monkeypatch, schedule_compiler, "_hamiltonian_path", "_path_possible")
+
+
+def refuse_without_search(target, graph, strategy):
+    with pytest.raises(StrategyInfeasibleError) as err:
+        compile_schedule(target, graph, strategy=strategy)
+    assert "gave up" not in str(err.value)
+
+
+def test_path_search_rejects_three_leaves_at_once(monkeypatch):
     # a 10-clique with three pendant leaves has no Hamiltonian path; the
-    # leaves give it away before the exponential search starts
+    # leaves give it away before the cut-vertex check and the search
     n = 13
     edges = [(a, b) for a in range(10) for b in range(a + 1, 10)]
     edges += [(0, 10), (1, 11), (2, 12)]
     graph = ConnectivityGraph.from_edges(n, edges)
     target = PauliString(n, ("X",) * n)
-    start = time.perf_counter()
+    calls = guarded_search(monkeypatch)
     for strategy in ("line_endpoints", "single_endpoint"):
-        with pytest.raises(StrategyInfeasibleError):
-            compile_schedule(target, graph, strategy=strategy)
-    assert time.perf_counter() - start < 1.0
+        refuse_without_search(target, graph, strategy)
+    assert calls == {"_hamiltonian_path": 2, "_path_possible": 0}
     auto = compile_schedule(target, graph, strategy="auto")
     assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
-def test_path_search_rejects_a_three_way_cut_vertex():
+def test_path_search_rejects_a_three_way_cut_vertex(monkeypatch):
     # three 7-cliques sharing vertex 0: no vertex has degree <= 1, but
     # removing vertex 0 leaves three pieces, which no path can cover
     n = 19
@@ -201,25 +213,25 @@ def test_path_search_rejects_a_three_way_cut_vertex():
     edges = [(a, b) for clique in cliques for a in clique for b in clique if a < b]
     graph = ConnectivityGraph.from_edges(n, edges)
     target = PauliString(n, ("X",) * n)
-    start = time.perf_counter()
-    with pytest.raises(StrategyInfeasibleError):
-        compile_schedule(target, graph, strategy="line_endpoints")
+    calls = guarded_search(monkeypatch)
+    refuse_without_search(target, graph, "line_endpoints")
     auto = compile_schedule(target, graph, strategy="auto")
-    assert time.perf_counter() - start < 1.0
+    # line_endpoints, then auto's own try of it: one guard call each
+    assert calls == {"_hamiltonian_path": 2, "_path_possible": 2}
     assert auto == compile_schedule(target, graph, strategy="greedy")
 
 
-def test_path_search_rejects_unbalanced_bipartite_supports():
+def test_path_search_rejects_unbalanced_bipartite_supports(monkeypatch):
     # K_{k,k+2}: no leaves and no cut vertex, but a path alternates sides,
     # so sides of k and k + 2 vertices admit none
-    start = time.perf_counter()
+    calls = guarded_search(monkeypatch)
     for k in range(1, 13):
         n = 2 * k + 2
         edges = [(a, b) for a in range(k) for b in range(k, n)]
         graph = ConnectivityGraph.from_edges(n, edges)
-        with pytest.raises(StrategyInfeasibleError):
-            compile_schedule(PauliString(n, ("X",) * n), graph, strategy="line_endpoints")
-    assert time.perf_counter() - start < 1.0
+        refuse_without_search(PauliString(n, ("X",) * n), graph, "line_endpoints")
+    # K_{1,3} is a star with three leaves; every larger k reaches the guard
+    assert calls == {"_hamiltonian_path": 12, "_path_possible": 11}
 
 
 def test_infeasible_doubling_names_the_bound():

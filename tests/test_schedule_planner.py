@@ -21,6 +21,8 @@ from qsakit.schedule_compiler import (
     validate,
 )
 
+from conftest import count_calls
+
 
 def _shuffled_path(n, seed):
     order = list(range(n))
@@ -182,22 +184,11 @@ def _hub_family(k, cliques=4):
     return ConnectivityGraph.from_edges(n, edges)
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap each named function of ``schedule_compiler`` to count its calls."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(schedule_compiler, name)):
-            calls[_name] += 1
-            return _original(*args)
-        monkeypatch.setattr(schedule_compiler, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("k", range(2, 9))
 def test_path_search_on_the_hub_family_is_bounded(monkeypatch, k):
     graph = _hub_family(k)
     target = PauliString(graph.n_sites, ("X",) * graph.n_sites)
-    calls = _count_calls(monkeypatch, "_grow_from_seed", "_hamiltonian_path")
+    calls = count_calls(monkeypatch, schedule_compiler, "_grow_from_seed", "_hamiltonian_path")
     with pytest.raises(StrategyInfeasibleError) as err:
         compile_schedule(target, graph, strategy="line_endpoints")
     # one search, held to the budget: k = 2 is decided within it, larger k runs it out

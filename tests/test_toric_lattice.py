@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,9 +32,10 @@ from qsakit.toric_lattice import (
     ground_state_sweep,
     kitaev_edge_index,
     kitaev_operator,
+    project_plus,
 )
 
-from conftest import kron_expm, kron_string, kron_sum
+from conftest import bitwise_equal, kron_expm, kron_string, kron_sum
 
 SEED = 20240815
 
@@ -242,6 +245,87 @@ def test_ground_state_projector_stabilizes_everything():
             assert abs(expectation(op, state) - 1.0) <= 1e-10
         projected += 1
     assert projected == 285
+
+
+def kron_seed(spec):
+    """The wen seed as an ``np.kron`` chain of single-spin states, site 0 first."""
+    plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+    zero = np.array([1.0, 0.0], dtype=np.complex128)
+    state = np.array([1.0], dtype=np.complex128)
+    for i in range(spec.rows):
+        for j in range(spec.cols):
+            state = np.kron(state, plus if (i + j) % 2 else zero)
+    return state
+
+
+def stepwise_projection(array, operators):
+    """``(a + P a)/sqrt(2)`` operator by operator, then the division by the norm."""
+    for op in operators:
+        array = (array + apply_string(op, array)) / math.sqrt(2.0)
+    return array / float(np.linalg.norm(array))
+
+
+def test_the_seed_is_bitwise_the_kron_chain(dense16):
+    checked = 0
+    for rows, cols in itertools.product(range(2, 9), repeat=2):
+        for boundary in ("open", "periodic"):
+            if rows * cols > 16 or (boundary == "periodic" and (rows % 2 or cols % 2)):
+                continue
+            spec = LatticeSpec(rows=rows, cols=cols, boundary=boundary)
+            assert bitwise_equal(build_psi0(spec), kron_seed(spec)), spec
+            checked += 1
+    assert checked == 27  # 19 open grids and 8 periodic ones
+
+
+def independent_commuting_strings(rng, n, count):
+    """``count`` random pairwise commuting strings of sign +-1, independent over
+    GF(2), so no product of them is -I and the projection never vanishes."""
+    strings = []
+    while len(strings) < count:
+        letters = tuple(rng.choice(["I", "X", "Y", "Z"], size=n))
+        string = PauliString(n, letters, int(rng.choice([0, 2])))
+        rows = [symplectic_row(s) for s in [*strings, string]]
+        if all(commutes(string, s) for s in strings) and gf2_rank(rows) == len(rows):
+            strings.append(string)
+    return strings
+
+
+def test_projection_is_bitwise_the_stepwise_formula():
+    rng = np.random.default_rng(SEED + 1)
+    for count in [0, *range(1, 9)] * 4:
+        n = int(rng.integers(max(count, 1), 11))
+        ops = independent_commuting_strings(rng, n, count)
+        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        before = state.copy()
+        got = project_plus(state, iter(ops))
+        assert bitwise_equal(got, stepwise_projection(state, ops))
+        assert bitwise_equal(state, before) and not np.shares_memory(got, state)
+
+
+def traced_arrays(call, n_sites):
+    """The ``tracemalloc`` peak of ``call()``, in arrays of ``2^n`` complex entries."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (16 << n_sites)
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_4x4_states_hold_only_their_work_arrays(dense16):
+    # at 16 spins; at 12, numpy's iterator buffers (two of 8192 entries, a
+    # quarter of a 16-spin state) would dominate the peak
+    spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
+    ops = build_wen(spec).operators()
+    state = ground_state_projector(spec)
+    assert len(ops) == 16
+    # the seed alone, where the kron chain held 1.75 arrays
+    assert traced_arrays(lambda: build_psi0(spec), 16) <= 1.01
+    # the seed, two work buffers and the iterator buffers: 3.26 measured
+    assert traced_arrays(lambda: ground_state_projector(spec), 16) <= 3.3
+    # one image P|state> and the iterator buffers: 1.26 measured, where the
+    # zeroed sum, the image and its scaled copy made 3.00
+    assert traced_arrays(lambda: [expectation(op, state) for op in ops], 16) <= 1.3
 
 
 def test_ground_state_sweep_equals_projector():
