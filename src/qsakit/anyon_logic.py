@@ -33,7 +33,6 @@ from .dense_oracle import (
     apply_schedule,
     apply_string,
     check_dense_limit,
-    expectation,
     run_pulses,
 )
 from .toric_lattice import (
@@ -46,6 +45,7 @@ from .toric_lattice import (
     kitaev_operator,
     plaquette_range,
     project_plus,
+    projector_tableau,
 )
 
 
@@ -378,7 +378,10 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     An e pair is created by a Z spin flip placing one anyon on the dark
     plaquette ``center``; the m transport loop is the four-hop diagonal walk
     around that plaquette.  The loop operator leaves the ground state alone
-    (+1) and multiplies the excited state by -1.
+    (+1) and multiplies the excited state by -1.  Both states are stabilizer
+    tableaux (:func:`~qsakit.toric_lattice.projector_tableau`), so both
+    expectations are exactly -1, 0 or +1 and the phase, their ratio, is
+    their product; a ground expectation of 0 gives the phase 0.
     """
     ci, cj = center
     if _anyon_kind(ci, cj) != "e":
@@ -389,19 +392,20 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     loop = anyon_walk(spec, ring)
     loop_op = path_string(loop, spec)
 
-    g = ground_state_projector(spec)
+    ground = projector_tableau(spec)
     error_spin = ((ci + 1) % spec.rows, (cj + 1) % spec.cols)
     error = PauliString.from_sites(spec.n_sites, {spec.site_index(*error_spin): "Z"})
-    excited = apply_string(error, g)
+    excited = ground.copy()
+    excited.apply_string(error)
 
-    ref = expectation(loop_op, g)
-    braided = expectation(loop_op, excited)
+    ref = ground.expectation(loop_op)
+    braided = excited.expectation(loop_op)
     return {
         "center": [ci, cj],
         "loop": loop.to_dict(),
-        "expectation_ground": ref.real,
-        "expectation_excited": braided.real,
-        "braiding_phase": (braided / ref).real,
+        "expectation_ground": float(ref),
+        "expectation_excited": float(braided),
+        "braiding_phase": float(braided * ref),
     }
 
 

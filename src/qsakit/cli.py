@@ -3,8 +3,9 @@
 Every invocation but ``--help`` prints one RunReport JSON document to
 standard output and exits 0 when all checks pass, 1 when a check fails (the
 failing check names the violated invariant), 2 on malformed input (a
-command line argparse refuses included), 3 when the dense oracle's resource
-limit (env ``QSA_MAX_DENSE_QUBITS``) is exceeded and 4 on an
+command line argparse refuses included), 3 when a resource limit is exceeded
+(the dense oracle's env ``QSA_MAX_DENSE_QUBITS``, or the stabilizer tableau's
+``MAX_TABLEAU_SITES``) and 4 on an
 internal fault (any other exception, reported as ``internal-error``, with
 its traceback on standard error).  Reports are strict JSON: a report
 holding a NaN or an infinity is not printed, and the run exits 2.  Reports
@@ -267,14 +268,12 @@ def _lattice_spec(path: str):
 
 
 def _cmd_toric(args):
-    import numpy as np
-
-    from .dense_oracle import compare_pulses, expectation
+    from .dense_oracle import compare_pulses
     from .toric_lattice import (
         build_variant,
         digital_sequence,
-        ground_state_projector,
-        ground_state_sweep,
+        projector_tableau,
+        sweep_tableau,
     )
 
     spec = _lattice_spec(args.spec)
@@ -309,16 +308,17 @@ def _cmd_toric(args):
         }
 
     elif args.action == "ground":
-        reference = ground_state_projector(spec)
+        # stabilizer states: the fidelity and every expectation are exact
+        reference = projector_tableau(spec)
         ops = build_variant(spec).operators()
         if spec.boundary == "open":
-            swept, stages = ground_state_sweep(spec)
-            fid = float(abs(complex(np.vdot(swept, reference))) ** 2)
+            swept, stages = sweep_tableau(spec)
+            fid = swept.overlap(reference)
             checks.append(
                 _check(
                     "sweep-matches-projector",
-                    fid >= 1.0 - 1e-10,
-                    f"|<sweep|projector>| = {fid:.12f}",
+                    fid == 1.0,
+                    f"|<sweep|projector>|^2 = {fid:.12f}",
                 )
             )
             metrics["sweep_fidelity"] = fid
@@ -326,14 +326,9 @@ def _cmd_toric(args):
             state = swept
         else:
             state = reference
-        expectations = [expectation(op, state) for op in ops]
-        worst = min(x.real for x in expectations) if expectations else 1.0
+        worst = float(min((state.expectation(op) for op in ops), default=1))
         checks.append(
-            _check(
-                "plaquette-expectations-plus-one",
-                all(abs(x - 1.0) <= 1e-10 for x in expectations),
-                f"min Re<P> = {worst:.12f}",
-            )
+            _check("plaquette-expectations-plus-one", worst == 1.0, f"min Re<P> = {worst:.12f}")
         )
         metrics["min_expectation"] = worst
         metrics["n_terms"] = len(ops)

@@ -16,7 +16,7 @@ DEFAULT_DENSE_LIMIT = 14
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a dense operation exceeds the configured qubit budget."""
+    """Raised when a run exceeds a resource limit: the dense qubit budget or a size cap."""
 
 
 def max_dense_qubits() -> int:

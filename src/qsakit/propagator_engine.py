@@ -29,6 +29,11 @@ toggles the connector letter to ``beta`` (or ``alpha``) and deposits the
 sign ``-1``.  A swapper exchanges ``alpha`` and ``beta`` at its site and
 flips the sign of a string carrying the third letter there.
 
+:func:`quarter_conjugate` is the same kind of rule for the single-string
+rotation ``exp(-i pi/4 q)``, which the stabilizer tableau of
+:mod:`qsakit.stabilizer_state` runs: ``g`` when ``g`` commutes with ``q``,
+else ``i g q``.
+
 :func:`conjugate` is the float three-term conjugation identity for a pulse
 ``(generator, angle)`` at any angle; the tests use it as the reference for
 the rule.  :func:`make_attachment` and :func:`make_swapper` give a spec's
@@ -319,6 +324,19 @@ def branch_conjugate(q: PauliString, a: PauliString, b: PauliString) -> PauliStr
     else:
         result = multiply(multiply(q, a), b)
     return result if with_a else result.with_phase_exp(result.phase_exp + 2)
+
+
+def quarter_conjugate(g: PauliString, q: PauliString) -> PauliString:
+    """``U g U^dag`` for the Clifford ``U = exp(-i pi/4 q)``, exactly.
+
+    ``g`` commuting with ``q`` is left alone; otherwise ``U g U^dag =
+    exp(-i pi/2 q) g = -i q g = i g q``, which is Hermitian again for
+    Hermitian ``g`` and ``q``.
+    """
+    if commutes(g, q):
+        return g
+    product = multiply(g, q)
+    return product.with_phase_exp(product.phase_exp + 1)
 
 
 def apply_swap(string: PauliString, spec: SwapperSpec) -> PauliString:

@@ -26,11 +26,18 @@ commutes, and each digital group has site-disjoint members.
 reports them as its checks ``terms-pairwise-commute`` and
 ``groups-support-disjoint``; a fault in a term table is a failed check (exit 1).
 
-The wen ground state starts from the product seed of :func:`build_psi0`, one
-zeroed array with one amplitude written into its |0>-pinned slice, and is
-reached by projection (:func:`project_plus`: one pass per even term, in two
-work buffers that take turns) or by the pi/4 sweep through
-:func:`~qsakit.dense_oracle.run_pulses`.
+The wen ground state starts from a product seed of |0> and |+> spins and is
+reached by projection onto every even term or by the pi/4 sweep.  Both run
+on one of two backends, from the same seed letters and the same sweep plan:
+
+* dense (:func:`ground_state_projector`, :func:`ground_state_sweep`): the
+  seed of :func:`build_psi0`, one zeroed array with one amplitude written
+  into its |0>-pinned slice, projected by :func:`project_plus` (one pass per
+  even term, in two work buffers that take turns) or swept through
+  :func:`~qsakit.dense_oracle.run_pulses`, up to the dense limit;
+* stabilizer tableau (:func:`projector_tableau`, :func:`sweep_tableau`):
+  a :class:`~qsakit.stabilizer_state.StabilizerState`, with no 2^n array,
+  up to :data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES` spins.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .dense_oracle import (
     pulse_unitary,
     run_pulses,
 )
+from .stabilizer_state import StabilizerState, check_tableau_limit
 
 MODELS = ("wen", "kitaev_holes")
 BOUNDARIES = ("open", "periodic")
@@ -504,32 +512,49 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
 # -- wen ground states ----------------------------------------------------------
 
 
-def build_psi0(spec: LatticeSpec) -> np.ndarray:
-    """Product seed state: odd-parity spins in |+>, even-parity spins in |0>.
+def _seed_letters(spec: LatticeSpec, check_size) -> str:
+    """The product seed's letter per spin: ``X`` (|+>) on odd-parity spins, ``Z`` (|0>) on even ones.
 
     Odd-anchored plaquettes place X on the odd spins and Z on the even spins,
     so they all stabilize this seed already; the ground state only needs the
-    even-anchored half enforced.  Every amplitude with an even-parity spin in
-    |1> is zero and all others are equal, so the state is one zeroed
-    ``(2,)*n`` tensor whose |0>-pinned slice holds that one amplitude: the
-    running product, in site order, of the factors 1 (|0>) and 1/sqrt(2)
-    (|+>), bitwise the ``np.kron`` chain of the single-spin states.
+    even-anchored half enforced.  ``check_size(n_sites)`` admits the register
+    (the dense limit or the tableau cap) before any letter is made.
+
+    Raises:
+        LatticeError: not the wen model.
     """
     if spec.model != "wen":
         raise LatticeError("build_psi0 is defined for the wen model")
-    n = spec.rows * spec.cols
-    check_dense_limit(n, "build_psi0")
+    check_size(spec.n_sites)
+    return "".join("ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
+
+
+def build_psi0(spec: LatticeSpec) -> np.ndarray:
+    """The product seed of :func:`_seed_letters` as a statevector.
+
+    Every amplitude with an even-parity spin in |1> is zero and all others
+    are equal, so the state is one zeroed ``(2,)*n`` tensor whose |0>-pinned
+    slice holds that one amplitude: the running product, in site order, of
+    the factors 1 (|0>) and 1/sqrt(2) (|+>), bitwise the ``np.kron`` chain
+    of the single-spin states.
+    """
+    letters = _seed_letters(spec, lambda n: check_dense_limit(n, "build_psi0"))
     one = np.complex128(1.0)
     plus = one / math.sqrt(2.0)
     amplitude, pinned = one, []
-    for i in range(spec.rows):
-        for j in range(spec.cols):
-            odd = (i + j) % 2
-            amplitude = amplitude * (plus if odd else one)
-            pinned.append(slice(None) if odd else 0)
-    state = np.zeros((2,) * n, dtype=np.complex128)
+    for letter in letters:
+        amplitude = amplitude * (plus if letter == "X" else one)
+        pinned.append(slice(None) if letter == "X" else 0)
+    state = np.zeros((2,) * len(letters), dtype=np.complex128)
     state[tuple(pinned)] = amplitude
-    return state.reshape(1 << n)
+    return state.reshape(1 << len(letters))
+
+
+def _tableau_seed(spec: LatticeSpec) -> StabilizerState:
+    """The seed of :func:`build_psi0` as a tableau, refused above the tableau cap."""
+    return StabilizerState.product(
+        _seed_letters(spec, lambda n: check_tableau_limit(n, "ground-state tableau"))
+    )
 
 
 def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
@@ -576,6 +601,56 @@ def ground_state_projector(spec: LatticeSpec) -> np.ndarray:
     )
 
 
+def projector_tableau(spec: LatticeSpec) -> StabilizerState:
+    """:func:`ground_state_projector` on a stabilizer tableau, at any width up to
+    :data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES`: the seed projected onto
+    the +1 space of every even term."""
+    if spec.twists:
+        raise LatticeError("ground-state construction does not support twists")
+    state = _tableau_seed(spec)
+    for term in _even_terms(build_wen(spec)):
+        state.project(term.operator)
+    return state
+
+
+def _sweep_plan(spec: LatticeSpec, seed):
+    """``(seed state, stages, rotations)`` of the open sweep (see :func:`ground_state_sweep`).
+
+    The seed state is ``seed(spec)``, made before the lattice is built, so a
+    spec the seed refuses does no other work.  ``stages`` holds per-stage
+    tuples of ``(i, j, "A"|"B")`` entries; ``rotations`` holds the ``XZZY``
+    (A) or ``YZZX`` (B) string of every entry, in execution order, each run
+    as ``exp(-i pi/4 * string)``.
+    """
+    if spec.boundary != "open":
+        raise LatticeError("the unitary sweep requires an open boundary")
+    if spec.twists:
+        raise LatticeError("ground-state construction does not support twists")
+    state = seed(spec)
+    diagonals: dict[int, list[tuple[int, int]]] = {}
+    for term in _even_terms(build_wen(spec)):
+        i, j = term.index
+        diagonals.setdefault(i - j, []).append((i, j))
+    plan: dict[int, list[tuple[int, int, str]]] = {}
+    for c, members in diagonals.items():
+        members.sort()
+        if c >= 0:
+            plan[c] = [(i, j, "A") for (i, j) in members]
+        else:
+            plan[c] = [(i, j, "B") for (i, j) in reversed(members)]
+
+    n_stages = max(len(v) for v in plan.values()) if plan else 0
+    stages = tuple(
+        tuple(plan[c][step] for c in sorted(plan) if step < len(plan[c]))
+        for step in range(n_stages)
+    )
+    rotations = [
+        _wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j)
+        for stage in stages for (i, j, kind) in stage
+    ]
+    return state, stages, rotations
+
+
 def ground_state_sweep(spec: LatticeSpec):
     """Ground state via the staged unitary sweep (open boundary only).
 
@@ -592,34 +667,13 @@ def ground_state_sweep(spec: LatticeSpec):
         (state, stages) where stages is a tuple of per-stage tuples of
         ``(i, j, "A"|"B")`` entries.
     """
-    if spec.boundary != "open":
-        raise LatticeError("the unitary sweep requires an open boundary")
-    if spec.twists:
-        raise LatticeError("ground-state construction does not support twists")
-    psi0 = build_psi0(spec)
+    psi0, stages, rotations = _sweep_plan(spec, build_psi0)
+    return run_pulses([(r, math.pi / 4) for r in rotations], psi0), stages
 
-    diagonals: dict[int, list[tuple[int, int]]] = {}
-    for term in _even_terms(build_wen(spec)):
-        i, j = term.index
-        diagonals.setdefault(i - j, []).append((i, j))
-    plan: dict[int, list[tuple[int, int, str]]] = {}
-    for c, members in diagonals.items():
-        members.sort()
-        if c >= 0:
-            plan[c] = [(i, j, "A") for (i, j) in members]
-        else:
-            plan[c] = [(i, j, "B") for (i, j) in reversed(members)]
 
-    n_stages = max(len(v) for v in plan.values()) if plan else 0
-    stages = []
-    for step in range(n_stages):
-        stage = tuple(
-            plan[c][step] for c in sorted(plan) if step < len(plan[c])
-        )
-        stages.append(stage)
-
-    pulses = [
-        (_wen_term(spec, "xzzy" if kind == "A" else "yzzx", i, j), math.pi / 4)
-        for stage in stages for (i, j, kind) in stage
-    ]
-    return run_pulses(pulses, psi0), tuple(stages)
+def sweep_tableau(spec: LatticeSpec):
+    """:func:`ground_state_sweep` on a stabilizer tableau: ``(state, stages)``."""
+    state, stages, rotations = _sweep_plan(spec, _tableau_seed)
+    for rotation in rotations:
+        state.rotate(rotation)
+    return state, stages

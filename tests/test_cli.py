@@ -11,12 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import count_calls
 
 from qsakit import (
     analysis, anyon_logic, cli, dense_oracle, propagator_engine, schedule_compiler,
     toric_lattice,
 )
 from qsakit.cli import main
+from qsakit.stabilizer_state import MAX_TABLEAU_SITES
 
 PLAQUETTE_ARGS = ["compile", "--target", "XZZX", "--tg", "0.3"]
 STRENGTH_ARGS = ["analyze", "strength", "--tau", "0", "--tau-prime", "0"]
@@ -231,6 +233,8 @@ def test_a_refused_command_line_prints_a_report(capsys, argv, error):
      "LatticeError: build_psi0 is defined for the wen model"),
     (["toric", "ground", "--spec", "{twisted}"],
      "LatticeError: ground-state construction does not support twists"),
+    (["anyon", "braid", "--spec", "{twisted}"],
+     "LatticeError: ground-state construction does not support twists"),
     (["analyze", "strength", "--omega", "-1"],
      "ValueError: both omega and omega_prime are required"),
     (["anyon", "syndrome", "--spec", "{holes}", "--path", "{path}"],
@@ -245,8 +249,8 @@ def test_a_refused_command_line_prints_a_report(capsys, argv, error):
      "EncodingError: the enclosed (target) hole must be rough"),
     (["compile", "--target", "XZZX", "--graph", "{graph5}"],
      "UnsupportedTargetError: target on 4 sites, graph on 5"),
-], ids=["ground-on-holes", "ground-on-a-twist", "strength-without-omega-prime",
-        "syndrome-on-holes", "syndrome-on-a-twist", "memory-on-open-wen",
+], ids=["ground-on-holes", "ground-on-a-twist", "braid-on-a-twist",
+        "strength-without-omega-prime", "syndrome-on-holes", "syndrome-on-a-twist", "memory-on-open-wen",
         "memory-on-a-holes-torus", "cnot-with-a-smooth-target", "graph-wider-than-target"])
 def test_a_request_outside_a_workflow_exits_two_naming_the_rule(tmp_path, capsys, argv, error):
     files = {
@@ -350,18 +354,94 @@ def test_every_float_option_refuses_non_finite_values(capsys):
 
 
 def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
+    # anyon memory still builds 2^16-entry states on the 4x4 torus
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
     spec = write_json(
-        tmp_path / "wen44.json",
-        {"rows": 4, "cols": 4, "boundary": "open", "model": "wen"},
+        tmp_path / "torus44.json",
+        {"rows": 4, "cols": 4, "boundary": "periodic", "model": "wen"},
     )
-    code, out = run_cli(capsys, ["toric", "ground", "--spec", spec])
+    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
     assert code == 3
-    assert json.loads(out)["status"] == "resource-limit"
+    report = json.loads(out)
+    assert report["status"] == "resource-limit"
+    assert "exceeds the dense limit of 14" in report["error"]
     monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "16")
-    code, out = run_cli(capsys, ["toric", "ground", "--spec", spec])
+    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
     assert code == 0
-    assert json.loads(out)["metrics"]["sweep_fidelity"] >= 1.0 - 1e-10
+    assert json.loads(out)["metrics"]["max_overlap_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["toric", "ground", "--spec", "{open44}"], {"min_expectation": 1.0, "sweep_fidelity": 1.0}),
+    (["toric", "ground", "--spec", "{torus44}"], {"min_expectation": 1.0}),
+    (["anyon", "braid", "--spec", "{torus44}"],
+     {"expectation_ground": 1.0, "expectation_excited": -1.0, "braiding_phase": -1.0}),
+], ids=["ground-open", "ground-periodic", "braid"])
+def test_the_tableau_commands_pass_on_4x4_under_the_default_limit(
+        tmp_path, capsys, monkeypatch, argv, exact):
+    monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
+    files = {
+        "open44": write_json(tmp_path / "open44.json", {"rows": 4, "cols": 4}),
+        "torus44": write_json(tmp_path / "torus44.json",
+                              {"rows": 4, "cols": 4, "boundary": "periodic"}),
+    }
+    code, out = run_cli(capsys, [arg.format(**files) for arg in argv])
+    metrics = strict_json(out)["metrics"]
+    assert code == 0
+    assert {key: metrics[key] for key in exact} == exact
+
+
+def test_a_tableau_above_the_cap_exits_three_before_any_lattice(tmp_path, capsys, monkeypatch):
+    built = count_calls(monkeypatch, toric_lattice, "build_wen")
+    side = 2 * (math.isqrt(MAX_TABLEAU_SITES) // 2 + 1)  # even, for the torus
+    for boundary, argv in (("open", ["toric", "ground"]), ("periodic", ["anyon", "braid"])):
+        spec = write_json(tmp_path / f"{boundary}.json",
+                          {"rows": side, "cols": side, "boundary": boundary})
+        code, out = run_cli(capsys, argv + ["--spec", spec])
+        report = strict_json(out)
+        assert (code, report["status"]) == (3, "resource-limit")
+        assert report["error"] == (
+            f"ground-state tableau: {side * side} sites exceeds the stabilizer tableau cap "
+            f"of {MAX_TABLEAU_SITES} sites"
+        )
+    assert built["build_wen"] == 0
+
+
+def test_a_sweep_with_one_rotation_replaced_fails_its_checks(tmp_path, capsys, monkeypatch):
+    plan = toric_lattice._sweep_plan
+
+    def planted(spec, seed):
+        state, stages, rotations = plan(spec, seed)
+        rotations[3] = rotations[3].with_phase_exp(2)  # exp(+i pi/4 P) in place of exp(-i pi/4 P)
+        return state, stages, rotations
+
+    monkeypatch.setattr(toric_lattice, "_sweep_plan", planted)
+    lattice = toric_lattice.LatticeSpec(rows=4, cols=4)
+    swept, _ = toric_lattice.sweep_tableau(lattice)
+    assert swept.overlap(toric_lattice.projector_tableau(lattice)) < 1.0
+    spec = write_json(tmp_path / "open44.json", {"rows": 4, "cols": 4})
+    code, out = run_cli(capsys, ["toric", "ground", "--spec", spec])
+    report = strict_json(out)
+    assert (code, report["status"]) == (1, "fail")
+    assert report["metrics"]["sweep_fidelity"] == 0.0
+    assert report["metrics"]["min_expectation"] == -1.0
+    assert [c["passed"] for c in report["checks"]] == [False, False]
+    assert report["checks"][0]["detail"] == "|<sweep|projector>|^2 = 0.000000000000"
+
+
+def test_a_braid_loop_the_ground_state_does_not_fix_is_a_failed_check(
+        tmp_path, capsys, monkeypatch):
+    # a single X has expectation 0 in both states, which made the phase 0/0
+    lone = anyon_logic.StringPath(((1, 1),), ("X",))
+    monkeypatch.setattr(anyon_logic, "anyon_walk", lambda spec, ring: lone)
+    spec = write_json(tmp_path / "torus44.json", {"rows": 4, "cols": 4, "boundary": "periodic"})
+    code, out = run_cli(capsys, ["anyon", "braid", "--spec", spec])
+    report = strict_json(out)
+    assert (code, report["status"]) == (1, "fail")
+    metrics = report["metrics"]
+    assert (metrics["expectation_ground"], metrics["expectation_excited"]) == (0.0, 0.0)
+    assert metrics["braiding_phase"] == 0.0
+    assert [c["passed"] for c in report["checks"]] == [False, False]
 
 
 def test_unparsable_dense_limit_exits_two(tmp_path, capsys, monkeypatch):

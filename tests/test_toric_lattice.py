@@ -676,6 +676,8 @@ TWISTED_44 = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
 @pytest.mark.parametrize("call, message", [
     (lambda: ground_state_sweep(TORUS_44), "the unitary sweep requires an open boundary"),
     (lambda: ground_state_sweep(TWISTED_44), "ground-state construction does not support twists"),
+    (lambda: ground_state_projector(TWISTED_44),
+     "ground-state construction does not support twists"),
     (lambda: build_wen(HOLES_34), "build_wen needs model 'wen', got 'kitaev_holes'"),
     (lambda: build_kitaev_holes(TORUS_44),
      "build_kitaev_holes needs model 'kitaev_holes', got 'wen'"),
@@ -684,7 +686,7 @@ TWISTED_44 = LatticeSpec(rows=4, cols=4, twists=(TwistSpec(1, 0),))
     # edge keys are not wrapped on a periodic grid
     (lambda: kitaev_edge_index(LatticeSpec(2, 2, "periodic", "kitaev_holes"), "v", 2, 0),
      "edge ('v', 2, 0) does not exist on this lattice"),
-], ids=["sweep-on-a-torus", "sweep-on-a-twist", "build-wen-on-holes", "build-holes-on-wen",
+], ids=["sweep-on-a-torus", "sweep-on-a-twist", "projector-on-a-twist", "build-wen-on-holes", "build-holes-on-wen",
         "spin-off-the-grid", "star-on-the-rough-top", "edge-past-a-periodic-row"])
 def test_a_lattice_routine_refuses_what_it_cannot_do(call, message):
     with pytest.raises(LatticeError) as info:
