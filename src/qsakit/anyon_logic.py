@@ -35,6 +35,7 @@ from .dense_oracle import (
     check_dense_limit,
     run_pulses,
 )
+from .stabilizer_state import LogicalFrame, StabilizerState, check_tableau_limit
 from .toric_lattice import (
     HoleSpec,
     LatticeSpec,
@@ -45,7 +46,6 @@ from .toric_lattice import (
     kitaev_operator,
     plaquette_range,
     project_plus,
-    projector_tableau,
 )
 
 
@@ -274,10 +274,16 @@ def memory_qubits(spec: LatticeSpec) -> tuple[tuple[PauliString, PauliString], .
     return tuple((path_string(x, spec), path_string(z, spec)) for x, z in pairs)
 
 
-def memory_basis(spec: LatticeSpec) -> list[np.ndarray]:
-    """[|G>, X1|G>, X2|G>, X1 X2|G>]: the four loop-distinct ground states."""
+def memory_basis(spec: LatticeSpec) -> list[StabilizerState]:
+    """[|G>, X1|G>, X2|G>, X1 X2|G>]: the four loop-distinct ground tableaux."""
     (x1, _), (x2, _) = memory_qubits(spec)
-    return _logical_basis([x2, x1], ground_state_projector(spec))
+    ground = ground_state_projector(spec)
+    basis = [ground]
+    for x_bar in (x1, x2, multiply(x1, x2)):
+        state = ground.copy()
+        state.apply_string(x_bar)
+        basis.append(state)
+    return basis
 
 
 def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
@@ -295,9 +301,9 @@ def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
     return delta, alpha + math.pi / 2.0, beta, gamma - math.pi / 2.0
 
 
-def memory_encode(spec: LatticeSpec, amplitudes, ground: np.ndarray) -> np.ndarray:
-    """Rotate the ground state ``ground`` (``memory_basis(spec)[0]``) into the
-    memory state with the requested basis overlaps.
+def memory_encode(spec: LatticeSpec, amplitudes, ground: StabilizerState) -> list[complex]:
+    """The overlaps of the memory state that rotating the ground tableau
+    ``ground`` (``memory_basis(spec)[0]``) encodes, with the four basis states.
 
     The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) form
     ``C = [[a0, a2], [a1, a3]] = U S V^H`` (row: qubit-1 bit,
@@ -308,8 +314,8 @@ def memory_encode(spec: LatticeSpec, amplitudes, ground: np.ndarray) -> np.ndarr
     every plaquette and put Z on the spins the seed state sets to |0> and X
     on those it sets to |+>, so ``Z_logical|G> = +|G>`` and the Z-loop
     angles need no sign.  The frames' scalar phases, which the hardware never
-    applies, are folded back in, so the returned state's overlaps with the
-    four basis states equal the normalized amplitudes up to float roundoff.
+    applies, are folded back in, so the overlaps, read off a logical frame of
+    both loop qubits, equal the normalized amplitudes up to float roundoff.
     Zero-angle rotations are dropped: at most seven loop rotations run.
     """
     a = np.asarray(list(amplitudes), dtype=np.complex128)
@@ -330,8 +336,11 @@ def memory_encode(spec: LatticeSpec, amplitudes, ground: np.ndarray) -> np.ndarr
         delta, alpha, beta, gamma = _euler_zxz(frame)
         recorded *= np.exp(1j * delta)
         pulses += [(zs, gamma / 2.0), (xs, beta / 2.0), (zs, alpha / 2.0)]
-    pulses = [(string, angle) for string, angle in pulses if abs(angle) > 1e-14]
-    return recorded * run_pulses(pulses, ground)
+    logical = LogicalFrame(ground, [(x2, z2), (x1, z1)], [1, 0, 0, 0])
+    for string, angle in pulses:
+        if abs(angle) > 1e-14:
+            logical.evolve(string, angle)
+    return [complex(recorded * amplitude) for amplitude in logical.amplitudes]
 
 
 # -- braiding statistics ----------------------------------------------------------
@@ -379,7 +388,7 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     plaquette ``center``; the m transport loop is the four-hop diagonal walk
     around that plaquette.  The loop operator leaves the ground state alone
     (+1) and multiplies the excited state by -1.  Both states are stabilizer
-    tableaux (:func:`~qsakit.toric_lattice.projector_tableau`), so both
+    tableaux (:func:`~qsakit.toric_lattice.ground_state_projector`), so both
     expectations are exactly -1, 0 or +1 and the phase, their ratio, is
     their product; a ground expectation of 0 gives the phase 0.
     """
@@ -392,7 +401,7 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
     loop = anyon_walk(spec, ring)
     loop_op = path_string(loop, spec)
 
-    ground = projector_tableau(spec)
+    ground = ground_state_projector(spec)
     error_spin = ((ci + 1) % spec.rows, (cj + 1) % spec.cols)
     error = PauliString.from_sites(spec.n_sites, {spec.site_index(*error_spin): "Z"})
     excited = ground.copy()
@@ -413,7 +422,7 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
 
 
 def code_state(spec: LatticeSpec) -> np.ndarray:
-    """Logical all-|0> state of the hole model.
+    """Logical all-|0> state of the hole model, as a dense statevector.
 
     Projects |0...0> (already +1 for every Z-type face and for both kinds of
     hole logical Z) onto the +1 space of every kept vertex star.
@@ -427,6 +436,16 @@ def code_state(spec: LatticeSpec) -> np.ndarray:
         zero,
         (term.operator for term in build_variant(spec).terms if term.kind == "vertex"),
     )
+
+
+def _code_tableau(spec: LatticeSpec) -> StabilizerState:
+    """:func:`code_state` as a tableau, for a spec :func:`hole_logicals` accepts."""
+    check_tableau_limit(spec.n_sites, "code-state tableau")
+    state = StabilizerState.product("Z" * spec.n_sites)
+    for term in build_variant(spec).terms:
+        if term.kind == "vertex":
+            state.project(term.operator)
+    return state
 
 
 def hole_logicals(hole: HoleSpec, spec: LatticeSpec) -> tuple[PauliString, PauliString]:
@@ -465,59 +484,37 @@ def hole_logicals(hole: HoleSpec, spec: LatticeSpec) -> tuple[PauliString, Pauli
     return x_bar, z_bar
 
 
-def logical_basis(spec: LatticeSpec, holes) -> list[np.ndarray]:
-    """Code-space basis states of the holes' qubits, indexed by logical bits (first hole = MSB)."""
-    xs = [hole_logicals(hole, spec)[0] for hole in holes]
-    return _logical_basis(xs, code_state(spec))
-
-
-def _logical_basis(xs, base: np.ndarray) -> list[np.ndarray]:
-    """:func:`logical_basis` from the holes' logical X strings and the built code state."""
-    states = []
-    for idx in range(1 << len(xs)):
-        arr = base
-        for k, x_bar in enumerate(xs):
-            if (idx >> (len(xs) - 1 - k)) & 1:
-                arr = apply_string(x_bar, arr)
-        states.append(arr)
-    return states
-
-
-def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> np.ndarray:
+def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> LogicalFrame:
     """Prepare ``(|0> + e^{i theta}|1>)/sqrt(2)`` on the qubit of one hole.
 
     The logical-X quarter rotation gives ``(|0> - i|1>)/sqrt(2)``; the -i is
     then turned into e^{i theta} by the phase gate P(theta + pi/2), realized
     as a logical-Z rotation.  The rotation's scalar prefactor
     ``exp(-i (theta + pi/2)/2)`` is a global phase the hardware never needs
-    to apply; it is divided back out so the returned state matches the
-    target exactly.
+    to apply; it is divided back out so the returned frame's amplitudes over
+    the hole's ``|0>`` and ``|1>`` match the target exactly.
     """
     x_bar, z_bar = hole_logicals(hole, spec)
-    return _magic_state(x_bar, z_bar, theta, code_state(spec))
-
-
-def _magic_state(x_bar, z_bar, theta: float, base: np.ndarray) -> np.ndarray:
-    """:func:`magic_state` from the hole's logical pair and the built code state."""
     phi = theta + math.pi / 2.0
-    arr = run_pulses([(x_bar, math.pi / 4.0), (z_bar, phi / 2.0)], base)
+    frame = LogicalFrame(_code_tableau(spec), [(x_bar, z_bar)], [1, 0])
+    frame.evolve(x_bar, math.pi / 4.0)
+    frame.evolve(z_bar, phi / 2.0)
     recorded = complex(np.exp(-1j * phi / 2.0))
-    return arr / recorded
+    frame.amplitudes = [a / recorded for a in frame.amplitudes]
+    return frame
 
 
 def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
     """Magic-state preparation summary: fidelity vs analytic target, phase."""
-    x_bar, z_bar = hole_logicals(hole, spec)
-    base = code_state(spec)
-    state = _magic_state(x_bar, z_bar, theta, base)
-    zero, one = _logical_basis([x_bar], base)
-    target = (zero + np.exp(1j * theta) * one) / math.sqrt(2.0)
+    zero, one = magic_state(hole, theta, spec).amplitudes
+    # <target|state> with target = (|0> + e^{i theta}|1>)/sqrt(2)
+    overlap = (zero + complex(np.exp(-1j * theta)) * one) / math.sqrt(2.0)
     return {
         "theta": theta,
         "recorded_phase": complex(np.exp(-1j * (theta + math.pi / 2.0) / 2.0)),
-        "fidelity": float(abs(complex(np.vdot(state, target))) ** 2),
-        "overlap_zero": complex(np.vdot(zero, state)),
-        "overlap_one": complex(np.vdot(one, state)),
+        "fidelity": abs(overlap) ** 2,
+        "overlap_zero": zero,
+        "overlap_one": one,
     }
 
 
@@ -545,29 +542,28 @@ class LoopCnot:
     braid: PauliString
 
     def truth_table(self) -> dict:
-        """Braid-route CNOT rows on the logical basis.
+        """Braid-route CNOT rows on the logical basis (control = most significant bit).
 
         Control-0 rows need no braid (the empty hole transports trivially);
         control-1 rows are generated from |0, t> with the tg = pi/2 loop
-        propagator and come with the recorded -i.
+        propagator and come with the recorded -i.  Each row's distance is
+        that of the amplitudes of a logical frame of both holes.
         """
-        basis = logical_basis(self.spec, [self.control, self.target])
+        base = _code_tableau(self.spec)
+        pairs = [hole_logicals(self.control, self.spec), hole_logicals(self.target, self.spec)]
         rows = []
-        for t in (0, 1):
-            out = run_pulses([(self.braid, 0.0)], basis[t])
-            rows.append({
-                "input": (0, t), "expected": (0, t),
-                "recorded_phase": complex(1.0),
-                "distance": float(np.linalg.norm(out - basis[t])),
-            })
-        for t in (0, 1):
-            out = run_pulses([(self.braid, math.pi / 2.0)], basis[t])
-            expected = basis[2 + (1 - t)]
-            rows.append({
-                "input": (1, t), "expected": (1, 1 - t),
-                "recorded_phase": complex(-1j),
-                "distance": float(np.linalg.norm(out - (-1j) * expected)),
-            })
+        for c, tg, phase in ((0, 0.0, complex(1.0)), (1, math.pi / 2.0, complex(-1j))):
+            for t in (0, 1):
+                frame = LogicalFrame(base, pairs, [b == t for b in range(4)])
+                frame.evolve(self.braid, tg)
+                expected = 2 * c + (t ^ c)
+                rows.append({
+                    "input": (c, t), "expected": (c, t ^ c),
+                    "recorded_phase": phase,
+                    "distance": math.hypot(*(
+                        abs(a - phase * (b == expected)) for b, a in enumerate(frame.amplitudes)
+                    )),
+                })
         return {"rows": rows, "max_distance": max(r["distance"] for r in rows)}
 
     def composite_apply(self, state: np.ndarray) -> tuple[np.ndarray, complex]:

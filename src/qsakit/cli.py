@@ -272,8 +272,8 @@ def _cmd_toric(args):
     from .toric_lattice import (
         build_variant,
         digital_sequence,
-        projector_tableau,
-        sweep_tableau,
+        ground_state_projector,
+        ground_state_sweep,
     )
 
     spec = _lattice_spec(args.spec)
@@ -309,10 +309,10 @@ def _cmd_toric(args):
 
     elif args.action == "ground":
         # stabilizer states: the fidelity and every expectation are exact
-        reference = projector_tableau(spec)
+        reference = ground_state_projector(spec)
         ops = build_variant(spec).operators()
         if spec.boundary == "open":
-            swept, stages = sweep_tableau(spec)
+            swept, stages = ground_state_sweep(spec)
             fid = swept.overlap(reference)
             checks.append(
                 _check(
@@ -357,8 +357,6 @@ def _payload(args) -> dict:
 
 
 def _cmd_anyon(args):
-    import numpy as np
-
     from . import anyon_logic
 
     spec = _lattice_spec(args.spec)
@@ -418,7 +416,7 @@ def _cmd_anyon(args):
         amplitudes = [a / norm for a in amplitudes]
         basis = anyon_logic.memory_basis(spec)
         worst_pair = max(
-            abs(complex(np.vdot(basis[i], basis[j])))
+            math.sqrt(basis[i].overlap(basis[j]))
             for i in range(4)
             for j in range(i + 1, 4)
         )
@@ -429,8 +427,7 @@ def _cmd_anyon(args):
                 f"max |overlap| = {worst_pair:.3e}",
             )
         )
-        encoded = anyon_logic.memory_encode(spec, amplitudes, basis[0])
-        overlaps = [complex(np.vdot(b, encoded)) for b in basis]
+        overlaps = anyon_logic.memory_encode(spec, amplitudes, basis[0])
         err = max(abs(o - a) for o, a in zip(overlaps, amplitudes))
         checks.append(
             _check(

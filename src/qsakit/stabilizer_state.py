@@ -27,7 +27,8 @@ string operations, whatever ``2^n`` is:
 
 Global phases are not tracked; nothing here reads one.  The work of a
 ground state grows as the square of the register, so :data:`MAX_TABLEAU_SITES`
-bounds it.
+bounds it.  A state of a code space with a few logical qubits is a
+:class:`LogicalFrame` over a code-state tableau.
 """
 
 from __future__ import annotations
@@ -173,3 +174,60 @@ class StabilizerState:
                 return 0.0
             halvings += outcome == 0
         return math.ldexp(1.0, -halvings)
+
+
+class LogicalFrame:
+    """A code-space state of ``k`` (at most two) logical qubits, held exactly
+    (Gottesman, quant-ph/9807006).
+
+    ``base`` is a code-state tableau, ``pairs`` holds the logical pairs
+    ``(X_j, Z_j)``, each ``Z_j`` fixing ``base``, and ``amplitudes[b]`` is that
+    of ``X^b|base>``, the product of the ``X_j`` whose bit is set in ``b``
+    (the first pair the most significant).  A Hermitian ``q`` that keeps the
+    code space maps ``X^b|base>`` to ``(-1)^(g.b) w X^(b^f)|base>``: bit ``j``
+    of ``f`` (of ``g``) is set when ``q`` anticommutes with ``Z_j`` (``X_j``),
+    and ``X^f q = i^m h`` for a Hermitian ``h`` that fixes ``base`` up to the
+    sign ``<h>``, so ``w = i^m <h>``.  The tableau is never changed.
+    """
+
+    __slots__ = ("base", "pairs", "amplitudes")
+
+    def __init__(self, base: StabilizerState, pairs, amplitudes):
+        self.pairs = list(pairs)
+        k = len(self.pairs)
+        if len(amplitudes) != 1 << k:
+            raise ValueError(f"{k} logical pairs take {1 << k} amplitudes, not {len(amplitudes)}")
+        for _, z in self.pairs:
+            if base.expectation(z) != 1:
+                raise ValueError(f"the logical {z} does not fix the base state")
+        self.base = base
+        self.amplitudes = [complex(a) for a in amplitudes]
+
+    def evolve(self, q: PauliString, angle: float) -> None:
+        """``|psi> -> exp(-i angle q)|psi>`` for a Hermitian ``q`` that keeps the code space.
+
+        Raises:
+            ValueError: ``q`` leaves the code space, or acts on a logical
+                qubit the frame does not hold.
+        """
+        k = len(self.pairs)
+        flips = signs = 0
+        x_f = PauliString.from_sites(q.n_sites, {})
+        for j, (x, z) in enumerate(self.pairs):
+            bit = 1 << (k - 1 - j)
+            if not commutes(q, z):
+                flips |= bit
+                x_f = multiply(x_f, x)
+            if not commutes(q, x):
+                signs |= bit
+        p = multiply(x_f, q)
+        turns = p.phase_exp % 2  # p = i^turns h with h Hermitian
+        value = self.base.expectation(p.with_phase_exp(p.phase_exp - turns))
+        if value == 0:
+            raise ValueError(f"{q} does not keep the code space of the frame")
+        c, s = math.cos(angle), -1j * math.sin(angle) * value * 1j ** turns
+        old = self.amplitudes
+        self.amplitudes = [
+            c * old[b] + (-s if (signs & (b ^ flips)).bit_count() % 2 else s) * old[b ^ flips]
+            for b in range(len(old))
+        ]

@@ -27,17 +27,12 @@ reports them as its checks ``terms-pairwise-commute`` and
 ``groups-support-disjoint``; a fault in a term table is a failed check (exit 1).
 
 The wen ground state starts from a product seed of |0> and |+> spins and is
-reached by projection onto every even term or by the pi/4 sweep.  Both run
-on one of two backends, from the same seed letters and the same sweep plan:
-
-* dense (:func:`ground_state_projector`, :func:`ground_state_sweep`): the
-  seed of :func:`build_psi0`, one zeroed array with one amplitude written
-  into its |0>-pinned slice, projected by :func:`project_plus` (one pass per
-  even term, in two work buffers that take turns) or swept through
-  :func:`~qsakit.dense_oracle.run_pulses`, up to the dense limit;
-* stabilizer tableau (:func:`projector_tableau`, :func:`sweep_tableau`):
-  a :class:`~qsakit.stabilizer_state.StabilizerState`, with no 2^n array,
-  up to :data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES` spins.
+reached by projection onto every even term (:func:`ground_state_projector`)
+or by the pi/4 sweep (:func:`ground_state_sweep`).  Both run on a
+:class:`~qsakit.stabilizer_state.StabilizerState`, with no 2^n array, up to
+:data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES` spins.  :func:`project_plus`
+is the dense projection that builds the hole model's code state
+(:func:`~qsakit.anyon_logic.code_state`).
 """
 
 from __future__ import annotations
@@ -52,12 +47,7 @@ from .pauli_core import (
     PauliString, WeightedPauliSum, float_field, index_field, pair_field,
 )
 from .schedule_compiler import QsaSchedule, compile_schedule
-from .dense_oracle import (
-    _apply_string_into,
-    check_dense_limit,
-    pulse_unitary,
-    run_pulses,
-)
+from .dense_oracle import _apply_string_into, pulse_unitary, run_pulses
 from .stabilizer_state import StabilizerState, check_tableau_limit
 
 MODELS = ("wen", "kitaev_holes")
@@ -512,48 +502,22 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
 # -- wen ground states ----------------------------------------------------------
 
 
-def _seed_letters(spec: LatticeSpec, check_size) -> str:
-    """The product seed's letter per spin: ``X`` (|+>) on odd-parity spins, ``Z`` (|0>) on even ones.
+def _seed(spec: LatticeSpec) -> StabilizerState:
+    """The product seed: |+> (``X``) on odd-parity spins, |0> (``Z``) on even ones.
 
     Odd-anchored plaquettes place X on the odd spins and Z on the even spins,
     so they all stabilize this seed already; the ground state only needs the
-    even-anchored half enforced.  ``check_size(n_sites)`` admits the register
-    (the dense limit or the tableau cap) before any letter is made.
+    even-anchored half enforced.  The register is checked against the
+    tableau cap before any letter is made.
 
     Raises:
         LatticeError: not the wen model.
     """
     if spec.model != "wen":
-        raise LatticeError("build_psi0 is defined for the wen model")
-    check_size(spec.n_sites)
-    return "".join("ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
-
-
-def build_psi0(spec: LatticeSpec) -> np.ndarray:
-    """The product seed of :func:`_seed_letters` as a statevector.
-
-    Every amplitude with an even-parity spin in |1> is zero and all others
-    are equal, so the state is one zeroed ``(2,)*n`` tensor whose |0>-pinned
-    slice holds that one amplitude: the running product, in site order, of
-    the factors 1 (|0>) and 1/sqrt(2) (|+>), bitwise the ``np.kron`` chain
-    of the single-spin states.
-    """
-    letters = _seed_letters(spec, lambda n: check_dense_limit(n, "build_psi0"))
-    one = np.complex128(1.0)
-    plus = one / math.sqrt(2.0)
-    amplitude, pinned = one, []
-    for letter in letters:
-        amplitude = amplitude * (plus if letter == "X" else one)
-        pinned.append(slice(None) if letter == "X" else 0)
-    state = np.zeros((2,) * len(letters), dtype=np.complex128)
-    state[tuple(pinned)] = amplitude
-    return state.reshape(1 << len(letters))
-
-
-def _tableau_seed(spec: LatticeSpec) -> StabilizerState:
-    """The seed of :func:`build_psi0` as a tableau, refused above the tableau cap."""
+        raise LatticeError("ground states are defined for the wen model")
+    check_tableau_limit(spec.n_sites, "ground-state tableau")
     return StabilizerState.product(
-        _seed_letters(spec, lambda n: check_tableau_limit(n, "ground-state tableau"))
+        "".join("ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
     )
 
 
@@ -586,47 +550,34 @@ def project_plus(array: np.ndarray, operators) -> np.ndarray:
     return state
 
 
-def ground_state_projector(spec: LatticeSpec) -> np.ndarray:
-    """Ground state via ``prod_even (1 + P)/sqrt(2)`` on the seed state.
+def ground_state_projector(spec: LatticeSpec) -> StabilizerState:
+    """Ground state: the seed projected onto the +1 space of every even term.
 
     Works for open and periodic boundaries (the periodic product of all even
-    terms is +1, so the projection never annihilates the seed); the result
-    is normalized explicitly.
+    terms is +1, so no projection annihilates the seed), at any width up to
+    :data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES`.
     """
     if spec.twists:
         raise LatticeError("ground-state construction does not support twists")
-    return project_plus(
-        build_psi0(spec),
-        (term.operator for term in _even_terms(build_wen(spec))),
-    )
-
-
-def projector_tableau(spec: LatticeSpec) -> StabilizerState:
-    """:func:`ground_state_projector` on a stabilizer tableau, at any width up to
-    :data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES`: the seed projected onto
-    the +1 space of every even term."""
-    if spec.twists:
-        raise LatticeError("ground-state construction does not support twists")
-    state = _tableau_seed(spec)
+    state = _seed(spec)
     for term in _even_terms(build_wen(spec)):
         state.project(term.operator)
     return state
 
 
-def _sweep_plan(spec: LatticeSpec, seed):
+def _sweep_plan(spec: LatticeSpec):
     """``(seed state, stages, rotations)`` of the open sweep (see :func:`ground_state_sweep`).
 
-    The seed state is ``seed(spec)``, made before the lattice is built, so a
-    spec the seed refuses does no other work.  ``stages`` holds per-stage
-    tuples of ``(i, j, "A"|"B")`` entries; ``rotations`` holds the ``XZZY``
-    (A) or ``YZZX`` (B) string of every entry, in execution order, each run
-    as ``exp(-i pi/4 * string)``.
+    The seed is made before the lattice is built, so a spec it refuses does
+    no other work.  ``stages`` holds per-stage tuples of ``(i, j, "A"|"B")``
+    entries; ``rotations`` holds the ``XZZY`` (A) or ``YZZX`` (B) string of
+    every entry, in execution order, each run as ``exp(-i pi/4 * string)``.
     """
     if spec.boundary != "open":
         raise LatticeError("the unitary sweep requires an open boundary")
     if spec.twists:
         raise LatticeError("ground-state construction does not support twists")
-    state = seed(spec)
+    state = _seed(spec)
     diagonals: dict[int, list[tuple[int, int]]] = {}
     for term in _even_terms(build_wen(spec)):
         i, j = term.index
@@ -664,16 +615,10 @@ def ground_state_sweep(spec: LatticeSpec):
     plaquette per diagonal.
 
     Returns:
-        (state, stages) where stages is a tuple of per-stage tuples of
+        (state, stages): the swept tableau, and per-stage tuples of
         ``(i, j, "A"|"B")`` entries.
     """
-    psi0, stages, rotations = _sweep_plan(spec, build_psi0)
-    return run_pulses([(r, math.pi / 4) for r in rotations], psi0), stages
-
-
-def sweep_tableau(spec: LatticeSpec):
-    """:func:`ground_state_sweep` on a stabilizer tableau: ``(state, stages)``."""
-    state, stages, rotations = _sweep_plan(spec, _tableau_seed)
+    state, stages, rotations = _sweep_plan(spec)
     for rotation in rotations:
         state.rotate(rotation)
     return state, stages

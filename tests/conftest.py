@@ -4,9 +4,13 @@ Everything here is built from 2x2 matrices and numpy/scipy only, so the
 tests never trust the package's own dense backend for ground truth.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from qsakit.toric_lattice import build_variant
 
 SIGMA = {
     "I": np.eye(2, dtype=np.complex128),
@@ -110,3 +114,66 @@ def count_calls(monkeypatch, module, *names):
 def dense16(monkeypatch):
     """Raise the dense-oracle ceiling to cover 16-spin lattices."""
     monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "16")
+
+
+ZERO = np.array([1.0, 0.0], dtype=np.complex128)
+PLUS = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def kron_product_state(letters):
+    """|0> for each ``Z`` and |+> for each ``X``, site 0 first."""
+    state = np.array([1.0], dtype=np.complex128)
+    for letter in letters:
+        state = np.kron(state, ZERO if letter == "Z" else PLUS)
+    return state
+
+
+def pauli_image(string, state):
+    """``string |state>`` by axis flips and signs on the ``(2,)*n`` tensor, site 0
+    first: the action of :func:`kron_string`, for registers whose matrices
+    would not fit."""
+    n = string.n_sites
+    tensor = state.reshape((2,) * n) * (1j ** string.phase_exp)
+    for site, letter in enumerate(string.letters):
+        if letter in "YZ":  # Z first: Y = i X Z
+            shape = [1] * n
+            shape[site] = 2
+            signs = np.array([1.0, -1.0]).reshape(shape)
+            tensor = tensor * (signs * (1j if letter == "Y" else 1.0))
+        if letter in "XY":
+            tensor = np.flip(tensor, axis=site)
+    return tensor.reshape(-1)
+
+
+def projected(state, strings):
+    """The unit vector along ``prod (1 + P)/2 |state>`` over commuting Hermitian ``strings``."""
+    for string in strings:
+        state = (state + pauli_image(string, state)) / 2.0
+    return state / np.linalg.norm(state)
+
+
+def rotated(state, string, angle):
+    """``exp(-i angle P)|state>`` of a Hermitian string ``P``, which squares to 1."""
+    return math.cos(angle) * state - 1j * math.sin(angle) * pauli_image(string, state)
+
+
+def lattice_ground(spec):
+    """The Wen ground state (the |0>/|+> seed projected onto every even
+    plaquette) or the hole model's code state (|0...0> projected onto every
+    kept vertex star), as a vector."""
+    terms = build_variant(spec).terms
+    if spec.model == "wen":
+        seed = kron_product_state(
+            "ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
+        return projected(seed, [t.operator for t in terms if sum(t.index) % 2 == 0])
+    zero = np.zeros(1 << spec.n_sites, dtype=np.complex128)
+    zero[0] = 1.0
+    return projected(zero, [t.operator for t in terms if t.kind == "vertex"])
+
+
+def stabilizer_vector(state, seed=0):
+    """The unit vector a tableau ``state`` fixes, up to its global phase: a
+    random vector projected onto the +1 space of every stabilizer."""
+    rng = np.random.default_rng(seed)
+    dim = 1 << state.stabilizers[0].n_sites
+    return projected(rng.normal(size=dim) + 1j * rng.normal(size=dim), state.stabilizers)

@@ -28,9 +28,7 @@ from qsakit.dense_oracle import (
     _random_state,
     apply_rotation,
     distance,
-    expectation,
     expm,
-    run_pulses,
     schedule_unitary,
 )
 from qsakit.pauli_core import PauliString, WeightedPauliSum, sum_commutes
@@ -49,7 +47,15 @@ from qsakit.toric_lattice import (
     ground_state_sweep,
 )
 
-from conftest import frobenius_distance, random_string_letters
+from qsakit.stabilizer_state import LogicalFrame
+
+from conftest import (
+    frobenius_distance,
+    lattice_ground,
+    pauli_image,
+    random_string_letters,
+    rotated,
+)
 
 SEED = 20240818
 
@@ -182,28 +188,39 @@ def test_criterion_05_toric_digital_sequence(dense16):
         assert infidelity <= 1e-8
 
 
-def test_criterion_06_ground_state(dense16):
+def test_criterion_06_ground_state():
+    # the swept and projected tableaux are one state, which is the conftest
+    # ground state: every stabilizer of the sweep fixes it
     spec = LatticeSpec(rows=4, cols=4)
     swept, _ = ground_state_sweep(spec)
     reference = ground_state_projector(spec)
-    assert abs(np.vdot(swept, reference)) >= 1.0 - 1e-10
+    assert swept.overlap(reference) == 1.0
+    dense = lattice_ground(spec)
+    for g in swept.stabilizers:
+        assert np.abs(pauli_image(g, dense) - dense).max() <= 1e-10
     for term in build_wen(spec).terms:
-        assert abs(expectation(term.operator, swept).real - 1.0) <= 1e-10
+        assert swept.expectation(term.operator) == 1
+        assert abs(np.vdot(dense, pauli_image(term.operator, dense)).real - 1.0) <= 1e-10
 
 
-def test_criterion_07_quantum_memory(dense16):
+def test_criterion_07_quantum_memory():
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     basis = memory_basis(spec)
     for i in range(4):
         for j in range(i + 1, 4):
-            assert abs(np.vdot(basis[i], basis[j])) <= 1e-10
+            assert basis[i].overlap(basis[j]) == 0.0
 
-    (x1, _), _ = memory_qubits(spec)
+    (x1, z1), (x2, z2) = memory_qubits(spec)
     tg = math.pi / 8.0
-    pulse = (x1, tg)
-    rotated = run_pulses([pulse], basis[0])
-    assert abs(np.vdot(basis[0], rotated) - math.cos(tg)) <= 1e-10
-    assert abs(np.vdot(basis[1], rotated) - (-1j) * math.sin(tg)) <= 1e-10
+    frame = LogicalFrame(basis[0], [(x2, z2), (x1, z1)], [1, 0, 0, 0])
+    frame.evolve(x1, tg)
+    # against the conftest ground state and its X1 image, rotated alike
+    ground = lattice_ground(spec)
+    state = rotated(ground, x1, tg)
+    vectors = (ground, pauli_image(x1, ground))
+    for amplitude, vector, want in zip(frame.amplitudes, vectors, (math.cos(tg), -1j * math.sin(tg))):
+        assert abs(amplitude - want) <= 1e-10
+        assert abs(np.vdot(vector, state) - want) <= 1e-10
 
 
 def test_criterion_08_magic_states():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qsakit import anyon_logic
+from qsakit import anyon_logic, dense_oracle, toric_lattice
 from qsakit.anyon_logic import (
     EncodingError,
     PathError,
@@ -16,7 +16,6 @@ from qsakit.anyon_logic import (
     code_state,
     hole_logicals,
     interleaved_propagators,
-    logical_basis,
     loop_cnot,
     loop_path,
     magic_report,
@@ -34,17 +33,16 @@ from qsakit.dense_oracle import (
     _random_state,
     apply_rotation,
     apply_schedule,
-    apply_string,
     expectation,
     run_pulses,
 )
 from qsakit.pauli_core import PauliString, commutes, multiply
 from qsakit.schedule_compiler import compile_schedule
+from qsakit.stabilizer_state import LogicalFrame
 from qsakit.toric_lattice import (
     HoleSpec,
     LatticeError,
     LatticeSpec,
-    build_psi0,
     build_variant,
     build_wen,
     digital_sequence,
@@ -53,7 +51,16 @@ from qsakit.toric_lattice import (
     plaquette_range,
 )
 
-from conftest import kron_expm, kron_letters
+from conftest import (
+    count_calls,
+    kron_expm,
+    kron_letters,
+    kron_product_state,
+    lattice_ground,
+    pauli_image,
+    rotated,
+    stabilizer_vector,
+)
 
 SEED = 20240816
 
@@ -193,23 +200,55 @@ def test_memory_qubits_need_loops_that_close():
         memory_qubits(LatticeSpec(rows=2, cols=4, boundary="periodic"))
 
 
-def test_memory_basis_and_encode(dense16):
+def recorded_rotations(monkeypatch):
+    """Every ``LogicalFrame.evolve`` call, as ``(frame, string, angle)``, run as before."""
+    runs = []
+    evolve = LogicalFrame.evolve
+
+    def recording(frame, q, angle):
+        runs.append((frame, q, angle))
+        evolve(frame, q, angle)
+
+    monkeypatch.setattr(LogicalFrame, "evolve", recording)
+    return runs
+
+
+def memory_vectors(spec):
+    """The conftest ground state of the torus and its X1, X2 and X1 X2 images."""
+    (x1, _), (x2, _) = memory_qubits(spec)
+    ground = lattice_ground(spec)
+    return [ground, pauli_image(x1, ground), pauli_image(x2, ground),
+            pauli_image(x2, pauli_image(x1, ground))]
+
+
+def test_memory_basis_and_encode(monkeypatch):
+    # the basis tableaux fix the conftest basis vectors, and the frame's
+    # amplitudes are the overlaps of the conftest ground state run through
+    # the same loop rotations
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    basis = memory_basis(spec)
+    basis, vectors = memory_basis(spec), memory_vectors(spec)
     for i in range(4):
+        for g in basis[i].stabilizers:
+            assert np.abs(pauli_image(g, vectors[i]) - vectors[i]).max() <= 1e-12
         for j in range(i + 1, 4):
-            assert abs(np.vdot(basis[i], basis[j])) <= 1e-10
+            assert basis[i].overlap(basis[j]) == 0.0
+            assert abs(np.vdot(vectors[i], vectors[j])) <= 1e-12
     rng = np.random.default_rng(SEED + 1)
     amps = rng.normal(size=4) + 1j * rng.normal(size=4)
     amps = amps / np.linalg.norm(amps)
-    state = memory_encode(spec, list(amps), basis[0])
-    overlaps = np.array([np.vdot(b, state) for b in basis])
-    assert np.max(np.abs(overlaps - amps)) <= 1e-8
+    runs = recorded_rotations(monkeypatch)
+    overlaps = memory_encode(spec, list(amps), basis[0])
+    assert np.max(np.abs(np.array(overlaps) - amps)) <= 1e-12
+    state = vectors[0]
+    for _, q, angle in runs:
+        state = rotated(state, q, angle)
+    want = np.array([np.vdot(v, state) for v in vectors])
+    assert np.max(np.abs(np.array(runs[0][0].amplitudes) - want)) <= 1e-12
 
 
-def test_memory_logical_zs_are_e_loops_on_the_seed_state(dense16):
+def test_memory_logical_zs_are_e_loops_on_the_seed_state():
     # memory_encode gives the Z loops no sign: each puts Z on the spins
-    # build_psi0 sets to |0> ((i + j) even) and X on those it sets to |+>
+    # the seed sets to |0> ((i + j) even) and X on those it sets to |+>
     for rows in range(4, 21, 2):
         for cols in range(4, 21, 2):
             spec = LatticeSpec(rows=rows, cols=cols, boundary="periodic")
@@ -220,9 +259,9 @@ def test_memory_logical_zs_are_e_loops_on_the_seed_state(dense16):
                     i, j = spins[site]
                     assert z_bar.letter(site) == ("Z" if (i + j) % 2 == 0 else "X")
     spec = _memory_spec()
-    seed = build_psi0(spec)
+    seed = kron_product_state("ZX"[(i + j) % 2] for i in range(4) for j in range(4))
     for _, z_bar in memory_qubits(spec):
-        assert np.array_equal(apply_string(z_bar, seed), seed)
+        assert np.array_equal(pauli_image(z_bar, seed), seed)
 
 
 MEMORY_CASES = {f"basis-{k}": np.eye(4)[k] for k in range(4)} | {
@@ -235,33 +274,26 @@ MEMORY_CASES = {f"basis-{k}": np.eye(4)[k] for k in range(4)} | {
 
 
 @pytest.mark.parametrize("amps", MEMORY_CASES.values(), ids=MEMORY_CASES.keys())
-def test_memory_encode_runs_at_most_seven_loop_rotations(dense16, monkeypatch, amps):
+def test_memory_encode_runs_at_most_seven_loop_rotations(monkeypatch, amps):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     basis = memory_basis(spec)
-    counts = []
-
-    def counted(pulses, data):
-        counts.append(len(pulses))
-        return run_pulses(pulses, data)
-
-    monkeypatch.setattr(anyon_logic, "run_pulses", counted)
+    runs = recorded_rotations(monkeypatch)
     amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
-    state = memory_encode(spec, list(amps), basis[0])
-    overlaps = np.array([np.vdot(b, state) for b in basis])
-    assert np.max(np.abs(overlaps - amps)) <= 1e-12
-    assert len(counts) == 1 and counts[0] <= 7
+    overlaps = memory_encode(spec, list(amps), basis[0])
+    assert np.max(np.abs(np.array(overlaps) - amps)) <= 1e-12
+    assert len({id(frame) for frame, _, _ in runs}) <= 1 and len(runs) <= 7
 
 
-def test_single_loop_rotation_amplitudes(dense16):
+def test_single_loop_rotation_amplitudes():
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    basis = memory_basis(spec)
-    (x1, _), _ = memory_qubits(spec)
-    pulse = (x1, math.pi / 8.0)
-    rotated = run_pulses([pulse], basis[0])
-    a0 = np.vdot(basis[0], rotated)
-    a1 = np.vdot(basis[1], rotated)
-    assert abs(a0 - math.cos(math.pi / 8.0)) <= 1e-10
-    assert abs(a1 - (-1j) * math.sin(math.pi / 8.0)) <= 1e-10
+    (x1, z1), (x2, z2) = memory_qubits(spec)
+    frame = LogicalFrame(memory_basis(spec)[0], [(x2, z2), (x1, z1)], [1, 0, 0, 0])
+    frame.evolve(x1, math.pi / 8.0)
+    assert frame.amplitudes == [math.cos(math.pi / 8.0), -1j * math.sin(math.pi / 8.0), 0, 0]
+    vectors = memory_vectors(spec)
+    state = rotated(vectors[0], x1, math.pi / 8.0)
+    want = [np.vdot(v, state) for v in vectors]
+    assert max(abs(a - w) for a, w in zip(frame.amplitudes, want)) <= 1e-12
 
 
 def kron_propagator(string, tg, data):
@@ -275,7 +307,7 @@ def kron_propagator(string, tg, data):
 
 def test_a_path_string_pulse_is_its_propagator(dense16):
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
-    ground = ground_state_projector(spec)
+    ground = lattice_ground(spec)
     m_loop = loop_path(spec, "m", "vertical")
     e_loop = loop_path(spec, "e", "vertical")
     walk = anyon_walk(spec, [(0, 0), (1, 1), (2, 2)])
@@ -365,48 +397,88 @@ def test_hole_logicals_refuses_a_hole_that_frees_no_qubit(hole, spec, error):
 
 
 def test_code_state_is_the_logical_zero():
-    state = code_state(HOLES_SPEC)
-    for term in build_variant(HOLES_SPEC).terms:
-        assert expectation(term.operator, state).real == pytest.approx(1.0)
-    for hole in HOLES_SPEC.holes:
-        _, z_bar = hole_logicals(hole, HOLES_SPEC)
-        assert expectation(z_bar, state).real == pytest.approx(1.0)
+    # the dense state and the tableau: every kept term and both holes'
+    # logical Z fix them, and every stabilizer of the tableau fixes the vector
+    state, tableau = code_state(HOLES_SPEC), anyon_logic._code_tableau(HOLES_SPEC)
+    logical_zs = [hole_logicals(hole, HOLES_SPEC)[1] for hole in HOLES_SPEC.holes]
+    for op in [*build_variant(HOLES_SPEC).operators(), *logical_zs]:
+        assert expectation(op, state).real == pytest.approx(1.0)
+        assert tableau.expectation(op) == 1
+    for g in tableau.stabilizers:
+        assert np.abs(pauli_image(g, state) - state).max() <= 1e-12
+
+
+def hole_vectors(code):
+    """``X^b |code>`` of the two holes' logical X, the first hole the most significant bit."""
+    x_s, x_r = (hole_logicals(hole, HOLES_SPEC)[0] for hole in HOLES_SPEC.holes)
+    return [code, pauli_image(x_r, code), pauli_image(x_s, code),
+            pauli_image(x_s, pauli_image(x_r, code))]
 
 
 def test_logical_basis_is_orthonormal():
-    basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
-    assert len(basis) == 4
+    # the frame's basis of the two holes: orthogonal tableaux, and
+    # orthonormal conftest vectors that those tableaux fix
+    code = anyon_logic._code_tableau(HOLES_SPEC)
+    x_s, x_r = (hole_logicals(hole, HOLES_SPEC)[0] for hole in HOLES_SPEC.holes)
+    tableaux = []
+    for xs in ([], [x_r], [x_s], [x_s, x_r]):
+        state = code.copy()
+        for x_bar in xs:
+            state.apply_string(x_bar)
+        tableaux.append(state)
+    vectors = hole_vectors(lattice_ground(HOLES_SPEC))
     for i in range(4):
-        assert np.isclose(np.linalg.norm(basis[i]), 1.0)
+        assert abs(np.linalg.norm(vectors[i]) - 1.0) <= 1e-12
+        for g in tableaux[i].stabilizers:
+            assert np.abs(pauli_image(g, vectors[i]) - vectors[i]).max() <= 1e-12
         for j in range(i + 1, 4):
-            assert abs(np.vdot(basis[i], basis[j])) <= 1e-10
+            assert tableaux[i].overlap(tableaux[j]) == 0.0
+            assert abs(np.vdot(vectors[i], vectors[j])) <= 1e-12
 
 
 def test_magic_state_fidelities():
-    hole = HOLES_SPEC.holes[0]
-    for theta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-        report = magic_report(hole, theta, HOLES_SPEC)
-        assert report["fidelity"] >= 1.0 - 1e-10
+    # against the conftest code state rotated by the same two logical rotations
+    code = lattice_ground(HOLES_SPEC)
+    for hole in HOLES_SPEC.holes:
+        x_bar, z_bar = hole_logicals(hole, HOLES_SPEC)
+        zero, one = code, pauli_image(x_bar, code)
+        for theta in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi, 4.693663):
+            report = magic_report(hole, theta, HOLES_SPEC)
+            assert report["fidelity"] >= 1.0 - 1e-10
+            state = rotated(rotated(code, x_bar, math.pi / 4.0), z_bar, (theta + math.pi / 2) / 2)
+            state = state / report["recorded_phase"]
+            target = (zero + np.exp(1j * theta) * one) / math.sqrt(2.0)
+            assert abs(report["fidelity"] - abs(np.vdot(target, state)) ** 2) <= 1e-12
+            assert abs(report["overlap_zero"] - np.vdot(zero, state)) <= 1e-12
+            assert abs(report["overlap_one"] - np.vdot(one, state)) <= 1e-12
 
 
 def test_magic_report_builds_the_code_state_once(monkeypatch):
     hole = HOLES_SPEC.holes[0]
-    zero, one = logical_basis(HOLES_SPEC, [hole])
-    state = magic_state(hole, 0.7, HOLES_SPEC)
-    calls = []
-
-    def counted(spec):
-        calls.append(spec)
-        return code_state(spec)
-
-    monkeypatch.setattr(anyon_logic, "code_state", counted)
+    zero, one = magic_state(hole, 0.7, HOLES_SPEC).amplitudes
+    calls = count_calls(monkeypatch, anyon_logic, "_code_tableau")
     report = magic_report(hole, 0.7, HOLES_SPEC)
-    assert len(calls) == 1
-    # the same numbers as the public functions give one by one
-    target = (zero + np.exp(0.7j) * one) / math.sqrt(2.0)
-    assert report["fidelity"] == float(abs(complex(np.vdot(state, target))) ** 2)
-    assert report["overlap_zero"] == complex(np.vdot(zero, state))
-    assert report["overlap_one"] == complex(np.vdot(one, state))
+    assert calls == {"_code_tableau": 1}
+    # the same numbers as magic_state gives
+    assert (report["overlap_zero"], report["overlap_one"]) == (zero, one)
+    assert report["fidelity"] == abs((zero + complex(np.exp(-0.7j)) * one) / math.sqrt(2.0)) ** 2
+
+
+def test_memory_magic_and_cnot_build_no_dense_state(monkeypatch):
+    hooks = {
+        dense_oracle: ("run_pulses", "apply_string"),
+        toric_lattice: ("run_pulses", "project_plus"),
+        anyon_logic: ("run_pulses", "apply_string", "project_plus"),
+    }
+    calls = [count_calls(monkeypatch, module, *names) for module, names in hooks.items()]
+    spec = _memory_spec()
+    memory_encode(spec, [0.5, 0.5j, -0.5, 0.5], memory_basis(spec)[0])
+    magic_report(HOLES_SPEC.holes[1], 0.7, HOLES_SPEC)
+    _cnot().truth_table()
+    assert [set(c.values()) for c in calls] == [{0}] * 3
+    # the hooks are live: the hole move builds and runs dense states
+    naive_move_error(("h", 1, 0), HOLES_SPEC, HOLES_SPEC.holes[0], 0.3)
+    assert calls[2]["apply_string"] > 0 and calls[2]["project_plus"] == 1
 
 
 def test_naive_move_error_builds_the_code_state_once(monkeypatch):
@@ -438,29 +510,41 @@ def _schedule_on_a_probe():
 
 WEN_3X3 = LatticeSpec(rows=3, cols=3)
 
-# every function that hands back a dense state: (register width, its states)
+def _memory_state():
+    """The memory state as a vector: its overlaps on the conftest basis vectors."""
+    spec = _memory_spec()
+    overlaps = memory_encode(spec, [1.0, 0.5j, 0.0, -0.25], memory_basis(spec)[0])
+    return sum(a * v for a, v in zip(overlaps, memory_vectors(spec)))
+
+
+def _magic_vector():
+    """The magic state as a vector: its frame's amplitudes on the conftest code state."""
+    hole = HOLES_SPEC.holes[0]
+    zero, one = magic_state(hole, 0.7, HOLES_SPEC).amplitudes
+    code = lattice_ground(HOLES_SPEC)
+    return zero * code + one * pauli_image(hole_logicals(hole, HOLES_SPEC)[0], code)
+
+
+# every state a function hands back, as a dense vector: (register width, the
+# vectors); a tableau is the conftest vector its stabilizers fix, and a
+# frame or a list of overlaps weighs the conftest basis vectors
 STATE_MAKERS = {
-    "build_psi0": (9, lambda: [build_psi0(WEN_3X3)]),
-    "ground_state_projector": (9, lambda: [ground_state_projector(WEN_3X3)]),
-    "ground_state_sweep": (9, lambda: [ground_state_sweep(WEN_3X3)[0]]),
+    "ground_state_projector": (9, lambda: [
+        stabilizer_vector(ground_state_projector(WEN_3X3))
+    ]),
+    "ground_state_sweep": (9, lambda: [stabilizer_vector(ground_state_sweep(WEN_3X3)[0])]),
     "DigitalSequence.apply": (9, lambda: [
-        digital_sequence(WEN_3X3, 0.3).apply(build_psi0(WEN_3X3))
+        digital_sequence(WEN_3X3, 0.3).apply(lattice_ground(WEN_3X3))
     ]),
-    "memory_basis": (16, lambda: list(memory_basis(_memory_spec()))),
-    "memory_encode": (16, lambda: [
-        memory_encode(_memory_spec(), [1.0, 0.5j, 0.0, -0.25], memory_basis(_memory_spec())[0])
-    ]),
+    "memory_basis": (16, lambda: [stabilizer_vector(b) for b in memory_basis(_memory_spec())]),
+    "memory_encode": (16, lambda: [_memory_state()]),
     "code_state": (HOLES_SPEC.n_sites, lambda: [code_state(HOLES_SPEC)]),
-    "logical_basis": (HOLES_SPEC.n_sites, lambda: logical_basis(HOLES_SPEC, HOLES_SPEC.holes)),
-    "magic_state": (HOLES_SPEC.n_sites, lambda: [
-        magic_state(HOLES_SPEC.holes[0], 0.7, HOLES_SPEC)
-    ]),
+    "magic_state": (HOLES_SPEC.n_sites, lambda: [_magic_vector()]),
     "LoopCnot.braid": (HOLES_SPEC.n_sites, lambda: [
         run_pulses([(_cnot().braid, 0.4)], code_state(HOLES_SPEC))
     ]),
     "LoopCnot.composite_apply": (HOLES_SPEC.n_sites, lambda: [
-        _cnot().composite_apply(state)[0]
-        for state in logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
+        _cnot().composite_apply(state)[0] for state in hole_vectors(code_state(HOLES_SPEC))
     ]),
     "apply_schedule": (4, _schedule_on_a_probe),
 }
@@ -496,7 +580,15 @@ def test_loop_cnot_truth_table_and_composite():
     table = gate.truth_table()
     assert table["max_distance"] <= 1e-8
     assert (gate.control, gate.target) == HOLES_SPEC.holes
-    basis = logical_basis(HOLES_SPEC, HOLES_SPEC.holes)
+    # each row's distance, against the conftest code state braided alike
+    vectors = hole_vectors(lattice_ground(HOLES_SPEC))
+    for row in table["rows"]:
+        (c, t), expected = row["input"], row["expected"]
+        out = rotated(vectors[t], gate.braid, math.pi / 2.0 * c)
+        want = np.linalg.norm(out - row["recorded_phase"] * vectors[2 * expected[0] + expected[1]])
+        assert abs(row["distance"] - want) <= 1e-12
+    # the composite CNOT on the package's dense code state
+    basis = hole_vectors(code_state(HOLES_SPEC))
     expected_index = {0: 0, 1: 1, 2: 3, 3: 2}
     for k, state in enumerate(basis):
         out, recorded = gate.composite_apply(state)

@@ -21,6 +21,10 @@ from qsakit.cli import main
 from qsakit.stabilizer_state import MAX_TABLEAU_SITES
 
 PLAQUETTE_ARGS = ["compile", "--target", "XZZX", "--tg", "0.3"]
+# a smooth and a rough hole on 3 x 9 = 27 edges, above the default dense limit
+CNOT_ON_27_EDGES = {"rows": 4, "cols": 5, "model": "kitaev_holes",
+                    "holes": [{"plaquettes": [[1, 0]], "kind": "smooth"},
+                              {"plaquettes": [[2, 3]], "kind": "rough"}]}
 STRENGTH_ARGS = ["analyze", "strength", "--tau", "0", "--tau-prime", "0"]
 
 
@@ -230,7 +234,7 @@ def test_a_refused_command_line_prints_a_report(capsys, argv, error):
 
 @pytest.mark.parametrize("argv, error", [
     (["toric", "ground", "--spec", "{holes}"],
-     "LatticeError: build_psi0 is defined for the wen model"),
+     "LatticeError: ground states are defined for the wen model"),
     (["toric", "ground", "--spec", "{twisted}"],
      "LatticeError: ground-state construction does not support twists"),
     (["anyon", "braid", "--spec", "{twisted}"],
@@ -354,21 +358,19 @@ def test_every_float_option_refuses_non_finite_values(capsys):
 
 
 def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
-    # anyon memory still builds 2^16-entry states on the 4x4 torus
+    # toric digital checks its 16 sites against dense 2^16-entry runs
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
-    spec = write_json(
-        tmp_path / "torus44.json",
-        {"rows": 4, "cols": 4, "boundary": "periodic", "model": "wen"},
-    )
-    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
+    spec = write_json(tmp_path / "open44.json", {"rows": 4, "cols": 4})
+    argv = ["toric", "digital", "--spec", spec, "--tau", "0.3"]
+    code, out = run_cli(capsys, argv)
     assert code == 3
     report = json.loads(out)
     assert report["status"] == "resource-limit"
     assert "exceeds the dense limit of 14" in report["error"]
     monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "16")
-    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec])
+    code, out = run_cli(capsys, argv)
     assert code == 0
-    assert json.loads(out)["metrics"]["max_overlap_error"] <= 1e-8
+    assert json.loads(out)["metrics"]["distance"] <= 1e-8
 
 
 @pytest.mark.parametrize("argv, exact", [
@@ -392,9 +394,10 @@ def test_the_tableau_commands_pass_on_4x4_under_the_default_limit(
 
 
 def test_a_tableau_above_the_cap_exits_three_before_any_lattice(tmp_path, capsys, monkeypatch):
-    built = count_calls(monkeypatch, toric_lattice, "build_wen")
-    side = 2 * (math.isqrt(MAX_TABLEAU_SITES) // 2 + 1)  # even, for the torus
-    for boundary, argv in (("open", ["toric", "ground"]), ("periodic", ["anyon", "braid"])):
+    built = count_calls(monkeypatch, toric_lattice, "build_wen", "build_kitaev_holes")
+    side = 2 * (math.isqrt(MAX_TABLEAU_SITES) // 2 + 1)  # even, for the torus: 48
+    for boundary, argv in (("open", ["toric", "ground"]), ("periodic", ["anyon", "braid"]),
+                           ("periodic", ["anyon", "memory"])):
         spec = write_json(tmp_path / f"{boundary}.json",
                           {"rows": side, "cols": side, "boundary": boundary})
         code, out = run_cli(capsys, argv + ["--spec", spec])
@@ -404,21 +407,51 @@ def test_a_tableau_above_the_cap_exits_three_before_any_lattice(tmp_path, capsys
             f"ground-state tableau: {side * side} sites exceeds the stabilizer tableau cap "
             f"of {MAX_TABLEAU_SITES} sites"
         )
-    assert built["build_wen"] == 0
+    # the hole model's 33 x 67 = 2211 edges
+    holes = write_json(tmp_path / "holes.json", {
+        "rows": 34, "cols": 34, "model": "kitaev_holes",
+        "holes": [{"plaquettes": [[10, 5]], "kind": "smooth"},
+                  {"plaquettes": [[10, 20]], "kind": "rough"}],
+    })
+    for action in ("magic", "cnot"):
+        code, out = run_cli(capsys, ["anyon", action, "--spec", holes])
+        assert (code, strict_json(out)["error"]) == (3, (
+            f"code-state tableau: 2211 sites exceeds the stabilizer tableau cap "
+            f"of {MAX_TABLEAU_SITES} sites"
+        ))
+    assert built == {"build_wen": 0, "build_kitaev_holes": 0}
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["anyon", "memory"], {"rows": 4, "cols": 4, "boundary": "periodic"}),
+    (["anyon", "memory"], {"rows": 8, "cols": 8, "boundary": "periodic"}),
+    (["anyon", "magic"], CNOT_ON_27_EDGES),
+    (["anyon", "cnot"], CNOT_ON_27_EDGES),
+], ids=["memory-periodic4x4", "memory-periodic8x8", "magic-holes4x5", "cnot-holes4x5"])
+def test_the_frame_commands_pass_under_the_default_limit(
+        tmp_path, capsys, monkeypatch, argv, spec):
+    # memory, magic and cnot run on a logical frame over a tableau, with no 2^n array
+    monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out = run_cli(capsys, argv + ["--spec", path])
+    report = strict_json(out)
+    assert (code, report["status"]) == (0, "pass")
+    assert report["metrics"]["n_sites"] > 14
+    assert all(check["passed"] for check in report["checks"])
 
 
 def test_a_sweep_with_one_rotation_replaced_fails_its_checks(tmp_path, capsys, monkeypatch):
     plan = toric_lattice._sweep_plan
 
-    def planted(spec, seed):
-        state, stages, rotations = plan(spec, seed)
+    def planted(spec):
+        state, stages, rotations = plan(spec)
         rotations[3] = rotations[3].with_phase_exp(2)  # exp(+i pi/4 P) in place of exp(-i pi/4 P)
         return state, stages, rotations
 
     monkeypatch.setattr(toric_lattice, "_sweep_plan", planted)
     lattice = toric_lattice.LatticeSpec(rows=4, cols=4)
-    swept, _ = toric_lattice.sweep_tableau(lattice)
-    assert swept.overlap(toric_lattice.projector_tableau(lattice)) < 1.0
+    swept, _ = toric_lattice.ground_state_sweep(lattice)
+    assert swept.overlap(toric_lattice.ground_state_projector(lattice)) < 1.0
     spec = write_json(tmp_path / "open44.json", {"rows": 4, "cols": 4})
     code, out = run_cli(capsys, ["toric", "ground", "--spec", spec])
     report = strict_json(out)
@@ -1486,7 +1519,7 @@ def test_a_hole_index_without_a_payload_names_only_the_field(tmp_path, capsys):
     assert report["error"] == "CliInputError: hole: index 0 out of range: spec defines 0 hole(s)"
 
 
-def test_anyon_memory_projects_the_ground_state_once(tmp_path, capsys, dense16, monkeypatch):
+def test_anyon_memory_projects_the_ground_state_once(tmp_path, capsys, monkeypatch):
     # memory_encode rotates the ground state memory_basis built
     calls = []
 

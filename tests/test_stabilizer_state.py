@@ -1,36 +1,26 @@
-"""The stabilizer tableau against the kron oracle and the dense ground states."""
+"""The stabilizer tableau and the logical frame against the kron oracle and
+the conftest ground states."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from conftest import count_calls, kron_string
+from conftest import count_calls, kron_product_state, kron_string, lattice_ground, pauli_image
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsakit import propagator_engine, stabilizer_state
-from qsakit.pauli_core import PauliString
-from qsakit.stabilizer_state import ProjectionError, StabilizerState
+from qsakit.pauli_core import PauliString, commutes, multiply
+from qsakit.propagator_engine import quarter_conjugate
+from qsakit.stabilizer_state import LogicalFrame, ProjectionError, StabilizerState
 from qsakit.toric_lattice import (
     LatticeSpec,
     build_wen,
     ground_state_projector,
     ground_state_sweep,
-    projector_tableau,
-    sweep_tableau,
 )
-
-ZERO = np.array([1.0, 0.0], dtype=np.complex128)
-PLUS = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-
-
-def kron_product_state(letters):
-    """|0> for each ``Z`` and |+> for each ``X``, site 0 first."""
-    state = np.array([1.0], dtype=np.complex128)
-    for letter in letters:
-        state = np.kron(state, ZERO if letter == "Z" else PLUS)
-    return state
 
 
 def strings(n):
@@ -122,22 +112,6 @@ def test_an_imaginary_string_is_refused():
             call(PauliString.parse("iX"))
 
 
-def pauli_image(string, state):
-    """``string |state>`` by axis flips and signs on the ``(2,)*n`` tensor, site 0
-    first; written out here, apart from the package's dense oracle."""
-    n = string.n_sites
-    tensor = state.reshape((2,) * n) * (1j ** string.phase_exp)
-    for site, letter in enumerate(string.letters):
-        if letter in "YZ":  # Z first: Y = i X Z
-            shape = [1] * n
-            shape[site] = 2
-            signs = np.array([1.0, -1.0]).reshape(shape)
-            tensor = tensor * (signs * (1j if letter == "Y" else 1.0))
-        if letter in "XY":
-            tensor = np.flip(tensor, axis=site)
-    return tensor.reshape(-1)
-
-
 def test_the_pauli_image_is_the_kron_product():
     rng = np.random.default_rng(5)
     state = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -155,25 +129,24 @@ WEN_SPECS = [
 
 
 @pytest.mark.parametrize("spec", WEN_SPECS, ids=lambda s: f"{s.boundary}{s.rows}x{s.cols}")
-def test_the_tableaux_are_the_dense_ground_states(dense16, spec):
+def test_the_tableaux_are_the_dense_ground_states(spec):
     # a state is fixed by its n stabilizers up to a phase, so each tableau
-    # equals its dense state when every stabilizer fixes that state
-    pairs = [(projector_tableau(spec), ground_state_projector(spec))]
+    # equals the conftest ground state when every stabilizer fixes that state
+    dense = lattice_ground(spec)
+    tableaux = [ground_state_projector(spec)]
     if spec.boundary == "open":
-        (swept, stages), (dense_swept, dense_stages) = sweep_tableau(spec), ground_state_sweep(spec)
-        assert stages == dense_stages
-        pairs.append((swept, dense_swept))
-    for tableau, dense in pairs:
+        swept, stages = ground_state_sweep(spec)
+        assert sorted(entry[:2] for stage in stages for entry in stage) == sorted(
+            t.index for t in build_wen(spec).terms if sum(t.index) % 2 == 0)
+        tableaux.append(swept)
+    for tableau in tableaux:
         for g in tableau.stabilizers:
             assert np.abs(pauli_image(g, dense) - dense).max() <= 1e-12
         for term in build_wen(spec).terms:
             want = np.vdot(dense, pauli_image(term.operator, dense)).real
             assert tableau.expectation(term.operator) == 1
             assert abs(want - 1.0) <= 1e-12
-    if spec.boundary == "open":
-        (projected, dense_projected), _ = pairs
-        assert swept.overlap(projected) == 1.0
-        assert abs(abs(np.vdot(dense_swept, dense_projected)) ** 2 - 1.0) <= 1e-12
+    assert tableaux[-1].overlap(tableaux[0]) == 1.0
 
 
 def counted_ground_work(monkeypatch, side):
@@ -183,8 +156,8 @@ def counted_ground_work(monkeypatch, side):
     calls = [count_calls(monkeypatch, module, "commutes", "multiply")
              for module in (stabilizer_state, propagator_engine)]
     spec = LatticeSpec(rows=side, cols=side)
-    reference = projector_tableau(spec)
-    swept, _ = sweep_tableau(spec)
+    reference = ground_state_projector(spec)
+    swept, _ = ground_state_sweep(spec)
     assert swept.overlap(reference) == 1.0
     assert all(swept.expectation(op) == 1 for op in build_wen(spec).operators())
     monkeypatch.undo()
@@ -198,3 +171,115 @@ def test_the_ground_work_grows_at_most_as_the_square_of_the_spins(monkeypatch):
     budget = {side: side * side * (side * side + (side - 1) ** 2) for side in (8, 16)}
     work = {side: counted_ground_work(monkeypatch, side) for side in (8, 16)}
     assert work[16] / budget[16] <= work[8] / budget[8] <= 2.0
+
+
+def logical_rotations(n, k):
+    """Rotations ``(letters per logical qubit, stabilizer subset, sign, angle)``
+    of a code with ``k`` logical qubits on ``n`` sites."""
+    return st.lists(st.tuples(
+        st.lists(st.sampled_from("IXYZ"), min_size=k, max_size=k),
+        st.integers(0, (1 << (n - k)) - 1),
+        st.sampled_from([0, 2]),
+        st.floats(-math.pi, math.pi),
+    ), max_size=6)
+
+
+def codes(n):
+    """A code of ``k`` logical qubits scrambled by pi/4 rotations, a start and its rotations."""
+    return st.integers(1, min(2, n)).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(strings(n), max_size=8),
+        st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1 << k, max_size=1 << k),
+        logical_rotations(n, k),
+        st.lists(st.tuples(strings(n), st.floats(-math.pi, math.pi)), max_size=2),
+    ))
+
+
+def hermitian(q):
+    """``q`` times the power of ``i`` that makes its phase real."""
+    return q.with_phase_exp(q.phase_exp + q.phase_exp % 2)
+
+
+def logical_string(pairs, stabilizers, letters, subset, sign):
+    """The product of the logical letters and the stabilizers in ``subset``, made Hermitian."""
+    q = PauliString.from_sites(pairs[0][0].n_sites, {})
+    for (x, z), letter in zip(pairs, letters):
+        if letter in "XY":
+            q = multiply(q, x)
+        if letter in "ZY":
+            q = multiply(q, z)
+    for k, g in enumerate(stabilizers):
+        if subset >> k & 1:
+            q = multiply(q, g)
+    q = hermitian(q)
+    return q.with_phase_exp(q.phase_exp + sign)
+
+
+def basis_vectors(pairs, vector):
+    """``X^b |vector>`` for every ``b``, the first pair the most significant bit."""
+    out = []
+    for b in range(1 << len(pairs)):
+        v = vector
+        for j, (x, _) in enumerate(pairs):
+            if b >> (len(pairs) - 1 - j) & 1:
+                v = kron_string(x) @ v
+        out.append(v)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), codes(n))))
+def test_the_frame_matches_the_kron_oracle(case):
+    # |0...0> with X_j, Z_j on the first k sites and Z on the others as the
+    # code's stabilizers, scrambled by pi/4 rotations on the tableau, on
+    # every logical string and on the kron vector alike
+    n, (k, scramble, start, rotations, probes) = case
+    base, vector = StabilizerState.product("Z" * n), kron_product_state("Z" * n)
+    pairs = [(PauliString.from_sites(n, {j: "X"}), PauliString.from_sites(n, {j: "Z"}))
+             for j in range(k)]
+    stabilizers = [PauliString.from_sites(n, {j: "Z"}) for j in range(k, n)]
+    for s in scramble:
+        base.rotate(s)
+        pairs = [(quarter_conjugate(x, s), quarter_conjugate(z, s)) for x, z in pairs]
+        stabilizers = [quarter_conjugate(g, s) for g in stabilizers]
+        vector = (vector - 1j * kron_string(s) @ vector) / math.sqrt(2.0)
+    frame = LogicalFrame(base, pairs, start)
+    rows = (list(base.stabilizers), list(base.destabilizers))
+    basis = basis_vectors(pairs, vector)
+    state = sum(a * v for a, v in zip(start, basis))
+    steps = [(logical_string(pairs, stabilizers, *spec[:3]), spec[3]) for spec in rotations]
+    for q, angle in [*steps, *probes]:
+        if all(commutes(q, g) for g in stabilizers):
+            frame.evolve(q, angle)
+            state = math.cos(angle) * state - 1j * math.sin(angle) * (kron_string(q) @ state)
+        else:
+            before = list(frame.amplitudes)
+            with pytest.raises(ValueError, match="does not keep the code space of the frame"):
+                frame.evolve(q, angle)
+            assert frame.amplitudes == before
+    want = [np.vdot(v, state) for v in basis]
+    assert max(abs(a - w) for a, w in zip(frame.amplitudes, want)) <= 1e-12
+    assert (base.stabilizers, base.destabilizers) == rows  # the tableau is never changed
+
+
+def test_a_rotation_that_leaves_the_code_space_raises():
+    # one logical qubit on site 0 of |00>, whose site 1 is fixed by the stabilizer IZ
+    x, z = PauliString.parse("XI"), PauliString.parse("ZI")
+    frame = LogicalFrame(StabilizerState.product("ZZ"), [(x, z)], [0.6, 0.8j])
+    for q in ("IX", "XY", "-ZX"):
+        with pytest.raises(ValueError, match=f"^{re.escape(q)} does not keep the code space"):
+            frame.evolve(PauliString.parse(q), 0.3)
+    assert frame.amplitudes == [0.6, 0.8j]
+    # exp(-i pi/2 YZ) = -i YZ, and YZ|00> = i|10>, YZ|10> = -i|00>
+    frame.evolve(PauliString.parse("YZ"), math.pi / 2.0)
+    assert frame.amplitudes == pytest.approx([-0.8j, 0.6], abs=1e-15)
+
+
+def test_a_frame_refuses_a_logical_z_that_does_not_fix_its_base():
+    x, z = PauliString.parse("XI"), PauliString.parse("ZI")
+    with pytest.raises(ValueError, match="^the logical ZI does not fix the base state$"):
+        LogicalFrame(StabilizerState.product("XZ"), [(x, z)], [1, 0])
+    with pytest.raises(ValueError, match="^the logical -ZI does not fix the base state$"):
+        LogicalFrame(StabilizerState.product("ZZ"), [(x, PauliString.parse("-ZI"))], [1, 0])
+    with pytest.raises(ValueError, match="^1 logical pairs take 2 amplitudes, not 4$"):
+        LogicalFrame(StabilizerState.product("ZZ"), [(x, z)], [1, 0, 0, 0])

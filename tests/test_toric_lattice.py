@@ -27,7 +27,6 @@ from qsakit.toric_lattice import (
     build_variant,
     build_wen,
     digital_sequence,
-    build_psi0,
     ground_state_projector,
     ground_state_sweep,
     kitaev_edge_index,
@@ -35,7 +34,7 @@ from qsakit.toric_lattice import (
     project_plus,
 )
 
-from conftest import bitwise_equal, kron_expm, kron_string, kron_sum
+from conftest import bitwise_equal, kron_product_state, kron_sum, lattice_ground, pauli_image
 
 SEED = 20240815
 
@@ -221,41 +220,39 @@ def test_digital_sequence_stage_angles():
 
 def test_psi0_is_stabilized_by_odd_plaquettes():
     spec = LatticeSpec(rows=3, cols=3)
-    psi0 = build_psi0(spec)
-    pset = build_wen(spec)
-    for term in pset.terms:
+    seed = toric_lattice._seed(spec)
+    psi0 = kron_seed(spec)
+    for term in build_wen(spec).terms:
         i, j = term.index
         if (i + j) % 2 == 1:
-            assert np.allclose(
-                apply_string(term.operator, psi0), psi0, atol=1e-12
-            )
+            assert seed.expectation(term.operator) == 1
+            assert np.array_equal(pauli_image(term.operator, psi0), psi0)
 
 
 def test_ground_state_projector_stabilizes_everything():
-    # every spec up to 12 sites that a projection accepts: the wen ground
-    # state and the hole model's code state are unit states that every
-    # driven term, projected or not, stabilizes
+    # every spec up to 12 sites that a projection accepts: every driven
+    # term, projected or not, stabilizes the wen ground tableau and the hole
+    # model's dense code state, a unit vector
     projected = 0
     for spec, pset in accepted_builds(12, max_sites=12):
         if spec.twists:
             continue
-        state = ground_state_projector(spec) if spec.model == "wen" else code_state(spec)
-        assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
-        for op in pset.operators():
-            assert abs(expectation(op, state) - 1.0) <= 1e-10
+        if spec.model == "wen":
+            state = ground_state_projector(spec)
+            assert all(state.expectation(op) == 1 for op in pset.operators())
+        else:
+            state = code_state(spec)
+            assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
+            for op in pset.operators():
+                assert abs(expectation(op, state) - 1.0) <= 1e-10
         projected += 1
     assert projected == 285
 
 
 def kron_seed(spec):
     """The wen seed as an ``np.kron`` chain of single-spin states, site 0 first."""
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    zero = np.array([1.0, 0.0], dtype=np.complex128)
-    state = np.array([1.0], dtype=np.complex128)
-    for i in range(spec.rows):
-        for j in range(spec.cols):
-            state = np.kron(state, plus if (i + j) % 2 else zero)
-    return state
+    return kron_product_state(
+        "ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
 
 
 def stepwise_projection(array, operators):
@@ -265,14 +262,18 @@ def stepwise_projection(array, operators):
     return array / float(np.linalg.norm(array))
 
 
-def test_the_seed_is_bitwise_the_kron_chain(dense16):
+def test_the_seed_is_bitwise_the_kron_chain():
+    # each of the seed tableau's n stabilizers fixes the kron chain exactly,
+    # so the tableau is that state
     checked = 0
     for rows, cols in itertools.product(range(2, 9), repeat=2):
         for boundary in ("open", "periodic"):
             if rows * cols > 16 or (boundary == "periodic" and (rows % 2 or cols % 2)):
                 continue
             spec = LatticeSpec(rows=rows, cols=cols, boundary=boundary)
-            assert bitwise_equal(build_psi0(spec), kron_seed(spec)), spec
+            state = kron_seed(spec)
+            for g in toric_lattice._seed(spec).stabilizers:
+                assert np.array_equal(pauli_image(g, state), state), spec
             checked += 1
     assert checked == 27  # 19 open grids and 8 periodic ones
 
@@ -317,12 +318,11 @@ def test_the_4x4_states_hold_only_their_work_arrays(dense16):
     # quarter of a 16-spin state) would dominate the peak
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     ops = build_wen(spec).operators()
-    state = ground_state_projector(spec)
+    seed, state = kron_seed(spec), lattice_ground(spec)
     assert len(ops) == 16
-    # the seed alone, where the kron chain held 1.75 arrays
-    assert traced_arrays(lambda: build_psi0(spec), 16) <= 1.01
-    # the seed, two work buffers and the iterator buffers: 3.26 measured
-    assert traced_arrays(lambda: ground_state_projector(spec), 16) <= 3.3
+    # two work buffers and the iterator buffers: 2.25 measured
+    even = [t.operator for t in build_wen(spec).terms if sum(t.index) % 2 == 0]
+    assert traced_arrays(lambda: project_plus(seed, even), 16) <= 2.3
     # one image P|state> and the iterator buffers: 1.26 measured, where the
     # zeroed sum, the image and its scaled copy made 3.00
     assert traced_arrays(lambda: [expectation(op, state) for op in ops], 16) <= 1.3
@@ -333,19 +333,21 @@ def test_ground_state_sweep_equals_projector():
         spec = LatticeSpec(rows=rows, cols=cols)
         swept, stages = ground_state_sweep(spec)
         reference = ground_state_projector(spec)
-        assert abs(np.vdot(swept, reference)) ** 2 >= 1.0 - 1e-12
+        assert swept.overlap(reference) == 1.0
         assert len(stages) >= 1
         for term in build_wen(spec).terms:
-            assert expectation(term.operator, swept).real == pytest.approx(1.0)
+            assert swept.expectation(term.operator) == 1
+        # the tableau is the conftest ground state: each stabilizer fixes it
+        dense = lattice_ground(spec)
+        for g in swept.stabilizers:
+            assert np.abs(pauli_image(g, dense) - dense).max() <= 1e-12
 
 
-def test_sweep_rotations_find_their_y_corner_fresh(monkeypatch):
-    # the sweep's rotations only, without the dense state: each rotation acts
-    # as (1 + P)/sqrt(2) because its Y corner is still in |0>, untouched by
-    # every rotation before it; grids up to 12x12 without a hole, and every
-    # even-anchored single hole up to 8x8 (only even terms are swept)
-    monkeypatch.setattr(toric_lattice, "build_psi0", lambda spec: None)
-    monkeypatch.setattr(toric_lattice, "run_pulses", lambda pulses, state: pulses)
+def test_sweep_rotations_find_their_y_corner_fresh():
+    # the sweep's rotations only: each rotation acts as (1 + P)/sqrt(2)
+    # because its Y corner is still in |0>, untouched by every rotation
+    # before it; grids up to 12x12 without a hole, and every even-anchored
+    # single hole up to 8x8 (only even terms are swept)
     for rows, cols in itertools.product(range(2, 13), repeat=2):
         holes = [()]
         if rows <= 8 and cols <= 8:
@@ -356,13 +358,13 @@ def test_sweep_rotations_find_their_y_corner_fresh(monkeypatch):
             ]
         for hole in holes:
             spec = LatticeSpec(rows=rows, cols=cols, holes=hole)
-            pulses, stages = ground_state_sweep(spec)
+            _, stages, rotations = toric_lattice._sweep_plan(spec)
             entries = [entry for stage in stages for entry in stage]
-            assert len(pulses) == len(entries)
+            assert len(rotations) == len(entries)
             touched = set()
-            for (rotation, angle), (i, j, kind) in zip(pulses, entries):
+            for rotation, (i, j, kind) in zip(rotations, entries):
                 corner = spec.site_index(i + 1, j + 1) if kind == "A" else spec.site_index(i, j)
-                assert rotation.letter(corner) == "Y" and angle == np.pi / 4
+                assert rotation.letter(corner) == "Y"
                 assert corner not in touched, (spec, i, j)
                 touched.update(rotation.support)
 
@@ -370,10 +372,12 @@ def test_sweep_rotations_find_their_y_corner_fresh(monkeypatch):
 def test_ground_state_energy_is_minimal():
     spec = LatticeSpec(rows=3, cols=3)
     g = ground_state_projector(spec)
-    h = kron_sum(build_wen(spec).hamiltonian(spec.J))
-    energy = np.vdot(g, h @ g).real
-    ground = scipy.linalg.eigh(h, eigvals_only=True)[0]
+    hamiltonian = build_wen(spec).hamiltonian(spec.J)
+    energy = sum(coeff * g.expectation(term) for coeff, term in hamiltonian.terms)
+    ground = scipy.linalg.eigh(kron_sum(hamiltonian), eigvals_only=True)[0]
     assert energy == pytest.approx(ground, abs=1e-9)
+    # the dense expectation of the whole sum, on the conftest ground state
+    assert expectation(hamiltonian, lattice_ground(spec)) == pytest.approx(ground, abs=1e-9)
 
 
 def test_kitaev_edge_indexing_and_counts():
