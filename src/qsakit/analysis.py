@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import fuse_pulses, program_distances, pulse_unitary
+from .dense_oracle import _fused_at, _fusion_plan, program_distances, pulse_unitary
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -135,6 +135,9 @@ def error_scaling(
     of ``numpy.random.default_rng(seed)``; with no seed no generator is made);
     the reported distance is the spectral distance to the ideal product, from
     :func:`~qsakit.dense_oracle.program_distances` on the fused programs.
+    Every program shares the ideal one's generators, so they are grouped and
+    their local matrices built and checked once per call; each program
+    recomputes only its ``cos - i sin G`` mixes and their in-group products.
     Up to 8 sites it forms both products and takes
     :func:`~qsakit.dense_oracle.distance`: numpy's SVD below 256 rows, at
     256 a Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
@@ -177,6 +180,7 @@ def error_scaling(
         )
     rng = None if seed is None else np.random.default_rng(seed)
     max_offset = 0.0
+    plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])
     programs = []
     for delta in deltas:
         if rng is None:
@@ -185,8 +189,8 @@ def error_scaling(
         else:
             offsets = rng.uniform(-delta, delta, size=len(pulses))
             max_offset = max(max_offset, float(np.max(np.abs(offsets))))
-        programs.append(fuse_pulses(n_sites, _shifted(pulses, offsets)))
-    dists = program_distances(n_sites, programs, fuse_pulses(n_sites, pulses))
+        programs.append(_fused_at(plan, [angle for _, angle in _shifted(pulses, offsets)]))
+    dists = program_distances(n_sites, programs, _fused_at(plan, [angle for _, angle in pulses]))
     for delta, dist in zip(deltas, dists):
         if not (math.isfinite(dist) and dist > 0.0):
             raise ValueError(

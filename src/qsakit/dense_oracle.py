@@ -40,6 +40,11 @@ products for :func:`certified_distance` and its spectral norm.  Beyond that
 the batch is :data:`PROBES` probe states drawn from :data:`PROBE_SEED` on,
 and the verdict reads their largest deviation.  Either way the report is
 bitwise the whole batch's: a function of the two programs and the tolerance.
+A program made of segments, each realizing commuting terms of its
+reference, is judged by :func:`compare_segments`: each segment by
+:func:`compare_pulses` on its own few sites, the sum of their spectral
+distances bounding the whole program's, and the global verdict whenever that
+sum certifies no pass.
 
 The spectral norm behind :func:`distance` and :func:`certified_distance`
 needs only the largest singular value.  From :data:`KRYLOV_MIN_ROWS` rows
@@ -63,6 +68,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -80,6 +86,7 @@ from .pauli_core import (
     _sites,
     anticommuting_pairs,
     is_involution,
+    restrict,
 )
 
 #: Hard cap for full-matrix (4^n) comparisons in :func:`compare_pulses`.
@@ -238,8 +245,8 @@ def _pauli_matrix(letters: tuple[str, ...]) -> np.ndarray:
     return m
 
 
-def _local_unitary(generator: WeightedPauliSum, angle: float, sites: tuple[int, ...]) -> np.ndarray:
-    """``cos - i sin G`` as a ``2^k x 2^k`` matrix on ``sites``.
+def _local_generator(generator: WeightedPauliSum, sites: tuple[int, ...]) -> np.ndarray:
+    """The generator ``G`` as a ``2^k x 2^k`` matrix on ``sites``, checked to square to 1.
 
     ``sites`` is ascending and holds the generator's support.  A fused
     group spans at most :data:`FUSED_SITES` sites whatever the dense limit;
@@ -253,7 +260,64 @@ def _local_unitary(generator: WeightedPauliSum, angle: float, sites: tuple[int, 
     for coeff, string in generator.terms:
         local += coeff * string.phase * _pauli_matrix(tuple(string.letter(s) for s in sites))
     _require_involution(np.abs(local @ local - eye).max(), generator)
-    return math.cos(angle) * eye - 1j * math.sin(angle) * local
+    return local
+
+
+def _fusion_plan(n_sites: int, generators) -> list:
+    """The groups of :func:`fuse_pulses` for a program's generators, before any angle.
+
+    The grouping depends on the supports alone, so programs that share
+    their generators and differ in their angles share one plan.  A group
+    that is one one-string pulse becomes ``(string, coeff)``; any other
+    ``(sites, locals)``, each pulse's :func:`_local_generator` on the
+    group's sites.  Each generator is checked to be an involution
+    (``ValueError`` naming it).
+    """
+    groups = []  # [generators, mask of their joint support], in program order
+    for generator in generators:
+        generator = _as_sum(generator)
+        if generator.n_sites != n_sites:
+            raise ValueError(f"generator on {generator.n_sites} sites, array on {n_sites}")
+        mask = 0
+        for _, string in generator.terms:
+            mask |= string.x | string.z
+        if not groups or (groups[-1][1] | mask).bit_count() > FUSED_SITES:
+            groups.append([[], 0])
+        groups[-1][0].append(generator)
+        groups[-1][1] |= mask
+    plan = []
+    for group, mask in groups:
+        if len(group) == 1 and len(group[0].terms) == 1:
+            (coeff, string), = group[0].terms
+            _require_involution(abs(coeff * coeff - 1.0), group[0])
+            plan.append((string, coeff))
+        else:
+            sites = _sites(mask)
+            plan.append((sites, [_local_generator(generator, sites) for generator in group]))
+    return plan
+
+
+def _fused_at(plan: list, angles) -> list:
+    """The fused program of :func:`_fusion_plan`'s ``plan`` at ``angles``, one per pulse.
+
+    A flip becomes ``(string, (cos, scale))`` with ``scale = -i sin coeff``;
+    a group becomes ``(sites, unitary)``, the ordered product of its
+    pulses' ``cos - i sin G``.
+    """
+    angles = iter(angles)
+    fused = []
+    for key, op in plan:
+        if isinstance(key, PauliString):
+            angle = next(angles)
+            fused.append((key, (math.cos(angle), -1j * math.sin(angle) * op)))
+        else:
+            eye = np.eye(1 << len(key), dtype=np.complex128)
+            unitary = eye
+            for local in op:
+                angle = next(angles)
+                unitary = (math.cos(angle) * eye - 1j * math.sin(angle) * local) @ unitary
+            fused.append((key, unitary))
+    return fused
 
 
 def fuse_pulses(n_sites: int, pulses) -> list:
@@ -270,34 +334,12 @@ def fuse_pulses(n_sites: int, pulses) -> list:
     the ordered product of its pulses' ``cos - i sin G`` on the group's
     sites.  Each generator is checked to be an involution (``ValueError``
     naming it).  :func:`_apply_fused` runs the groups, so a program fused
-    once can act on many arrays.
+    once can act on many arrays.  It is :func:`_fused_at` on
+    :func:`_fusion_plan`.
     """
-    groups = []  # [pulses, mask of their joint support], in program order
-    for generator, angle in pulses:
-        generator = _as_sum(generator)
-        if generator.n_sites != n_sites:
-            raise ValueError(f"generator on {generator.n_sites} sites, array on {n_sites}")
-        mask = 0
-        for _, string in generator.terms:
-            mask |= string.x | string.z
-        if not groups or (groups[-1][1] | mask).bit_count() > FUSED_SITES:
-            groups.append([[], 0])
-        groups[-1][0].append((generator, angle))
-        groups[-1][1] |= mask
-    fused = []
-    for group, mask in groups:
-        generator, angle = group[0]
-        if len(group) == 1 and len(generator.terms) == 1:
-            (coeff, string), = generator.terms
-            _require_involution(abs(coeff * coeff - 1.0), generator)
-            fused.append((string, (math.cos(angle), -1j * math.sin(angle) * coeff)))
-        else:
-            sites = _sites(mask)
-            unitary = np.eye(1 << len(sites), dtype=np.complex128)
-            for generator, angle in group:
-                unitary = _local_unitary(generator, angle, sites) @ unitary
-            fused.append((sites, unitary))
-    return fused
+    pulses = list(pulses)
+    plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])
+    return _fused_at(plan, [angle for _, angle in pulses])
 
 
 def _adjoint(fused: list) -> list:
@@ -773,6 +815,73 @@ def compare_pulses(n_sites: int, pulses, reference, tolerance: float) -> dict:
         "tolerance": tolerance,
         "passed": bool(dist <= tolerance),
     }
+
+
+def _restricted(pulses, sites: tuple[int, ...]) -> tuple:
+    """``pulses`` on the register ``sites``, each generator term by term through :func:`restrict`.
+
+    Every dropped site is the identity in every term, so the collected terms
+    keep their coefficients and their order.
+    """
+    return tuple(
+        (WeightedPauliSum(len(sites), tuple(
+            (coeff, restrict(string, sites)) for coeff, string in _as_sum(generator).terms)),
+         angle)
+        for generator, angle in pulses
+    )
+
+
+def compare_segments(n_sites: int, segments, reference, tolerance: float) -> dict:
+    """Judge a program made of segments against ``reference``, one segment at a time.
+
+    Each segment is a pair ``(pulses, terms)``: a piece of the program and
+    the pulses of ``reference`` it realizes.  The program is the segments'
+    pulses in order.  When the segments' terms are ``reference``'s pulses,
+    each matched to exactly one segment, and every string of their
+    generators commutes with every other, ``reference`` is the product of
+    the segments' terms in segment order.  For unitaries the errors of a
+    product add at most linearly, ``||S_T...S_1 - R_T...R_1||_2 <= sum_k
+    ||S_k - R_k||_2`` (the triangle inequality plus unitary invariance), and
+    ``S_k - R_k`` is ``(s_k - r_k) (x) I`` for its restriction to the joint
+    support of the segment, which has the same spectral norm.  So each
+    segment is restricted to its support (:func:`_restricted`) and judged by
+    :func:`compare_pulses` there, a segment equal to an earlier one only
+    once, and the sum of their distances, when it is at most ``tolerance``,
+    is returned under ``spectral_distance_bound``.  Otherwise, or when a
+    support is wider than :data:`MATRIX_QUBIT_CAP` (no certified matrix
+    branch), the verdict is :func:`compare_pulses` on the whole program, so
+    no pass comes without a certificate and every failing report is the
+    global one.
+    """
+    terms = [pulse for _, pulses in segments for pulse in pulses]
+    strings = [string for generator, _ in terms for _, string in _as_sum(generator).terms]
+    if Counter(terms) == Counter(reference) and not anticommuting_pairs(strings):
+        total, seen = 0.0, {}
+        for pulses, pulse_terms in segments:
+            mask = 0
+            for generator, _ in (*pulses, *pulse_terms):
+                generator = _as_sum(generator)
+                if generator.n_sites != n_sites:
+                    raise ValueError(f"generator on {generator.n_sites} sites, array on {n_sites}")
+                for _, string in generator.terms:
+                    mask |= string.x | string.z
+            sites = _sites(mask)
+            key = (_restricted(pulses, sites), _restricted(pulse_terms, sites))
+            if key not in seen:
+                seen[key] = (compare_pulses(len(sites), *key, tolerance)["distance"]
+                             if len(sites) <= MATRIX_QUBIT_CAP else math.inf)
+            total += seen[key]
+            if not total <= tolerance:
+                break
+        else:
+            return {
+                "metric": "spectral_distance_bound",
+                "distance": total,
+                "tolerance": tolerance,
+                "passed": True,
+            }
+    program = [pulse for pulses, _ in segments for pulse in pulses]
+    return compare_pulses(n_sites, program, reference, tolerance)
 
 
 def verify_schedule(schedule) -> dict:

@@ -371,7 +371,31 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     ``|xa & zb| + |za & xb|``.
     """
     _check_same_register(a, b)
-    return not ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
+    return not _anticommute(a, b)
+
+
+def _anticommute(a: PauliString, b: PauliString) -> int:
+    """1 when ``a`` and ``b`` anticommute, else 0: :func:`commutes` without its
+    register check, for strings known to share one register."""
+    return ((a.x & b.z) ^ (a.z & b.x)).bit_count() & 1
+
+
+def restrict(string: PauliString, sites: Sequence[int]) -> PauliString:
+    """``string`` on the register ``sites``: site ``sites[k]`` becomes site ``k``.
+
+    The phase is kept.  ``sites`` must hold the string's support, else
+    ``ValueError`` names the first support site it misses.
+    """
+    _check_width(len(sites))
+    x = z = covered = 0
+    for k, site in enumerate(sites):
+        x |= (string.x >> site & 1) << k
+        z |= (string.z >> site & 1) << k
+        covered |= 1 << site
+    missed = (string.x | string.z) & ~covered
+    if missed:
+        raise ValueError(f"site {_sites(missed)[0]} of {string} is not in {list(sites)}")
+    return _masked(len(sites), x, z, string.phase_exp)
 
 
 def anticommuting_pairs(strings: Sequence[PauliString]) -> list[tuple[int, int]]:

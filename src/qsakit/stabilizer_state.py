@@ -4,9 +4,11 @@ A state of ``n`` sites is stored in the form of Aaronson & Gottesman
 (quant-ph/0406196): ``n`` commuting Hermitian strings ``g_k`` that fix it
 (``g_k |psi> = |psi>``, signs included), and ``n`` destabilizers ``d_k``
 with ``d_k`` anticommuting with ``g_k`` and commuting with every other
-stabilizer and destabilizer.  Every update is a few :func:`commutes` tests
+stabilizer and destabilizer.  Every update is a few commutation tests
 and :func:`multiply` products per row, so each operation costs ``O(n)``
-string operations, whatever ``2^n`` is:
+string operations, whatever ``2^n`` is.  The rows share one register, so an
+operation checks its string's register once and its row loops test the
+commutation parity alone:
 
 * a Pauli string ``P`` applied to the state flips the sign of each
   stabilizer it anticommutes with (``P g P^dag = -g``);
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 
 from .dense_limit import ResourceLimitError
-from .pauli_core import PauliString, commutes, multiply
+from .pauli_core import PauliString, _anticommute, _check_same_register, commutes, multiply
 from .propagator_engine import quarter_conjugate
 
 #: Largest register a lattice tableau is built for, 46x46 Wen spins.
@@ -93,15 +95,17 @@ class StabilizerState:
     def apply_string(self, q: PauliString) -> None:
         """``|psi> -> q |psi>``: flip the sign of each stabilizer ``q`` anticommutes with."""
         stabilizers = self.stabilizers
+        _check_same_register(stabilizers[0], q)
         for k, g in enumerate(stabilizers):
-            if not commutes(g, q):
+            if _anticommute(g, q):
                 stabilizers[k] = g.with_phase_exp(g.phase_exp + 2)
 
     def rotate(self, q: PauliString) -> None:
         """``|psi> -> exp(-i pi/4 q) |psi>`` for a Hermitian ``q``."""
         _check_hermitian(q)
+        _check_same_register(self.stabilizers[0], q)
         for rows in (self.stabilizers, self.destabilizers):
-            rows[:] = [quarter_conjugate(row, q) for row in rows]
+            rows[:] = [quarter_conjugate(row, q) if _anticommute(row, q) else row for row in rows]
 
     def _determined(self, q: PauliString) -> tuple[list[int], int]:
         """``(hits, value)`` of a Hermitian ``q``: the rows ``k`` whose destabilizer
@@ -115,10 +119,11 @@ class StabilizerState:
         ``+-`` it.
         """
         _check_hermitian(q)
+        _check_same_register(self.destabilizers[0], q)
         product = PauliString.from_sites(q.n_sites, {})
         hits = []
         for k, d in enumerate(self.destabilizers):
-            if not commutes(d, q):
+            if _anticommute(d, q):
                 hits.append(k)
                 product = multiply(product, self.stabilizers[k])
         if product.x != q.x or product.z != q.z:
@@ -138,7 +143,7 @@ class StabilizerState:
         stabilizers, destabilizers = self.stabilizers, self.destabilizers
         pivot = None
         for k, g in enumerate(stabilizers):
-            if not commutes(g, q):
+            if _anticommute(g, q):
                 if pivot is None:
                     pivot, g_p = k, g
                 else:
@@ -164,8 +169,15 @@ class StabilizerState:
         ``self`` whose projection halves ``other``.
 
         Exact while ``k`` stays at most 1074, where a float reaches its
-        smallest value; a larger ``k`` reads 0.0.
+        smallest value; a larger ``k`` reads 0.0.  When both tableaux hold
+        the same stabilizer letters row by row, each row of ``other`` is
+        ``+-`` that of ``self``, so the overlap is 1.0 when every sign agrees
+        and 0.0 otherwise, with no projection.
         """
+        rows = list(zip(self.stabilizers, other.stabilizers))
+        if len(self.stabilizers) == len(other.stabilizers) and all(
+                g.x == h.x and g.z == h.z for g, h in rows):
+            return float(all(g.phase_exp == h.phase_exp for g, h in rows))
         state = other.copy()
         halvings = 0
         for g in self.stabilizers:

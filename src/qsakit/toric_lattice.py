@@ -450,24 +450,44 @@ def build_variant(spec: LatticeSpec) -> PlaquetteSet:
 @dataclass(frozen=True)
 class DigitalSequence:
     """Four commuting stages realizing ``exp(+i J tau sum(P))`` exactly, for
-    the ``tau`` given to :func:`digital_sequence`.
+    the time step ``tau``.
 
-    Each stage holds one compiled schedule per group member; every schedule's
-    seed angle is ``-J*tau``, so the per-term propagator is
+    ``lattice`` is the built term set and ``stages`` holds one compiled
+    schedule per member of each of its groups, in group order; every
+    schedule's seed angle is ``-J*tau``, so the per-term propagator is
     ``exp(+i J tau P)`` and the full product equals the evolution
     ``exp(-i tau H)`` under ``H = -J sum(P)``.
     """
 
     spec: LatticeSpec
+    tau: float
+    lattice: PlaquetteSet
     stages: tuple[tuple[QsaSchedule, ...], ...]
 
     @property
     def n_sites(self) -> int:
         return self.spec.n_sites
 
+    def segments(self) -> list[tuple[list, list]]:
+        """One ``(pulses, terms)`` pair per schedule, in execution order.
+
+        ``pulses`` is the schedule's program and ``terms`` the pulse
+        ``(P, c * tau)`` of the Hamiltonian term ``c P`` it was compiled
+        for, read from :meth:`hamiltonian`, not from the schedule (no pulse
+        when the term's coefficient collected to zero).
+        """
+        coefficients = {(s.x, s.z): (c, s) for c, s in self.hamiltonian().terms}
+        members = [t for group in self.lattice.groups().values() for t in group]
+        schedules = [sched for stage in self.stages for sched in stage]
+        out = []
+        for term, schedule in zip(members, schedules, strict=True):
+            hit = coefficients.get((term.operator.x, term.operator.z))
+            out.append((schedule.pulses(), [] if hit is None else [(hit[1], hit[0] * self.tau)]))
+        return out
+
     def pulses(self) -> list[tuple[WeightedPauliSum, float]]:
-        """Every pulse of every stage, in execution order."""
-        return [p for stage in self.stages for sched in stage for p in sched.pulses()]
+        """Every pulse of every stage, in execution order: the segments' pulses."""
+        return [pulse for pulses, _ in self.segments() for pulse in pulses]
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         return run_pulses(self.pulses(), state)
@@ -476,7 +496,7 @@ class DigitalSequence:
         return pulse_unitary(self.n_sites, self.pulses(), "digital unitary")
 
     def hamiltonian(self) -> WeightedPauliSum:
-        return build_variant(self.spec).hamiltonian(self.spec.J)
+        return self.lattice.hamiltonian(self.spec.J)
 
 
 def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
@@ -487,16 +507,17 @@ def digital_sequence(spec: LatticeSpec, tau: float) -> DigitalSequence:
     absent from every stage by construction.  Each term is compiled with
     ``line_endpoints``, which seeds the middle pair of its (sorted) support
     and grows both ends: a standard plaquette needs one layer and no
-    swappers.
+    swappers.  The lattice is built once, here.
     """
+    lattice = build_variant(spec)
     stages = tuple(
         tuple(
             compile_schedule(term.operator, strategy="line_endpoints", tg=-spec.J * tau)
             for term in members
         )
-        for members in build_variant(spec).groups().values()
+        for members in lattice.groups().values()
     )
-    return DigitalSequence(spec, stages)
+    return DigitalSequence(spec, tau, lattice, stages)
 
 
 # -- wen ground states ----------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qsakit import dense_oracle
 from qsakit.analysis import (
     StrengthParams,
     error_scaling,
@@ -16,7 +17,7 @@ from qsakit.pauli_core import PauliString
 from qsakit.schedule_compiler import ConnectivityGraph, compile_schedule
 from qsakit.toric_lattice import LatticeSpec, digital_sequence
 
-from conftest import kron_expm, kron_sum
+from conftest import bitwise_equal, count_calls, kron_expm, kron_sum
 
 SEED = 20240817
 
@@ -217,3 +218,31 @@ def test_error_scaling_digital_subject():
 def test_error_scaling_rejects_unknown_subject():
     with pytest.raises(TypeError):
         error_scaling(object(), deltas=(1e-2,))
+
+
+@pytest.mark.parametrize("subject", [
+    plaquette_schedule(),
+    compile_schedule(PauliString.parse("XYZXZ" * 2), tg=0.7),
+    digital_sequence(LatticeSpec(rows=3, cols=3), tau=0.4),
+], ids=["plaquette", "schedule10", "digital3x3"])
+@pytest.mark.parametrize("seed", [None, 5])
+def test_error_scaling_fuses_once_and_matches_fusing_each_program(monkeypatch, subject, seed):
+    deltas = (1e-2, 1e-3, 1e-4)
+    calls = count_calls(monkeypatch, dense_oracle, "_local_generator")
+    report = error_scaling(subject, deltas=deltas, seed=seed)
+    monkeypatch.undo()
+    # one local matrix per pulse of a fused group, built once for every program
+    plan = dense_oracle._fusion_plan(subject.n_sites, [g for g, _ in subject.pulses()])
+    assert calls["_local_generator"] == sum(
+        len(op) for key, op in plan if not isinstance(key, PauliString)) > 0
+    # fusing each shifted program on its own gives the same distances, bit for bit
+    pulses, n = subject.pulses(), subject.n_sites
+    rng = None if seed is None else np.random.default_rng(seed)
+    programs = []
+    for delta in deltas:
+        offsets = (np.full(len(pulses), delta) if rng is None
+                   else rng.uniform(-delta, delta, size=len(pulses)))
+        shifted = [(g, a + float(o)) for (g, a), o in zip(pulses, offsets)]
+        programs.append(dense_oracle.fuse_pulses(n, shifted))
+    want = dense_oracle.program_distances(n, programs, dense_oracle.fuse_pulses(n, pulses))
+    assert bitwise_equal(np.array(report["distances"]), np.array(want))

@@ -358,10 +358,12 @@ def test_every_float_option_refuses_non_finite_values(capsys):
 
 
 def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
-    # toric digital checks its 16 sites against dense 2^16-entry runs
+    # verify checks its 16 sites against dense 2^16-entry runs
     monkeypatch.delenv("QSA_MAX_DENSE_QUBITS", raising=False)
-    spec = write_json(tmp_path / "open44.json", {"rows": 4, "cols": 4})
-    argv = ["toric", "digital", "--spec", spec, "--tau", "0.3"]
+    schedule = str(tmp_path / "xz16.json")
+    code, _ = run_cli(capsys, ["compile", "--target", "XZ" * 8, "--out", schedule])
+    assert code == 0
+    argv = ["verify", "--schedule", schedule]
     code, out = run_cli(capsys, argv)
     assert code == 3
     report = json.loads(out)
@@ -370,7 +372,7 @@ def test_resource_limit_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QSA_MAX_DENSE_QUBITS", "16")
     code, out = run_cli(capsys, argv)
     assert code == 0
-    assert json.loads(out)["metrics"]["distance"] <= 1e-8
+    assert json.loads(out)["metrics"]["dense_distance"] <= 1e-10
 
 
 @pytest.mark.parametrize("argv, exact", [
@@ -798,29 +800,38 @@ def test_toric_digital_reports_the_certified_bound(tmp_path, capsys):
 
 
 def test_dense_verdicts_do_not_depend_on_the_seed(tmp_path, capsys):
-    # 12 sites each: the dense verdict runs on the fixed probe states, no
-    # option of these commands takes a seed, and no report holds one
+    # 12 sites each: compile and verify run on the fixed probe states, toric
+    # digital sums its per-term distances, no option of these commands takes
+    # a seed, and no report holds one
     schedule = str(tmp_path / "big.json")
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
-    for argv in (
-        ["compile", "--target", "XZ" * 6, "--tg", "0.4", "--out", schedule],
-        ["verify", "--schedule", schedule],
-        ["toric", "digital", "--spec", spec],
+    for argv, metric in (
+        (["compile", "--target", "XZ" * 6, "--tg", "0.4", "--out", schedule],
+         "max_state_l2[20 probes]"),
+        (["verify", "--schedule", schedule], "max_state_l2[20 probes]"),
+        (["toric", "digital", "--spec", spec], "spectral_distance_bound"),
     ):
         code, out = run_cli(capsys, argv + ["--seed", "3"])
         assert code == 2
         assert strict_json(out)["error"] == "CliInputError: unrecognized arguments: --seed 3"
         code, out = run_cli(capsys, argv)
-        assert code == 0 and "max_state_l2[20 probes]" in out
+        assert code == 0 and metric in out
         assert "seed" not in strict_json(out)
 
 
-def test_toric_digital_probes_above_the_matrix_cap(tmp_path, capsys):
+def test_above_the_matrix_cap_verify_probes_and_digital_sums_its_terms(tmp_path, capsys):
+    schedule = str(tmp_path / "xz12.json")
+    run_cli(capsys, ["compile", "--target", "XZ" * 6, "--tg", "0.3", "--out", schedule])
+    code, out = run_cli(capsys, ["verify", "--schedule", schedule])
+    assert code == 0
+    metrics = json.loads(out)["metrics"]
+    assert metrics["dense_metric"] == "max_state_l2[20 probes]"
+    assert metrics["dense_distance"] <= 1e-10
     spec = write_json(tmp_path / "wen34.json", {"rows": 3, "cols": 4})
     code, out = run_cli(capsys, ["toric", "digital", "--spec", spec, "--tau", "0.3"])
     assert code == 0
     metrics = json.loads(out)["metrics"]
-    assert metrics["distance_metric"] == "max_state_l2[20 probes]"
+    assert metrics["distance_metric"] == "spectral_distance_bound"
     assert metrics["distance"] <= 1e-8
 
 

@@ -17,6 +17,7 @@ from qsakit.pauli_core import (
     float_field,
     is_involution,
     multiply,
+    restrict,
     square,
     sum_commutes,
 )
@@ -416,3 +417,28 @@ def test_float_field_names_the_field_it_refuses(value, error, message):
     with pytest.raises(error) as info:
         float_field(value, "J")
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_restrict_keeps_the_letters_and_phase_of_the_support():
+    rng = np.random.default_rng(SEED)
+    for _ in range(50):
+        n = int(rng.integers(1, 8))
+        string = random_string(rng, n)
+        extra = [s for s in range(n) if s not in string.support and rng.random() < 0.5]
+        sites = sorted({*string.support, *extra}) or [0]
+        local = restrict(string, sites)
+        assert local.n_sites == len(sites) and local.phase_exp == string.phase_exp
+        assert local.letters == tuple(string.letter(s) for s in sites)
+        # on the full register the string is the local one on its sites, identity elsewhere
+        order = [*sites, *(s for s in range(n) if s not in sites)]
+        full = np.kron(kron_string(local), np.eye(1 << (n - len(sites)))).reshape((2,) * (2 * n))
+        inverse = np.argsort(order)
+        full = full.transpose([*inverse, *(n + inverse)]).reshape(1 << n, 1 << n)
+        assert np.array_equal(full, kron_string(string))
+
+
+def test_restrict_refuses_a_site_list_that_misses_the_support():
+    with pytest.raises(ValueError, match=r"site 3 of -XIIZ is not in \[0, 1\]"):
+        restrict(PauliString.parse("-XIIZ"), [0, 1])
+    with pytest.raises(ValueError, match="n_sites must be positive"):
+        restrict(PauliString.parse("II"), [])
