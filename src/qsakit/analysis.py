@@ -142,8 +142,10 @@ def error_scaling(
     :func:`~qsakit.dense_oracle.distance`: numpy's SVD below 256 rows, at
     256 a Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
     estimate, with the SVD past a budget of one step per five rows.  From 9
-    sites up no product is formed: the same solver runs matrix-free on the
-    perturbed program minus the ideal one, with no SVD to fall back on.
+    sites up no product is formed: the same solver runs matrix-free on each
+    perturbed program minus the ideal one, with no SVD to fall back on, the
+    solvers in lockstep (one stacked pass of every program per step), each
+    value bitwise that of a lone solve.
     On a top pair split by less than about ``1000 eps`` (the products are
     unitary, of norm 1), such as the floating-point split of a degenerate
     top, either may return a value between the two copies.  The matrix-free
@@ -171,13 +173,13 @@ def error_scaling(
         raise ValueError("deltas must lie in (0, 0.1]")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly decreasing")
-
-    label = _subject_label(subject)
-    n_sites, pulses = subject.n_sites, subject.pulses()
     if len(deltas) < 2:
         raise ValueError(
             f"the slope fit needs at least two deltas, got {len(deltas)}"
         )
+
+    label = _subject_label(subject)
+    n_sites, pulses = subject.n_sites, subject.pulses()
     rng = None if seed is None else np.random.default_rng(seed)
     max_offset = 0.0
     plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])

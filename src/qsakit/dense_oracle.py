@@ -58,10 +58,16 @@ the Krylov space is invariant.  That is an estimate, not a rigorous bound;
 on a top pair split by less than about ``1000 eps max(theta1, m)``, such as
 the floating-point split of a degenerate top, it returns a value between
 the two.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP` rows,
-and below the crossover, it is the top value of numpy's SVD.
-:func:`fused_distance` runs the same solver on the difference of two fused
-pulse programs as an operator, with no ``2^n x 2^n`` array and a fixed
-budget of :data:`MATRIX_FREE_STEPS` steps.
+and below the crossover, it is the top value of numpy's SVD.  The solver is
+a generator that yields each vector it needs multiplied, so
+:func:`program_distances` runs it on the difference of two fused pulse
+programs as an operator, with no ``2^n x 2^n`` array and a fixed budget of
+:data:`MATRIX_FREE_STEPS` steps.  Its solvers run in lockstep groups of at
+most ``max(1, IDENTITY_BLOCK >> (n + 1))``, the width rule of a column
+block: each step is one pass of the group's programs stacked column by
+column (:func:`_stacked`) over one ``2^n x 2K`` block, the block and the
+executor's buffers reused from pass to pass, and the group holds no more
+Krylov basis than one 14-site solve.
 """
 
 from __future__ import annotations
@@ -138,19 +144,25 @@ KRYLOV_MIN_ROWS = 256
 #: 3x3 lattice differences, whose top is 4-fold degenerate, in 29-34.
 KRYLOV_ROWS_PER_STEP = 5
 
-#: Krylov-step budget of :func:`fused_distance`, which has no SVD to fall
-#: back on.  Each step keeps one left and one right vector of ``2^n``
-#: complex entries, so at 14 sites the two bases hold at most 96 MiB.
+#: Krylov-step budget of a matrix-free solve in :func:`program_distances`,
+#: which has no SVD to fall back on.  Each step keeps one left and one right
+#: vector of ``2^n`` complex entries, so one solver's two bases hold at most
+#: ``3 * 2^(n + 11)`` bytes.  A lockstep group holds ``max(1, IDENTITY_BLOCK
+#: >> (n + 1))`` solvers, 32 at 9 sites, 4 at 12, 2 at 13 and 1 at 14, so
+#: from 9 to 14 sites a group's bases hold at most 96 MiB, one 14-site
+#: solve's (a wider register, under a raised dense limit, runs one solver
+#: at a time).
 MATRIX_FREE_STEPS = 192
 
 #: Widest register on which :func:`program_distances` forms the products and
-#: takes :func:`distance`; from one site more it runs :func:`fused_distance`.
+#: takes :func:`distance`; from one site more it solves matrix-free.
 #: Three distances (deltas 1e-2, 1e-3, 1e-4; 2-vCPU host, BLAS on one
 #: thread) take 3.6-4.2 ms formed against 16-31 ms matrix-free on 6-site
 #: schedules, 11-17 against 26-31 at 7 and 22-33 against 38-67 at 8, where
-#: each Krylov step pays the Python cost of four program runs; at 9 sites
-#: 121-140 against 61-113 (the 3x3 Wen lattice 77 against 31), and at 10
-#: 531-699 against 78-150 (``BENCH_23.json``).
+#: each Krylov step paid the Python cost of four program runs before the
+#: solves ran in lockstep; at 9 sites 121-140 against 61-113 (the 3x3 Wen
+#: lattice 77 against 31), and at 10 531-699 against 78-150
+#: (``BENCH_23.json``).
 MATRIX_DISTANCE_SITES = 8
 
 
@@ -169,8 +181,11 @@ def _tensor(array: np.ndarray, n_sites: int) -> np.ndarray:
 
 
 def _pauli(string: PauliString, tensor: np.ndarray, scale: complex = 1.0, out=None):
-    """``scale * P`` on a tensor: flip the ``x`` axes, then sign the ``z`` axes."""
-    sign = np.full((1,) * tensor.ndim, scale * string.phase)
+    """``scale * P`` on a tensor: flip the ``x`` axes, then sign the ``z`` axes.
+
+    ``scale`` is a number, or one per entry of the tensor's last axis.
+    """
+    sign = np.full((1,) * (tensor.ndim - np.ndim(scale)) + np.shape(scale), scale * string.phase)
     for site in _sites(string.z):
         factor = _SIGN[string.x >> site & 1]
         sign = sign * factor.reshape((2,) + (1,) * (tensor.ndim - 1 - site))
@@ -346,12 +361,34 @@ def _adjoint(fused: list) -> list:
     """The fused program of the adjoint: groups reversed, each conjugate-transposed.
 
     A flip's generator is Hermitian, so its adjoint is the flip with the
-    sign of ``scale`` turned.
+    sign of ``scale`` turned.  A stacked program (:func:`_stacked`) gives
+    the stacked adjoints.
     """
     return [
-        (key, (op[0], -op[1]) if isinstance(key, PauliString) else op.conj().T)
+        (key, (op[0], -op[1]) if isinstance(key, PauliString) else op.conj().swapaxes(-1, -2))
         for key, op in reversed(fused)
     ]
+
+
+def _stacked(programs: list) -> list:
+    """One fused program whose column ``c`` runs ``programs[c]``, for :func:`_apply_fused`.
+
+    The programs share one fusion plan (:func:`_fusion_plan`): the same
+    groups in the same order, angles aside (``ValueError`` otherwise).  A
+    group's unitaries stack into a ``(C, 2^k, 2^k)`` array and a flip's
+    ``cos`` and ``scale`` into two ``(C,)`` vectors.
+    """
+    stacked = []
+    for groups in zip(*programs, strict=True):
+        key = groups[0][0]
+        if any(other != key for other, _ in groups):
+            raise ValueError("stacked programs must share one fusion plan")
+        ops = [op for _, op in groups]
+        if isinstance(key, PauliString):  # (cos, scale) pairs
+            stacked.append((key, tuple(np.array(part) for part in zip(*ops))))
+        else:
+            stacked.append((key, np.stack(ops)))
+    return stacked
 
 
 @functools.lru_cache(maxsize=1024)
@@ -364,7 +401,7 @@ def _axis_orders(sites: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tu
     return order, tuple(inverse)
 
 
-def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
+def _apply_fused(fused: list, array: np.ndarray, work=None) -> np.ndarray:
     """Run the groups of :func:`fuse_pulses` on a state (dim,) or matrix (dim, k) array.
 
     A flip is an axis flip plus a sign; a unitary group is contracted over
@@ -373,13 +410,27 @@ def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
     does inside the whole matrix where BLAS multiplies both alike, as it
     does on the blocks of :func:`_input_blocks` (on one or three columns a
     five-site group's 32 x 32 product can differ in the last bit).
+
+    A stacked program (:func:`_stacked`) runs its program ``c`` on column
+    ``c`` of a (dim, C) array.  A group moves the column axis in front of
+    its sites, so ``np.matmul`` makes, column by column, the ``(2^k x 2^k)
+    @ (2^k x 2^(n-k))`` product a lone vector makes: each column comes out
+    bitwise as its own program gives it on that vector.
+
+    ``work`` is None, or two C-contiguous complex arrays of ``array``'s size
+    that the run overwrites in place of two it would allocate, so a caller
+    that makes many passes of one size allocates them once; the result is
+    then a view of one of them.
     """
     n = array.shape[0].bit_length() - 1
     # two buffers take turns as source and destination, so a run holds three
     # arrays of this size, the input included; an identity product holds
     # three of one block's size next to its output
-    own = np.array(_tensor(array, n))
-    spare = np.empty_like(own)
+    tensor = _tensor(array, n)
+    if work is None:
+        work = (np.empty(tensor.shape, np.complex128), np.empty(tensor.shape, np.complex128))
+    own, spare = (buffer.reshape(tensor.shape) for buffer in work)
+    np.copyto(own, tensor)
     tensor = own
     for key, op in fused:
         if isinstance(key, PauliString):
@@ -390,10 +441,11 @@ def _apply_fused(fused: list, array: np.ndarray) -> np.ndarray:
             own, spare, tensor = spare, own, out
         else:
             # copy the group's axes to the front, act on them, put them back
-            order, inverse = _axis_orders(key, own.ndim)
+            # (a stacked program's column axis, last, goes in front of them)
+            order, inverse = _axis_orders((n,) * (op.ndim - 2) + key, own.ndim)
             moved = spare.reshape(tensor.transpose(order).shape)
             np.copyto(moved, tensor.transpose(order))
-            flat = own.reshape(1 << len(key), own.size >> len(key))
+            flat = own.reshape(op.shape[:-1] + (-1,))
             np.matmul(op, moved.reshape(flat.shape), out=flat)
             tensor = own.reshape(moved.shape).transpose(inverse)
     if not tensor.flags.c_contiguous:
@@ -511,13 +563,17 @@ _RITZ_EVERY = 8
 _RESIDUAL_CAP = 1000
 
 
-def _krylov_norm(
-    product, adjoint, n: int, dtype, steps: int, operand_norm: float = 0.0
-) -> float | None:
+def _krylov_norm(n: int, dtype, steps: int, operand_norm: float = 0.0):
     """Largest singular value of an operator ``D`` by Golub–Kahan–Lanczos, or ``None``.
 
-    ``D`` has ``n`` columns and is given by its two products: ``product(v)``
-    returns ``D v`` and ``adjoint(u)`` returns ``D^H u``.  The
+    A generator: ``D`` has ``n`` columns and is given by its products, so
+    the solver yields the vector it needs multiplied and is sent the product
+    back, ``D v`` for the first vector and then ``D^H u`` and ``D v`` in
+    turn; the value comes back as the generator's return value.  The caller
+    multiplies however it likes: :func:`_spectral_norm` by a formed matrix,
+    :func:`_lockstep_distances` by one stacked pass of many programs for a
+    group of up to ``max(1, IDENTITY_BLOCK >> (sites + 1))`` solvers at
+    once, whose bases together stay within one 14-site solve's 96 MiB.  The
     bidiagonalization (Golub & Kahan 1965) starts from a fixed-seed Gaussian
     unit vector, real for a real ``dtype``, and reorthogonalizes each new
     vector against all earlier ones.  Every product is divided by the peak
@@ -551,8 +607,7 @@ def _krylov_norm(
     real = not np.issubdtype(dtype, np.complexfloating)
     v = rng.standard_normal(n) + (0.0 if real else 1j * rng.standard_normal(n))
     v /= np.linalg.norm(v)
-    with np.errstate(invalid="ignore"):  # an infinite entry may sum to inf - inf
-        u = product(v)
+    u = yield v
     scale = float(np.abs(u).max())
     if scale == 0.0 or not math.isfinite(scale):
         return scale
@@ -560,6 +615,7 @@ def _krylov_norm(
     left = np.empty((steps, u.shape[0]), u.dtype)
     bidiagonal = np.zeros((steps, steps + 1))
     right[0] = v
+    del v  # right[0] holds it from here on
     u /= scale
     peak = 0.0  # largest entry of B so far: a lower bound on its norm
     check, last = _RITZ_EVERY, None
@@ -570,7 +626,7 @@ def _krylov_norm(
         if alpha <= 4 * _EPS * peak:
             return scale * float(np.linalg.svd(bidiagonal[:k + 1, :k + 1], compute_uv=False)[0])
         np.multiply(u, 1.0 / alpha, out=left[k])
-        w = adjoint(left[k])
+        w = yield left[k]
         w *= 1.0 / scale
         w -= alpha * right[k]
         w -= np.conjugate(right[:k + 1] @ np.conjugate(w)) @ right[:k + 1]
@@ -593,7 +649,7 @@ def _krylov_norm(
         if k + 1 == steps:
             return None
         np.multiply(w, 1.0 / beta, out=right[k + 1])
-        u = product(right[k + 1])
+        u = yield right[k + 1]
         u *= 1.0 / scale
         u -= beta * left[k]
         u -= np.conjugate(left[:k + 1] @ np.conjugate(u)) @ left[:k + 1]
@@ -604,12 +660,23 @@ def _spectral_norm(d: np.ndarray, operands=()) -> float:
     if d.ndim == 2 and min(d.shape) >= KRYLOV_MIN_ROWS:
         # ||x||_F / sqrt(min(shape)) <= ||x||_2 bounds the operands' norms from below
         operand_norm = max((float(np.linalg.norm(x)) for x in operands), default=0.0)
-        sigma = _krylov_norm(
-            lambda v: d @ v,
-            lambda u: np.conjugate(np.conjugate(u) @ d),  # (u^H d)^H: no second n x n array
+        solver = _krylov_norm(
             d.shape[1], d.dtype, min(d.shape) // KRYLOV_ROWS_PER_STEP,
             operand_norm / math.sqrt(min(d.shape)),
         )
+        products = (
+            lambda v: d @ v,
+            lambda u: np.conjugate(np.conjugate(u) @ d),  # (u^H d)^H: no second n x n array
+        )
+        vector, turn = next(solver), 0
+        with np.errstate(invalid="ignore"):  # an infinite entry may sum to inf - inf
+            while True:
+                try:
+                    vector = solver.send(products[turn](vector))
+                except StopIteration as stop:
+                    sigma = stop.value
+                    break
+                turn ^= 1
         if sigma == 0.0 and d.any():  # the start vector lies in the kernel
             sigma = None
     return float(np.linalg.svd(d, compute_uv=False)[0]) if sigma is None else sigma
@@ -671,34 +738,54 @@ def certified_distance(a: np.ndarray, b: np.ndarray, tolerance: float) -> tuple[
     return _spectral_norm(d, (a, b)), "spectral_distance"
 
 
-def fused_distance(n_sites: int, program: list, reference: list) -> float:
-    """Spectral distance between two fused pulse programs, without forming either product.
+def _lockstep_distances(n_sites: int, programs: list, reference: list) -> list[float]:
+    """Spectral distance from each fused program to ``reference``, solved in lockstep.
 
-    ``program`` and ``reference`` come from :func:`fuse_pulses` on
-    ``n_sites``.  The Golub–Kahan–Lanczos solver of :func:`distance` runs on
-    their difference as an operator: ``D v`` is both programs run on ``v`` by
-    :func:`_apply_fused`, and ``D^H u`` both adjoint programs (groups
-    reversed and conjugate-transposed) run on ``u``, so the work is
-    ``O(2^n)`` per product and no ``2^n x 2^n`` array exists.  Both programs
-    are unitary, so the stop takes 1 as the operands' norm.  There is no
-    SVD to fall back on, so the solver stops after
-    :data:`MATRIX_FREE_STEPS` steps and raises :class:`ResourceLimitError`
-    naming that budget.  A start vector the two programs map alike reads as
-    0.0.  The register is held to the dense cap.
+    One :func:`_krylov_norm` solver per program works on the difference as
+    an operator.  At every step the solvers' vectors fill a ``(2^n, 2K)``
+    block, the K programs' columns first and K copies of the reference's
+    after them, and one pass of the stacked program (:func:`_stacked`), or
+    of its adjoint, runs it; each solver is sent its own two columns'
+    difference, bitwise what running its program and the reference on its
+    vector gives.  A solver that has its value leaves, and only then is the
+    stack rebuilt, with the block, the executor's two buffers and the
+    solvers' difference rows that every pass of that stack reuses.  A solver
+    that spends :data:`MATRIX_FREE_STEPS` raises :class:`ResourceLimitError`
+    naming that budget.
     """
-    check_dense_limit(n_sites, "fused_distance")
-    program_h, reference_h = _adjoint(program), _adjoint(reference)
-    sigma = _krylov_norm(
-        lambda v: _apply_fused(program, v) - _apply_fused(reference, v),
-        lambda u: _apply_fused(program_h, u) - _apply_fused(reference_h, u),
-        1 << n_sites, np.complex128, MATRIX_FREE_STEPS, 1.0,
-    )
-    if sigma is None:
-        raise ResourceLimitError(
-            f"fused_distance: the spectral norm did not converge within the "
-            f"MATRIX_FREE_STEPS budget of {MATRIX_FREE_STEPS} Krylov steps"
-        )
-    return sigma
+    solvers = [_krylov_norm(1 << n_sites, np.complex128, MATRIX_FREE_STEPS, 1.0)
+               for _ in programs]
+    vectors = {k: next(solver) for k, solver in enumerate(solvers)}  # the live solvers'
+    values = [0.0] * len(programs)
+    live, turn = [], 0
+    while vectors:
+        if len(live) != len(vectors):
+            live = list(vectors)
+            forward = _stacked([programs[k] for k in live] + [reference] * len(live))
+            passes = (forward, _adjoint(forward))
+            # the input block, the executor's two buffers and the solvers'
+            # rows, reused by every pass of this stack: fresh ones on each
+            # pass cost a 14-site run 120,000 page faults and a tenth of its time
+            block, *work = (np.empty((1 << n_sites, 2 * len(live)), np.complex128)
+                            for _ in range(3))
+            differences = np.empty((len(live), 1 << n_sites), np.complex128)
+        for column, vector in enumerate(vectors.values()):
+            block[:, column] = block[:, column + len(live)] = vector
+        image = _apply_fused(passes[turn], block, work)
+        np.subtract(image[:, :len(live)].T, image[:, len(live):].T, out=differences)
+        for column, k in enumerate(live):
+            try:
+                vectors[k] = solvers[k].send(differences[column])
+            except StopIteration as stop:
+                if stop.value is None:
+                    raise ResourceLimitError(
+                        f"program_distances: the spectral norm did not converge within the "
+                        f"MATRIX_FREE_STEPS budget of {MATRIX_FREE_STEPS} Krylov steps"
+                    ) from None
+                values[k] = stop.value
+                del vectors[k]
+        turn ^= 1
+    return values
 
 
 def program_distances(n_sites: int, programs: list, reference: list) -> list[float]:
@@ -707,13 +794,20 @@ def program_distances(n_sites: int, programs: list, reference: list) -> list[flo
     All come from :func:`fuse_pulses` on ``n_sites``.  Up to
     :data:`MATRIX_DISTANCE_SITES` sites each program is run on the identity
     once and compared by :func:`distance`, which falls back on the SVD past
-    its step budget; wider registers go through :func:`fused_distance`, so
-    no ``2^n x 2^n`` array exists and a spent budget raises
-    :class:`ResourceLimitError`.  The register is held to the dense cap.
+    its step budget.  Wider registers form no ``2^n x 2^n`` array: the
+    programs, which must then share the reference's fusion plan, are solved
+    matrix-free in lockstep groups (:func:`_lockstep_distances`) of at most
+    ``max(1, IDENTITY_BLOCK >> (n + 1))``, the width rule of
+    :func:`_input_blocks` for the group's ``2K`` columns, and a spent step
+    budget raises :class:`ResourceLimitError`.  The register is held to the
+    dense cap.
     """
     check_dense_limit(n_sites, "program_distances")
     if n_sites > MATRIX_DISTANCE_SITES:
-        return [fused_distance(n_sites, program, reference) for program in programs]
+        width = max(1, IDENTITY_BLOCK >> (n_sites + 1))
+        return [value for start in range(0, len(programs), width)
+                for value in _lockstep_distances(
+                    n_sites, programs[start:start + width], reference)]
     ideal = _identity_product(n_sites, reference)
     return [distance(_identity_product(n_sites, program), ideal) for program in programs]
 

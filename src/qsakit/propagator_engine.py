@@ -331,11 +331,15 @@ def quarter_conjugate(g: PauliString, q: PauliString) -> PauliString:
 
     ``g`` commuting with ``q`` is left alone; otherwise ``U g U^dag =
     exp(-i pi/2 q) g = -i q g = i g q``, which is Hermitian again for
-    Hermitian ``g`` and ``q``.
+    Hermitian ``g`` and ``q``.  The product ``g q`` is formed first: each
+    site where both letters are non-identity and differ adds ``+-i`` to its
+    phase, so its phase less those of ``g`` and ``q`` is odd exactly when
+    the two anticommute, and a row the tableau has already found
+    anticommuting is not tested again.
     """
-    if commutes(g, q):
-        return g
     product = multiply(g, q)
+    if (product.phase_exp - g.phase_exp - q.phase_exp) % 2 == 0:
+        return g
     return product.with_phase_exp(product.phase_exp + 1)
 
 

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qsakit.toric_lattice import build_variant
+from qsakit import propagator_engine, stabilizer_state
+from qsakit.toric_lattice import (
+    LatticeSpec,
+    build_variant,
+    build_wen,
+    ground_state_projector,
+    ground_state_sweep,
+)
 
 SIGMA = {
     "I": np.eye(2, dtype=np.complex128),
@@ -108,6 +115,22 @@ def count_calls(monkeypatch, module, *names):
             return _original(*args)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def counted_ground_work(monkeypatch, side):
+    """Pauli work of ``toric ground`` on open ``side x side``: the ``commutes``
+    and ``multiply`` calls of the ground tableaux, their overlap and every
+    plaquette expectation, and the bare parity ``_anticommute`` that the
+    tableau's row loops test."""
+    calls = [count_calls(monkeypatch, stabilizer_state, "_anticommute", "commutes", "multiply"),
+             count_calls(monkeypatch, propagator_engine, "commutes", "multiply")]
+    spec = LatticeSpec(rows=side, cols=side)
+    reference = ground_state_projector(spec)
+    swept, _ = ground_state_sweep(spec)
+    assert swept.overlap(reference) == 1.0
+    assert all(swept.expectation(op) == 1 for op in build_wen(spec).operators())
+    monkeypatch.undo()
+    return sum(sum(c.values()) for c in calls)
 
 
 @pytest.fixture

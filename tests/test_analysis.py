@@ -180,6 +180,9 @@ def test_error_scaling_needs_two_deltas():
     for deltas in ((), (1e-2,)):
         with pytest.raises(ValueError, match="at least two deltas"):
             error_scaling(plaquette_schedule(), deltas=deltas)
+    # refused with the other delta checks, before the subject is looked at
+    with pytest.raises(ValueError, match="at least two deltas"):
+        error_scaling(object(), deltas=(1e-2,))
 
 
 def test_error_scaling_refuses_a_distance_the_fit_cannot_log():
@@ -217,7 +220,7 @@ def test_error_scaling_digital_subject():
 
 def test_error_scaling_rejects_unknown_subject():
     with pytest.raises(TypeError):
-        error_scaling(object(), deltas=(1e-2,))
+        error_scaling(object(), deltas=(1e-2, 1e-3))
 
 
 @pytest.mark.parametrize("subject", [

@@ -33,7 +33,6 @@ from qsakit.dense_oracle import (
     expectation,
     expm,
     fuse_pulses,
-    fused_distance,
     max_dense_qubits,
     program_distances,
     pulse_unitary,
@@ -56,6 +55,7 @@ from qsakit.toric_lattice import LatticeSpec, build_variant, digital_sequence
 from conftest import (
     SIGMA,
     bitwise_equal,
+    count_calls,
     frobenius_distance,
     kron_expm,
     kron_string,
@@ -961,7 +961,8 @@ def test_a_tiny_offset_stops_at_the_roundoff_of_its_operands(svd_calls):
         want = np.linalg.norm(perturbed - ideal, 2)
         start = len(svd_calls)
         formed = distance(perturbed, ideal)
-        free = fused_distance(9, fuse_pulses(9, shifted(pulses, delta)), fuse_pulses(9, pulses))
+        free, = program_distances(
+            9, [fuse_pulses(9, shifted(pulses, delta))], fuse_pulses(9, pulses))
         assert max(svd_calls[start:]) <= (32, 32)
         assert formed == pytest.approx(want, rel=1e-10, abs=0.0)
         assert free == pytest.approx(want, rel=1e-10, abs=0.0)
@@ -984,13 +985,14 @@ def schedule_program(n, seed):
     (8, lambda: digital_sequence(LatticeSpec(2, 4), 0.7).pulses()),
     (9, lambda: digital_sequence(LatticeSpec(3, 3), 0.3).pulses()),
 ], ids=["schedule8", "schedule9", "wen2x4", "wen3x3"])
-def test_fused_distance_matches_the_svd_without_a_matrix(n, program):
+def test_fused_distance_matches_the_svd_without_a_matrix(monkeypatch, n, program):
+    monkeypatch.setattr(dense_oracle, "MATRIX_DISTANCE_SITES", 0)  # matrix-free at 8 sites too
     pulses = program()
     ideal = fuse_pulses(n, pulses)
     for delta in (1e-2, 1e-3, 1e-4):
         offsets = np.full(len(pulses), delta)
         want = np.linalg.norm(pulse_product(n, pulses, offsets) - pulse_product(n, pulses), 2)
-        got = fused_distance(n, fuse_pulses(n, shifted(pulses, delta)), ideal)
+        got, = program_distances(n, [fuse_pulses(n, shifted(pulses, delta))], ideal)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
@@ -1026,9 +1028,140 @@ def test_the_adjoint_program_is_the_conjugate_transpose():
 
 def test_fused_distance_names_its_step_budget(monkeypatch):
     pulses = schedule_program(8, SEED)
+    monkeypatch.setattr(dense_oracle, "MATRIX_DISTANCE_SITES", 0)
     monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
     with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 3 Krylov steps"):
-        fused_distance(8, fuse_pulses(8, shifted(pulses, 1e-3)), fuse_pulses(8, pulses))
+        program_distances(8, [fuse_pulses(8, shifted(pulses, 1e-3))], fuse_pulses(8, pulses))
+
+
+# -- matrix-free solves in lockstep ----------------------------------------------
+
+
+def offset_programs(n, pulses, deltas, seed):
+    """The fused programs of ``pulses`` with every angle offset by each delta, or
+    with a ``seed`` by draws from [-delta, delta], as ``error_scaling`` offsets them."""
+    rng = None if seed is None else np.random.default_rng(seed)
+    programs = []
+    for delta in deltas:
+        offsets = (np.full(len(pulses), delta) if rng is None
+                   else rng.uniform(-delta, delta, size=len(pulses)))
+        programs.append(fuse_pulses(n, [(g, a + float(o)) for (g, a), o in zip(pulses, offsets)]))
+    return programs
+
+
+def lone_distance(n, program, reference):
+    """The matrix-free solver fed one product at a time: the program and the
+    reference each run on the lone vector, and their difference sent back."""
+    solver = dense_oracle._krylov_norm(1 << n, np.complex128, dense_oracle.MATRIX_FREE_STEPS, 1.0)
+    runs = [(program, reference),
+            (dense_oracle._adjoint(program), dense_oracle._adjoint(reference))]
+    vector, turn = next(solver), 0
+    while True:
+        mine, theirs = runs[turn]
+        image = dense_oracle._apply_fused(mine, vector) - dense_oracle._apply_fused(theirs, vector)
+        try:
+            vector = solver.send(image)
+        except StopIteration as stop:
+            return stop.value
+        turn ^= 1
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_a_stacked_program_runs_each_column_bitwise_as_its_own_program(n):
+    pulses = random_program(np.random.default_rng(SEED + 40 + n), n)
+    programs = [fuse_pulses(n, shifted(pulses, delta)) for delta in (0.0, 1e-2, -0.3)]
+    widths = {len(key) if isinstance(key, tuple) else "flip" for key, _ in programs[0]}
+    assert {5, "flip"} <= widths  # a wide lone pulse and a flip besides the 2-4-site groups
+    block = np.stack([_random_state(n, PROBE_SEED + k) for k in range(3)], axis=1)
+    stacked = dense_oracle._stacked(programs)
+    for run, lone in [(stacked, programs),
+                      (dense_oracle._adjoint(stacked), map(dense_oracle._adjoint, programs))]:
+        image = dense_oracle._apply_fused(run, block)
+        for column, program in enumerate(lone):
+            assert bitwise_equal(np.ascontiguousarray(image[:, column]),
+                                 dense_oracle._apply_fused(program, block[:, column]))
+    x, z = (PauliString(n, letter * n) for letter in "XZ")
+    with pytest.raises(ValueError, match="share one fusion plan"):
+        dense_oracle._stacked([fuse_pulses(n, [(x, 0.1)]), fuse_pulses(n, [(z, 0.1)])])
+    with pytest.raises(ValueError):  # one program has a group more
+        dense_oracle._stacked([fuse_pulses(n, [(x, 0.1)]), []])
+
+
+@pytest.mark.parametrize("n, pulses, seed", [
+    (9, lambda: schedule_program(9, SEED + 9), None),
+    (10, lambda: schedule_program(10, SEED + 10), 5),
+    (12, lambda: schedule_program(12, SEED + 12), None),
+    (9, lambda: digital_sequence(LatticeSpec(3, 3), 0.3).pulses(), 5),
+    (10, lambda: digital_sequence(LatticeSpec(2, 5), 0.7).pulses(), None),
+], ids=["schedule9", "schedule10-random", "schedule12", "wen3x3-random", "wen2x5"])
+def test_lockstep_distances_are_bitwise_those_of_lone_solves(monkeypatch, n, pulses, seed):
+    pulses = pulses()
+    reference = fuse_pulses(n, pulses)
+    programs = offset_programs(n, pulses, (1e-2, 1e-3, 1e-4), seed)
+    builds = count_calls(monkeypatch, dense_oracle, "_stacked")
+    got = program_distances(n, programs, reference)
+    # the three solvers stop at three different steps: the stack is built at
+    # the start and again each time one of the first two leaves it
+    assert builds == {"_stacked": 3}
+    monkeypatch.undo()
+    assert got == [program_distances(n, [program], reference)[0] for program in programs]
+    # and a one-program call is what running the two programs apart gives
+    assert got[0] == lone_distance(n, programs[0], reference)
+
+
+def test_a_solver_that_spends_its_budget_stops_the_lockstep(monkeypatch):
+    # with random offsets the 3x3 solvers stop at different steps; under this
+    # budget (they converge alone within 41, 35 and 28 steps) the first one
+    # spends it while the other two converge
+    pulses = digital_sequence(LatticeSpec(3, 3), 0.3).pulses()
+    reference = fuse_pulses(9, pulses)
+    programs = offset_programs(9, pulses, (1e-2, 1e-3, 1e-4), 5)
+    monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 38)
+    spent = []
+    for program in programs:
+        try:
+            program_distances(9, [program], reference)
+        except ResourceLimitError:
+            spent.append(True)
+        else:
+            spent.append(False)
+    assert spent == [True, False, False]
+    with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 38 Krylov steps"):
+        program_distances(9, programs, reference)
+
+
+def test_forty_deltas_at_nine_sites_run_in_two_lockstep_groups(monkeypatch):
+    assert max(1, dense_oracle.IDENTITY_BLOCK >> (9 + 1)) == 32
+    pulses = digital_sequence(LatticeSpec(3, 3), 0.3).pulses()
+    reference = fuse_pulses(9, pulses)
+    programs = offset_programs(9, pulses, np.geomspace(0.1, 1e-5, 40), 3)
+    groups = count_calls(monkeypatch, dense_oracle, "_lockstep_distances")
+    got = program_distances(9, programs, reference)
+    assert groups == {"_lockstep_distances": 2}
+    monkeypatch.undo()
+    for k in (0, 31, 32, 39):  # each group's first and last solver
+        assert got[k] == program_distances(9, [programs[k]], reference)[0]
+
+
+def test_a_lockstep_group_at_thirteen_sites_holds_two_solvers_bases():
+    n = 13
+    assert max(1, dense_oracle.IDENTITY_BLOCK >> (n + 1)) == 2
+    bases = 2 * dense_oracle.MATRIX_FREE_STEPS * (1 << n) * 16  # one solver's, left and right
+    pulses = compile_schedule(PauliString.parse("XYZ" + "I" * (n - 3)), None, "doubling",
+                              0.7).pulses()
+    programs = offset_programs(n, pulses, (1e-2, 1e-3, 1e-4), None)
+    reference = fuse_pulses(n, pulses)
+    tracemalloc.start()
+    try:
+        program_distances(n, programs, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # three solvers run as a group of two and then one: two solvers' bases at
+    # once, never three, next to a few MiB of work arrays (the group's passes
+    # reuse three blocks of 512 KiB and 256 KiB of difference rows, and each
+    # solver holds a projected problem of 290 KiB)
+    assert 2 * bases < peak <= 2 * bases + (4 << 20)
 
 
 def test_spectral_distance_is_symmetric_and_repeatable():

@@ -7,7 +7,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import count_calls, kron_product_state, kron_string, lattice_ground, pauli_image
+from conftest import (
+    counted_ground_work,
+    kron_product_state,
+    kron_string,
+    lattice_ground,
+    pauli_image,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,21 +153,6 @@ def test_the_tableaux_are_the_dense_ground_states(spec):
             assert tableau.expectation(term.operator) == 1
             assert abs(want - 1.0) <= 1e-12
     assert tableaux[-1].overlap(tableaux[0]) == 1.0
-
-
-def counted_ground_work(monkeypatch, side):
-    """``commutes`` and ``multiply`` calls of the open ``side x side`` ground
-    tableaux, their overlap and every plaquette expectation (the work of
-    ``toric ground``)."""
-    calls = [count_calls(monkeypatch, module, "commutes", "multiply")
-             for module in (stabilizer_state, propagator_engine)]
-    spec = LatticeSpec(rows=side, cols=side)
-    reference = ground_state_projector(spec)
-    swept, _ = ground_state_sweep(spec)
-    assert swept.overlap(reference) == 1.0
-    assert all(swept.expectation(op) == 1 for op in build_wen(spec).operators())
-    monkeypatch.undo()
-    return sum(sum(c.values()) for c in calls)
 
 
 def test_the_ground_work_grows_at_most_as_the_square_of_the_spins(monkeypatch):

@@ -5,12 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from conftest import count_calls, kron_product_state, kron_string
+from conftest import counted_ground_work, kron_product_state, kron_string
 
-from qsakit import propagator_engine, stabilizer_state
+from qsakit import stabilizer_state
 from qsakit.pauli_core import PauliString
 from qsakit.stabilizer_state import StabilizerState
-from qsakit.toric_lattice import LatticeSpec, build_wen, ground_state_projector, ground_state_sweep
 
 
 def random_string(rng, n):
@@ -99,19 +98,9 @@ def test_a_string_on_another_register_is_refused_once(monkeypatch, operation):
 
 
 def test_the_ground_row_scans_grow_at_most_as_the_square_of_the_spins(monkeypatch):
-    # the row loops test the bare parity, so it is counted with the checked
-    # commutes and multiply: the share of n * (n + T) (n spins, T terms) that
-    # the work of toric ground on open side x side takes must not grow
-    share = {}
-    for side in (8, 16):
-        calls = [count_calls(monkeypatch, stabilizer_state, "_anticommute", "commutes", "multiply"),
-                 count_calls(monkeypatch, propagator_engine, "commutes", "multiply")]
-        spec = LatticeSpec(rows=side, cols=side)
-        reference = ground_state_projector(spec)
-        swept, _ = ground_state_sweep(spec)
-        assert swept.overlap(reference) == 1.0
-        assert all(swept.expectation(op) == 1 for op in build_wen(spec).operators())
-        monkeypatch.undo()
-        work = sum(sum(c.values()) for c in calls)
-        share[side] = work / (side * side * (side * side + (side - 1) ** 2))
+    # the row loops test the bare parity, which the counted work includes: the
+    # share of n * (n + T) (n spins, T terms) that the work of toric ground on
+    # open side x side takes must not grow
+    share = {side: counted_ground_work(monkeypatch, side)
+             / (side * side * (side * side + (side - 1) ** 2)) for side in (8, 16)}
     assert 1.0 < share[16] <= share[8]  # the parity tests are counted
