@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_oracle import _fused_at, _fusion_plan, program_distances, pulse_unitary
+from .dense_oracle import program_distances, pulse_unitary
 from .schedule_compiler import QsaSchedule
 from .toric_lattice import DigitalSequence
 
@@ -134,14 +134,12 @@ def error_scaling(
     (or, given a ``seed``, by independent uniform draws from [-delta, +delta]
     of ``numpy.random.default_rng(seed)``; with no seed no generator is made);
     the reported distance is the spectral distance to the ideal product, from
-    :func:`~qsakit.dense_oracle.program_distances` on the fused programs.
-    Every program shares the ideal one's generators, so they are grouped and
-    their local matrices built and checked once per call; each program
-    recomputes only its ``cos - i sin G`` mixes and their in-group products.
-    Up to 8 sites it forms both products and takes
+    :func:`~qsakit.dense_oracle.program_distances` on the ideal program and
+    the perturbed angle lists, which fuses them on one shared plan.
+    Up to 7 sites it forms both products and takes
     :func:`~qsakit.dense_oracle.distance`: numpy's SVD below 256 rows, at
     256 a Golub–Kahan–Lanczos bidiagonalization that stops on a Ritz-gap
-    estimate, with the SVD past a budget of one step per five rows.  From 9
+    estimate, with the SVD past a budget of one step per five rows.  From 8
     sites up no product is formed: the same solver runs matrix-free on each
     perturbed program minus the ideal one, with no SVD to fall back on, the
     solvers in lockstep (one stacked pass of every program per step), each
@@ -150,7 +148,7 @@ def error_scaling(
     unitary, of norm 1), such as the floating-point split of a degenerate
     top, either may return a value between the two copies.  The matrix-free
     path also carries the roundoff of running two programs, about ``eps``
-    over the distance: on 9-10-site schedules at delta 1e-4 its values lie
+    over the distance: on 8-10-site schedules at delta 1e-4 its values lie
     within 1.2e-13 of the SVD of the formed difference.
     slope/intercept are the least-squares fit of log(distance) against
     log(delta).
@@ -161,7 +159,7 @@ def error_scaling(
     ``|offset|`` applied.
 
     Raises:
-        ResourceLimitError: above the dense limit, or from 9 sites up when
+        ResourceLimitError: above the dense limit, or from 8 sites up when
             the matrix-free solver spends its step budget.
         ValueError: deltas not strictly decreasing, outside (0, 0.1], or
             fewer than two (a line through one point fits nothing); or a
@@ -182,8 +180,7 @@ def error_scaling(
     n_sites, pulses = subject.n_sites, subject.pulses()
     rng = None if seed is None else np.random.default_rng(seed)
     max_offset = 0.0
-    plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])
-    programs = []
+    angle_sets = []
     for delta in deltas:
         if rng is None:
             offsets = np.full(len(pulses), delta)
@@ -191,8 +188,8 @@ def error_scaling(
         else:
             offsets = rng.uniform(-delta, delta, size=len(pulses))
             max_offset = max(max_offset, float(np.max(np.abs(offsets))))
-        programs.append(_fused_at(plan, [angle for _, angle in _shifted(pulses, offsets)]))
-    dists = program_distances(n_sites, programs, _fused_at(plan, [angle for _, angle in pulses]))
+        angle_sets.append([angle for _, angle in _shifted(pulses, offsets)])
+    dists = program_distances(n_sites, pulses, angle_sets)
     for delta, dist in zip(deltas, dists):
         if not (math.isfinite(dist) and dist > 0.0):
             raise ValueError(

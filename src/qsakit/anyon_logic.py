@@ -45,7 +45,6 @@ from .toric_lattice import (
     kitaev_edge_index,
     kitaev_operator,
     plaquette_range,
-    project_plus,
 )
 
 
@@ -425,17 +424,18 @@ def code_state(spec: LatticeSpec) -> np.ndarray:
     """Logical all-|0> state of the hole model, as a dense statevector.
 
     Projects |0...0> (already +1 for every Z-type face and for both kinds of
-    hole logical Z) onto the +1 space of every kept vertex star.
+    hole logical Z) onto the +1 space of every kept vertex star, one
+    ``(1 + P)/sqrt(2)`` step per star, and normalizes once.
     """
     if spec.model != "kitaev_holes":
         raise EncodingError("code_state is defined for the kitaev_holes model")
     check_dense_limit(spec.n_sites, "code_state")
-    zero = np.zeros(1 << spec.n_sites, dtype=np.complex128)
-    zero[0] = 1.0
-    return project_plus(
-        zero,
-        (term.operator for term in build_variant(spec).terms if term.kind == "vertex"),
-    )
+    state = np.zeros(1 << spec.n_sites, dtype=np.complex128)
+    state[0] = 1.0
+    for term in build_variant(spec).terms:
+        if term.kind == "vertex":
+            state = (state + apply_string(term.operator, state)) / math.sqrt(2.0)
+    return state / float(np.linalg.norm(state))
 
 
 def _code_tableau(spec: LatticeSpec) -> StabilizerState:

@@ -14,9 +14,10 @@ byte-identical output.  Artifacts (compiled schedules) go to files named by
 ``--out``; reports never mix with artifacts.
 
 Only the symbolic layer is imported up front.  The dense oracle, the lattice
-and anyon workflows and the analyses (all of which load numpy) are imported
-by the handlers that use them, so ``compile`` above the dense limit never
-loads numpy.
+and anyon workflows and the analyses are imported by the handlers that use
+them.  The lattice module loads no numpy, so ``toric build``, ``toric
+ground`` and ``compile`` above the dense limit never load it; the dense
+oracle, the anyon workflows and the analyses do.
 """
 
 from __future__ import annotations
@@ -268,7 +269,6 @@ def _lattice_spec(path: str):
 
 
 def _cmd_toric(args):
-    from .dense_oracle import compare_segments
     from .toric_lattice import (
         build_variant,
         digital_sequence,
@@ -334,6 +334,8 @@ def _cmd_toric(args):
         metrics["n_terms"] = len(ops)
 
     else:  # digital
+        from .dense_oracle import compare_segments
+
         seq = digital_sequence(spec, args.tau)
         # the terms commute and are Pauli involutions, so the exact evolution
         # is the product of per-term rotations; each schedule is judged

@@ -12,7 +12,9 @@ the same under every limit that admits its register.
 A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  The
 executor runs the program it is given: a schedule's program comes from
 ``QsaSchedule.pulses`` in :mod:`qsakit.schedule_compiler`, and
-:mod:`qsakit.analysis` shifts the angles of a perturbed one.  Every
+:mod:`qsakit.analysis` hands :func:`program_distances` an ideal program
+with the shifted angles of each perturbed one; the fusion plan they share
+is built here and nowhere else.  Every
 dense product is a plain ``2^n x 2^n`` array and every state a plain
 ``(2^n,)`` complex array; :func:`expectation` reads an operator's mean on
 one, a one-term operator in one pass into one new array and one
@@ -60,7 +62,7 @@ the floating-point split of a degenerate top, it returns a value between
 the two.  After a budget of one step per :data:`KRYLOV_ROWS_PER_STEP` rows,
 and below the crossover, it is the top value of numpy's SVD.  The solver is
 a generator that yields each vector it needs multiplied, so
-:func:`program_distances` runs it on the difference of two fused pulse
+:func:`program_distances` runs it on the difference of two pulse
 programs as an operator, with no ``2^n x 2^n`` array and a fixed budget of
 :data:`MATRIX_FREE_STEPS` steps.  Its solvers run in lockstep groups of at
 most ``max(1, IDENTITY_BLOCK >> (n + 1))``, the width rule of a column
@@ -148,22 +150,23 @@ KRYLOV_ROWS_PER_STEP = 5
 #: which has no SVD to fall back on.  Each step keeps one left and one right
 #: vector of ``2^n`` complex entries, so one solver's two bases hold at most
 #: ``3 * 2^(n + 11)`` bytes.  A lockstep group holds ``max(1, IDENTITY_BLOCK
-#: >> (n + 1))`` solvers, 32 at 9 sites, 4 at 12, 2 at 13 and 1 at 14, so
-#: from 9 to 14 sites a group's bases hold at most 96 MiB, one 14-site
+#: >> (n + 1))`` solvers, 64 at 8 sites, 4 at 12, 2 at 13 and 1 at 14, so
+#: from 8 to 14 sites a group's bases hold at most 96 MiB, one 14-site
 #: solve's (a wider register, under a raised dense limit, runs one solver
 #: at a time).
 MATRIX_FREE_STEPS = 192
 
 #: Widest register on which :func:`program_distances` forms the products and
-#: takes :func:`distance`; from one site more it solves matrix-free.
-#: Three distances (deltas 1e-2, 1e-3, 1e-4; 2-vCPU host, BLAS on one
-#: thread) take 3.6-4.2 ms formed against 16-31 ms matrix-free on 6-site
-#: schedules, 11-17 against 26-31 at 7 and 22-33 against 38-67 at 8, where
-#: each Krylov step paid the Python cost of four program runs before the
-#: solves ran in lockstep; at 9 sites 121-140 against 61-113 (the 3x3 Wen
-#: lattice 77 against 31), and at 10 531-699 against 78-150
+#: takes :func:`distance`; from one site more it solves matrix-free, in
+#: lockstep.  A whole ``analyze error-scaling`` (deltas 1e-2, 1e-3, 1e-4;
+#: 2-vCPU host, BLAS on one thread, medians of 15 alternated runs on the
+#: verify-dense schedules of seeds 1-3) takes 4.7 ms formed against
+#: 7.7-8.2 ms matrix-free at 6 sites, 12.4-12.5 against 10.9-12.5 at 7,
+#: and 27.8-29.5 against 15.6-17.9 at 8 (the 2x4 Wen lattice 19.8 against
+#: 8.5).  Before the lockstep, 9 sites took 121-140 ms formed against
+#: 61-113 matrix-free and 10 sites 531-699 against 78-150
 #: (``BENCH_23.json``).
-MATRIX_DISTANCE_SITES = 8
+MATRIX_DISTANCE_SITES = 7
 
 
 # -- Pauli action ----------------------------------------------------------------
@@ -207,13 +210,6 @@ def string_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
 def apply_string(string: PauliString, array: np.ndarray) -> np.ndarray:
     """Apply a Pauli string to a state (dim,) or matrix (dim, k) array."""
     return _pauli(string, _tensor(array, string.n_sites)).reshape(array.shape)
-
-
-def _apply_string_into(string: PauliString, array: np.ndarray, out: np.ndarray) -> None:
-    """:func:`apply_string` written into ``out``: a complex array of ``array``'s
-    shape that does not overlap it."""
-    n = string.n_sites
-    _pauli(string, _tensor(array, n), out=_tensor(out, n))
 
 
 def apply_sum(op: WeightedPauliSum, array: np.ndarray) -> np.ndarray:
@@ -373,16 +369,14 @@ def _adjoint(fused: list) -> list:
 def _stacked(programs: list) -> list:
     """One fused program whose column ``c`` runs ``programs[c]``, for :func:`_apply_fused`.
 
-    The programs share one fusion plan (:func:`_fusion_plan`): the same
-    groups in the same order, angles aside (``ValueError`` otherwise).  A
-    group's unitaries stack into a ``(C, 2^k, 2^k)`` array and a flip's
-    ``cos`` and ``scale`` into two ``(C,)`` vectors.
+    The programs are one fusion plan's (:func:`_fusion_plan`) at their own
+    angles, so they hold the same groups in the same order.  A group's
+    unitaries stack into a ``(C, 2^k, 2^k)`` array and a flip's ``cos`` and
+    ``scale`` into two ``(C,)`` vectors.
     """
     stacked = []
-    for groups in zip(*programs, strict=True):
+    for groups in zip(*programs):
         key = groups[0][0]
-        if any(other != key for other, _ in groups):
-            raise ValueError("stacked programs must share one fusion plan")
         ops = [op for _, op in groups]
         if isinstance(key, PauliString):  # (cos, scale) pairs
             stacked.append((key, tuple(np.array(part) for part in zip(*ops))))
@@ -788,20 +782,32 @@ def _lockstep_distances(n_sites: int, programs: list, reference: list) -> list[f
     return values
 
 
-def program_distances(n_sites: int, programs: list, reference: list) -> list[float]:
-    """Spectral distance from each fused program in ``programs`` to ``reference``.
+def program_distances(n_sites: int, pulses, angle_sets) -> list[float]:
+    """Spectral distance from ``pulses`` at each angle list of ``angle_sets`` to ``pulses``.
 
-    All come from :func:`fuse_pulses` on ``n_sites``.  Up to
+    ``pulses`` is the ideal program, as :func:`run_pulses` takes it; each
+    angle list holds one angle per pulse (``ValueError`` naming both counts
+    otherwise).  Every program is :func:`_fused_at` on one
+    :func:`_fusion_plan`, so each local generator is built and checked once
+    per call.  Up to
     :data:`MATRIX_DISTANCE_SITES` sites each program is run on the identity
     once and compared by :func:`distance`, which falls back on the SVD past
     its step budget.  Wider registers form no ``2^n x 2^n`` array: the
-    programs, which must then share the reference's fusion plan, are solved
-    matrix-free in lockstep groups (:func:`_lockstep_distances`) of at most
-    ``max(1, IDENTITY_BLOCK >> (n + 1))``, the width rule of
-    :func:`_input_blocks` for the group's ``2K`` columns, and a spent step
-    budget raises :class:`ResourceLimitError`.  The register is held to the
-    dense cap.
+    programs are solved matrix-free in lockstep groups
+    (:func:`_lockstep_distances`) of at most ``max(1, IDENTITY_BLOCK >> (n +
+    1))``, the width rule of :func:`_input_blocks` for the group's ``2K``
+    columns, and a spent step budget raises :class:`ResourceLimitError`.
+    The register is held to the dense cap.
     """
+    pulses = list(pulses)
+    for angles in angle_sets:
+        if len(angles) != len(pulses):
+            raise ValueError(
+                f"an angle list of {len(angles)} angles for a program of {len(pulses)} pulses"
+            )
+    plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])
+    reference = _fused_at(plan, [angle for _, angle in pulses])
+    programs = [_fused_at(plan, angles) for angles in angle_sets]
     check_dense_limit(n_sites, "program_distances")
     if n_sites > MATRIX_DISTANCE_SITES:
         width = max(1, IDENTITY_BLOCK >> (n_sites + 1))

@@ -30,24 +30,21 @@ The wen ground state starts from a product seed of |0> and |+> spins and is
 reached by projection onto every even term (:func:`ground_state_projector`)
 or by the pi/4 sweep (:func:`ground_state_sweep`).  Both run on a
 :class:`~qsakit.stabilizer_state.StabilizerState`, with no 2^n array, up to
-:data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES` spins.  :func:`project_plus`
-is the dense projection that builds the hole model's code state
-(:func:`~qsakit.anyon_logic.code_state`).
+:data:`~qsakit.stabilizer_state.MAX_TABLEAU_SITES` spins.  The module loads
+no numpy: only :meth:`DigitalSequence.apply` and
+:meth:`DigitalSequence.unitary` reach the dense oracle, and they import it
+when called.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 from .pauli_core import (
     PauliString, WeightedPauliSum, float_field, index_field, pair_field,
 )
 from .schedule_compiler import QsaSchedule, compile_schedule
-from .dense_oracle import _apply_string_into, pulse_unitary, run_pulses
 from .stabilizer_state import StabilizerState, check_tableau_limit
 
 MODELS = ("wen", "kitaev_holes")
@@ -489,10 +486,16 @@ class DigitalSequence:
         """Every pulse of every stage, in execution order: the segments' pulses."""
         return [pulse for pulses, _ in self.segments() for pulse in pulses]
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
+    def apply(self, state):
+        """The program run on a ``(2^n,)`` state or ``(2^n, k)`` array."""
+        from .dense_oracle import run_pulses
+
         return run_pulses(self.pulses(), state)
 
-    def unitary(self) -> np.ndarray:
+    def unitary(self):
+        """The program's product, a ``2^n x 2^n`` array."""
+        from .dense_oracle import pulse_unitary
+
         return pulse_unitary(self.n_sites, self.pulses(), "digital unitary")
 
     def hamiltonian(self) -> WeightedPauliSum:
@@ -544,31 +547,6 @@ def _seed(spec: LatticeSpec) -> StabilizerState:
 
 def _even_terms(pset: PlaquetteSet) -> list[PlaquetteTerm]:
     return [t for t in pset.terms if (t.index[0] + t.index[1]) % 2 == 0]
-
-
-def project_plus(array: np.ndarray, operators) -> np.ndarray:
-    """Normalized ``prod (1 + P)/sqrt(2)`` of ``array`` over commuting ``operators``.
-
-    Each caller's seed overlaps the joint +1 space of its terms, so the norm
-    divided out is never zero.  ``array`` is not written: each step writes
-    ``P a`` into one of two work buffers, which take turns, adds ``a`` and
-    divides by sqrt(2) in place, and the last buffer is normalized in place,
-    so a projection holds the input and two arrays of its size, and every
-    entry is bitwise that of ``(a + P a)/sqrt(2)`` step by step.
-    """
-    root2 = math.sqrt(2.0)
-    state, spare = array, None
-    for op in operators:
-        out = spare if spare is not None else np.empty(array.shape, dtype=np.complex128)
-        _apply_string_into(op, state, out)
-        out += state
-        out /= root2
-        spare = None if state is array else state
-        state = out
-    if state is array:
-        return array / float(np.linalg.norm(array))
-    state /= float(np.linalg.norm(state))
-    return state
 
 
 def ground_state_projector(spec: LatticeSpec) -> StabilizerState:

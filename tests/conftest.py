@@ -175,6 +175,14 @@ def projected(state, strings):
     return state / np.linalg.norm(state)
 
 
+def stepwise_projection(state, strings):
+    """``(a + P a)/sqrt(2)`` string by string, then the division by the norm:
+    the steps of a dense projection, :func:`pauli_image` giving ``P a``."""
+    for string in strings:
+        state = (state + pauli_image(string, state)) / math.sqrt(2.0)
+    return state / float(np.linalg.norm(state))
+
+
 def rotated(state, string, angle):
     """``exp(-i angle P)|state>`` of a Hermitian string ``P``, which squares to 1."""
     return math.cos(angle) * state - 1j * math.sin(angle) * pauli_image(string, state)

@@ -238,14 +238,14 @@ def test_error_scaling_fuses_once_and_matches_fusing_each_program(monkeypatch, s
     plan = dense_oracle._fusion_plan(subject.n_sites, [g for g, _ in subject.pulses()])
     assert calls["_local_generator"] == sum(
         len(op) for key, op in plan if not isinstance(key, PauliString)) > 0
-    # fusing each shifted program on its own gives the same distances, bit for bit
+    # fusing each shifted program in a call of its own gives the same
+    # distances, bit for bit
     pulses, n = subject.pulses(), subject.n_sites
     rng = None if seed is None else np.random.default_rng(seed)
-    programs = []
+    want = []
     for delta in deltas:
         offsets = (np.full(len(pulses), delta) if rng is None
                    else rng.uniform(-delta, delta, size=len(pulses)))
-        shifted = [(g, a + float(o)) for (g, a), o in zip(pulses, offsets)]
-        programs.append(dense_oracle.fuse_pulses(n, shifted))
-    want = dense_oracle.program_distances(n, programs, dense_oracle.fuse_pulses(n, pulses))
+        angles = [a + float(o) for (_, a), o in zip(pulses, offsets)]
+        want += dense_oracle.program_distances(n, pulses, [angles])
     assert bitwise_equal(np.array(report["distances"]), np.array(want))

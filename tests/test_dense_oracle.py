@@ -567,9 +567,11 @@ def test_identity_products_are_bitwise_the_whole_identity_run(n):
         assert np.array_equal(pulse_unitary(n, program, "test"), whole[name])
     assert np.array_equal(whole["empty"], eye)
     if n <= dense_oracle.MATRIX_DISTANCE_SITES:
-        others = ("split", "defect", "empty", "flip")
-        got = program_distances(n, [fused[name] for name in others], fused["pulses"])
-        assert got == [distance(whole[name], whole["pulses"]) for name in others]
+        # the defect, and the program with every angle 0, as angle lists of the ideal one
+        still = [(generator, 0.0) for generator, _ in programs["pulses"]]
+        got = program_distances(n, programs["pulses"], [angles(programs["defect"]), angles(still)])
+        assert got == [distance(pulse_unitary(n, program, "test"), whole["pulses"])
+                       for program in (programs["defect"], still)]
 
 
 # -- the verdict, a block of columns at a time -----------------------------------
@@ -961,8 +963,7 @@ def test_a_tiny_offset_stops_at_the_roundoff_of_its_operands(svd_calls):
         want = np.linalg.norm(perturbed - ideal, 2)
         start = len(svd_calls)
         formed = distance(perturbed, ideal)
-        free, = program_distances(
-            9, [fuse_pulses(9, shifted(pulses, delta))], fuse_pulses(9, pulses))
+        free, = program_distances(9, pulses, [angles(shifted(pulses, delta))])
         assert max(svd_calls[start:]) <= (32, 32)
         assert formed == pytest.approx(want, rel=1e-10, abs=0.0)
         assert free == pytest.approx(want, rel=1e-10, abs=0.0)
@@ -971,6 +972,11 @@ def test_a_tiny_offset_stops_at_the_roundoff_of_its_operands(svd_calls):
 def shifted(pulses, delta):
     """``pulses`` with every angle shifted by ``delta``."""
     return [(generator, angle + delta) for generator, angle in pulses]
+
+
+def angles(pulses):
+    """The angle list of ``pulses``, one per pulse."""
+    return [angle for _, angle in pulses]
 
 
 def schedule_program(n, seed):
@@ -988,22 +994,21 @@ def schedule_program(n, seed):
 def test_fused_distance_matches_the_svd_without_a_matrix(monkeypatch, n, program):
     monkeypatch.setattr(dense_oracle, "MATRIX_DISTANCE_SITES", 0)  # matrix-free at 8 sites too
     pulses = program()
-    ideal = fuse_pulses(n, pulses)
     for delta in (1e-2, 1e-3, 1e-4):
         offsets = np.full(len(pulses), delta)
         want = np.linalg.norm(pulse_product(n, pulses, offsets) - pulse_product(n, pulses), 2)
-        got, = program_distances(n, [fuse_pulses(n, shifted(pulses, delta))], ideal)
+        got, = program_distances(n, pulses, [angles(shifted(pulses, delta))])
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("n", [
-    4, dense_oracle.MATRIX_DISTANCE_SITES, dense_oracle.MATRIX_DISTANCE_SITES + 1,
-])
+@pytest.mark.parametrize("n", sorted({
+    4, 8, 9, dense_oracle.MATRIX_DISTANCE_SITES, dense_oracle.MATRIX_DISTANCE_SITES + 1,
+}))
 def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatch, n):
     pulses = schedule_program(n, SEED + n)
     deltas = (1e-2, 1e-3)
-    programs = [fuse_pulses(n, shifted(pulses, delta)) for delta in deltas]
-    got = program_distances(n, programs, fuse_pulses(n, pulses))
+    angle_sets = [angles(shifted(pulses, delta)) for delta in deltas]
+    got = program_distances(n, pulses, angle_sets)
     for delta, value in zip(deltas, got):
         want = np.linalg.norm(pulse_product(n, pulses, delta) - pulse_product(n, pulses), 2)
         assert value == pytest.approx(want, rel=1e-13, abs=0.0)
@@ -1011,9 +1016,9 @@ def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatc
     monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
     if n > dense_oracle.MATRIX_DISTANCE_SITES:
         with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS"):
-            program_distances(n, programs, fuse_pulses(n, pulses))
+            program_distances(n, pulses, angle_sets)
     else:
-        assert program_distances(n, programs, fuse_pulses(n, pulses)) == got
+        assert program_distances(n, pulses, angle_sets) == got
 
 
 def test_the_adjoint_program_is_the_conjugate_transpose():
@@ -1031,22 +1036,29 @@ def test_fused_distance_names_its_step_budget(monkeypatch):
     monkeypatch.setattr(dense_oracle, "MATRIX_DISTANCE_SITES", 0)
     monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 3)
     with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 3 Krylov steps"):
-        program_distances(8, [fuse_pulses(8, shifted(pulses, 1e-3))], fuse_pulses(8, pulses))
+        program_distances(8, pulses, [angles(shifted(pulses, 1e-3))])
+
+
+def test_an_angle_list_of_another_length_is_refused():
+    pulses = schedule_program(5, SEED)
+    with pytest.raises(ValueError, match=f"an angle list of {len(pulses) - 1} angles "
+                                         f"for a program of {len(pulses)} pulses"):
+        program_distances(5, pulses, [angles(pulses), angles(pulses)[1:]])
 
 
 # -- matrix-free solves in lockstep ----------------------------------------------
 
 
-def offset_programs(n, pulses, deltas, seed):
-    """The fused programs of ``pulses`` with every angle offset by each delta, or
+def offset_angles(pulses, deltas, seed):
+    """The angle lists of ``pulses`` with every angle offset by each delta, or
     with a ``seed`` by draws from [-delta, delta], as ``error_scaling`` offsets them."""
     rng = None if seed is None else np.random.default_rng(seed)
-    programs = []
+    angle_sets = []
     for delta in deltas:
         offsets = (np.full(len(pulses), delta) if rng is None
                    else rng.uniform(-delta, delta, size=len(pulses)))
-        programs.append(fuse_pulses(n, [(g, a + float(o)) for (g, a), o in zip(pulses, offsets)]))
-    return programs
+        angle_sets.append([a + float(o) for (_, a), o in zip(pulses, offsets)])
+    return angle_sets
 
 
 def lone_distance(n, program, reference):
@@ -1080,11 +1092,6 @@ def test_a_stacked_program_runs_each_column_bitwise_as_its_own_program(n):
         for column, program in enumerate(lone):
             assert bitwise_equal(np.ascontiguousarray(image[:, column]),
                                  dense_oracle._apply_fused(program, block[:, column]))
-    x, z = (PauliString(n, letter * n) for letter in "XZ")
-    with pytest.raises(ValueError, match="share one fusion plan"):
-        dense_oracle._stacked([fuse_pulses(n, [(x, 0.1)]), fuse_pulses(n, [(z, 0.1)])])
-    with pytest.raises(ValueError):  # one program has a group more
-        dense_oracle._stacked([fuse_pulses(n, [(x, 0.1)]), []])
 
 
 @pytest.mark.parametrize("n, pulses, seed", [
@@ -1096,17 +1103,17 @@ def test_a_stacked_program_runs_each_column_bitwise_as_its_own_program(n):
 ], ids=["schedule9", "schedule10-random", "schedule12", "wen3x3-random", "wen2x5"])
 def test_lockstep_distances_are_bitwise_those_of_lone_solves(monkeypatch, n, pulses, seed):
     pulses = pulses()
-    reference = fuse_pulses(n, pulses)
-    programs = offset_programs(n, pulses, (1e-2, 1e-3, 1e-4), seed)
+    angle_sets = offset_angles(pulses, (1e-2, 1e-3, 1e-4), seed)
     builds = count_calls(monkeypatch, dense_oracle, "_stacked")
-    got = program_distances(n, programs, reference)
+    got = program_distances(n, pulses, angle_sets)
     # the three solvers stop at three different steps: the stack is built at
     # the start and again each time one of the first two leaves it
     assert builds == {"_stacked": 3}
     monkeypatch.undo()
-    assert got == [program_distances(n, [program], reference)[0] for program in programs]
+    assert got == [program_distances(n, pulses, [a])[0] for a in angle_sets]
     # and a one-program call is what running the two programs apart gives
-    assert got[0] == lone_distance(n, programs[0], reference)
+    perturbed = fuse_pulses(n, [(g, a) for (g, _), a in zip(pulses, angle_sets[0])])
+    assert got[0] == lone_distance(n, perturbed, fuse_pulses(n, pulses))
 
 
 def test_a_solver_that_spends_its_budget_stops_the_lockstep(monkeypatch):
@@ -1114,33 +1121,31 @@ def test_a_solver_that_spends_its_budget_stops_the_lockstep(monkeypatch):
     # budget (they converge alone within 41, 35 and 28 steps) the first one
     # spends it while the other two converge
     pulses = digital_sequence(LatticeSpec(3, 3), 0.3).pulses()
-    reference = fuse_pulses(9, pulses)
-    programs = offset_programs(9, pulses, (1e-2, 1e-3, 1e-4), 5)
+    angle_sets = offset_angles(pulses, (1e-2, 1e-3, 1e-4), 5)
     monkeypatch.setattr(dense_oracle, "MATRIX_FREE_STEPS", 38)
     spent = []
-    for program in programs:
+    for a in angle_sets:
         try:
-            program_distances(9, [program], reference)
+            program_distances(9, pulses, [a])
         except ResourceLimitError:
             spent.append(True)
         else:
             spent.append(False)
     assert spent == [True, False, False]
     with pytest.raises(ResourceLimitError, match="MATRIX_FREE_STEPS budget of 38 Krylov steps"):
-        program_distances(9, programs, reference)
+        program_distances(9, pulses, angle_sets)
 
 
 def test_forty_deltas_at_nine_sites_run_in_two_lockstep_groups(monkeypatch):
     assert max(1, dense_oracle.IDENTITY_BLOCK >> (9 + 1)) == 32
     pulses = digital_sequence(LatticeSpec(3, 3), 0.3).pulses()
-    reference = fuse_pulses(9, pulses)
-    programs = offset_programs(9, pulses, np.geomspace(0.1, 1e-5, 40), 3)
+    angle_sets = offset_angles(pulses, np.geomspace(0.1, 1e-5, 40), 3)
     groups = count_calls(monkeypatch, dense_oracle, "_lockstep_distances")
-    got = program_distances(9, programs, reference)
+    got = program_distances(9, pulses, angle_sets)
     assert groups == {"_lockstep_distances": 2}
     monkeypatch.undo()
     for k in (0, 31, 32, 39):  # each group's first and last solver
-        assert got[k] == program_distances(9, [programs[k]], reference)[0]
+        assert got[k] == program_distances(9, pulses, [angle_sets[k]])[0]
 
 
 def test_a_lockstep_group_at_thirteen_sites_holds_two_solvers_bases():
@@ -1149,11 +1154,10 @@ def test_a_lockstep_group_at_thirteen_sites_holds_two_solvers_bases():
     bases = 2 * dense_oracle.MATRIX_FREE_STEPS * (1 << n) * 16  # one solver's, left and right
     pulses = compile_schedule(PauliString.parse("XYZ" + "I" * (n - 3)), None, "doubling",
                               0.7).pulses()
-    programs = offset_programs(n, pulses, (1e-2, 1e-3, 1e-4), None)
-    reference = fuse_pulses(n, pulses)
+    angle_sets = offset_angles(pulses, (1e-2, 1e-3, 1e-4), None)
     tracemalloc.start()
     try:
-        program_distances(n, programs, reference)
+        program_distances(n, pulses, angle_sets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,6 +1,7 @@
 """The package's import graph: numpy loads only in commands that reach the dense oracle."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -62,7 +63,8 @@ def test_compile_above_the_dense_limit_loads_no_numpy():
 
 
 @pytest.mark.parametrize(
-    "module", ["pauli_core", "propagator_engine", "schedule_compiler", "dense_limit"]
+    "module", ["pauli_core", "propagator_engine", "schedule_compiler", "dense_limit",
+               "toric_lattice"]
 )
 def test_symbolic_exports_load_no_numpy(module):
     names = qsakit._EXPORTS[module]
@@ -92,6 +94,34 @@ def test_the_pulse_executor_loads_no_schedule_compiler():
         "print('qsakit.schedule_compiler' in sys.modules)\n"
     )
     assert lines == ["False"]
+
+
+def run_toric(tmp_path, action, spec):
+    """``qsakit toric <action>`` on ``spec`` in a fresh interpreter: one line of
+    its exit code and whether numpy was loaded before and after."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return fresh_python(
+        "import contextlib, io, sys\n"
+        "from qsakit.cli import main\n"
+        "before = 'numpy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['toric', {action!r}, '--spec', {str(path)!r}])\n"
+        "print(code, before, 'numpy' in sys.modules)\n"
+    )
+
+
+@pytest.mark.parametrize("action", ["build", "ground"])
+@pytest.mark.parametrize("spec", [
+    {"rows": 3, "cols": 3},
+    {"rows": 4, "cols": 4, "boundary": "periodic"},
+], ids=["open3x3", "periodic4x4"])
+def test_toric_build_and_ground_load_no_numpy(tmp_path, action, spec):
+    assert run_toric(tmp_path, action, spec) == ["0 False False"]
+
+
+def test_toric_digital_loads_the_dense_oracle(tmp_path):
+    assert run_toric(tmp_path, "digital", {"rows": 2, "cols": 3}) == ["0 False True"]
 
 
 def test_verify_loads_the_dense_oracle(tmp_path, capsys):

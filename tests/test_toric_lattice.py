@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import re
 import tracemalloc
 
@@ -12,7 +11,7 @@ import scipy.linalg
 
 from qsakit.anyon_logic import code_state
 from qsakit.cli import main
-from qsakit.dense_oracle import apply_string, distance, expectation
+from qsakit.dense_oracle import distance, expectation
 from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes, multiply
 from qsakit import toric_lattice
 from qsakit.schedule_compiler import validate
@@ -31,12 +30,11 @@ from qsakit.toric_lattice import (
     ground_state_sweep,
     kitaev_edge_index,
     kitaev_operator,
-    project_plus,
 )
 
-from conftest import bitwise_equal, kron_product_state, kron_sum, lattice_ground, pauli_image
-
-SEED = 20240815
+from conftest import (
+    bitwise_equal, kron_product_state, kron_sum, lattice_ground, pauli_image, stepwise_projection,
+)
 
 
 def gf2_rank(rows):
@@ -255,13 +253,6 @@ def kron_seed(spec):
         "ZX"[(i + j) % 2] for i in range(spec.rows) for j in range(spec.cols))
 
 
-def stepwise_projection(array, operators):
-    """``(a + P a)/sqrt(2)`` operator by operator, then the division by the norm."""
-    for op in operators:
-        array = (array + apply_string(op, array)) / math.sqrt(2.0)
-    return array / float(np.linalg.norm(array))
-
-
 def test_the_seed_is_bitwise_the_kron_chain():
     # each of the seed tableau's n stabilizers fixes the kron chain exactly,
     # so the tableau is that state
@@ -278,29 +269,18 @@ def test_the_seed_is_bitwise_the_kron_chain():
     assert checked == 27  # 19 open grids and 8 periodic ones
 
 
-def independent_commuting_strings(rng, n, count):
-    """``count`` random pairwise commuting strings of sign +-1, independent over
-    GF(2), so no product of them is -I and the projection never vanishes."""
-    strings = []
-    while len(strings) < count:
-        letters = tuple(rng.choice(["I", "X", "Y", "Z"], size=n))
-        string = PauliString(n, letters, int(rng.choice([0, 2])))
-        rows = [symplectic_row(s) for s in [*strings, string]]
-        if all(commutes(string, s) for s in strings) and gf2_rank(rows) == len(rows):
-            strings.append(string)
-    return strings
-
-
 def test_projection_is_bitwise_the_stepwise_formula():
-    rng = np.random.default_rng(SEED + 1)
-    for count in [0, *range(1, 9)] * 4:
-        n = int(rng.integers(max(count, 1), 11))
-        ops = independent_commuting_strings(rng, n, count)
-        state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        before = state.copy()
-        got = project_plus(state, iter(ops))
-        assert bitwise_equal(got, stepwise_projection(state, ops))
-        assert bitwise_equal(state, before) and not np.shares_memory(got, state)
+    # the hole model's code state is |0...0> projected star by star
+    checked = 0
+    for spec, pset in accepted_builds(4, max_sites=12):
+        if spec.model != "kitaev_holes":
+            continue
+        zero = np.zeros(1 << spec.n_sites, dtype=np.complex128)
+        zero[0] = 1.0
+        stars = [t.operator for t in pset.terms if t.kind == "vertex"]
+        assert bitwise_equal(code_state(spec), stepwise_projection(zero, stars))
+        checked += 1
+    assert checked == 55  # with no hole or one single-cell hole, up to 12 edges
 
 
 def traced_arrays(call, n_sites):
@@ -318,11 +298,8 @@ def test_the_4x4_states_hold_only_their_work_arrays(dense16):
     # quarter of a 16-spin state) would dominate the peak
     spec = LatticeSpec(rows=4, cols=4, boundary="periodic")
     ops = build_wen(spec).operators()
-    seed, state = kron_seed(spec), lattice_ground(spec)
+    state = lattice_ground(spec)
     assert len(ops) == 16
-    # two work buffers and the iterator buffers: 2.25 measured
-    even = [t.operator for t in build_wen(spec).terms if sum(t.index) % 2 == 0]
-    assert traced_arrays(lambda: project_plus(seed, even), 16) <= 2.3
     # one image P|state> and the iterator buffers: 1.26 measured, where the
     # zeroed sum, the image and its scaled copy made 3.00
     assert traced_arrays(lambda: [expectation(op, state) for op in ops], 16) <= 1.3
