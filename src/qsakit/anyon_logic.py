@@ -24,17 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply, pair_field
 from .schedule_compiler import compile_schedule
-from .dense_oracle import (
-    apply_rotation,
-    apply_schedule,
-    apply_string,
-    check_dense_limit,
-    run_pulses,
-)
 from .stabilizer_state import LogicalFrame, StabilizerState, check_tableau_limit
 from .toric_lattice import (
     HoleSpec,
@@ -285,8 +276,10 @@ def memory_basis(spec: LatticeSpec) -> list[StabilizerState]:
     return basis
 
 
-def _euler_zxz(u: np.ndarray) -> tuple[float, float, float, float]:
-    """Decompose u = exp(i delta) Rz(a) Rx(b) Rz(c) with R*(t) = exp(-i t P/2)."""
+def _euler_zxz(u) -> tuple[float, float, float, float]:
+    """Decompose a 2 x 2 array u = exp(i delta) Rz(a) Rx(b) Rz(c), R*(t) = exp(-i t P/2)."""
+    import numpy as np
+
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     delta = math.atan2(det.imag, det.real) / 2.0
     su = u * np.exp(-1j * delta)
@@ -317,6 +310,8 @@ def memory_encode(spec: LatticeSpec, amplitudes, ground: StabilizerState) -> lis
     both loop qubits, equal the normalized amplitudes up to float roundoff.
     Zero-angle rotations are dropped: at most seven loop rotations run.
     """
+    import numpy as np
+
     a = np.asarray(list(amplitudes), dtype=np.complex128)
     if a.shape != (4,):
         raise ValueError("amplitudes must have exactly four entries")
@@ -420,13 +415,17 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
 # -- hole-model logical qubits -----------------------------------------------------
 
 
-def code_state(spec: LatticeSpec) -> np.ndarray:
-    """Logical all-|0> state of the hole model, as a dense statevector.
+def code_state(spec: LatticeSpec):
+    """Logical all-|0> state of the hole model, as a dense ``(2^n,)`` statevector.
 
     Projects |0...0> (already +1 for every Z-type face and for both kinds of
     hole logical Z) onto the +1 space of every kept vertex star, one
     ``(1 + P)/sqrt(2)`` step per star, and normalizes once.
     """
+    import numpy as np
+
+    from .dense_oracle import apply_string, check_dense_limit
+
     if spec.model != "kitaev_holes":
         raise EncodingError("code_state is defined for the kitaev_holes model")
     check_dense_limit(spec.n_sites, "code_state")
@@ -494,6 +493,8 @@ def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> LogicalFrame
     to apply; it is divided back out so the returned frame's amplitudes over
     the hole's ``|0>`` and ``|1>`` match the target exactly.
     """
+    import numpy as np
+
     x_bar, z_bar = hole_logicals(hole, spec)
     phi = theta + math.pi / 2.0
     frame = LogicalFrame(_code_tableau(spec), [(x_bar, z_bar)], [1, 0])
@@ -506,6 +507,8 @@ def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> LogicalFrame
 
 def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
     """Magic-state preparation summary: fidelity vs analytic target, phase."""
+    import numpy as np
+
     zero, one = magic_state(hole, theta, spec).amplitudes
     # <target|state> with target = (|0> + e^{i theta}|1>)/sqrt(2)
     overlap = (zero + complex(np.exp(-1j * theta)) * one) / math.sqrt(2.0)
@@ -566,8 +569,12 @@ class LoopCnot:
                 })
         return {"rows": rows, "max_distance": max(r["distance"] for r in rows)}
 
-    def composite_apply(self, state: np.ndarray) -> tuple[np.ndarray, complex]:
-        """Exact CNOT: three commuting rotations plus recorded e^{i pi/4}."""
+    def composite_apply(self, state) -> tuple:
+        """Exact CNOT on a ``(2^n,)`` state: three commuting rotations plus recorded e^{i pi/4}."""
+        import numpy as np
+
+        from .dense_oracle import run_pulses
+
         _, z_c = hole_logicals(self.control, self.spec)
         x_t, _ = hole_logicals(self.target, self.spec)
         zx = multiply(z_c, x_t)  # disjoint strings: phase +1
@@ -616,6 +623,10 @@ def naive_move_error(extension: tuple, spec: LatticeSpec, hole: HoleSpec, tg: fl
     """
     if hole.kind != "smooth":
         raise EncodingError("hole moves are demonstrated on a smooth hole")
+    import numpy as np
+
+    from .dense_oracle import apply_rotation, apply_schedule, apply_string
+
     x_bar, _ = hole_logicals(hole, spec)
     kind, i, j = extension
     i, j = index_field(i, "extension"), index_field(j, "extension")

@@ -3,10 +3,12 @@
 Every symbolic claim in the package can be replayed here numerically.  An
 array (dim,) or (dim, k) is viewed as a ``(2,)*n + rest`` tensor; a Pauli
 string flips its X/Y axes and signs its Y/Z axes.  Every pulse sequence runs
-through :func:`run_pulses`, which fuses consecutive pulses whose joint
-support spans at most :data:`FUSED_SITES` sites into one ``2^k x 2^k``
-unitary contracted over those ``k`` axes (:func:`fuse_pulses`), so a run
-of two-body pulses costs one pass over the array instead of one pass each.
+through :func:`run_pulses`, which fuses pulses whose joint support spans at
+most :data:`FUSED_SITES` sites into one ``2^k x 2^k`` unitary contracted
+over those ``k`` axes (:func:`fuse_pulses`), so a run of two-body pulses
+costs one pass over the array instead of one pass each.  A pulse may join a
+group opened before pulses on other sites, which commute with it; pulses
+whose supports meet keep their program order.
 The grouping does not depend on the dense limit, so a program's result is
 the same under every limit that admits its register.
 A lone one-string pulse ``cos(t) - i sin(t) P`` keeps the flip.  The
@@ -113,9 +115,9 @@ SCHEDULE_TOLERANCE = 1e-10
 #: Most sites a fused group of pulses may span in :func:`run_pulses`.  One
 #: pass over a 10-qubit matrix costs 5.4, 6.4, 8.2, 11.6, 12.0 and 16.9 ms
 #: for 1 to 6 local sites (2-vCPU host, BLAS on one thread), while a wider
-#: cap saves passes: a 10-site doubling schedule runs its 31 pulses in 20,
-#: 11, 9 and 6 passes at caps 3 to 6.  Caps 4 and 5 were the fastest in a
-#: sweep of 2 to 6 (``BENCH_10.json``); 4 keeps each group's matrix 16 x 16.
+#: cap saves passes: a 10-site doubling schedule runs its 31 pulses in 12, 9
+#: and 7 passes at caps 3 to 5.  Caps 3 to 5 ran a verify-dense pass within
+#: 4% of one another (``BENCH_40.json``); 4 keeps each group's matrix 16 x 16.
 FUSED_SITES = 4
 
 #: Entries of one column block of a fixed input batch in :func:`_input_blocks`.
@@ -277,55 +279,69 @@ def _local_generator(generator: WeightedPauliSum, sites: tuple[int, ...]) -> np.
 def _fusion_plan(n_sites: int, generators) -> list:
     """The groups of :func:`fuse_pulses` for a program's generators, before any angle.
 
-    The grouping depends on the supports alone, so programs that share
-    their generators and differ in their angles share one plan.  A group
-    that is one one-string pulse becomes ``(string, coeff)``; any other
-    ``(sites, locals)``, each pulse's :func:`_local_generator` on the
-    group's sites.  Each generator is checked to be an involution
-    (``ValueError`` naming it).
+    A pulse joins the earliest group at or after the last group whose
+    support meets its own, while their joint support spans at most
+    :data:`FUSED_SITES` sites, and otherwise opens a group at the end.  It
+    so moves only past pulses on other sites, which commute with it, and
+    every two pulses whose supports meet keep their program order.  The
+    grouping depends on the supports alone, so programs that share their
+    generators and differ in their angles share one plan.  Each group is
+    ``(key, members)`` with one ``(index, op)`` member per pulse, ``index``
+    its place in the program, in the group's order.  A group that is one
+    one-string pulse is keyed by its string and ``op`` is its coefficient;
+    any other group is keyed by its ascending sites and ``op`` is each
+    pulse's :func:`_local_generator` on them.  Each generator is checked to
+    be an involution (``ValueError`` naming it).
     """
-    groups = []  # [generators, mask of their joint support], in program order
-    for generator in generators:
+    groups = []  # [(index, generator) of each pulse, mask of their joint support], in run order
+    for index, generator in enumerate(generators):
         generator = _as_sum(generator)
         if generator.n_sites != n_sites:
             raise ValueError(f"generator on {generator.n_sites} sites, array on {n_sites}")
         mask = 0
         for _, string in generator.terms:
             mask |= string.x | string.z
-        if not groups or (groups[-1][1] | mask).bit_count() > FUSED_SITES:
-            groups.append([[], 0])
-        groups[-1][0].append(generator)
-        groups[-1][1] |= mask
+        last = max((k for k, (_, joint) in enumerate(groups) if joint & mask), default=0)
+        group = next((group for group in groups[last:]
+                      if (group[1] | mask).bit_count() <= FUSED_SITES), None)
+        if group is None:
+            group = [[], 0]
+            groups.append(group)
+        group[0].append((index, generator))
+        group[1] |= mask
     plan = []
-    for group, mask in groups:
-        if len(group) == 1 and len(group[0].terms) == 1:
-            (coeff, string), = group[0].terms
-            _require_involution(abs(coeff * coeff - 1.0), group[0])
-            plan.append((string, coeff))
+    for members, mask in groups:
+        if len(members) == 1 and len(members[0][1].terms) == 1:
+            (index, generator), = members
+            (coeff, string), = generator.terms
+            _require_involution(abs(coeff * coeff - 1.0), generator)
+            plan.append((string, [(index, coeff)]))
         else:
             sites = _sites(mask)
-            plan.append((sites, [_local_generator(generator, sites) for generator in group]))
+            plan.append((sites, [(index, _local_generator(generator, sites))
+                                 for index, generator in members]))
     return plan
 
 
 def _fused_at(plan: list, angles) -> list:
     """The fused program of :func:`_fusion_plan`'s ``plan`` at ``angles``, one per pulse.
 
-    A flip becomes ``(string, (cos, scale))`` with ``scale = -i sin coeff``;
-    a group becomes ``(sites, unitary)``, the ordered product of its
-    pulses' ``cos - i sin G``.
+    Each pulse reads its angle at its program index.  A flip becomes
+    ``(string, (cos, scale))`` with ``scale = -i sin coeff``; a group
+    becomes ``(sites, unitary)``, the product of its pulses' ``cos - i sin
+    G`` in the group's order.
     """
-    angles = iter(angles)
     fused = []
-    for key, op in plan:
+    for key, members in plan:
         if isinstance(key, PauliString):
-            angle = next(angles)
-            fused.append((key, (math.cos(angle), -1j * math.sin(angle) * op)))
+            (index, coeff), = members
+            angle = angles[index]
+            fused.append((key, (math.cos(angle), -1j * math.sin(angle) * coeff)))
         else:
             eye = np.eye(1 << len(key), dtype=np.complex128)
             unitary = eye
-            for local in op:
-                angle = next(angles)
+            for index, local in members:
+                angle = angles[index]
                 unitary = (math.cos(angle) * eye - 1j * math.sin(angle) * local) @ unitary
             fused.append((key, unitary))
     return fused
@@ -335,18 +351,19 @@ def fuse_pulses(n_sites: int, pulses) -> list:
     """The pulse program ``pulses`` on ``n_sites`` as fused groups, first applied first.
 
     ``pulses`` is as :func:`run_pulses` takes it.  Gate fusion (Häner &
-    Steiger, arXiv:1704.01127): a pulse joins the open group, without
-    reordering, while their joint support spans at most
-    :data:`FUSED_SITES` sites; a wider pulse opens a group of its own.  The
-    grouping ignores the dense limit, so the groups, and every product they
-    make, are the same under every limit.  A group
-    that is one one-string pulse becomes ``(string, (cos, scale))``, the
-    flip ``cos + scale P``; any other group becomes ``(sites, unitary)``,
-    the ordered product of its pulses' ``cos - i sin G`` on the group's
-    sites.  Each generator is checked to be an involution (``ValueError``
-    naming it).  :func:`_apply_fused` runs the groups, so a program fused
-    once can act on many arrays.  It is :func:`_fused_at` on
-    :func:`_fusion_plan`.
+    Steiger, arXiv:1704.01127): a pulse joins the earliest group at or after
+    the last group whose support meets its own, while their joint support
+    spans at most :data:`FUSED_SITES` sites, so it moves only past pulses on
+    other sites, with which it commutes; otherwise it opens a group at the
+    end, as a pulse wider than the cap always does.  The grouping ignores
+    the dense limit, so the groups, and every product they make, are the
+    same under every limit.  A group that is one one-string pulse becomes
+    ``(string, (cos, scale))``, the flip ``cos + scale P``; any other group
+    becomes ``(sites, unitary)``, the product of its pulses' ``cos - i sin
+    G`` on the group's sites in the group's order.  Each generator is
+    checked to be an involution (``ValueError`` naming it).
+    :func:`_apply_fused` runs the groups, so a program fused once can act on
+    many arrays.  It is :func:`_fused_at` on :func:`_fusion_plan`.
     """
     pulses = list(pulses)
     plan = _fusion_plan(n_sites, [generator for generator, _ in pulses])
@@ -841,10 +858,18 @@ def expectation(op: PauliString | WeightedPauliSum, state: np.ndarray) -> comple
 
 
 def _random_state(n_sites: int, seed: int) -> np.ndarray:
-    """A seeded Gaussian unit state on ``n_sites`` qubits: real parts drawn first."""
+    """A seeded Gaussian unit state on ``n_sites`` qubits: real parts drawn first.
+
+    Each part is drawn into one contiguous float array, the only output a
+    draw fills, and copied into the state, which is normalized in place.
+    """
     rng = np.random.default_rng(seed)
-    data = rng.normal(size=1 << n_sites) + 1j * rng.normal(size=1 << n_sites)
-    return data / float(np.linalg.norm(data))
+    data = np.empty(1 << n_sites, dtype=np.complex128)
+    part = rng.standard_normal(1 << n_sites)
+    data.real = part
+    data.imag = rng.standard_normal(out=part)
+    data /= float(np.linalg.norm(data))
+    return data
 
 
 # -- schedule execution --------------------------------------------------------

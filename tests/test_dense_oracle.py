@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
 import tracemalloc
@@ -574,6 +575,84 @@ def test_identity_products_are_bitwise_the_whole_identity_run(n):
                        for program in (programs["defect"], still)]
 
 
+# -- the fusion plan -------------------------------------------------------------
+
+
+def support_mask(generator):
+    if isinstance(generator, PauliString):
+        return generator.x | generator.z
+    mask = 0
+    for _, string in generator.terms:
+        mask |= string.x | string.z
+    return mask
+
+
+def sparse_generator(generator):
+    """scipy.sparse matrix of a string or weighted sum, phases included."""
+    terms = [(1.0, generator)] if isinstance(generator, PauliString) else generator.terms
+    return sum(coeff * 1j ** string.phase_exp * sparse_string(string) for coeff, string in terms)
+
+
+def local_program(rng, n):
+    """Twelve seeded swappers and attachments, pulses on one or two sites that
+    a plan may move past one another."""
+    pulses = []
+    for _ in range(12):
+        alpha, beta, gamma = rng.choice(list("XYZ"), size=3, replace=False)
+        if n == 1 or rng.integers(3) == 0:
+            spec = SwapperSpec(int(rng.integers(n)), alpha, beta)
+        else:
+            c, a = (int(s) for s in rng.choice(n, size=2, replace=False))
+            spec = AttachmentSpec(c, alpha, beta, a, gamma)
+        pulses.append((spec.generator(n), float(rng.uniform(-math.pi, math.pi))))
+    return pulses
+
+
+def run_order(plan):
+    """The program indices of a plan's pulses in the order they run."""
+    return [index for _, members in plan for index, _ in members]
+
+
+@pytest.mark.parametrize("n", range(1, MATRIX_QUBIT_CAP + 1))
+def test_the_plan_reorders_only_pulses_on_disjoint_sites(n):
+    rng = np.random.default_rng(SEED + 50 + n)
+    pulses = random_program(rng, n) + local_program(rng, n)
+    masks = [support_mask(generator) for generator, _ in pulses]
+    plan = dense_oracle._fusion_plan(n, [generator for generator, _ in pulses])
+    order = run_order(plan)
+    assert sorted(order) == list(range(len(pulses)))
+    assert n <= dense_oracle.FUSED_SITES or order != sorted(order)  # some pulse moved
+    position = {index: place for place, index in enumerate(order)}
+    for i, j in itertools.combinations(range(len(pulses)), 2):
+        if masks[i] & masks[j]:
+            assert position[i] < position[j], (i, j)
+    for key, members in plan:
+        sites = key.x | key.z if isinstance(key, PauliString) else sum(1 << s for s in key)
+        assert len(members) == 1 or sites.bit_count() <= dense_oracle.FUSED_SITES
+        assert all(masks[index] & ~sites == 0 for index, _ in members)
+    # the product against scipy's on up to eight of the identity's columns
+    columns = np.sort(rng.choice(1 << n, size=min(1 << n, 8), replace=False))
+    want = np.eye(1 << n, dtype=np.complex128)[:, columns]
+    for generator, angle in pulses:
+        want = scipy.sparse.linalg.expm_multiply(-1j * angle * sparse_generator(generator), want)
+    assert np.abs(pulse_unitary(n, pulses, "test")[:, columns] - want).max() <= 1e-12
+
+
+def test_a_ten_site_doubling_schedule_runs_in_nine_groups():
+    # the pulses of one layer act on disjoint pairs of sites, so a pulse may
+    # join a group opened before pulses it commutes with
+    target = PauliString(10, tuple("XYZ"[k % 3] for k in range(10)))
+    pulses = compile_schedule(target, ConnectivityGraph.complete(10), "doubling", 0.7).pulses()
+    plan = dense_oracle._fusion_plan(10, [generator for generator, _ in pulses])
+    in_order = []  # joint support of each group of consecutive pulses, in program order
+    for generator, _ in pulses:
+        mask = support_mask(generator)
+        if not in_order or (in_order[-1] | mask).bit_count() > dense_oracle.FUSED_SITES:
+            in_order.append(0)
+        in_order[-1] |= mask
+    assert (len(pulses), len(in_order), len(plan)) == (31, 11, 9)
+
+
 # -- the verdict, a block of columns at a time -----------------------------------
 
 
@@ -1022,7 +1101,8 @@ def test_program_distances_form_the_products_only_up_to_the_crossover(monkeypatc
 
 
 def test_the_adjoint_program_is_the_conjugate_transpose():
-    pulses = schedule_program(5, SEED) + [(PauliString.parse("XYZIZ"), 0.4)]
+    # a string on all five sites, wider than FUSED_SITES, runs as a flip group
+    pulses = schedule_program(5, SEED) + [(PauliString.parse("XYZYZ"), 0.4)]
     pulses = shifted(pulses, 0.01)
     fused = fuse_pulses(5, pulses)
     assert any(isinstance(key, PauliString) for key, _ in fused)  # a flip group too

@@ -64,7 +64,7 @@ def test_compile_above_the_dense_limit_loads_no_numpy():
 
 @pytest.mark.parametrize(
     "module", ["pauli_core", "propagator_engine", "schedule_compiler", "dense_limit",
-               "toric_lattice"]
+               "toric_lattice", "anyon_logic"]
 )
 def test_symbolic_exports_load_no_numpy(module):
     names = qsakit._EXPORTS[module]
@@ -96,17 +96,22 @@ def test_the_pulse_executor_loads_no_schedule_compiler():
     assert lines == ["False"]
 
 
-def run_toric(tmp_path, action, spec):
-    """``qsakit toric <action>`` on ``spec`` in a fresh interpreter: one line of
-    its exit code and whether numpy was loaded before and after."""
+def run_lattice_command(tmp_path, command, action, spec, payload=None):
+    """``qsakit <command> <action>`` on ``spec`` (and ``payload`` as ``--path``)
+    in a fresh interpreter: one line of its exit code and whether numpy was
+    loaded before and after."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    argv = [command, action, "--spec", str(path)]
+    if payload is not None:
+        (tmp_path / "payload.json").write_text(json.dumps(payload))
+        argv += ["--path", str(tmp_path / "payload.json")]
     return fresh_python(
         "import contextlib, io, sys\n"
         "from qsakit.cli import main\n"
         "before = 'numpy' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['toric', {action!r}, '--spec', {str(path)!r}])\n"
+        f"    code = main({argv!r})\n"
         "print(code, before, 'numpy' in sys.modules)\n"
     )
 
@@ -117,11 +122,27 @@ def run_toric(tmp_path, action, spec):
     {"rows": 4, "cols": 4, "boundary": "periodic"},
 ], ids=["open3x3", "periodic4x4"])
 def test_toric_build_and_ground_load_no_numpy(tmp_path, action, spec):
-    assert run_toric(tmp_path, action, spec) == ["0 False False"]
+    assert run_lattice_command(tmp_path, "toric", action, spec) == ["0 False False"]
 
 
 def test_toric_digital_loads_the_dense_oracle(tmp_path):
-    assert run_toric(tmp_path, "digital", {"rows": 2, "cols": 3}) == ["0 False True"]
+    lines = run_lattice_command(tmp_path, "toric", "digital", {"rows": 2, "cols": 3})
+    assert lines == ["0 False True"]
+
+
+HOLES = {"rows": 3, "cols": 4, "model": "kitaev_holes",
+         "holes": [{"plaquettes": [[1, 0]], "kind": "smooth"},
+                   {"plaquettes": [[1, 2]], "kind": "rough"}]}
+
+
+@pytest.mark.parametrize("action, spec, payload", [
+    ("syndrome", {"rows": 4, "cols": 4}, {"sites": [[1, 1], [2, 2]], "letters": "ZZ"}),
+    ("braid", {"rows": 4, "cols": 4}, {"center": [1, 1]}),
+    ("cnot", HOLES, {"control": 0, "target": 1}),
+])
+def test_symbolic_anyon_commands_load_no_numpy(tmp_path, action, spec, payload):
+    lines = run_lattice_command(tmp_path, "anyon", action, spec, payload)
+    assert lines == ["0 False False"]
 
 
 def test_verify_loads_the_dense_oracle(tmp_path, capsys):
