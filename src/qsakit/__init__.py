@@ -43,7 +43,7 @@ _EXPORTS = {
         "PathError", "EncodingError", "UnsupportedOperationError",
         "path_string", "syndrome_of", "predict_syndrome",
         "interleaved_propagators", "anyon_walk", "braiding_phase", "memory_qubits",
-        "memory_basis", "memory_encode", "code_state", "hole_logicals",
+        "memory_basis", "memory_encode", "hole_logicals",
         "magic_state", "magic_report", "loop_cnot", "naive_move_error",
     ),
     "analysis": (

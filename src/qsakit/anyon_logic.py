@@ -17,14 +17,18 @@ frees one logical qubit each, named by the hole's
 (:func:`hole_logicals`) are the removed stabilizer (the loop around the hole)
 paired with a string tying the hole to the matching boundary.  Magic states,
 the braiding CNOT, and the single-Pauli hole-move error live here too.
+Every state is a tableau or a :class:`~qsakit.stabilizer_state.LogicalFrame`
+over one: no ``2^n`` array and no numpy.  Only :func:`naive_move_error`'s loop
+route imports the dense oracle, when called.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply, pair_field
+from .pauli_core import LETTERS, PauliString, commutes, index_field, multiply, pair_field, restrict
 from .schedule_compiler import compile_schedule
 from .stabilizer_state import LogicalFrame, StabilizerState, check_tableau_limit
 from .toric_lattice import (
@@ -276,65 +280,57 @@ def memory_basis(spec: LatticeSpec) -> list[StabilizerState]:
     return basis
 
 
-def _euler_zxz(u) -> tuple[float, float, float, float]:
-    """Decompose a 2 x 2 array u = exp(i delta) Rz(a) Rx(b) Rz(c), R*(t) = exp(-i t P/2)."""
-    import numpy as np
-
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    delta = math.atan2(det.imag, det.real) / 2.0
-    su = u * np.exp(-1j * delta)
-    beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    ang_a = math.atan2(su[0, 0].imag, su[0, 0].real) if abs(su[0, 0]) > 1e-12 else 0.0
-    ang_b = math.atan2(su[1, 0].imag, su[1, 0].real) if abs(su[1, 0]) > 1e-12 else 0.0
-    # su = Rz(alpha) Ry(beta) Rz(gamma): su00 = cos(b/2) e^{-i(a+c)/2},
-    # su10 = sin(b/2) e^{+i(a-c)/2}; then Ry(b) = Rz(pi/2) Rx(b) Rz(-pi/2).
-    alpha = ang_b - ang_a
-    gamma = -ang_b - ang_a
-    return delta, alpha + math.pi / 2.0, beta, gamma - math.pi / 2.0
+def _unit_amplitudes(amplitudes) -> list[complex]:
+    """``amplitudes`` over their L2 norm, ``ValueError`` when all are zero.  Each
+    entry is first divided by the largest real or imaginary part, so the norm,
+    taken by :func:`math.hypot`, neither overflows nor underflows."""
+    values = [complex(a) for a in amplitudes]
+    scale = max(abs(part) for a in values for part in (a.real, a.imag))
+    if scale == 0.0:
+        raise ValueError("amplitudes must not all vanish")
+    norm = math.hypot(*(part / scale for a in values for part in (a.real, a.imag)))
+    return [a / scale / norm for a in values]
 
 
 def memory_encode(spec: LatticeSpec, amplitudes, ground: StabilizerState) -> list[complex]:
     """The overlaps of the memory state that rotating the ground tableau
     ``ground`` (``memory_basis(spec)[0]``) encodes, with the four basis states.
 
-    The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) form
-    ``C = [[a0, a2], [a1, a3]] = U S V^H`` (row: qubit-1 bit,
-    ``S = diag(s0, s1)``).  One XX-loop rotation by ``chi = atan2(s1, s0)``
-    gives ``cos chi|00> - i sin chi|11>``; a ZXZ frame per qubit then
-    applies ``U`` to qubit 1 and ``V^T diag(1, i)`` to qubit 2, the ``i``
-    undoing the ``-i``.  Both logical Z loops are e-loops: they commute with
-    every plaquette and put Z on the spins the seed state sets to |0> and X
-    on those it sets to |+>, so ``Z_logical|G> = +|G>`` and the Z-loop
-    angles need no sign.  The frames' scalar phases, which the hardware never
-    applies, are folded back in, so the overlaps, read off a logical frame of
+    The normalized coefficients over (|G>, X1|G>, X2|G>, X1X2|G>) come from
+    uniformly controlled rotations (Mottonen et al., quant-ph/0407010), with
+    ``Y_j = i X_j Z_j``: ``Y2`` splits the weight between the qubit-2 halves,
+    ``Y1`` and ``Z2 Y1`` set each half's magnitudes, and ``Z2``, ``Z1`` and
+    ``Z1 Z2`` the phases up to their mean, a recorded scalar the hardware
+    never applies, folded back in.  Both logical Z loops are e-loops: they
+    commute with every plaquette and put Z on the spins the seed state sets
+    to |0> and X on those it sets to |+>, so ``Z_logical|G> = +|G>`` and the
+    Z-loop angles need no sign.  The overlaps, read off a logical frame of
     both loop qubits, equal the normalized amplitudes up to float roundoff.
-    Zero-angle rotations are dropped: at most seven loop rotations run.
+    Zero-angle rotations are dropped: at most six loop rotations run.
     """
-    import numpy as np
-
-    a = np.asarray(list(amplitudes), dtype=np.complex128)
-    if a.shape != (4,):
+    a = _unit_amplitudes(amplitudes)
+    if len(a) != 4:
         raise ValueError("amplitudes must have exactly four entries")
-    norm = np.linalg.norm(a)
-    if norm < 1e-12:
-        raise ValueError("amplitudes must not all vanish")
-    a = a / norm
 
     (x1, z1), (x2, z2) = memory_qubits(spec)
-    x12 = multiply(x1, x2)  # the m loops share one spin, with equal letters: phase +1
-
-    u_mat, svals, vh = np.linalg.svd(np.array([[a[0], a[2]], [a[1], a[3]]]))
-    pulses = [(x12, math.atan2(float(svals[1]), float(svals[0])))]
-    recorded = complex(1.0)
-    for frame, xs, zs in ((vh.T @ np.diag([1.0, 1j]), x2, z2), (u_mat, x1, z1)):
-        delta, alpha, beta, gamma = _euler_zxz(frame)
-        recorded *= np.exp(1j * delta)
-        pulses += [(zs, gamma / 2.0), (xs, beta / 2.0), (zs, alpha / 2.0)]
+    y1, y2 = (p.with_phase_exp(p.phase_exp + 1) for p in (multiply(x1, z1), multiply(x2, z2)))
+    mag = [abs(v) for v in a]
+    half0, half1 = math.atan2(mag[1], mag[0]), math.atan2(mag[3], mag[2])
+    p0, p1, p2, p3 = (cmath.phase(v) for v in a)
+    pulses = [
+        (y2, math.atan2(math.hypot(mag[2], mag[3]), math.hypot(mag[0], mag[1]))),
+        (y1, (half0 + half1) / 2.0),
+        (multiply(z2, y1), (half0 - half1) / 2.0),
+        (z2, (p2 + p3 - p0 - p1) / 4.0),
+        (z1, (p1 + p3 - p0 - p2) / 4.0),
+        (multiply(z1, z2), (p1 + p2 - p0 - p3) / 4.0),
+    ]
     logical = LogicalFrame(ground, [(x2, z2), (x1, z1)], [1, 0, 0, 0])
     for string, angle in pulses:
-        if abs(angle) > 1e-14:
+        if angle:
             logical.evolve(string, angle)
-    return [complex(recorded * amplitude) for amplitude in logical.amplitudes]
+    recorded = cmath.exp(0.25j * (p0 + p1 + p2 + p3))
+    return [recorded * amplitude for amplitude in logical.amplitudes]
 
 
 # -- braiding statistics ----------------------------------------------------------
@@ -415,30 +411,12 @@ def braiding_phase(spec: LatticeSpec, center: tuple[int, int] = (1, 1)) -> dict:
 # -- hole-model logical qubits -----------------------------------------------------
 
 
-def code_state(spec: LatticeSpec):
-    """Logical all-|0> state of the hole model, as a dense ``(2^n,)`` statevector.
+def _code_tableau(spec: LatticeSpec) -> StabilizerState:
+    """Logical all-|0> state of the hole model, for a spec :func:`hole_logicals` accepts.
 
     Projects |0...0> (already +1 for every Z-type face and for both kinds of
-    hole logical Z) onto the +1 space of every kept vertex star, one
-    ``(1 + P)/sqrt(2)`` step per star, and normalizes once.
+    hole logical Z) onto the +1 space of every kept vertex star.
     """
-    import numpy as np
-
-    from .dense_oracle import apply_string, check_dense_limit
-
-    if spec.model != "kitaev_holes":
-        raise EncodingError("code_state is defined for the kitaev_holes model")
-    check_dense_limit(spec.n_sites, "code_state")
-    state = np.zeros(1 << spec.n_sites, dtype=np.complex128)
-    state[0] = 1.0
-    for term in build_variant(spec).terms:
-        if term.kind == "vertex":
-            state = (state + apply_string(term.operator, state)) / math.sqrt(2.0)
-    return state / float(np.linalg.norm(state))
-
-
-def _code_tableau(spec: LatticeSpec) -> StabilizerState:
-    """:func:`code_state` as a tableau, for a spec :func:`hole_logicals` accepts."""
     check_tableau_limit(spec.n_sites, "code-state tableau")
     state = StabilizerState.product("Z" * spec.n_sites)
     for term in build_variant(spec).terms:
@@ -493,28 +471,24 @@ def magic_state(hole: HoleSpec, theta: float, spec: LatticeSpec) -> LogicalFrame
     to apply; it is divided back out so the returned frame's amplitudes over
     the hole's ``|0>`` and ``|1>`` match the target exactly.
     """
-    import numpy as np
-
     x_bar, z_bar = hole_logicals(hole, spec)
     phi = theta + math.pi / 2.0
     frame = LogicalFrame(_code_tableau(spec), [(x_bar, z_bar)], [1, 0])
     frame.evolve(x_bar, math.pi / 4.0)
     frame.evolve(z_bar, phi / 2.0)
-    recorded = complex(np.exp(-1j * phi / 2.0))
+    recorded = cmath.exp(-1j * phi / 2.0)
     frame.amplitudes = [a / recorded for a in frame.amplitudes]
     return frame
 
 
 def magic_report(hole: HoleSpec, theta: float, spec: LatticeSpec) -> dict:
     """Magic-state preparation summary: fidelity vs analytic target, phase."""
-    import numpy as np
-
     zero, one = magic_state(hole, theta, spec).amplitudes
     # <target|state> with target = (|0> + e^{i theta}|1>)/sqrt(2)
-    overlap = (zero + complex(np.exp(-1j * theta)) * one) / math.sqrt(2.0)
+    overlap = (zero + cmath.exp(-1j * theta) * one) / math.sqrt(2.0)
     return {
         "theta": theta,
-        "recorded_phase": complex(np.exp(-1j * (theta + math.pi / 2.0) / 2.0)),
+        "recorded_phase": cmath.exp(-1j * (theta + math.pi / 2.0) / 2.0),
         "fidelity": abs(overlap) ** 2,
         "overlap_zero": zero,
         "overlap_one": one,
@@ -535,8 +509,9 @@ class LoopCnot:
     state CNOT produces on a superposed control ``cos(tg)|0> - i sin(tg)|1>``
     against target ``t``; at tg = pi/2 the basis rows |1, t> -> |1, 1-t|
     appear with recorded phase -i.  ``composite_apply`` realizes the exact
-    CNOT from three commuting logical rotations (the control's Z loop and
-    the target's X loop share no edge) plus a recorded scalar.
+    CNOT on a logical frame of both holes from three commuting logical
+    rotations (the control's Z loop and the target's X loop share no edge)
+    plus a recorded scalar.
     """
 
     spec: LatticeSpec
@@ -569,19 +544,16 @@ class LoopCnot:
                 })
         return {"rows": rows, "max_distance": max(r["distance"] for r in rows)}
 
-    def composite_apply(self, state) -> tuple:
-        """Exact CNOT on a ``(2^n,)`` state: three commuting rotations plus recorded e^{i pi/4}."""
-        import numpy as np
-
-        from .dense_oracle import run_pulses
-
+    def composite_apply(self, frame: LogicalFrame) -> complex:
+        """Exact CNOT on ``frame``, a logical frame of the control and target holes:
+        three commuting rotations in place; returns the recorded ``e^{i pi/4}``."""
         _, z_c = hole_logicals(self.control, self.spec)
         x_t, _ = hole_logicals(self.target, self.spec)
-        zx = multiply(z_c, x_t)  # disjoint strings: phase +1
         quarter = math.pi / 4.0
-        arr = run_pulses([(z_c, quarter), (x_t, quarter), (zx, -quarter)], state)
-        recorded = complex(np.exp(1j * quarter))
-        return recorded * arr, recorded
+        # disjoint strings: their product has phase +1
+        for string, angle in ((z_c, quarter), (x_t, quarter), (multiply(z_c, x_t), -quarter)):
+            frame.evolve(string, angle)
+        return cmath.exp(1j * quarter)
 
 
 def loop_cnot(control_hole: HoleSpec, target_hole: HoleSpec, spec: LatticeSpec) -> LoopCnot:
@@ -615,17 +587,17 @@ def naive_move_error(extension: tuple, spec: LatticeSpec, hole: HoleSpec, tg: fl
 
     The hole is prepared in the superposition ``exp(-i tg X_bar)|0>_L``.
     The naive move applies one X on the extension edge; the intended result
-    is the propagator of the extended string on |0>_L.  Their distance is
-    ``2|cos tg| * f`` with the overlap factor
-    ``f = ||(X_ext - 1)|0>_L|| / 2``, which the oracle computes directly.
-    The faithful route -- compiling the extended string propagator as one
-    pulse schedule -- matches the intended state to numerical precision.
+    is the propagator of the extended string on |0>_L.  ``X_bar`` and
+    ``X_ext`` commute, so they differ by ``cos tg (X_ext - 1)|0>_L``, of norm
+    ``2|cos tg| * f`` with ``f = sqrt(2(1 - e)) / 2`` for the code tableau's
+    ``e = <X_ext>``, exactly -1, 0 or +1.  The faithful route -- the extended
+    string's compiled schedule -- is judged by
+    :func:`~qsakit.dense_oracle.verify_schedule` on the string's own sites:
+    a bound on its spectral distance from the exact propagator.
     """
     if hole.kind != "smooth":
         raise EncodingError("hole moves are demonstrated on a smooth hole")
-    import numpy as np
-
-    from .dense_oracle import apply_rotation, apply_schedule, apply_string
+    from .dense_oracle import verify_schedule
 
     x_bar, _ = hole_logicals(hole, spec)
     kind, i, j = extension
@@ -636,24 +608,16 @@ def naive_move_error(extension: tuple, spec: LatticeSpec, hole: HoleSpec, tg: fl
     ext = PauliString.from_sites(spec.n_sites, {ext_index: "X"})
     extended = multiply(x_bar, ext)
 
-    base = code_state(spec)
-    state = apply_rotation(x_bar, tg, base)
-    naive = apply_string(ext, state)
-    intended = apply_rotation(extended, tg, base)
-    distance = float(np.linalg.norm(naive - intended))
-    factor = float(np.linalg.norm(apply_string(ext, base) - base)) / 2.0
-    predicted = 2.0 * abs(math.cos(tg)) * factor
-
-    schedule = compile_schedule(extended, strategy="auto", tg=tg)
-    loop_route = apply_schedule(schedule, base)
-    loop_route_distance = float(np.linalg.norm(loop_route - intended))
+    factor = math.sqrt(2.0 * (1 - _code_tableau(spec).expectation(ext))) / 2.0
+    distance = 2.0 * abs(math.cos(tg)) * factor
+    schedule = compile_schedule(restrict(extended, extended.support), strategy="auto", tg=tg)
 
     return {
         "tg": tg,
         "extension_edge": [kind, i, j],
         "distance": distance,
         "overlap_factor": factor,
-        "predicted": predicted,
-        "loop_route_distance": loop_route_distance,
+        "predicted": distance,
+        "loop_route_distance": verify_schedule(schedule)["distance"],
         "string_weight": extended.weight,
     }

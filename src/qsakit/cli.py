@@ -4,8 +4,8 @@ Every invocation but ``--help`` prints one RunReport JSON document to
 standard output and exits 0 when all checks pass, 1 when a check fails (the
 failing check names the violated invariant), 2 on malformed input (a
 command line argparse refuses included), 3 when a resource limit is exceeded
-(the dense oracle's env ``QSA_MAX_DENSE_QUBITS``, or the stabilizer tableau's
-``MAX_TABLEAU_SITES``) and 4 on an
+(the dense oracle's env ``QSA_MAX_DENSE_QUBITS``, the stabilizer tableau's
+``MAX_TABLEAU_SITES`` or the lattice spec's ``MAX_LATTICE_SITES``) and 4 on an
 internal fault (any other exception, reported as ``internal-error``, with
 its traceback on standard error).  Reports are strict JSON: a report
 holding a NaN or an infinity is not printed, and the run exits 2.  Reports
@@ -15,9 +15,9 @@ byte-identical output.  Artifacts (compiled schedules) go to files named by
 
 Only the symbolic layer is imported up front.  The dense oracle, the lattice
 and anyon workflows and the analyses are imported by the handlers that use
-them.  The lattice module loads no numpy, so ``toric build``, ``toric
-ground`` and ``compile`` above the dense limit never load it; the dense
-oracle, the anyon workflows and the analyses do.
+them.  The lattice and anyon modules load no numpy, so the ``toric build``,
+``toric ground``, ``anyon`` and above-the-dense-limit ``compile`` commands
+never load it; the dense oracle and the analyses do.
 """
 
 from __future__ import annotations
@@ -412,11 +412,8 @@ def _cmd_anyon(args):
             raw = payload.get("amplitudes", [0.5, 0.5, 0.5, 0.5])
             if not isinstance(raw, list) or len(raw) != 4:
                 raise CliInputError(f"amplitudes must hold four entries, got {raw!r}")
-            amplitudes = [_amplitude(a, f"amplitudes[{k}]") for k, a in enumerate(raw)]
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
-            if norm == 0:
-                raise CliInputError("amplitudes must not all vanish")
-        amplitudes = [a / norm for a in amplitudes]
+            amplitudes = anyon_logic._unit_amplitudes(
+                _amplitude(a, f"amplitudes[{k}]") for k, a in enumerate(raw))
         basis = anyon_logic.memory_basis(spec)
         worst_pair = max(
             math.sqrt(basis[i].overlap(basis[j]))

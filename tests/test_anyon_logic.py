@@ -13,7 +13,6 @@ from qsakit.anyon_logic import (
     UnsupportedOperationError,
     anyon_walk,
     braiding_phase,
-    code_state,
     hole_logicals,
     interleaved_propagators,
     loop_cnot,
@@ -33,7 +32,6 @@ from qsakit.dense_oracle import (
     _random_state,
     apply_rotation,
     apply_schedule,
-    expectation,
     run_pulses,
 )
 from qsakit.pauli_core import PauliString, commutes, multiply
@@ -48,6 +46,7 @@ from qsakit.toric_lattice import (
     digital_sequence,
     ground_state_projector,
     ground_state_sweep,
+    kitaev_edge_index,
     plaquette_range,
 )
 
@@ -281,7 +280,8 @@ def test_memory_encode_runs_at_most_seven_loop_rotations(monkeypatch, amps):
     amps = np.asarray(amps, dtype=complex) / np.linalg.norm(amps)
     overlaps = memory_encode(spec, list(amps), basis[0])
     assert np.max(np.abs(np.array(overlaps) - amps)) <= 1e-12
-    assert len({id(frame) for frame, _, _ in runs}) <= 1 and len(runs) <= 7
+    # Y2, then Y1 and Z2 Y1, then Z2, Z1 and Z1 Z2, each dropped at angle 0
+    assert len({id(frame) for frame, _, _ in runs}) <= 1 and len(runs) <= 6
 
 
 def test_single_loop_rotation_amplitudes():
@@ -397,12 +397,11 @@ def test_hole_logicals_refuses_a_hole_that_frees_no_qubit(hole, spec, error):
 
 
 def test_code_state_is_the_logical_zero():
-    # the dense state and the tableau: every kept term and both holes'
-    # logical Z fix them, and every stabilizer of the tableau fixes the vector
-    state, tableau = code_state(HOLES_SPEC), anyon_logic._code_tableau(HOLES_SPEC)
+    # every kept term and both holes' logical Z fix the tableau, and every
+    # stabilizer of the tableau fixes the conftest code state
+    state, tableau = lattice_ground(HOLES_SPEC), anyon_logic._code_tableau(HOLES_SPEC)
     logical_zs = [hole_logicals(hole, HOLES_SPEC)[1] for hole in HOLES_SPEC.holes]
     for op in [*build_variant(HOLES_SPEC).operators(), *logical_zs]:
-        assert expectation(op, state).real == pytest.approx(1.0)
         assert tableau.expectation(op) == 1
     for g in tableau.stabilizers:
         assert np.abs(pauli_image(g, state) - state).max() <= 1e-12
@@ -465,31 +464,29 @@ def test_magic_report_builds_the_code_state_once(monkeypatch):
 
 
 def test_memory_magic_and_cnot_build_no_dense_state(monkeypatch):
-    # the dense oracle's state kernels, where they live; anyon_logic and
-    # toric_lattice import them from there only when a dense function runs
-    calls = count_calls(monkeypatch, dense_oracle, "run_pulses", "apply_string")
+    # the dense oracle's kernels, where they live: every pulse program runs
+    # through _apply_fused and every dense Pauli image through apply_string
+    calls = count_calls(monkeypatch, dense_oracle, "_apply_fused", "apply_string")
     spec = _memory_spec()
     memory_encode(spec, [0.5, 0.5j, -0.5, 0.5], memory_basis(spec)[0])
     magic_report(HOLES_SPEC.holes[1], 0.7, HOLES_SPEC)
     _cnot().truth_table()
+    _cnot().composite_apply(_hole_frame(3))
     assert set(calls.values()) == {0}
-    # the hooks are live: the hole move builds and runs dense states
+    # the hooks are live: the hole move's loop route runs its schedule through
+    # the fused kernel, and the oracle's expectation applies a string
     naive_move_error(("h", 1, 0), HOLES_SPEC, HOLES_SPEC.holes[0], 0.3)
-    assert calls["run_pulses"] > 0 and calls["apply_string"] > 0
+    assert calls["_apply_fused"] > 0
+    dense_oracle.expectation(_cnot().braid, lattice_ground(HOLES_SPEC))
+    assert calls["apply_string"] > 0
 
 
 def test_naive_move_error_builds_the_code_state_once(monkeypatch):
     hole, tg = HOLES_SPEC.holes[0], math.pi / 4.0
     want = naive_move_error(("h", 1, 0), HOLES_SPEC, hole, tg)
-    calls = []
-
-    def counted(spec):
-        calls.append(spec)
-        return code_state(spec)
-
-    monkeypatch.setattr(anyon_logic, "code_state", counted)
+    calls = count_calls(monkeypatch, anyon_logic, "_code_tableau")
     assert naive_move_error(("h", 1, 0), HOLES_SPEC, hole, tg) == want
-    assert len(calls) == 1
+    assert calls == {"_code_tableau": 1}
 
 
 def _memory_spec():
@@ -522,6 +519,31 @@ def _magic_vector():
     return zero * code + one * pauli_image(hole_logicals(hole, HOLES_SPEC)[0], code)
 
 
+def _hole_frame(b):
+    """A logical frame of both holes of ``HOLES_SPEC`` (control first) in basis state ``b``."""
+    pairs = [hole_logicals(hole, HOLES_SPEC) for hole in HOLES_SPEC.holes]
+    return LogicalFrame(anyon_logic._code_tableau(HOLES_SPEC), pairs, [k == b for k in range(4)])
+
+
+def _frame_vector(frame, scalar=1.0):
+    """``scalar`` times a frame of both holes, as a vector: its amplitudes on the
+    conftest code state's hole basis vectors."""
+    vectors = hole_vectors(lattice_ground(HOLES_SPEC))
+    return scalar * sum(a * v for a, v in zip(frame.amplitudes, vectors))
+
+
+def _braided_frame():
+    frame = _hole_frame(0)
+    frame.evolve(_cnot().braid, 0.4)
+    return frame
+
+
+def _composite_vectors():
+    """The composite CNOT of each basis frame, its recorded scalar applied, as vectors."""
+    frames = [_hole_frame(b) for b in range(4)]
+    return [_frame_vector(frame, _cnot().composite_apply(frame)) for frame in frames]
+
+
 # every state a function hands back, as a dense vector: (register width, the
 # vectors); a tableau is the conftest vector its stabilizers fix, and a
 # frame or a list of overlaps weighs the conftest basis vectors
@@ -535,14 +557,12 @@ STATE_MAKERS = {
     ]),
     "memory_basis": (16, lambda: [stabilizer_vector(b) for b in memory_basis(_memory_spec())]),
     "memory_encode": (16, lambda: [_memory_state()]),
-    "code_state": (HOLES_SPEC.n_sites, lambda: [code_state(HOLES_SPEC)]),
+    "_code_tableau": (HOLES_SPEC.n_sites, lambda: [
+        stabilizer_vector(anyon_logic._code_tableau(HOLES_SPEC))
+    ]),
     "magic_state": (HOLES_SPEC.n_sites, lambda: [_magic_vector()]),
-    "LoopCnot.braid": (HOLES_SPEC.n_sites, lambda: [
-        run_pulses([(_cnot().braid, 0.4)], code_state(HOLES_SPEC))
-    ]),
-    "LoopCnot.composite_apply": (HOLES_SPEC.n_sites, lambda: [
-        _cnot().composite_apply(state)[0] for state in hole_vectors(code_state(HOLES_SPEC))
-    ]),
+    "LoopCnot.braid": (HOLES_SPEC.n_sites, lambda: [_frame_vector(_braided_frame())]),
+    "LoopCnot.composite_apply": (HOLES_SPEC.n_sites, _composite_vectors),
     "apply_schedule": (4, _schedule_on_a_probe),
 }
 
@@ -584,14 +604,22 @@ def test_loop_cnot_truth_table_and_composite():
         out = rotated(vectors[t], gate.braid, math.pi / 2.0 * c)
         want = np.linalg.norm(out - row["recorded_phase"] * vectors[2 * expected[0] + expected[1]])
         assert abs(row["distance"] - want) <= 1e-12
-    # the composite CNOT on the package's dense code state
-    basis = hole_vectors(code_state(HOLES_SPEC))
+    # the composite CNOT on a frame of both holes: the recorded scalar times
+    # the frame is the permuted basis state, and the conftest code state run
+    # through the same three rotations agrees
+    _, z_c = hole_logicals(gate.control, HOLES_SPEC)
+    x_t, _ = hole_logicals(gate.target, HOLES_SPEC)
     expected_index = {0: 0, 1: 1, 2: 3, 3: 2}
-    for k, state in enumerate(basis):
-        out, recorded = gate.composite_apply(state)
-        want = basis[expected_index[k]]
-        assert abs(abs(np.vdot(out, want)) - 1.0) <= 1e-10
-        assert abs(recorded - np.exp(1j * math.pi / 4.0)) <= 1e-12
+    for k in range(4):
+        frame = _hole_frame(k)
+        recorded = gate.composite_apply(frame)
+        assert abs(recorded - np.exp(1j * math.pi / 4.0)) <= 1e-15
+        want = [float(b == expected_index[k]) for b in range(4)]
+        assert max(abs(recorded * a - w) for a, w in zip(frame.amplitudes, want)) <= 1e-15
+        state = vectors[k]
+        for string, sign in ((z_c, 1), (x_t, 1), (multiply(z_c, x_t), -1)):
+            state = rotated(state, string, sign * math.pi / 4)
+        assert np.abs(recorded * state - vectors[expected_index[k]]).max() <= 1e-12
 
 
 def test_loop_cnot_rejects_wrong_hole_kinds():
@@ -633,16 +661,33 @@ def test_every_hole_pair_braid_stays_in_the_code_space_and_links_both_holes():
 
 
 def test_naive_move_error_values():
+    # the distance against the conftest code state moved both ways, and the
+    # closed form on an 8x8 hole lattice of 105 edges, above the dense limit
     hole = HOLES_SPEC.holes[0]
     extension = ("h", 1, 0)
-    for tg, expect_zero in ((math.pi / 4.0, False), (math.pi / 2.0, True)):
+    code = lattice_ground(HOLES_SPEC)
+    x_bar, _ = hole_logicals(hole, HOLES_SPEC)
+    ext_site = kitaev_edge_index(HOLES_SPEC, *extension)
+    ext = PauliString.from_sites(HOLES_SPEC.n_sites, {ext_site: "X"})
+    for tg, expect_zero in ((math.pi / 4.0, False), (math.pi / 2.0, True), (0.3, False)):
         report = naive_move_error(extension, HOLES_SPEC, hole, tg)
-        assert report["distance"] == pytest.approx(report["predicted"], abs=1e-10)
+        naive = pauli_image(ext, rotated(code, x_bar, tg))
+        intended = rotated(code, multiply(x_bar, ext), tg)
+        assert abs(report["distance"] - np.linalg.norm(naive - intended)) <= 1e-12
+        assert report["distance"] == report["predicted"]
         if expect_zero:
             assert report["distance"] <= 1e-10
         else:
             assert report["distance"] > 0.5
         assert report["loop_route_distance"] <= 1e-10
+    big = LatticeSpec(rows=8, cols=8, model="kitaev_holes", holes=(HoleSpec(((3, 3),), "smooth"),))
+    assert big.n_sites == 105
+    for tg in (0.3, math.pi / 4.0):
+        report = naive_move_error(("h", 3, 3), big, big.holes[0], tg)
+        # a single X edge anticommutes with a face of the code state: e = 0
+        assert report["overlap_factor"] == math.sqrt(2.0) / 2.0
+        assert abs(report["distance"] - math.sqrt(2.0) * abs(math.cos(tg))) <= 1e-15
+        assert report["loop_route_distance"] <= 1e-10 and report["string_weight"] == 5
     with pytest.raises(EncodingError, match="^hole moves are demonstrated on a smooth hole$"):
         naive_move_error(extension, HOLES_SPEC, HOLES_SPEC.holes[1], tg)
     # a fractional index is refused, not truncated to edge ("h", 1, 0)
@@ -663,8 +708,6 @@ TORUS_44 = LatticeSpec(rows=4, cols=4, boundary="periodic")
      "loop kind must be 'e' or 'm', got 'f'"),
     (lambda: loop_path(TORUS_44, "e", "diagonal"), PathError,
      "orientation must be vertical or horizontal, got 'diagonal'"),
-    (lambda: code_state(WEN_3X3), EncodingError,
-     "code_state is defined for the kitaev_holes model"),
     # the smooth hole's X string is the one edge below it
     (lambda: naive_move_error(("h", 2, 0), HOLES_SPEC, HOLES_SPEC.holes[0], 0.3), EncodingError,
      "extension edge already belongs to the hole string"),
@@ -675,7 +718,7 @@ TORUS_44 = LatticeSpec(rows=4, cols=4, boundary="periodic")
     (lambda: memory_encode(TORUS_44, [0, 0, 0, 0], None), ValueError,
      "amplitudes must not all vanish"),
 ], ids=["walk-of-one", "walk-off-the-diagonal", "loop-kind", "loop-orientation",
-        "code-state-on-wen", "move-onto-the-string", "five-amplitudes", "zero-amplitudes"])
+        "move-onto-the-string", "five-amplitudes", "zero-amplitudes"])
 def test_an_anyon_routine_refuses_what_it_cannot_do(call, error, message):
     with pytest.raises(error) as info:
         call()

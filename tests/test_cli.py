@@ -424,6 +424,76 @@ def test_a_tableau_above_the_cap_exits_three_before_any_lattice(tmp_path, capsys
     assert built == {"build_wen": 0, "build_kitaev_holes": 0}
 
 
+def run_under_a_memory_cap(argv):
+    """``main(argv)`` in a child interpreter whose address space is capped at 1 GiB,
+    so a run that would allocate without bound fails there instead of here:
+    ``(exit code, seconds in main, report)``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qsakit.cli import main\n"
+        "out = io.StringIO()\n"
+        "start = time.perf_counter()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps([code, time.perf_counter() - start, json.loads(out.getvalue())]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("rows", [2**63, 10**30], ids=["2^63", "10^30"])
+@pytest.mark.parametrize("argv, spec", [
+    (["toric", "build", "--spec"], {"cols": 4}),
+    (["toric", "digital", "--spec"], {"cols": 4}),
+    (["analyze", "error-scaling", "--digital"], {"cols": 4}),
+    (["anyon", "cnot", "--spec"], {**CNOT_ON_27_EDGES, "cols": 5}),
+], ids=["toric-build", "toric-digital", "error-scaling-digital", "anyon-cnot"])
+def test_a_lattice_above_the_spin_cap_exits_three_at_once(tmp_path, argv, spec, rows):
+    path = write_json(tmp_path / "huge.json", {**spec, "rows": rows})
+    code, seconds, report = run_under_a_memory_cap(argv + [path])
+    assert (code, report["status"]) == (3, "resource-limit")
+    assert report["error"] == (
+        f"a {rows}x{spec['cols']} lattice exceeds the cap of "
+        f"{toric_lattice.MAX_LATTICE_SITES} sites")
+    assert seconds < 0.5
+
+
+def test_the_spin_cap_admits_its_own_size(tmp_path, capsys):
+    # 200 x 200 Wen spins is the cap; one more row is refused
+    cap = toric_lattice.MAX_LATTICE_SITES
+    assert toric_lattice.LatticeSpec(rows=200, cols=200).n_sites == cap
+    with pytest.raises(cli.ResourceLimitError):
+        toric_lattice.LatticeSpec(rows=201, cols=200)
+    assert toric_lattice.LatticeSpec(rows=142, cols=142, model="kitaev_holes").n_sites <= cap
+    # two negative sides multiply to a count above the cap, but the spec is malformed
+    spec = write_json(tmp_path / "negative.json", {"rows": -300, "cols": -300})
+    code, out = run_cli(capsys, ["toric", "build", "--spec", spec])
+    assert (code, strict_json(out)["error"]) == (
+        2, f"CliInputError: bad lattice spec {spec}: lattice needs rows, cols >= 2, got -300x-300")
+
+
+HALF_ROOT = 1.0 / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("amplitudes, want", [
+    ([1e308, 1e308, 0, 0], [[HALF_ROOT, 0.0], [HALF_ROOT, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ([[1.7e308, 1.7e308], 0, 0, 0], [[HALF_ROOT, HALF_ROOT], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+    ([1e-13, 1e-13, 1e-13, 1e-13], [[0.5, 0.0]] * 4),
+], ids=["1e308", "complex-1.7e308", "1e-13"])
+def test_anyon_memory_normalizes_any_finite_payload(tmp_path, capsys, amplitudes, want):
+    spec = write_json(tmp_path / "torus.json", {"rows": 4, "cols": 4, "boundary": "periodic"})
+    path = write_json(tmp_path / "memory.json", {"amplitudes": amplitudes})
+    code, out = run_cli(capsys, ["anyon", "memory", "--spec", spec, "--path", path])
+    report = strict_json(out)
+    assert (code, report["status"]) == (0, "pass")
+    assert report["metrics"]["amplitudes"] == want
+    assert report["metrics"]["max_overlap_error"] <= 1e-15
+
+
 @pytest.mark.parametrize("argv, spec", [
     (["anyon", "memory"], {"rows": 4, "cols": 4, "boundary": "periodic"}),
     (["anyon", "memory"], {"rows": 8, "cols": 8, "boundary": "periodic"}),

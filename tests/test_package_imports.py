@@ -24,7 +24,7 @@ EXPORTS = sorted([
     "StrengthParams", "StringPath", "SwapperSpec", "Syndrome",
     "TwistSpec", "UnsupportedOperationError", "WeightedPauliSum",
     "anticommuting_pairs", "anyon_walk", "apply_schedule", "apply_swap",
-    "braiding_phase", "build_variant", "build_wen", "code_state", "commutes",
+    "braiding_phase", "build_variant", "build_wen", "commutes",
     "compile_schedule", "conjugate", "depth_bound", "digital_sequence", "distance",
     "error_scaling", "expectation", "expm", "ground_state_projector", "ground_state_sweep",
     "hole_logicals", "interleaved_propagators", "loop_cnot",
@@ -139,6 +139,8 @@ HOLES = {"rows": 3, "cols": 4, "model": "kitaev_holes",
     ("syndrome", {"rows": 4, "cols": 4}, {"sites": [[1, 1], [2, 2]], "letters": "ZZ"}),
     ("braid", {"rows": 4, "cols": 4}, {"center": [1, 1]}),
     ("cnot", HOLES, {"control": 0, "target": 1}),
+    ("memory", {"rows": 4, "cols": 4, "boundary": "periodic"}, {"amplitudes": [1, [0, 1], 0, -1]}),
+    ("magic", HOLES, {"hole": 1, "theta": 0.7}),
 ])
 def test_symbolic_anyon_commands_load_no_numpy(tmp_path, action, spec, payload):
     lines = run_lattice_command(tmp_path, "anyon", action, spec, payload)

@@ -37,8 +37,8 @@ TRACING = BENCH / "tracing.py"
 #: ``(module, "Class.method")`` kept with no use the guard finds, with why.
 KEPT_METHODS = {
     ("anyon_logic", "LoopCnot.composite_apply"):
-        "the exact CNOT from three commuting logical rotations, which the "
-        "tests check against the braid route",
+        "the exact CNOT on a logical frame of both holes from three commuting "
+        "logical rotations, which the tests check against the conftest code state",
     ("pauli_core", "PauliString.adjoint"):
         "the Hermitian adjoint of the exported Pauli type, pinned against the kron oracle",
     ("pauli_core", "PauliString.is_identity"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qsakit.anyon_logic import code_state
+from qsakit.anyon_logic import _code_tableau
 from qsakit.cli import main
 from qsakit.dense_oracle import distance, expectation
 from qsakit.pauli_core import PauliString, anticommuting_pairs, commutes, multiply
@@ -230,19 +230,13 @@ def test_psi0_is_stabilized_by_odd_plaquettes():
 def test_ground_state_projector_stabilizes_everything():
     # every spec up to 12 sites that a projection accepts: every driven
     # term, projected or not, stabilizes the wen ground tableau and the hole
-    # model's dense code state, a unit vector
+    # model's code-state tableau
     projected = 0
     for spec, pset in accepted_builds(12, max_sites=12):
         if spec.twists:
             continue
-        if spec.model == "wen":
-            state = ground_state_projector(spec)
-            assert all(state.expectation(op) == 1 for op in pset.operators())
-        else:
-            state = code_state(spec)
-            assert abs(np.linalg.norm(state) - 1.0) <= 1e-12
-            for op in pset.operators():
-                assert abs(expectation(op, state) - 1.0) <= 1e-10
+        state = ground_state_projector(spec) if spec.model == "wen" else _code_tableau(spec)
+        assert all(state.expectation(op) == 1 for op in pset.operators())
         projected += 1
     assert projected == 285
 
@@ -270,7 +264,8 @@ def test_the_seed_is_bitwise_the_kron_chain():
 
 
 def test_projection_is_bitwise_the_stepwise_formula():
-    # the hole model's code state is |0...0> projected star by star
+    # the hole model's code state is |0...0> projected star by star: each
+    # stabilizer of its tableau fixes that vector exactly
     checked = 0
     for spec, pset in accepted_builds(4, max_sites=12):
         if spec.model != "kitaev_holes":
@@ -278,7 +273,9 @@ def test_projection_is_bitwise_the_stepwise_formula():
         zero = np.zeros(1 << spec.n_sites, dtype=np.complex128)
         zero[0] = 1.0
         stars = [t.operator for t in pset.terms if t.kind == "vertex"]
-        assert bitwise_equal(code_state(spec), stepwise_projection(zero, stars))
+        state = stepwise_projection(zero, stars)
+        for g in _code_tableau(spec).stabilizers:
+            assert bitwise_equal(pauli_image(g, state), state), spec
         checked += 1
     assert checked == 55  # with no hole or one single-cell hole, up to 12 edges
 
